@@ -19,7 +19,7 @@ from repro.harness.reporting import format_table
 def run_variant(context, emit, label, **cliffguard_kwargs):
     adapter = context.columnar_adapter()
     nominal = ColumnarNominalDesigner(adapter)
-    windows = context.trace_windows("R1")
+    windows = context.window_source("R1")
     gamma = context.default_gamma("R1")
     sampler = context.sampler()
     designer = CliffGuard(

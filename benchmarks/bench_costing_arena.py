@@ -10,18 +10,14 @@ stream, and each subsequent design is priced by ``delta_design_costs``
 (re-reducing only the queries the changed structure can touch — the
 path ``workload_costs_batch`` takes in production).  This benchmark
 times one such stream — a base design of ``design size`` structures
-grown by one pool structure per iteration — in three modes:
+grown by one pool structure per iteration — in two modes:
 
 * ``recompile``  — ``kernel.compile(profiles, structures)`` +
   full reduction per design (the PR-4 per-batch path),
 * ``arena``      — ``compile_queries`` once, ``bind`` once over the
   stream's union, then one ``delta_design_costs`` per step,
-* ``arena_shm``  — ``compile_queries`` once, then per design ``bind`` +
-  a ``ProcessBackend(jobs=2)`` fan-out of the bound batch through
-  shared memory (:mod:`repro.parallel.shm`) — the full-reduction
-  fan-out shape, for the zero-copy shipping cost,
 
-asserts the three cost vectors are bit-identical, and writes a JSON
+asserts the two cost vectors are bit-identical, and writes a JSON
 record (``BENCH_costing_arena.json``)::
 
     PYTHONPATH=src python benchmarks/bench_costing_arena.py            # full
@@ -49,13 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.costing.kernel import kernel_for
-from repro.costing.service import _evaluate_kernel_chunk_shm
 from repro.designers.base import ColumnarAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.engine.projection import Projection, SortColumn
-from repro.parallel import ProcessBackend
-from repro.parallel.shm import leaked_segments, share_batch
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.workload import Workload
 
@@ -65,7 +58,7 @@ from repro.workload.workload import Workload
 #: CliffGuard/greedy iteration shape; ``design size >= pool`` prices the
 #: whole pool every iteration (the sweep shape, reduction chunked over
 #: the query axis).
-ALL_MODES = ("recompile", "arena", "arena_shm")
+ALL_MODES = ("recompile", "arena")
 FULL_CONFIGS = [
     ("small", 5_000, 500, 1_000, 16, 8, ALL_MODES),
     ("medium", 20_000, 1_500, 4_000, 16, 8, ALL_MODES),
@@ -180,7 +173,7 @@ def _run_config(schema, sqls, candidates, design_size, iterations, modes):
 
     Profiling is hoisted out of every timed region (the profiler memoizes
     by SQL text; all modes would pay it identically on a warm service) —
-    the timed difference is exactly compile-per-batch vs bind vs fan-out.
+    the timed difference is exactly compile-per-batch vs bind + delta.
     """
     model = ColumnarCostModel(schema)
     kernel = kernel_for(model)
@@ -225,28 +218,6 @@ def _run_config(schema, sqls, candidates, design_size, iterations, modes):
             out.append(prev)
     seconds["arena"] = time.perf_counter() - started
     vectors["arena"] = out
-
-    if "arena_shm" in modes:
-        backend = ProcessBackend(jobs=2)
-        try:
-            out = []
-            started = time.perf_counter()
-            arena = kernel.compile_queries(profiles)
-            for members in walk:
-                batch = kernel.bind(arena, [candidates[i] for i in members])
-                chunks = _chunks(batch.query_count, max(1, batch.query_count // 2))
-                with share_batch(batch) as handle:
-                    results = backend.map(
-                        _evaluate_kernel_chunk_shm,
-                        [(handle, chunk) for chunk in chunks],
-                    )
-                out.append(np.array([cost for part in results for cost in part]))
-            seconds["arena_shm"] = time.perf_counter() - started
-            vectors["arena_shm"] = out
-        finally:
-            backend.shutdown()
-        if leaked_segments():
-            raise SystemExit("shared-memory segments leaked during the bench")
 
     reference = vectors["arena"]
     equal = all(

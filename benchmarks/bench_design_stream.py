@@ -23,9 +23,8 @@ are re-reduced).  This benchmark times three stream shapes:
   harness) with the CliffGuard designer;
 
 in two modes each — ``cold`` (matrix cache and delta neighborhoods
-disabled: the prior per-call rebuild) and ``warm`` (both enabled) — plus
-a ``warm_process`` ProcessBackend(jobs=2) variant where noted, asserts
-every mode's outputs are bit-identical, and writes
+disabled: the prior per-call rebuild) and ``warm`` (both enabled) —
+asserts both modes' outputs are bit-identical, and writes
 ``BENCH_design_stream.json``::
 
     PYTHONPATH=src python benchmarks/bench_design_stream.py           # full
@@ -60,8 +59,6 @@ from repro.harness.experiments import (
     _engine_stack,
     run_designer_comparison,
 )
-from repro.parallel import ProcessBackend
-from repro.parallel.shm import leaked_segments
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
@@ -230,37 +227,29 @@ def _adapter_for(model, service):
     return SamplesAdapter(model, costing=service)
 
 
-def _run_matrix_stream(substrate: str, shape: dict, with_process: bool):
+def _run_matrix_stream(substrate: str, shape: dict):
     model, pool, profiles, shape = _matrix_substrate(substrate, shape)
     calls = _matrix_calls(shape)
     seconds: dict[str, float] = {}
     outputs: dict[str, list] = {}
-    modes = ["cold", "warm"] + (["warm_process"] if with_process else [])
-    for mode in modes:
-        backend = ProcessBackend(jobs=2) if mode == "warm_process" else None
-        try:
-            service = CostEvaluationService(model, backend=backend)
-            warm = mode != "cold"
-            service.matrix_cache_enabled = warm
-            service.delta_neighborhood_enabled = warm
-            adapter = _adapter_for(model, service)
-            out = []
-            # Accumulated heap from earlier configs penalizes whichever
-            # mode runs later; settle the collector before each timing.
-            gc.collect()
-            started = time.perf_counter()
-            for q_slice, c_slice in calls:
-                base, matrix = service.candidate_costs(
-                    profiles[q_slice], pool[c_slice], adapter.make_design
-                )
-                out.append((base, matrix))
-            seconds[mode] = time.perf_counter() - started
-            outputs[mode] = out
-        finally:
-            if backend is not None:
-                backend.shutdown()
-        if backend is not None and leaked_segments():
-            raise SystemExit("shared-memory segments leaked during the bench")
+    for mode in ("cold", "warm"):
+        service = CostEvaluationService(model)
+        warm = mode != "cold"
+        service.matrix_cache_enabled = warm
+        service.delta_neighborhood_enabled = warm
+        adapter = _adapter_for(model, service)
+        out = []
+        # Accumulated heap from earlier configs penalizes whichever
+        # mode runs later; settle the collector before each timing.
+        gc.collect()
+        started = time.perf_counter()
+        for q_slice, c_slice in calls:
+            base, matrix = service.candidate_costs(
+                profiles[q_slice], pool[c_slice], adapter.make_design
+            )
+            out.append((base, matrix))
+        seconds[mode] = time.perf_counter() - started
+        outputs[mode] = out
     reference = outputs["cold"]
     equal = all(
         all(
@@ -300,47 +289,41 @@ def _report_facts(report):
     )
 
 
-def _run_cliffguard_stream(engine: str, scale: ExperimentScale, windows: int, with_process: bool):
+def _run_cliffguard_stream(engine: str, scale: ExperimentScale, windows: int):
     workload = "R1"
     seconds: dict[str, float] = {}
     outputs: dict[str, list] = {}
-    modes = ["cold", "warm"] + (["warm_process"] if with_process else [])
-    for mode in modes:
-        backend = ProcessBackend(jobs=2) if mode == "warm_process" else None
-        try:
-            with _toggles(mode != "cold"):
-                context = ExperimentContext(scale)
-                adapter, nominal = _engine_stack(context, engine, backend=backend)
-                gamma = context.default_gamma(workload)
-                sampler = context.sampler()
-                sampler.set_pool(context.trace(workload))
-                designer = CliffGuard(
-                    nominal,
-                    adapter,
-                    sampler,
-                    gamma,
-                    n_samples=scale.n_samples,
-                    max_iterations=scale.iterations,
-                )
-                stream = context.trace_windows(workload)[
-                    scale.skip_transitions : scale.skip_transitions + windows
-                ]
-                out = []
-                gc.collect()
-                started = time.perf_counter()
-                for window in stream:
-                    design = designer.design(window)
-                    out.append(
-                        (
-                            design_digest(adapter, design),
-                            _report_facts(designer.last_report),
-                        )
+    for mode in ("cold", "warm"):
+        with _toggles(mode != "cold"):
+            context = ExperimentContext(scale)
+            adapter, nominal = _engine_stack(context, engine)
+            gamma = context.default_gamma(workload)
+            sampler = context.sampler()
+            sampler.set_pool(context.trace(workload))
+            designer = CliffGuard(
+                nominal,
+                adapter,
+                sampler,
+                gamma,
+                n_samples=scale.n_samples,
+                max_iterations=scale.iterations,
+            )
+            stream = context.trace_windows(workload)[
+                scale.skip_transitions : scale.skip_transitions + windows
+            ]
+            out = []
+            gc.collect()
+            started = time.perf_counter()
+            for window in stream:
+                design = designer.design(window)
+                out.append(
+                    (
+                        design_digest(adapter, design),
+                        _report_facts(designer.last_report),
                     )
-                seconds[mode] = time.perf_counter() - started
-                outputs[mode] = out
-        finally:
-            if backend is not None:
-                backend.shutdown()
+                )
+            seconds[mode] = time.perf_counter() - started
+            outputs[mode] = out
     equal = all(series == outputs["cold"] for series in outputs.values())
     facts = {
         "windows": len(outputs["cold"]),
@@ -385,18 +368,18 @@ def run(smoke: bool, out_path: Path) -> dict:
     cliff_windows = CLIFF_SMOKE_WINDOWS if smoke else CLIFF_FULL_WINDOWS
     comparison_scale = COMPARISON_SMOKE if smoke else COMPARISON_FULL
     configs = [
-        ("matrix-stream-columnar", _run_matrix_stream, ("columnar", matrix_shape, True)),
-        ("matrix-stream-rowstore", _run_matrix_stream, ("rowstore", matrix_shape, False)),
-        ("matrix-stream-samples", _run_matrix_stream, ("samples", matrix_shape, False)),
+        ("matrix-stream-columnar", _run_matrix_stream, ("columnar", matrix_shape)),
+        ("matrix-stream-rowstore", _run_matrix_stream, ("rowstore", matrix_shape)),
+        ("matrix-stream-samples", _run_matrix_stream, ("samples", matrix_shape)),
         (
             "cliffguard-columnar",
             _run_cliffguard_stream,
-            ("columnar", cliff_scale, cliff_windows, not smoke),
+            ("columnar", cliff_scale, cliff_windows),
         ),
         (
             "cliffguard-rowstore",
             _run_cliffguard_stream,
-            ("rowstore", cliff_scale, cliff_windows, False),
+            ("rowstore", cliff_scale, cliff_windows),
         ),
         ("comparison-columnar", _run_comparison, (comparison_scale,)),
     ]

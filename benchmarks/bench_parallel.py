@@ -1,9 +1,9 @@
 """Parallel execution backends — speedup and bit-identity measurements.
 
-Runs the same CliffGuard design call (the F7a neighborhood-evaluation hot
-path) on the serial backend and on the process backend, asserts the two
-produce bit-identical designs, cost trajectories, and service counters,
-and emits a JSON record of the per-backend wall times.
+Runs the same Γ sweep (whole per-Γ replays, the backends' unit of
+fan-out) on the serial backend and on the process backend, asserts the
+two produce bit-identical results, and emits a JSON record of the
+per-backend wall times.
 
 The speedup assertion only fires on multi-core machines: on a single
 core a process pool is pure overhead, and the honest result is the
@@ -16,82 +16,10 @@ import json
 import os
 import time
 
-from repro.designers import registry
-from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.harness.experiments import run_gamma_sweep
 from repro.parallel import ProcessBackend, SerialBackend
 
 JOBS = 4
-
-
-def _design_once(context, backend):
-    """One CliffGuard design call on a fresh engine stack over ``backend``."""
-    adapter = context.columnar_adapter(backend)
-    nominal = ColumnarNominalDesigner(adapter)
-    gamma = context.default_gamma("R1")
-    designer, sampler = registry.get(
-        "CliffGuard",
-        adapter,
-        nominal,
-        gamma,
-        make_sampler=context.sampler,
-        n_samples=context.scale.n_samples,
-        max_iterations=context.scale.iterations,
-    )
-    windows = context.trace_windows("R1")
-    window = windows[-2]
-    sampler.set_pool(
-        [q for q in context.trace("R1") if q.timestamp < window.span_days[0]]
-    )
-    started = time.perf_counter()
-    design = designer.design(window)
-    wall = time.perf_counter() - started
-    report = designer.last_report
-    fingerprint = sorted(s.to_sql() for s in adapter.structures(design))
-    counters = (
-        report.query_cost_calls,
-        report.raw_cost_model_calls,
-        report.cache_hits,
-        report.designer_calls,
-    )
-    return {
-        "backend": report.backend,
-        "wall_seconds": wall,
-        "eval_wall_seconds": report.eval_wall_seconds,
-        "fingerprint": fingerprint,
-        "price_bytes": adapter.design_price(design),
-        "worst_case_history": report.worst_case_history,
-        "counters": counters,
-    }
-
-
-def test_neighborhood_backend_speedup(context, emit):
-    serial = _design_once(context, SerialBackend())
-    with ProcessBackend(jobs=JOBS) as pool:
-        process = _design_once(context, pool)
-
-    # Bit-identity: same design, same cost trajectory, same counters.
-    assert process["fingerprint"] == serial["fingerprint"]
-    assert process["price_bytes"] == serial["price_bytes"]
-    assert process["worst_case_history"] == serial["worst_case_history"]
-    assert process["counters"] == serial["counters"]
-
-    cpu = os.cpu_count() or 1
-    record = {
-        "benchmark": "neighborhood_evaluation",
-        "cpu_count": cpu,
-        "jobs": JOBS,
-        "n_samples": context.scale.n_samples,
-        "serial_wall_seconds": round(serial["wall_seconds"], 4),
-        "process_wall_seconds": round(process["wall_seconds"], 4),
-        "serial_eval_seconds": round(serial["eval_wall_seconds"], 4),
-        "process_eval_seconds": round(process["eval_wall_seconds"], 4),
-        "speedup": round(serial["wall_seconds"] / max(process["wall_seconds"], 1e-9), 3),
-        "bit_identical": True,
-    }
-    emit(json.dumps(record, indent=2))
-    if cpu >= 4:
-        assert record["speedup"] > 1.0
 
 
 def test_gamma_sweep_backend_speedup(context, emit):

@@ -40,8 +40,8 @@ def main() -> None:
 
         report = outcome.report
         print(
-            f"CliffGuard ran {report.iterations} iterations on the "
-            f"{report.backend} backend ({report.eval_wall_seconds:.1f}s costing)"
+            f"CliffGuard ran {report.iterations} iterations "
+            f"({report.eval_wall_seconds:.1f}s costing)"
         )
 
         print("\n                     next-month avg    next-month max   structures")

@@ -15,9 +15,11 @@ collapses that to::
 ``RunConfig`` is a frozen dataclass that validates every knob at
 construction; ``RobustDesignSession`` owns the lazily built context,
 engine stack, and execution backend (see :mod:`repro.parallel`).  The
-``backend``/``jobs`` pair is the single parallelism knob: ``design()``
-fans the Γ-neighborhood costing out across workers, while ``sweep()`` and
-``replay()`` fan out whole per-Γ / per-designer replays.
+``backend``/``jobs`` pair is the single parallelism knob: ``sweep()``,
+``replay()`` and ``schedule()`` fan out whole per-Γ / per-designer
+replays across workers and ``serve()`` runs its re-designs in the
+background on it; a single ``design()`` call prices in process on every
+backend (its costing kernel is ~1% of the run — nothing worth splitting).
 
 The configuration is split in two: ``RunConfig`` is the **batch core**
 (workload, engine, scale, search effort, backend, observability), and
@@ -231,8 +233,8 @@ class DesignOutcome:
     structures: list = field(default_factory=list)
     #: Total bytes of the design (the paper's ``price(D)``).
     price_bytes: int = 0
-    #: CliffGuard's run trace, including cost-call effort, the execution
-    #: backend used, and the costing wall-time.
+    #: CliffGuard's run trace, including cost-call effort and the
+    #: costing wall-time.
     report: CliffGuardReport | None = None
     #: Wall-clock seconds of the whole design call.
     wall_seconds: float = 0.0
@@ -289,11 +291,10 @@ class RobustDesignSession:
 
     @property
     def adapter(self):
-        """The engine adapter, with neighborhood costing fanned out over
-        the session backend."""
+        """The engine adapter (one shared in-process costing service)."""
         if self._adapter is None:
             self._adapter, self._nominal = _engine_stack(
-                self.context, self.config.engine, self.backend
+                self.context, self.config.engine
             )
         return self._adapter
 
@@ -367,8 +368,8 @@ class RobustDesignSession:
         ``window`` is a :class:`Workload`, a window index, or ``None`` for
         the latest complete window.  The sampler's perturbation pool is
         restricted to queries strictly before the window (no peeking at
-        the future).  Neighborhood costing fans out over the session
-        backend; results are bit-identical to serial at any worker count.
+        the future).  Costing runs in process whatever the session
+        backend, so results are trivially identical across backends.
         """
         windows = self.context.trace_windows(self.config.workload)
         if window is None:

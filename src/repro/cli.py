@@ -19,7 +19,9 @@ Commands:
 
 Every command builds a :class:`repro.api.RobustDesignSession` from the
 flags; ``--backend``/``--jobs`` select the execution backend that fans out
-neighborhood costing and experiment grids (see :mod:`repro.parallel`);
+whole replays — ``gamma``'s per-Γ and ``compare``'s per-designer tasks —
+and runs ``serve``'s background re-designs (see :mod:`repro.parallel`;
+costing inside one design run is always in-process);
 ``--trace PATH`` appends a structured JSONL event trace of the run
 (schema in ``docs/observability.md``).  All commands are deterministic
 given ``--seed`` at any worker count.
@@ -211,7 +213,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             session.context,
             args.workload,
             engine=args.engine,
-            backend=session.backend,
             checkpointer=session.checkpointer,
         )
     print(
@@ -233,8 +234,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{report.accepted_moves} accepted moves, "
             f"{report.query_cost_calls} query-cost calls "
             f"({report.raw_cost_model_calls} raw), "
-            f"final α = {report.final_alpha:g}, "
-            f"backend = {report.backend} "
+            f"final α = {report.final_alpha:g} "
             f"({report.eval_wall_seconds:.2f}s costing, "
             f"{report.nominal_wall_seconds:.2f}s nominal)"
         )

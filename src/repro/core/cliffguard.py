@@ -60,9 +60,6 @@ class CliffGuardReport:
     cache_hits: int = 0
     #: The step size after the last accepted/rejected move.
     final_alpha: float = 0.0
-    #: Execution backend that filled cost-cache misses ("serial",
-    #: "thread", or "process") — see :mod:`repro.parallel`.
-    backend: str = "serial"
     #: Wall-clock seconds spent inside cost evaluation during this run.
     eval_wall_seconds: float = 0.0
     #: (candidate, query) cells the candidate-matrix cache served warm
@@ -393,7 +390,6 @@ class CliffGuard(Designer):
         """Record designer effort (cost-call counters) and the final α."""
         report.final_alpha = alpha
         if service is not None and baseline is not None:
-            report.backend = service.backend_name
             delta = service.stats.since(baseline)
             report.eval_wall_seconds = delta.eval_seconds
             # Total query-cost evaluations the run asked for, counting the

@@ -1,22 +1,22 @@
-"""Bounded memoization for the engine cost models' per-pair caches.
+"""The one bounded LRU every cache in the repo is built on.
 
-The three cost models memoize per-(query, structure) costs — columnar
-projection costs, rowstore structure costs, samples costs — in plain
-dicts.  Those memos are correct (keys are content: exact SQL text plus a
-frozen structure), but unbounded: a months-long ``scheduled_replay`` or
-monitor run prices an ever-growing set of (query, structure) pairs and
-the dicts grow with it.  :class:`BoundedMemo` is a drop-in replacement
-with the same access idiom (``in`` / ``[key]`` / ``[key] =``), an LRU
-bound, and evictions counted in the process-wide metrics registry —
-the same pattern as ``workload/distance.py``'s per-workload caches.
+The engine cost models memoize per-(query, structure) costs, the costing
+service memoizes per-(design, query) costs, workload reports, design
+fingerprints and compiled arenas, and the distance metrics memoize
+per-workload terms.  All of them need the same thing — a mapping that
+forgets its least-recently-used entry once it is full — so a months-long
+``scheduled_replay`` or monitor run cannot grow them (and the objects
+they reference) without bound.  :class:`BoundedMemo` is that mapping.
 
 Cached values include ``None`` ("this structure cannot serve this
-query"), so membership — not ``.get`` — is the read idiom.
+query"), so membership — not ``.get`` — is the read idiom wherever
+``None`` is a legal value.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 
 from repro.obs import get_metrics
 
@@ -25,46 +25,133 @@ from repro.obs import get_metrics
 #: query working set, small enough to cap a months-long replay.
 DEFAULT_MEMO_ENTRIES = 262_144
 
+_MISSING = object()
+
 
 class BoundedMemo:
-    """LRU-bounded mapping with metrics-counted evictions.
+    """LRU-bounded mapping with counted evictions.
 
-    Supports exactly the idiom the cost models use::
+    Reads come in two strengths: ``memo[key]`` and :meth:`get` refresh
+    the entry's recency, ``key in memo`` and :meth:`peek` do not (``in``
+    is the idiom for memos whose values may be ``None``; it is always
+    followed by ``memo[key]``, which refreshes).  ``memo[key] = value``
+    inserts at the most-recent end and evicts from the other one.
 
-        if key in memo:
-            return memo[key]
-        memo[key] = compute()
+    ``by_identity=True`` keys entries by ``id(key)`` instead of by
+    ``hash``/``==`` — for key objects that are expensive (or unable) to
+    hash but never mutate, such as a ``Workload``.  Each entry keeps the
+    key object itself alongside the value, so an ``id`` recycled by a
+    new object after garbage collection can never alias a stale entry.
 
-    ``in`` does not refresh recency (it is always followed by ``[key]``,
-    which does).  Evictions increment ``counter_name`` in the
-    process-wide metrics registry.  Instances are picklable, so cost
-    models carrying one can still ship to process-backend workers.
+    Every eviction bumps :attr:`evictions`, increments ``counter_name``
+    in the process-wide metrics registry (when given) and calls
+    ``on_evict(key, value)`` (when given).  :meth:`items` lists entries
+    oldest-first and :meth:`replace` loads such a list back, so an
+    exported cache round-trips with its exact LRU order.  Instances
+    without an ``on_evict`` hook are picklable, so cost models carrying
+    one can still ship to process-backend workers.
     """
 
-    def __init__(self, counter_name: str, max_entries: int = DEFAULT_MEMO_ENTRIES):
+    def __init__(
+        self,
+        counter_name: str | None = None,
+        max_entries: int = DEFAULT_MEMO_ENTRIES,
+        *,
+        by_identity: bool = False,
+        on_evict: Callable[[object, object], None] | None = None,
+    ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.counter_name = counter_name
         self.max_entries = max_entries
+        self.by_identity = by_identity
+        self.on_evict = on_evict
+        self.evictions = 0
+        #: Least recently used first.  Content-keyed: key -> value.
+        #: Identity-keyed: ``id(key)`` -> (key, value).
         self._entries: OrderedDict = OrderedDict()
 
+    def _identity_entry(self, key):
+        """The resident ``(key, value)`` entry for *this* object, or
+        ``None`` (also when its ``id`` slot holds another object's)."""
+        entry = self._entries.get(id(key))
+        return entry if entry is not None and entry[0] is key else None
+
+    # The content-keyed branches below are the cost models' and the
+    # service's per-lookup hot path: straight dict operations, no helper
+    # call in between.
+
     def __contains__(self, key) -> bool:
+        if self.by_identity:
+            return self._identity_entry(key) is not None
         return key in self._entries
 
     def __getitem__(self, key):
-        value = self._entries[key]
+        if not self.by_identity:
+            value = self._entries[key]
+            self._entries.move_to_end(key)
+            return value
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            raise KeyError(key)
+        return value
+
+    def get(self, key, default=None):
+        """The cached value (refreshing its recency), else ``default``."""
+        if self.by_identity:
+            entry = self._identity_entry(key)
+            if entry is None:
+                return default
+            self._entries.move_to_end(id(key))
+            return entry[1]
+        value = self._entries.get(key, _MISSING)
+        if value is _MISSING:
+            return default
         self._entries.move_to_end(key)
         return value
 
+    def peek(self, key, default=None):
+        """The cached value *without* touching the LRU order."""
+        if self.by_identity:
+            entry = self._identity_entry(key)
+            return default if entry is None else entry[1]
+        return self._entries.get(key, default)
+
     def __setitem__(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
+        if self.by_identity:
+            slot = id(key)
+            self._entries[slot] = (key, value)
+        else:
+            slot = key
+            self._entries[key] = value
+        self._entries.move_to_end(slot)
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._evict_oldest()
+
+    def _evict_oldest(self) -> None:
+        slot, stored = self._entries.popitem(last=False)
+        key, value = stored if self.by_identity else (slot, stored)
+        self.evictions += 1
+        if self.counter_name is not None:
             get_metrics().counter(self.counter_name).inc()
+        if self.on_evict is not None:
+            self.on_evict(key, value)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def items(self) -> list[tuple[object, object]]:
+        """``(key, value)`` pairs, least recently used first."""
+        if self.by_identity:
+            return list(self._entries.values())
+        return list(self._entries.items())
+
+    def replace(self, items: Iterable[tuple[object, object]]) -> None:
+        """Drop everything and load ``items`` (oldest first) verbatim —
+        the inverse of :meth:`items`; no eviction is counted."""
+        if self.by_identity:
+            items = ((id(key), (key, value)) for key, value in items)
+        self._entries = OrderedDict(items)
 
     def clear(self) -> None:
         self._entries.clear()

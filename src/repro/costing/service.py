@@ -25,9 +25,19 @@ Caching contract (see ``docs/cost_model.md`` for the prose version):
   but differing in literals cost differently, so the template alone is
   not a sound key).  Content-identical designs therefore share cache
   entries even when they are distinct objects.
-* **Two levels.**  Level 1 memoizes per-(design, query) costs; level 2
-  memoizes whole :class:`WorkloadCostReport` aggregates per
-  (design, workload).  Both are bounded LRUs.
+* **Two exported levels.**  Level 1 memoizes per-(design, query) costs;
+  level 2 memoizes whole :class:`WorkloadCostReport` aggregates per
+  (design, workload).  Both — and the derived fingerprint and arena
+  caches beside them — are :class:`~repro.costing.memo.BoundedMemo`
+  instances, the repo's one LRU class.
+* **One miss-fill path, in process.**  Every cache miss is priced by
+  :meth:`CostEvaluationService._fill_misses`, whose callers only choose
+  *how* the stale cells get their floats (scalar model, full arena
+  bind, copy-from-reference delta, single-row sweep delta).  The
+  service never fans out inside a pricing call: the kernel reduction is
+  ~1% of a design run's wall, so parallelism lives one level up, in the
+  harness's whole-task fan-out and the serve daemon's background
+  re-design (see :mod:`repro.parallel`).
 * **Bit-identical results.**  Cached values are the exact floats the
   underlying cost model produced — the cached-vs-uncached property test
   in ``tests/test_costing_service.py`` asserts equality, not closeness.
@@ -42,24 +52,18 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.costing.kernel import affected_union, kernel_for
+from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
-from repro.parallel.backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    ThreadBackend,
-    resolve_backend,
-)
-from repro.parallel.partition import chunk_count, contiguous_chunks
-from repro.parallel.shm import attached_batch, share_batch
 from repro.workload.workload import Workload
 
 #: Default bound on the per-(design, query) memo cache.  Sized to hold a
@@ -81,8 +85,8 @@ KERNEL_MIN_BATCH = 8
 #: a handful of windows are ever live at once; each holds the compiled
 #: query-side arrays plus profiles, so the bound is deliberately small.
 DEFAULT_MAX_ARENAS = 8
-#: Bound on the module-level identity memos for workload/design
-#: fingerprints (see :class:`_IdentityMemo`).
+#: Bound on the identity-keyed memos for workload/design/candidate
+#: fingerprints.
 DEFAULT_MAX_FINGERPRINT_MEMO = 4_096
 #: Bound on the candidate-matrix cache, in (candidate, query) cells
 #: across every resident entry.  Sized for a designer-comparison run
@@ -124,48 +128,20 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-class _IdentityMemo:
-    """Small LRU keyed by object identity (``id``).
-
-    Same pattern as ``_PerWorkloadCache`` in
-    :mod:`repro.workload.distance`: entries keep the key object itself
-    alongside the value, so an ``id`` recycled by a new object after
-    garbage collection can never alias a stale entry.  Evictions are
-    counted in the process-wide metrics registry under ``counter_name``.
-    Only sound for objects whose fingerprint-relevant content never
-    mutates — :class:`~repro.workload.workload.Workload` and the design
-    containers qualify; plain lists do not and are never memoized.
-    """
-
-    def __init__(
-        self, counter_name: str, max_entries: int = DEFAULT_MAX_FINGERPRINT_MEMO
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.counter_name = counter_name
-        self._entries: OrderedDict[int, tuple[object, str]] = OrderedDict()
-
-    def get(self, obj) -> str | None:
-        cached = self._entries.get(id(obj))
-        if cached is not None and cached[0] is obj:
-            self._entries.move_to_end(id(obj))
-            return cached[1]
-        return None
-
-    def put(self, obj, value: str) -> None:
-        self._entries[id(obj)] = (obj, value)
-        self._entries.move_to_end(id(obj))
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            get_metrics().counter(self.counter_name).inc()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _identity_fingerprint_memo() -> BoundedMemo:
+    """Object -> fingerprint, keyed by identity.  Only sound for objects
+    whose fingerprint-relevant content never mutates —
+    :class:`~repro.workload.workload.Workload` and the design containers
+    qualify; plain lists do not and are never memoized."""
+    return BoundedMemo(
+        "costing.fingerprint_memo_evictions",
+        DEFAULT_MAX_FINGERPRINT_MEMO,
+        by_identity=True,
+    )
 
 
-_WORKLOAD_FP_MEMO = _IdentityMemo("costing.fingerprint_memo_evictions")
-_DESIGN_FP_MEMO = _IdentityMemo("costing.fingerprint_memo_evictions")
+_WORKLOAD_FP_MEMO = _identity_fingerprint_memo()
+_DESIGN_FP_MEMO = _identity_fingerprint_memo()
 
 
 def query_fingerprint(sql: str) -> str:
@@ -186,7 +162,7 @@ def design_fingerprint(design) -> str:
     if cached is not None:
         return cached
     fingerprint = _digest("d", *[str(structure) for structure in design])
-    _DESIGN_FP_MEMO.put(design, fingerprint)
+    _DESIGN_FP_MEMO[design] = fingerprint
     return fingerprint
 
 
@@ -214,7 +190,7 @@ def workload_fingerprint(queries: Iterable) -> str:
             parts.append(repr(float(query.frequency)))
     fingerprint = _digest(*parts)
     if memoable:
-        _WORKLOAD_FP_MEMO.put(queries, fingerprint)
+        _WORKLOAD_FP_MEMO[queries] = fingerprint
     return fingerprint
 
 
@@ -349,8 +325,6 @@ class ArenaStats:
     #: Query re-evaluations skipped by delta re-costing (unaffected
     #: queries whose previous costs were reused bit-identically).
     delta_queries_saved: int = 0
-    #: Kernel batches fanned out to workers via shared memory.
-    shm_fanouts: int = 0
     #: (candidate, query) cells served from the candidate-matrix cache
     #: instead of being re-priced by the kernel.
     matrix_hits: int = 0
@@ -392,7 +366,6 @@ class ArenaStats:
             ["arena invalidations", self.invalidations],
             ["delta re-costs", self.delta_recosts],
             ["delta queries saved", self.delta_queries_saved],
-            ["shm fan-outs", self.shm_fanouts],
             ["matrix cell hits", self.matrix_hits],
             ["matrix cells priced", self.matrix_pairs_priced],
             ["matrix extensions", self.matrix_extends],
@@ -464,6 +437,24 @@ class _Timer:
         self.stats.eval_seconds += time.perf_counter() - self.started
 
 
+def _sql_weights(queries) -> tuple[list[str], list[float]]:
+    """``(sqls, weights)`` of a query sequence, one entry per occurrence.
+
+    Accepts the same inputs the engine cost models do: ``WorkloadQuery``-
+    like objects (``sql`` + ``frequency``) or raw SQL strings (weight 1).
+    """
+    sqls: list[str] = []
+    weights: list[float] = []
+    for query in queries:
+        if isinstance(query, str):
+            sqls.append(query)
+            weights.append(1.0)
+        else:
+            sqls.append(query.sql)
+            weights.append(float(query.frequency))
+    return sqls, weights
+
+
 class CostEvaluationService:
     """Fingerprinted memo cache + batched evaluation over one cost model."""
 
@@ -472,35 +463,23 @@ class CostEvaluationService:
         cost_model: CostModel,
         max_query_entries: int = DEFAULT_MAX_QUERY_ENTRIES,
         max_workload_entries: int = DEFAULT_MAX_WORKLOAD_ENTRIES,
-        max_workers: int | None = None,
-        backend: ExecutionBackend | str | None = None,
-        jobs: int | None = None,
     ):
         if max_query_entries < 1 or max_workload_entries < 1:
             raise ValueError("cache bounds must be positive")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive when set")
         self.cost_model = cost_model
-        self.max_query_entries = max_query_entries
-        self.max_workload_entries = max_workload_entries
-        self.max_workers = max_workers
-        # ``backend`` is the one knob; ``max_workers`` is the pre-backend
-        # spelling of the thread pool and maps onto ThreadBackend.
-        self.backend = resolve_backend(backend, jobs=jobs)
-        if self.backend is None and max_workers is not None:
-            self.backend = ThreadBackend(jobs=max_workers)
         #: Vectorized batch kernel for the model, or None (scalar path).
         #: Dispatch is exact-type; stubs and subclasses stay scalar.
         self.kernel = kernel_for(cost_model)
         self.stats = CostServiceStats()
-        #: Arena/delta/shm counters — derived-state instrumentation,
+        #: Arena/matrix/delta counters — derived-state instrumentation,
         #: intentionally outside ``stats`` (see :class:`ArenaStats`).
         self.arena_stats = ArenaStats()
-        self.max_arenas = DEFAULT_MAX_ARENAS
         #: arena key (digest of the distinct SQL tuple) -> compiled
-        #: workload arena, LRU-ordered (oldest first).  Derived state:
-        #: never exported, rebuilt on demand after clear/resume.
-        self._arenas: OrderedDict[str, object] = OrderedDict()
+        #: workload arena.  Derived state: never exported, rebuilt on
+        #: demand after clear/resume.
+        self._arenas = BoundedMemo(
+            max_entries=DEFAULT_MAX_ARENAS, on_evict=self._arena_evicted
+        )
         #: Candidate-matrix cache toggle: off, every ``candidate_costs``
         #: call re-prices the full matrix (the cold-rebuild baseline).
         #: Results and exported counters are identical either way.
@@ -513,33 +492,30 @@ class CostEvaluationService:
         #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
         #: state: never exported, rebuilt on demand (see _MatrixEntry).
         self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
-        #: (design_fp, sql) -> cost, LRU-ordered (oldest first).
-        self._query_cache: OrderedDict[tuple[str, str], float] = OrderedDict()
-        #: (design_fp, workload_fp) -> WorkloadCostReport, LRU-ordered.
-        self._workload_cache: OrderedDict[tuple[str, str], WorkloadCostReport] = (
-            OrderedDict()
+        #: (design_fp, sql) -> cost.
+        self._query_cache = BoundedMemo(
+            max_entries=max_query_entries, on_evict=self._entry_evicted("query")
+        )
+        #: (design_fp, workload_fp) -> WorkloadCostReport.
+        self._workload_cache = BoundedMemo(
+            max_entries=max_workload_entries, on_evict=self._entry_evicted("workload")
         )
         #: design object -> fingerprint (designs are hashable by content).
-        self._fingerprints: OrderedDict[object, str] = OrderedDict()
+        self._fingerprints = BoundedMemo(max_entries=DEFAULT_MAX_FINGERPRINTS)
         #: candidate object -> singleton-design fingerprint, by identity:
         #: ``candidate_costs`` re-fingerprints the same candidate pool on
         #: every designer invocation, and building + content-hashing the
         #: one-structure design dominates a warm call.  Derived state.
-        self._single_fps = _IdentityMemo("costing.fingerprint_memo_evictions")
+        self._single_fps = _identity_fingerprint_memo()
 
     # -- fingerprints --------------------------------------------------------------
 
     def design_fingerprint(self, design) -> str:
         """Memoized content hash of ``design``."""
         cached = self._fingerprints.get(design)
-        if cached is not None:
-            self._fingerprints.move_to_end(design)
-            return cached
-        fingerprint = design_fingerprint(design)
-        self._fingerprints[design] = fingerprint
-        if len(self._fingerprints) > DEFAULT_MAX_FINGERPRINTS:
-            self._fingerprints.popitem(last=False)
-        return fingerprint
+        if cached is None:
+            cached = self._fingerprints[design] = design_fingerprint(design)
+        return cached
 
     # -- cache plumbing -------------------------------------------------------------
 
@@ -550,6 +526,17 @@ class CostEvaluationService:
     @property
     def cached_workload_entries(self) -> int:
         return len(self._workload_cache)
+
+    def _entry_evicted(self, cache: str) -> Callable[[object, object], None]:
+        """LRU-eviction hook for the exported ``cache`` (query/workload)."""
+
+        def on_evict(_key, _value) -> None:
+            self.stats.evictions += 1
+            t = tracer()
+            if t.enabled:
+                t.emit("cache_evict", reason="lru", cache=cache, entries=1)
+
+        return on_evict
 
     def clear(self) -> None:
         """Drop every cached entry (fingerprints survive: content hashes
@@ -580,13 +567,11 @@ class CostEvaluationService:
         """
         self._drop_arenas("invalidate_design")
         fingerprint = self.design_fingerprint(design)
-        stale_queries = [k for k in self._query_cache if k[0] == fingerprint]
-        stale_workloads = [k for k in self._workload_cache if k[0] == fingerprint]
-        for key in stale_queries:
-            del self._query_cache[key]
-        for key in stale_workloads:
-            del self._workload_cache[key]
-        dropped = len(stale_queries) + len(stale_workloads)
+        dropped = 0
+        for cache in (self._query_cache, self._workload_cache):
+            kept = [item for item in cache.items() if item[0][0] != fingerprint]
+            dropped += len(cache) - len(kept)
+            cache.replace(kept)
         self.stats.evictions += dropped
         t = tracer()
         if t.enabled and dropped:
@@ -605,8 +590,8 @@ class CostEvaluationService:
     def export_state(self) -> dict:
         """Snapshot the memo caches and counters for a run checkpoint.
 
-        The export preserves LRU order (items lists keep insertion
-        order) and the exact cached floats, so a service restored via
+        The export preserves LRU order (items lists are oldest-first)
+        and the exact cached floats, so a service restored via
         :meth:`import_state` serves the same hits, misses, and values —
         in the same eviction order — as the service it was exported
         from.  That is what makes a resumed run's per-window counter
@@ -622,8 +607,8 @@ class CostEvaluationService:
         run's even though every cost is identical.
         """
         return {
-            "query": list(self._query_cache.items()),
-            "workload": list(self._workload_cache.items()),
+            "query": self._query_cache.items(),
+            "workload": self._workload_cache.items(),
             "stats": self.stats.snapshot(),
         }
 
@@ -634,8 +619,8 @@ class CostEvaluationService:
         absent from :meth:`export_state`); whatever arenas this service
         holds stay valid — they depend only on queries and the model.
         """
-        self._query_cache = OrderedDict(state["query"])
-        self._workload_cache = OrderedDict(state["workload"])
+        self._query_cache.replace(state["query"])
+        self._workload_cache.replace(state["workload"])
         self.stats = state["stats"].snapshot()
 
     # -- workload arenas ---------------------------------------------------------------
@@ -643,6 +628,12 @@ class CostEvaluationService:
     @property
     def cached_arenas(self) -> int:
         return len(self._arenas)
+
+    def _arena_evicted(self, key: str, _arena) -> None:
+        self.arena_stats.evictions += 1
+        t = tracer()
+        if t.enabled:
+            t.emit("arena_evict", reason="lru", key=key, arenas=1)
 
     def _drop_arenas(self, reason: str) -> None:
         # The candidate-matrix cache bakes the same model statistics into
@@ -660,29 +651,14 @@ class CostEvaluationService:
         if t.enabled:
             t.emit("arena_evict", reason=reason, arenas=dropped)
 
-    def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
-        """The compiled workload arena for a distinct-SQL tuple.
-
-        Builds (and LRU-caches) on miss: queries are profiled and the
-        kernel's ``compile_queries`` runs once; every later design bind
-        against the same query set reuses the arrays.  ``profiles``
-        short-circuits re-profiling when the caller already holds them
-        (``candidate_costs``).
-        """
-        key = _digest("a", *unique_sqls)
-        arena = self._arenas.get(key)
-        t = tracer()
-        if arena is not None:
-            self._arenas.move_to_end(key)
-            self.arena_stats.hits += 1
-            if t.enabled:
-                t.emit("arena_hit", key=key, queries=len(unique_sqls))
-            return arena
+    def _compile_arena(self, key: str, unique_sqls: tuple[str, ...], profiles=None):
+        """Profile (unless the caller already holds ``profiles``) and
+        compile one workload arena; counted as a build, cached nowhere."""
         if profiles is None:
             profiles = [self.cost_model.profile(sql) for sql in unique_sqls]
         arena = self.kernel.compile_queries(profiles)
-        self._arenas[key] = arena
         self.arena_stats.builds += 1
+        t = tracer()
         if t.enabled:
             t.emit(
                 "arena_build",
@@ -691,11 +667,24 @@ class CostEvaluationService:
                 queries=len(unique_sqls),
                 bytes=arena.nbytes,
             )
-        while len(self._arenas) > self.max_arenas:
-            evicted_key, _ = self._arenas.popitem(last=False)
-            self.arena_stats.evictions += 1
+        return arena
+
+    def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
+        """The compiled workload arena for a distinct-SQL tuple.
+
+        Builds (and LRU-caches) on miss: the kernel's ``compile_queries``
+        runs once and every later design bind against the same query set
+        reuses the arrays.
+        """
+        key = _digest("a", *unique_sqls)
+        arena = self._arenas.get(key)
+        if arena is not None:
+            self.arena_stats.hits += 1
+            t = tracer()
             if t.enabled:
-                t.emit("arena_evict", reason="lru", key=evicted_key, arenas=1)
+                t.emit("arena_hit", key=key, queries=len(unique_sqls))
+            return arena
+        arena = self._arenas[key] = self._compile_arena(key, unique_sqls, profiles)
         return arena
 
     def prepare_workload(self, queries) -> bool:
@@ -715,6 +704,20 @@ class CostEvaluationService:
             return False
         self._arena_for(unique)
         return True
+
+    def _bind(self, arena, structures):
+        """``kernel.bind`` plus its ``kernel_bind`` trace event."""
+        batch = self.kernel.bind(arena, structures)
+        t = tracer()
+        if t.enabled:
+            t.emit(
+                "kernel_bind",
+                substrate=self.kernel.name,
+                queries=batch.query_count,
+                structures=batch.structure_count,
+                words=batch.words,
+            )
+        return batch
 
     # -- candidate-matrix cache --------------------------------------------------------
 
@@ -736,11 +739,19 @@ class CostEvaluationService:
         if t.enabled:
             t.emit("matrix_evict", reason=reason, entries=dropped, columns=columns)
 
-    def _build_matrix_entry(
-        self, sqls: tuple[str, ...], profiles, store: bool = True
-    ) -> _MatrixEntry:
-        """Compile a fresh matrix entry (arena + eager base costs)."""
-        arena = self._arena_for(sqls, profiles=list(profiles))
+    def _build_matrix_entry(self, sqls: tuple[str, ...], profiles) -> _MatrixEntry:
+        """Compile a fresh matrix entry (arena + eager base costs).
+
+        Requests below the kernel batch threshold are transient: their
+        arena is compiled directly and never enters the arena LRU, so
+        the :func:`beneficial_queries` per-query shape cannot evict the
+        window arenas the rest of the run keeps hitting.
+        """
+        transient = len(sqls) < KERNEL_MIN_BATCH
+        if transient:
+            arena = self._compile_arena(_digest("a", *sqls), sqls, list(profiles))
+        else:
+            arena = self._arena_for(sqls, profiles=list(profiles))
         # ``base_costs`` depends only on the arena's query-side arrays,
         # so an empty bind prices it once for the entry's whole lifetime.
         base = np.asarray(self.kernel.bind(arena, []).base_costs(), dtype=np.float64)
@@ -753,7 +764,7 @@ class CostEvaluationService:
             base=base,
             columns=OrderedDict(),
         )
-        if store and self.matrix_cache_enabled:
+        if self.matrix_cache_enabled and not transient:
             self._matrix[entry.key] = entry
         return entry
 
@@ -809,7 +820,7 @@ class CostEvaluationService:
         fresh candidates per window) builds at its own width instead.
         """
         if not self.matrix_cache_enabled or len(sqls) < KERNEL_MIN_BATCH:
-            return self._build_matrix_entry(sqls, profiles, store=False), None
+            return self._build_matrix_entry(sqls, profiles), None
         key = _digest("m", *sqls)
         entry = self._matrix.get(key)
         if entry is not None:
@@ -846,6 +857,23 @@ class CostEvaluationService:
             return entry, rows
         return self._build_matrix_entry(sqls, profiles), None
 
+    def _price_columns(self, entry: _MatrixEntry, members, start: int = 0):
+        """One priced :class:`_MatrixColumn` per member structure over
+        ``entry``'s query rows ``[start:]`` (one bind for the group)."""
+        batch = self._bind(entry.arena, members)
+        if start:
+            batch = batch.take(list(range(start, len(entry.sqls))))
+        price, unservable = batch.candidate_frame()
+        numeric = batch.candidate_costs()
+        return [
+            _MatrixColumn(
+                values=np.where(price[j], numeric[j], 0.0),
+                price=np.array(price[j], dtype=bool),
+                unservable=np.array(unservable[j], dtype=bool),
+            )
+            for j in range(len(members))
+        ]
+
     def _shrink_matrix(self) -> None:
         """Enforce the cell budget by dropping least-recently-used
         columns (then emptied entries), oldest entry first.  The sole
@@ -865,46 +893,184 @@ class CostEvaluationService:
                 break
             del self._matrix[key]
 
-    def _remember_query(self, key: tuple[str, str], cost: float) -> None:
-        self._query_cache[key] = cost
-        if len(self._query_cache) > self.max_query_entries:
-            self._query_cache.popitem(last=False)
-            self.stats.evictions += 1
-            t = tracer()
-            if t.enabled:
-                t.emit("cache_evict", reason="lru", cache="query", entries=1)
+    # -- the one miss-fill path ---------------------------------------------------------
 
-    def _remember_workload(
-        self, key: tuple[str, str], report: WorkloadCostReport
+    def _charge(
+        self, design_fp: str, sqls, costs, kernel: bool = False, matrix_cells: int = 0
     ) -> None:
-        self._workload_cache[key] = report
-        if len(self._workload_cache) > self.max_workload_entries:
-            self._workload_cache.popitem(last=False)
-            self.stats.evictions += 1
+        """Cache and charge freshly priced (design, query) pairs.
+
+        The only place priced costs enter the query cache and the only
+        place ``raw_model_calls`` / ``kernel_*`` are charged.  ``costs``
+        may be lazy: each is cached as soon as it is produced, so a
+        model error mid-batch leaves the earlier pairs cached and
+        charged.  ``matrix_cells`` are candidate-matrix cells priced
+        alongside — charged as raw kernel evaluations like any pair,
+        but held by the matrix cache instead of the query cache.
+        """
+        for sql, cost in zip(sqls, costs):
+            self.stats.raw_model_calls += 1
+            self._query_cache[(design_fp, sql)] = cost
+        self.stats.raw_model_calls += matrix_cells
+        if kernel:
+            self.stats.kernel_batch_calls += 1
+            self.stats.kernel_pairs_priced += len(sqls) + matrix_cells
+
+    def _fill_misses(self, design, design_fp: str, misses: list[str], price=None):
+        """Price the uncached SQL texts of one design into the cache.
+
+        Every batched entry point fills its misses here; callers only
+        choose *how the stale cells get their floats* by passing a
+        ``price(design, misses) -> (costs, structure_count, writes)``
+        strategy (``writes``: how many misses are write statements, or
+        ``None`` to have the model's profiles consulted) —
+        :meth:`_price_through_arena` (full bind, or copy-from-reference
+        plus a re-price of the affected queries) or a
+        :class:`_DesignSweep` (single-row delta between consecutive
+        designs).  Miss batches below ``KERNEL_MIN_BATCH``, and models
+        without a kernel, are priced by the scalar model whatever the
+        strategy.  Kernel results are bit-identical to the scalar path
+        (every kernel op is element-wise or a per-query reduction), so
+        cache contents and counters never depend on the strategy.
+        """
+        if not misses:
+            return
+        t = tracer()
+        if t.enabled:
+            t.emit("cache_fill", design=design_fp, misses=len(misses))
+        if price is None or self.kernel is None or len(misses) < KERNEL_MIN_BATCH:
+            structures = writes = None
+            costs = (self.cost_model.query_cost(sql, design) for sql in misses)
+        else:
+            costs, structures, writes = price(design, misses)
+        if writes is None:
+            writes = self._count_write_sqls(misses)
+        self.stats.write_pairs_priced += writes
+        self._charge(design_fp, misses, costs, kernel=structures is not None)
+        if structures is not None and t.enabled:
+            t.emit(
+                "kernel_batch",
+                substrate=self.kernel.name,
+                design=design_fp,
+                pairs=len(misses),
+                structures=structures,
+            )
+
+    def _price_through_arena(self, unique: tuple[str, ...], reference, design, misses):
+        """Pricing strategy: bind the workload's arena to the design
+        (callers pass it to :meth:`_fill_misses` with ``unique`` and
+        ``reference`` pre-bound).
+
+        The arena is keyed by the *workload's* distinct-SQL tuple
+        ``unique``, so its key is stable across designs and iterations;
+        the misses (a design-dependent subset) are a ``take`` of the
+        bound batch — bit-identical to compiling them alone, since every
+        kernel op is per-query.
+
+        With an already-priced ``reference`` design (CliffGuard's
+        incumbent) the fill is a delta: the queries any added/removed
+        structure can touch (``affected_queries`` is conservative:
+        dimension tables and write maintenance included) are re-priced,
+        the rest copy the reference's cached floats verbatim —
+        bit-identical, because a query no changed structure can touch
+        has the same serving set and maintenance sum under both designs.
+        Exported counters are charged as-if-cold; the savings land in
+        :class:`ArenaStats` only.  Reference reads ``peek`` — no LRU
+        reordering, so exported cache order stays warmth-independent.
+        """
+        arena = self._arena_for(unique)
+        q_index = {sql: i for i, sql in enumerate(unique)}
+        structures = list(design)
+        costs: list[float | None] = [None] * len(misses)
+        changed: list = []
+        if reference is not None and self.delta_neighborhood_enabled:
+            in_reference = set(reference)
+            in_design = set(structures)
+            changed = [s for s in structures if s not in in_reference]
+            changed += [s for s in reference if s not in in_design]
+        if changed:
+            ref_fp = self.design_fingerprint(reference)
+            affected = affected_union(self.kernel.bind(arena, changed))
+            for i, sql in enumerate(misses):
+                if not affected[q_index[sql]]:
+                    costs[i] = self._query_cache.peek((ref_fp, sql))
+        need = [i for i, cost in enumerate(costs) if cost is None]
+        if need:
+            batch = self._bind(arena, structures)
+            if len(need) != len(unique):
+                batch = batch.take([q_index[misses[i]] for i in need])
+            for i, cost in zip(need, batch.design_costs()):
+                costs[i] = float(cost)
+        copied = len(misses) - len(need)
+        if copied:
+            self.arena_stats.neighborhood_deltas += 1
+            self.arena_stats.delta_pairs_saved += copied
             t = tracer()
             if t.enabled:
-                t.emit("cache_evict", reason="lru", cache="workload", entries=1)
+                t.emit(
+                    "neighborhood_delta",
+                    substrate=self.kernel.name,
+                    design=self.design_fingerprint(design),
+                    changed=len(changed),
+                    priced=len(need),
+                    copied=copied,
+                )
+        return costs, len(structures), None
+
+    def _count_write_sqls(self, sqls) -> int:
+        """How many of ``sqls`` are write statements (for ``writes.*``
+        observability).  Profiles come from the model's cache, so this
+        never re-parses; texts the model cannot profile count as reads."""
+        profiler = getattr(self.cost_model, "profile", None)
+        if profiler is None:  # protocol stubs without a profiler
+            return 0
+        count = 0
+        for sql in sqls:
+            try:
+                if getattr(profiler(sql), "is_write", False):
+                    count += 1
+            except ValueError:
+                continue
+        return count
+
+    def _cached_cost(self, design_fp: str, sql: str, design) -> float:
+        """Serve one already-prefetched cost without re-counting a lookup.
+
+        Falls back to the model if the LRU bound evicted the entry between
+        prefetch and assembly (only possible when a single neighborhood
+        exceeds the query-cache bound).
+        """
+        cached = self._query_cache.get((design_fp, sql))
+        if cached is None:
+            cached = self.cost_model.query_cost(sql, design)
+            self._charge(design_fp, (sql,), (cached,))
+        return cached
+
+    def _report(self, design, design_fp: str, sqls, weights) -> WorkloadCostReport:
+        """Assemble one workload report from the (just filled) cache."""
+        return WorkloadCostReport(
+            per_query_ms=[self._cached_cost(design_fp, sql, design) for sql in sqls],
+            weights=list(weights),
+        )
 
     # -- single-query costing --------------------------------------------------------
 
     def query_cost(self, sql_or_profile, design) -> float:
         """Memoized ``cost_model.query_cost`` (bit-identical to uncached)."""
         sql = sql_or_profile if isinstance(sql_or_profile, str) else sql_or_profile.sql
-        key = (self.design_fingerprint(design), sql)
+        design_fp = self.design_fingerprint(design)
         self.stats.query_requests += 1
-        cached = self._query_cache.get(key)
+        cached = self._query_cache.get((design_fp, sql))
         if cached is not None:
             self.stats.query_hits += 1
-            self._query_cache.move_to_end(key)
             return cached
         with _Timer(self.stats):
             cost = self.cost_model.query_cost(sql_or_profile, design)
-            self.stats.raw_model_calls += 1
         if isinstance(sql_or_profile, str):
             self.stats.write_pairs_priced += self._count_write_sqls((sql,))
         elif getattr(sql_or_profile, "is_write", False):
             self.stats.write_pairs_priced += 1
-        self._remember_query(key, cost)
+        self._charge(design_fp, (sql,), (cost,))
         return cost
 
     def query_costs(self, sqls: Sequence[str], design) -> dict[str, float]:
@@ -931,33 +1097,29 @@ class CostEvaluationService:
         cached = self._workload_cache.get(key)
         if cached is not None:
             self.stats.workload_hits += 1
-            self._workload_cache.move_to_end(key)
             return cached
-        # Misses are collapsed to distinct SQL and routed through the
-        # batched fill (kernel + arena + backend when available) instead
-        # of one scalar ``query_cost`` per occurrence.  Counters match
-        # the per-occurrence loop exactly: every occurrence is a
-        # request, repeated occurrences of one SQL hit the entry its
-        # first occurrence filled, and each distinct miss is one raw
-        # model call.
-        pairs: list[tuple[str, float]] = []
-        for query in materialized:
-            if isinstance(query, str):
-                pairs.append((query, 1.0))
-            else:
-                pairs.append((query.sql, float(query.frequency)))
-        distinct = list(dict.fromkeys(sql for sql, _ in pairs))
+        # Misses are collapsed to distinct SQL and priced in one batched
+        # fill instead of one scalar ``query_cost`` per occurrence.
+        # Counters match the per-occurrence loop exactly: every
+        # occurrence is a request, repeated occurrences of one SQL hit
+        # the entry its first occurrence filled, and each distinct miss
+        # is one raw model call.
+        sqls, weights = _sql_weights(materialized)
+        distinct = tuple(dict.fromkeys(sqls))
         misses = [
             sql for sql in distinct if (design_fp, sql) not in self._query_cache
         ]
-        self.stats.query_requests += len(pairs)
-        self.stats.query_hits += len(pairs) - len(misses)
+        self.stats.query_requests += len(sqls)
+        self.stats.query_hits += len(sqls) - len(misses)
         with _Timer(self.stats):
-            self._fill_misses(design, design_fp, misses, context=tuple(distinct))
-        costs = [self._cached_cost(design_fp, sql, design) for sql, _ in pairs]
-        weights = [weight for _, weight in pairs]
-        report = WorkloadCostReport(per_query_ms=costs, weights=weights)
-        self._remember_workload(key, report)
+            self._fill_misses(
+                design,
+                design_fp,
+                misses,
+                partial(self._price_through_arena, distinct, None),
+            )
+        report = self._report(design, design_fp, sqls, weights)
+        self._workload_cache[key] = report
         return report
 
     # -- batched neighborhood evaluation ----------------------------------------------
@@ -975,394 +1137,36 @@ class CostEvaluationService:
         of ``workloads[w]`` under ``designs[d]``.
 
         ``reference`` is an optional already-priced design (CliffGuard's
-        incumbent): each design's kernel fill then diffs against it and
+        incumbent): each design's fill then diffs against it and
         re-prices only the queries the added/removed structures can
         touch, copying the rest verbatim from the reference's cached
-        floats (see :meth:`_fill_misses_delta`).  Results and exported
+        floats (see :meth:`_price_through_arena`).  Results and exported
         counters are bit-identical with or without a reference.
-
-        When the service was built with an execution backend (or the
-        legacy ``max_workers``), distinct cache misses fan out across the
-        backend's workers in deterministic contiguous chunks; results are
-        bit-identical to the serial path at any worker count (the cost
-        models are pure given fixed statistics, workers return per-task
-        cost lists, and the parent merges them — and updates every
-        counter — in chunk order).
         """
         with _Timer(self.stats):
-            materialized = [list(w) for w in workloads]
+            per_workload = [_sql_weights(w) for w in workloads]
+            occurrences = sum(len(sqls) for sqls, _ in per_workload)
+            unique = tuple(
+                dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls)
+            )
+            price = partial(self._price_through_arena, unique, reference)
             results: list[list[WorkloadCostReport]] = []
             for design in designs:
                 design_fp = self.design_fingerprint(design)
-                occurrences = 0
-                unique: dict[str, None] = {}
-                per_workload: list[tuple[list[str], list[float]]] = []
-                for queries in materialized:
-                    sqls: list[str] = []
-                    weights: list[float] = []
-                    for query in queries:
-                        if isinstance(query, str):
-                            sql, weight = query, 1.0
-                        else:
-                            sql, weight = query.sql, float(query.frequency)
-                        sqls.append(sql)
-                        weights.append(weight)
-                        occurrences += 1
-                        unique.setdefault(sql)
-                    per_workload.append((sqls, weights))
                 misses = [
                     sql for sql in unique if (design_fp, sql) not in self._query_cache
                 ]
                 self.stats.dedup_saved += occurrences - len(unique)
                 self.stats.query_requests += len(unique)
                 self.stats.query_hits += len(unique) - len(misses)
-                self._fill_misses(
-                    design,
-                    design_fp,
-                    misses,
-                    context=tuple(unique),
-                    reference=reference,
-                )
-                reports: list[WorkloadCostReport] = []
-                for sqls, weights in per_workload:
-                    costs = [
-                        self._cached_cost(design_fp, sql, design) for sql in sqls
+                self._fill_misses(design, design_fp, misses, price)
+                results.append(
+                    [
+                        self._report(design, design_fp, sqls, weights)
+                        for sqls, weights in per_workload
                     ]
-                    reports.append(
-                        WorkloadCostReport(per_query_ms=costs, weights=weights)
-                    )
-                results.append(reports)
+                )
             return results
-
-    def _cached_cost(self, design_fp: str, sql: str, design) -> float:
-        """Serve one already-prefetched cost without re-counting a lookup.
-
-        Falls back to the model if the LRU bound evicted the entry between
-        prefetch and assembly (only possible when a single neighborhood
-        exceeds ``max_query_entries``).
-        """
-        cached = self._query_cache.get((design_fp, sql))
-        if cached is not None:
-            self._query_cache.move_to_end((design_fp, sql))
-            return cached
-        cost = self.cost_model.query_cost(sql, design)
-        self.stats.raw_model_calls += 1
-        self._remember_query((design_fp, sql), cost)
-        return cost
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the execution backend filling cache misses."""
-        return self.backend.name if self.backend is not None else "serial"
-
-    def publish_metrics(self, registry: MetricsRegistry | None = None) -> None:
-        """Publish the cumulative :class:`CostServiceStats` (plus current
-        cache sizes) into a metrics registry (default: the process-wide
-        one; see :func:`repro.obs.get_metrics`).
-
-        Counters are published as gauges because the service's stats are
-        already cumulative — the registry mirrors the latest snapshot
-        rather than double-accumulating.  ``python -m repro stats``
-        renders the result.
-        """
-        registry = registry if registry is not None else get_metrics()
-        registry.gauge("costing.query_requests").set(self.stats.query_requests)
-        registry.gauge("costing.query_hits").set(self.stats.query_hits)
-        registry.gauge("costing.raw_model_calls").set(self.stats.raw_model_calls)
-        registry.gauge("costing.workload_requests").set(self.stats.workload_requests)
-        registry.gauge("costing.workload_hits").set(self.stats.workload_hits)
-        registry.gauge("costing.dedup_saved").set(self.stats.dedup_saved)
-        registry.gauge("costing.eval_seconds").set(self.stats.eval_seconds)
-        registry.gauge("costing.evictions").set(self.stats.evictions)
-        registry.gauge("costing.hit_rate").set(self.stats.hit_rate)
-        registry.gauge("costing.cached_query_entries").set(self.cached_query_entries)
-        registry.gauge("costing.cached_workload_entries").set(
-            self.cached_workload_entries
-        )
-        registry.gauge("costing.kernel.batch_calls").set(self.stats.kernel_batch_calls)
-        registry.gauge("costing.kernel.pairs_priced").set(
-            self.stats.kernel_pairs_priced
-        )
-        registry.gauge("writes.pairs_priced").set(self.stats.write_pairs_priced)
-        registry.gauge("arena.builds").set(self.arena_stats.builds)
-        registry.gauge("arena.hits").set(self.arena_stats.hits)
-        registry.gauge("arena.evictions").set(self.arena_stats.evictions)
-        registry.gauge("arena.invalidations").set(self.arena_stats.invalidations)
-        registry.gauge("arena.delta_recosts").set(self.arena_stats.delta_recosts)
-        registry.gauge("arena.delta_queries_saved").set(
-            self.arena_stats.delta_queries_saved
-        )
-        registry.gauge("arena.cached").set(self.cached_arenas)
-        registry.gauge("arena.resident_bytes").set(
-            sum(getattr(a, "nbytes", 0) for a in self._arenas.values())
-        )
-        registry.gauge("shm.fanouts").set(self.arena_stats.shm_fanouts)
-        registry.gauge("matrix.hits").set(self.arena_stats.matrix_hits)
-        registry.gauge("matrix.pairs_priced").set(
-            self.arena_stats.matrix_pairs_priced
-        )
-        registry.gauge("matrix.extends").set(self.arena_stats.matrix_extends)
-        registry.gauge("matrix.evictions").set(self.arena_stats.matrix_evictions)
-        registry.gauge("matrix.cached_columns").set(self.cached_matrix_columns)
-        registry.gauge("matrix.cached_cells").set(self.cached_matrix_cells)
-        registry.gauge("delta.neighborhood_recosts").set(
-            self.arena_stats.neighborhood_deltas
-        )
-        registry.gauge("delta.pairs_saved").set(self.arena_stats.delta_pairs_saved)
-
-    def _fill_misses(
-        self, design, design_fp: str, misses: list[str], context=None, reference=None
-    ) -> None:
-        """Cost the uncached SQL texts for one design (optionally fanned
-        out over the execution backend).
-
-        Large miss batches go through the vectorized kernel: the workload
-        arena (compiled query-side arrays, cached across calls) is bound
-        to the design's structures and every miss is priced in a handful
-        of numpy ops.  ``context`` is the full distinct-SQL tuple the
-        misses were drawn from, when the caller knows it — it keys the
-        arena, so successive designs over the same workload reuse one
-        compile even though their miss subsets differ.  When a process
-        backend is attached, the bound batch ships to workers through a
-        shared-memory segment (see :mod:`repro.parallel.shm`); thread
-        and serial backends keep in-process ``batch.take`` slices.
-        Kernel results are bit-identical to the scalar path at any
-        chunking (every kernel op is element-wise or a per-query
-        reduction), so cache contents and counters never depend on the
-        backend.
-
-        Scalar workers are pure: they return per-chunk cost lists and
-        never touch the cache or the counters.  The parent merges chunk
-        results in chunk order — chunks are ordered contiguous slices of
-        ``misses``, so cache insertion order and every counter match the
-        serial path exactly.
-        """
-        if not misses:
-            return
-        self.stats.write_pairs_priced += self._count_write_sqls(misses)
-        t = tracer()
-        if self.kernel is not None and len(misses) >= KERNEL_MIN_BATCH:
-            self._fill_misses_kernel(
-                design, design_fp, misses, context, reference=reference
-            )
-            return
-        if self.backend is None or len(misses) < 2:
-            if t.enabled:
-                t.emit(
-                    "cache_fill",
-                    design=design_fp,
-                    misses=len(misses),
-                    backend="inline",
-                    chunks=1,
-                )
-            for sql in misses:
-                cost = self.cost_model.query_cost(sql, design)
-                self.stats.raw_model_calls += 1
-                self._remember_query((design_fp, sql), cost)
-            return
-        chunks = contiguous_chunks(misses, chunk_count(len(misses), self.backend.jobs))
-        if t.enabled:
-            t.emit(
-                "cache_fill",
-                design=design_fp,
-                misses=len(misses),
-                backend=self.backend.name,
-                chunks=len(chunks),
-            )
-        tasks = [(self.cost_model, design, chunk) for chunk in chunks]
-        per_chunk = self.backend.map(_evaluate_cost_chunk, tasks)
-        for chunk, costs in zip(chunks, per_chunk):
-            for sql, cost in zip(chunk, costs):
-                self.stats.raw_model_calls += 1
-                self._remember_query((design_fp, sql), cost)
-
-    def _count_write_sqls(self, sqls) -> int:
-        """How many of ``sqls`` are write statements (for ``writes.*``
-        observability).  Profiles come from the model's cache, so this
-        never re-parses; texts the model cannot profile count as reads."""
-        profiler = getattr(self.cost_model, "profile", None)
-        if profiler is None:  # protocol stubs without a profiler
-            return 0
-        count = 0
-        for sql in sqls:
-            try:
-                if getattr(profiler(sql), "is_write", False):
-                    count += 1
-            except ValueError:
-                continue
-        return count
-
-    def _fill_misses_kernel(
-        self, design, design_fp: str, misses: list[str], context=None, reference=None
-    ) -> None:
-        """Vectorized miss fill: one arena bind, one (or chunked) eval."""
-        t = tracer()
-        inline = self.backend is None or len(misses) < 2
-        if t.enabled:
-            # Same contract as the scalar path: every miss fill emits one
-            # cache_fill, whatever engine prices it.
-            t.emit(
-                "cache_fill",
-                design=design_fp,
-                misses=len(misses),
-                backend="inline" if inline else self.backend.name,
-                chunks=1 if inline else chunk_count(len(misses), self.backend.jobs),
-            )
-        # The arena is keyed by the *workload's* distinct-SQL tuple when
-        # the caller supplied it, so its key is stable across designs and
-        # iterations; the misses (a design-dependent subset) are then a
-        # ``take`` of the bound batch — bit-identical to compiling them
-        # alone, since every kernel op is per-query.
-        unique = tuple(context) if context else tuple(misses)
-        arena = self._arena_for(unique)
-        if reference is not None and self.delta_neighborhood_enabled:
-            if self._fill_misses_delta(
-                arena, unique, design, design_fp, misses, reference
-            ):
-                return
-        batch = self.kernel.bind(arena, list(design))
-        if t.enabled:
-            t.emit(
-                "kernel_bind",
-                substrate=self.kernel.name,
-                queries=batch.query_count,
-                structures=batch.structure_count,
-                words=batch.words,
-            )
-        if len(misses) != len(unique):
-            q_index = {sql: i for i, sql in enumerate(unique)}
-            batch = batch.take([q_index[sql] for sql in misses])
-        costs = self._batch_costs(batch)
-        for sql, cost in zip(misses, costs):
-            self.stats.raw_model_calls += 1
-            self._remember_query((design_fp, sql), cost)
-        self.stats.kernel_batch_calls += 1
-        self.stats.kernel_pairs_priced += len(misses)
-        if t.enabled:
-            t.emit(
-                "kernel_batch",
-                substrate=self.kernel.name,
-                design=design_fp,
-                pairs=len(misses),
-                structures=batch.structure_count,
-            )
-
-    def _fill_misses_delta(
-        self, arena, unique, design, design_fp: str, misses: list[str], reference
-    ) -> bool:
-        """Delta miss fill against an already-priced ``reference`` design.
-
-        Diffs ``design`` against the reference, OR-masks the queries any
-        added/removed structure can touch (``affected_queries`` is
-        conservative: dimension tables and write maintenance included),
-        and re-prices only those; unaffected queries copy the
-        reference's cached floats verbatim — bit-identical, because a
-        query no changed structure can touch has the same serving set
-        and maintenance sum under both designs.  Returns False (caller
-        runs the full fill) when the designs are content-identical or
-        nothing is copyable.  Exported counters are charged as-if-cold;
-        the savings land in :class:`ArenaStats` only.  Reference reads
-        use plain ``get`` — no LRU reordering, so exported cache order
-        stays warmth-independent.
-        """
-        design_list = list(design)
-        design_set = set(design_list)
-        ref_set = set(reference)
-        changed = [s for s in design_list if s not in ref_set]
-        changed += [s for s in reference if s not in design_set]
-        if not changed:
-            return False
-        ref_fp = self.design_fingerprint(reference)
-        affected = affected_union(self.kernel.bind(arena, changed))
-        q_index = {sql: i for i, sql in enumerate(unique)}
-        copied: dict[str, float] = {}
-        need: list[str] = []
-        for sql in misses:
-            value = (
-                None
-                if affected[q_index[sql]]
-                else self._query_cache.get((ref_fp, sql))
-            )
-            if value is None:
-                need.append(sql)
-            else:
-                copied[sql] = value
-        if not copied:
-            return False
-        t = tracer()
-        costs = dict(copied)
-        if need:
-            batch = self.kernel.bind(arena, design_list)
-            if t.enabled:
-                t.emit(
-                    "kernel_bind",
-                    substrate=self.kernel.name,
-                    queries=batch.query_count,
-                    structures=batch.structure_count,
-                    words=batch.words,
-                )
-            sub = batch.take([q_index[sql] for sql in need])
-            for sql, cost in zip(need, self._batch_costs(sub)):
-                costs[sql] = float(cost)
-        for sql in misses:
-            self.stats.raw_model_calls += 1
-            self._remember_query((design_fp, sql), costs[sql])
-        self.stats.kernel_batch_calls += 1
-        self.stats.kernel_pairs_priced += len(misses)
-        self.arena_stats.neighborhood_deltas += 1
-        self.arena_stats.delta_pairs_saved += len(copied)
-        if t.enabled:
-            t.emit(
-                "neighborhood_delta",
-                substrate=self.kernel.name,
-                design=design_fp,
-                changed=len(changed),
-                priced=len(need),
-                copied=len(copied),
-            )
-            t.emit(
-                "kernel_batch",
-                substrate=self.kernel.name,
-                design=design_fp,
-                pairs=len(misses),
-                structures=len(design_list),
-            )
-        return True
-
-    def _batch_costs(self, batch) -> list[float]:
-        """Full-design costs of a bound batch, fanned out if configured.
-
-        Process backends attach the batch zero-copy from a shared-memory
-        segment (workers receive only the tiny handle plus chunk
-        indices); the segment lives exactly as long as the ``map`` call
-        and is unlinked on every exit path, worker crashes and timeouts
-        included, because the backend surfaces those as ordinary returns.
-        """
-        n = batch.query_count
-        if self.backend is None or n < 2:
-            return [float(c) for c in batch.design_costs()]
-        chunks = contiguous_chunks(
-            list(range(n)), chunk_count(n, self.backend.jobs)
-        )
-        if isinstance(self.backend, ProcessBackend):
-            self.arena_stats.shm_fanouts += 1
-            with share_batch(batch) as handle:
-                t = tracer()
-                if t.enabled:
-                    t.emit(
-                        "shm_share",
-                        segment=handle.segment,
-                        bytes=handle.nbytes,
-                        chunks=len(chunks),
-                    )
-                per_chunk = self.backend.map(
-                    _evaluate_kernel_chunk_shm,
-                    [(handle, chunk) for chunk in chunks],
-                )
-        else:
-            tasks = [(batch.take(chunk),) for chunk in chunks]
-            per_chunk = self.backend.map(_evaluate_kernel_chunk, tasks)
-        return [cost for chunk_costs in per_chunk for cost in chunk_costs]
 
     # -- batched design sweeps ---------------------------------------------------------
 
@@ -1373,37 +1177,21 @@ class CostEvaluationService:
         Algorithm 4 turned sideways: the query axis is fixed, the design
         axis fans out.  The workload's arena is bound once to the union
         of *all* designs' structures; each design's costs are then a
-        masked min-reduction over its member rows.  Consecutive designs
-        differing by exactly one structure — the shape every
-        ``core/move.py`` neighborhood step produces — go through delta
-        re-costing: only the queries that structure's table can touch
-        are re-reduced, the rest keep their previous floats verbatim.
-        Caches and counters behave exactly as if :meth:`workload_cost`
-        had been called once per design in order — cached designs are
-        served without touching the kernel, and duplicate designs hit
-        the entries their first occurrence filled.
+        masked min-reduction over its member rows, with single-structure
+        steps delta re-costed (see :class:`_DesignSweep`).  Caches and
+        counters behave exactly as if :meth:`workload_cost` had been
+        called once per design in order — cached designs are served
+        without touching the kernel, and duplicate designs hit the
+        entries their first occurrence filled.
         """
         with _Timer(self.stats):
             materialized = list(workload)
-            sqls: list[str] = []
-            weights: list[float] = []
-            for query in materialized:
-                if isinstance(query, str):
-                    sqls.append(query)
-                    weights.append(1.0)
-                else:
-                    sqls.append(query.sql)
-                    weights.append(float(query.frequency))
+            sqls, weights = _sql_weights(materialized)
             workload_fp = workload_fingerprint(materialized)
-            unique = list(dict.fromkeys(sqls))
+            unique = tuple(dict.fromkeys(sqls))
             designs = list(designs)
-            batch = None
-            row_of: dict = {}
-            q_index: dict[str, int] = {}
+            sweep = _DesignSweep(self, designs, unique)
             reports: list[WorkloadCostReport] = []
-            prev_members: set[int] | None = None
-            prev_costs = None
-            t = tracer()
             for design in designs:
                 design_fp = self.design_fingerprint(design)
                 self.stats.workload_requests += 1
@@ -1411,93 +1199,17 @@ class CostEvaluationService:
                 cached = self._workload_cache.get(key)
                 if cached is not None:
                     self.stats.workload_hits += 1
-                    self._workload_cache.move_to_end(key)
                     reports.append(cached)
                     continue
-                self.stats.dedup_saved += len(sqls) - len(unique)
-                self.stats.query_requests += len(unique)
                 misses = [
                     sql for sql in unique if (design_fp, sql) not in self._query_cache
                 ]
+                self.stats.dedup_saved += len(sqls) - len(unique)
+                self.stats.query_requests += len(unique)
                 self.stats.query_hits += len(unique) - len(misses)
-                if self.kernel is None or len(misses) < KERNEL_MIN_BATCH:
-                    self._fill_misses(design, design_fp, misses)
-                elif misses:
-                    if batch is None:
-                        # One arena bind covers every design: the union of
-                        # all structures, with per-design membership rows.
-                        structures = list(
-                            dict.fromkeys(s for d in designs for s in d)
-                        )
-                        row_of = {s: i for i, s in enumerate(structures)}
-                        arena = self._arena_for(tuple(unique))
-                        batch = self.kernel.bind(arena, structures)
-                        q_index = {sql: i for i, sql in enumerate(unique)}
-                        if t.enabled:
-                            t.emit(
-                                "kernel_bind",
-                                substrate=self.kernel.name,
-                                queries=batch.query_count,
-                                structures=batch.structure_count,
-                                words=batch.words,
-                            )
-                    members = [row_of[s] for s in design]
-                    member_set = set(members)
-                    changed = (
-                        member_set ^ prev_members
-                        if prev_members is not None
-                        else None
-                    )
-                    if changed is not None and len(changed) == 1:
-                        # Single-structure step: re-reduce only the
-                        # queries the changed structure can touch; the
-                        # rest keep their previous floats verbatim.
-                        row = next(iter(changed))
-                        costs = batch.delta_design_costs(
-                            members, row, prev_costs
-                        )
-                        affected = int(batch.affected_queries(row).sum())
-                        self.arena_stats.delta_recosts += 1
-                        self.arena_stats.delta_queries_saved += (
-                            batch.query_count - affected
-                        )
-                        if t.enabled:
-                            t.emit(
-                                "delta_recost",
-                                design=design_fp,
-                                changed_row=row,
-                                affected=affected,
-                                saved=batch.query_count - affected,
-                            )
-                    else:
-                        costs = batch.design_costs(members)
-                    prev_members = member_set
-                    prev_costs = costs
-                    for sql in misses:
-                        self.stats.raw_model_calls += 1
-                        self._remember_query(
-                            (design_fp, sql), float(costs[q_index[sql]])
-                        )
-                    self.stats.kernel_batch_calls += 1
-                    self.stats.kernel_pairs_priced += len(misses)
-                    self.stats.write_pairs_priced += sum(
-                        int(batch.is_write[q_index[sql]]) for sql in misses
-                    )
-                    if t.enabled:
-                        t.emit(
-                            "kernel_batch",
-                            substrate=self.kernel.name,
-                            design=design_fp,
-                            pairs=len(misses),
-                            structures=len(members),
-                        )
-                per_query = [
-                    self._cached_cost(design_fp, sql, design) for sql in sqls
-                ]
-                report = WorkloadCostReport(
-                    per_query_ms=per_query, weights=list(weights)
-                )
-                self._remember_workload(key, report)
+                self._fill_misses(design, design_fp, misses, sweep)
+                report = self._report(design, design_fp, sqls, weights)
+                self._workload_cache[key] = report
                 reports.append(report)
             return reports
 
@@ -1535,8 +1247,7 @@ class CostEvaluationService:
             for c in candidates:
                 fp = self._single_fps.get(c)
                 if fp is None:
-                    fp = self.design_fingerprint(make_design([c]))
-                    self._single_fps.put(c, fp)
+                    fp = self._single_fps[c] = self.design_fingerprint(make_design([c]))
                 fps.append(fp)
             t = tracer()
             entry, mapped = self._matrix_entry_for(tuple(sqls), profiles, fps)
@@ -1553,15 +1264,10 @@ class CostEvaluationService:
                 cached = self._query_cache.get((empty_fp, sql))
                 if cached is not None:
                     self.stats.query_hits += 1
-                    self._query_cache.move_to_end((empty_fp, sql))
                     base[q] = cached
                 else:
                     base_misses.append(q)
-            for q in base_misses:
-                cost = float(entry.base[rows[q]])
-                base[q] = cost
-                self.stats.raw_model_calls += 1
-                self._remember_query((empty_fp, sqls[q]), cost)
+                    base[q] = entry.base[rows[q]]
             first_of: dict[str, int] = {}
             for i, fp in enumerate(fps):
                 first_of.setdefault(fp, i)
@@ -1574,52 +1280,26 @@ class CostEvaluationService:
             priced_entry_cells = 0
             if fresh:
                 members = [candidates[first_of[fp]] for fp in fresh]
-                batch = self.kernel.bind(entry.arena, members)
-                if t.enabled:
-                    t.emit(
-                        "kernel_bind",
-                        substrate=self.kernel.name,
-                        queries=batch.query_count,
-                        structures=batch.structure_count,
-                        words=batch.words,
-                    )
-                price, unservable, numeric = self._matrix_costs(batch)
-                for j, fp in enumerate(fresh):
-                    entry.columns[fp] = _MatrixColumn(
-                        values=np.where(price[j], numeric[j], 0.0),
-                        price=np.array(price[j], dtype=bool),
-                        unservable=np.array(unservable[j], dtype=bool),
-                    )
-                    priced_entry_cells += int(price[j].sum())
+                for fp, column in zip(fresh, self._price_columns(entry, members)):
+                    entry.columns[fp] = column
+                    priced_entry_cells += int(column.price.sum())
             for old_len in sorted(stale_groups):
                 # Columns priced before the entry's last extension only
                 # cover a prefix; price the missing tail rows, grouped by
                 # prefix length so each group binds once.
                 group = stale_groups[old_len]
                 members = [candidates[first_of[fp]] for fp in group]
-                batch = self.kernel.bind(entry.arena, members)
-                if t.enabled:
-                    t.emit(
-                        "kernel_bind",
-                        substrate=self.kernel.name,
-                        queries=batch.query_count,
-                        structures=batch.structure_count,
-                        words=batch.words,
-                    )
-                tail = batch.take(list(range(old_len, n_entry)))
-                price, unservable, numeric = self._matrix_costs(tail)
-                for j, fp in enumerate(group):
+                tails = self._price_columns(entry, members, start=old_len)
+                for fp, tail in zip(group, tails):
                     column = entry.columns[fp]
                     entry.columns[fp] = _MatrixColumn(
-                        values=np.concatenate(
-                            [column.values, np.where(price[j], numeric[j], 0.0)]
-                        ),
-                        price=np.concatenate([column.price, price[j]]),
+                        values=np.concatenate([column.values, tail.values]),
+                        price=np.concatenate([column.price, tail.price]),
                         unservable=np.concatenate(
-                            [column.unservable, unservable[j]]
+                            [column.unservable, tail.unservable]
                         ),
                     )
-                    priced_entry_cells += int(price[j].sum())
+                    priced_entry_cells += int(tail.price.sum())
             for fp in first_of:
                 entry.columns.move_to_end(fp)
             if candidates:
@@ -1643,9 +1323,13 @@ class CostEvaluationService:
             # one raw evaluation on every call, whatever the matrix cache
             # served — exported stats must not leak warmth.
             self.stats.query_requests += priced_request
-            self.stats.raw_model_calls += priced_request
-            self.stats.kernel_batch_calls += 1
-            self.stats.kernel_pairs_priced += len(base_misses) + priced_request
+            self._charge(
+                empty_fp,
+                [sqls[q] for q in base_misses],
+                base[base_misses].tolist(),
+                kernel=True,
+                matrix_cells=priced_request,
+            )
             is_write = np.asarray(entry.arena.is_write, dtype=bool)[rows]
             self.stats.write_pairs_priced += sum(
                 int(is_write[q]) for q in base_misses
@@ -1694,104 +1378,113 @@ class CostEvaluationService:
             self._shrink_matrix()
             return base, matrix
 
-    def _matrix_costs(self, batch):
-        """``(price, unservable, numeric)`` for a bound candidate batch,
-        fanned out over the backend when one is attached.
+    def publish_metrics(self, registry: MetricsRegistry | None = None) -> None:
+        """Publish the cumulative :class:`CostServiceStats` (plus current
+        cache sizes) into a metrics registry (default: the process-wide
+        one; see :func:`repro.obs.get_metrics`).
 
-        Process backends ship the batch once through shared memory and
-        chunk the query axis; each worker returns its column slices and
-        the parent concatenates in chunk order — bit-identical to the
-        inline call at any worker count (every frame/cost op is
-        per-query).
+        Counters are published as gauges because the service's stats are
+        already cumulative — the registry mirrors the latest snapshot
+        rather than double-accumulating.  ``python -m repro stats``
+        renders the result.
         """
-        n = batch.query_count
-        if self.backend is None or n < 2 or batch.structure_count == 0:
-            price, unservable = batch.candidate_frame()
-            return price, unservable, batch.candidate_costs()
-        chunks = contiguous_chunks(
-            list(range(n)), chunk_count(n, self.backend.jobs)
+        registry = registry if registry is not None else get_metrics()
+        registry.gauge("costing.query_requests").set(self.stats.query_requests)
+        registry.gauge("costing.query_hits").set(self.stats.query_hits)
+        registry.gauge("costing.raw_model_calls").set(self.stats.raw_model_calls)
+        registry.gauge("costing.workload_requests").set(self.stats.workload_requests)
+        registry.gauge("costing.workload_hits").set(self.stats.workload_hits)
+        registry.gauge("costing.dedup_saved").set(self.stats.dedup_saved)
+        registry.gauge("costing.eval_seconds").set(self.stats.eval_seconds)
+        registry.gauge("costing.evictions").set(self.stats.evictions)
+        registry.gauge("costing.hit_rate").set(self.stats.hit_rate)
+        registry.gauge("costing.cached_query_entries").set(self.cached_query_entries)
+        registry.gauge("costing.cached_workload_entries").set(
+            self.cached_workload_entries
         )
-        if isinstance(self.backend, ProcessBackend):
-            self.arena_stats.shm_fanouts += 1
-            with share_batch(batch) as handle:
-                t = tracer()
-                if t.enabled:
-                    t.emit(
-                        "shm_share",
-                        segment=handle.segment,
-                        bytes=handle.nbytes,
-                        chunks=len(chunks),
-                    )
-                per_chunk = self.backend.map(
-                    _evaluate_matrix_chunk_shm,
-                    [(handle, chunk) for chunk in chunks],
+        registry.gauge("costing.kernel.batch_calls").set(self.stats.kernel_batch_calls)
+        registry.gauge("costing.kernel.pairs_priced").set(
+            self.stats.kernel_pairs_priced
+        )
+        registry.gauge("writes.pairs_priced").set(self.stats.write_pairs_priced)
+        registry.gauge("arena.builds").set(self.arena_stats.builds)
+        registry.gauge("arena.hits").set(self.arena_stats.hits)
+        registry.gauge("arena.evictions").set(self.arena_stats.evictions)
+        registry.gauge("arena.invalidations").set(self.arena_stats.invalidations)
+        registry.gauge("arena.delta_recosts").set(self.arena_stats.delta_recosts)
+        registry.gauge("arena.delta_queries_saved").set(
+            self.arena_stats.delta_queries_saved
+        )
+        registry.gauge("arena.cached").set(self.cached_arenas)
+        registry.gauge("arena.resident_bytes").set(
+            sum(getattr(arena, "nbytes", 0) for _, arena in self._arenas.items())
+        )
+        registry.gauge("matrix.hits").set(self.arena_stats.matrix_hits)
+        registry.gauge("matrix.pairs_priced").set(
+            self.arena_stats.matrix_pairs_priced
+        )
+        registry.gauge("matrix.extends").set(self.arena_stats.matrix_extends)
+        registry.gauge("matrix.evictions").set(self.arena_stats.matrix_evictions)
+        registry.gauge("matrix.cached_columns").set(self.cached_matrix_columns)
+        registry.gauge("matrix.cached_cells").set(self.cached_matrix_cells)
+        registry.gauge("delta.neighborhood_recosts").set(
+            self.arena_stats.neighborhood_deltas
+        )
+        registry.gauge("delta.pairs_saved").set(self.arena_stats.delta_pairs_saved)
+
+
+class _DesignSweep:
+    """Pricing strategy for one ``workload_costs_batch`` sweep.
+
+    The workload's arena is bound once — lazily, on the first design
+    that needs the kernel — to the union of every design's structures,
+    with per-design membership rows.  Consecutive priced designs
+    differing by exactly one structure — the shape every
+    ``core/move.py`` neighborhood step produces — are delta re-costed:
+    only the queries that structure's table can touch are re-reduced,
+    the rest keep their previous floats verbatim.
+    """
+
+    def __init__(self, service: CostEvaluationService, designs, unique):
+        self.service = service
+        self.designs = designs
+        self.unique = unique
+        self.batch = None
+        self.row_of: dict = {}
+        self.q_index: dict[str, int] = {}
+        self.prev_members: set[int] | None = None
+        self.prev_costs = None
+
+    def __call__(self, design, misses):
+        service = self.service
+        if self.batch is None:
+            structures = list(dict.fromkeys(s for d in self.designs for s in d))
+            self.row_of = {s: i for i, s in enumerate(structures)}
+            self.q_index = {sql: i for i, sql in enumerate(self.unique)}
+            self.batch = service._bind(service._arena_for(self.unique), structures)
+        batch = self.batch
+        members = [self.row_of[s] for s in design]
+        member_set = set(members)
+        changed = member_set ^ self.prev_members if self.prev_members is not None else ()
+        if len(changed) == 1:
+            (row,) = changed
+            costs = batch.delta_design_costs(members, row, self.prev_costs)
+            affected = int(batch.affected_queries(row).sum())
+            service.arena_stats.delta_recosts += 1
+            service.arena_stats.delta_queries_saved += batch.query_count - affected
+            t = tracer()
+            if t.enabled:
+                t.emit(
+                    "delta_recost",
+                    design=service.design_fingerprint(design),
+                    changed_row=row,
+                    affected=affected,
+                    saved=batch.query_count - affected,
                 )
         else:
-            tasks = [(batch.take(chunk),) for chunk in chunks]
-            per_chunk = self.backend.map(_evaluate_matrix_chunk, tasks)
-        price = np.concatenate([p for p, _, _ in per_chunk], axis=1)
-        unservable = np.concatenate([u for _, u, _ in per_chunk], axis=1)
-        numeric = np.concatenate([x for _, _, x in per_chunk], axis=1)
-        return price, unservable, numeric
-
-
-def _evaluate_kernel_chunk_shm(task) -> list[float]:
-    """Worker body for one chunk of a shared-memory-published batch.
-
-    The task carries only the segment handle and the chunk's query
-    indices; the worker attaches the compiled arrays zero-copy, reduces
-    its slice, and detaches.  Runs identically in the parent (the
-    backend's serial degraded mode) — attaching from the creating
-    process is just another view of the same pages.
-    """
-    handle, chunk = task
-    with attached_batch(handle) as batch:
-        return [float(cost) for cost in batch.take(chunk).design_costs()]
-
-
-def _evaluate_kernel_chunk(task) -> list[float]:
-    """Worker body for one compiled-batch chunk of cache misses.
-
-    The task ships a pre-compiled array slice (``batch.take``), so process
-    workers never re-profile queries or touch cost-model objects; like the
-    scalar worker it returns raw costs only.
-    """
-    (batch,) = task
-    return [float(cost) for cost in batch.design_costs()]
-
-
-def _evaluate_matrix_chunk_shm(task) -> tuple:
-    """Worker body for one query-axis chunk of a candidate matrix.
-
-    Attaches the shared-memory batch, slices its chunk of the query
-    axis, and returns materialized ``(price, unservable, numeric)``
-    column slices — copies, because views into the segment do not
-    outlive the attach block.
-    """
-    handle, chunk = task
-    with attached_batch(handle) as batch:
-        sub = batch.take(chunk)
-        price, unservable = sub.candidate_frame()
-        return (
-            np.array(price, dtype=bool),
-            np.array(unservable, dtype=bool),
-            np.array(sub.candidate_costs(), dtype=np.float64),
-        )
-
-
-def _evaluate_matrix_chunk(task) -> tuple:
-    """Worker body for one pre-sliced candidate-matrix chunk (thread
-    backend: the ``batch.take`` slice ships in-process)."""
-    (batch,) = task
-    price, unservable = batch.candidate_frame()
-    return price, unservable, batch.candidate_costs()
-
-
-def _evaluate_cost_chunk(task) -> list[float]:
-    """Worker body for one chunk of cache misses.
-
-    Module-level (picklable for the process backend); returns raw costs
-    only — the parent owns all cache and counter mutation.
-    """
-    cost_model, design, sqls = task
-    return [cost_model.query_cost(sql, design) for sql in sqls]
+            costs = batch.design_costs(members)
+        self.prev_members = member_set
+        self.prev_costs = costs
+        rows = [self.q_index[sql] for sql in misses]
+        writes = sum(int(batch.is_write[q]) for q in rows)
+        return [float(costs[q]) for q in rows], len(members), writes

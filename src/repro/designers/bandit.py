@@ -45,10 +45,10 @@ incumbent, and the arm log) for ``repro.state`` kill-resume.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
+from repro.costing.memo import BoundedMemo
 from repro.designers.base import DesignAdapter, Designer
 from repro.designers.greedy import CandidateEvaluation, evaluate_candidates
 from repro.obs import get_metrics, tracer
@@ -147,7 +147,6 @@ class BanditDesigner(Designer):
         self.regularization = regularization
         self.safety_margin = safety_margin
         self.max_structures = max_structures
-        self.arm_log_limit = arm_log_limit
         self.rng = np.random.default_rng(seed)
         # -- learner state (everything below is export_state-captured) ----
         self.V = regularization * np.eye(FEATURE_DIM)
@@ -158,7 +157,7 @@ class BanditDesigner(Designer):
         #: The last accepted design; the safety guard's reference point.
         self.incumbent = None
         #: structure -> feature vector it was last selected with (bounded).
-        self._arm_log: "OrderedDict[object, np.ndarray]" = OrderedDict()
+        self._arm_log = BoundedMemo(max_entries=arm_log_limit)
 
     # -- selection ----------------------------------------------------------------
 
@@ -220,9 +219,6 @@ class BanditDesigner(Designer):
             for i in chosen:
                 arm = evaluation.candidates[i]
                 self._arm_log[arm] = features[i].copy()
-                self._arm_log.move_to_end(arm)
-            while len(self._arm_log) > self.arm_log_limit:
-                self._arm_log.popitem(last=False)
         else:
             # "No regret": keep the incumbent serving, but pay for the
             # optimism — a confidence-only update (V without b) shrinks
@@ -290,7 +286,7 @@ class BanditDesigner(Designer):
         np.add.at(rewards, winner[helped], gain[helped])
         rewards = np.clip(rewards / cost_mass, -1.0, 1.0)
         for arm, reward in zip(arms, rewards):
-            f = self._arm_log[arm]
+            f = self._arm_log.peek(arm)  # reads must not reorder the log
             self.V += np.outer(f, f)
             self.b += f * reward
 
@@ -318,9 +314,7 @@ class BanditDesigner(Designer):
         self.observations = state["observations"]
         self.safety_fallbacks = state["safety_fallbacks"]
         self.incumbent = state["incumbent"]
-        self._arm_log = OrderedDict(
-            (arm, f.copy()) for arm, f in state["arm_log"]
-        )
+        self._arm_log.replace((arm, f.copy()) for arm, f in state["arm_log"])
 
     def model_digest(self) -> str:
         """Digest of the learned model (V, b) — backend-identity checks."""

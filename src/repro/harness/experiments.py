@@ -25,14 +25,12 @@ F16       Figure 16 — δ_latency correlation at ω = 0.1 / 0.2
 from __future__ import annotations
 
 import statistics as stats_module
-import warnings
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from repro.core.cliffguard import CliffGuard
 from repro.core.knob import drift_history, gamma_from_history
-from repro.costing.service import CostEvaluationService
 from repro.designers import registry
 from repro.designers.base import (
     ColumnarAdapter,
@@ -70,20 +68,6 @@ from repro.workload.windows import shared_template_fraction, split_windows
 from repro.workload.workload import Workload
 from repro.harness.replay import DesignerRun, ReplayResult, replay
 from repro.harness.scheduler import PeriodicPolicy, ScheduleOutcome, scheduled_replay
-
-
-def __getattr__(name: str):
-    # ``DESIGNER_ORDER`` moved to the designer registry; keep the old
-    # module attribute working (with a nudge) for one deprecation cycle.
-    if name == "DESIGNER_ORDER":
-        warnings.warn(
-            "repro.harness.experiments.DESIGNER_ORDER is deprecated; use "
-            "repro.designers.registry.names()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return registry.names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -187,39 +171,27 @@ class ExperimentContext:
 
     # -- engine stacks -----------------------------------------------------------
 
-    def columnar_adapter(
-        self, backend: ExecutionBackend | str | None = None
-    ) -> ColumnarAdapter:
-        model = ColumnarCostModel(self.schema)
+    # ``backend`` on the two adapter factories is accepted and ignored:
+    # costing is in-process on every backend, but the frozen end-to-end
+    # benchmark (benchmarks/e2e/workloads.py) still passes it.
+
+    def columnar_adapter(self, backend=None) -> ColumnarAdapter:
         return ColumnarAdapter(
-            model,
+            ColumnarCostModel(self.schema),
             default_budget_bytes(self.schema, self.scale.budget_fraction),
-            costing=self._costing(model, backend),
         )
 
-    def rowstore_adapter(
-        self, backend: ExecutionBackend | str | None = None
-    ) -> RowstoreAdapter:
+    def rowstore_adapter(self, backend=None) -> RowstoreAdapter:
         # The paper gave DBMS-X a proportionally larger budget than Vertica
         # (10 GB for a 20 GB dataset vs 50 GB for 151 GB): row-store
         # structures are less byte-efficient, so the same workload needs a
         # bigger fraction of the data size.
-        model = RowstoreCostModel(self.schema)
         return RowstoreAdapter(
-            model,
+            RowstoreCostModel(self.schema),
             default_budget_bytes(
                 self.schema, min(1.0, self.scale.budget_fraction * 1.6)
             ),
-            costing=self._costing(model, backend),
         )
-
-    @staticmethod
-    def _costing(model, backend) -> CostEvaluationService | None:
-        """A cost service with neighborhood fan-out over ``backend``
-        (``None`` keeps the adapter's default serial service)."""
-        if backend is None:
-            return None
-        return CostEvaluationService(model, backend=backend)
 
     def sampler(self, distance: WorkloadDistance | None = None) -> NeighborhoodSampler:
         return NeighborhoodSampler(
@@ -227,17 +199,13 @@ class ExperimentContext:
         )
 
 
-def _engine_stack(
-    context: ExperimentContext,
-    engine: str,
-    backend: ExecutionBackend | str | None = None,
-):
+def _engine_stack(context: ExperimentContext, engine: str):
     """(adapter, nominal designer) for one engine name."""
     if engine == "columnar":
-        adapter = context.columnar_adapter(backend)
+        adapter = context.columnar_adapter()
         return adapter, ColumnarNominalDesigner(adapter)
     if engine == "rowstore":
-        adapter = context.rowstore_adapter(backend)
+        adapter = context.rowstore_adapter()
         return adapter, RowstoreNominalDesigner(adapter)
     raise ValueError(f"unknown engine {engine!r}")
 
@@ -260,25 +228,6 @@ def _build_designers(
         n_samples=context.scale.n_samples,
         max_iterations=context.scale.iterations,
     )
-
-
-def build_designers(
-    context: ExperimentContext,
-    adapter: DesignAdapter,
-    nominal,
-    gamma: float,
-    which: list[str] | None = None,
-    distance: WorkloadDistance | None = None,
-) -> tuple[dict, list[NeighborhoodSampler]]:
-    """Deprecated: use :mod:`repro.designers.registry` (or the
-    :class:`repro.api.RobustDesignSession` facade)."""
-    warnings.warn(
-        "build_designers is deprecated; use repro.designers.registry.build_all "
-        "or the repro.api facade",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_designers(context, adapter, nominal, gamma, which, distance)
 
 
 def _past_pool_hook(trace: list[WorkloadQuery], samplers: list[NeighborhoodSampler]):
@@ -851,7 +800,6 @@ def run_costing_stats(
     context: ExperimentContext,
     workload: str,
     engine: str = "columnar",
-    backend: ExecutionBackend | str | None = None,
     checkpointer: RunCheckpointer | None = None,
 ) -> CostingStatsOutcome:
     """Replay CliffGuard once and capture the cost-service counters.
@@ -859,12 +807,10 @@ def run_costing_stats(
     Backs ``python -m repro stats``: how many what-if calls the run
     requested, how many the memo cache absorbed, the dedup ratio of the
     batched neighborhood evaluation, and the wall-time spent costing.
-    ``backend`` selects the execution backend that fills cost-cache misses
-    during neighborhood evaluation (counters stay bit-identical to serial).
     ``checkpointer`` makes the replay resumable per window transition;
     the service counters survive through the checkpointed cache export.
     """
-    adapter, nominal = _engine_stack(context, engine, backend)
+    adapter, nominal = _engine_stack(context, engine)
     gamma = context.default_gamma(workload)
     designers, samplers = _build_designers(
         context, adapter, nominal, gamma, which=["CliffGuard"]

@@ -201,8 +201,8 @@ def replay(
 
     ``windows`` is a bounded :class:`~repro.serve.sources.QuerySource`
     (typically a :class:`~repro.serve.sources.TraceSource` carrying its
-    window length).  Passing a raw ``list[Workload]`` still works but is
-    deprecated — batch and serve share one source-of-queries abstraction.
+    window length) — batch and serve share one source-of-queries
+    abstraction; wrap fixed windows with ``TraceSource.from_windows``.
 
     ``candidate_source`` (a nominal designer) drives the beneficial-query
     filter; pass ``None`` to evaluate on every parseable query.

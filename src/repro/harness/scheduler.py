@@ -180,8 +180,7 @@ def scheduled_replay(
     """Replay ``windows`` re-designing only when ``policy`` says so.
 
     ``windows`` is a bounded :class:`~repro.serve.sources.QuerySource`
-    (a raw ``list[Workload]`` still works but is deprecated; wrap fixed
-    traces in :class:`~repro.serve.sources.TraceSource`).
+    (wrap fixed windows with ``TraceSource.from_windows``).
 
     The design built from window ``i`` serves window ``i+1`` (and later
     windows until the next re-design).  ``evaluation_windows`` optionally

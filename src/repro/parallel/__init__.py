@@ -1,27 +1,30 @@
 """Parallel execution backends for the embarrassingly parallel loops.
 
-CliffGuard's inner loop costs every sampled Γ-neighbor independently
-(paper Algorithm 2), and the harness repeats that loop across Γ values,
-designers, and window transitions.  This package provides one
+The harness repeats CliffGuard's design loop across Γ values,
+designers, and window transitions, and every one of those replays is
+independent of the others.  This package provides one
 :class:`~repro.parallel.backends.ExecutionBackend` abstraction — serial,
 thread-pool, and process-pool implementations selected by a single
-``backend``/``jobs`` knob — plus deterministic work partitioning so that
-every backend produces bit-identical results at any worker count.
+``backend``/``jobs`` knob — whose ``map`` returns results in task order,
+so every backend produces bit-identical results at any worker count.
 
-The three hot fan-out sites routed through it:
+Fan-out is **whole-task only**.  The sites routed through it:
 
-* :meth:`repro.costing.service.CostEvaluationService.evaluate_neighborhood`
-  (per-neighbor what-if costing),
 * :func:`repro.harness.experiments.run_gamma_sweep` (per-Γ replays),
 * :func:`repro.harness.experiments.run_designer_comparison` and
   :func:`repro.harness.experiments.run_schedule_comparison`
-  (per-designer replays).
+  (per-designer replays),
+* the online daemon (:mod:`repro.serve`), which uses
+  :meth:`~repro.parallel.backends.ExecutionBackend.submit` to launch one
+  background re-design at a time and poll its
+  :class:`~repro.parallel.jobs.BackgroundJob` handle while ingestion
+  continues.
 
-The online daemon (:mod:`repro.serve`) uses the fourth entry point,
-:meth:`~repro.parallel.backends.ExecutionBackend.submit`, to launch one
-background re-design at a time and poll its
-:class:`~repro.parallel.jobs.BackgroundJob` handle while ingestion
-continues.
+Nothing fans out *inside* one pricing call: the costing service
+(:mod:`repro.costing.service`) prices in process on every backend — the
+kernel reduction it could split is ~1% of a design run's wall, and the
+thread-chunk and shared-memory fan-outs that once split it measured
+slower than the serial path at every batch size.
 """
 
 from repro.parallel.backends import (
@@ -34,13 +37,7 @@ from repro.parallel.backends import (
     resolve_backend,
 )
 from repro.parallel.jobs import BackgroundJob
-from repro.parallel.partition import chunk_count, contiguous_chunks, derive_seed
-from repro.parallel.shm import (
-    ShmBatchHandle,
-    attach_batch,
-    leaked_segments,
-    share_batch,
-)
+from repro.parallel.partition import derive_seed
 
 __all__ = [
     "BackendStats",
@@ -48,14 +45,8 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ShmBatchHandle",
     "ThreadBackend",
-    "attach_batch",
     "backend_from_env",
-    "chunk_count",
-    "contiguous_chunks",
     "derive_seed",
-    "leaked_segments",
     "resolve_backend",
-    "share_batch",
 ]

@@ -1,61 +1,16 @@
-"""Deterministic work partitioning and seed derivation.
+"""Deterministic seed derivation for fanned-out tasks.
 
-Bit-identical results at any worker count require two invariants:
-
-* **Chunking depends only on the task list**, never on the backend or the
-  number of workers that happen to be free: :func:`contiguous_chunks`
-  splits a task list into ordered, contiguous, balanced chunks, so
-  reassembling chunk results in chunk order reproduces the serial
-  iteration order exactly (including LRU insertion order downstream).
-* **Randomness attaches to chunks, not workers**: :func:`derive_seed`
-  derives a child seed from the run seed and the chunk's position, so a
-  task that needs an RNG draws the same stream whether it runs in the
-  parent, a thread, or a subprocess.
+Bit-identical results at any worker count require that **randomness
+attaches to tasks, not workers**: :func:`derive_seed` derives a child
+seed from the run seed and the task's position, so a task that needs an
+RNG draws the same stream whether it runs in the parent, a thread, or a
+subprocess.  (Task *order* is the backends' job: ``map`` returns results
+in task order whatever order workers finish in.)
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
-
-
-def contiguous_chunks(items: Sequence, n_chunks: int) -> list[list]:
-    """Split ``items`` into at most ``n_chunks`` ordered contiguous chunks.
-
-    Chunk sizes differ by at most one and concatenating the chunks yields
-    the original sequence — the partition is a pure function of
-    ``(len(items), n_chunks)``.
-    """
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be at least 1")
-    items = list(items)
-    if not items:
-        return []
-    n_chunks = min(n_chunks, len(items))
-    base, extra = divmod(len(items), n_chunks)
-    chunks: list[list] = []
-    start = 0
-    for index in range(n_chunks):
-        size = base + (1 if index < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
-def chunk_count(n_items: int, jobs: int, tasks_per_job: int = 4) -> int:
-    """How many chunks to cut ``n_items`` into for ``jobs`` workers.
-
-    Oversplitting (a few chunks per worker) keeps the pool busy when
-    chunks finish at different speeds; undersplitting would serialize the
-    tail.  The count is deterministic — it depends on ``jobs`` but not on
-    runtime load — which is safe because result *values* never depend on
-    the partition, only wall-time does.
-    """
-    if n_items <= 0:
-        return 0
-    if jobs <= 1:
-        return 1
-    return max(1, min(n_items, jobs * tasks_per_job))
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:

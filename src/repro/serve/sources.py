@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import warnings
 from abc import ABC, abstractmethod
 from typing import AsyncIterator, Iterable
 
@@ -277,18 +276,14 @@ def resolve_source(spec: "QuerySource | str") -> QuerySource:
 
 
 def as_windows(windows, window_days: float | None = None) -> list[Workload]:
-    """Normalise a harness's windows argument to ``list[Workload]``.
+    """A bounded :class:`QuerySource`'s stream as ``list[Workload]``.
 
-    Accepts a bounded :class:`QuerySource` (the supported form) or a raw
-    list of :class:`Workload` windows (deprecated since 1.3 — wrap fixed
-    workloads in :class:`TraceSource` instead).
+    Fixed workloads are wrapped with :meth:`TraceSource.from_windows`;
+    anything that is not a :class:`QuerySource` is a ``TypeError``.
     """
-    if isinstance(windows, QuerySource):
-        return windows.windows(window_days)
-    warnings.warn(
-        "passing a raw list of Workload windows is deprecated; wrap the trace "
-        "in repro.TraceSource (or any bounded QuerySource) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return list(windows)
+    if not isinstance(windows, QuerySource):
+        raise TypeError(
+            "windows must be a bounded QuerySource (wrap fixed windows with "
+            f"TraceSource.from_windows), got {type(windows).__name__}"
+        )
+    return windows.windows(window_days)

@@ -91,7 +91,7 @@ def costing_state(adapter_or_service) -> dict | None:
     workload text and the model's statistics, both of which survive a
     restart, so snapshots exclude them (``export_state`` ships the memo
     caches only) and a resumed run rebuilds arenas on first use.  The
-    arena/shm counters (``ArenaStats``) are likewise excluded so a
+    arena/matrix/delta counters (``ArenaStats``) are likewise excluded so a
     kill-resume run's counter deltas stay byte-identical to an
     uninterrupted run's.
     """

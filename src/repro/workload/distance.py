@@ -30,12 +30,11 @@ quadratic form is evaluated in chunked numpy.  For the sampler's hot path
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable
 
 import numpy as np
 
-from repro.obs import get_metrics
+from repro.costing.memo import BoundedMemo
 from repro.sql.analyzer import CLAUSES
 from repro.workload.workload import SEPARATE, ClauseSpec, VectorKey, Workload
 
@@ -72,38 +71,11 @@ def _require_bitwise_count(module=np) -> None:
 _require_bitwise_count()
 
 
-class _PerWorkloadCache:
-    """Small LRU keyed by workload object identity.
-
-    Entries keep the workload itself alongside the value so an ``id``
-    reused by a new object after garbage collection can never alias a
-    stale entry.  Evictions are counted in the process-wide metrics
-    registry under ``counter_name``.
-    """
-
-    def __init__(self, counter_name: str, max_entries: int = _WORKLOAD_CACHE_ENTRIES):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.counter_name = counter_name
-        self._entries: OrderedDict[int, tuple[Workload, float]] = OrderedDict()
-
-    def get(self, workload: Workload) -> float | None:
-        cached = self._entries.get(id(workload))
-        if cached is not None and cached[0] is workload:
-            self._entries.move_to_end(id(workload))
-            return cached[1]
-        return None
-
-    def put(self, workload: Workload, value: float) -> None:
-        self._entries[id(workload)] = (workload, value)
-        self._entries.move_to_end(id(workload))
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            get_metrics().counter(self.counter_name).inc()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _per_workload_memo(counter_name: str) -> BoundedMemo:
+    """Workload -> float LRU keyed by object identity (hashing a
+    workload would walk every query), evictions counted in the
+    process-wide metrics registry under ``counter_name``."""
+    return BoundedMemo(counter_name, _WORKLOAD_CACHE_ENTRIES, by_identity=True)
 
 
 def _template_order(key: VectorKey) -> tuple:
@@ -141,7 +113,7 @@ class WorkloadDistance:
         self._words = (slots * total_columns + 63) // 64
         self._column_bits: dict[str, int] = {}
         self._mask_cache: dict[VectorKey, np.ndarray] = {}
-        self._self_terms = _PerWorkloadCache("distance.self_term_evictions")
+        self._self_terms = _per_workload_memo("distance.self_term_evictions")
 
     # -- encoding ---------------------------------------------------------------
 
@@ -245,7 +217,7 @@ class WorkloadDistance:
             return cached
         masks, weights = self._encode_vector(workload.template_vector(self.clauses))
         value = self._normalize(self._quadratic(masks, weights))
-        self._self_terms.put(workload, value)
+        self._self_terms[workload] = value
         return value
 
     def cross_term(self, first: Workload, second: Workload) -> float:
@@ -310,14 +282,14 @@ class LatencyAwareDistance:
         self.base = base
         self.baseline_cost = baseline_cost
         self.omega = omega
-        self._cost_cache = _PerWorkloadCache("distance.cost_cache_evictions")
+        self._cost_cache = _per_workload_memo("distance.cost_cache_evictions")
 
     def _cost(self, workload: Workload) -> float:
         cached = self._cost_cache.get(workload)
         if cached is not None:
             return cached
         cost = self.baseline_cost(workload)
-        self._cost_cache.put(workload, cost)
+        self._cost_cache[workload] = cost
         return cost
 
     def latency_term(self, first: Workload, second: Workload) -> float:

@@ -87,7 +87,6 @@ class TestSession:
                 assert isinstance(outcome, DesignOutcome)
                 assert outcome.price_bytes > 0
                 assert outcome.report is not None
-                assert outcome.report.backend == "serial"
                 return sorted(str(s) for s in outcome.structures)
 
         assert fingerprint() == fingerprint()
@@ -153,34 +152,6 @@ class TestRegistry:
     def test_sampler_required_for_neighborhood_designers(self):
         with pytest.raises(ValueError, match="make_sampler"):
             registry.get("CliffGuard", None, None, 0.0, make_sampler=None)
-
-
-class TestDeprecations:
-    def test_designer_order_warns(self):
-        import repro.harness.experiments as experiments
-
-        with pytest.warns(DeprecationWarning, match="DESIGNER_ORDER"):
-            order = experiments.DESIGNER_ORDER
-        assert order == registry.names()
-
-    def test_build_designers_warns(self):
-        from repro.harness.experiments import (
-            ExperimentContext,
-            build_designers,
-        )
-
-        config = RunConfig(**TINY)
-        context = ExperimentContext(config.scale())
-        adapter = context.columnar_adapter()
-        from repro.designers.columnar_nominal import ColumnarNominalDesigner
-
-        nominal = ColumnarNominalDesigner(adapter)
-        with pytest.warns(DeprecationWarning, match="build_designers"):
-            designers, samplers = build_designers(
-                context, adapter, nominal, 0.01, which=["NoDesign", "CliffGuard"]
-            )
-        assert set(designers) == {"NoDesign", "CliffGuard"}
-        assert len(samplers) == 1
 
 
 class TestObservabilityKnobs:

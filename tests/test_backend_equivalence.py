@@ -1,22 +1,20 @@
-"""Bit-identity of the execution backends (the tentpole guarantee).
+"""Bit-identity of the execution backends' whole-task fan-out.
 
-The same run must produce byte-for-byte identical designs, cost
-trajectories, and instrumentation counters on the serial, thread, and
+The same experiment grid must produce byte-for-byte identical designs,
+cost trajectories, and instrumentation counters on the serial and
 process backends at any worker count.  Wall-clock fields
 (``design_seconds``, ``eval_seconds``) are the only permitted difference.
 """
 
 import pytest
 
-from repro.designers import registry
-from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.harness.experiments import (
     ExperimentContext,
     ExperimentScale,
     run_designer_comparison,
     run_gamma_sweep,
 )
-from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
+from repro.parallel import ProcessBackend, SerialBackend
 
 MICRO = ExperimentScale(
     days=84,
@@ -31,97 +29,6 @@ MICRO = ExperimentScale(
 )
 
 WHICH = ["NoDesign", "ExistingDesigner", "CliffGuard"]
-
-
-def _cliffguard_design(backend):
-    """One CliffGuard design call on a fresh stack over ``backend``.
-
-    Everything is rebuilt per call (context, adapter, service, sampler) so
-    each backend starts from a cold cache and the counters are comparable.
-    """
-    context = ExperimentContext(MICRO)
-    adapter = context.columnar_adapter(backend)
-    nominal = ColumnarNominalDesigner(adapter)
-    gamma = context.default_gamma("R1")
-    designer, sampler = registry.get(
-        "CliffGuard",
-        adapter,
-        nominal,
-        gamma,
-        make_sampler=context.sampler,
-        n_samples=MICRO.n_samples,
-        max_iterations=MICRO.iterations,
-    )
-    windows = context.trace_windows("R1")
-    window = windows[-2]
-    sampler.set_pool(
-        [q for q in context.trace("R1") if q.timestamp < window.span_days[0]]
-    )
-    design = designer.design(window)
-    report = designer.last_report
-    stats = adapter.costing.stats
-    return {
-        "fingerprint": sorted(str(s) for s in design),
-        "price_bytes": adapter.design_price(design),
-        "worst_case_history": report.worst_case_history,
-        "alpha_history": report.alpha_history,
-        "report_counters": (
-            report.iterations,
-            report.accepted_moves,
-            report.designer_calls,
-            report.query_cost_calls,
-            report.raw_cost_model_calls,
-            report.cache_hits,
-        ),
-        "service_counters": (
-            stats.query_requests,
-            stats.query_hits,
-            stats.raw_model_calls,
-            stats.workload_requests,
-            stats.workload_hits,
-            stats.dedup_saved,
-            stats.evictions,
-        ),
-        "backend_name": report.backend,
-    }
-
-
-class TestNeighborhoodEvaluation:
-    def test_backends_bit_identical_at_any_worker_count(self):
-        reference = _cliffguard_design(SerialBackend())
-        assert reference["backend_name"] == "serial"
-        variants = [
-            ThreadBackend(jobs=2),
-            ProcessBackend(jobs=1),
-            ProcessBackend(jobs=2),
-            ProcessBackend(jobs=4),
-        ]
-        for backend in variants:
-            with backend:
-                result = _cliffguard_design(backend)
-            assert result["fingerprint"] == reference["fingerprint"], backend
-            assert result["price_bytes"] == reference["price_bytes"], backend
-            assert (
-                result["worst_case_history"] == reference["worst_case_history"]
-            ), backend
-            assert result["alpha_history"] == reference["alpha_history"], backend
-            assert (
-                result["report_counters"] == reference["report_counters"]
-            ), backend
-            assert (
-                result["service_counters"] == reference["service_counters"]
-            ), backend
-            assert result["backend_name"] == backend.name
-
-    def test_backend_path_matches_legacy_inline_path(self):
-        # backend=None takes the pre-backend inline loop; values must agree.
-        legacy = _cliffguard_design(None)
-        serial = _cliffguard_design(SerialBackend())
-        assert legacy["fingerprint"] == serial["fingerprint"]
-        assert legacy["worst_case_history"] == serial["worst_case_history"]
-        assert legacy["report_counters"] == serial["report_counters"]
-        assert legacy["service_counters"] == serial["service_counters"]
-        assert legacy["backend_name"] == "serial"
 
 
 class TestExperimentFanOut:

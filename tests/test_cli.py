@@ -72,14 +72,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Metrics registry" in out
         assert "costing.query_requests" in out
-        assert "parallel.map_calls" in out
+        assert "arena.builds" in out
 
         import json
 
         events = [json.loads(line) for line in trace_path.read_text().splitlines()]
         names = {e["event"] for e in events}
-        # The acceptance set: design-loop, cache, chunk, and redesign events.
-        assert {"iteration", "cache_fill", "chunk_dispatch", "redesign"} <= names
+        # The acceptance set: design-loop, cache, and redesign events (a
+        # single replay fans nothing out, so no chunk events).
+        assert {"iteration", "cache_fill", "redesign"} <= names
+        assert "chunk_dispatch" not in names
         assert all("seq" in e and "t" in e for e in events)
 
     def test_trace_flag_appends_across_runs(self, capsys, tmp_path):

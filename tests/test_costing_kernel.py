@@ -28,7 +28,6 @@ from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
-from repro.parallel.backends import ThreadBackend
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
@@ -311,7 +310,7 @@ def test_all_uncoverable_candidates_price_as_scalar():
     assert np.array_equal(evaluation.base_costs, scalar.base_costs)
 
 
-# -- service dispatch, counters, backends, events ----------------------------------
+# -- service dispatch, counters, events ----------------------------------
 
 
 def test_small_miss_batches_stay_on_scalar_path():
@@ -325,30 +324,6 @@ def test_small_miss_batches_stay_on_scalar_path():
     service.evaluate_neighborhood([design], [Workload.from_sql(few)])
     assert service.stats.kernel_batch_calls == 0
     assert service.stats.raw_model_calls == len(few)
-
-
-@pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_thread_backend_kernel_fill_bit_identical(substrate):
-    """Chunked kernel evaluation over a backend matches the serial fill —
-    values and every counter."""
-    model, candidates, _ = _substrate(substrate)
-    _, sqls = _environment()
-    workload = Workload.from_sql(sqls)
-    designs = [
-        _adapter(model).make_design(candidates[:3]),
-        _adapter(model).make_design(candidates[3:7]),
-    ]
-
-    serial = CostEvaluationService(model)
-    threaded = CostEvaluationService(model, backend=ThreadBackend(jobs=3))
-    expected = serial.evaluate_neighborhood(designs, [workload])
-    actual = threaded.evaluate_neighborhood(designs, [workload])
-    for row_a, row_b in zip(expected, actual):
-        for rep_a, rep_b in zip(row_a, row_b):
-            assert rep_a.per_query_ms == rep_b.per_query_ms
-    assert serial.stats.kernel_batch_calls == threaded.stats.kernel_batch_calls
-    assert serial.stats.kernel_pairs_priced == threaded.stats.kernel_pairs_priced
-    assert serial.stats.raw_model_calls == threaded.stats.raw_model_calls
 
 
 def test_kernel_events_and_counters_emitted():
@@ -388,39 +363,6 @@ def test_kernel_events_and_counters_emitted():
 
 
 # -- BoundedMemo -------------------------------------------------------------------
-
-
-def test_bounded_memo_caps_entries_and_counts_evictions():
-    from repro.obs import get_metrics
-
-    counter = get_metrics().counter("costing.memo_evictions.test_unit")
-    before = counter.value
-    memo = BoundedMemo("costing.memo_evictions.test_unit", max_entries=4)
-    for i in range(7):
-        memo[("sql", i)] = float(i)
-    assert len(memo) == 4
-    assert ("sql", 0) not in memo
-    assert ("sql", 6) in memo
-    assert memo[("sql", 6)] == 6.0
-    assert counter.value == before + 3  # every eviction is metrics-counted
-
-
-def test_bounded_memo_lru_recency_on_read():
-    memo = BoundedMemo("costing.memo_evictions.test_unit", max_entries=2)
-    memo["a"] = 1.0
-    memo["b"] = 2.0
-    assert memo["a"] == 1.0  # refresh "a": "b" becomes the LRU entry
-    memo["c"] = 3.0
-    assert "a" in memo
-    assert "b" not in memo
-
-
-def test_bounded_memo_stores_none_results():
-    """``None`` (= structure cannot serve) is a first-class memo value."""
-    memo = BoundedMemo("costing.memo_evictions.test_unit", max_entries=4)
-    memo["x"] = None
-    assert "x" in memo
-    assert memo["x"] is None
 
 
 def test_model_memos_are_bounded():

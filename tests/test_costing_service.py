@@ -256,18 +256,7 @@ class TestServiceMechanics:
         with pytest.raises(ValueError):
             CostEvaluationService(model, max_query_entries=0)
         with pytest.raises(ValueError):
-            CostEvaluationService(model, max_workers=0)
-
-    def test_threaded_fill_matches_serial(self):
-        model, adapter, sqls, candidates = _substrate("columnar")
-        serial = CostEvaluationService(model)
-        threaded = CostEvaluationService(model, max_workers=4)
-        design = _design(adapter, candidates, 7)
-        workloads = [Workload.from_sql(sqls[i : i + 4]) for i in range(0, 12, 4)]
-        a = serial.evaluate_neighborhood([design], workloads)[0]
-        b = threaded.evaluate_neighborhood([design], workloads)[0]
-        for left, right in zip(a, b):
-            _assert_same_report(left, right)
+            CostEvaluationService(model, max_workload_entries=0)
 
     def test_adapter_routes_through_service(self):
         _, adapter, sqls, candidates = _substrate("rowstore")

@@ -4,7 +4,7 @@ evaluation, incremental greedy selection.
 The contract is the arena refactor's, one level up: a warm candidate
 matrix (or a delta neighborhood fill) must equal the cold rebuild
 bit-for-bit — tolerance zero, on all three substrates, for read-only and
-mixed read/write workloads, serial or fanned out — and must leave every
+mixed read/write workloads — and must leave every
 **exported** counter and cache exactly as a cold service would.  The
 cache is derived state: only :class:`~repro.costing.service.ArenaStats`
 (never checkpointed) may see the savings.
@@ -12,10 +12,12 @@ cache is derived state: only :class:`~repro.costing.service.ArenaStats`
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import fields as dataclass_fields
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +29,6 @@ from repro.designers.greedy import CandidateEvaluation, greedy_select
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
-from repro.parallel import ProcessBackend, ThreadBackend
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
@@ -99,13 +100,13 @@ def _adapter(model, service: CostEvaluationService):
     return SamplesAdapter(model, costing=service)
 
 
-def _stack(model, *, warm: bool, backend=None):
+def _stack(model, *, warm: bool):
     """(adapter, service) with the design-stream reuse toggles set.
 
     ``warm=False`` is the cold baseline: every candidate_costs call
     compiles and prices from scratch, every neighborhood fill is full.
     """
-    service = CostEvaluationService(model, backend=backend)
+    service = CostEvaluationService(model)
     service.matrix_cache_enabled = warm
     service.delta_neighborhood_enabled = warm
     return _adapter(model, service), service
@@ -287,52 +288,6 @@ def test_delta_falls_back_when_designs_identical():
     assert service.arena_stats.neighborhood_deltas == 0
 
 
-# -- backend equivalence -----------------------------------------------------------
-
-
-def test_matrix_process_fanout_bit_identical():
-    """Warm and cold candidate matrices over ProcessBackend(jobs=2)
-    (shm-shipped column slices) equal the serial floats exactly."""
-    model, candidates, profiles = _substrate("columnar", "htap")
-    serial_adapter, serial = _stack(model, warm=True)
-    expect = [
-        serial.candidate_costs(profiles, candidates, serial_adapter.make_design),
-        serial.candidate_costs(profiles[:9], candidates, serial_adapter.make_design),
-    ]
-    backend = ProcessBackend(jobs=2)
-    try:
-        adapter, fanned = _stack(model, warm=True, backend=backend)
-        got = [
-            fanned.candidate_costs(profiles, candidates, adapter.make_design),
-            fanned.candidate_costs(profiles[:9], candidates, adapter.make_design),
-        ]
-        assert fanned.arena_stats.shm_fanouts >= 1
-    finally:
-        backend.shutdown()
-    for (base_s, matrix_s), (base_p, matrix_p) in zip(expect, got):
-        np.testing.assert_array_equal(base_s, base_p)
-        np.testing.assert_array_equal(matrix_s, matrix_p)
-
-
-def test_matrix_thread_fanout_bit_identical():
-    model, candidates, profiles = _substrate("rowstore", "read")
-    serial_adapter, serial = _stack(model, warm=True)
-    base_s, matrix_s = serial.candidate_costs(
-        profiles, candidates, serial_adapter.make_design
-    )
-    for jobs in (2, 3):
-        backend = ThreadBackend(jobs=jobs)
-        try:
-            adapter, fanned = _stack(model, warm=True, backend=backend)
-            base_t, matrix_t = fanned.candidate_costs(
-                profiles, candidates, adapter.make_design
-            )
-        finally:
-            backend.shutdown()
-        np.testing.assert_array_equal(base_s, base_t)
-        np.testing.assert_array_equal(matrix_s, matrix_t)
-
-
 # -- invalidation and bounds -------------------------------------------------------
 
 
@@ -394,6 +349,323 @@ def test_matrix_excluded_from_state_export():
     )
     np.testing.assert_array_equal(base_1, base_2)
     np.testing.assert_array_equal(matrix_1, matrix_2)
+
+
+# -- transient arenas ---------------------------------------------------------------
+
+
+def test_sub_threshold_requests_never_evict_window_arenas():
+    """Regression: one-query ``candidate_costs`` calls (the
+    ``beneficial_queries`` shape) used to insert their throw-away arena
+    into the 8-entry arena LRU, evicting the window arenas every later
+    fill needs.  Transient arenas are still built (and counted), but
+    never resident."""
+    model, candidates, profiles = _substrate("columnar", "read")
+    adapter, service = _stack(model, warm=True)
+    sqls = [p.sql for p in profiles]
+    service.prepare_workload(sqls)
+    assert service.cached_arenas == 1
+    (resident,) = [arena for _, arena in service._arenas.items()]
+    builds = service.arena_stats.builds
+    small = KERNEL_MIN_BATCH - 1
+    for i in range(20):
+        start = i % (len(profiles) - small + 1)
+        service.candidate_costs(
+            profiles[start : start + small], candidates[:4], adapter.make_design
+        )
+    assert service.cached_arenas == 1
+    assert service.arena_stats.evictions == 0
+    assert [arena for _, arena in service._arenas.items()] == [resident]
+    assert service.arena_stats.builds == builds + 20
+    # The window arena still serves the next full-width fill.
+    hits = service.arena_stats.hits
+    service.workload_cost(_workload(sqls), adapter.make_design(candidates[:2]))
+    assert service.arena_stats.hits == hits + 1
+
+
+# -- golden: exported stats and cache order are the parent commit's -----------------
+
+#: Recorded from the commit *before* the service's four miss-fill paths
+#: were folded into one (and its LRUs moved onto ``BoundedMemo``), by
+#: running :func:`_golden_sequence` verbatim against that checkout: the
+#: exported ``CostServiceStats`` (minus wall-clock), digests of the
+#: exported query/workload cache key order, and a digest of every
+#: returned float's ``repr``.  The refactor's contract is that none of
+#: these move.  Bounds 40 and 10 force LRU evictions mid-sequence (10 is
+#: below one neighborhood's width, so the post-eviction model fallback
+#: runs too).
+GOLDEN = {
+    ("columnar", "htap", 10): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 350,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 253,
+            "query_hits": 12,
+            "query_requests": 270,
+            "raw_model_calls": 438,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 141,
+        },
+        "query_entries": 10,
+        "query_keys": "91f41c762e98a430",
+        "workload_keys": "2dc42ff4212f4df6",
+        "floats": "977dc64a72bbc140",
+    },
+    ("columnar", "htap", 1_048_576): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 0,
+            "kernel_batch_calls": 10,
+            "kernel_pairs_priced": 176,
+            "query_hits": 90,
+            "query_requests": 270,
+            "raw_model_calls": 180,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 106,
+        },
+        "query_entries": 102,
+        "query_keys": "bf2133a9c34adcc7",
+        "workload_keys": "2dc42ff4212f4df6",
+        "floats": "977dc64a72bbc140",
+    },
+    ("columnar", "htap", 40): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 133,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 246,
+            "query_hits": 19,
+            "query_requests": 270,
+            "raw_model_calls": 251,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 137,
+        },
+        "query_entries": 40,
+        "query_keys": "26a59d9130e1d2cc",
+        "workload_keys": "2dc42ff4212f4df6",
+        "floats": "977dc64a72bbc140",
+    },
+    ("columnar", "read", 10): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 350,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 210,
+            "query_hits": 12,
+            "query_requests": 227,
+            "raw_model_calls": 395,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 10,
+        "query_keys": "e7bfc2b6301415f3",
+        "workload_keys": "a60002782eb239df",
+        "floats": "88e610aa5fe37b14",
+    },
+    ("columnar", "read", 1_048_576): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 0,
+            "kernel_batch_calls": 10,
+            "kernel_pairs_priced": 133,
+            "query_hits": 90,
+            "query_requests": 227,
+            "raw_model_calls": 137,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 102,
+        "query_keys": "c505145531cf01b0",
+        "workload_keys": "a60002782eb239df",
+        "floats": "88e610aa5fe37b14",
+    },
+    ("columnar", "read", 40): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 133,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 203,
+            "query_hits": 19,
+            "query_requests": 227,
+            "raw_model_calls": 208,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 40,
+        "query_keys": "67a0bdf36a66174d",
+        "workload_keys": "a60002782eb239df",
+        "floats": "88e610aa5fe37b14",
+    },
+    ("rowstore", "htap", 10): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 350,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 269,
+            "query_hits": 12,
+            "query_requests": 286,
+            "raw_model_calls": 454,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 133,
+        },
+        "query_entries": 10,
+        "query_keys": "406dec5c35272d84",
+        "workload_keys": "ff144aea059d5eb2",
+        "floats": "6f93ffd84383afeb",
+    },
+    ("rowstore", "htap", 1_048_576): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 0,
+            "kernel_batch_calls": 10,
+            "kernel_pairs_priced": 192,
+            "query_hits": 90,
+            "query_requests": 286,
+            "raw_model_calls": 196,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 98,
+        },
+        "query_entries": 102,
+        "query_keys": "07a383754acefd1c",
+        "workload_keys": "ff144aea059d5eb2",
+        "floats": "6f93ffd84383afeb",
+    },
+    ("rowstore", "htap", 40): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 133,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 262,
+            "query_hits": 19,
+            "query_requests": 286,
+            "raw_model_calls": 267,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 129,
+        },
+        "query_entries": 40,
+        "query_keys": "464ec4bbe3ba9d65",
+        "workload_keys": "ff144aea059d5eb2",
+        "floats": "6f93ffd84383afeb",
+    },
+    ("rowstore", "read", 10): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 350,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 226,
+            "query_hits": 12,
+            "query_requests": 243,
+            "raw_model_calls": 411,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 10,
+        "query_keys": "34ace2530d9e2782",
+        "workload_keys": "a55307cb8f0f299b",
+        "floats": "2af4fc7d9c2437b9",
+    },
+    ("rowstore", "read", 1_048_576): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 0,
+            "kernel_batch_calls": 10,
+            "kernel_pairs_priced": 149,
+            "query_hits": 90,
+            "query_requests": 243,
+            "raw_model_calls": 153,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 102,
+        "query_keys": "cb47ffa3a5874378",
+        "workload_keys": "a55307cb8f0f299b",
+        "floats": "2af4fc7d9c2437b9",
+    },
+    ("rowstore", "read", 40): {
+        "stats": {
+            "dedup_saved": 64,
+            "evictions": 133,
+            "kernel_batch_calls": 14,
+            "kernel_pairs_priced": 219,
+            "query_hits": 19,
+            "query_requests": 243,
+            "raw_model_calls": 224,
+            "workload_hits": 1,
+            "workload_requests": 9,
+            "write_pairs_priced": 0,
+        },
+        "query_entries": 40,
+        "query_keys": "3df7eb8251c8e291",
+        "workload_keys": "a55307cb8f0f299b",
+        "floats": "2af4fc7d9c2437b9",
+    },
+}
+
+
+def _digest(parts) -> str:
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(repr(part).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def _golden_sequence(substrate: str, mix: str, max_query_entries: int) -> dict:
+    model, candidates, profiles = _substrate(substrate, mix)
+    service = CostEvaluationService(model, max_query_entries=max_query_entries)
+    adapter = _adapter(model, service)
+    sqls = [p.sql for p in profiles]
+    make = adapter.make_design
+    steps = [make(candidates[:k]) for k in (0, 1, 2, 3, 2, 5)]
+    w_all = _workload(sqls)
+    w_overlap = _workload(sqls[4:] + sqls[:6])
+    floats: list[float] = []
+    for row in service.evaluate_neighborhood(
+        steps[:4], [w_all, w_overlap], reference=steps[0]
+    ):
+        floats += [c for report in row for c in report.per_query_ms]
+    for report in service.workload_costs_batch(steps + [make(candidates[3:9])], w_all):
+        floats += report.per_query_ms
+    for request in (
+        (profiles, candidates),
+        (profiles[:3], candidates[:4]),
+        (profiles, candidates[2:]),
+    ):
+        base, matrix = service.candidate_costs(request[0], request[1], make)
+        floats += base.tolist() + matrix.ravel().tolist()
+    floats.append(service.query_cost(sqls[0], steps[5]))
+    floats.append(service.query_cost(profiles[1], make(candidates[4:6])))
+    floats += service.workload_cost(w_overlap, make(candidates[1:7])).per_query_ms
+    floats += service.workload_cost(sqls[:3], make(candidates[6:8])).per_query_ms
+    state = service.export_state()
+    return {
+        "stats": {
+            f.name: getattr(state["stats"], f.name)
+            for f in dataclass_fields(state["stats"])
+            if f.name != "eval_seconds"
+        },
+        "query_entries": len(state["query"]),
+        "query_keys": _digest(key for key, _ in state["query"]),
+        "workload_keys": _digest(key for key, _ in state["workload"]),
+        "floats": _digest(floats),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_exported_stats_and_cache_order_match_parent_commit(case):
+    assert _golden_sequence(*case) == GOLDEN[case]
 
 
 # -- incremental greedy selection --------------------------------------------------

@@ -7,6 +7,7 @@ from repro.designers.future_knowing import FutureKnowingDesigner
 from repro.designers.no_design import NoDesign
 from repro.harness.replay import DesignerRun, WindowOutcome, beneficial_queries, replay
 from repro.harness.reporting import format_series, format_table
+from repro.serve.sources import TraceSource
 from repro.workload.workload import Workload
 
 
@@ -38,7 +39,7 @@ class TestReplay:
             "FutureKnowingDesigner": FutureKnowingDesigner(nominal),
         }
         return replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             designers,
             columnar_adapter,
             candidate_source=nominal,
@@ -68,10 +69,10 @@ class TestReplay:
     def test_skip_transitions(self, columnar_adapter, tiny_windows):
         nominal = ColumnarNominalDesigner(columnar_adapter)
         full = replay(
-            tiny_windows, {"n": nominal}, columnar_adapter, candidate_source=nominal
+            TraceSource.from_windows(tiny_windows), {"n": nominal}, columnar_adapter, candidate_source=nominal
         )
         skipped = replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             {"n": nominal},
             columnar_adapter,
             candidate_source=nominal,
@@ -82,7 +83,7 @@ class TestReplay:
     def test_max_transitions(self, columnar_adapter, tiny_windows):
         nominal = ColumnarNominalDesigner(columnar_adapter)
         capped = replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             {"n": nominal},
             columnar_adapter,
             candidate_source=nominal,
@@ -94,7 +95,7 @@ class TestReplay:
         calls = []
         nominal = ColumnarNominalDesigner(columnar_adapter)
         replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             {"n": nominal},
             columnar_adapter,
             candidate_source=nominal,

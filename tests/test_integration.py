@@ -10,6 +10,7 @@ from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.executor import ColumnarExecutor
 from repro.engine.storage import ColumnarDatabase
 from repro.harness.replay import replay
+from repro.serve.sources import TraceSource
 from repro.workload.distance import WorkloadDistance
 from repro.workload.sampler import NeighborhoodSampler
 
@@ -99,7 +100,7 @@ class TestRowstoreReplay:
     def test_replay_on_rowstore_engine(self, rowstore_adapter, tiny_windows):
         nominal = RowstoreNominalDesigner(rowstore_adapter)
         outcome = replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             {"ExistingDesigner": nominal},
             rowstore_adapter,
             candidate_source=nominal,

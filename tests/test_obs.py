@@ -34,7 +34,6 @@ from repro.obs import (
     tracer,
 )
 from repro.parallel.backends import ProcessBackend, SerialBackend, ThreadBackend
-from repro.parallel.partition import chunk_count
 from repro.workload.distance import WorkloadDistance
 from repro.workload.sampler import NeighborhoodSampler
 
@@ -287,21 +286,7 @@ class TestServiceEvents:
         )
         fills = [e for e in capture() if e["event"] == "cache_fill"]
         assert len(fills) == 2  # one per design
-        assert all(f["backend"] == "inline" and f["misses"] == 2 for f in fills)
-
-    def test_backend_fill_emits_chunk_events(self, capture):
-        with ThreadBackend(jobs=2) as backend:
-            service = CostEvaluationService(_StubModel(), backend=backend)
-            service.evaluate_neighborhood(
-                [("s1",)], [[f"SELECT {i}" for i in range(6)]]
-            )
-        events = capture()
-        fill = next(e for e in events if e["event"] == "cache_fill")
-        assert fill["backend"] == "thread"
-        expected_chunks = chunk_count(6, jobs=2)
-        assert fill["chunks"] == expected_chunks
-        assert sum(e["event"] == "chunk_dispatch" for e in events) == expected_chunks
-        assert sum(e["event"] == "chunk_complete" for e in events) == expected_chunks
+        assert all(f["misses"] == 2 for f in fills)
 
     def test_publish_metrics_snapshots_stats(self):
         registry = MetricsRegistry()
@@ -393,57 +378,6 @@ class TestEventSequenceEquivalence:
         assert sorted(map(repr, map(strip_seq, serial))) == sorted(
             map(repr, map(strip_seq, pooled))
         )
-
-    def test_design_loop_events_identical_serial_vs_process(
-        self, parts, tiny_star, tiny_trace
-    ):
-        """The tracing analogue of backend bit-identity: the design-loop
-        events (everything CliffGuard emits) must be byte-identical across
-        backends modulo timestamps — workers carry the null tracer, so all
-        events surface from the parent in deterministic order."""
-
-        def run(backend) -> list[dict]:
-            adapter, _, _, window = parts
-            # A fresh sampler per run: the fixture sampler's RNG stream
-            # would otherwise advance between runs and change the
-            # neighborhoods (and thus the events) for the second backend.
-            schema, _roles = tiny_star
-            distance = WorkloadDistance(schema.total_columns)
-            pool = [q for q in tiny_trace if q.timestamp < window.span_days[0]]
-            sampler = NeighborhoodSampler(
-                distance, schema, pool=pool, seed=3, min_query_set=4, max_query_set=8
-            )
-            costing = CostEvaluationService(adapter.cost_model, backend=backend)
-            rebuilt = type(adapter)(
-                adapter.cost_model, adapter.budget_bytes, costing=costing
-            )
-            nominal = ColumnarNominalDesigner(rebuilt)
-            robust = CliffGuard(
-                nominal, rebuilt, sampler, gamma=0.01, n_samples=2, max_iterations=1
-            )
-            buffer = io.StringIO()
-            previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
-            try:
-                robust.design(window)
-            finally:
-                set_tracer(previous)
-            loop_events = (
-                "design_start", "iteration", "move", "accept", "reject",
-                "alpha", "design_finish",
-            )
-            # seq numbers the full stream, and the backends legitimately
-            # interleave different chunk-event counts — drop it along with
-            # the timing fields when comparing the filtered loop events.
-            return [
-                {k: v for k, v in e.items() if k != "seq"}
-                for e in logical(parse(buffer))
-                if e["event"] in loop_events
-            ]
-
-        serial = run(SerialBackend())
-        with ProcessBackend(jobs=2) as pool:
-            process = run(pool)
-        assert serial == process
 
 
 class TestBackendMetrics:

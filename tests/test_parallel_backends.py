@@ -16,8 +16,6 @@ from repro.parallel import (
     SerialBackend,
     ThreadBackend,
     backend_from_env,
-    chunk_count,
-    contiguous_chunks,
     derive_seed,
     resolve_backend,
 )
@@ -59,28 +57,6 @@ def _fail_first_attempt(task):
 
 
 class TestPartition:
-    def test_chunks_cover_in_order(self):
-        items = list(range(17))
-        chunks = contiguous_chunks(items, 5)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
-
-    def test_chunks_deterministic(self):
-        assert contiguous_chunks(list(range(10)), 3) == contiguous_chunks(
-            list(range(10)), 3
-        )
-
-    def test_more_chunks_than_items(self):
-        chunks = contiguous_chunks([1, 2], 8)
-        assert [x for chunk in chunks for x in chunk] == [1, 2]
-        assert all(chunk for chunk in chunks)
-
-    def test_chunk_count_bounds(self):
-        assert chunk_count(0, 4) == 0
-        assert 1 <= chunk_count(3, 4) <= 3
-        assert chunk_count(1000, 4) <= 1000
-        assert chunk_count(1000, 1) == 1
-
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
         assert derive_seed(42, 1, 2) != derive_seed(42, 2, 1)

@@ -8,6 +8,7 @@ from repro.harness.scheduler import (
     PeriodicPolicy,
     scheduled_replay,
 )
+from repro.serve.sources import TraceSource
 from repro.workload.distance import WorkloadDistance
 
 
@@ -49,7 +50,7 @@ class TestScheduledReplay:
     ):
         nominal = ColumnarNominalDesigner(columnar_adapter)
         outcome = scheduled_replay(
-            tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=1)
+            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
         )
         assert outcome.redesign_count == len(tiny_windows) - 1
         assert len(outcome.per_window_avg_ms) == len(tiny_windows) - 1
@@ -60,10 +61,10 @@ class TestScheduledReplay:
     ):
         nominal = ColumnarNominalDesigner(columnar_adapter)
         monthly = scheduled_replay(
-            tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=1)
+            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
         )
         rare = scheduled_replay(
-            tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=3)
+            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=3)
         )
         assert rare.redesign_count < monthly.redesign_count
         assert rare.total_deployment_seconds < monthly.total_deployment_seconds
@@ -74,7 +75,7 @@ class TestScheduledReplay:
         nominal = ColumnarNominalDesigner(columnar_adapter)
         calls = []
         scheduled_replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             nominal,
             columnar_adapter,
             PeriodicPolicy(every=2),
@@ -119,8 +120,8 @@ class TestPolicyStateRegression:
         drift = distance(tiny_windows[0], tiny_windows[1])
         policy = DriftTriggeredPolicy(distance, threshold=drift * 0.5)
         nominal = ColumnarNominalDesigner(columnar_adapter)
-        first = scheduled_replay(tiny_windows, nominal, columnar_adapter, policy)
-        second = scheduled_replay(tiny_windows, nominal, columnar_adapter, policy)
+        first = scheduled_replay(TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, policy)
+        second = scheduled_replay(TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, policy)
         # The eager threshold fires at least once per replay …
         assert first.drift_triggers
         # … identical replays must report identical triggers …
@@ -138,7 +139,7 @@ class TestEvaluationWindowsValidation:
         nominal = ColumnarNominalDesigner(columnar_adapter)
         with pytest.raises(ValueError, match="one-to-one"):
             scheduled_replay(
-                tiny_windows,
+                TraceSource.from_windows(tiny_windows),
                 nominal,
                 columnar_adapter,
                 PeriodicPolicy(every=1),
@@ -149,7 +150,7 @@ class TestEvaluationWindowsValidation:
         nominal = ColumnarNominalDesigner(columnar_adapter)
         with pytest.raises(ValueError, match="one-to-one"):
             scheduled_replay(
-                tiny_windows,
+                TraceSource.from_windows(tiny_windows),
                 nominal,
                 columnar_adapter,
                 PeriodicPolicy(every=1),
@@ -161,10 +162,10 @@ class TestEvaluationWindowsValidation:
     ):
         nominal = ColumnarNominalDesigner(columnar_adapter)
         plain = scheduled_replay(
-            tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=1)
+            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
         )
         explicit = scheduled_replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             nominal,
             columnar_adapter,
             PeriodicPolicy(every=1),

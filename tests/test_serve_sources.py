@@ -3,8 +3,8 @@
 Covers the newline-JSON protocol round-trip and error surface, the three
 :class:`~repro.serve.sources.QuerySource` implementations (trace, queue,
 socket), source-spec resolution, and the harness-side migration:
-``replay``/``scheduled_replay`` consume a ``QuerySource`` and keep
-accepting raw window lists behind a :class:`DeprecationWarning`.
+``replay``/``scheduled_replay`` consume a ``QuerySource`` and reject raw
+window lists with a ``TypeError``.
 """
 
 import asyncio
@@ -279,12 +279,11 @@ class TestHarnessMigration:
         source = TraceSource.from_windows(tiny_windows, window_days=28)
         assert as_windows(source) == list(tiny_windows)
 
-    def test_as_windows_warns_on_raw_lists(self, tiny_windows):
-        with pytest.warns(DeprecationWarning, match="TraceSource"):
-            windows = as_windows(list(tiny_windows))
-        assert same_windows(windows, tiny_windows)
+    def test_as_windows_rejects_raw_lists(self, tiny_windows):
+        with pytest.raises(TypeError, match="TraceSource.from_windows"):
+            as_windows(list(tiny_windows))
 
-    def test_replay_accepts_a_source(self, columnar_adapter, tiny_windows):
+    def test_replay_accepts_a_source(self, columnar_adapter, tiny_trace, tiny_windows):
         from repro.designers.columnar_nominal import ColumnarNominalDesigner
         from repro.designers.no_design import NoDesign
         from repro.harness.replay import replay
@@ -302,22 +301,24 @@ class TestHarnessMigration:
                 max_transitions=1,
             )
 
-        source = TraceSource.from_windows(tiny_windows, window_days=28)
-        modern = run(source)
-        with pytest.warns(DeprecationWarning):
-            legacy = run(list(tiny_windows))
+        wrapped = run(TraceSource.from_windows(tiny_windows, window_days=28))
+        split = run(TraceSource(tiny_trace, window_days=28))
+        with pytest.raises(TypeError):
+            run(list(tiny_windows))
         for name in designers:
             # Compare the deterministic fields (design_seconds is
             # wall-clock; the cost-call counters depend on cache warmth
             # carried across the two runs).
-            for a, b in zip(modern.run(name).windows, legacy.run(name).windows):
+            for a, b in zip(wrapped.run(name).windows, split.run(name).windows):
                 assert a.window_index == b.window_index
                 assert a.average_ms == b.average_ms
                 assert a.max_ms == b.max_ms
                 assert a.structure_count == b.structure_count
                 assert a.design_price_bytes == b.design_price_bytes
 
-    def test_scheduled_replay_accepts_a_source(self, columnar_adapter, tiny_windows):
+    def test_scheduled_replay_accepts_a_source(
+        self, columnar_adapter, tiny_trace, tiny_windows
+    ):
         from repro.designers.columnar_nominal import ColumnarNominalDesigner
         from repro.harness.scheduler import PeriodicPolicy, scheduled_replay
 
@@ -331,9 +332,9 @@ class TestHarnessMigration:
                 PeriodicPolicy(every=1),
             )
 
-        source = TraceSource.from_windows(tiny_windows, window_days=28)
-        modern = run(source)
-        with pytest.warns(DeprecationWarning):
-            legacy = run(list(tiny_windows))
-        assert modern.per_window_avg_ms == legacy.per_window_avg_ms
-        assert modern.redesign_windows == legacy.redesign_windows
+        wrapped = run(TraceSource.from_windows(tiny_windows, window_days=28))
+        split = run(TraceSource(tiny_trace, window_days=28))
+        with pytest.raises(TypeError):
+            run(list(tiny_windows))
+        assert wrapped.per_window_avg_ms == split.per_window_avg_ms
+        assert wrapped.redesign_windows == split.redesign_windows

@@ -40,6 +40,7 @@ from repro.harness.scheduler import (
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.optimizer import SamplesCostModel
+from repro.serve.sources import TraceSource
 from repro.state import (
     CheckpointCorruptError,
     CheckpointMismatchError,
@@ -421,7 +422,7 @@ class TestReplayResume:
             nominal, adapter, sampler, gamma=0.005, n_samples=3, max_iterations=1
         )
         return replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             {"ExistingDesigner": nominal, "CliffGuard": robust},
             adapter,
             candidate_source=nominal,
@@ -469,7 +470,7 @@ class TestScheduledReplayResume:
             nominal, adapter, sampler, gamma=0.005, n_samples=3, max_iterations=1
         )
         return scheduled_replay(
-            tiny_windows,
+            TraceSource.from_windows(tiny_windows),
             robust,
             adapter,
             PeriodicPolicy(every=2),

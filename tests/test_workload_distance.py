@@ -208,12 +208,6 @@ class TestBoundedCaches:
         evicted = get_metrics().counter("distance.cost_cache_evictions").value - before
         assert evicted == 2
 
-    def test_cache_rejects_nonpositive_bound(self):
-        from repro.workload.distance import _PerWorkloadCache
-
-        with pytest.raises(ValueError):
-            _PerWorkloadCache("x", max_entries=0)
-
 
 class TestCrossProcessDeterminism:
     """Regression: δ summed the template-diff vector in raw set-union
