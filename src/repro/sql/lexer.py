@@ -158,6 +158,17 @@ def tokenize(text: str) -> list[Token]:
                         break
                     seen_dot = True
                 j += 1
+            # Exponent form (``1e-05``, ``1.5E+19``): what ``str(float)``
+            # emits below 1e-4 and from 1e16 up, so the formatter's
+            # output lexes back to the same number.
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
             tokens.append(Token(TokenType.NUMBER, text[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":

@@ -346,7 +346,7 @@ class _Parser:
         if token.type is TokenType.NUMBER:
             self._advance()
             text = token.value
-            if "." in text:
+            if "." in text or "e" in text or "E" in text:
                 return Literal(float(text))
             return Literal(int(text))
         if token.type is TokenType.STRING:

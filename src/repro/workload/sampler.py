@@ -20,6 +20,12 @@ drift) with *template mutations* of ``W0``'s own queries (1–3 referenced
 columns swapped for co-occurring columns of the same table — the novel
 part).  Historical candidates are weighted up by ``history_bias`` when
 drawing a perturbation set.
+
+Mutation works on parsed statements: each base query is parsed once per
+:meth:`NeighborhoodSampler.sample` call, the mutation chain walks the
+AST, and only a candidate whose template survives the dedup is formatted
+back to SQL.  ``tests/test_sampler_bit_identity.py`` holds the text-level
+chain this replaced as the oracle: same SQL, same generator state.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.catalog.schema import Schema
-from repro.sql.analyzer import extract_template
+from repro.sql.analyzer import analyze
 from repro.sql.ast import (
     Aggregate,
     ColumnRef,
@@ -39,13 +45,14 @@ from repro.sql.ast import (
     InsertStatement,
     OrderItem,
     SelectItem,
+    Statement,
     UpdateStatement,
 )
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
 from repro.workload.distance import WorkloadDistance
 from repro.workload.query import WorkloadQuery
-from repro.workload.workload import Workload
+from repro.workload.workload import VectorKey, Workload, template_key
 
 #: The paper reports finding a suitable Q "with a few trials for k ≤ 5";
 #: we search larger query sets by default because real workload drift
@@ -70,9 +77,12 @@ class ColumnAffinity:
 
     def __init__(self) -> None:
         self.counts: dict[str, dict[str, dict[str, float]]] = {}
+        #: ``counts`` per table as (column -> index, matrix); see _dense_counts.
+        self._dense: dict[str, tuple[dict[str, int], np.ndarray]] = {}
 
     def observe(self, queries) -> None:
         """Accumulate co-occurrence from an iterable of workload queries."""
+        self._dense.clear()
         for query in queries:
             try:
                 template = query.template
@@ -91,11 +101,29 @@ class ColumnAffinity:
                         if a != b:
                             row[b] = row.get(b, 0.0) + 1.0
 
+    def _dense_counts(self, table: str) -> tuple[dict[str, int], np.ndarray]:
+        """``counts[table]`` as an index map plus a square matrix, built on
+        first use after ``observe``.  The extra all-zero row and column at
+        ``len(index)`` stands for every column never observed."""
+        dense = self._dense.get(table)
+        if dense is None:
+            table_counts = self.counts.get(table, {})
+            index = {column: i for i, column in enumerate(table_counts)}
+            matrix = np.zeros((len(index) + 1, len(index) + 1), dtype=np.float64)
+            for a, row in table_counts.items():
+                for b, count in row.items():
+                    matrix[index[a], index[b]] = count
+            dense = self._dense[table] = (index, matrix)
+        return dense
+
     def replacement_weights(
         self, table: str, context_columns: list[str], options: list[str]
     ) -> np.ndarray:
         """Sampling weights for replacement columns: 1 + total co-occurrence
         with the query's remaining columns.
+
+        The counts are integer-valued, so the gather-and-sum is exact: the
+        weights do not depend on summation order.
 
         An empty ``options`` list (a single-column table offers no
         replacement) yields an empty weight array; normalizing it would
@@ -104,43 +132,54 @@ class ColumnAffinity:
         weights = np.ones(len(options), dtype=np.float64)
         if not options:
             return weights
-        table_counts = self.counts.get(table, {})
-        for i, option in enumerate(options):
-            for context in context_columns:
-                weights[i] += table_counts.get(context, {}).get(option, 0.0)
+        index, matrix = self._dense_counts(table)
+        rows = [index[c] for c in context_columns if c in index]
+        columns = [index.get(o, len(index)) for o in options]
+        weights += matrix[rows].sum(axis=0)[columns]
         return weights / weights.sum()
 
 
 def mutate_query(
-    sql: str,
+    query: str | Statement,
     schema: Schema,
     rng: np.random.Generator,
     affinity: ColumnAffinity | None = None,
-) -> str | None:
+) -> str | Statement | None:
     """Swap one referenced column for a sibling column of the same table.
 
-    Returns the mutated SQL, or ``None`` when the query offers nothing to
-    mutate.  With an :class:`ColumnAffinity`, the replacement is drawn from
-    columns that co-occur with the query's other columns — the way real
-    analytical queries actually drift (same shape, a related column).  The
-    literal of a mutated predicate is kept as-is: template distances only
-    see column sets.
+    SQL text in, SQL text out; a parsed statement in, a statement out (so
+    the sampler's chain stays on the AST — equivalent to the text form step
+    by step, by the formatter's round-trip guarantee).  Returns ``None``
+    when the query offers nothing to mutate.  With an :class:`ColumnAffinity`, the
+    replacement is drawn from columns that co-occur with the query's other
+    columns — the way real analytical queries actually drift (same shape,
+    a related column).  The literal of a mutated predicate is kept as-is:
+    template distances only see column sets.
     """
+    if not isinstance(query, str):
+        return _mutate_statement(query, schema, rng, affinity)
     try:
-        stmt = parse(sql)
+        stmt = parse(query)
     except ValueError:
         return None
+    mutated = _mutate_statement(stmt, schema, rng, affinity)
+    return None if mutated is None else format_statement(mutated)
+
+
+def _mutate_statement(
+    stmt: Statement,
+    schema: Schema,
+    rng: np.random.Generator,
+    affinity: ColumnAffinity | None,
+) -> Statement | None:
     table = schema.tables.get(stmt.table)
     if table is None:
         return None
 
-    try:
-        context_columns = [
-            qualified.partition(".")[2] or qualified
-            for qualified in extract_template(sql).union
-        ]
-    except ValueError:
-        context_columns = []
+    context_columns = [
+        qualified.partition(".")[2] or qualified
+        for qualified in analyze(stmt).union
+    ]
 
     def sibling(name: str) -> str | None:
         options = [c for c in table.column_names if c != name]
@@ -223,7 +262,7 @@ def mutate_query(
         order = list(stmt.order_by)
         order[pos] = OrderItem(column=new_ref, ascending=item.ascending)
         stmt = dataclasses.replace(stmt, order_by=tuple(order))
-    return format_statement(stmt)
+    return stmt
 
 
 def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
@@ -244,7 +283,7 @@ def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
             return None
         columns = list(stmt.columns)
         columns[pos] = new_ref
-        return format_statement(dataclasses.replace(stmt, columns=tuple(columns)))
+        return dataclasses.replace(stmt, columns=tuple(columns))
     sites: list[tuple[str, int]] = []
     if isinstance(stmt, UpdateStatement):
         for i in range(len(stmt.assignments)):
@@ -271,7 +310,21 @@ def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
         where = list(stmt.where)
         where[pos] = dataclasses.replace(pred, column=new_ref)
         stmt = dataclasses.replace(stmt, where=tuple(where))
-    return format_statement(stmt)
+    return stmt
+
+
+@dataclasses.dataclass(frozen=True)
+class _CandidateSources:
+    """What candidate generation reads; see ``_candidate_sources``."""
+
+    #: The base workload's queries, parsed, in workload order.
+    statements: list[Statement]
+    #: Template-distinct pool queries at unit frequency, most recent first.
+    history: list[WorkloadQuery]
+    #: Template keys a mutation may not land on: the base's and history's.
+    taken: frozenset[VectorKey]
+    #: Column co-occurrence over the base plus the recent pool.
+    affinity: ColumnAffinity
 
 
 class NeighborhoodSampler:
@@ -302,19 +355,10 @@ class NeighborhoodSampler:
         #: recurrence (the generator's revival channel), and recurrence is
         #: measurable from the query history, so the sampler leans on it.
         self.history_bias = history_bias
-        self.affinity = ColumnAffinity()
-        self.affinity.observe(self.pool)
-
-    def extend_pool(self, queries: Sequence[WorkloadQuery]) -> None:
-        """Add historical queries as perturbation candidates."""
-        self.pool.extend(queries)
-        self.affinity.observe(queries)
 
     def set_pool(self, queries: Sequence[WorkloadQuery]) -> None:
         """Replace the perturbation pool (e.g. with only-past queries)."""
         self.pool = list(queries)
-        self.affinity = ColumnAffinity()
-        self.affinity.observe(self.pool)
 
     # -- Algorithm 4 -------------------------------------------------------------
 
@@ -322,17 +366,26 @@ class NeighborhoodSampler:
         """``count`` workloads at uniformly random distances in ``[0, Γ]``."""
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
+        # Nothing below Γ = 0 (or under an empty base) reads the sources.
+        sources = self._candidate_sources(base) if gamma > 0.0 and base else None
         samples: list[Workload] = []
         for _ in range(count):
             alpha = float(self.rng.uniform(0.0, gamma))
-            samples.append(self.sample_at(base, alpha))
+            samples.append(self._sample_from(base, alpha, sources))
         return samples
 
     def sample_at(self, base: Workload, alpha: float) -> Workload:
         """One workload at distance ≈ ``alpha`` from ``base``."""
+        return self._sample_from(base, alpha, None)
+
+    def _sample_from(
+        self, base: Workload, alpha: float, sources: _CandidateSources | None
+    ) -> Workload:
         if alpha <= 0.0 or not base:
             return Workload(list(base))
-        candidates, pool_count = self._candidate_queries(base)
+        if sources is None:
+            sources = self._candidate_sources(base)
+        candidates, pool_count = self._candidate_queries(sources)
         if not candidates:
             return Workload(list(base))
         base_count = max(base.total_weight, 1.0)
@@ -378,31 +431,24 @@ class NeighborhoodSampler:
 
     # -- candidate machinery -----------------------------------------------------
 
-    def _candidate_queries(
-        self, base: Workload
-    ) -> tuple[list[WorkloadQuery], int]:
-        """Pool queries (template-disjoint from ``base``) plus mutations.
-
-        Returns the candidate list (historical templates first) and the
-        count of historical entries, so picking can weight history up.
+    def _candidate_sources(self, base: Workload) -> _CandidateSources:
+        """What candidate generation reads and draws no randomness for: a
+        function of ``(base, pool)`` alone, built once per :meth:`sample`.
 
         Disjointness is checked under the *distance metric's* clause spec so
         the decomposed fast path in :meth:`WorkloadDistance.disjoint_distance`
         is exact.
         """
-        from repro.workload.workload import template_key
-
         clauses = self.distance.clauses
-        base_templates = self.distance.template_keys(base)
-        seen: set = set()
-        candidates: list[WorkloadQuery] = []
+        taken = self.distance.template_keys(base)
+        history: list[WorkloadQuery] = []
         # History first, most recent first: templates that ran before but
         # are absent from the current window are plausible comebacks, and
         # recently retired ones are the likeliest.  Deduplicating by
         # template lets the scan reach months back within the candidate
         # budget instead of stopping at the last few days.
         for query in reversed(self.pool):
-            if len(candidates) >= self.recent_pool_size:
+            if len(history) >= self.recent_pool_size:
                 break
             try:
                 template = query.template
@@ -411,42 +457,54 @@ class NeighborhoodSampler:
             if template.is_empty:
                 continue
             key = template_key(template, clauses)
-            if key in base_templates or key in seen:
+            if key in taken:
                 continue
-            seen.add(key)
-            candidates.append(query.with_frequency(1.0))
-        pool_count = len(candidates)
-        recent = self.pool[-self.recent_pool_size :]
+            taken.add(key)
+            history.append(query.with_frequency(1.0))
+        affinity = ColumnAffinity()
+        affinity.observe(base)
+        affinity.observe(self.pool[-self.recent_pool_size :])
+        statements = [parse(query.sql) for query in base]
+        return _CandidateSources(statements, history, frozenset(taken), affinity)
+
+    def _candidate_queries(
+        self, sources: _CandidateSources
+    ) -> tuple[list[WorkloadQuery], int]:
+        """Pool queries (template-disjoint from the base) plus mutations.
+
+        Returns the candidate list (historical templates first) and the
+        count of historical entries, so picking can weight history up.
+        """
+        clauses = self.distance.clauses
+        statements = sources.statements
+        candidates = list(sources.history)
+        taken = set(sources.taken)
         # Always add affinity-guided mutations of the base's own queries:
         # fresh drift looks like an existing query with one related column
         # swapped, which history alone cannot supply.
-        base_queries = list(base)
-        affinity = ColumnAffinity()
-        affinity.observe(base_queries)
-        affinity.observe(recent)
         for _ in range(400):
-            source = base_queries[int(self.rng.integers(0, len(base_queries)))]
+            source = int(self.rng.integers(0, len(statements)))
             # Future drift is several mutation steps away from the current
             # window, so perturbation queries are mutated 1-3 times.
             depth = int(self.rng.integers(1, 4))
-            mutated: str | None = source.sql
+            mutated: Statement | None = statements[source]
             for _ in range(depth):
-                mutated = mutate_query(mutated, self.schema, self.rng, affinity)
+                mutated = mutate_query(mutated, self.schema, self.rng, sources.affinity)
                 if mutated is None:
                     break
             if mutated is None:
                 continue
-            template = extract_template(mutated)
+            template = analyze(mutated)
             if template.is_empty:
                 continue
             key = template_key(template, clauses)
-            if key in base_templates or key in seen:
+            if key in taken:
                 continue
-            seen.add(key)
-            candidates.append(WorkloadQuery(sql=mutated))
+            taken.add(key)
+            candidates.append(WorkloadQuery(sql=format_statement(mutated)))
             if len(candidates) >= self.recent_pool_size + self.max_query_set * 4:
                 break
-        return candidates, pool_count
+        return candidates, len(sources.history)
 
     def _pick_distinct(
         self, candidates: list[WorkloadQuery], pool_count: int, k: int

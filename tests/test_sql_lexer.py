@@ -70,6 +70,19 @@ class TestNumbers:
         assert tokens[0].value == "1"
         assert tokens[1].type is TokenType.DOT
 
+    @pytest.mark.parametrize("text", ["1e-05", "1.5E+19", "-2.5e-07", "3e5"])
+    def test_exponent_form_is_one_number(self, text):
+        # What ``str(float)`` emits below 1e-4 and from 1e16 up.
+        assert values(f"{text} , x") == [text, ",", "x"]
+        assert kinds(text) == [TokenType.NUMBER, TokenType.EOF]
+
+    def test_exponent_needs_digits(self):
+        # "1e" / "1e+" are a number and then something else, as before.
+        assert values("1e") == ["1", "e"]
+        assert values("1ex") == ["1", "ex"]
+        with pytest.raises(LexError):
+            tokenize("1e+")
+
 
 class TestStrings:
     def test_simple_string(self):
