@@ -24,19 +24,41 @@ Compiled layout:
 
 Compilation is split into two halves so workloads compile **once**:
 
-* :meth:`compile_queries` turns a profile batch into a *workload arena*
-  (:class:`ColumnarArena` / :class:`RowstoreArena` / :class:`SamplesArena`)
-  — every array that depends only on the queries and the schema.  Arenas
-  are immutable and design-independent, so the costing service caches
-  them by workload fingerprint and reuses them across CliffGuard
-  iterations, greedy sweeps, and replay windows;
-* :meth:`bind` attaches a structure set to an arena, computing only the
-  per-design masks and pair-factor matrices.  ``compile(profiles,
-  structures)`` is exactly ``bind(compile_queries(profiles),
-  structures)`` and remains the one-shot entry point.
+* ``compile_queries`` (per substrate, e.g.
+  :meth:`ColumnarKernel.compile_queries`) turns a profile batch into a
+  *workload arena* (:class:`ColumnarArena` / :class:`RowstoreArena` /
+  :class:`SamplesArena`) — every array that depends only on the queries
+  and the schema.  Arenas are immutable and design-independent, so the
+  costing service caches them by workload fingerprint and reuses them
+  across CliffGuard iterations, greedy sweeps, and replay windows;
+* ``bind`` (e.g. :meth:`ColumnarKernel.bind`) attaches a structure set
+  to an arena, computing only the per-design masks and pair-factor
+  matrices.  :meth:`_Kernel.compile` is exactly
+  ``bind(compile_queries(profiles), structures)`` and remains the
+  one-shot entry point.
+
+One skeleton, three substrates: the reduce / delta / take / candidate
+algebra is written once, on :class:`_Batch` (with :class:`_Arena` and
+:class:`_Kernel` holding the shared query-side fields and the shared
+compile prologue / bind epilogue).  A substrate supplies only its array
+declarations and its access-cost arithmetic:
+
+* ``consts`` — the scalar model's module, whose cost constants are read
+  at call time;
+* ``per_query`` / ``per_pair`` — which of its arrays run along the query
+  axis (``(Q, ...)`` and ``(S, Q)``); :meth:`_Batch.take` slices exactly
+  these;
+* ``base_anchor`` / ``base_dim`` — the empty-design anchor-path and
+  per-access dimension costs (``base_dim = None``: the substrate has no
+  dimension term at all, as samples);
+* ``_anchor_matrix(rows)`` / ``_dim_matrix(rows)`` — the (S', Q) anchor
+  and (S', A) dimension access costs, ``inf`` where a structure cannot
+  serve; ``_servable()`` — the (S, Q) "can serve the anchor" mask;
+* ``_locate(best)`` — what a write pays to find its rows (samples
+  override it: always the exact cost).
 
 Bound batches additionally support **delta re-costing**
-(:meth:`~ColumnarBatch.delta_design_costs`): when a design changes by a
+(:meth:`_Batch.delta_design_costs`): when a design changes by a
 single structure, only the queries whose access paths that structure can
 touch (its table is the query's anchor or one of its dimension tables)
 are re-priced; every other query keeps its previous cost, which is
@@ -65,7 +87,7 @@ stay on the scalar path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -120,6 +142,12 @@ class _ColumnBits:
         """Table id, or -1 for tables the schema does not know."""
         return self.table_ids.get(name, -1)
 
+    def table_ids_of(self, items) -> np.ndarray:
+        """(N,) int64 table id of each item's ``.table``."""
+        return np.array(
+            [self.table_id(item.table) for item in items], dtype=np.int64
+        ).reshape(len(items))
+
     def mask(self, table: str, columns) -> np.ndarray:
         """uint64 bit-array for a column set (unknown columns are skipped:
         they can never appear in a query's needs, so they cannot change a
@@ -167,16 +195,10 @@ def _covered(need: np.ndarray, have: np.ndarray) -> np.ndarray:
 # -- shared access-side compilation -----------------------------------------------
 
 
-@dataclass
-class _AccessTable:
-    """Deduplicated anchor + dimension accesses of one profile batch."""
-
-    accesses: list[TableAccess]
-    anchor_acc: np.ndarray  # (Q,) index into accesses
-    dim_pad: np.ndarray  # (Q, Dmax) index into accesses, -1 padded
-
-
-def _compile_accesses(profiles: list[QueryProfile]) -> _AccessTable:
+def _compile_accesses(profiles: list[QueryProfile]):
+    """Deduplicated anchor + dimension accesses of one profile batch ->
+    ``(accesses, anchor_acc, dim_pad)``: the interned accesses, the (Q,)
+    anchor index into them and the (Q, Dmax) dimension indices, -1 padded."""
     index: dict[TableAccess, int] = {}
     accesses: list[TableAccess] = []
 
@@ -197,7 +219,7 @@ def _compile_accesses(profiles: list[QueryProfile]) -> _AccessTable:
     for q, dims in enumerate(dim_lists):
         for j, a in enumerate(dims):
             dim_pad[q, j] = a
-    return _AccessTable(accesses=accesses, anchor_acc=anchor_acc, dim_pad=dim_pad)
+    return accesses, anchor_acc, dim_pad
 
 
 def _dim_sum_vector(dim_pad: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -222,23 +244,6 @@ def _dim_sum_matrix(dim_pad: np.ndarray, term: np.ndarray) -> np.ndarray:
         contrib = term[:, np.maximum(col, 0)]
         total = total + np.where((col >= 0)[None, :], contrib, 0.0)
     return total
-
-
-def _related_mask(
-    struct_table: np.ndarray,
-    anchor_table: np.ndarray,
-    acc_table: np.ndarray,
-    dim_pad: np.ndarray,
-) -> np.ndarray:
-    """(S, Q) bool: the structure's table is the query's anchor table or
-    one of its dimension tables — the only pairs whose single-structure
-    cost can differ from the empty-design cost."""
-    related = struct_table[:, None] == anchor_table[None, :]
-    for j in range(dim_pad.shape[1]):
-        col = dim_pad[:, j]
-        tables = acc_table[np.maximum(col, 0)]
-        related = related | ((col >= 0)[None, :] & (struct_table[:, None] == tables[None, :]))
-    return related
 
 
 def _write_touch_mask(
@@ -284,8 +289,9 @@ def _write_fold_order(keys) -> np.ndarray:
     return rank
 
 
-def _compile_write_side(profiles, bits: "_ColumnBits", model):
-    """Query-side write arrays shared by all three substrate compiles.
+def _compile_write_side(profiles, bits: "_ColumnBits", model) -> dict:
+    """Query-side write arrays (by arena field name) shared by all three
+    substrate compiles.
 
     ``base_write`` is folded scalarly through the model's own
     ``base_write_cost`` so the stored float is the exact one the scalar
@@ -307,31 +313,30 @@ def _compile_write_side(profiles, bits: "_ColumnBits", model):
         affected[q] = profile.affected_rows
         base_write[q] = model.base_write_cost(profile)
         written_mask[q] = bits.mask(profile.anchor.table, profile.written_columns)
-    return is_write, is_insert, always_touch, affected, base_write, written_mask
+    return dict(
+        is_write=is_write,
+        is_insert=is_insert,
+        always_touch=always_touch,
+        affected=affected,
+        base_write=base_write,
+        written_mask=written_mask,
+    )
 
 
-def _delta_design_costs(batch, members, changed_row: int, prev_costs) -> np.ndarray:
-    """Shared body of the per-substrate ``delta_design_costs`` methods.
-
-    ``prev_costs`` are the (Q,) per-query costs under the *previous*
-    design; ``members`` is the new member row set, which differs from the
-    previous one by exactly the structure in row ``changed_row`` (added
-    or removed — the math is symmetric).  Queries the changed structure
-    cannot touch keep their previous float verbatim; the rest are
-    re-priced through the full min-reduction, restricted to the affected
-    query subset (``take`` + ``design_costs`` — element-wise per query,
-    so the subset evaluation is bit-identical to a full one).
-    """
-    out = np.array(prev_costs, dtype=np.float64, copy=True)
-    if out.shape[0] != batch.query_count:
-        raise ValueError(
-            f"prev_costs has {out.shape[0]} entries for "
-            f"{batch.query_count} compiled queries"
-        )
-    affected = np.flatnonzero(batch.affected_queries(changed_row))
-    if affected.size:
-        out[affected] = batch.take(affected).design_costs(members)
-    return out
+def _access_side(accesses, bits: _ColumnBits, consts) -> dict:
+    """Per-access arrays (by arena field name) the two join-capable
+    substrates compile the same way."""
+    acc_build_add = np.zeros(len(accesses), dtype=np.float64)
+    for i, access in enumerate(accesses):
+        rows = max(access.row_count * access.total_selectivity, 1.0)
+        acc_build_add[i] = rows * consts.JOIN_BUILD_COST_MS
+    return dict(
+        accesses=accesses,
+        acc_rows=np.array([float(a.row_count) for a in accesses], dtype=np.float64),
+        acc_pred=np.array([float(a.predicate_count) for a in accesses], dtype=np.float64),
+        acc_build_add=acc_build_add,
+        acc_mask=bits.masks([(a.table, a.needed_columns) for a in accesses]),
+    )
 
 
 def affected_union(batch) -> np.ndarray:
@@ -341,46 +346,61 @@ def affected_union(batch) -> np.ndarray:
     design-diff delta path needs: a design step that adds and removes
     several structures can only move the costs inside this mask.
     """
-    mask = np.zeros(batch.query_count, dtype=bool)
-    for row in range(batch.structure_count):
-        mask |= np.asarray(batch.affected_queries(row), dtype=bool)
-    return mask
+    return batch._related().any(axis=0)
 
 
-# -- columnar ---------------------------------------------------------------------
+# -- the skeleton: one arena / batch / kernel base ----------------------------------
 
 
 @dataclass
-class ColumnarBatch:
-    """Compiled (projections × queries) batch for the columnar model."""
+class _Arena:
+    """Query-side compiled state every substrate shares.
+
+    Everything in an arena depends only on the profiles and the schema —
+    never on any structure — so one arena serves every design bound
+    against it (``bind``).  Arenas are immutable once built.
+    """
 
     sqls: list[str]
-    words: int
-    # structures (S)
-    struct_table: np.ndarray
-    # accesses (A)
-    acc_table: np.ndarray
-    acc_rows: np.ndarray
-    acc_needed_bytes: np.ndarray
-    acc_pred: np.ndarray
-    acc_super_scan: np.ndarray  # scan cost via the table's super-projection
-    acc_build_add: np.ndarray  # max(rows·sel, 1) · JOIN_BUILD_COST_MS
-    # (S, A) pair factors
-    scan_valid: np.ndarray  # table match & coverage
-    prefix: np.ndarray  # folded sort-key-prefix selectivity
-    # per query (Q)
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
-    super_anchor: np.ndarray  # full anchor-path cost via the super-projection
-    has_group: np.ndarray
-    has_order: np.ndarray
-    agg_sorted_add: np.ndarray  # rows_out · SORTED_AGG_COST_MS
-    agg_hash_add: np.ndarray  # rows_out · HASH_AGG_COST_MS
-    sort_add: np.ndarray  # n · log2(n) · SORT_COST_MS (math.log2, folded)
-    n_dims: np.ndarray
-    # (S, Q) pair booleans
-    sorted_groups: np.ndarray
-    order_free: np.ndarray
+    bits: _ColumnBits
+    acc_table: np.ndarray  # (A,) table id per interned access
+    anchor_acc: np.ndarray  # (Q,) index into the accesses
+    dim_pad: np.ndarray  # (Q, Dmax) index into the accesses, -1 padded
+    # write-cost path (query-side; the touch matrix is bound per design)
+    is_write: np.ndarray
+    is_insert: np.ndarray
+    always_touch: np.ndarray
+    affected: np.ndarray
+    base_write: np.ndarray
+    written_mask: np.ndarray
+
+    @property
+    def query_count(self) -> int:
+        return len(self.sqls)
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate resident bytes of the compiled arrays."""
+        return sum(
+            value.nbytes for value in vars(self).values() if isinstance(value, np.ndarray)
+        )
+
+
+@dataclass
+class _Batch:
+    """A bound (structures × queries) batch: the fields every substrate
+    shares and the whole evaluation algebra.
+
+    Subclasses add their own arrays and the access-cost hooks listed in
+    the module docstring; every float operation of a substrate's cost
+    model lives in those hooks, in the scalar model's order.
+    """
+
+    sqls: list[str]
+    struct_table: np.ndarray  # (S,) table id per structure
+    acc_table: np.ndarray  # (A,) table id per interned access
+    anchor_acc: np.ndarray  # (Q,)
+    dim_pad: np.ndarray  # (Q, Dmax)
     # write-cost path (all zeros / False for pure-read workloads)
     is_write: np.ndarray  # (Q,) bool
     is_insert: np.ndarray  # (Q,) bool
@@ -389,6 +409,11 @@ class ColumnarBatch:
     write_weight: np.ndarray  # (S,) per-affected-row maintenance weight
     write_touch: np.ndarray  # (S, Q) bool: write q maintains structure s
     write_rank: np.ndarray  # (S,) scalar maintenance fold order (see _write_fold_order)
+
+    #: Fields whose arrays run along the query axis — ``(Q, ...)`` and
+    #: ``(S, Q)``.  ``take`` slices exactly these; substrates extend both.
+    per_query = ("anchor_acc", "dim_pad", "is_write", "is_insert", "affected", "base_write")
+    per_pair = ("write_touch",)
 
     @property
     def structure_count(self) -> int:
@@ -402,32 +427,39 @@ class ColumnarBatch:
     def any_write(self) -> bool:
         return bool(self.is_write.any())
 
-    def take(self, q_indices) -> "ColumnarBatch":
-        """A batch restricted to a subset of queries (for chunked workers)."""
+    def take(self, q_indices):
+        """A batch restricted to a subset of queries (repeats allowed):
+        the affected subset of a delta re-pricing, the tail a cached
+        matrix column is missing, the misses of a partly cached design.
+        Every op is per-query, so the subset prices bit-identically."""
         idx = np.asarray(q_indices, dtype=np.intp)
-        return replace(
-            self,
-            sqls=[self.sqls[i] for i in idx],
-            anchor_acc=self.anchor_acc[idx],
-            dim_pad=self.dim_pad[idx],
-            super_anchor=self.super_anchor[idx],
-            has_group=self.has_group[idx],
-            has_order=self.has_order[idx],
-            agg_sorted_add=self.agg_sorted_add[idx],
-            agg_hash_add=self.agg_hash_add[idx],
-            sort_add=self.sort_add[idx],
-            n_dims=self.n_dims[idx],
-            sorted_groups=self.sorted_groups[:, idx],
-            order_free=self.order_free[:, idx],
-            is_write=self.is_write[idx],
-            is_insert=self.is_insert[idx],
-            affected=self.affected[idx],
-            base_write=self.base_write[idx],
-            write_touch=self.write_touch[:, idx],
-        )
+        taken = {name: getattr(self, name)[idx] for name in self.per_query}
+        taken.update((name, getattr(self, name)[:, idx]) for name in self.per_pair)
+        return replace(self, sqls=[self.sqls[i] for i in idx], **taken)
+
+    def _locate(self, best: np.ndarray) -> np.ndarray:
+        """What a write pays to find its rows: the best anchor path."""
+        return best
+
+    def _related(self, rows=slice(None)) -> np.ndarray:
+        """(S', Q) bool: the structure's table is the query's anchor table
+        or one of its dimension tables — the only pairs whose cost can
+        differ from the empty-design cost.  Without a dimension term only
+        the anchor table counts."""
+        struct_table = self.struct_table[rows]
+        related = struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
+        if self.base_dim is None:
+            return related
+        for j in range(self.dim_pad.shape[1]):
+            col = self.dim_pad[:, j]
+            tables = self.acc_table[np.maximum(col, 0)]
+            related = related | (
+                (col >= 0)[None, :] & (struct_table[:, None] == tables[None, :])
+            )
+        return related
 
     def _write_costs(self, locate: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """(Q,) write-path costs given the per-query locate best.
+        """(Q,) write-path costs given the per-query locate cost.
 
         Replicates the scalar ``_write_cost`` fold exactly: inserts skip
         the locate, then maintenance terms accumulate in member order
@@ -436,7 +468,7 @@ class ColumnarBatch:
         restriction of the design order).
         """
         cost = (
-            _col.QUERY_OVERHEAD_MS + np.where(self.is_insert, 0.0, locate)
+            self.consts.QUERY_OVERHEAD_MS + np.where(self.is_insert, 0.0, locate)
         ) + self.base_write
         fold = members[np.argsort(self.write_rank[members], kind="stable")]
         for m in fold.tolist():
@@ -444,59 +476,6 @@ class ColumnarBatch:
                 self.write_touch[m], self.affected * self.write_weight[m], 0.0
             )
         return cost
-
-    # -- matrices ----------------------------------------------------------------
-
-    def _anchor_matrix(self, rows_s=None) -> np.ndarray:
-        """(S', Q) full anchor-path cost, inf where the projection cannot
-        serve the query (wrong table or missing columns).  ``rows_s``
-        restricts the structure axis (None = all rows): the sliced
-        computation is element-wise identical to slicing the full matrix,
-        without materializing the unused rows."""
-        a = self.anchor_acc
-        rows = self.acc_rows[a]
-        prefix = self.prefix[:, a] if rows_s is None else self.prefix[rows_s][:, a]
-        sorted_groups = (
-            self.sorted_groups if rows_s is None else self.sorted_groups[rows_s]
-        )
-        order_free = self.order_free if rows_s is None else self.order_free[rows_s]
-        scan_valid = (
-            self.scan_valid[:, a] if rows_s is None else self.scan_valid[rows_s][:, a]
-        )
-        rows_scanned = np.maximum(rows[None, :] * prefix, 1.0)
-        cost = (rows_scanned * self.acc_needed_bytes[a][None, :]) * _col.BYTE_COST_MS
-        cost = cost + (rows_scanned * self.acc_pred[a][None, :]) * _col.PREDICATE_COST_MS
-        agg = np.where(
-            sorted_groups, self.agg_sorted_add[None, :], self.agg_hash_add[None, :]
-        )
-        cost = cost + np.where(self.has_group[None, :], agg, 0.0)
-        needs_sort = self.has_order[None, :] & ~order_free
-        cost = cost + np.where(needs_sort, self.sort_add[None, :], 0.0)
-        cost = cost + (rows_scanned * self.n_dims[None, :]) * _col.JOIN_PROBE_COST_MS
-        return np.where(scan_valid, cost, np.inf)
-
-    def _dim_scan_matrix(self, rows_s=None) -> np.ndarray:
-        """(S', A) projection scan cost per access, inf where unusable."""
-        prefix = self.prefix if rows_s is None else self.prefix[rows_s]
-        scan_valid = self.scan_valid if rows_s is None else self.scan_valid[rows_s]
-        rows_scanned = np.maximum(self.acc_rows[None, :] * prefix, 1.0)
-        cost = (rows_scanned * self.acc_needed_bytes[None, :]) * _col.BYTE_COST_MS
-        cost = cost + (rows_scanned * self.acc_pred[None, :]) * _col.PREDICATE_COST_MS
-        return np.where(scan_valid, cost, np.inf)
-
-    # -- evaluation --------------------------------------------------------------
-
-    def base_costs(self) -> np.ndarray:
-        """(Q,) empty-design costs."""
-        dim_term = self.acc_super_scan + self.acc_build_add
-        total = _dim_sum_vector(self.dim_pad, dim_term)
-        read = (_col.QUERY_OVERHEAD_MS + self.super_anchor) + total
-        if not self.any_write:
-            return read
-        wcost = self._write_costs(
-            self.super_anchor, np.zeros(0, dtype=np.intp)
-        )
-        return np.where(self.is_write, wcost, read)
 
     def design_costs(self, members=None) -> np.ndarray:
         """(Q,) costs under the design made of ``members`` (structure row
@@ -506,36 +485,52 @@ class ColumnarBatch:
             if members is None
             else np.asarray(members, dtype=np.intp)
         )
+        best = self.base_anchor
+        dim_best = self.base_dim
         if members.size:
-            anchor = self._anchor_matrix(members)
-            best = np.minimum(self.super_anchor, anchor.min(axis=0))
-            dim_best = np.minimum(
-                self.acc_super_scan, self._dim_scan_matrix(members).min(axis=0)
-            )
-        else:
-            best = self.super_anchor
-            dim_best = self.acc_super_scan
-        total = _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
-        read = (_col.QUERY_OVERHEAD_MS + best) + total
+            best = np.minimum(best, self._anchor_matrix(members).min(axis=0))
+            if dim_best is not None:
+                dim_best = np.minimum(dim_best, self._dim_matrix(members).min(axis=0))
+        read = self.consts.QUERY_OVERHEAD_MS + best
+        if dim_best is not None:
+            read = read + _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
         if not self.any_write:
             return read
-        return np.where(self.is_write, self._write_costs(best, members), read)
+        return np.where(
+            self.is_write, self._write_costs(self._locate(best), members), read
+        )
+
+    def base_costs(self) -> np.ndarray:
+        """(Q,) empty-design costs: ``design_costs`` over no members."""
+        return _Batch.design_costs(self, ())
 
     def affected_queries(self, row: int) -> np.ndarray:
         """(Q,) bool: queries whose cost can change when structure ``row``
-        enters or leaves a design (its table is the query's anchor table
-        or one of its dimension tables)."""
-        return _related_mask(
-            self.struct_table[row : row + 1],
-            self.acc_table[self.anchor_acc],
-            self.acc_table,
-            self.dim_pad,
-        )[0]
+        enters or leaves a design."""
+        return self._related(slice(row, row + 1))[0]
 
     def delta_design_costs(self, members, changed_row: int, prev_costs) -> np.ndarray:
         """(Q,) costs under ``members``, re-pricing only the queries the
-        single changed structure can touch (see :func:`_delta_design_costs`)."""
-        return _delta_design_costs(self, members, changed_row, prev_costs)
+        single changed structure can touch.
+
+        ``prev_costs`` are the (Q,) per-query costs under the *previous*
+        design; ``members`` is the new member row set, which differs from
+        the previous one by exactly the structure in row ``changed_row``
+        (added or removed — the math is symmetric).  Queries the changed
+        structure cannot touch keep their previous float verbatim; the
+        rest are re-priced through the full min-reduction, restricted to
+        the affected query subset (``take`` + ``design_costs``).
+        """
+        out = np.array(prev_costs, dtype=np.float64, copy=True)
+        if out.shape[0] != self.query_count:
+            raise ValueError(
+                f"prev_costs has {out.shape[0]} entries for "
+                f"{self.query_count} compiled queries"
+            )
+        affected = np.flatnonzero(self.affected_queries(changed_row))
+        if affected.size:
+            out[affected] = self.take(affected).design_costs(members)
+        return out
 
     def candidate_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``(price, unservable)`` masks for the greedy candidate matrix.
@@ -549,31 +544,30 @@ class ColumnarBatch:
         cell is exactly the base cost (off-table candidates leave every
         access path unchanged).
         """
-        anchor_valid = self.scan_valid[:, self.anchor_acc]
-        same_anchor = self.struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
-        related = _related_mask(
-            self.struct_table, self.acc_table[self.anchor_acc], self.acc_table, self.dim_pad
+        same_anchor = (
+            self.struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
         )
         # A write is never *served* by a structure, but a same-table
         # structure still changes its cost (maintenance + locate), so
         # write cells are priced rather than marked unservable.
-        unservable = same_anchor & ~anchor_valid & ~self.is_write[None, :]
-        return related & ~unservable, unservable
+        unservable = same_anchor & ~self._servable() & ~self.is_write[None, :]
+        return self._related() & ~unservable, unservable
 
     def candidate_costs(self) -> np.ndarray:
         """(S, Q) query cost with only structure ``s`` deployed."""
-        anchor = self._anchor_matrix()
-        best = np.minimum(self.super_anchor[None, :], anchor)
-        dim_term = (
-            np.minimum(self.acc_super_scan[None, :], self._dim_scan_matrix())
-            + self.acc_build_add[None, :]
-        )
-        total = _dim_sum_matrix(self.dim_pad, dim_term)
-        read = (_col.QUERY_OVERHEAD_MS + best) + total
+        best = np.minimum(self.base_anchor[None, :], self._anchor_matrix())
+        read = self.consts.QUERY_OVERHEAD_MS + best
+        if self.base_dim is not None:
+            dim_term = (
+                np.minimum(self.base_dim[None, :], self._dim_matrix())
+                + self.acc_build_add[None, :]
+            )
+            read = read + _dim_sum_matrix(self.dim_pad, dim_term)
         if not self.any_write:
             return read
         wcost = (
-            _col.QUERY_OVERHEAD_MS + np.where(self.is_insert[None, :], 0.0, best)
+            self.consts.QUERY_OVERHEAD_MS
+            + np.where(self.is_insert[None, :], 0.0, self._locate(best))
         ) + self.base_write[None, :]
         wcost = wcost + np.where(
             self.write_touch,
@@ -583,27 +577,168 @@ class ColumnarBatch:
         return np.where(self.is_write[None, :], wcost, read)
 
 
-@dataclass
-class ColumnarArena:
-    """Query-side compiled state for the columnar substrate.
+class _Kernel:
+    """Compiles profiles and structures into a substrate's arena / batch.
 
-    Everything here depends only on the profiles and the schema — never
-    on any structure — so one arena serves every design bound against it
-    (:meth:`ColumnarKernel.bind`).  Arenas are immutable once built.
+    Subclasses set ``name``, ``arena_type`` and ``batch_type`` and write
+    ``compile_queries`` / ``bind`` around the shared prologue and
+    epilogue below.
     """
 
-    sqls: list[str]
-    bits: _ColumnBits
+    def __init__(self, model):
+        self.model = model
+        arena_fields = {f.name for f in fields(self.arena_type)}
+        #: Arena arrays a bound batch carries verbatim (same field name).
+        self._passthrough = tuple(
+            f.name for f in fields(self.batch_type) if f.name in arena_fields
+        )
+
+    def compile(self, profiles, structures):
+        """One-shot compile: ``bind(compile_queries(profiles), structures)``."""
+        return self.bind(self.compile_queries(profiles), structures)
+
+    def _compile_shared(self, profiles: list[QueryProfile]):
+        """``compile_queries`` prologue -> ``(accesses, shared)``: the bit
+        namespace, the interned accesses and the :class:`_Arena` fields
+        (by name) every substrate compiles the same way."""
+        bits = _ColumnBits(self.model.schema)
+        accesses, anchor_acc, dim_pad = _compile_accesses(profiles)
+        shared = dict(
+            sqls=[p.sql for p in profiles],
+            bits=bits,
+            acc_table=bits.table_ids_of(accesses),
+            anchor_acc=anchor_acc,
+            dim_pad=dim_pad,
+            **_compile_write_side(profiles, bits, self.model),
+        )
+        return accesses, shared
+
+    def _bound(self, arena, structures, struct_table, write_mask, fold_keys, **pairs):
+        """``bind`` epilogue: the write-side pair arrays, then the batch.
+
+        ``write_mask`` is the (S, words) column set a write must intersect
+        to force maintenance of each structure (the scalar
+        ``write_touches`` rule), ``fold_keys`` one sort key per structure
+        reproducing the design container's order (:func:`_write_fold_order`),
+        ``pairs`` the substrate's own per-design arrays.
+        """
+        write_weight = np.array(
+            [self.model.maintenance_weight(s) for s in structures], dtype=np.float64
+        ).reshape(len(structures))
+        write_touch = _write_touch_mask(
+            struct_table,
+            write_mask,
+            arena.acc_table[arena.anchor_acc],
+            arena.is_write,
+            arena.always_touch,
+            arena.written_mask,
+        )
+        return self.batch_type(
+            **{name: getattr(arena, name) for name in self._passthrough},
+            struct_table=struct_table,
+            write_weight=write_weight,
+            write_touch=write_touch,
+            write_rank=_write_fold_order(fold_keys),
+            **pairs,
+        )
+
+
+# -- columnar ---------------------------------------------------------------------
+
+
+@dataclass
+class ColumnarBatch(_Batch):
+    """Compiled (projections × queries) batch for the columnar model."""
+
+    # accesses (A)
+    acc_rows: np.ndarray
+    acc_needed_bytes: np.ndarray
+    acc_pred: np.ndarray
+    acc_super_scan: np.ndarray  # scan cost via the table's super-projection
+    acc_build_add: np.ndarray  # max(rows·sel, 1) · JOIN_BUILD_COST_MS
+    # (S, A) pair factors
+    scan_valid: np.ndarray  # table match & coverage
+    prefix: np.ndarray  # folded sort-key-prefix selectivity
+    # per query (Q)
+    super_anchor: np.ndarray  # full anchor-path cost via the super-projection
+    has_group: np.ndarray
+    has_order: np.ndarray
+    agg_sorted_add: np.ndarray  # rows_out · SORTED_AGG_COST_MS
+    agg_hash_add: np.ndarray  # rows_out · HASH_AGG_COST_MS
+    sort_add: np.ndarray  # n · log2(n) · SORT_COST_MS (math.log2, folded)
+    n_dims: np.ndarray
+    # (S, Q) pair booleans
+    sorted_groups: np.ndarray
+    order_free: np.ndarray
+
+    consts = _col
+    per_query = _Batch.per_query + (
+        "super_anchor",
+        "has_group",
+        "has_order",
+        "agg_sorted_add",
+        "agg_hash_add",
+        "sort_add",
+        "n_dims",
+    )
+    per_pair = _Batch.per_pair + ("sorted_groups", "order_free")
+
+    # benchmarks/e2e/spans.py wraps these three by ``vars(ColumnarBatch)[name]``,
+    # which an inherited method would not satisfy: re-export the one
+    # implementation (same function object, no wrapper frame).
+    design_costs = _Batch.design_costs
+    candidate_costs = _Batch.candidate_costs
+    delta_design_costs = _Batch.delta_design_costs
+
+    @property
+    def base_anchor(self) -> np.ndarray:
+        return self.super_anchor
+
+    @property
+    def base_dim(self) -> np.ndarray:
+        return self.acc_super_scan
+
+    def _servable(self) -> np.ndarray:
+        return self.scan_valid[:, self.anchor_acc]
+
+    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
+        """(S', Q) full anchor-path cost, inf where the projection cannot
+        serve the query (wrong table or missing columns).  ``rows``
+        restricts the structure axis: the sliced computation is
+        element-wise identical to slicing the full matrix, without
+        materializing the unused rows."""
+        a = self.anchor_acc
+        rows_scanned = np.maximum(self.acc_rows[a][None, :] * self.prefix[rows][:, a], 1.0)
+        cost = (rows_scanned * self.acc_needed_bytes[a][None, :]) * _col.BYTE_COST_MS
+        cost = cost + (rows_scanned * self.acc_pred[a][None, :]) * _col.PREDICATE_COST_MS
+        agg = np.where(
+            self.sorted_groups[rows], self.agg_sorted_add[None, :], self.agg_hash_add[None, :]
+        )
+        cost = cost + np.where(self.has_group[None, :], agg, 0.0)
+        needs_sort = self.has_order[None, :] & ~self.order_free[rows]
+        cost = cost + np.where(needs_sort, self.sort_add[None, :], 0.0)
+        cost = cost + (rows_scanned * self.n_dims[None, :]) * _col.JOIN_PROBE_COST_MS
+        return np.where(self.scan_valid[rows][:, a], cost, np.inf)
+
+    def _dim_matrix(self, rows=slice(None)) -> np.ndarray:
+        """(S', A) projection scan cost per access, inf where unusable."""
+        rows_scanned = np.maximum(self.acc_rows[None, :] * self.prefix[rows], 1.0)
+        cost = (rows_scanned * self.acc_needed_bytes[None, :]) * _col.BYTE_COST_MS
+        cost = cost + (rows_scanned * self.acc_pred[None, :]) * _col.PREDICATE_COST_MS
+        return np.where(self.scan_valid[rows], cost, np.inf)
+
+
+@dataclass
+class ColumnarArena(_Arena):
+    """Query-side compiled state for the columnar substrate."""
+
     accesses: list[TableAccess]
-    acc_table: np.ndarray
     acc_rows: np.ndarray
     acc_needed_bytes: np.ndarray
     acc_pred: np.ndarray
     acc_super_scan: np.ndarray
     acc_build_add: np.ndarray
     acc_mask: np.ndarray
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
     super_anchor: np.ndarray
     has_group: np.ndarray
     has_order: np.ndarray
@@ -611,72 +746,29 @@ class ColumnarArena:
     agg_hash_add: np.ndarray
     sort_add: np.ndarray
     n_dims: np.ndarray
-    # write-cost path (query-side; the touch matrix is bound per design)
-    is_write: np.ndarray
-    is_insert: np.ndarray
-    always_touch: np.ndarray
-    affected: np.ndarray
-    base_write: np.ndarray
-    written_mask: np.ndarray
     #: (anchor table id, group-by set / order-by tuple) -> query rows.
     group_queries: dict
     order_queries: dict
 
-    @property
-    def query_count(self) -> int:
-        return len(self.sqls)
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the compiled arrays."""
-        return _arena_nbytes(self)
-
-
-def _arena_nbytes(arena) -> int:
-    total = 0
-    for value in vars(arena).values():
-        if isinstance(value, np.ndarray):
-            total += value.nbytes
-    return total
-
-
-class ColumnarKernel:
+class ColumnarKernel(_Kernel):
     """Compiles and batch-prices the columnar (projection) substrate."""
 
     name = "columnar"
-
-    def __init__(self, model):
-        self.model = model
-
-    def compile(self, profiles, structures) -> ColumnarBatch:
-        """One-shot compile: ``bind(compile_queries(profiles), structures)``."""
-        return self.bind(self.compile_queries(profiles), structures)
+    arena_type = ColumnarArena
+    batch_type = ColumnarBatch
 
     def compile_queries(self, profiles) -> ColumnarArena:
         model = self.model
         profiles = list(profiles)
-        bits = _ColumnBits(model.schema)
-        table = _compile_accesses(profiles)
-        accesses = table.accesses
+        accesses, shared = self._compile_shared(profiles)
 
-        acc_table = np.array(
-            [bits.table_id(a.table) for a in accesses], dtype=np.int64
-        ).reshape(len(accesses))
-        acc_rows = np.array([float(a.row_count) for a in accesses], dtype=np.float64)
         acc_needed_bytes = np.array(
             [float(a.needed_bytes) for a in accesses], dtype=np.float64
         )
-        acc_pred = np.array(
-            [float(a.predicate_count) for a in accesses], dtype=np.float64
-        )
         acc_super_scan = np.zeros(len(accesses), dtype=np.float64)
-        acc_build_add = np.zeros(len(accesses), dtype=np.float64)
         for i, access in enumerate(accesses):
             acc_super_scan[i] = model._scan_cost(access, model._super[access.table])
-            rows = max(access.row_count * access.total_selectivity, 1.0)
-            acc_build_add[i] = rows * _col.JOIN_BUILD_COST_MS
-
-        acc_mask = bits.masks([(a.table, a.needed_columns) for a in accesses])
 
         # Per-query folded terms (all log2 work happens here, scalarly).
         count = len(profiles)
@@ -687,9 +779,6 @@ class ColumnarKernel:
         agg_hash_add = np.zeros(count, dtype=np.float64)
         sort_add = np.zeros(count, dtype=np.float64)
         n_dims = np.zeros(count, dtype=np.float64)
-        is_write, is_insert, always_touch, affected, base_write, written_mask = (
-            _compile_write_side(profiles, bits, model)
-        )
         for q, profile in enumerate(profiles):
             access = profile.anchor
             super_anchor[q] = model.projection_cost(
@@ -713,7 +802,7 @@ class ColumnarKernel:
         # distinct (anchor table, group-by set) / (anchor table, order-by
         # tuple) pairs are few; the bind step evaluates each combination
         # once per table's structures instead of per (structure, query).
-        anchor_tid = acc_table[table.anchor_acc]
+        anchor_tid = shared["acc_table"][shared["anchor_acc"]]
         group_queries: dict[tuple[int, tuple], list[int]] = {}
         order_queries: dict[tuple[int, tuple], list[int]] = {}
         for q, (profile, tid) in enumerate(zip(profiles, anchor_tid.tolist())):
@@ -724,18 +813,10 @@ class ColumnarKernel:
                 order_queries.setdefault((tid, profile.order_by), []).append(q)
 
         return ColumnarArena(
-            sqls=[p.sql for p in profiles],
-            bits=bits,
-            accesses=accesses,
-            acc_table=acc_table,
-            acc_rows=acc_rows,
+            **shared,
+            **_access_side(accesses, shared["bits"], _col),
             acc_needed_bytes=acc_needed_bytes,
-            acc_pred=acc_pred,
             acc_super_scan=acc_super_scan,
-            acc_build_add=acc_build_add,
-            acc_mask=acc_mask,
-            anchor_acc=table.anchor_acc,
-            dim_pad=table.dim_pad,
             super_anchor=super_anchor,
             has_group=has_group,
             has_order=has_order,
@@ -743,12 +824,6 @@ class ColumnarKernel:
             agg_hash_add=agg_hash_add,
             sort_add=sort_add,
             n_dims=n_dims,
-            is_write=is_write,
-            is_insert=is_insert,
-            always_touch=always_touch,
-            affected=affected,
-            base_write=base_write,
-            written_mask=written_mask,
             group_queries=group_queries,
             order_queries=order_queries,
         )
@@ -758,9 +833,7 @@ class ColumnarKernel:
         bits = arena.bits
         accesses = arena.accesses
         acc_table = arena.acc_table
-        struct_table = np.array(
-            [bits.table_id(s.table) for s in structures], dtype=np.int64
-        ).reshape(len(structures))
+        struct_table = bits.table_ids_of(structures)
         struct_mask = bits.masks([(s.table, s.columns) for s in structures])
         scan_valid = _covered(arena.acc_mask, struct_mask) & (
             struct_table[:, None] == acc_table[None, :]
@@ -863,52 +936,16 @@ class ColumnarKernel:
             if hits.any():
                 order_free[np.ix_(rows_s[hits], qs)] = True
 
-        write_weight = np.array(
-            [self.model.maintenance_weight(s) for s in structures],
-            dtype=np.float64,
-        ).reshape(len(structures))
-        write_touch = _write_touch_mask(
+        return self._bound(
+            arena,
+            structures,
             struct_table,
-            struct_mask,
-            acc_table[arena.anchor_acc],
-            arena.is_write,
-            arena.always_touch,
-            arena.written_mask,
-        )
-        write_rank = _write_fold_order(
-            [(s.table, s.columns, s.sort_key) for s in structures]
-        )
-
-        return ColumnarBatch(
-            sqls=list(arena.sqls),
-            words=bits.words,
-            struct_table=struct_table,
-            acc_table=acc_table,
-            acc_rows=arena.acc_rows,
-            acc_needed_bytes=arena.acc_needed_bytes,
-            acc_pred=arena.acc_pred,
-            acc_super_scan=arena.acc_super_scan,
-            acc_build_add=arena.acc_build_add,
+            write_mask=struct_mask,
+            fold_keys=[(s.table, s.columns, s.sort_key) for s in structures],
             scan_valid=scan_valid,
             prefix=prefix,
-            anchor_acc=arena.anchor_acc,
-            dim_pad=arena.dim_pad,
-            super_anchor=arena.super_anchor,
-            has_group=arena.has_group,
-            has_order=arena.has_order,
-            agg_sorted_add=arena.agg_sorted_add,
-            agg_hash_add=arena.agg_hash_add,
-            sort_add=arena.sort_add,
-            n_dims=arena.n_dims,
             sorted_groups=sorted_groups,
             order_free=order_free,
-            is_write=arena.is_write,
-            is_insert=arena.is_insert,
-            affected=arena.affected,
-            base_write=arena.base_write,
-            write_weight=write_weight,
-            write_touch=write_touch,
-            write_rank=write_rank,
         )
 
 
@@ -916,16 +953,12 @@ class ColumnarKernel:
 
 
 @dataclass
-class RowstoreBatch:
+class RowstoreBatch(_Batch):
     """Compiled (indices/views × queries) batch for the row store."""
 
-    sqls: list[str]
-    words: int
-    struct_table: np.ndarray  # (S,)
     is_view: np.ndarray  # (S,) bool
     key_bytes: np.ndarray  # (S,) covering-read width (0 for views)
     # accesses (A)
-    acc_table: np.ndarray
     acc_rows: np.ndarray
     acc_row_bytes: np.ndarray
     acc_pred: np.ndarray
@@ -938,173 +971,59 @@ class RowstoreBatch:
     seek_depth: np.ndarray  # folded seek depth (float64)
     covering: np.ndarray
     # per query (Q)
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
     base_path: np.ndarray  # scan + post cost (the NoDesign anchor path)
     post: np.ndarray  # aggregation/sort/probe work after index fetch
     # (S, Q): view rollup costs (inf for index rows / unanswerable pairs)
     view_cost: np.ndarray
-    # write-cost path (all zeros / False for pure-read workloads)
-    is_write: np.ndarray  # (Q,) bool
-    is_insert: np.ndarray  # (Q,) bool
-    affected: np.ndarray  # (Q,) estimated affected rows
-    base_write: np.ndarray  # (Q,) folded base write cost
-    write_weight: np.ndarray  # (S,) per-affected-row maintenance weight
-    write_touch: np.ndarray  # (S, Q) bool: write q maintains structure s
-    write_rank: np.ndarray  # (S,) scalar maintenance fold order (see _write_fold_order)
+
+    consts = _row
+    per_query = _Batch.per_query + ("base_path", "post")
+    per_pair = _Batch.per_pair + ("view_cost",)
+
+    # benchmarks/e2e/spans.py wraps these three by ``vars(RowstoreBatch)[name]``,
+    # which an inherited method would not satisfy: re-export the one
+    # implementation (same function object, no wrapper frame).
+    design_costs = _Batch.design_costs
+    candidate_costs = _Batch.candidate_costs
+    delta_design_costs = _Batch.delta_design_costs
 
     @property
-    def structure_count(self) -> int:
-        return int(self.struct_table.shape[0])
+    def base_anchor(self) -> np.ndarray:
+        return self.base_path
 
     @property
-    def query_count(self) -> int:
-        return len(self.sqls)
+    def base_dim(self) -> np.ndarray:
+        return self.acc_base_scan
 
-    @property
-    def any_write(self) -> bool:
-        return bool(self.is_write.any())
+    def _servable(self) -> np.ndarray:
+        return np.isfinite(self._anchor_matrix())
 
-    def take(self, q_indices) -> "RowstoreBatch":
-        idx = np.asarray(q_indices, dtype=np.intp)
-        return replace(
-            self,
-            sqls=[self.sqls[i] for i in idx],
-            anchor_acc=self.anchor_acc[idx],
-            dim_pad=self.dim_pad[idx],
-            base_path=self.base_path[idx],
-            post=self.post[idx],
-            view_cost=self.view_cost[:, idx],
-            is_write=self.is_write[idx],
-            is_insert=self.is_insert[idx],
-            affected=self.affected[idx],
-            base_write=self.base_write[idx],
-            write_touch=self.write_touch[:, idx],
-        )
+    def _dim_matrix(self, rows=slice(None)) -> np.ndarray:
+        """(S', A) cost of driving each access through each index.
 
-    def _write_costs(self, locate: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """(Q,) write-path costs given the per-query locate best.
-
-        Same contract as :meth:`ColumnarBatch._write_costs`: inserts skip
-        the locate, maintenance accumulates in member order with masked
-        ``+0.0`` adds (bit-preserving), matching the scalar fold.
-        """
-        cost = (
-            _row.QUERY_OVERHEAD_MS + np.where(self.is_insert, 0.0, locate)
-        ) + self.base_write
-        fold = members[np.argsort(self.write_rank[members], kind="stable")]
-        for m in fold.tolist():
-            cost = cost + np.where(
-                self.write_touch[m], self.affected * self.write_weight[m], 0.0
-            )
-        return cost
-
-    def _index_access_matrix(self, rows_s=None) -> np.ndarray:
-        """(S, A) cost of driving each access through each index.
-
-        ``rows_s`` restricts the structure axis *before* any elementwise
+        ``rows`` restricts the structure axis *before* any elementwise
         work, so member-sized designs never materialize the full matrix.
         """
-        sl = slice(None) if rows_s is None else rows_s
-        matched = np.maximum(self.acc_rows[None, :] * self.seek_sel[sl], 1.0)
+        matched = np.maximum(self.acc_rows[None, :] * self.seek_sel[rows], 1.0)
         fetch = np.where(
-            self.covering[sl],
-            (matched * self.key_bytes[sl][:, None]) * _row.BYTE_COST_MS,
+            self.covering[rows],
+            (matched * self.key_bytes[rows][:, None]) * _row.BYTE_COST_MS,
             ((matched * self.acc_row_bytes[None, :]) * _row.BYTE_COST_MS)
             * _row.RANDOM_READ_FACTOR,
         )
         cost = self.acc_seek_add[None, :] + fetch
-        remaining = np.maximum(self.acc_pred[None, :] - self.seek_depth[sl], 0.0)
+        remaining = np.maximum(self.acc_pred[None, :] - self.seek_depth[rows], 0.0)
         cost = cost + (matched * remaining) * _row.PREDICATE_COST_MS
-        return np.where(self.seek_valid[sl], cost, np.inf)
+        return np.where(self.seek_valid[rows], cost, np.inf)
 
-    def _anchor_matrix(self, rows_s=None) -> np.ndarray:
-        """(S, Q) full query cost via each structure's anchor path."""
-        sl = slice(None) if rows_s is None else rows_s
-        idx_anchor = (
-            self._index_access_matrix(rows_s)[:, self.anchor_acc] + self.post[None, :]
-        )
-        return np.where(self.is_view[sl][:, None], self.view_cost[sl], idx_anchor)
-
-    def base_costs(self) -> np.ndarray:
-        total = _dim_sum_vector(self.dim_pad, self.acc_base_scan + self.acc_build_add)
-        read = (_row.QUERY_OVERHEAD_MS + self.base_path) + total
-        if not self.any_write:
-            return read
-        wcost = self._write_costs(self.base_path, np.zeros(0, dtype=np.intp))
-        return np.where(self.is_write, wcost, read)
-
-    def design_costs(self, members=None) -> np.ndarray:
-        members = (
-            np.arange(self.structure_count, dtype=np.intp)
-            if members is None
-            else np.asarray(members, dtype=np.intp)
-        )
-        if members.size:
-            best = np.minimum(self.base_path, self._anchor_matrix(members).min(axis=0))
-            dim_best = np.minimum(
-                self.acc_base_scan, self._index_access_matrix(members).min(axis=0)
-            )
-        else:
-            best = self.base_path
-            dim_best = self.acc_base_scan
-        total = _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
-        read = (_row.QUERY_OVERHEAD_MS + best) + total
-        if not self.any_write:
-            return read
-        return np.where(self.is_write, self._write_costs(best, members), read)
-
-    def affected_queries(self, row: int) -> np.ndarray:
-        """(Q,) bool: queries whose cost can change when structure ``row``
-        enters or leaves a design (its table is the query's anchor or one
-        of its dimension tables; views only answer anchor-table queries)."""
-        return _related_mask(
-            self.struct_table[row : row + 1],
-            self.acc_table[self.anchor_acc],
-            self.acc_table,
-            self.dim_pad,
-        )[0]
-
-    def delta_design_costs(self, members, changed_row: int, prev_costs) -> np.ndarray:
-        """Re-price only the queries structure ``changed_row`` can touch."""
-        return _delta_design_costs(self, members, changed_row, prev_costs)
-
-    def candidate_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        anchor = self._anchor_matrix()
-        anchor_tid = self.acc_table[self.anchor_acc]
-        same_anchor = self.struct_table[:, None] == anchor_tid[None, :]
-        related = _related_mask(
-            self.struct_table, anchor_tid, self.acc_table, self.dim_pad
-        )
-        # A write is never *served* by a structure, but a same-table
-        # structure still changes its cost (maintenance + locate), so
-        # write cells are priced rather than marked unservable.
-        unservable = same_anchor & ~np.isfinite(anchor) & ~self.is_write[None, :]
-        return related & ~unservable, unservable
-
-    def candidate_costs(self) -> np.ndarray:
-        best = np.minimum(self.base_path[None, :], self._anchor_matrix())
-        dim_term = (
-            np.minimum(self.acc_base_scan[None, :], self._index_access_matrix())
-            + self.acc_build_add[None, :]
-        )
-        total = _dim_sum_matrix(self.dim_pad, dim_term)
-        read = (_row.QUERY_OVERHEAD_MS + best) + total
-        if not self.any_write:
-            return read
-        wcost = (
-            _row.QUERY_OVERHEAD_MS + np.where(self.is_insert[None, :], 0.0, best)
-        ) + self.base_write[None, :]
-        wcost = wcost + np.where(
-            self.write_touch,
-            self.affected[None, :] * self.write_weight[:, None],
-            0.0,
-        )
-        return np.where(self.is_write[None, :], wcost, read)
+    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
+        """(S', Q) full query cost via each structure's anchor path."""
+        idx_anchor = self._dim_matrix(rows)[:, self.anchor_acc] + self.post[None, :]
+        return np.where(self.is_view[rows][:, None], self.view_cost[rows], idx_anchor)
 
 
 @dataclass
-class RowstoreArena:
+class RowstoreArena(_Arena):
     """Query-side compiled state for the row-store substrate.
 
     Keeps the source :class:`QueryProfile` list (unlike the other
@@ -1112,11 +1031,8 @@ class RowstoreArena:
     ``model._view_cost(profile, view)`` at bind time, pair by pair.
     """
 
-    sqls: list[str]
-    bits: _ColumnBits
     accesses: list[TableAccess]
     profiles: list[QueryProfile]
-    acc_table: np.ndarray
     acc_rows: np.ndarray
     acc_row_bytes: np.ndarray
     acc_pred: np.ndarray
@@ -1124,71 +1040,30 @@ class RowstoreArena:
     acc_base_scan: np.ndarray
     acc_build_add: np.ndarray
     acc_mask: np.ndarray
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
     base_path: np.ndarray
     post: np.ndarray
-    # write-cost path (query-side; see _compile_write_side)
-    is_write: np.ndarray
-    is_insert: np.ndarray
-    always_touch: np.ndarray
-    affected: np.ndarray
-    base_write: np.ndarray
-    written_mask: np.ndarray
-
-    @property
-    def query_count(self) -> int:
-        return len(self.sqls)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the compiled arrays."""
-        return _arena_nbytes(self)
 
 
-class RowstoreKernel:
+class RowstoreKernel(_Kernel):
     """Compiles and batch-prices the row-store (index/view) substrate."""
 
     name = "rowstore"
-
-    def __init__(self, model):
-        self.model = model
-
-    def compile(self, profiles, structures) -> RowstoreBatch:
-        """One-shot compile: ``bind(compile_queries(profiles), structures)``."""
-        return self.bind(self.compile_queries(profiles), structures)
+    arena_type = RowstoreArena
+    batch_type = RowstoreBatch
 
     def compile_queries(self, profiles) -> RowstoreArena:
         model = self.model
         profiles = list(profiles)
-        bits = _ColumnBits(model.schema)
-        table = _compile_accesses(profiles)
-        accesses = table.accesses
+        accesses, shared = self._compile_shared(profiles)
 
-        acc_table = np.array(
-            [bits.table_id(a.table) for a in accesses], dtype=np.int64
-        ).reshape(len(accesses))
-        acc_rows = np.array([float(a.row_count) for a in accesses], dtype=np.float64)
         acc_row_bytes = np.array(
             [float(a.row_bytes) for a in accesses], dtype=np.float64
         )
-        acc_pred = np.array(
-            [float(a.predicate_count) for a in accesses], dtype=np.float64
-        )
         acc_seek_add = np.zeros(len(accesses), dtype=np.float64)
         acc_base_scan = np.zeros(len(accesses), dtype=np.float64)
-        acc_build_add = np.zeros(len(accesses), dtype=np.float64)
         for i, access in enumerate(accesses):
             acc_seek_add[i] = _row.SEEK_COST_MS * math.log2(max(access.row_count, 2))
             acc_base_scan[i] = model._scan_cost(access)
-            rows = max(access.row_count * access.total_selectivity, 1.0)
-            acc_build_add[i] = rows * _row.JOIN_BUILD_COST_MS
-
-        acc_mask = (
-            np.stack([bits.mask(a.table, a.needed_columns) for a in accesses])
-            if accesses
-            else np.zeros((0, bits.words), dtype=np.uint64)
-        )
 
         count = len(profiles)
         base_path = np.zeros(count, dtype=np.float64)
@@ -1197,38 +1072,15 @@ class RowstoreKernel:
             post[q] = model._post_cost(profile)
             base_path[q] = model._scan_cost(profile.anchor) + model._post_cost(profile)
 
-        (
-            is_write,
-            is_insert,
-            always_touch,
-            affected,
-            base_write,
-            written_mask,
-        ) = _compile_write_side(profiles, bits, model)
-
         return RowstoreArena(
-            sqls=[p.sql for p in profiles],
-            bits=bits,
-            accesses=accesses,
+            **shared,
+            **_access_side(accesses, shared["bits"], _row),
             profiles=profiles,
-            acc_table=acc_table,
-            acc_rows=acc_rows,
             acc_row_bytes=acc_row_bytes,
-            acc_pred=acc_pred,
             acc_seek_add=acc_seek_add,
             acc_base_scan=acc_base_scan,
-            acc_build_add=acc_build_add,
-            acc_mask=acc_mask,
-            anchor_acc=table.anchor_acc,
-            dim_pad=table.dim_pad,
             base_path=base_path,
             post=post,
-            is_write=is_write,
-            is_insert=is_insert,
-            always_touch=always_touch,
-            affected=affected,
-            base_write=base_write,
-            written_mask=written_mask,
         )
 
     def bind(self, arena: RowstoreArena, structures) -> RowstoreBatch:
@@ -1242,9 +1094,7 @@ class RowstoreKernel:
         is_view = np.array(
             [isinstance(s, MaterializedView) for s in structures], dtype=bool
         ).reshape(len(structures))
-        struct_table = np.array(
-            [bits.table_id(s.table) for s in structures], dtype=np.int64
-        ).reshape(len(structures))
+        struct_table = bits.table_ids_of(structures)
         key_bytes = np.zeros(len(structures), dtype=np.float64)
         acc_mask = arena.acc_mask
         index_mask = np.zeros((len(structures), bits.words), dtype=np.uint64)
@@ -1308,58 +1158,27 @@ class RowstoreKernel:
                     structure.table,
                     tuple(structure.group_columns) + tuple(structure.measure_columns),
                 )
-        write_weight = np.array(
-            [model.maintenance_weight(s) for s in structures],
-            dtype=np.float64,
-        ).reshape(len(structures))
-        write_touch = _write_touch_mask(
-            struct_table,
-            struct_write_mask,
-            acc_table[arena.anchor_acc],
-            arena.is_write,
-            arena.always_touch,
-            arena.written_mask,
-        )
         # Scalar fold order: all of a table's indexes (by columns), then
         # its views (by groupings + measures) — see ``_write_cost``.
-        write_rank = _write_fold_order(
-            [
-                (s.table, 1, tuple(s.group_columns), tuple(s.measure_columns))
-                if is_view[i]
-                else (s.table, 0, tuple(s.columns), ())
-                for i, s in enumerate(structures)
-            ]
-        )
-
-        return RowstoreBatch(
-            sqls=list(arena.sqls),
-            words=bits.words,
-            struct_table=struct_table,
+        fold_keys = [
+            (s.table, 1, tuple(s.group_columns), tuple(s.measure_columns))
+            if is_view[i]
+            else (s.table, 0, tuple(s.columns), ())
+            for i, s in enumerate(structures)
+        ]
+        return self._bound(
+            arena,
+            structures,
+            struct_table,
+            write_mask=struct_write_mask,
+            fold_keys=fold_keys,
             is_view=is_view,
             key_bytes=key_bytes,
-            acc_table=acc_table,
-            acc_rows=arena.acc_rows,
-            acc_row_bytes=arena.acc_row_bytes,
-            acc_pred=arena.acc_pred,
-            acc_seek_add=arena.acc_seek_add,
-            acc_base_scan=arena.acc_base_scan,
-            acc_build_add=arena.acc_build_add,
             seek_valid=seek_valid,
             seek_sel=seek_sel,
             seek_depth=seek_depth,
             covering=covering,
-            anchor_acc=arena.anchor_acc,
-            dim_pad=arena.dim_pad,
-            base_path=arena.base_path,
-            post=arena.post,
             view_cost=view_cost,
-            is_write=arena.is_write,
-            is_insert=arena.is_insert,
-            affected=arena.affected,
-            base_write=arena.base_write,
-            write_weight=write_weight,
-            write_touch=write_touch,
-            write_rank=write_rank,
         )
 
 
@@ -1367,16 +1186,14 @@ class RowstoreKernel:
 
 
 @dataclass
-class SamplesBatch:
-    """Compiled (stratified samples × queries) batch."""
+class SamplesBatch(_Batch):
+    """Compiled (stratified samples × queries) batch.
 
-    sqls: list[str]
-    words: int
-    struct_table: np.ndarray
+    Samples ignore dimensions: ``acc_table`` matters for the anchor
+    tables only, and there is no dimension term (``base_dim``).
+    """
+
     sample_rows: np.ndarray  # (S,)
-    acc_table: np.ndarray  # anchor tables only (samples ignore dimensions)
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
     # per query (Q)
     exact: np.ndarray
     needed_bytes: np.ndarray
@@ -1385,145 +1202,44 @@ class SamplesBatch:
     agg_flag: np.ndarray  # group_by or has_aggregates
     # (S, Q)
     valid: np.ndarray  # the full `answers` predicate
-    # write-cost path (all zeros / False for pure-read workloads)
-    is_write: np.ndarray  # (Q,) bool
-    is_insert: np.ndarray  # (Q,) bool
-    affected: np.ndarray  # (Q,) estimated affected rows
-    base_write: np.ndarray  # (Q,) folded base write cost
-    write_weight: np.ndarray  # (S,) per-affected-row maintenance weight
-    write_touch: np.ndarray  # (S, Q) bool: write q maintains structure s
-    write_rank: np.ndarray  # (S,) scalar maintenance fold order (see _write_fold_order)
+
+    consts = _smp
+    per_query = _Batch.per_query + ("exact", "needed_bytes", "pred", "total_sel", "agg_flag")
+    per_pair = _Batch.per_pair + ("valid",)
+    base_dim = None
 
     @property
-    def structure_count(self) -> int:
-        return int(self.struct_table.shape[0])
+    def base_anchor(self) -> np.ndarray:
+        return self.exact
 
-    @property
-    def query_count(self) -> int:
-        return len(self.sqls)
+    def _servable(self) -> np.ndarray:
+        return self.valid
 
-    @property
-    def any_write(self) -> bool:
-        return bool(self.is_write.any())
+    def _locate(self, best: np.ndarray) -> np.ndarray:
+        """Samples never answer a write's locate scan, so the locate term
+        is always the exact full-table cost (as the scalar ``_write_cost``)."""
+        return self.exact
 
-    def take(self, q_indices) -> "SamplesBatch":
-        idx = np.asarray(q_indices, dtype=np.intp)
-        return replace(
-            self,
-            sqls=[self.sqls[i] for i in idx],
-            anchor_acc=self.anchor_acc[idx],
-            dim_pad=self.dim_pad[idx],
-            exact=self.exact[idx],
-            needed_bytes=self.needed_bytes[idx],
-            pred=self.pred[idx],
-            total_sel=self.total_sel[idx],
-            agg_flag=self.agg_flag[idx],
-            valid=self.valid[:, idx],
-            is_write=self.is_write[idx],
-            is_insert=self.is_insert[idx],
-            affected=self.affected[idx],
-            base_write=self.base_write[idx],
-            write_touch=self.write_touch[:, idx],
-        )
+    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
+        """(S', Q) sample scan cost, inf where the sample cannot answer.
 
-    def _write_costs(self, members: np.ndarray) -> np.ndarray:
-        """(Q,) write-path costs.  Samples never answer a write's locate
-        scan, so the locate term is always the exact full-table cost (the
-        scalar ``_write_cost`` does the same); maintenance accumulates in
-        member order with bit-preserving masked adds."""
-        cost = (
-            _smp.QUERY_OVERHEAD_MS + np.where(self.is_insert, 0.0, self.exact)
-        ) + self.base_write
-        fold = members[np.argsort(self.write_rank[members], kind="stable")]
-        for m in fold.tolist():
-            cost = cost + np.where(
-                self.write_touch[m], self.affected * self.write_weight[m], 0.0
-            )
-        return cost
-
-    def _sample_matrix(self, rows_s=None) -> np.ndarray:
-        """(S, Q) sample scan cost, inf where the sample cannot answer.
-
-        ``rows_s`` restricts the structure axis *before* any elementwise
+        ``rows`` restricts the structure axis *before* any elementwise
         work, so member-sized designs never materialize the full matrix.
         """
-        sl = slice(None) if rows_s is None else rows_s
-        rows = self.sample_rows[sl][:, None]
-        cost = (rows * self.needed_bytes[None, :]) * _smp.BYTE_COST_MS
-        cost = cost + (rows * self.pred[None, :]) * _smp.PREDICATE_COST_MS
-        filtered = np.maximum(rows * self.total_sel[None, :], 1.0)
+        sample_rows = self.sample_rows[rows][:, None]
+        cost = (sample_rows * self.needed_bytes[None, :]) * _smp.BYTE_COST_MS
+        cost = cost + (sample_rows * self.pred[None, :]) * _smp.PREDICATE_COST_MS
+        filtered = np.maximum(sample_rows * self.total_sel[None, :], 1.0)
         cost = cost + np.where(
             self.agg_flag[None, :], filtered * _smp.HASH_AGG_COST_MS, 0.0
         )
-        return np.where(self.valid[sl], cost, np.inf)
-
-    def base_costs(self) -> np.ndarray:
-        read = _smp.QUERY_OVERHEAD_MS + self.exact
-        if not self.any_write:
-            return read
-        wcost = self._write_costs(np.zeros(0, dtype=np.intp))
-        return np.where(self.is_write, wcost, read)
-
-    def design_costs(self, members=None) -> np.ndarray:
-        members = (
-            np.arange(self.structure_count, dtype=np.intp)
-            if members is None
-            else np.asarray(members, dtype=np.intp)
-        )
-        if members.size:
-            best = np.minimum(self.exact, self._sample_matrix(members).min(axis=0))
-        else:
-            best = self.exact
-        read = _smp.QUERY_OVERHEAD_MS + best
-        if not self.any_write:
-            return read
-        return np.where(self.is_write, self._write_costs(members), read)
-
-    def affected_queries(self, row: int) -> np.ndarray:
-        """(Q,) bool: queries structure ``row`` can touch.  A sample only
-        ever answers queries anchored on its own table."""
-        anchor_tid = self.acc_table[self.anchor_acc]
-        return anchor_tid == self.struct_table[row]
-
-    def delta_design_costs(self, members, changed_row: int, prev_costs) -> np.ndarray:
-        """Re-price only the queries structure ``changed_row`` can touch."""
-        return _delta_design_costs(self, members, changed_row, prev_costs)
-
-    def candidate_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        anchor_tid = self.acc_table[self.anchor_acc]
-        same_anchor = self.struct_table[:, None] == anchor_tid[None, :]
-        # Write cells are priced (maintenance), never marked unservable.
-        price = same_anchor & (self.valid | self.is_write[None, :])
-        unservable = same_anchor & ~self.valid & ~self.is_write[None, :]
-        return price, unservable
-
-    def candidate_costs(self) -> np.ndarray:
-        read = _smp.QUERY_OVERHEAD_MS + np.minimum(
-            self.exact[None, :], self._sample_matrix()
-        )
-        if not self.any_write:
-            return read
-        wcost = (
-            _smp.QUERY_OVERHEAD_MS
-            + np.where(self.is_insert[None, :], 0.0, self.exact[None, :])
-        ) + self.base_write[None, :]
-        wcost = wcost + np.where(
-            self.write_touch,
-            self.affected[None, :] * self.write_weight[:, None],
-            0.0,
-        )
-        return np.where(self.is_write[None, :], wcost, read)
+        return np.where(self.valid[rows], cost, np.inf)
 
 
 @dataclass
-class SamplesArena:
+class SamplesArena(_Arena):
     """Query-side compiled state for the stratified-samples substrate."""
 
-    sqls: list[str]
-    bits: _ColumnBits
-    acc_table: np.ndarray
-    anchor_acc: np.ndarray
-    dim_pad: np.ndarray
     exact: np.ndarray
     needed_bytes: np.ndarray
     pred: np.ndarray
@@ -1531,45 +1247,20 @@ class SamplesArena:
     agg_flag: np.ndarray
     answerable: np.ndarray
     depends_mask: np.ndarray
-    # write-cost path (query-side; see _compile_write_side)
-    is_write: np.ndarray
-    is_insert: np.ndarray
-    always_touch: np.ndarray
-    affected: np.ndarray
-    base_write: np.ndarray
-    written_mask: np.ndarray
-
-    @property
-    def query_count(self) -> int:
-        return len(self.sqls)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate resident bytes of the compiled arrays."""
-        return _arena_nbytes(self)
 
 
-class SamplesKernel:
+class SamplesKernel(_Kernel):
     """Compiles and batch-prices the stratified-samples substrate."""
 
     name = "samples"
-
-    def __init__(self, model):
-        self.model = model
-
-    def compile(self, profiles, structures) -> SamplesBatch:
-        """One-shot compile: ``bind(compile_queries(profiles), structures)``."""
-        return self.bind(self.compile_queries(profiles), structures)
+    arena_type = SamplesArena
+    batch_type = SamplesBatch
 
     def compile_queries(self, profiles) -> SamplesArena:
         model = self.model
         profiles = list(profiles)
-        bits = _ColumnBits(model.schema)
-        table = _compile_accesses(profiles)
-        accesses = table.accesses
-        acc_table = np.array(
-            [bits.table_id(a.table) for a in accesses], dtype=np.int64
-        ).reshape(len(accesses))
+        _accesses, shared = self._compile_shared(profiles)
+        bits = shared["bits"]
 
         count = len(profiles)
         exact = np.zeros(count, dtype=np.float64)
@@ -1595,21 +1286,8 @@ class SamplesKernel:
                 access.table, access.predicate_columns | set(profile.group_by)
             )
 
-        (
-            is_write,
-            is_insert,
-            always_touch,
-            affected,
-            base_write,
-            written_mask,
-        ) = _compile_write_side(profiles, bits, model)
-
         return SamplesArena(
-            sqls=[p.sql for p in profiles],
-            bits=bits,
-            acc_table=acc_table,
-            anchor_acc=table.anchor_acc,
-            dim_pad=table.dim_pad,
+            **shared,
             exact=exact,
             needed_bytes=needed_bytes,
             pred=pred,
@@ -1617,23 +1295,13 @@ class SamplesKernel:
             agg_flag=agg_flag,
             answerable=answerable,
             depends_mask=depends_mask,
-            is_write=is_write,
-            is_insert=is_insert,
-            always_touch=always_touch,
-            affected=affected,
-            base_write=base_write,
-            written_mask=written_mask,
         )
 
     def bind(self, arena: SamplesArena, structures) -> SamplesBatch:
         model = self.model
         structures = list(structures)
         bits = arena.bits
-        acc_table = arena.acc_table
-
-        struct_table = np.array(
-            [bits.table_id(s.table) for s in structures], dtype=np.int64
-        ).reshape(len(structures))
+        struct_table = bits.table_ids_of(structures)
         sample_rows = np.zeros(len(structures), dtype=np.float64)
         error_ok = np.zeros(len(structures), dtype=bool)
         strata_mask = np.zeros((len(structures), bits.words), dtype=np.uint64)
@@ -1645,7 +1313,7 @@ class SamplesKernel:
             sample_rows[s] = float(sample.sample_rows(stats))
             error_ok[s] = sample.relative_error(stats) <= _smp.MAX_RELATIVE_ERROR
 
-        anchor_tid = acc_table[arena.anchor_acc]
+        anchor_tid = arena.acc_table[arena.anchor_acc]
         valid = (
             (struct_table[:, None] == anchor_tid[None, :])
             & arena.answerable[None, :]
@@ -1654,43 +1322,14 @@ class SamplesKernel:
         )
 
         # Write-side: a sample is "touched" through its stratum columns.
-        write_weight = np.array(
-            [model.maintenance_weight(s) for s in structures],
-            dtype=np.float64,
-        ).reshape(len(structures))
-        write_touch = _write_touch_mask(
+        return self._bound(
+            arena,
+            structures,
             struct_table,
-            strata_mask,
-            anchor_tid,
-            arena.is_write,
-            arena.always_touch,
-            arena.written_mask,
-        )
-        write_rank = _write_fold_order(
-            [(s.table, s.strata_columns, s.fraction) for s in structures]
-        )
-
-        return SamplesBatch(
-            sqls=list(arena.sqls),
-            words=bits.words,
-            struct_table=struct_table,
+            write_mask=strata_mask,
+            fold_keys=[(s.table, s.strata_columns, s.fraction) for s in structures],
             sample_rows=sample_rows,
-            acc_table=acc_table,
-            anchor_acc=arena.anchor_acc,
-            dim_pad=arena.dim_pad,
-            exact=arena.exact,
-            needed_bytes=arena.needed_bytes,
-            pred=arena.pred,
-            total_sel=arena.total_sel,
-            agg_flag=arena.agg_flag,
             valid=valid,
-            is_write=arena.is_write,
-            is_insert=arena.is_insert,
-            affected=arena.affected,
-            base_write=arena.base_write,
-            write_weight=write_weight,
-            write_touch=write_touch,
-            write_rank=write_rank,
         )
 
 

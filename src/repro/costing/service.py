@@ -706,7 +706,8 @@ class CostEvaluationService:
         return True
 
     def _bind(self, arena, structures):
-        """``kernel.bind`` plus its ``kernel_bind`` trace event."""
+        """``kernel.bind`` plus its ``kernel_bind`` trace event — the one
+        place the service binds, so the event log sees every bind."""
         batch = self.kernel.bind(arena, structures)
         t = tracer()
         if t.enabled:
@@ -715,7 +716,7 @@ class CostEvaluationService:
                 substrate=self.kernel.name,
                 queries=batch.query_count,
                 structures=batch.structure_count,
-                words=batch.words,
+                words=arena.bits.words,
             )
         return batch
 
@@ -754,7 +755,7 @@ class CostEvaluationService:
             arena = self._arena_for(sqls, profiles=list(profiles))
         # ``base_costs`` depends only on the arena's query-side arrays,
         # so an empty bind prices it once for the entry's whole lifetime.
-        base = np.asarray(self.kernel.bind(arena, []).base_costs(), dtype=np.float64)
+        base = np.asarray(self._bind(arena, []).base_costs(), dtype=np.float64)
         entry = _MatrixEntry(
             key=_digest("m", *sqls),
             sqls=sqls,
@@ -990,7 +991,7 @@ class CostEvaluationService:
             changed += [s for s in reference if s not in in_design]
         if changed:
             ref_fp = self.design_fingerprint(reference)
-            affected = affected_union(self.kernel.bind(arena, changed))
+            affected = affected_union(self._bind(arena, changed))
             for i, sql in enumerate(misses):
                 if not affected[q_index[sql]]:
                     costs[i] = self._query_cache.peek((ref_fp, sql))

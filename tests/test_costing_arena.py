@@ -10,13 +10,23 @@ only how often the compile work is paid.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.costing.kernel import kernel_for
+from repro.costing.kernel import (
+    ColumnarBatch,
+    ColumnarKernel,
+    RowstoreBatch,
+    RowstoreKernel,
+    SamplesBatch,
+    SamplesKernel,
+    kernel_for,
+)
 from repro.costing.memo import BoundedMemo
 from repro.costing.service import (
     KERNEL_MIN_BATCH,
@@ -32,6 +42,7 @@ from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
+from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
@@ -39,8 +50,8 @@ from repro.workload.workload import Workload
 SUBSTRATES = ("columnar", "rowstore", "samples")
 
 
-@lru_cache(maxsize=1)
-def _environment():
+@lru_cache(maxsize=None)
+def _environment(mix: str = "r1"):
     schema, roles = build_star_schema(
         fact_tables=2,
         fact_rows=200_000,
@@ -49,7 +60,8 @@ def _environment():
         legacy_columns=3,
         seed=7,
     )
-    profile = r1_profile(queries_per_day=6, topic_count=2, templates_per_topic=3)
+    family = htap_profile if mix == "htap" else r1_profile
+    profile = family(queries_per_day=6, topic_count=2, templates_per_topic=3)
     trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
     sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
     assert len(sqls) >= 6
@@ -57,8 +69,8 @@ def _environment():
 
 
 @lru_cache(maxsize=None)
-def _substrate(name: str):
-    schema, sqls = _environment()
+def _substrate(name: str, mix: str = "r1"):
+    schema, sqls = _environment(mix)
     if name == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
@@ -176,6 +188,103 @@ def test_affected_queries_is_conservative(substrate, changed):
     affected = batch.affected_queries(changed)
     differs = without != with_all
     assert not np.any(differs & ~affected)
+
+
+# -- the one generic take / one algebra --------------------------------------------
+
+BATCHES = (ColumnarBatch, RowstoreBatch, SamplesBatch)
+ALGEBRA = (
+    "take",
+    "_write_costs",
+    "base_costs",
+    "design_costs",
+    "candidate_costs",
+    "candidate_frame",
+    "affected_queries",
+    "delta_design_costs",
+    "structure_count",
+    "query_count",
+    "any_write",
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    substrate=st.sampled_from(SUBSTRATES),
+    mix=st.sampled_from(("r1", "htap")),
+    idx=st.lists(st.integers(0, 13), max_size=20),
+    mask=st.integers(0, 1023),
+)
+def test_take_prices_like_indexing_the_full_batch(substrate, mix, idx, mask):
+    """``take(idx)`` (repeats and the empty subset included) then any
+    reduction equals the full batch's result indexed by ``idx``."""
+    model, candidates, profiles = _substrate(substrate, mix)
+    batch = kernel_for(model).compile(profiles, candidates)
+    idx = [i % len(profiles) for i in idx]
+    members = [i for i in range(len(candidates)) if mask & (1 << i)]
+    taken = batch.take(idx)
+
+    assert taken.query_count == len(idx)
+    assert taken.sqls == [batch.sqls[i] for i in idx]
+    np.testing.assert_array_equal(
+        taken.design_costs(members), batch.design_costs(members)[idx]
+    )
+    np.testing.assert_array_equal(taken.base_costs(), batch.base_costs()[idx])
+    np.testing.assert_array_equal(taken.candidate_costs(), batch.candidate_costs()[:, idx])
+    for got, want in zip(taken.candidate_frame(), batch.candidate_frame()):
+        np.testing.assert_array_equal(got, want[:, idx])
+
+
+def test_take_fixture_mixes_reads_and_writes():
+    """The htap leg of the ``take`` property really prices writes."""
+    for substrate in SUBSTRATES:
+        model, candidates, profiles = _substrate(substrate, "htap")
+        batch = kernel_for(model).compile(profiles, candidates)
+        assert batch.any_write and not batch.is_write.all()
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_query_axis_declarations_are_complete(substrate):
+    """Every array field with a query-sized axis is declared in
+    ``per_query`` / ``per_pair`` (so ``take`` slices it) and no other
+    field is — on a batch whose axis lengths are pairwise different."""
+    model, candidates, profiles = _substrate(substrate, "htap")
+    kernel = kernel_for(model)
+    for count in range(len(profiles), 0, -1):
+        arena = kernel.compile_queries(profiles[:count])
+        batch = kernel.bind(arena, candidates)
+        other_axes = (
+            batch.structure_count,
+            arena.acc_table.shape[0],
+            arena.dim_pad.shape[1],
+            arena.bits.words,
+        )
+        if count not in other_axes:
+            break
+    else:
+        pytest.fail("no query count distinct from every other axis length")
+
+    arrays = {
+        f.name: getattr(batch, f.name)
+        for f in fields(batch)
+        if isinstance(getattr(batch, f.name), np.ndarray)
+    }
+    with_query_axis = {name for name, value in arrays.items() if count in value.shape}
+    assert with_query_axis == set(batch.per_query) | set(batch.per_pair)
+    assert not set(batch.per_query) & set(batch.per_pair)
+    assert all(arrays[name].shape[0] == count for name in batch.per_query)
+    assert all(arrays[name].shape[1] == count for name in batch.per_pair)
+
+
+def test_algebra_has_one_implementation():
+    """Each algebra name is the same object on all three batch classes,
+    and the kernels share one ``__init__`` / ``compile``: a re-forked
+    per-substrate copy fails here instead of in review."""
+    for name in ALGEBRA:
+        assert len({id(getattr(cls, name)) for cls in BATCHES}) == 1, name
+    for name in ("__init__", "compile"):
+        kernels = (ColumnarKernel, RowstoreKernel, SamplesKernel)
+        assert len({id(getattr(cls, name)) for cls in kernels}) == 1, name
 
 
 # -- the service-level arena cache -------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.cliffguard import CliffGuard
 from repro.costing.kernel import kernel_for
 from repro.costing.memo import BoundedMemo
 from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
@@ -31,8 +32,10 @@ from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
+from repro.workload.distance import WorkloadDistance
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
+from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
 
 SUBSTRATES = ("columnar", "rowstore", "samples")
@@ -360,6 +363,51 @@ def test_kernel_events_and_counters_emitted():
     sampled = registry.snapshot()
     assert sampled["costing.kernel.batch_calls"] == 1
     assert sampled["costing.kernel.pairs_priced"] == len(sqls)
+
+
+def test_every_kernel_bind_is_traced(tiny_star, tiny_trace, tiny_windows, columnar_adapter):
+    """Over a CliffGuard design the ``kernel_bind`` event count equals the
+    number of ``kernel.bind`` calls: matrix-entry builds and delta-priced
+    neighborhood candidates bind through ``_bind`` like everything else."""
+    schema, _ = tiny_star
+    window = tiny_windows[1]
+    pool = [q for q in tiny_trace if q.timestamp < window.span_days[0]]
+    sampler = NeighborhoodSampler(
+        WorkloadDistance(schema.total_columns),
+        schema,
+        pool=pool,
+        seed=3,
+        min_query_set=4,
+        max_query_set=8,
+    )
+    adapter = columnar_adapter
+    kernel = adapter.costing.kernel
+    bind = kernel.bind
+    calls = []
+
+    def counting_bind(arena, structures):
+        calls.append(len(structures))
+        return bind(arena, structures)
+
+    kernel.bind = counting_bind
+    robust = CliffGuard(
+        ColumnarNominalDesigner(adapter),
+        adapter,
+        sampler,
+        gamma=0.005,
+        n_samples=3,
+        max_iterations=2,
+    )
+    buffer = io.StringIO()
+    previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
+    try:
+        robust.design(window)
+    finally:
+        set_tracer(previous)
+    events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    binds = [e["structures"] for e in events if e["event"] == "kernel_bind"]
+    assert 0 in calls, "the design must build a matrix entry (an empty bind)"
+    assert binds == calls
 
 
 # -- BoundedMemo -------------------------------------------------------------------
