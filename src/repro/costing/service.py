@@ -651,14 +651,26 @@ class CostEvaluationService:
         if t.enabled:
             t.emit("arena_evict", reason=reason, arenas=dropped)
 
-    def _compile_arena(self, key: str, unique_sqls: tuple[str, ...], profiles=None):
-        """Profile (unless the caller already holds ``profiles``) and
-        compile one workload arena; counted as a build, cached nowhere."""
+    def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
+        """The compiled workload arena for a distinct-SQL tuple.
+
+        Builds (and LRU-caches) on miss: queries are profiled (unless
+        the caller already holds ``profiles``) and the kernel's
+        ``compile_queries`` runs once; every later design bind against
+        the same query set reuses the arrays.
+        """
+        key = _digest("a", *unique_sqls)
+        arena = self._arenas.get(key)
+        t = tracer()
+        if arena is not None:
+            self.arena_stats.hits += 1
+            if t.enabled:
+                t.emit("arena_hit", key=key, queries=len(unique_sqls))
+            return arena
         if profiles is None:
             profiles = [self.cost_model.profile(sql) for sql in unique_sqls]
-        arena = self.kernel.compile_queries(profiles)
+        arena = self._arenas[key] = self.kernel.compile_queries(profiles)
         self.arena_stats.builds += 1
-        t = tracer()
         if t.enabled:
             t.emit(
                 "arena_build",
@@ -667,24 +679,6 @@ class CostEvaluationService:
                 queries=len(unique_sqls),
                 bytes=arena.nbytes,
             )
-        return arena
-
-    def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
-        """The compiled workload arena for a distinct-SQL tuple.
-
-        Builds (and LRU-caches) on miss: the kernel's ``compile_queries``
-        runs once and every later design bind against the same query set
-        reuses the arrays.
-        """
-        key = _digest("a", *unique_sqls)
-        arena = self._arenas.get(key)
-        if arena is not None:
-            self.arena_stats.hits += 1
-            t = tracer()
-            if t.enabled:
-                t.emit("arena_hit", key=key, queries=len(unique_sqls))
-            return arena
-        arena = self._arenas[key] = self._compile_arena(key, unique_sqls, profiles)
         return arena
 
     def prepare_workload(self, queries) -> bool:
@@ -741,18 +735,8 @@ class CostEvaluationService:
             t.emit("matrix_evict", reason=reason, entries=dropped, columns=columns)
 
     def _build_matrix_entry(self, sqls: tuple[str, ...], profiles) -> _MatrixEntry:
-        """Compile a fresh matrix entry (arena + eager base costs).
-
-        Requests below the kernel batch threshold are transient: their
-        arena is compiled directly and never enters the arena LRU, so
-        the :func:`beneficial_queries` per-query shape cannot evict the
-        window arenas the rest of the run keeps hitting.
-        """
-        transient = len(sqls) < KERNEL_MIN_BATCH
-        if transient:
-            arena = self._compile_arena(_digest("a", *sqls), sqls, list(profiles))
-        else:
-            arena = self._arena_for(sqls, profiles=list(profiles))
+        """Compile a fresh matrix entry (arena + eager base costs)."""
+        arena = self._arena_for(sqls, profiles=list(profiles))
         # ``base_costs`` depends only on the arena's query-side arrays,
         # so an empty bind prices it once for the entry's whole lifetime.
         base = np.asarray(self._bind(arena, []).base_costs(), dtype=np.float64)
@@ -765,7 +749,7 @@ class CostEvaluationService:
             base=base,
             columns=OrderedDict(),
         )
-        if self.matrix_cache_enabled and not transient:
+        if self.matrix_cache_enabled:
             self._matrix[entry.key] = entry
         return entry
 
@@ -804,13 +788,8 @@ class CostEvaluationService:
         Resolution order: exact key, then a resident superset entry
         (row-mapped), then extension of the entry sharing at least half
         the requested SQL, then a fresh build.  With the cache disabled
-        every call builds a transient entry — same pricing, same
-        counters, nothing retained.  Requests below the kernel batch
-        threshold are transient too (the :func:`beneficial_queries`
-        per-query shape): a tiny request served through a resident
-        entry would price whole entry-length columns for its fresh
-        candidates, and retaining one entry per query only bloats the
-        superset scan.
+        every call builds an entry that is not retained — same pricing,
+        same counters.
 
         ``fps`` — the request's candidate fingerprints — gates the
         superset and extension paths: serving a request through a
@@ -820,7 +799,7 @@ class CostEvaluationService:
         whose candidates the entry has never seen (a designer minting
         fresh candidates per window) builds at its own width instead.
         """
-        if not self.matrix_cache_enabled or len(sqls) < KERNEL_MIN_BATCH:
+        if not self.matrix_cache_enabled:
             return self._build_matrix_entry(sqls, profiles), None
         key = _digest("m", *sqls)
         entry = self._matrix.get(key)

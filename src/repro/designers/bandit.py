@@ -96,7 +96,8 @@ def extract_features(
     if n == 0 or base.size == 0:
         return np.zeros((n, FEATURE_DIM), dtype=np.float64)
     cost_mass = float(np.dot(weights, base))
-    denom = cost_mass if cost_mass > 0 else 1.0
+    # A denormal cost mass is no mass: dividing by it overflows to inf.
+    denom = cost_mass if cost_mass > 1e-12 else 1.0
     weight_mass = float(weights.sum()) or 1.0
     finite = np.isfinite(matrix)
     # delta[c, q] > 0: candidate c improves query q; < 0: it regresses it
@@ -106,9 +107,10 @@ def extract_features(
     penalty = (np.maximum(-delta, 0.0) @ weights) / denom
     improves = finite & (delta > 1e-12)
     coverage = (improves @ weights) / weight_mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(base[None, :] > 0, delta / base[None, :], 0.0)
-    best_rel = np.max(np.where(improves, rel, 0.0), axis=1, initial=0.0)
+    # Only improving cells are divided: there 0 < delta <= base, so the
+    # quotient can neither overflow nor divide by zero.
+    rel = np.divide(delta, base[None, :], out=np.zeros_like(delta), where=improves)
+    best_rel = np.max(rel, axis=1, initial=0.0)
     size_frac = np.minimum(sizes / float(max(budget_bytes, 1)), 1.0)
     return np.stack(
         [np.ones(n), benefit, penalty, coverage, best_rel, size_frac], axis=1

@@ -18,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.costing.service import workload_fingerprint
 from repro.designers.base import DesignAdapter, Designer
 from repro.obs import tracer
@@ -30,7 +32,6 @@ from repro.state import (
     restore_designer,
     run_key,
 )
-from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
 #: The paper's benefit threshold for including a query in the evaluation.
@@ -49,42 +50,52 @@ def beneficial_queries(
     method (a nominal designer); the ideal cost of a query is its best cost
     across the candidates generated for that query alone.
     """
-    parseable: list[tuple[WorkloadQuery, object]] = []
+    queries: list = []
+    profiles: list = []
     for query in workload.collapsed():
         try:
-            profile = adapter.profile(query.sql)
+            profiles.append(adapter.profile(query.sql))
         except ValueError:
             continue
-        parseable.append((query, profile))
-    if not parseable:
+        queries.append(query)
+    if not queries:
         return Workload([])
     # One batched sweep prices every base cost (vectorized when the
-    # costing service has a kernel for this substrate); the per-query
-    # candidate matrices below reuse the same compiled machinery.
+    # costing service has a kernel for this substrate).
     (base_report,) = adapter.workload_costs_batch(
-        [adapter.empty_design()], [query.sql for query, _ in parseable]
+        [adapter.empty_design()], [query.sql for query in queries]
     )
+    bases = base_report.per_query_ms
+    own = [candidate_source.generate_candidates(Workload([query])) for query in queries]
     service = adapter.costing
-    kernel = getattr(service, "kernel", None)
-    kept: list[WorkloadQuery] = []
-    for (query, profile), base in zip(parseable, base_report.per_query_ms):
-        candidates = candidate_source.generate_candidates(Workload([query]))
-        if kernel is not None and candidates:
+    ideal = list(bases)
+    if getattr(service, "kernel", None) is not None:
+        # One matrix per window: the per-query candidate lists are interned
+        # into a de-duplicated union and priced against every query in one
+        # call; each query is credited with its *own* rows only.  A cell
+        # does not depend on what shares the batch, unservable cells are
+        # inf and off-table cells equal the base cost, so folding into
+        # ``bases`` reproduces the scalar per-query minimum bit for bit.
+        row_of: dict = {}
+        rows = [row_of.setdefault(c, len(row_of)) for own_q in own for c in own_q]
+        cols = [q for q, own_q in enumerate(own) for _ in own_q]
+        if rows:
             _, matrix = service.candidate_costs(
-                [profile], candidates, adapter.make_design
+                profiles, list(row_of), adapter.make_design
             )
-            # Unservable cells are inf and off-table cells equal the base
-            # cost, so folding in ``base`` reproduces the scalar minimum.
-            best = min(base, float(matrix[:, 0].min()))
-        else:
-            best = base
-            for candidate in candidates:
+            best = np.array(bases, dtype=np.float64)
+            np.minimum.at(best, cols, matrix[rows, cols])
+            ideal = best.tolist()
+    else:
+        for q, (profile, own_q) in enumerate(zip(profiles, own)):
+            for candidate in own_q:
                 single = adapter.make_design([candidate])
-                cost = adapter.query_cost(profile, single)
-                if cost < best:
-                    best = cost
-        if best > 0 and base / best >= factor:
-            kept.append(query)
+                ideal[q] = min(ideal[q], adapter.query_cost(profile, single))
+    kept = [
+        query
+        for query, base, best in zip(queries, bases, ideal)
+        if best > 0 and base / best >= factor
+    ]
     return Workload(kept)
 
 

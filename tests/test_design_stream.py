@@ -351,36 +351,36 @@ def test_matrix_excluded_from_state_export():
     np.testing.assert_array_equal(matrix_1, matrix_2)
 
 
-# -- transient arenas ---------------------------------------------------------------
+# -- sub-threshold requests -----------------------------------------------------------
 
 
-def test_sub_threshold_requests_never_evict_window_arenas():
-    """Regression: one-query ``candidate_costs`` calls (the
-    ``beneficial_queries`` shape) used to insert their throw-away arena
-    into the 8-entry arena LRU, evicting the window arenas every later
-    fill needs.  Transient arenas are still built (and counted), but
-    never resident."""
-    model, candidates, profiles = _substrate("columnar", "read")
-    adapter, service = _stack(model, warm=True)
-    sqls = [p.sql for p in profiles]
-    service.prepare_workload(sqls)
-    assert service.cached_arenas == 1
-    (resident,) = [arena for _, arena in service._arenas.items()]
-    builds = service.arena_stats.builds
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize("mix", MIXES)
+def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix):
+    """A ``candidate_costs`` request below ``KERNEL_MIN_BATCH`` takes the
+    same path as any other: its ``(base, matrix)`` are the same floats as
+    the matching query columns of a full-width request."""
+    model, candidates, profiles = _substrate(substrate, mix)
+    full_adapter, full = _stack(model, warm=True)
+    base_full, matrix_full = full.candidate_costs(
+        profiles, candidates, full_adapter.make_design
+    )
     small = KERNEL_MIN_BATCH - 1
-    for i in range(20):
-        start = i % (len(profiles) - small + 1)
-        service.candidate_costs(
-            profiles[start : start + small], candidates[:4], adapter.make_design
-        )
-    assert service.cached_arenas == 1
-    assert service.arena_stats.evictions == 0
-    assert [arena for _, arena in service._arenas.items()] == [resident]
-    assert service.arena_stats.builds == builds + 20
-    # The window arena still serves the next full-width fill.
-    hits = service.arena_stats.hits
-    service.workload_cost(_workload(sqls), adapter.make_design(candidates[:2]))
-    assert service.arena_stats.hits == hits + 1
+    for start in range(0, len(profiles) - small + 1, 3):
+        picks = list(range(start, start + small))
+        for warm in (False, True):
+            adapter, service = _stack(model, warm=warm)
+            base, matrix = service.candidate_costs(
+                [profiles[i] for i in picks], candidates, adapter.make_design
+            )
+            np.testing.assert_array_equal(base, base_full[picks])
+            np.testing.assert_array_equal(matrix, matrix_full[:, picks])
+    # Served through the resident full-width entry, too.
+    base, matrix = full.candidate_costs(
+        profiles[:small], candidates, full_adapter.make_design
+    )
+    np.testing.assert_array_equal(base, base_full[:small])
+    np.testing.assert_array_equal(matrix, matrix_full[:, :small])
 
 
 # -- golden: exported stats and cache order are the parent commit's -----------------
