@@ -12,15 +12,18 @@ Compiled layout:
 
 * every ``(table, column)`` of the schema gets a global bit; column sets
   (query needs, projection columns, index keys, view groups, sample
-  strata) become fixed-width ``uint64`` bit arrays, so coverage checks
-  are ``np.bitwise_and`` + ``np.bitwise_count`` reductions (numpy >= 2.0,
-  the same floor as :mod:`repro.workload.distance`),
+  strata) become fixed-width ``uint64`` bit arrays, so a coverage check
+  is ``need & ~have == 0`` per mask word — and a table's bits are
+  contiguous, so a same-table check reads only that table's words,
 * per-query anchor row counts, selectivities, predicate counts, and byte
   widths are ``float64`` arrays,
 * everything that depends on a *(structure, query)* pair through Python
   semantics — sort-key-prefix selectivity walks, B-tree seek depths,
   GROUP BY/ORDER BY sort-order matches — is folded into precomputed
-  per-pair factor matrices during compilation.
+  per-pair factor matrices.  The query half of each walk is compiled
+  once: per table, its accesses' predicates as factor / flag tables
+  indexed by table-local column id (:class:`_TablePredicates`), the
+  GROUP BY / ORDER BY combinations, the queries a view could answer.
 
 Compilation is split into two halves so workloads compile **once**:
 
@@ -32,8 +35,12 @@ Compilation is split into two halves so workloads compile **once**:
   costing service caches them by workload fingerprint and reuses them
   across CliffGuard iterations, greedy sweeps, and replay windows;
 * ``bind`` (e.g. :meth:`ColumnarKernel.bind`) attaches a structure set
-  to an arena, computing only the per-design masks and pair-factor
-  matrices.  :meth:`_Kernel.compile` is exactly
+  to an arena and does per-design work only: the structures' masks and
+  key column ids, then per table one coverage block and one
+  :func:`_prefix_fold` over (its structures × its accesses), a dict
+  lookup per sort-key prefix, a scalar rollup per (view, answerable
+  query) — and the write side only if the arena holds a write.
+  :meth:`_Kernel.compile` is exactly
   ``bind(compile_queries(profiles), structures)`` and remains the
   one-shot entry point.
 
@@ -88,6 +95,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,20 +117,6 @@ __all__ = [
 ]
 
 
-def _require_bitwise_count(module=np) -> None:
-    """Fail fast (with an actionable message) on numpy < 2.0."""
-    if not hasattr(module, "bitwise_count"):
-        version = getattr(module, "__version__", "unknown")
-        raise ImportError(
-            "repro.costing.kernel requires numpy >= 2.0 "
-            f"(np.bitwise_count is missing; installed numpy is {version}). "
-            "Upgrade with: pip install 'numpy>=2.0'"
-        )
-
-
-_require_bitwise_count()
-
-
 # -- bit namespace ----------------------------------------------------------------
 
 
@@ -129,13 +124,17 @@ class _ColumnBits:
     """Deterministic (table, column) -> bit assignment over one schema."""
 
     def __init__(self, schema):
-        self.table_ids: dict[str, int] = {
-            name: i for i, name in enumerate(schema.tables)
-        }
+        self.tables: list[str] = list(schema.tables)
+        self.table_ids: dict[str, int] = {name: i for i, name in enumerate(self.tables)}
         self.bits: dict[tuple[str, str], int] = {}
+        #: Per table id ``(first bit, column count)``: a table's bits are
+        #: contiguous, so ``bit - first`` is a table-local column id.
+        self.spans: list[tuple[int, int]] = []
         for name, table in schema.tables.items():
+            first = len(self.bits)
             for column in table.column_names:
                 self.bits[(name, column)] = len(self.bits)
+            self.spans.append((first, len(self.bits) - first))
         self.words = max(1, (len(self.bits) + 63) // 64)
 
     def table_id(self, name: str) -> int:
@@ -147,6 +146,27 @@ class _ColumnBits:
         return np.array(
             [self.table_id(item.table) for item in items], dtype=np.int64
         ).reshape(len(items))
+
+    def local_ids(self, tid: int, keys) -> np.ndarray:
+        """(N, width) table-local column ids of N column-name tuples on
+        table ``tid``; padding and unknown columns get the table's column
+        count — the "unknown column" slot of :class:`_TablePredicates`."""
+        table = self.tables[tid]
+        first, count = self.spans[tid]
+        out = np.full(
+            (len(keys), max((len(key) for key in keys), default=0)), count, dtype=np.intp
+        )
+        for i, key in enumerate(keys):
+            for j, name in enumerate(key):
+                bit = self.bits.get((table, name))
+                if bit is not None:
+                    out[i, j] = bit - first
+        return out
+
+    def word_span(self, tid: int) -> slice:
+        """The mask words holding table ``tid``'s column bits."""
+        first, count = self.spans[tid]
+        return slice(first >> 6, ((first + max(count, 1) - 1) >> 6) + 1)
 
     def mask(self, table: str, columns) -> np.ndarray:
         """uint64 bit-array for a column set (unknown columns are skipped:
@@ -185,11 +205,21 @@ class _ColumnBits:
 
 
 def _covered(need: np.ndarray, have: np.ndarray) -> np.ndarray:
-    """(S, A) bool: ``need[a] ⊆ have[s]`` via popcount of ``need & ~have``."""
-    if have.shape[0] == 0 or need.shape[0] == 0:
-        return np.zeros((have.shape[0], need.shape[0]), dtype=bool)
-    missing = need[None, :, :] & ~have[:, None, :]
-    return np.bitwise_count(missing).sum(axis=2, dtype=np.int64) == 0
+    """(S, A) bool: ``need[a] ⊆ have[s]``, one mask word at a time.  Callers
+    that know both sides live on one table pass only its word span."""
+    covered = np.ones((have.shape[0], need.shape[0]), dtype=bool)
+    for w in range(need.shape[1]):
+        covered &= (need[None, :, w] & ~have[:, None, w]) == 0
+    return covered
+
+
+def _rows_by_table(struct_table: np.ndarray) -> dict[int, np.ndarray]:
+    """table id -> the structure rows on it (tables the schema lacks dropped)."""
+    rows: dict[int, list[int]] = {}
+    for s, tid in enumerate(struct_table.tolist()):
+        if tid >= 0:
+            rows.setdefault(tid, []).append(s)
+    return {tid: np.array(members, dtype=np.intp) for tid, members in rows.items()}
 
 
 # -- shared access-side compilation -----------------------------------------------
@@ -246,29 +276,25 @@ def _dim_sum_matrix(dim_pad: np.ndarray, term: np.ndarray) -> np.ndarray:
     return total
 
 
-def _write_touch_mask(
-    struct_table: np.ndarray,
-    struct_write_mask: np.ndarray,
-    anchor_tid: np.ndarray,
-    is_write: np.ndarray,
-    always_touch: np.ndarray,
-    written_mask: np.ndarray,
-) -> np.ndarray:
+def _write_touch_mask(arena, struct_table, struct_write_mask) -> np.ndarray:
     """(S, Q) bool: the write in query ``q`` forces maintenance of ``s``.
 
     Mirrors the scalar ``write_touches``: the structure lives on the
     written table, and either the statement rewrites whole rows
     (insert/delete, ``always_touch``) or the update's written-column set
-    intersects the structure's column set (bitmask AND + popcount).
+    intersects the structure's column set.  Only same-table (structure,
+    write) pairs can touch, so each table's block is computed over its
+    own write queries and mask words.
     """
-    same = struct_table[:, None] == anchor_tid[None, :]
-    if struct_write_mask.shape[0] == 0 or written_mask.shape[0] == 0:
-        return np.zeros(
-            (struct_write_mask.shape[0], written_mask.shape[0]), dtype=bool
-        )
-    overlap = struct_write_mask[:, None, :] & written_mask[None, :, :]
-    has_common = np.bitwise_count(overlap).sum(axis=2, dtype=np.int64) > 0
-    return same & is_write[None, :] & (always_touch[None, :] | has_common)
+    touch = np.zeros((struct_table.shape[0], arena.query_count), dtype=bool)
+    writes = np.flatnonzero(arena.is_write)
+    write_tid = arena.acc_table[arena.anchor_acc[writes]]
+    for tid, rows in _rows_by_table(struct_table).items():
+        qs = writes[write_tid == tid]
+        span = arena.bits.word_span(tid)
+        disjoint = _covered(arena.written_mask[qs, span], ~struct_write_mask[rows, span])
+        touch[np.ix_(rows, qs)] = arena.always_touch[qs][None, :] | ~disjoint
+    return touch
 
 
 def _write_fold_order(keys) -> np.ndarray:
@@ -323,30 +349,116 @@ def _compile_write_side(profiles, bits: "_ColumnBits", model) -> dict:
     )
 
 
+class _TablePredicates(NamedTuple):
+    """One table's interned accesses and their predicates, by table-local
+    column id (row ``columns(table)`` = "unknown column": no predicate)."""
+
+    acc: np.ndarray  # (A_t,) the accesses on this table
+    factor: np.ndarray  # (C+1, A_t) eq selectivity, else range selectivity, else 1.0
+    is_eq: np.ndarray  # (C+1, A_t) bool: the column carries an eq predicate
+    seekable: np.ndarray  # (C+1, A_t) bool: ... an eq or a range predicate
+
+
 def _access_side(accesses, bits: _ColumnBits, consts) -> dict:
     """Per-access arrays (by arena field name) the two join-capable
     substrates compile the same way."""
     acc_build_add = np.zeros(len(accesses), dtype=np.float64)
+    by_table: dict[int, list[int]] = {}
     for i, access in enumerate(accesses):
         rows = max(access.row_count * access.total_selectivity, 1.0)
         acc_build_add[i] = rows * consts.JOIN_BUILD_COST_MS
+        by_table.setdefault(bits.table_id(access.table), []).append(i)
+    predicates: dict[int, _TablePredicates] = {}
+    for tid, members in by_table.items():
+        first, count = bits.spans[tid]
+        factor = np.ones((count + 1, len(members)), dtype=np.float64)
+        is_eq = np.zeros(factor.shape, dtype=bool)
+        seekable = np.zeros(factor.shape, dtype=bool)
+        for k, i in enumerate(members):
+            access = accesses[i]
+            # Ranges first: a column with both predicates keeps its eq factor.
+            for pairs, eq in ((access.range_selectivity, False), (access.eq_selectivity, True)):
+                for name, selectivity in pairs:
+                    bit = bits.bits.get((access.table, name))
+                    if bit is not None:
+                        factor[bit - first, k] = selectivity
+                        seekable[bit - first, k] = True
+                        is_eq[bit - first, k] |= eq
+        predicates[tid] = _TablePredicates(
+            np.array(members, dtype=np.intp), factor, is_eq, seekable
+        )
     return dict(
         accesses=accesses,
         acc_rows=np.array([float(a.row_count) for a in accesses], dtype=np.float64),
         acc_pred=np.array([float(a.predicate_count) for a in accesses], dtype=np.float64),
         acc_build_add=acc_build_add,
         acc_mask=bits.masks([(a.table, a.needed_columns) for a in accesses]),
+        predicates=predicates,
     )
 
 
-def affected_union(batch) -> np.ndarray:
-    """(Q,) bool: queries whose cost can depend on *any* of the bound
-    batch's structures — the OR of ``affected_queries`` over every
-    structure row.  This is the multi-structure generalisation the
-    design-diff delta path needs: a design step that adds and removes
-    several structures can only move the costs inside this mask.
+def _prefix_fold(key_ids: np.ndarray, side: _TablePredicates):
+    """Walk each structure's key against each access of its table ->
+    ``(selectivity, depth)``, both (S_t, A_t) float64.
+
+    The scalar walks (``_prefix_selectivity``, ``seek_prefix``) consume
+    key columns left to right while each carries an eq predicate, plus
+    the first non-eq one if it carries a range.  Position ``j``
+    multiplies its factor in only while the walk is alive — skipped
+    positions multiply by exactly 1.0, a bit-exact identity — so every
+    pair sees the scalar model's multiply order.  ``key_ids`` is the
+    (S_t, W) table-local column id per key position.
     """
-    return batch._related().any(axis=0)
+    shape = (key_ids.shape[0], side.acc.shape[0])
+    total = np.ones(shape, dtype=np.float64)
+    depth = np.zeros(shape, dtype=np.float64)
+    alive = np.ones(shape, dtype=bool)
+    for column in key_ids.T:
+        total = total * np.where(alive, side.factor[column], 1.0)
+        depth += alive & side.seekable[column]
+        alive &= side.is_eq[column]
+    return total, depth
+
+
+def _table_blocks(arena, struct_table: np.ndarray, struct_mask: np.ndarray, keys):
+    """Per table with bound structures and arena accesses, yield
+    ``(block, covered, selectivity, depth)``: the ``np.ix_`` index of
+    its (structures × accesses) block, :func:`_covered` over the table's
+    own mask words and the :func:`_prefix_fold` of the structures'
+    ``keys`` (column-name tuples, by structure row).  No other
+    (structure, access) pair can be served."""
+    for tid, rows in _rows_by_table(struct_table).items():
+        side = arena.predicates.get(tid)
+        if side is None:
+            continue
+        span = arena.bits.word_span(tid)
+        covered = _covered(arena.acc_mask[side.acc, span], struct_mask[rows, span])
+        key_ids = arena.bits.local_ids(tid, [keys[s] for s in rows])
+        yield (np.ix_(rows, side.acc), covered, *_prefix_fold(key_ids, side))
+
+
+def _related(struct_table: np.ndarray, side) -> np.ndarray:
+    """(S, Q) bool: the structure's table is the query's anchor table or
+    one of its dimension tables — the only pairs whose cost can differ
+    from the empty-design cost.  ``side`` is an arena or a bound batch."""
+    related = struct_table[:, None] == side.acc_table[side.anchor_acc][None, :]
+    for j in range(side.dim_pad.shape[1]):
+        col = side.dim_pad[:, j]
+        tables = side.acc_table[np.maximum(col, 0)]
+        related = related | (
+            (col >= 0)[None, :] & (struct_table[:, None] == tables[None, :])
+        )
+    return related
+
+
+def affected_union(arena, structures) -> np.ndarray:
+    """(Q,) bool: the arena's queries whose cost can depend on *any* of
+    ``structures`` — the OR of ``affected_queries`` over them.  A design
+    step that adds and removes several structures can only move the
+    costs inside this mask; it needs the arena and the structures'
+    tables, not a bind.
+    """
+    return _related(arena.bits.table_ids_of(structures), arena).any(axis=0)
 
 
 # -- the skeleton: one arena / batch / kernel base ----------------------------------
@@ -381,9 +493,10 @@ class _Arena:
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of the compiled arrays."""
-        return sum(
-            value.nbytes for value in vars(self).values() if isinstance(value, np.ndarray)
-        )
+        arrays = [value for value in vars(self).values() if isinstance(value, np.ndarray)]
+        for side in getattr(self, "predicates", {}).values():
+            arrays.extend(side)
+        return sum(array.nbytes for array in arrays)
 
 
 @dataclass
@@ -442,21 +555,8 @@ class _Batch:
         return best
 
     def _related(self, rows=slice(None)) -> np.ndarray:
-        """(S', Q) bool: the structure's table is the query's anchor table
-        or one of its dimension tables — the only pairs whose cost can
-        differ from the empty-design cost.  Without a dimension term only
-        the anchor table counts."""
-        struct_table = self.struct_table[rows]
-        related = struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
-        if self.base_dim is None:
-            return related
-        for j in range(self.dim_pad.shape[1]):
-            col = self.dim_pad[:, j]
-            tables = self.acc_table[np.maximum(col, 0)]
-            related = related | (
-                (col >= 0)[None, :] & (struct_table[:, None] == tables[None, :])
-            )
-        return related
+        """(S', Q) :func:`_related` of the bound structures ``rows``."""
+        return _related(self.struct_table[rows], self)
 
     def _write_costs(self, locate: np.ndarray, members: np.ndarray) -> np.ndarray:
         """(Q,) write-path costs given the per-query locate cost.
@@ -613,32 +713,35 @@ class _Kernel:
         )
         return accesses, shared
 
-    def _bound(self, arena, structures, struct_table, write_mask, fold_keys, **pairs):
+    def _bound(self, arena, structures, struct_table, write_mask, fold_key, **pairs):
         """``bind`` epilogue: the write-side pair arrays, then the batch.
 
         ``write_mask`` is the (S, words) column set a write must intersect
         to force maintenance of each structure (the scalar
-        ``write_touches`` rule), ``fold_keys`` one sort key per structure
-        reproducing the design container's order (:func:`_write_fold_order`),
-        ``pairs`` the substrate's own per-design arrays.
+        ``write_touches`` rule), ``fold_key`` maps a structure to a sort
+        key reproducing the design container's order
+        (:func:`_write_fold_order`), ``pairs`` the substrate's own
+        per-design arrays.  The write-side arrays are read only under
+        ``any_write``, so a read-only arena binds zeros and does none of
+        that work.
         """
-        write_weight = np.array(
-            [self.model.maintenance_weight(s) for s in structures], dtype=np.float64
-        ).reshape(len(structures))
-        write_touch = _write_touch_mask(
-            struct_table,
-            write_mask,
-            arena.acc_table[arena.anchor_acc],
-            arena.is_write,
-            arena.always_touch,
-            arena.written_mask,
-        )
+        count = len(structures)
+        if arena.is_write.any():
+            write_weight = np.array(
+                [self.model.maintenance_weight(s) for s in structures], dtype=np.float64
+            ).reshape(count)
+            write_touch = _write_touch_mask(arena, struct_table, write_mask)
+            write_rank = _write_fold_order([fold_key(s) for s in structures])
+        else:
+            write_weight = np.zeros(count, dtype=np.float64)
+            write_touch = np.zeros((count, arena.query_count), dtype=bool)
+            write_rank = np.zeros(count, dtype=np.intp)
         return self.batch_type(
             **{name: getattr(arena, name) for name in self._passthrough},
             struct_table=struct_table,
             write_weight=write_weight,
             write_touch=write_touch,
-            write_rank=_write_fold_order(fold_keys),
+            write_rank=write_rank,
             **pairs,
         )
 
@@ -739,6 +842,7 @@ class ColumnarArena(_Arena):
     acc_super_scan: np.ndarray
     acc_build_add: np.ndarray
     acc_mask: np.ndarray
+    predicates: dict[int, _TablePredicates]
     super_anchor: np.ndarray
     has_group: np.ndarray
     has_order: np.ndarray
@@ -746,7 +850,8 @@ class ColumnarArena(_Arena):
     agg_hash_add: np.ndarray
     sort_add: np.ndarray
     n_dims: np.ndarray
-    #: (anchor table id, group-by set / order-by tuple) -> query rows.
+    #: (anchor table id, GROUP BY width, GROUP BY set) / (anchor table id,
+    #: ORDER BY tuple) -> query rows.
     group_queries: dict
     order_queries: dict
 
@@ -798,16 +903,17 @@ class ColumnarKernel(_Kernel):
                 n = max(result_rows, 2.0)
                 sort_add[q] = n * math.log2(n) * _col.SORT_COST_MS
 
-        # Group/order combinations: queries are template-derived, so
-        # distinct (anchor table, group-by set) / (anchor table, order-by
-        # tuple) pairs are few; the bind step evaluates each combination
-        # once per table's structures instead of per (structure, query).
+        # Group/order combinations: queries are template-derived, so the
+        # distinct (anchor table, GROUP BY width, GROUP BY set) / (anchor
+        # table, ORDER BY tuple) keys are few; ``bind`` looks each
+        # structure's sort-key prefixes up in them instead of testing
+        # every (structure, query) pair.
         anchor_tid = shared["acc_table"][shared["anchor_acc"]]
-        group_queries: dict[tuple[int, tuple], list[int]] = {}
-        order_queries: dict[tuple[int, tuple], list[int]] = {}
+        group_queries: dict[tuple, list[int]] = {}
+        order_queries: dict[tuple, list[int]] = {}
         for q, (profile, tid) in enumerate(zip(profiles, anchor_tid.tolist())):
             if profile.group_by:
-                key = (tid, tuple(profile.group_by))
+                key = (tid, len(profile.group_by), frozenset(profile.group_by))
                 group_queries.setdefault(key, []).append(q)
             elif profile.order_by:
                 order_queries.setdefault((tid, profile.order_by), []).append(q)
@@ -831,117 +937,41 @@ class ColumnarKernel(_Kernel):
     def bind(self, arena: ColumnarArena, structures) -> ColumnarBatch:
         structures = list(structures)
         bits = arena.bits
-        accesses = arena.accesses
-        acc_table = arena.acc_table
         struct_table = bits.table_ids_of(structures)
         struct_mask = bits.masks([(s.table, s.columns) for s in structures])
-        scan_valid = _covered(arena.acc_mask, struct_mask) & (
-            struct_table[:, None] == acc_table[None, :]
-        )
-
-        # Fold sort-key-prefix selectivity per (structure, access) pair —
-        # the same multiply-in-order walk the scalar model does, vectorized
-        # over structures.  Sort-key columns are interned to global bit ids
-        # (id ``n_bits`` = "unknown": never eq, never range); per access,
-        # position j contributes its eq/range factor only while every
-        # earlier position matched an eq predicate, and a range match ends
-        # the walk.  Skipped positions multiply by exactly 1.0, which is a
-        # bit-exact identity, and the explicit per-position fold below
-        # keeps the scalar model's left-to-right multiply order.
         sort_keys = [s.sort_key for s in structures]
-        prefix = np.ones((len(structures), len(accesses)), dtype=np.float64)
-        key_width = max((len(k) for k in sort_keys), default=0)
-        if structures and accesses and key_width:
-            n_bits = len(bits.bits)
-            key_ids = np.full((len(structures), key_width), n_bits, dtype=np.intp)
-            for s, structure in enumerate(structures):
-                for j, name in enumerate(sort_keys[s]):
-                    key_ids[s, j] = bits.bits.get((structure.table, name), n_bits)
-            structs_by_table: dict[int, list[int]] = {}
-            for s, tid in enumerate(struct_table.tolist()):
-                structs_by_table.setdefault(tid, []).append(s)
-            for a, (access, tid) in enumerate(zip(accesses, acc_table.tolist())):
-                rows_s = structs_by_table.get(tid)
-                if not rows_s:
-                    continue
-                eq_sel = np.ones(n_bits + 1, dtype=np.float64)
-                rng_sel = np.ones(n_bits + 1, dtype=np.float64)
-                is_eq = np.zeros(n_bits + 1, dtype=bool)
-                is_rng = np.zeros(n_bits + 1, dtype=bool)
-                for name, sel in access.eq_map.items():
-                    bit = bits.bits.get((access.table, name))
-                    if bit is not None:
-                        is_eq[bit] = True
-                        eq_sel[bit] = sel
-                for name, sel in access.range_map.items():
-                    bit = bits.bits.get((access.table, name))
-                    if bit is not None:
-                        is_rng[bit] = True
-                        rng_sel[bit] = sel
-                ids = key_ids[rows_s]
-                eq_hit = is_eq[ids]
-                factor = np.where(
-                    eq_hit,
-                    eq_sel[ids],
-                    np.where(is_rng[ids], rng_sel[ids], 1.0),
-                )
-                alive = np.ones(len(rows_s), dtype=bool)
-                total = np.ones(len(rows_s), dtype=np.float64)
-                for j in range(ids.shape[1]):
-                    total = total * np.where(alive, factor[:, j], 1.0)
-                    alive = alive & eq_hit[:, j]
-                prefix[rows_s, a] = total
 
-        # Pair booleans: GROUP BY streaming and ORDER BY-free matches.
-        # The arena pre-grouped queries by distinct (anchor table,
-        # group-by set) / (anchor table, order-by tuple) combination;
-        # evaluating each combination once against the per-table
-        # structures replaces the per-(structure, query) Python loop.
-        count = arena.query_count
-        sorted_groups = np.zeros((len(structures), count), dtype=bool)
-        order_free = np.zeros((len(structures), count), dtype=bool)
-        rows_by_table: dict[int, list[int]] = {}
-        for s, tid in enumerate(struct_table.tolist()):
-            rows_by_table.setdefault(tid, []).append(s)
-        structs_of = {
-            tid: np.array(rows, dtype=np.intp) for tid, rows in rows_by_table.items()
-        }
-        for (tid, group_by), qs in arena.group_queries.items():
-            rows_s = structs_of.get(tid)
-            if rows_s is None:
-                continue
-            width = len(group_by)
-            group_set = set(group_by)
-            hits = np.fromiter(
-                (
-                    len(sort_keys[s]) >= width
-                    and set(sort_keys[s][:width]) == group_set
-                    for s in rows_s
-                ),
-                dtype=bool,
-                count=len(rows_s),
-            )
-            if hits.any():
-                sorted_groups[np.ix_(rows_s[hits], qs)] = True
-        for (tid, order_by), qs in arena.order_queries.items():
-            rows_s = structs_of.get(tid)
-            if rows_s is None:
-                continue
-            width = len(order_by)
-            hits = np.fromiter(
-                (sort_keys[s][:width] == order_by for s in rows_s),
-                dtype=bool,
-                count=len(rows_s),
-            )
-            if hits.any():
-                order_free[np.ix_(rows_s[hits], qs)] = True
+        # Coverage and sort-key-prefix selectivity, one same-table block
+        # at a time.
+        scan_valid = np.zeros((len(structures), len(arena.accesses)), dtype=bool)
+        prefix = np.ones(scan_valid.shape, dtype=np.float64)
+        for block, covered, selectivity, _depth in _table_blocks(
+            arena, struct_table, struct_mask, sort_keys
+        ):
+            scan_valid[block] = covered
+            prefix[block] = selectivity
+
+        # Pair booleans: a projection streams a GROUP BY whose column set
+        # its leading sort columns equal, and needs no sort for an
+        # ORDER BY that is a prefix of its sort key.
+        sorted_groups = np.zeros((len(structures), arena.query_count), dtype=bool)
+        order_free = np.zeros(sorted_groups.shape, dtype=bool)
+        for s, (tid, key) in enumerate(zip(struct_table.tolist(), sort_keys)):
+            for width in range(1, len(key) + 1):
+                head = key[:width]
+                qs = arena.group_queries.get((tid, width, frozenset(head)))
+                if qs is not None:
+                    sorted_groups[s, qs] = True
+                qs = arena.order_queries.get((tid, head))
+                if qs is not None:
+                    order_free[s, qs] = True
 
         return self._bound(
             arena,
             structures,
             struct_table,
             write_mask=struct_mask,
-            fold_keys=[(s.table, s.columns, s.sort_key) for s in structures],
+            fold_key=lambda s: (s.table, s.columns, s.sort_key),
             scan_valid=scan_valid,
             prefix=prefix,
             sorted_groups=sorted_groups,
@@ -995,8 +1025,16 @@ class RowstoreBatch(_Batch):
     def base_dim(self) -> np.ndarray:
         return self.acc_base_scan
 
+    @cached_property
+    def _anchor_full(self) -> np.ndarray:
+        """The all-rows anchor matrix, built once per batch (batches are
+        immutable after ``bind``; ``take`` goes through ``replace``, which
+        starts the copy without it): ``candidate_frame`` reads it through
+        ``_servable`` and ``candidate_costs`` right after."""
+        return self._anchor_matrix(slice(None))
+
     def _servable(self) -> np.ndarray:
-        return np.isfinite(self._anchor_matrix())
+        return np.isfinite(self._anchor_full)
 
     def _dim_matrix(self, rows=slice(None)) -> np.ndarray:
         """(S', A) cost of driving each access through each index.
@@ -1016,8 +1054,10 @@ class RowstoreBatch(_Batch):
         cost = cost + (matched * remaining) * _row.PREDICATE_COST_MS
         return np.where(self.seek_valid[rows], cost, np.inf)
 
-    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
+    def _anchor_matrix(self, rows=None) -> np.ndarray:
         """(S', Q) full query cost via each structure's anchor path."""
+        if rows is None:
+            return self._anchor_full
         idx_anchor = self._dim_matrix(rows)[:, self.anchor_acc] + self.post[None, :]
         return np.where(self.is_view[rows][:, None], self.view_cost[rows], idx_anchor)
 
@@ -1040,8 +1080,11 @@ class RowstoreArena(_Arena):
     acc_base_scan: np.ndarray
     acc_build_add: np.ndarray
     acc_mask: np.ndarray
+    predicates: dict[int, _TablePredicates]
     base_path: np.ndarray
     post: np.ndarray
+    #: anchor table id -> the query rows a view on that table could answer.
+    view_queries: dict[int, list[int]]
 
 
 class RowstoreKernel(_Kernel):
@@ -1072,10 +1115,19 @@ class RowstoreKernel(_Kernel):
             post[q] = model._post_cost(profile)
             base_path[q] = model._scan_cost(profile.anchor) + model._post_cost(profile)
 
+        # A view can only answer an aggregate query with no joins anchored
+        # on its own table (``MaterializedView.answers``' first checks).
+        anchor_tid = shared["acc_table"][shared["anchor_acc"]]
+        view_queries: dict[int, list[int]] = {}
+        for q, (profile, tid) in enumerate(zip(profiles, anchor_tid.tolist())):
+            if profile.has_aggregates and not profile.dimensions:
+                view_queries.setdefault(tid, []).append(q)
+
         return RowstoreArena(
             **shared,
             **_access_side(accesses, shared["bits"], _row),
             profiles=profiles,
+            view_queries=view_queries,
             acc_row_bytes=acc_row_bytes,
             acc_seek_add=acc_seek_add,
             acc_base_scan=acc_base_scan,
@@ -1083,98 +1135,75 @@ class RowstoreKernel(_Kernel):
             post=post,
         )
 
+    @staticmethod
+    def _fold_key(structure) -> tuple:
+        """Scalar fold order: all of a table's indexes (by columns), then
+        its views (by groupings + measures) — see ``_write_cost``."""
+        if isinstance(structure, MaterializedView):
+            return (structure.table, 1, structure.group_columns, structure.measure_columns)
+        return (structure.table, 0, structure.columns, ())
+
     def bind(self, arena: RowstoreArena, structures) -> RowstoreBatch:
         model = self.model
         structures = list(structures)
         bits = arena.bits
-        accesses = arena.accesses
-        profiles = arena.profiles
-        acc_table = arena.acc_table
-
         is_view = np.array(
             [isinstance(s, MaterializedView) for s in structures], dtype=bool
         ).reshape(len(structures))
         struct_table = bits.table_ids_of(structures)
+        # An index covers (and a write touches it) through its key columns,
+        # a view is touched through its groupings + measures (the scalar
+        # ``write_touches`` rule) and covers nothing.
+        struct_mask = bits.masks(
+            [
+                (s.table, s.group_columns + s.measure_columns if view else s.columns)
+                for s, view in zip(structures, is_view.tolist())
+            ]
+        )
         key_bytes = np.zeros(len(structures), dtype=np.float64)
-        acc_mask = arena.acc_mask
-        index_mask = np.zeros((len(structures), bits.words), dtype=np.uint64)
         for s, structure in enumerate(structures):
-            if is_view[s]:
-                continue
-            index_mask[s] = bits.mask(structure.table, structure.columns)
-            if struct_table[s] >= 0:
+            if not is_view[s] and struct_table[s] >= 0:
                 schema_table = model.schema.table(structure.table)
                 key_bytes[s] = float(
-                    sum(
-                        schema_table.column(c).type.byte_width
-                        for c in structure.columns
-                    )
+                    sum(schema_table.column(c).type.byte_width for c in structure.columns)
                 )
-        covering = _covered(acc_mask, index_mask) & ~is_view[:, None]
 
-        # Fold seek depth + prefix selectivity per (index, access) pair.
-        seek_valid = np.zeros((len(structures), len(accesses)), dtype=bool)
-        seek_sel = np.ones((len(structures), len(accesses)), dtype=np.float64)
-        seek_depth = np.zeros((len(structures), len(accesses)), dtype=np.float64)
-        eq_maps = [a.eq_map for a in accesses]
-        range_maps = [a.range_map for a in accesses]
-        acc_by_table: dict[int, list[int]] = {}
-        for i, tid in enumerate(acc_table.tolist()):
-            acc_by_table.setdefault(tid, []).append(i)
-        for s, structure in enumerate(structures):
-            if is_view[s]:
-                continue
-            tid = bits.table_id(structure.table)
-            for a in acc_by_table.get(tid, ()):
-                eq, rng = eq_maps[a], range_maps[a]
-                depth, _used_range = structure.seek_prefix(set(eq), set(rng))
-                if depth == 0:
-                    continue
-                selectivity = 1.0
-                for name in structure.columns[:depth]:
-                    selectivity *= eq.get(name, rng.get(name, 1.0))
-                seek_valid[s, a] = True
-                seek_sel[s, a] = selectivity
-                seek_depth[s, a] = float(depth)
+        # Seek depth + prefix selectivity and covering reads, one
+        # same-table block of index rows at a time (a view's table id is
+        # masked out: it seeks and covers nothing).
+        shape = (len(structures), len(arena.accesses))
+        seek_sel = np.ones(shape, dtype=np.float64)
+        seek_depth = np.zeros(shape, dtype=np.float64)
+        covering = np.zeros(shape, dtype=bool)
+        for block, covered, selectivity, depth in _table_blocks(
+            arena,
+            np.where(is_view, -1, struct_table),
+            struct_mask,
+            [() if view else s.columns for s, view in zip(structures, is_view.tolist())],
+        ):
+            covering[block] = covered
+            seek_sel[block] = selectivity
+            seek_depth[block] = depth
 
-        # View rollup costs are per (view, query) through a log2 term, so
-        # they are folded pair-by-pair with the scalar helper itself.
-        count = arena.query_count
-        view_cost = np.full((len(structures), count), np.inf, dtype=np.float64)
-        for s, structure in enumerate(structures):
-            if not is_view[s]:
-                continue
-            for q, profile in enumerate(profiles):
-                cost = model._view_cost(profile, structure)
+        # View rollup costs go pair by pair through the scalar helper
+        # itself (its log2 term), over the queries a view on that table
+        # could answer.
+        view_cost = np.full((len(structures), arena.query_count), np.inf, dtype=np.float64)
+        for s in np.flatnonzero(is_view).tolist():
+            for q in arena.view_queries.get(int(struct_table[s]), ()):
+                cost = model._view_cost(arena.profiles[q], structures[s])
                 if cost is not None:
                     view_cost[s, q] = cost
 
-        # Write-side: a view is "touched" through its groupings + measures,
-        # an index through its key columns (the scalar write_touches rule).
-        struct_write_mask = index_mask.copy()
-        for s, structure in enumerate(structures):
-            if is_view[s]:
-                struct_write_mask[s] = bits.mask(
-                    structure.table,
-                    tuple(structure.group_columns) + tuple(structure.measure_columns),
-                )
-        # Scalar fold order: all of a table's indexes (by columns), then
-        # its views (by groupings + measures) — see ``_write_cost``.
-        fold_keys = [
-            (s.table, 1, tuple(s.group_columns), tuple(s.measure_columns))
-            if is_view[i]
-            else (s.table, 0, tuple(s.columns), ())
-            for i, s in enumerate(structures)
-        ]
         return self._bound(
             arena,
             structures,
             struct_table,
-            write_mask=struct_write_mask,
-            fold_keys=fold_keys,
+            write_mask=struct_mask,
+            fold_key=self._fold_key,
             is_view=is_view,
             key_bytes=key_bytes,
-            seek_valid=seek_valid,
+            seek_valid=seek_depth > 0,
             seek_sel=seek_sel,
             seek_depth=seek_depth,
             covering=covering,
@@ -1261,6 +1290,8 @@ class SamplesKernel(_Kernel):
         profiles = list(profiles)
         _accesses, shared = self._compile_shared(profiles)
         bits = shared["bits"]
+        # No dimension term: only a query's anchor table relates it to a sample.
+        shared["dim_pad"] = shared["dim_pad"][:, :0]
 
         count = len(profiles)
         exact = np.zeros(count, dtype=np.float64)
@@ -1327,7 +1358,7 @@ class SamplesKernel(_Kernel):
             structures,
             struct_table,
             write_mask=strata_mask,
-            fold_keys=[(s.table, s.strata_columns, s.fraction) for s in structures],
+            fold_key=lambda s: (s.table, s.strata_columns, s.fraction),
             sample_rows=sample_rows,
             valid=valid,
         )

@@ -949,7 +949,8 @@ class CostEvaluationService:
 
         With an already-priced ``reference`` design (CliffGuard's
         incumbent) the fill is a delta: the queries any added/removed
-        structure can touch (``affected_queries`` is conservative:
+        structure can touch (``affected_union`` — read off the arena and
+        the changed structures' tables, no bind — is conservative:
         dimension tables and write maintenance included) are re-priced,
         the rest copy the reference's cached floats verbatim —
         bit-identical, because a query no changed structure can touch
@@ -970,7 +971,7 @@ class CostEvaluationService:
             changed += [s for s in reference if s not in in_design]
         if changed:
             ref_fp = self.design_fingerprint(reference)
-            affected = affected_union(self._bind(arena, changed))
+            affected = affected_union(arena, changed)
             for i, sql in enumerate(misses):
                 if not affected[q_index[sql]]:
                     costs[i] = self._query_cache.peek((ref_fp, sql))

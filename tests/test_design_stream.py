@@ -240,7 +240,7 @@ def _least_affecting(model, candidates, profiles):
     arena = kernel.compile_queries(profiles)
     best, best_count = None, None
     for candidate in candidates:
-        count = int(affected_union(kernel.bind(arena, [candidate])).sum())
+        count = int(affected_union(arena, [candidate]).sum())
         if best_count is None or count < best_count:
             best, best_count = candidate, count
     return best, best_count
