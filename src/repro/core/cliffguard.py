@@ -225,9 +225,6 @@ class CliffGuard(Designer):
                 self.worst_fraction,
                 self.min_worst,
                 self.patience,
-                # The Workload passes through whole: its fingerprint is
-                # identity-memoized and the digest matches the old
-                # list-based spelling, so checkpoint keys are unchanged.
                 workload_fingerprint(workload),
             )
             state = ckpt.load("cliffguard", key)

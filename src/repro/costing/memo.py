@@ -1,16 +1,16 @@
 """The one bounded LRU every cache in the repo is built on.
 
-The engine cost models memoize per-(query, structure) costs, the costing
-service memoizes per-(design, query) costs, workload reports, design
-fingerprints and compiled arenas, and the distance metrics memoize
+The costing service memoizes per-(design, query) costs, design
+fingerprints and compiled arenas, the query profiler memoizes profiles
+by SQL text, and the distance metrics memoize template encodings and
 per-workload terms.  All of them need the same thing — a mapping that
 forgets its least-recently-used entry once it is full — so a months-long
-``scheduled_replay`` or monitor run cannot grow them (and the objects
-they reference) without bound.  :class:`BoundedMemo` is that mapping.
+``scheduled_replay``, monitor or serve run cannot grow them (and the
+objects they reference) without bound.  :class:`BoundedMemo` is that
+mapping.
 
-Cached values include ``None`` ("this structure cannot serve this
-query"), so membership — not ``.get`` — is the read idiom wherever
-``None`` is a legal value.
+Membership — not :meth:`BoundedMemo.get` — is the read idiom wherever
+``None`` is a legal cached value.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from collections.abc import Callable, Iterable
 
 from repro.obs import get_metrics
 
-#: Default bound on one model's per-(query, structure) memo.  Sized like
-#: the service's query cache: large enough for a bench-scale candidate ×
-#: query working set, small enough to cap a months-long replay.
+#: Default bound on one memo (the query profiler's per-text profiles,
+#: the distance metric's per-template encodings): large enough that a
+#: bench-scale run never evicts, small enough to cap an endless stream.
 DEFAULT_MEMO_ENTRIES = 262_144
 
 _MISSING = object()
@@ -32,10 +32,9 @@ class BoundedMemo:
     """LRU-bounded mapping with counted evictions.
 
     Reads come in two strengths: ``memo[key]`` and :meth:`get` refresh
-    the entry's recency, ``key in memo`` and :meth:`peek` do not (``in``
-    is the idiom for memos whose values may be ``None``; it is always
-    followed by ``memo[key]``, which refreshes).  ``memo[key] = value``
-    inserts at the most-recent end and evicts from the other one.
+    the entry's recency, ``key in memo`` and :meth:`peek` do not.
+    ``memo[key] = value`` inserts at the most-recent end and evicts from
+    the other one.
 
     ``by_identity=True`` keys entries by ``id(key)`` instead of by
     ``hash``/``==`` — for key objects that are expensive (or unable) to
@@ -49,7 +48,8 @@ class BoundedMemo:
     oldest-first and :meth:`replace` loads such a list back, so an
     exported cache round-trips with its exact LRU order.  Instances
     without an ``on_evict`` hook are picklable, so cost models carrying
-    one can still ship to process-backend workers.
+    one (through their profiler) can still ship to process-backend
+    workers.
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class BoundedMemo:
         entry = self._entries.get(id(key))
         return entry if entry is not None and entry[0] is key else None
 
-    # The content-keyed branches below are the cost models' and the
+    # The content-keyed branches below are the profiler's and the
     # service's per-lookup hot path: straight dict operations, no helper
     # call in between.
 

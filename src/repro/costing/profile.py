@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.statistics import TableStatistics
+from repro.costing.memo import BoundedMemo
 from repro.sql.ast import (
     Aggregate,
     BetweenPredicate,
@@ -147,7 +148,10 @@ class QueryProfiler:
     def __init__(self, schema: Schema, statistics: dict[str, TableStatistics]):
         self.schema = schema
         self.statistics = statistics
-        self._profiles: dict[str, QueryProfile] = {}
+        #: sql -> profile.  Bounded: a serve session profiles an endless
+        #: stream of distinct texts; an evicted text is re-parsed into an
+        #: equal profile.
+        self._profiles = BoundedMemo("costing.profile_evictions")
 
     def profile(self, sql: str) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text)."""

@@ -25,11 +25,11 @@ Caching contract (see ``docs/cost_model.md`` for the prose version):
   but differing in literals cost differently, so the template alone is
   not a sound key).  Content-identical designs therefore share cache
   entries even when they are distinct objects.
-* **Two exported levels.**  Level 1 memoizes per-(design, query) costs;
-  level 2 memoizes whole :class:`WorkloadCostReport` aggregates per
-  (design, workload).  Both — and the derived fingerprint and arena
-  caches beside them — are :class:`~repro.costing.memo.BoundedMemo`
-  instances, the repo's one LRU class.
+* **One exported level.**  The query cache memoizes per-(design, query)
+  costs; every entry point, workload reports included, is assembled
+  from it.  It — and the derived fingerprint and arena caches beside
+  it — is a :class:`~repro.costing.memo.BoundedMemo`, the repo's one
+  LRU class.
 * **One miss-fill path, in process.**  Every cache miss is priced by
   :meth:`CostEvaluationService._fill_misses`, whose callers only choose
   *how* the stale cells get their floats (scalar model, full arena
@@ -52,8 +52,8 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from functools import partial
 from typing import Protocol, runtime_checkable
@@ -64,15 +64,12 @@ from repro.costing.kernel import affected_union, kernel_for
 from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
-from repro.workload.workload import Workload
 
 #: Default bound on the per-(design, query) memo cache.  Sized to hold a
 #: full bench-scale CliffGuard run's working set (~550k distinct pairs:
 #: the nominal designer's candidate×query matrix dominates); a bound just
 #: under the working set thrashes and loses all cross-iteration reuse.
 DEFAULT_MAX_QUERY_ENTRIES = 1_048_576
-#: Default bound on the per-(design, workload) aggregate cache.
-DEFAULT_MAX_WORKLOAD_ENTRIES = 4_096
 #: Designs whose fingerprints are memoized (they are hashable, so the
 #: digest only has to be computed once per distinct design).
 DEFAULT_MAX_FINGERPRINTS = 16_384
@@ -85,9 +82,6 @@ KERNEL_MIN_BATCH = 8
 #: a handful of windows are ever live at once; each holds the compiled
 #: query-side arrays plus profiles, so the bound is deliberately small.
 DEFAULT_MAX_ARENAS = 8
-#: Bound on the identity-keyed memos for workload/design/candidate
-#: fingerprints.
-DEFAULT_MAX_FINGERPRINT_MEMO = 4_096
 #: Bound on the candidate-matrix cache, in (candidate, query) cells
 #: across every resident entry.  Sized for a designer-comparison run
 #: (~1-2k candidates × ~500 distinct queries); the shrink policy drops
@@ -128,22 +122,6 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-def _identity_fingerprint_memo() -> BoundedMemo:
-    """Object -> fingerprint, keyed by identity.  Only sound for objects
-    whose fingerprint-relevant content never mutates —
-    :class:`~repro.workload.workload.Workload` and the design containers
-    qualify; plain lists do not and are never memoized."""
-    return BoundedMemo(
-        "costing.fingerprint_memo_evictions",
-        DEFAULT_MAX_FINGERPRINT_MEMO,
-        by_identity=True,
-    )
-
-
-_WORKLOAD_FP_MEMO = _identity_fingerprint_memo()
-_DESIGN_FP_MEMO = _identity_fingerprint_memo()
-
-
 def query_fingerprint(sql: str) -> str:
     """Stable content hash of one query's exact SQL text."""
     return _digest("q", sql)
@@ -155,31 +133,18 @@ def design_fingerprint(design) -> str:
     Designs iterate their structures in deterministic order and every
     structure renders stable DDL via ``str``, so two content-identical
     designs — even distinct objects built in different ways — produce
-    the same fingerprint.  Recomputation is memoized per design *object*
-    (designs are immutable containers); the digest itself is unchanged.
+    the same fingerprint.
     """
-    cached = _DESIGN_FP_MEMO.get(design)
-    if cached is not None:
-        return cached
-    fingerprint = _digest("d", *[str(structure) for structure in design])
-    _DESIGN_FP_MEMO[design] = fingerprint
-    return fingerprint
+    return _digest("d", *[str(structure) for structure in design])
 
 
 def workload_fingerprint(queries: Iterable) -> str:
     """Stable content hash of a (sql, weight) sequence, order-sensitive.
 
     Accepts raw iterables (lists, generators) or a
-    :class:`~repro.workload.workload.Workload`; passing the ``Workload``
-    itself is preferred on hot paths — its fingerprint is memoized by
-    object identity (the container is immutable-ish), so run keys and
-    cache keys stop re-hashing the same window every call.
+    :class:`~repro.workload.workload.Workload`; both spell the same
+    digest.
     """
-    memoable = isinstance(queries, Workload)
-    if memoable:
-        cached = _WORKLOAD_FP_MEMO.get(queries)
-        if cached is not None:
-            return cached
     parts: list[str] = ["w"]
     for query in queries:
         if isinstance(query, str):
@@ -188,17 +153,32 @@ def workload_fingerprint(queries: Iterable) -> str:
         else:
             parts.append(query.sql)
             parts.append(repr(float(query.frequency)))
-    fingerprint = _digest(*parts)
-    if memoable:
-        _WORKLOAD_FP_MEMO[queries] = fingerprint
-    return fingerprint
+    return _digest(*parts)
 
 
 # -- instrumentation -------------------------------------------------------------
 
 
+class _Counters:
+    """``snapshot`` / ``since`` over whatever fields a stats dataclass
+    declares, so a field added to one can never read 0 in a delta."""
+
+    def snapshot(self):
+        """An independent copy (for before/after deltas)."""
+        return replace(self)
+
+    def since(self, earlier):
+        """The delta between this snapshot and an ``earlier`` one."""
+        return type(self)(
+            **{
+                f.name: getattr(self, f.name) - getattr(earlier, f.name)
+                for f in dataclass_fields(self)
+            }
+        )
+
+
 @dataclass
-class CostServiceStats:
+class CostServiceStats(_Counters):
     """Counters for one service (cumulative; see :meth:`snapshot`)."""
 
     #: Query-cost lookups requested by consumers (hits + misses).
@@ -207,10 +187,6 @@ class CostServiceStats:
     query_hits: int = 0
     #: Raw calls into the underlying cost model's ``query_cost``.
     raw_model_calls: int = 0
-    #: Workload-aggregate lookups requested (hits + misses).
-    workload_requests: int = 0
-    #: Aggregates served from the workload-level cache.
-    workload_hits: int = 0
     #: Duplicate (design, query) pairs collapsed by batched evaluation
     #: before any cache or model was consulted.
     dedup_saved: int = 0
@@ -231,10 +207,6 @@ class CostServiceStats:
     write_pairs_priced: int = 0
 
     @property
-    def query_misses(self) -> int:
-        return self.query_requests - self.query_hits
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of query-cost lookups served from cache."""
         if self.query_requests == 0:
@@ -249,38 +221,6 @@ class CostServiceStats:
             return 0.0
         return self.dedup_saved / total
 
-    def snapshot(self) -> "CostServiceStats":
-        """An independent copy (for before/after deltas)."""
-        return CostServiceStats(
-            query_requests=self.query_requests,
-            query_hits=self.query_hits,
-            raw_model_calls=self.raw_model_calls,
-            workload_requests=self.workload_requests,
-            workload_hits=self.workload_hits,
-            dedup_saved=self.dedup_saved,
-            eval_seconds=self.eval_seconds,
-            evictions=self.evictions,
-            kernel_batch_calls=self.kernel_batch_calls,
-            kernel_pairs_priced=self.kernel_pairs_priced,
-            write_pairs_priced=self.write_pairs_priced,
-        )
-
-    def since(self, earlier: "CostServiceStats") -> "CostServiceStats":
-        """The delta between this snapshot and an ``earlier`` one."""
-        return CostServiceStats(
-            query_requests=self.query_requests - earlier.query_requests,
-            query_hits=self.query_hits - earlier.query_hits,
-            raw_model_calls=self.raw_model_calls - earlier.raw_model_calls,
-            workload_requests=self.workload_requests - earlier.workload_requests,
-            workload_hits=self.workload_hits - earlier.workload_hits,
-            dedup_saved=self.dedup_saved - earlier.dedup_saved,
-            eval_seconds=self.eval_seconds - earlier.eval_seconds,
-            evictions=self.evictions - earlier.evictions,
-            kernel_batch_calls=self.kernel_batch_calls - earlier.kernel_batch_calls,
-            kernel_pairs_priced=self.kernel_pairs_priced - earlier.kernel_pairs_priced,
-            write_pairs_priced=self.write_pairs_priced - earlier.write_pairs_priced,
-        )
-
     def rows(self) -> list[list[object]]:
         """(label, value) rows for the reporting tables."""
         return [
@@ -290,8 +230,6 @@ class CostServiceStats:
             ["query-cache hit rate", self.hit_rate],
             ["batched duplicates collapsed", self.dedup_saved],
             ["dedup ratio", self.dedup_ratio],
-            ["workload-aggregate lookups", self.workload_requests],
-            ["workload-aggregate hits", self.workload_hits],
             ["evaluation wall-time (s)", self.eval_seconds],
             ["cache evictions", self.evictions],
             ["kernel batch dispatches", self.kernel_batch_calls],
@@ -301,7 +239,7 @@ class CostServiceStats:
 
 
 @dataclass
-class ArenaStats:
+class ArenaStats(_Counters):
     """Counters for the workload-arena cache and delta re-costing.
 
     Deliberately **separate** from :class:`CostServiceStats` and
@@ -341,21 +279,6 @@ class ArenaStats:
     #: (design, query) pairs copied verbatim from the incumbent design's
     #: cached costs instead of being re-priced (delta neighborhood path).
     delta_pairs_saved: int = 0
-
-    def snapshot(self) -> "ArenaStats":
-        """An independent copy (for before/after deltas)."""
-        return ArenaStats(
-            **{f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-        )
-
-    def since(self, earlier: "ArenaStats") -> "ArenaStats":
-        """The delta between this snapshot and an ``earlier`` one."""
-        return ArenaStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in dataclass_fields(self)
-            }
-        )
 
     def rows(self) -> list[list[object]]:
         """(label, value) rows for the reporting tables."""
@@ -462,10 +385,9 @@ class CostEvaluationService:
         self,
         cost_model: CostModel,
         max_query_entries: int = DEFAULT_MAX_QUERY_ENTRIES,
-        max_workload_entries: int = DEFAULT_MAX_WORKLOAD_ENTRIES,
     ):
-        if max_query_entries < 1 or max_workload_entries < 1:
-            raise ValueError("cache bounds must be positive")
+        if max_query_entries < 1:
+            raise ValueError("max_query_entries must be positive")
         self.cost_model = cost_model
         #: Vectorized batch kernel for the model, or None (scalar path).
         #: Dispatch is exact-type; stubs and subclasses stay scalar.
@@ -494,19 +416,10 @@ class CostEvaluationService:
         self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
         #: (design_fp, sql) -> cost.
         self._query_cache = BoundedMemo(
-            max_entries=max_query_entries, on_evict=self._entry_evicted("query")
-        )
-        #: (design_fp, workload_fp) -> WorkloadCostReport.
-        self._workload_cache = BoundedMemo(
-            max_entries=max_workload_entries, on_evict=self._entry_evicted("workload")
+            max_entries=max_query_entries, on_evict=self._query_evicted
         )
         #: design object -> fingerprint (designs are hashable by content).
         self._fingerprints = BoundedMemo(max_entries=DEFAULT_MAX_FINGERPRINTS)
-        #: candidate object -> singleton-design fingerprint, by identity:
-        #: ``candidate_costs`` re-fingerprints the same candidate pool on
-        #: every designer invocation, and building + content-hashing the
-        #: one-structure design dominates a warm call.  Derived state.
-        self._single_fps = _identity_fingerprint_memo()
 
     # -- fingerprints --------------------------------------------------------------
 
@@ -523,20 +436,11 @@ class CostEvaluationService:
     def cached_query_entries(self) -> int:
         return len(self._query_cache)
 
-    @property
-    def cached_workload_entries(self) -> int:
-        return len(self._workload_cache)
-
-    def _entry_evicted(self, cache: str) -> Callable[[object, object], None]:
-        """LRU-eviction hook for the exported ``cache`` (query/workload)."""
-
-        def on_evict(_key, _value) -> None:
-            self.stats.evictions += 1
-            t = tracer()
-            if t.enabled:
-                t.emit("cache_evict", reason="lru", cache=cache, entries=1)
-
-        return on_evict
+    def _query_evicted(self, _key, _value) -> None:
+        self.stats.evictions += 1
+        t = tracer()
+        if t.enabled:
+            t.emit("cache_evict", reason="lru", cache="query", entries=1)
 
     def clear(self) -> None:
         """Drop every cached entry (fingerprints survive: content hashes
@@ -546,10 +450,9 @@ class CostEvaluationService:
         "cost model changed under me" escape hatch, and arenas bake the
         model's statistics into their query-side arrays.
         """
-        dropped = len(self._query_cache) + len(self._workload_cache)
+        dropped = len(self._query_cache)
         self.stats.evictions += dropped
         self._query_cache.clear()
-        self._workload_cache.clear()
         self._drop_arenas("clear")
         t = tracer()
         if t.enabled and dropped:
@@ -567,11 +470,11 @@ class CostEvaluationService:
         """
         self._drop_arenas("invalidate_design")
         fingerprint = self.design_fingerprint(design)
-        dropped = 0
-        for cache in (self._query_cache, self._workload_cache):
-            kept = [item for item in cache.items() if item[0][0] != fingerprint]
-            dropped += len(cache) - len(kept)
-            cache.replace(kept)
+        kept = [
+            item for item in self._query_cache.items() if item[0][0] != fingerprint
+        ]
+        dropped = len(self._query_cache) - len(kept)
+        self._query_cache.replace(kept)
         self.stats.evictions += dropped
         t = tracer()
         if t.enabled and dropped:
@@ -582,15 +485,12 @@ class CostEvaluationService:
                 entries=dropped,
             )
 
-    def reset_stats(self) -> None:
-        self.stats = CostServiceStats()
-
     # -- checkpoint/resume support ---------------------------------------------------
 
     def export_state(self) -> dict:
-        """Snapshot the memo caches and counters for a run checkpoint.
+        """Snapshot the query cache and counters for a run checkpoint.
 
-        The export preserves LRU order (items lists are oldest-first)
+        The export preserves LRU order (the items list is oldest-first)
         and the exact cached floats, so a service restored via
         :meth:`import_state` serves the same hits, misses, and values —
         in the same eviction order — as the service it was exported
@@ -608,7 +508,6 @@ class CostEvaluationService:
         """
         return {
             "query": self._query_cache.items(),
-            "workload": self._workload_cache.items(),
             "stats": self.stats.snapshot(),
         }
 
@@ -620,7 +519,6 @@ class CostEvaluationService:
         holds stay valid — they depend only on queries and the model.
         """
         self._query_cache.replace(state["query"])
-        self._workload_cache.replace(state["workload"])
         self.stats = state["stats"].snapshot()
 
     # -- workload arenas ---------------------------------------------------------------
@@ -1063,29 +961,20 @@ class CostEvaluationService:
     # -- workload costing -------------------------------------------------------------
 
     def workload_cost(self, queries, design) -> WorkloadCostReport:
-        """Memoized workload report, assembled from the per-query cache.
+        """Workload report, assembled from the per-query cache.
 
         Accepts the same inputs the engine cost models do: an iterable of
         ``WorkloadQuery``-like objects (``sql`` + ``frequency``) or raw
         SQL strings (weight 1).
         """
-        # Workload containers pass through intact so the fingerprint memo
-        # can key on their identity; anything else is materialized first.
-        materialized = queries if isinstance(queries, Workload) else list(queries)
         design_fp = self.design_fingerprint(design)
-        key = (design_fp, workload_fingerprint(materialized))
-        self.stats.workload_requests += 1
-        cached = self._workload_cache.get(key)
-        if cached is not None:
-            self.stats.workload_hits += 1
-            return cached
         # Misses are collapsed to distinct SQL and priced in one batched
         # fill instead of one scalar ``query_cost`` per occurrence.
         # Counters match the per-occurrence loop exactly: every
         # occurrence is a request, repeated occurrences of one SQL hit
         # the entry its first occurrence filled, and each distinct miss
         # is one raw model call.
-        sqls, weights = _sql_weights(materialized)
+        sqls, weights = _sql_weights(queries)
         distinct = tuple(dict.fromkeys(sqls))
         misses = [
             sql for sql in distinct if (design_fp, sql) not in self._query_cache
@@ -1099,9 +988,7 @@ class CostEvaluationService:
                 misses,
                 partial(self._price_through_arena, distinct, None),
             )
-        report = self._report(design, design_fp, sqls, weights)
-        self._workload_cache[key] = report
-        return report
+        return self._report(design, design_fp, sqls, weights)
 
     # -- batched neighborhood evaluation ----------------------------------------------
 
@@ -1166,22 +1053,13 @@ class CostEvaluationService:
         entries their first occurrence filled.
         """
         with _Timer(self.stats):
-            materialized = list(workload)
-            sqls, weights = _sql_weights(materialized)
-            workload_fp = workload_fingerprint(materialized)
+            sqls, weights = _sql_weights(workload)
             unique = tuple(dict.fromkeys(sqls))
             designs = list(designs)
             sweep = _DesignSweep(self, designs, unique)
             reports: list[WorkloadCostReport] = []
             for design in designs:
                 design_fp = self.design_fingerprint(design)
-                self.stats.workload_requests += 1
-                key = (design_fp, workload_fp)
-                cached = self._workload_cache.get(key)
-                if cached is not None:
-                    self.stats.workload_hits += 1
-                    reports.append(cached)
-                    continue
                 misses = [
                     sql for sql in unique if (design_fp, sql) not in self._query_cache
                 ]
@@ -1189,9 +1067,7 @@ class CostEvaluationService:
                 self.stats.query_requests += len(unique)
                 self.stats.query_hits += len(unique) - len(misses)
                 self._fill_misses(design, design_fp, misses, sweep)
-                report = self._report(design, design_fp, sqls, weights)
-                self._workload_cache[key] = report
-                reports.append(report)
+                reports.append(self._report(design, design_fp, sqls, weights))
             return reports
 
     def candidate_costs(self, profiles: Sequence, candidates: Sequence, make_design):
@@ -1224,12 +1100,7 @@ class CostEvaluationService:
             candidates = list(candidates)
             sqls = [p.sql for p in profiles]
             empty_fp = self.design_fingerprint(make_design([]))
-            fps = []
-            for c in candidates:
-                fp = self._single_fps.get(c)
-                if fp is None:
-                    fp = self._single_fps[c] = self.design_fingerprint(make_design([c]))
-                fps.append(fp)
+            fps = [self.design_fingerprint(make_design([c])) for c in candidates]
             t = tracer()
             entry, mapped = self._matrix_entry_for(tuple(sqls), profiles, fps)
             rows = np.arange(len(sqls), dtype=np.intp) if mapped is None else mapped
@@ -1373,16 +1244,11 @@ class CostEvaluationService:
         registry.gauge("costing.query_requests").set(self.stats.query_requests)
         registry.gauge("costing.query_hits").set(self.stats.query_hits)
         registry.gauge("costing.raw_model_calls").set(self.stats.raw_model_calls)
-        registry.gauge("costing.workload_requests").set(self.stats.workload_requests)
-        registry.gauge("costing.workload_hits").set(self.stats.workload_hits)
         registry.gauge("costing.dedup_saved").set(self.stats.dedup_saved)
         registry.gauge("costing.eval_seconds").set(self.stats.eval_seconds)
         registry.gauge("costing.evictions").set(self.stats.evictions)
         registry.gauge("costing.hit_rate").set(self.stats.hit_rate)
         registry.gauge("costing.cached_query_entries").set(self.cached_query_entries)
-        registry.gauge("costing.cached_workload_entries").set(
-            self.cached_workload_entries
-        )
         registry.gauge("costing.kernel.batch_calls").set(self.stats.kernel_batch_calls)
         registry.gauge("costing.kernel.pairs_priced").set(
             self.stats.kernel_pairs_priced

@@ -28,7 +28,6 @@ import math
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStatistics
-from repro.costing.memo import BoundedMemo
 from repro.costing.profile import QueryProfile, QueryProfiler, TableAccess, resolve_column
 from repro.costing.report import WorkloadCostReport
 from repro.engine.design import PhysicalDesign
@@ -67,9 +66,10 @@ PROJECTION_MAINT_ROW_MS = 5e-4
 class ColumnarCostModel:
     """What-if cost model: profiles queries and costs them against designs.
 
-    The model memoizes query profiles (by SQL text) and per-projection costs
-    (by SQL text × projection), because robust-design search evaluates the
-    same queries against many candidate designs.
+    Query profiles are memoized (by SQL text); costs are computed on every
+    call — this is the reference implementation the vectorized kernel is
+    held bit-identical to, and the costing service's query cache above it
+    is what serves repeated (design, query) pairs.
     """
 
     def __init__(
@@ -86,11 +86,6 @@ class ColumnarCostModel:
         self._super: dict[str, Projection] = {
             name: super_projection(table) for name, table in schema.tables.items()
         }
-        # Bounded LRU: a long replay prices an unbounded stream of
-        # (query, projection) pairs; evictions are metrics-counted.
-        self._projection_costs: BoundedMemo = BoundedMemo(
-            "costing.memo_evictions.columnar_projection"
-        )
 
     def profile(self, sql: str) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text)."""
@@ -128,16 +123,8 @@ class ColumnarCostModel:
         """Cost of answering ``profile``'s anchor access via ``projection``.
 
         Returns ``None`` when the projection does not cover the query (the
-        optimizer would never choose it).  Cached per (query, projection).
+        optimizer would never choose it).
         """
-        key = (profile.sql, projection)
-        if key in self._projection_costs:
-            return self._projection_costs[key]
-        cost = self._anchor_cost(profile, projection)
-        self._projection_costs[key] = cost
-        return cost
-
-    def _anchor_cost(self, profile: QueryProfile, projection: Projection) -> float | None:
         access = profile.anchor
         if projection.table != access.table:
             return None

@@ -242,8 +242,6 @@ def replay(
             benefit_factor,
             max_transitions,
             skip_transitions,
-            # Windows are Workload containers, so the fingerprints are
-            # identity-memoized (same digest as hashing the query list).
             [workload_fingerprint(window) for window in windows],
         )
     state = (

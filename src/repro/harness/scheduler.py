@@ -223,8 +223,6 @@ def scheduled_replay(
             type(policy).__name__,
             getattr(policy, "every", None),
             getattr(policy, "threshold", None),
-            # Workload containers fingerprint identity-memoized; digest
-            # unchanged, so existing checkpoint keys stay valid.
             [workload_fingerprint(window) for window in windows],
             evaluation_windows is not None,
         )

@@ -37,7 +37,6 @@ from repro.parallel.backends import (
     resolve_backend,
 )
 from repro.parallel.jobs import BackgroundJob
-from repro.parallel.partition import derive_seed
 
 __all__ = [
     "BackendStats",
@@ -47,6 +46,5 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "backend_from_env",
-    "derive_seed",
     "resolve_backend",
 ]

@@ -20,7 +20,6 @@ import math
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStatistics
-from repro.costing.memo import BoundedMemo
 from repro.costing.profile import QueryProfile, QueryProfiler, TableAccess
 from repro.costing.report import WorkloadCostReport
 from repro.rowstore.design import RowstoreDesign
@@ -70,11 +69,6 @@ class RowstoreCostModel:
             for name, table in schema.tables.items()
         }
         self.profiler = QueryProfiler(schema, self.statistics)
-        # Bounded LRU: a long replay prices an unbounded stream of
-        # (query, structure) pairs; evictions are metrics-counted.
-        self._structure_costs: BoundedMemo = BoundedMemo(
-            "costing.memo_evictions.rowstore_structure"
-        )
 
     def profile(self, sql: str) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text)."""
@@ -146,20 +140,13 @@ class RowstoreCostModel:
     ) -> float | None:
         """Full query cost when the anchor is served by ``structure``.
 
-        ``None`` when the structure cannot serve the query.  Cached per
-        (query, structure) because designers re-price the same pairs often.
+        ``None`` when the structure cannot serve the query.
         """
-        key = (profile.sql, structure)
-        if key in self._structure_costs:
-            return self._structure_costs[key]
         if isinstance(structure, MaterializedView):
-            base = self._view_cost(profile, structure)
-            cost = base  # views fully answer the query; no post work
-        else:
-            base = self._index_access_cost(profile.anchor, structure)
-            cost = None if base is None else base + self._post_cost(profile)
-        self._structure_costs[key] = cost
-        return cost
+            # Views fully answer the query; no post work.
+            return self._view_cost(profile, structure)
+        base = self._index_access_cost(profile.anchor, structure)
+        return None if base is None else base + self._post_cost(profile)
 
     def _post_cost(self, profile: QueryProfile) -> float:
         """Aggregation/sort/join work after the anchor rows are fetched."""

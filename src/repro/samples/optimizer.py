@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.catalog.schema import Schema
 from repro.catalog.statistics import TableStatistics
-from repro.costing.memo import BoundedMemo
 from repro.costing.profile import QueryProfile, QueryProfiler
 from repro.costing.report import WorkloadCostReport
 from repro.samples.design import SampleDesign, StratifiedSample
@@ -51,11 +50,6 @@ class SamplesCostModel:
             for name, table in schema.tables.items()
         }
         self.profiler = QueryProfiler(schema, self.statistics)
-        # Bounded LRU: a long replay prices an unbounded stream of
-        # (query, sample) pairs; evictions are metrics-counted.
-        self._sample_costs: BoundedMemo = BoundedMemo(
-            "costing.memo_evictions.samples_sample"
-        )
 
     def profile(self, sql: str) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text)."""
@@ -92,16 +86,10 @@ class SamplesCostModel:
         self, profile: QueryProfile, sample: StratifiedSample
     ) -> float | None:
         """Cost of answering ``profile`` from ``sample`` (None = cannot)."""
-        key = (profile.sql, sample)
-        if key in self._sample_costs:
-            return self._sample_costs[key]
         if not self.answers(profile, sample):
-            cost = None
-        else:
-            stats = self.statistics[sample.table]
-            cost = self._scan_cost(profile, float(sample.sample_rows(stats)))
-        self._sample_costs[key] = cost
-        return cost
+            return None
+        stats = self.statistics[sample.table]
+        return self._scan_cost(profile, float(sample.sample_rows(stats)))
 
     # DesignAdapter-compatible alias.
     structure_cost = sample_cost

@@ -5,7 +5,7 @@ of downstream nondeterminism must be snapshotted too.  Concretely that
 is the :class:`~repro.workload.sampler.NeighborhoodSampler`'s numpy
 ``Generator`` (its bit-generator state decides every future
 perturbation draw) and the
-:class:`~repro.costing.service.CostEvaluationService`'s memo caches
+:class:`~repro.costing.service.CostEvaluationService`'s query cache
 (cache warmth decides the hit/miss counters every report surfaces, so a
 resumed run must see exactly the cache the uninterrupted run would
 have).  These helpers keep the knowledge of *where* that state lives in
@@ -89,11 +89,11 @@ def costing_state(adapter_or_service) -> dict | None:
 
     Compiled workload arenas are *derived* state: they bake only the
     workload text and the model's statistics, both of which survive a
-    restart, so snapshots exclude them (``export_state`` ships the memo
-    caches only) and a resumed run rebuilds arenas on first use.  The
-    arena/matrix/delta counters (``ArenaStats``) are likewise excluded so a
-    kill-resume run's counter deltas stay byte-identical to an
-    uninterrupted run's.
+    restart, so snapshots exclude them (``export_state`` ships the query
+    cache and counters only) and a resumed run rebuilds arenas on first
+    use.  The arena/matrix/delta counters (``ArenaStats``) are likewise
+    excluded so a kill-resume run's counter deltas stay byte-identical
+    to an uninterrupted run's.
     """
     service = getattr(adapter_or_service, "costing", adapter_or_service)
     export = getattr(service, "export_state", None)

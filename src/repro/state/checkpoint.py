@@ -11,7 +11,8 @@ points (:meth:`repro.core.cliffguard.CliffGuard.design`,
 grids) call it at their natural boundaries — iteration, window,
 Γ-point, designer — and restore from it on resume.
 
-Snapshot file format (version 1)::
+Snapshot file format (version 2; version 1 payloads carried a second,
+per-workload cost cache and are refused)::
 
     <one JSON header line>\\n<binary pickle payload>
 
@@ -58,7 +59,7 @@ from repro.obs import MetricsRegistry, get_metrics, tracer
 
 #: Bump when the payload layout changes incompatibly; loaders refuse
 #: snapshots from other versions rather than guessing.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: File-type marker in the header line.
 MAGIC = "repro-state"
 #: Environment variable: SIGKILL the process after N checkpoint writes.

@@ -112,7 +112,10 @@ class WorkloadDistance:
         slots = 4 if clauses == SEPARATE else 1
         self._words = (slots * total_columns + 63) // 64
         self._column_bits: dict[str, int] = {}
-        self._mask_cache: dict[VectorKey, np.ndarray] = {}
+        #: template key -> bit array.  Bounded: live traffic keeps
+        #: minting templates; ``_column_bits`` outlives an eviction, so a
+        #: re-encoded key gets the same bits.
+        self._mask_cache = BoundedMemo("distance.mask_evictions")
         self._self_terms = _per_workload_memo("distance.self_term_evictions")
 
     # -- encoding ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Workload-arena tests: compile-once reuse, delta re-costing, memoized
+"""Workload-arena tests: compile-once reuse, delta re-costing,
 fingerprints.
 
 The arena refactor's contract is pure code motion: ``kernel.compile``
@@ -27,7 +27,6 @@ from repro.costing.kernel import (
     SamplesKernel,
     kernel_for,
 )
-from repro.costing.memo import BoundedMemo
 from repro.costing.service import (
     KERNEL_MIN_BATCH,
     CostEvaluationService,
@@ -423,27 +422,26 @@ def test_workload_costs_batch_delta_path_matches_full():
         assert report.per_query_ms == single.per_query_ms
 
 
-# -- fingerprint memoization -------------------------------------------------------
+# -- fingerprints ------------------------------------------------------------------
 
 
 def test_workload_fingerprint_memoized_and_digest_stable():
+    """(The name predates the removal of the identity memo; what it pins
+    is the digest.)"""
     _, sqls = _environment()
     workload = _workload(sqls)
     # Digest is spelled identically whether the container or its query
-    # list is hashed — checkpoint keys from older runs stay valid.
+    # list is hashed — a run key does not depend on which one a caller
+    # holds.
     assert workload_fingerprint(workload) == workload_fingerprint(list(workload))
-    # Identity memo: same object, no re-hash (observable via the memo).
-    memo = BoundedMemo(by_identity=True)
-    memo[workload] = "sentinel"
-    assert memo.get(workload) == "sentinel"
-    assert memo.get(list(workload)) is None
+    assert workload_fingerprint(workload) == workload_fingerprint(workload)
 
 
-def test_design_fingerprint_memoized_by_identity():
+def test_design_fingerprint_is_a_content_hash():
     model, candidates, _ = _substrate("columnar")
     adapter = _adapter(model)
     a = adapter.make_design(candidates[:2])
     b = adapter.make_design(candidates[:2])
-    # Content-identical designs agree; distinct objects both memoize.
+    # Content-identical designs agree, whatever object holds them.
     assert design_fingerprint(a) == design_fingerprint(b)
     assert design_fingerprint(a) == design_fingerprint(a)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.cliffguard import CliffGuard
 from repro.costing.kernel import kernel_for
-from repro.costing.memo import BoundedMemo
 from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
@@ -408,14 +407,3 @@ def test_every_kernel_bind_is_traced(tiny_star, tiny_trace, tiny_windows, column
     binds = [e["structures"] for e in events if e["event"] == "kernel_bind"]
     assert 0 in calls, "the design must build a matrix entry (an empty bind)"
     assert binds == calls
-
-
-# -- BoundedMemo -------------------------------------------------------------------
-
-
-def test_model_memos_are_bounded():
-    """All three cost models use the metrics-counted bounded memo."""
-    schema, _ = _environment()
-    assert isinstance(ColumnarCostModel(schema)._projection_costs, BoundedMemo)
-    assert isinstance(RowstoreCostModel(schema)._structure_costs, BoundedMemo)
-    assert isinstance(SamplesCostModel(schema)._sample_costs, BoundedMemo)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.catalog.statistics import TableStatistics
+from repro.costing.memo import BoundedMemo
 from repro.costing.profile import QueryProfiler, resolve_column
+from repro.obs import get_metrics
 from repro.sql.ast import ColumnRef
 
 
@@ -88,3 +90,21 @@ class TestProfiler:
         )
         assert profile.limit == 5
         assert profile.order_by == ("day",)
+
+    def test_profile_cache_is_bounded(self, profiler):
+        assert isinstance(profiler._profiles, BoundedMemo)
+        bound = profiler._profiles.max_entries = 4
+        before = get_metrics().counter("costing.profile_evictions").value
+        texts = [
+            f"SELECT sales.amount FROM sales WHERE sales.store = {i}"
+            for i in range(bound + 3)
+        ]
+        first = [profiler.profile(sql) for sql in texts]
+        assert len(profiler._profiles) <= bound
+        evicted = get_metrics().counter("costing.profile_evictions").value - before
+        assert evicted == 3
+        # An evicted text is re-parsed into an equal profile; a resident
+        # one is served as the same object.
+        assert texts[0] not in profiler._profiles
+        assert profiler.profile(texts[0]) == first[0]
+        assert profiler.profile(texts[-1]) is first[-1]

@@ -10,6 +10,7 @@ designs and assert exact equality, not closeness.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.costing.service import (
+    ArenaStats,
     CostEvaluationService,
+    CostServiceStats,
     design_fingerprint,
     query_fingerprint,
     workload_fingerprint,
@@ -218,6 +221,30 @@ class TestServiceMechanics:
         assert service.stats.raw_model_calls == 2
         assert service.stats.dedup_ratio == pytest.approx(4 / 6)
 
+    def test_repeated_workload_is_answered_from_the_query_cache(self):
+        model, adapter, sqls, candidates = _substrate("columnar")
+        service = CostEvaluationService(model)
+        design = _design(adapter, candidates, 2)
+        workload = Workload.from_sql(sqls[:5])
+        first = service.workload_cost(workload, design)
+        (batched,) = service.workload_costs_batch([design], workload)
+        again = service.workload_cost(workload, design)
+        assert first.per_query_ms == batched.per_query_ms == again.per_query_ms
+        assert service.stats.raw_model_calls == 5
+        assert service.stats.query_requests == 15
+        assert service.stats.query_hits == 10
+
+    @pytest.mark.parametrize("cls", [CostServiceStats, ArenaStats])
+    def test_stats_snapshot_and_since_cover_every_field(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        stats = cls(**{name: 3 * (i + 1) for i, name in enumerate(names)})
+        earlier = cls(**{name: i + 1 for i, name in enumerate(names)})
+        assert stats.snapshot() == stats and stats.snapshot() is not stats
+        delta = stats.since(earlier)
+        assert [getattr(delta, name) for name in names] == [
+            2 * (i + 1) for i in range(len(names))
+        ]
+
     def test_lru_bound_is_enforced(self):
         model, adapter, sqls, candidates = _substrate("columnar")
         service = CostEvaluationService(model, max_query_entries=3)
@@ -249,14 +276,11 @@ class TestServiceMechanics:
         assert service.cached_query_entries > 0
         service.clear()
         assert service.cached_query_entries == 0
-        assert service.cached_workload_entries == 0
 
     def test_invalid_parameters_rejected(self):
         model, _, _, _ = _substrate("columnar")
         with pytest.raises(ValueError):
             CostEvaluationService(model, max_query_entries=0)
-        with pytest.raises(ValueError):
-            CostEvaluationService(model, max_workload_entries=0)
 
     def test_adapter_routes_through_service(self):
         _, adapter, sqls, candidates = _substrate("rowstore")

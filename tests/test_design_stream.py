@@ -388,29 +388,39 @@ def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix)
 #: Recorded from the commit *before* the service's four miss-fill paths
 #: were folded into one (and its LRUs moved onto ``BoundedMemo``), by
 #: running :func:`_golden_sequence` verbatim against that checkout: the
-#: exported ``CostServiceStats`` (minus wall-clock), digests of the
-#: exported query/workload cache key order, and a digest of every
-#: returned float's ``repr``.  The refactor's contract is that none of
-#: these move.  Bounds 40 and 10 force LRU evictions mid-sequence (10 is
+#: exported ``CostServiceStats`` (minus wall-clock), a digest of the
+#: exported query-cache key order, and a digest of every returned
+#: float's ``repr``.  The refactor's contract is that none of these
+#: move.  Bounds 40 and 10 force LRU evictions mid-sequence (10 is
 #: below one neighborhood's width, so the post-eviction model fallback
 #: runs too).
+#:
+#: ``stats`` / ``query_keys`` were re-recorded once, when the per-
+#: (design, workload) report memo was deleted; every ``floats`` digest
+#: is the original.  The sequence repeats exactly one (design, workload)
+#: pair — ``k = 2`` twice in ``steps`` — and that memo used to answer
+#: the repeat.  The query cache answers it now: 14 more requests and 14
+#: more hits at bounds 40 and 1 048 576 (the hits refresh recency, which
+#: reorders ``query_keys`` at the bound that never evicts), and a
+#: re-price at bound 10, which cannot hold one workload's 14 queries —
+#: one more kernel batch of 14 pairs (6 of them writes on the HTAP mix)
+#: plus the 14 post-eviction model fallbacks, so ``raw_model_calls`` and
+#: ``evictions`` rise by 28.  ``workload_hits`` / ``workload_requests``
+#: / ``workload_keys`` left with the memo.
 GOLDEN = {
     ("columnar", "htap", 10): {
         "stats": {
             "dedup_saved": 64,
-            "evictions": 350,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 253,
+            "evictions": 378,
+            "kernel_batch_calls": 15,
+            "kernel_pairs_priced": 267,
             "query_hits": 12,
-            "query_requests": 270,
-            "raw_model_calls": 438,
-            "workload_hits": 1,
-            "workload_requests": 9,
-            "write_pairs_priced": 141,
+            "query_requests": 284,
+            "raw_model_calls": 466,
+            "write_pairs_priced": 147,
         },
         "query_entries": 10,
         "query_keys": "91f41c762e98a430",
-        "workload_keys": "2dc42ff4212f4df6",
         "floats": "977dc64a72bbc140",
     },
     ("columnar", "htap", 1_048_576): {
@@ -419,16 +429,13 @@ GOLDEN = {
             "evictions": 0,
             "kernel_batch_calls": 10,
             "kernel_pairs_priced": 176,
-            "query_hits": 90,
-            "query_requests": 270,
+            "query_hits": 104,
+            "query_requests": 284,
             "raw_model_calls": 180,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 106,
         },
         "query_entries": 102,
-        "query_keys": "bf2133a9c34adcc7",
-        "workload_keys": "2dc42ff4212f4df6",
+        "query_keys": "609370e2e7c3c5da",
         "floats": "977dc64a72bbc140",
     },
     ("columnar", "htap", 40): {
@@ -437,34 +444,28 @@ GOLDEN = {
             "evictions": 133,
             "kernel_batch_calls": 14,
             "kernel_pairs_priced": 246,
-            "query_hits": 19,
-            "query_requests": 270,
+            "query_hits": 33,
+            "query_requests": 284,
             "raw_model_calls": 251,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 137,
         },
         "query_entries": 40,
         "query_keys": "26a59d9130e1d2cc",
-        "workload_keys": "2dc42ff4212f4df6",
         "floats": "977dc64a72bbc140",
     },
     ("columnar", "read", 10): {
         "stats": {
             "dedup_saved": 64,
-            "evictions": 350,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 210,
+            "evictions": 378,
+            "kernel_batch_calls": 15,
+            "kernel_pairs_priced": 224,
             "query_hits": 12,
-            "query_requests": 227,
-            "raw_model_calls": 395,
-            "workload_hits": 1,
-            "workload_requests": 9,
+            "query_requests": 241,
+            "raw_model_calls": 423,
             "write_pairs_priced": 0,
         },
         "query_entries": 10,
         "query_keys": "e7bfc2b6301415f3",
-        "workload_keys": "a60002782eb239df",
         "floats": "88e610aa5fe37b14",
     },
     ("columnar", "read", 1_048_576): {
@@ -473,16 +474,13 @@ GOLDEN = {
             "evictions": 0,
             "kernel_batch_calls": 10,
             "kernel_pairs_priced": 133,
-            "query_hits": 90,
-            "query_requests": 227,
+            "query_hits": 104,
+            "query_requests": 241,
             "raw_model_calls": 137,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 0,
         },
         "query_entries": 102,
-        "query_keys": "c505145531cf01b0",
-        "workload_keys": "a60002782eb239df",
+        "query_keys": "2ffa530216f3fd88",
         "floats": "88e610aa5fe37b14",
     },
     ("columnar", "read", 40): {
@@ -491,34 +489,28 @@ GOLDEN = {
             "evictions": 133,
             "kernel_batch_calls": 14,
             "kernel_pairs_priced": 203,
-            "query_hits": 19,
-            "query_requests": 227,
+            "query_hits": 33,
+            "query_requests": 241,
             "raw_model_calls": 208,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 0,
         },
         "query_entries": 40,
         "query_keys": "67a0bdf36a66174d",
-        "workload_keys": "a60002782eb239df",
         "floats": "88e610aa5fe37b14",
     },
     ("rowstore", "htap", 10): {
         "stats": {
             "dedup_saved": 64,
-            "evictions": 350,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 269,
+            "evictions": 378,
+            "kernel_batch_calls": 15,
+            "kernel_pairs_priced": 283,
             "query_hits": 12,
-            "query_requests": 286,
-            "raw_model_calls": 454,
-            "workload_hits": 1,
-            "workload_requests": 9,
-            "write_pairs_priced": 133,
+            "query_requests": 300,
+            "raw_model_calls": 482,
+            "write_pairs_priced": 139,
         },
         "query_entries": 10,
         "query_keys": "406dec5c35272d84",
-        "workload_keys": "ff144aea059d5eb2",
         "floats": "6f93ffd84383afeb",
     },
     ("rowstore", "htap", 1_048_576): {
@@ -527,16 +519,13 @@ GOLDEN = {
             "evictions": 0,
             "kernel_batch_calls": 10,
             "kernel_pairs_priced": 192,
-            "query_hits": 90,
-            "query_requests": 286,
+            "query_hits": 104,
+            "query_requests": 300,
             "raw_model_calls": 196,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 98,
         },
         "query_entries": 102,
-        "query_keys": "07a383754acefd1c",
-        "workload_keys": "ff144aea059d5eb2",
+        "query_keys": "d0b22230a57e8eed",
         "floats": "6f93ffd84383afeb",
     },
     ("rowstore", "htap", 40): {
@@ -545,34 +534,28 @@ GOLDEN = {
             "evictions": 133,
             "kernel_batch_calls": 14,
             "kernel_pairs_priced": 262,
-            "query_hits": 19,
-            "query_requests": 286,
+            "query_hits": 33,
+            "query_requests": 300,
             "raw_model_calls": 267,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 129,
         },
         "query_entries": 40,
         "query_keys": "464ec4bbe3ba9d65",
-        "workload_keys": "ff144aea059d5eb2",
         "floats": "6f93ffd84383afeb",
     },
     ("rowstore", "read", 10): {
         "stats": {
             "dedup_saved": 64,
-            "evictions": 350,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 226,
+            "evictions": 378,
+            "kernel_batch_calls": 15,
+            "kernel_pairs_priced": 240,
             "query_hits": 12,
-            "query_requests": 243,
-            "raw_model_calls": 411,
-            "workload_hits": 1,
-            "workload_requests": 9,
+            "query_requests": 257,
+            "raw_model_calls": 439,
             "write_pairs_priced": 0,
         },
         "query_entries": 10,
         "query_keys": "34ace2530d9e2782",
-        "workload_keys": "a55307cb8f0f299b",
         "floats": "2af4fc7d9c2437b9",
     },
     ("rowstore", "read", 1_048_576): {
@@ -581,16 +564,13 @@ GOLDEN = {
             "evictions": 0,
             "kernel_batch_calls": 10,
             "kernel_pairs_priced": 149,
-            "query_hits": 90,
-            "query_requests": 243,
+            "query_hits": 104,
+            "query_requests": 257,
             "raw_model_calls": 153,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 0,
         },
         "query_entries": 102,
-        "query_keys": "cb47ffa3a5874378",
-        "workload_keys": "a55307cb8f0f299b",
+        "query_keys": "0780471ee496097d",
         "floats": "2af4fc7d9c2437b9",
     },
     ("rowstore", "read", 40): {
@@ -599,16 +579,13 @@ GOLDEN = {
             "evictions": 133,
             "kernel_batch_calls": 14,
             "kernel_pairs_priced": 219,
-            "query_hits": 19,
-            "query_requests": 243,
+            "query_hits": 33,
+            "query_requests": 257,
             "raw_model_calls": 224,
-            "workload_hits": 1,
-            "workload_requests": 9,
             "write_pairs_priced": 0,
         },
         "query_entries": 40,
         "query_keys": "3df7eb8251c8e291",
-        "workload_keys": "a55307cb8f0f299b",
         "floats": "2af4fc7d9c2437b9",
     },
 }
@@ -658,7 +635,6 @@ def _golden_sequence(substrate: str, mix: str, max_query_entries: int) -> dict:
         },
         "query_entries": len(state["query"]),
         "query_keys": _digest(key for key, _ in state["query"]),
-        "workload_keys": _digest(key for key, _ in state["workload"]),
         "floats": _digest(floats),
     }
 

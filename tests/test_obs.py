@@ -261,9 +261,7 @@ class _StubModel:
 
 class TestServiceEvents:
     def test_lru_eviction_emits_cache_evict(self, capture):
-        service = CostEvaluationService(
-            _StubModel(), max_query_entries=2, max_workload_entries=2
-        )
+        service = CostEvaluationService(_StubModel(), max_query_entries=2)
         design = ("structure-a",)
         for sql in ("SELECT 1", "SELECT 22", "SELECT 333"):
             service.query_cost(sql, design)

@@ -48,14 +48,6 @@ class TestColumnarEdges:
             profile, range_first
         )
 
-    def test_projection_cost_cached(self, columnar):
-        sql = "SELECT sales.amount FROM sales WHERE sales.store = 1"
-        projection = Projection("sales", ("store", "amount"), (SortColumn("store"),))
-        profile = columnar.profile(sql)
-        first = columnar.projection_cost(profile, projection)
-        assert (profile.sql, projection) in columnar._projection_costs
-        assert columnar.projection_cost(profile, projection) == first
-
     def test_wrong_table_projection_returns_none(self, columnar):
         sql = "SELECT sales.amount FROM sales"
         projection = Projection("stores", ("region",), (SortColumn("region"),))
@@ -94,14 +86,6 @@ class TestRowstoreEdges:
         assert rowstore.query_cost(sql, useless) == pytest.approx(
             rowstore.query_cost(sql, RowstoreDesign.empty())
         )
-
-    def test_structure_cost_cached(self, rowstore):
-        sql = "SELECT sales.amount FROM sales WHERE sales.store = 1"
-        index = Index("sales", ("store",))
-        profile = rowstore.profile(sql)
-        first = rowstore.structure_cost(profile, index)
-        assert (profile.sql, index) in rowstore._structure_costs
-        assert rowstore.structure_cost(profile, index) == first
 
     def test_scan_cost_scales_with_row_width(self, sales_schema):
         # The row store reads whole rows: the same query costs more than on

@@ -16,7 +16,6 @@ from repro.parallel import (
     SerialBackend,
     ThreadBackend,
     backend_from_env,
-    derive_seed,
     resolve_backend,
 )
 from repro.parallel.backends import ENV_BACKEND, ENV_JOBS
@@ -54,14 +53,6 @@ def _fail_first_attempt(task):
     if _ATTEMPTS[task] == 1:
         raise RuntimeError("injected first-attempt failure")
     return task * 2
-
-
-class TestPartition:
-    def test_derive_seed_stable_and_distinct(self):
-        assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
-        assert derive_seed(42, 1, 2) != derive_seed(42, 2, 1)
-        assert derive_seed(42, 0) != derive_seed(43, 0)
-        assert 0 <= derive_seed(7, 5) < 2**63
 
 
 class TestMapContract:

@@ -42,6 +42,7 @@ from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.optimizer import SamplesCostModel
 from repro.serve.sources import TraceSource
 from repro.state import (
+    FORMAT_VERSION,
     CheckpointCorruptError,
     CheckpointMismatchError,
     CheckpointVersionError,
@@ -196,15 +197,30 @@ class TestCheckpointerUnit:
         with pytest.raises(CheckpointCorruptError):
             RunCheckpointer(path, resume=True).load("unit", run_key("unit"))
 
-    def test_future_version_refused(self, tmp_path):
-        path = tmp_path / "run.ckpt"
+    @staticmethod
+    def _saved_as_version(path, version: int) -> str:
+        """Save a valid snapshot, then restamp its header's version."""
         key = run_key("unit")
         RunCheckpointer(path).save("unit", key, {"x": 1})
         raw = path.read_bytes()
         newline = raw.find(b"\n")
         header = json.loads(raw[:newline])
-        header["version"] = 999
+        header["version"] = version
         path.write_bytes(json.dumps(header).encode() + raw[newline:])
+        return key
+
+    def test_future_version_refused(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        key = self._saved_as_version(path, 999)
+        with pytest.raises(CheckpointVersionError):
+            RunCheckpointer(path, resume=True).load("unit", key)
+
+    def test_version_1_snapshot_refused(self, tmp_path):
+        """A version-1 costing export carries a ``workload`` cache and two
+        stats fields this build no longer has: refused, not half-loaded."""
+        assert FORMAT_VERSION == 2
+        path = tmp_path / "run.ckpt"
+        key = self._saved_as_version(path, 1)
         with pytest.raises(CheckpointVersionError):
             RunCheckpointer(path, resume=True).load("unit", key)
 

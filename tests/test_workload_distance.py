@@ -1,10 +1,12 @@
 """Distance-metric tests, including the paper's R1–R4 requirements as
 property-based checks (hypothesis)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.costing.memo import BoundedMemo
 from repro.workload.distance import (
     SWGO,
     LatencyAwareDistance,
@@ -175,6 +177,24 @@ class TestBoundedCaches:
         assert len(metric._self_terms) <= 2
         evicted = get_metrics().counter("distance.self_term_evictions").value - before
         assert evicted == 3
+
+    def test_mask_cache_is_bounded(self):
+        from repro.obs import get_metrics
+
+        metric = WorkloadDistance(N_COLUMNS)
+        assert isinstance(metric._mask_cache, BoundedMemo)
+        bound = metric._mask_cache.max_entries = 3
+        before = get_metrics().counter("distance.mask_evictions").value
+        keys = [frozenset({f"t.c{i}", f"t.c{i + 1}"}) for i in range(bound + 4)]
+        first = [metric._encode(key).copy() for key in keys]
+        assert len(metric._mask_cache) <= bound
+        evicted = get_metrics().counter("distance.mask_evictions").value - before
+        assert evicted == 4
+        # An evicted template re-encodes to the same bits: the column ->
+        # bit assignment outlives the eviction.
+        assert keys[0] not in metric._mask_cache
+        for key, mask in zip(keys, first):
+            assert np.array_equal(metric._encode(key), mask)
 
     def test_self_term_cache_hit_returns_same_value(self):
         metric = WorkloadDistance(N_COLUMNS)
