@@ -7,44 +7,19 @@ A3 — keeping W0 in the merged workload (Algorithm 3's anchor term): the
      paper credits this for never falling below the nominal designer.
 """
 
-import pytest
-
-from repro.core.cliffguard import CliffGuard
-from repro.designers.columnar_nominal import ColumnarNominalDesigner
-from repro.harness.experiments import _past_pool_hook
-from repro.harness.replay import replay
+from repro.harness.experiments import _cliffguard_point, _engine_stack
 from repro.harness.reporting import format_table
 
 
-def run_variant(context, emit, label, **cliffguard_kwargs):
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
-    windows = context.window_source("R1")
-    gamma = context.default_gamma("R1")
-    sampler = context.sampler()
-    designer = CliffGuard(
-        nominal,
-        adapter,
-        sampler,
-        gamma,
-        n_samples=context.scale.n_samples,
-        max_iterations=context.scale.iterations,
-        **cliffguard_kwargs,
+def run_variant(context, **cliffguard_kwargs):
+    adapter, nominal = _engine_stack(context, "columnar")
+    (avg_ms, max_ms), designer = _cliffguard_point(
+        context, adapter, nominal, "R1", context.default_gamma("R1"), **cliffguard_kwargs
     )
-    outcome = replay(
-        windows,
-        {label: designer},
-        adapter,
-        candidate_source=nominal,
-        max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace("R1"), [sampler]),
-    )
-    run = outcome.run(label)
     report = designer.last_report
     return (
-        run.mean_average_ms,
-        run.mean_max_ms,
+        avg_ms,
+        max_ms,
         report.query_cost_calls if report else 0,
         report.matrix_hits if report else 0,
         report.delta_pairs_saved if report else 0,
@@ -55,13 +30,9 @@ def run_variant(context, emit, label, **cliffguard_kwargs):
 def test_ablation_worst_neighbor_selection(benchmark, context, emit):
     def run():
         return {
-            "strict max (1 neighbor)": run_variant(
-                context, emit, "strict", worst_fraction=0.01, min_worst=1
-            ),
-            "top 20%": run_variant(context, emit, "top20", worst_fraction=0.2),
-            "whole neighborhood": run_variant(
-                context, emit, "all", worst_fraction=1.0
-            ),
+            "strict max (1 neighbor)": run_variant(context, worst_fraction=0.01, min_worst=1),
+            "top 20%": run_variant(context, worst_fraction=0.2),
+            "whole neighborhood": run_variant(context, worst_fraction=1.0),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -89,12 +60,8 @@ def test_ablation_worst_neighbor_selection(benchmark, context, emit):
 def test_ablation_line_search(benchmark, context, emit):
     def run():
         return {
-            "adaptive α (5.0 / 0.5)": run_variant(
-                context, emit, "adaptive", lambda_success=5.0, lambda_failure=0.5
-            ),
-            "frozen α (≈1)": run_variant(
-                context, emit, "frozen", lambda_success=1.0001, lambda_failure=0.9999
-            ),
+            "adaptive α (5.0 / 0.5)": run_variant(context, lambda_success=5.0, lambda_failure=0.5),
+            "frozen α (≈1)": run_variant(context, lambda_success=1.0001, lambda_failure=0.9999),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -121,8 +88,8 @@ def test_ablation_line_search(benchmark, context, emit):
 def test_ablation_keep_base_workload(benchmark, context, emit):
     def run():
         return {
-            "keep W0 anchor": run_variant(context, emit, "anchored", keep_base_in_move=True),
-            "drop W0 anchor": run_variant(context, emit, "dropped", keep_base_in_move=False),
+            "keep W0 anchor": run_variant(context, keep_base_in_move=True),
+            "drop W0 anchor": run_variant(context, keep_base_in_move=False),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -36,8 +36,8 @@ def context() -> ExperimentContext:
 @pytest.fixture(scope="session")
 def backend():
     """Execution backend from ``REPRO_BACKEND``/``REPRO_JOBS`` (``None`` =
-    the inline serial path).  Results are bit-identical either way; only
-    the wall clock changes."""
+    none given: serial cells, one shared replay for the comparisons).
+    Results are bit-identical either way; only the wall clock changes."""
     executor = backend_from_env()
     yield executor
     if executor is not None:

@@ -113,7 +113,9 @@ class RunConfig:
     budget_fraction: float = 0.5
     #: Execution backend: "auto", "serial", "thread", "process", an
     #: :class:`~repro.parallel.backends.ExecutionBackend` instance, or
-    #: ``None`` for the inline serial path.
+    #: ``None`` for no backend: sweeps and schedule grids then run their
+    #: cells on a ``SerialBackend``, and ``replay()`` compares the
+    #: designers over one shared cost service (docs/api.md).
     backend: ExecutionBackend | str | None = "auto"
     #: Worker count for the thread/process backends (``None`` = one per core).
     jobs: int | None = None
@@ -279,7 +281,7 @@ class RobustDesignSession:
 
     @property
     def backend(self) -> ExecutionBackend | None:
-        """The resolved execution backend (``None`` = inline serial)."""
+        """The resolved execution backend (``None`` = none given)."""
         if not self._backend_resolved:
             self._backend = resolve_backend(
                 self.config.backend,
@@ -343,9 +345,8 @@ class RobustDesignSession:
 
     def _publish_metrics(self) -> None:
         """Push the costing service's counters into the registry."""
-        service = getattr(self._adapter, "costing", None) if self._adapter else None
-        if service is not None:
-            service.publish_metrics(self.metrics)
+        if self._adapter is not None:
+            self._adapter.costing.publish_metrics(self.metrics)
 
     def designer(self, name: str = "CliffGuard", **cfg):
         """Build one registered designer wired to this session's stack."""
@@ -397,7 +398,8 @@ class RobustDesignSession:
         )
 
     def replay(self, which: list[str] | None = None) -> ReplayResult:
-        """The Figure 7 / 10 / 15 designer comparison (per-designer fan-out)."""
+        """The Figure 7 / 10 / 15 designer comparison: one shared replay
+        without a backend, one isolated cell per designer with one."""
         with self._tracing():
             result = run_designer_comparison(
                 self.context,
@@ -499,8 +501,8 @@ class RobustDesignSession:
                 resume=resume,
                 metrics=self.config.metrics,
             )
-        # ``submit`` needs a real backend; the inline serial path maps to
-        # an explicit SerialBackend (reference semantics, blocking swaps).
+        # ``submit`` needs a real backend; no backend maps to an explicit
+        # SerialBackend (reference semantics, blocking swaps).
         backend = self.backend if self.backend is not None else SerialBackend()
         # Online learners (learns_online) must live in the daemon process
         # — background workers would lose the per-boundary feedback — so

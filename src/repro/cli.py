@@ -18,10 +18,13 @@ Commands:
   given scale and stream it into a ``repro serve`` socket.
 
 Every command builds a :class:`repro.api.RobustDesignSession` from the
-flags; ``--backend``/``--jobs`` select the execution backend that fans out
-whole replays — ``gamma``'s per-Γ and ``compare``'s per-designer tasks —
-and runs ``serve``'s background re-designs (see :mod:`repro.parallel`;
-costing inside one design run is always in-process);
+flags; ``--backend``/``--jobs`` select the execution backend that runs
+whole replays as cells — ``gamma``'s per-Γ and ``compare``'s
+per-designer ones — and ``serve``'s background re-designs (see
+:mod:`repro.parallel`; costing inside one design run is always
+in-process).  With no backend selected ``gamma`` runs its cells on a
+serial backend and ``compare`` replays all designers over one shared
+cost service (docs/api.md gives the measured reason);
 ``--trace PATH`` appends a structured JSONL event trace of the run
 (schema in ``docs/observability.md``).  All commands are deterministic
 given ``--seed`` at any worker count.

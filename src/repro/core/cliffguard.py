@@ -201,15 +201,13 @@ class CliffGuard(Designer):
 
         report = CliffGuardReport()
         self.last_report = report
-        service = getattr(self.adapter, "costing", None)
-        baseline = service.stats.snapshot() if service is not None else None
+        service = self.adapter.costing
+        baseline = service.stats.snapshot()
         # Arena/matrix counters are derived state (never checkpointed), so
         # their baseline is taken fresh on every call — resumed runs
         # legitimately report different matrix/delta numbers (see
         # CliffGuardReport.RESUME_EXEMPT_FIELDS).
-        arena_baseline = (
-            service.arena_stats.snapshot() if service is not None else None
-        )
+        arena_baseline = service.arena_stats.snapshot()
         t = tracer()
         ckpt = self.checkpointer
         key = None
@@ -382,24 +380,22 @@ class CliffGuard(Designer):
         service,
         baseline,
         alpha: float,
-        arena_baseline=None,
+        arena_baseline,
     ) -> None:
         """Record designer effort (cost-call counters) and the final α."""
         report.final_alpha = alpha
-        if service is not None and baseline is not None:
-            delta = service.stats.since(baseline)
-            report.eval_wall_seconds = delta.eval_seconds
-            # Total query-cost evaluations the run asked for, counting the
-            # duplicates the batched API collapsed — the effort a designer
-            # without the evaluation service would have paid.
-            report.query_cost_calls = delta.query_requests + delta.dedup_saved
-            report.raw_cost_model_calls = delta.raw_model_calls
-            report.cache_hits = delta.query_hits
-        if service is not None and arena_baseline is not None:
-            arena_delta = service.arena_stats.since(arena_baseline)
-            report.matrix_hits = arena_delta.matrix_hits
-            report.matrix_pairs_priced = arena_delta.matrix_pairs_priced
-            report.delta_pairs_saved = arena_delta.delta_pairs_saved
+        delta = service.stats.since(baseline)
+        report.eval_wall_seconds = delta.eval_seconds
+        # Total query-cost evaluations the run asked for, counting the
+        # duplicates the batched API collapsed — the effort a designer
+        # without the evaluation service would have paid.
+        report.query_cost_calls = delta.query_requests + delta.dedup_saved
+        report.raw_cost_model_calls = delta.raw_model_calls
+        report.cache_hits = delta.query_hits
+        arena_delta = service.arena_stats.since(arena_baseline)
+        report.matrix_hits = arena_delta.matrix_hits
+        report.matrix_pairs_priced = arena_delta.matrix_pairs_priced
+        report.delta_pairs_saved = arena_delta.delta_pairs_saved
         t = tracer()
         if t.enabled:
             t.emit(

@@ -18,9 +18,10 @@ from repro.catalog.schema import Schema
 from repro.costing.profile import QueryProfile
 from repro.costing.report import WorkloadCostReport
 from repro.costing.service import CostEvaluationService, CostModel
-from repro.engine.design import PhysicalDesign
+from repro.engine.design import DEPLOY_SECONDS_PER_GB, PhysicalDesign
 from repro.engine.optimizer import ColumnarCostModel
 from repro.engine.projection import Projection
+from repro.rowstore import design as rowstore_design
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
@@ -124,6 +125,13 @@ class DesignAdapter(abc.ABC):
     @abc.abstractmethod
     def design_price(self, design) -> int:
         """Total bytes of a design (the paper's ``price(D)``)."""
+
+    def deployment_seconds(self, price_bytes: int) -> float:
+        """Modeled wall-clock time to build ``price_bytes`` of structures
+        on this engine (Figure 14) — the same rate as the engine's own
+        ``design.deployment_seconds``; the samples engine models none and
+        is charged the columnar one."""
+        return price_bytes / 1e9 * DEPLOY_SECONDS_PER_GB
 
     def profile(self, sql: str) -> QueryProfile:
         """Schema-resolved profile for one query."""
@@ -231,6 +239,9 @@ class RowstoreAdapter(DesignAdapter):
 
     def design_price(self, design: RowstoreDesign) -> int:
         return design.price(self.schema, self.cost_model.statistics)
+
+    def deployment_seconds(self, price_bytes: int) -> float:
+        return price_bytes / 1e9 * rowstore_design.DEPLOY_SECONDS_PER_GB
 
 
 class SamplesAdapter(DesignAdapter):

@@ -1,10 +1,8 @@
 """Designer registry: one named factory per designer of Section 6.1.
 
-Replaces the hand-maintained ``DESIGNER_ORDER`` list /
-``build_designers`` dispatch pair in :mod:`repro.harness.experiments`
-(both still work but emit :class:`DeprecationWarning`).  Factories are
-registered under their paper display name in canonical display order;
-:func:`get` builds one designer, :func:`build_all` the whole zoo.
+Factories are registered under their paper display name in canonical
+display order; :func:`get` builds one designer, :func:`build_all` the
+whole zoo.
 
 A factory receives the shared wiring — adapter, nominal designer, Γ, the
 neighborhood sampler factory — plus per-designer overrides, and returns

@@ -29,7 +29,6 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from repro.core.cliffguard import CliffGuard
 from repro.core.knob import drift_history, gamma_from_history
 from repro.designers import registry
 from repro.designers.base import (
@@ -42,16 +41,10 @@ from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.obs import tracer
-from repro.parallel.backends import ExecutionBackend, resolve_backend
+from repro.parallel.backends import ExecutionBackend, SerialBackend, resolve_backend
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.serve.sources import TraceSource
-from repro.state import (
-    CheckpointMismatchError,
-    RunCheckpointer,
-    costing_state,
-    restore_costing,
-    run_key,
-)
+from repro.state import CheckpointMismatchError, RunCheckpointer, run_key
 from repro.workload.distance import SWGO, LatencyAwareDistance, WorkloadDistance
 from repro.workload.families import ecommerce_profile, htap_profile, oltp_profile
 from repro.workload.generator import (
@@ -161,9 +154,8 @@ class ExperimentContext:
     def window_source(self, name: str) -> TraceSource:
         """The trace wrapped as a bounded :class:`QuerySource`.
 
-        The source carries the cached window list verbatim, so harness
-        calls taking a source produce bit-identical windows to the old
-        raw-list signature.
+        The source carries the cached window list verbatim: every call
+        hands the harness the same ``Workload`` objects.
         """
         return TraceSource.from_windows(
             self.trace_windows(name), window_days=self.scale.window_days
@@ -217,16 +209,17 @@ def _build_designers(
     gamma: float,
     which: list[str] | None = None,
     distance: WorkloadDistance | None = None,
+    **cfg,
 ) -> tuple[dict, list[NeighborhoodSampler]]:
-    """The Section 6.1 designer zoo, built through the designer registry."""
+    """The Section 6.1 designer zoo, built through the designer registry.
+
+    ``cfg`` overrides the scale's ``n_samples`` / ``max_iterations``; the
+    registry forwards any other keyword to ``CliffGuard``'s constructor.
+    """
+    scale = context.scale
+    cfg = {"n_samples": scale.n_samples, "max_iterations": scale.iterations, **cfg}
     return registry.build_all(
-        adapter,
-        nominal,
-        gamma,
-        make_sampler=lambda: context.sampler(distance),
-        which=which,
-        n_samples=context.scale.n_samples,
-        max_iterations=context.scale.iterations,
+        adapter, nominal, gamma, lambda: context.sampler(distance), which, **cfg
     )
 
 
@@ -241,6 +234,116 @@ def _past_pool_hook(trace: list[WorkloadQuery], samplers: list[NeighborhoodSampl
             sampler.set_pool(past)
 
     return hook
+
+
+def _replay(
+    context: ExperimentContext,
+    workload: str,
+    designers: dict,
+    samplers: list[NeighborhoodSampler],
+    adapter: DesignAdapter,
+    nominal,
+    checkpointer: RunCheckpointer | None = None,
+    state_key: str | None = None,
+) -> ReplayResult:
+    """The one replay protocol behind every figure: the scale's transition
+    window, the beneficial-query filter, sampler pools kept in the past."""
+    return replay(
+        context.window_source(workload),
+        designers,
+        adapter,
+        candidate_source=nominal,
+        workload_name=workload,
+        max_transitions=context.scale.max_transitions,
+        skip_transitions=context.scale.skip_transitions,
+        before_transition=_past_pool_hook(context.trace(workload), samplers),
+        checkpointer=checkpointer,
+        state_key=state_key,
+    )
+
+
+def _cliffguard_point(
+    context: ExperimentContext,
+    adapter: DesignAdapter,
+    nominal,
+    workload: str,
+    gamma: float,
+    distance: WorkloadDistance | None = None,
+    **cfg,
+):
+    """Replay one CliffGuard variant: ``((avg, max) latency, designer)``."""
+    designers, samplers = _build_designers(
+        context, adapter, nominal, gamma, ["CliffGuard"], distance, **cfg
+    )
+    outcome = _replay(context, workload, designers, samplers, adapter, nominal)
+    run = outcome.run("CliffGuard")
+    return (run.mean_average_ms, run.mean_max_ms), designers["CliffGuard"]
+
+
+def _cell_stack(context: ExperimentContext, engine: str):
+    """A sweep cell's own mutable state: ``(adapter, nominal, distance)``.
+
+    Cells read the context's traces and windows (shared by reference in
+    process, pickled to a worker) but share no cost service — it carries
+    the counters a cell reports — and no distance metric — it assigns
+    column bits on first sight, a race between cells on a thread pool.
+    That keeps results and counters independent of the worker count.
+    """
+    adapter, nominal = _engine_stack(context, engine)
+    return adapter, nominal, WorkloadDistance(context.schema.total_columns)
+
+
+def _run_cells(
+    kind: str,
+    state_key: str,
+    state: dict,
+    done_field: str,
+    cells: dict,
+    task,
+    backend: ExecutionBackend | str | None,
+    checkpointer: RunCheckpointer | None,
+    finish=None,
+) -> dict:
+    """The one resumable fan-out behind the three sweeps.
+
+    ``cells`` maps each cell's key to its task tuple; ``state`` is the
+    fresh checkpoint payload of this ``kind`` and ``state[done_field]``
+    its ``{key: result}`` dict.  Restores the latest snapshot when
+    resuming, maps the pending cells on the backend (a ``SerialBackend``
+    when none is given), stores each result — what ``finish(state, key,
+    result)`` returns, when given — and checkpoints.  Returns the payload
+    with its finished cells in ``cells`` order.
+    """
+    executor = resolve_backend(backend) or SerialBackend()
+    loaded = checkpointer.load(kind, state_key) if checkpointer is not None else None
+    if loaded is not None:
+        # Fields this build does not write (an older Γ-sweep snapshot's
+        # ``costing`` export) are dropped rather than carried forward.
+        state = {name: loaded[name] for name in state}
+    done = state[done_field]
+    # The run key covers the requested cells, but a forged or hand-moved
+    # snapshot could still carry others; returning them would be silent
+    # corruption, so reject loudly instead.
+    stale = [key for key in done if key not in cells]
+    if stale:
+        raise CheckpointMismatchError(
+            f"{kind} resume: snapshot contains cells {stale} "
+            f"not in the requested selection {list(cells)}"
+        )
+    pending = [key for key in cells if key not in done]
+    # One worker runs the cells one after another however they are
+    # submitted, so it gets one ``map`` — and one checkpoint — per cell;
+    # a wider pool gets them all at once and checkpoints when they land.
+    width = 1 if executor.jobs == 1 else max(1, len(pending))
+    for first in range(0, len(pending), width):
+        batch = pending[first : first + width]
+        results = executor.map(task, [cells[key] for key in batch])
+        for key, result in zip(batch, results):
+            done[key] = result if finish is None else finish(state, key, result)
+        if checkpointer is not None:
+            checkpointer.step(kind, state_key, lambda: state)
+    state[done_field] = {key: done[key] for key in cells}
+    return state
 
 
 # -- T1: Table 1 ------------------------------------------------------------------------
@@ -317,8 +420,7 @@ def run_fig6(
     (which averages many windows per distance), each probe distance is
     averaged over the anchors and over ``repeats`` independent samples.
     """
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
+    adapter, nominal = _engine_stack(context, "columnar")
     windows = [w for w in context.trace_windows(workload) if len(w) > 0]
     sampler = context.sampler()
     gamma = context.default_gamma(workload) * 4
@@ -361,18 +463,17 @@ def run_designer_comparison(
 ) -> ReplayResult:
     """The Figure 7 / 10 / 15 experiment for one workload and engine.
 
-    With an execution ``backend``, every designer replays as an
-    independent task (its own context, adapter, and seeded sampler), so
-    the comparison fans out across workers; results are bit-identical at
-    any worker count because each task is deterministic given the scale's
-    seed.  Without a backend the designers share one adapter (and its
-    warm cost cache) exactly as before.
+    Without a ``backend`` the designers share one adapter (and its warm
+    cost service) in a single replay; with one, every designer replays as
+    an isolated cell (its own adapter and seeded sampler over the shared
+    context) and the comparison fans out across workers.  Latencies and
+    designs are bit-identical either way and at any worker count; the
+    per-designer cache counters differ between the two (shared vs
+    isolated service) and agree across backends.
 
-    ``checkpointer`` makes the comparison resumable: the serial path
-    checkpoints after every window transition (through :func:`replay`);
-    the backend path records completed designers and, on resume, fans
-    out only the pending ones (each designer task is independent, so
-    skipping finished ones is value-preserving).  See docs/state.md.
+    ``checkpointer`` makes the comparison resumable: per window transition
+    in the shared replay (through :func:`replay`), per finished designer
+    on the cell path (:func:`_run_cells`).  See docs/state.md.
     """
     if gamma is None:
         gamma = context.default_gamma(workload)
@@ -380,107 +481,62 @@ def run_designer_comparison(
     # the name-keyed resume dict below; reject them before any work.
     names = registry.validate_names(which) if which is not None else registry.names()
     state_key = run_key(
-        "designer_comparison",
-        astuple(context.scale),
-        workload,
-        engine,
-        tuple(names),
-        gamma,
+        "designer_comparison", astuple(context.scale), workload, engine, tuple(names), gamma
     )
     executor = resolve_backend(backend)
     if executor is None:
+        # Two behaviours, each measured ahead on its side (docs/api.md):
+        # in process, seven designers over one shared service replay in
+        # 11.2 s against 13.2 s as isolated cells — the service's warmth
+        # is the saving — while two workers finish the cells in 8.6 s.
+        # Whether a backend was given tells the two sides apart.
         adapter, nominal = _engine_stack(context, engine)
         designers, samplers = _build_designers(context, adapter, nominal, gamma, which)
-        return replay(
-            context.window_source(workload),
-            designers,
-            adapter,
-            candidate_source=nominal,
-            workload_name=workload,
-            max_transitions=context.scale.max_transitions,
-            skip_transitions=context.scale.skip_transitions,
-            before_transition=_past_pool_hook(context.trace(workload), samplers),
-            checkpointer=checkpointer,
-            state_key=state_key,
+        return _replay(
+            context, workload, designers, samplers, adapter, nominal, checkpointer, state_key
         )
-    done: dict[str, DesignerRun] = {}
-    counts: list[int] = []
-    if checkpointer is not None:
-        state = checkpointer.load("designer_comparison", state_key)
-        if state is not None:
-            done = state["runs"]
-            counts = state["counts"]
-            # The run key covers the requested names, but a forged or
-            # hand-moved snapshot could still carry designers this call
-            # never asked for; replaying them into the result would be
-            # silent corruption, so reject loudly instead.
-            stale = sorted(set(done) - set(names))
-            if stale:
-                raise CheckpointMismatchError(
-                    f"designer_comparison resume: snapshot contains designers "
-                    f"{stale} not in the requested selection {list(names)}"
-                )
-    pending = [name for name in names if name not in done]
-    tasks = [(context.scale, workload, engine, name, gamma) for name in pending]
-    result = ReplayResult(workload_name=workload)
+    context.trace_windows(workload)  # generated once here, not once per worker
     t = tracer()
-    for name, run, task_counts in executor.map(_designer_comparison_task, tasks):
-        done[name] = run
+
+    def finish(state: dict, name: str, result) -> DesignerRun:
+        _, run, counts = result
         # Every designer replays the identical window sequence, so the
         # evaluated-query counts are a per-designer invariant; adopting
-        # the first task's list and trusting the rest would let a
+        # the first cell's list and trusting the rest would let a
         # divergent replay slip through unnoticed.
-        if not counts:
-            counts = task_counts
-        elif task_counts != counts:
+        if not state["counts"]:
+            state["counts"] = counts
+        elif counts != state["counts"]:
             raise RuntimeError(
                 f"designer_comparison: evaluated-query counts diverged for "
-                f"{name!r}: expected {counts}, task produced {task_counts} — "
+                f"{name!r}: expected {state['counts']}, task produced {counts} — "
                 "designer tasks no longer replay identical windows"
             )
         if t.enabled:
             # Worker processes carry the null tracer, so fanned-out
             # replays surface here as one summary event per designer.
             t.emit(
-                "designer_result",
-                workload=workload,
-                engine=engine,
-                designer=name,
-                avg_ms=run.mean_average_ms,
-                max_ms=run.mean_max_ms,
+                "designer_result", workload=workload, engine=engine, designer=name,
+                avg_ms=run.mean_average_ms, max_ms=run.mean_max_ms,
             )
-    if checkpointer is not None and pending:
-        checkpointer.step(
-            "designer_comparison",
-            state_key,
-            lambda: {"runs": done, "counts": counts},
-        )
-    result.runs = {name: done[name] for name in names if name in done}
-    result.evaluated_query_counts = counts
-    return result
+        return run
+
+    cells = {name: (context, workload, engine, name, gamma) for name in names}
+    state = _run_cells(
+        "designer_comparison", state_key, {"runs": {}, "counts": []}, "runs",
+        cells, _designer_comparison_task, executor, checkpointer, finish,
+    )
+    return ReplayResult(
+        workload_name=workload, runs=state["runs"], evaluated_query_counts=state["counts"]
+    )
 
 
 def _designer_comparison_task(task) -> tuple[str, DesignerRun, list[int]]:
-    """One designer's full replay (module-level: process-backend task).
-
-    Rebuilds the experiment context from the scale — deterministic given
-    the scale's seed, so the replay is bit-identical to the same designer's
-    run in the serial loop.
-    """
-    scale, workload, engine, name, gamma = task
-    context = ExperimentContext(scale)
-    adapter, nominal = _engine_stack(context, engine)
-    designers, samplers = _build_designers(context, adapter, nominal, gamma, which=[name])
-    outcome = replay(
-        context.window_source(workload),
-        designers,
-        adapter,
-        candidate_source=nominal,
-        workload_name=workload,
-        max_transitions=scale.max_transitions,
-        skip_transitions=scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace(workload), samplers),
-    )
+    """One designer's full replay (module-level: process-backend task)."""
+    context, workload, engine, name, gamma = task
+    adapter, nominal, distance = _cell_stack(context, engine)
+    designers, samplers = _build_designers(context, adapter, nominal, gamma, [name], distance)
+    outcome = _replay(context, workload, designers, samplers, adapter, nominal)
     return name, outcome.runs[name], outcome.evaluated_query_counts
 
 
@@ -496,114 +552,39 @@ def run_gamma_sweep(
 ) -> dict[float, tuple[float, float]]:
     """CliffGuard's (avg, max) latency per Γ; Γ = 0 is the nominal case.
 
-    With an execution ``backend``, every Γ replays as an independent task
-    (its own context and seeded sampler) — the per-Γ runs were already
-    independent in the serial loop, so fanning them out is value-preserving
+    Every Γ replays as an independent cell (its own adapter and seeded
+    sampler over the shared context) on the execution ``backend`` — a
+    ``SerialBackend`` when none is given — so the sweep is bit-identical
     at any worker count.
 
-    ``checkpointer`` makes the sweep resumable at Γ-point granularity:
-    completed Γ-points are recorded after each replay (the serial path
-    also snapshots the shared adapter's warm cost cache, so a resumed
-    sweep's effort counters match the uninterrupted run); on resume only
-    pending Γ-points run.  See docs/state.md.
+    ``checkpointer`` makes the sweep resumable at Γ-point granularity
+    (:func:`_run_cells`, docs/state.md): on resume only pending Γ-points run.
     """
     base_gamma = context.default_gamma(workload)
     if gammas is None:
         gammas = [0.0, 0.25 * base_gamma, base_gamma, 2 * base_gamma, 6 * base_gamma]
-    state_key = run_key(
-        "gamma_sweep", astuple(context.scale), workload, tuple(gammas)
-    )
-    executor = resolve_backend(backend)
     t = tracer()
-    if executor is None:
-        adapter, nominal = _engine_stack(context, "columnar")
-        results: dict[float, tuple[float, float]] = {}
-        if checkpointer is not None:
-            state = checkpointer.load("gamma_sweep", state_key)
-            if state is not None:
-                results = state["results"]
-                restore_costing(adapter, state["costing"])
-        for gamma in gammas:
-            if gamma in results:
-                continue
-            results[gamma] = _cliffguard_gamma_run(
-                context, adapter, nominal, workload, gamma
-            )
-            if t.enabled:
-                t.emit(
-                    "gamma_result",
-                    workload=workload,
-                    gamma=gamma,
-                    avg_ms=results[gamma][0],
-                    max_ms=results[gamma][1],
-                )
-            if checkpointer is not None:
-                checkpointer.step(
-                    "gamma_sweep",
-                    state_key,
-                    lambda: {
-                        "results": results,
-                        "costing": costing_state(adapter),
-                    },
-                )
-        return {gamma: results[gamma] for gamma in gammas}
-    results = {}
-    if checkpointer is not None:
-        state = checkpointer.load("gamma_sweep", state_key)
-        if state is not None:
-            results = state["results"]
-    pending = [gamma for gamma in gammas if gamma not in results]
-    tasks = [(context.scale, workload, gamma) for gamma in pending]
-    for gamma, point in executor.map(_gamma_sweep_task, tasks):
-        results[gamma] = point
+
+    def finish(_state: dict, gamma: float, point: tuple[float, float]):
         if t.enabled:
-            t.emit(
-                "gamma_result",
-                workload=workload,
-                gamma=gamma,
-                avg_ms=point[0],
-                max_ms=point[1],
-            )
-    if checkpointer is not None and pending:
-        checkpointer.step(
-            "gamma_sweep",
-            state_key,
-            lambda: {"results": results, "costing": None},
-        )
-    return {gamma: results[gamma] for gamma in gammas}
+            avg_ms, max_ms = point
+            t.emit("gamma_result", workload=workload, gamma=gamma, avg_ms=avg_ms, max_ms=max_ms)
+        return point
 
-
-def _cliffguard_gamma_run(
-    context: ExperimentContext,
-    adapter: DesignAdapter,
-    nominal,
-    workload: str,
-    gamma: float,
-) -> tuple[float, float]:
-    """One CliffGuard replay at one Γ (shared by serial loop and tasks)."""
-    designers, samplers = _build_designers(
-        context, adapter, nominal, gamma, which=["CliffGuard"]
+    state_key = run_key("gamma_sweep", astuple(context.scale), workload, tuple(gammas))
+    cells = {gamma: (context, workload, gamma) for gamma in gammas}
+    state = _run_cells(
+        "gamma_sweep", state_key, {"results": {}}, "results",
+        cells, _gamma_sweep_task, backend, checkpointer, finish,
     )
-    outcome = replay(
-        context.window_source(workload),
-        designers,
-        adapter,
-        candidate_source=nominal,
-        workload_name=workload,
-        max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace(workload), samplers),
-    )
-    run = outcome.run("CliffGuard")
-    return (run.mean_average_ms, run.mean_max_ms)
+    return state["results"]
 
 
-def _gamma_sweep_task(task) -> tuple[float, tuple[float, float]]:
+def _gamma_sweep_task(task) -> tuple[float, float]:
     """One Γ of the sweep (module-level: process-backend task)."""
-    scale, workload, gamma = task
-    context = ExperimentContext(scale)
-    adapter, nominal = _engine_stack(context, "columnar")
-    return gamma, _cliffguard_gamma_run(context, adapter, nominal, workload, gamma)
+    context, workload, gamma = task
+    adapter, nominal, distance = _cell_stack(context, "columnar")
+    return _cliffguard_point(context, adapter, nominal, workload, gamma, distance)[0]
 
 
 # -- F11: distance ablation -------------------------------------------------------------
@@ -614,8 +595,7 @@ def run_distance_ablation(
     workload: str = "R1",
 ) -> dict[str, tuple[float, float]]:
     """CliffGuard under different distance metrics (Figure 11)."""
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
+    adapter, nominal = _engine_stack(context, "columnar")
     windows = context.trace_windows(workload)
     n = context.schema.total_columns
     variants: dict[str, WorkloadDistance | LatencyAwareDistance] = {
@@ -642,29 +622,10 @@ def run_distance_ablation(
         # through the Γ calibration (and our worst-neighbor ranking is
         # already latency-based, unlike the paper's purely structural one).
         structural = metric.base if isinstance(metric, LatencyAwareDistance) else metric
-        history = drift_history(windows, metric)
-        gamma = gamma_from_history(history, "avg")
-        sampler = NeighborhoodSampler(structural, context.schema, seed=context.scale.seed)
-        designer = CliffGuard(
-            nominal,
-            adapter,
-            sampler,
-            gamma,
-            n_samples=context.scale.n_samples,
-            max_iterations=context.scale.iterations,
-        )
-        outcome = replay(
-            TraceSource.from_windows(windows, window_days=context.scale.window_days),
-            {"CliffGuard": designer},
-            adapter,
-            candidate_source=nominal,
-            workload_name=workload,
-            max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-            before_transition=_past_pool_hook(context.trace(workload), [sampler]),
-        )
-        run = outcome.run("CliffGuard")
-        results[label] = (run.mean_average_ms, run.mean_max_ms)
+        gamma = gamma_from_history(drift_history(windows, metric), "avg")
+        results[label] = _cliffguard_point(
+            context, adapter, nominal, workload, gamma, structural
+        )[0]
     return results
 
 
@@ -677,30 +638,12 @@ def run_sample_size_sweep(
     sample_sizes: tuple[int, ...] = (2, 5, 10, 20, 40),
 ) -> dict[int, tuple[float, float]]:
     """CliffGuard's latency vs neighborhood sample count n (Figure 12)."""
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
-    windows = context.window_source(workload)
+    adapter, nominal = _engine_stack(context, "columnar")
     gamma = context.default_gamma(workload)
-    results: dict[int, tuple[float, float]] = {}
-    for n in sample_sizes:
-        sampler = context.sampler()
-        designer = CliffGuard(
-            nominal, adapter, sampler, gamma, n_samples=n,
-            max_iterations=context.scale.iterations,
-        )
-        outcome = replay(
-            windows,
-            {"CliffGuard": designer},
-            adapter,
-            candidate_source=nominal,
-            workload_name=workload,
-            max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-            before_transition=_past_pool_hook(context.trace(workload), [sampler]),
-        )
-        run = outcome.run("CliffGuard")
-        results[n] = (run.mean_average_ms, run.mean_max_ms)
-    return results
+    return {
+        n: _cliffguard_point(context, adapter, nominal, workload, gamma, n_samples=n)[0]
+        for n in sample_sizes
+    }
 
 
 def run_iteration_sweep(
@@ -709,30 +652,12 @@ def run_iteration_sweep(
     iteration_counts: tuple[int, ...] = (0, 1, 2, 5, 10, 20),
 ) -> dict[int, tuple[float, float]]:
     """CliffGuard's latency vs iteration budget (Figure 13)."""
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
-    windows = context.window_source(workload)
+    adapter, nominal = _engine_stack(context, "columnar")
     gamma = context.default_gamma(workload)
-    results: dict[int, tuple[float, float]] = {}
-    for iterations in iteration_counts:
-        sampler = context.sampler()
-        designer = CliffGuard(
-            nominal, adapter, sampler, gamma,
-            n_samples=context.scale.n_samples, max_iterations=iterations,
-        )
-        outcome = replay(
-            windows,
-            {"CliffGuard": designer},
-            adapter,
-            candidate_source=nominal,
-            workload_name=workload,
-            max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-            before_transition=_past_pool_hook(context.trace(workload), [sampler]),
-        )
-        run = outcome.run("CliffGuard")
-        results[iterations] = (run.mean_average_ms, run.mean_max_ms)
-    return results
+    return {
+        n: _cliffguard_point(context, adapter, nominal, workload, gamma, max_iterations=n)[0]
+        for n in iteration_counts
+    }
 
 
 # -- F14: offline time -------------------------------------------------------------------
@@ -751,35 +676,20 @@ def run_offline_time(
     which: list[str] | None = None,
 ) -> list[OfflineTimeRow]:
     """Wall-clock design time vs modeled deployment time (Figure 14)."""
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
+    adapter, nominal = _engine_stack(context, "columnar")
     gamma = context.default_gamma(workload)
     designers, samplers = _build_designers(context, adapter, nominal, gamma, which)
-    outcome = replay(
-        context.window_source(workload),
-        designers,
-        adapter,
-        candidate_source=nominal,
-        workload_name=workload,
-        max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace(workload), samplers),
-    )
-    rows: list[OfflineTimeRow] = []
-    for name, run in outcome.runs.items():
-        if run.windows:
-            price = run.windows[-1].design_price_bytes
-            deployment = price / 1e9 * 360.0  # engine.design.DEPLOY_SECONDS_PER_GB
-        else:
-            deployment = 0.0
-        rows.append(
-            OfflineTimeRow(
-                designer=name,
-                design_seconds=run.mean_design_seconds,
-                deployment_seconds=deployment,
-            )
+    outcome = _replay(context, workload, designers, samplers, adapter, nominal)
+    return [
+        OfflineTimeRow(
+            designer=name,
+            design_seconds=run.mean_design_seconds,
+            deployment_seconds=adapter.deployment_seconds(
+                run.windows[-1].design_price_bytes if run.windows else 0
+            ),
         )
-    return rows
+        for name, run in outcome.runs.items()
+    ]
 
 
 # -- costing instrumentation (the `repro stats` CLI view) ---------------------------------
@@ -812,24 +722,10 @@ def run_costing_stats(
     """
     adapter, nominal = _engine_stack(context, engine)
     gamma = context.default_gamma(workload)
-    designers, samplers = _build_designers(
-        context, adapter, nominal, gamma, which=["CliffGuard"]
-    )
-    outcome = replay(
-        context.window_source(workload),
-        designers,
-        adapter,
-        candidate_source=nominal,
-        workload_name=workload,
-        max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace(workload), samplers),
-        checkpointer=checkpointer,
-        state_key=run_key(
-            "costing_stats", astuple(context.scale), workload, engine, gamma
-        )
-        if checkpointer is not None
-        else None,
+    designers, samplers = _build_designers(context, adapter, nominal, gamma, ["CliffGuard"])
+    state_key = run_key("costing_stats", astuple(context.scale), workload, engine, gamma)
+    outcome = _replay(
+        context, workload, designers, samplers, adapter, nominal, checkpointer, state_key
     )
     adapter.costing.publish_metrics()
     return CostingStatsOutcome(
@@ -859,93 +755,51 @@ def run_schedule_comparison(
 
     The executable form of the paper's claim (d): how much latency each
     designer loses when its designs must serve longer between re-designs.
-    Each (designer, period) pair is an independent deterministic task, so
-    the grid fans out over the execution backend; ``backend=None`` runs
-    the same tasks inline.
+    Each (designer, period) pair is an independent deterministic cell (its
+    own adapter and seeded sampler over the shared context) on the
+    execution ``backend`` — a ``SerialBackend`` when none is given.
 
-    ``checkpointer`` records completed (designer, period) cells — after
-    each cell on the serial path, at completion on the backend path — and
-    on resume runs only the pending cells (each cell rebuilds its own
-    context, so skipping finished ones is value-preserving).
+    ``checkpointer`` records completed cells (see :func:`_run_cells`) and
+    on resume runs only the pending ones.
     """
     if gamma is None:
         gamma = context.default_gamma(workload)
-    tasks = [
-        (context.scale, workload, engine, name, every, gamma, iterations)
+    context.trace_windows(workload)  # generated once here, not once per worker
+    state_key = run_key(
+        "schedule_comparison", astuple(context.scale), workload, engine,
+        tuple(designers), tuple(everies), gamma, iterations,
+    )
+    cells = {
+        (name, every): (context, workload, engine, name, every, gamma, iterations)
         for name in designers
         for every in everies
-    ]
-    state_key = run_key(
-        "schedule_comparison",
-        astuple(context.scale),
-        workload,
-        engine,
-        tuple(designers),
-        tuple(everies),
-        gamma,
-        iterations,
-    )
-    done: dict[tuple[str, int], ScheduleOutcome] = {}
-    if checkpointer is not None:
-        state = checkpointer.load("schedule_comparison", state_key)
-        if state is not None:
-            done = state["outcomes"]
-    pending = [task for task in tasks if (task[3], task[4]) not in done]
-    executor = resolve_backend(backend)
-    if executor is None:
-        for task in pending:
-            name, every, outcome = _schedule_task(task)
-            done[(name, every)] = outcome
-            if checkpointer is not None:
-                checkpointer.step(
-                    "schedule_comparison", state_key, lambda: {"outcomes": done}
-                )
-    else:
-        for name, every, outcome in executor.map(_schedule_task, pending):
-            done[(name, every)] = outcome
-        if checkpointer is not None and pending:
-            checkpointer.step(
-                "schedule_comparison", state_key, lambda: {"outcomes": done}
-            )
-    return {
-        (task[3], task[4]): done[(task[3], task[4])]
-        for task in tasks
-        if (task[3], task[4]) in done
     }
-
-
-def _schedule_task(task) -> tuple[str, int, ScheduleOutcome]:
-    """One (designer, period) scheduled replay (process-backend task)."""
-    scale, workload, engine, name, every, gamma, iterations = task
-    context = ExperimentContext(scale)
-    adapter, nominal = _engine_stack(context, engine)
-    windows = context.trace_windows(workload)
-    trace = context.trace(workload)
-    designer, sampler = registry.get(
-        name,
-        adapter,
-        nominal,
-        gamma,
-        make_sampler=context.sampler,
-        n_samples=scale.n_samples,
-        max_iterations=iterations if iterations is not None else scale.iterations,
+    state = _run_cells(
+        "schedule_comparison", state_key, {"outcomes": {}}, "outcomes",
+        cells, _schedule_task, backend, checkpointer,
     )
-    samplers = [sampler] if sampler is not None else []
+    return state["outcomes"]
 
-    def refresh(i: int) -> None:
-        start, _ = windows[i].span_days
-        past = [q for q in trace if q.timestamp < start]
-        for s in samplers:
-            s.set_pool(past)
 
-    outcome = scheduled_replay(
-        TraceSource.from_windows(windows, window_days=scale.window_days),
-        designer,
+def _schedule_task(task) -> ScheduleOutcome:
+    """One (designer, period) scheduled replay (process-backend task)."""
+    context, workload, engine, name, every, gamma, iterations = task
+    adapter, nominal, distance = _cell_stack(context, engine)
+    cfg = {} if iterations is None else {"max_iterations": iterations}
+    designers, samplers = _build_designers(
+        context, adapter, nominal, gamma, [name], distance, **cfg
+    )
+    windows = context.trace_windows(workload)
+    # A design is built from its *train* window, so that is the window
+    # whose past bounds the samplers' pools here.
+    past_pool = _past_pool_hook(context.trace(workload), samplers)
+    return scheduled_replay(
+        context.window_source(workload),
+        designers[name],
         adapter,
         PeriodicPolicy(every=every),
-        before_design=refresh,
+        before_design=lambda i: past_pool(i, None, windows[i]),
     )
-    return name, every, outcome
 
 
 # -- F16: δ_latency correlation ------------------------------------------------------------
@@ -963,8 +817,7 @@ def run_latency_metric_correlation(
     the y-value is W1's latency under W0's design divided by W0's own
     latency under that design.
     """
-    adapter = context.columnar_adapter()
-    nominal = ColumnarNominalDesigner(adapter)
+    adapter, nominal = _engine_stack(context, "columnar")
     windows = [w for w in context.trace_windows(workload) if len(w) > 0]
     anchor = windows[0]
     design = nominal.design(anchor)

@@ -259,6 +259,7 @@ def replay(
             result.runs[name] = DesignerRun(name=name)
         start = skip_transitions
 
+    service = adapter.costing
     transitions = len(windows) - 1
     if max_transitions is not None:
         transitions = min(transitions, skip_transitions + max_transitions)
@@ -279,9 +280,7 @@ def replay(
             continue
         # One arena compile serves every designer's evaluation pass on
         # this window (the costing service binds it per design).
-        prepare = getattr(getattr(adapter, "costing", None), "prepare_workload", None)
-        if prepare is not None:
-            prepare(evaluation)
+        service.prepare_workload(evaluation)
         result.evaluated_query_counts.append(len(evaluation))
         t = tracer()
         if t.enabled:
@@ -294,20 +293,12 @@ def replay(
             )
         for name, designer in designers.items():
             input_window = test if getattr(designer, "is_oracle", False) else train
-            service = getattr(adapter, "costing", None)
-            baseline = service.stats.snapshot() if service is not None else None
+            baseline = service.stats.snapshot()
             started = time.perf_counter()
             design = designer.design(input_window)
             design_seconds = time.perf_counter() - started
             report = adapter.workload_cost(evaluation, design)
-            if service is not None:
-                delta = service.stats.since(baseline)
-                query_calls = delta.query_requests + delta.dedup_saved
-                raw_calls = delta.raw_model_calls
-                hit_rate = delta.hit_rate
-            else:
-                query_calls = raw_calls = 0
-                hit_rate = 0.0
+            delta = service.stats.since(baseline)
             outcome = WindowOutcome(
                 window_index=i,
                 average_ms=report.average_ms,
@@ -315,9 +306,9 @@ def replay(
                 design_seconds=design_seconds,
                 design_price_bytes=adapter.design_price(design),
                 structure_count=len(adapter.structures(design)),
-                query_cost_calls=query_calls,
-                raw_cost_model_calls=raw_calls,
-                cache_hit_rate=hit_rate,
+                query_cost_calls=delta.query_requests + delta.dedup_saved,
+                raw_cost_model_calls=delta.raw_model_calls,
+                cache_hit_rate=delta.hit_rate,
             )
             if getattr(designer, "learns_online", False):
                 # The observed per-query costs are the learner's reward

@@ -163,10 +163,6 @@ class ScheduleOutcome:
         return sum(self.per_window_avg_ms) / len(self.per_window_avg_ms)
 
 
-#: Deployment throughput (matches repro.engine.design.DEPLOY_SECONDS_PER_GB).
-DEPLOY_SECONDS_PER_GB = 360.0
-
-
 def scheduled_replay(
     windows: "QuerySource | list[Workload]",
     designer: Designer,
@@ -256,7 +252,7 @@ def scheduled_replay(
             design = designer.design(train)
             design_window = train
             outcome.redesign_windows.append(i)
-            deployment = adapter.design_price(design) / 1e9 * DEPLOY_SECONDS_PER_GB
+            deployment = adapter.deployment_seconds(adapter.design_price(design))
             outcome.total_deployment_seconds += deployment
             if t.enabled:
                 t.emit(
@@ -268,9 +264,7 @@ def scheduled_replay(
                 )
         # Pre-warm the window's arena: repeated policy evaluations of the
         # same test window bind against one compiled query side.
-        prepare = getattr(getattr(adapter, "costing", None), "prepare_workload", None)
-        if prepare is not None:
-            prepare(test)
+        adapter.costing.prepare_workload(test)
         average_ms = adapter.workload_cost(test, design).average_ms
         outcome.per_window_avg_ms.append(average_ms)
         if t.enabled:

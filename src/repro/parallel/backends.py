@@ -302,8 +302,11 @@ class ThreadBackend(_PoolBackend):
     """Thread-pool backend.
 
     Shares memory with the parent, so tasks need not be picklable — but
-    pure-Python cost models are GIL-bound here; use the process backend
-    for CPU-bound fan-out.
+    pure-Python cost models are GIL-bound here: its ``map`` was the
+    slowest of the four backend values on every sweep measured
+    (docs/api.md), so use the process backend for fan-out.  The class
+    stays for ``submit``: the serve daemon's only in-process
+    non-blocking re-design.
     """
 
     name = "thread"
@@ -336,9 +339,10 @@ def default_jobs() -> int:
 def backend_from_env() -> ExecutionBackend | None:
     """The backend selected by ``REPRO_BACKEND`` / ``REPRO_JOBS``.
 
-    Returns ``None`` when the environment selects nothing — callers fall
-    back to their inline serial path.  This is how the CI matrix runs the
-    tier-1 suite on the process backend without touching any call site.
+    Returns ``None`` when the environment selects nothing — the sweeps
+    then run their cells on a ``SerialBackend``.  This is how the CI
+    matrix runs the tier-1 suite on the process backend without touching
+    any call site.
     """
     name = os.environ.get(ENV_BACKEND, "").strip().lower()
     if not name:
@@ -357,8 +361,10 @@ def resolve_backend(
 
     ``backend`` may be an :class:`ExecutionBackend` instance (returned
     as-is), one of ``"serial"``/``"thread"``/``"process"``, ``"auto"``
-    (defer to :func:`backend_from_env`), or ``None`` (no backend — the
-    caller's inline serial path).
+    (defer to :func:`backend_from_env`), or ``None`` (no backend: the
+    Γ sweep and the schedule grid run their cells on a
+    ``SerialBackend``; the designer comparison replays all designers
+    over one shared cost service instead of one cell each).
     """
     if backend is None:
         return None

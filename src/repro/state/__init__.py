@@ -18,10 +18,8 @@ uninterrupted run.
 from repro.state.capture import (
     costing_state,
     designer_state,
-    monitor_state,
     restore_costing,
     restore_designer,
-    restore_monitor,
     restore_sampler,
     sampler_state,
 )
@@ -48,10 +46,8 @@ __all__ = [
     "SimulatedCrash",
     "costing_state",
     "designer_state",
-    "monitor_state",
     "restore_costing",
     "restore_designer",
-    "restore_monitor",
     "restore_sampler",
     "run_key",
     "sampler_state",

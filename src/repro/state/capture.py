@@ -64,22 +64,6 @@ def restore_designer(designer, state: dict | None) -> None:
         restore(state["model"])
 
 
-def monitor_state(monitor) -> dict:
-    """Snapshot a :class:`~repro.workload.monitor.WorkloadMonitor`.
-
-    The serve daemon's sliding window, measurement cadence, and alarm
-    refractory anchors all live in the monitor; a resumed daemon must
-    observe the remainder of the stream exactly as the uninterrupted
-    one would have (docs/serving.md).
-    """
-    return monitor.state()
-
-
-def restore_monitor(monitor, state: dict) -> None:
-    """Restore what :func:`monitor_state` captured."""
-    monitor.restore(state)
-
-
 def costing_state(adapter_or_service) -> dict | None:
     """Export the cost-evaluation cache behind an adapter (or service).
 

@@ -170,3 +170,80 @@ class TestExperimentResume:
         )
         # ScheduleOutcome carries no wall-clock fields: exact equality.
         assert resumed == baseline
+
+    # -- resume at every cell, not only the first ------------------------------
+
+    @staticmethod
+    def _crash_at_every_checkpoint(run, expected_checkpoints, tmp_path, facts=lambda r: r):
+        """``run(checkpointer)`` crashed after each of its checkpoints in
+        turn and resumed must equal the uninterrupted run."""
+        from repro.state import RunCheckpointer, SimulatedCrash
+
+        counting = RunCheckpointer(tmp_path / "count.ckpt")
+        baseline = facts(run(counting))
+        assert counting.writes == expected_checkpoints
+        for boundary in range(1, expected_checkpoints + 1):
+            path = tmp_path / f"crash-{boundary}.ckpt"
+            with pytest.raises(SimulatedCrash):
+                run(RunCheckpointer(path, crash_after=boundary))
+            resumed = run(RunCheckpointer(path, resume=True))
+            assert facts(resumed) == baseline, boundary
+
+    @pytest.mark.parametrize("serial_backend", [False, True])
+    def test_gamma_sweep_resumes_at_every_cell(self, context, tmp_path, serial_backend):
+        from repro.harness.experiments import run_gamma_sweep
+        from repro.parallel import SerialBackend
+
+        base = context.default_gamma("R1")
+        gammas = [0.0, base, 2 * base]
+
+        def run(checkpointer):
+            backend = SerialBackend() if serial_backend else None
+            return run_gamma_sweep(
+                context, "R1", gammas=gammas, backend=backend, checkpointer=checkpointer
+            )
+
+        self._crash_at_every_checkpoint(run, len(gammas), tmp_path)
+
+    @pytest.mark.parametrize("serial_backend", [False, True])
+    def test_schedule_comparison_resumes_at_every_cell(
+        self, context, tmp_path, serial_backend
+    ):
+        from repro.harness.experiments import run_schedule_comparison
+        from repro.parallel import SerialBackend
+
+        def run(checkpointer):
+            return run_schedule_comparison(
+                context,
+                designers=("ExistingDesigner",),
+                everies=(1, 2, 3),
+                iterations=1,
+                backend=SerialBackend() if serial_backend else None,
+                checkpointer=checkpointer,
+            )
+
+        self._crash_at_every_checkpoint(run, 3, tmp_path)
+
+    @pytest.mark.parametrize("serial_backend", [False, True])
+    def test_designer_comparison_resumes_at_every_cell(
+        self, context, tmp_path, serial_backend
+    ):
+        from repro.harness.experiments import run_designer_comparison
+        from repro.parallel import SerialBackend
+
+        which = ["NoDesign", "ExistingDesigner", "CliffGuard"]
+
+        def run(checkpointer):
+            return run_designer_comparison(
+                context,
+                "R1",
+                which=which,
+                backend=SerialBackend() if serial_backend else None,
+                checkpointer=checkpointer,
+            )
+
+        # Isolated cells checkpoint per designer; the shared replay (no
+        # backend) per window transition — one at this scale.
+        self._crash_at_every_checkpoint(
+            run, len(which) if serial_backend else 1, tmp_path, self._replay_facts
+        )

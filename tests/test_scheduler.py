@@ -172,3 +172,65 @@ class TestEvaluationWindowsValidation:
             evaluation_windows=list(tiny_windows),
         )
         assert explicit.per_window_avg_ms == plain.per_window_avg_ms
+
+
+class _Recording:
+    """Designer wrapper that keeps every design it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.designs = []
+
+    def design(self, workload):
+        self.designs.append(self.inner.design(workload))
+        return self.designs[-1]
+
+
+class TestDeploymentRate:
+    """Re-designs are charged at the *engine's* modeled build rate
+    (``design.deployment_seconds``), asked through the adapter."""
+
+    def test_rowstore_charged_at_the_rowstore_rate(self, rowstore_adapter, tiny_windows):
+        from repro.designers.rowstore_nominal import RowstoreNominalDesigner
+
+        designer = _Recording(RowstoreNominalDesigner(rowstore_adapter))
+        outcome = scheduled_replay(
+            TraceSource.from_windows(tiny_windows),
+            designer,
+            rowstore_adapter,
+            PeriodicPolicy(every=1),
+        )
+        statistics = rowstore_adapter.cost_model.statistics
+        own = [d.deployment_seconds(rowstore_adapter.schema, statistics) for d in designer.designs]
+        assert sum(own) > 0
+        # Regression: a hard-coded 360 s/GB over-reported this by 20 %.
+        assert outcome.total_deployment_seconds == sum(own)
+
+    def test_columnar_outcome_and_event_unchanged(
+        self, columnar_adapter, tiny_windows, tmp_path
+    ):
+        import json
+
+        from repro.obs import trace_to
+
+        designer = _Recording(ColumnarNominalDesigner(columnar_adapter))
+        with trace_to(tmp_path / "trace.jsonl"):
+            outcome = scheduled_replay(
+                TraceSource.from_windows(tiny_windows),
+                designer,
+                columnar_adapter,
+                PeriodicPolicy(every=1),
+            )
+        own = [d.deployment_seconds(columnar_adapter.schema) for d in designer.designs]
+        assert outcome.total_deployment_seconds == sum(own)
+        events = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        emitted = [e["deployment_seconds"] for e in events if e["event"] == "redesign"]
+        assert emitted == own
+
+    def test_samples_engine_keeps_the_columnar_rate(self, tiny_star):
+        from repro.designers.base import SamplesAdapter
+        from repro.samples.optimizer import SamplesCostModel
+
+        adapter = SamplesAdapter(SamplesCostModel(tiny_star[0]))
+        assert adapter.deployment_seconds(2_000_000_000) == 720.0
