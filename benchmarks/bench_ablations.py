@@ -22,7 +22,6 @@ def run_variant(context, **cliffguard_kwargs):
         max_ms,
         report.query_cost_calls if report else 0,
         report.matrix_hits if report else 0,
-        report.delta_pairs_saved if report else 0,
         report.final_alpha if report else 0.0,
     )
 
@@ -44,7 +43,6 @@ def test_ablation_worst_neighbor_selection(benchmark, context, emit):
                 "Max latency (ms)",
                 "Cost calls",
                 "Matrix hits",
-                "Delta saved",
                 "Final α",
             ],
             [[k, *v] for k, v in results.items()],
@@ -73,7 +71,6 @@ def test_ablation_line_search(benchmark, context, emit):
                 "Max latency (ms)",
                 "Cost calls",
                 "Matrix hits",
-                "Delta saved",
                 "Final α",
             ],
             [[k, *v] for k, v in results.items()],
@@ -101,7 +98,6 @@ def test_ablation_keep_base_workload(benchmark, context, emit):
                 "Max latency (ms)",
                 "Cost calls",
                 "Matrix hits",
-                "Delta saved",
                 "Final α",
             ],
             [[k, *v] for k, v in results.items()],

@@ -243,8 +243,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         print(
             f"design-stream reuse: {report.matrix_hits} matrix hits, "
-            f"{report.matrix_pairs_priced} matrix pairs priced, "
-            f"{report.delta_pairs_saved} delta pairs saved"
+            f"{report.matrix_pairs_priced} matrix pairs priced"
         )
     print()
     print(format_metrics(get_metrics(), title="Metrics registry"))
@@ -291,13 +290,18 @@ def _feed_connect(spec: str, timeout: float):
     import socket
     import time
 
-    if spec.startswith("unix:"):
-        family, address = socket.AF_UNIX, spec[len("unix:") :]
-    elif spec.startswith("tcp:"):
-        host, _, port = spec[len("tcp:") :].rpartition(":")
-        family, address = socket.AF_INET, (host, int(port))
+    from repro.serve.sources import resolve_source
+
+    # One spec grammar for both ends: the address ``serve --listen SPEC``
+    # would bind is the one dialled here (same checks, same host default).
+    try:
+        endpoint = resolve_source(spec)
+    except ValueError as exc:
+        raise SystemExit(f"feed: bad --connect: {exc}") from None
+    if endpoint.path is not None:
+        family, address = socket.AF_UNIX, endpoint.path
     else:
-        raise SystemExit(f"feed: bad --connect {spec!r} (want unix:PATH or tcp:HOST:PORT)")
+        family, address = socket.AF_INET, (endpoint.host, endpoint.port)
     deadline = time.monotonic() + timeout
     while True:
         sock = socket.socket(family, socket.SOCK_STREAM)

@@ -68,9 +68,6 @@ class CliffGuardReport:
     #: (candidate, query) cells the kernel actually priced into matrix
     #: columns during this run.
     matrix_pairs_priced: int = 0
-    #: (design, query) pairs the delta neighborhood path copied from the
-    #: incumbent design instead of re-pricing.
-    delta_pairs_saved: int = 0
     #: Wall-clock seconds spent inside the nominal designer's ``design``
     #: calls (the candidate generation + pricing + greedy selection the
     #: matrix cache accelerates).
@@ -78,13 +75,12 @@ class CliffGuardReport:
 
     #: Fields a resumed run may legitimately report differently from the
     #: uninterrupted run: wall-clock times, plus every counter derived
-    #: from non-exported cache state (the matrix cache and the delta
-    #: path are rebuilt cold after a resume; see docs/state.md).
+    #: from non-exported cache state (the matrix cache is rebuilt cold
+    #: after a resume; see docs/state.md).
     RESUME_EXEMPT_FIELDS: ClassVar[tuple[str, ...]] = (
         "eval_wall_seconds",
         "matrix_hits",
         "matrix_pairs_priced",
-        "delta_pairs_saved",
         "nominal_wall_seconds",
     )
 
@@ -151,22 +147,15 @@ class CliffGuard(Designer):
 
     # -- neighborhood machinery ----------------------------------------------------
 
-    def _neighborhood_costs(
-        self, neighborhood: list[Workload], design, reference=None
-    ) -> list[float]:
+    def _neighborhood_costs(self, neighborhood: list[Workload], design) -> list[float]:
         """f(W_i, D) for every sampled neighbor (average latency).
 
         Evaluated through the adapter's batched neighborhood API: the
         neighbors overwhelmingly share queries (they come from the same
         history pool), so each distinct query is costed once per design
-        instead of once per neighbor.  ``reference`` (the incumbent
-        design when evaluating a candidate move) lets the service
-        re-price only the queries the design diff can touch — results
-        stay bit-identical either way.
+        instead of once per neighbor.
         """
-        reports = self.adapter.evaluate_neighborhood(
-            [design], neighborhood, reference=reference
-        )[0]
+        reports = self.adapter.evaluate_neighborhood([design], neighborhood)[0]
         return [report.average_ms for report in reports]
 
     def _worst_neighbors(
@@ -205,7 +194,7 @@ class CliffGuard(Designer):
         baseline = service.stats.snapshot()
         # Arena/matrix counters are derived state (never checkpointed), so
         # their baseline is taken fresh on every call — resumed runs
-        # legitimately report different matrix/delta numbers (see
+        # legitimately report different matrix numbers (see
         # CliffGuardReport.RESUME_EXEMPT_FIELDS).
         arena_baseline = service.arena_stats.snapshot()
         t = tracer()
@@ -330,12 +319,7 @@ class CliffGuard(Designer):
             candidate = self.nominal.design(moved)
             report.nominal_wall_seconds += time.perf_counter() - nominal_started
             report.designer_calls += 1
-            # The incumbent's costs are already cached for this
-            # neighborhood, so the candidate evaluation delta-prices only
-            # the queries the design diff can touch (bit-identical).
-            candidate_costs = self._neighborhood_costs(
-                neighborhood, candidate, reference=design
-            )
+            candidate_costs = self._neighborhood_costs(neighborhood, candidate)
             candidate_worst = max(candidate_costs) if candidate_costs else 0.0
             if candidate_worst < worst_case:
                 design = candidate
@@ -395,7 +379,6 @@ class CliffGuard(Designer):
         arena_delta = service.arena_stats.since(arena_baseline)
         report.matrix_hits = arena_delta.matrix_hits
         report.matrix_pairs_priced = arena_delta.matrix_pairs_priced
-        report.delta_pairs_saved = arena_delta.delta_pairs_saved
         t = tracer()
         if t.enabled:
             t.emit(

@@ -64,13 +64,15 @@ declarations and its access-cost arithmetic:
 * ``_locate(best)`` — what a write pays to find its rows (samples
   override it: always the exact cost).
 
-Bound batches additionally support **delta re-costing**
+Bound batches additionally carry a **delta re-costing** primitive
 (:meth:`_Batch.delta_design_costs`): when a design changes by a
 single structure, only the queries whose access paths that structure can
 touch (its table is the query's anchor or one of its dimension tables)
 are re-priced; every other query keeps its previous cost, which is
 bit-identical by construction — an off-table structure contributes only
-``inf``/invalid cells to the min-reductions.
+``inf``/invalid cells to the min-reductions.  No service path calls it
+(it saved under 0.5 % of priced pairs on the ledger's traffic); it
+stays because ``benchmarks/e2e/spans.py`` resolves it by name.
 
 Bit-identity contract (tolerance = 0): the kernels replicate the scalar
 models' floating-point operations *in the same order*, element-wise, so
@@ -437,30 +439,6 @@ def _table_blocks(arena, struct_table: np.ndarray, struct_mask: np.ndarray, keys
         yield (np.ix_(rows, side.acc), covered, *_prefix_fold(key_ids, side))
 
 
-def _related(struct_table: np.ndarray, side) -> np.ndarray:
-    """(S, Q) bool: the structure's table is the query's anchor table or
-    one of its dimension tables — the only pairs whose cost can differ
-    from the empty-design cost.  ``side`` is an arena or a bound batch."""
-    related = struct_table[:, None] == side.acc_table[side.anchor_acc][None, :]
-    for j in range(side.dim_pad.shape[1]):
-        col = side.dim_pad[:, j]
-        tables = side.acc_table[np.maximum(col, 0)]
-        related = related | (
-            (col >= 0)[None, :] & (struct_table[:, None] == tables[None, :])
-        )
-    return related
-
-
-def affected_union(arena, structures) -> np.ndarray:
-    """(Q,) bool: the arena's queries whose cost can depend on *any* of
-    ``structures`` — the OR of ``affected_queries`` over them.  A design
-    step that adds and removes several structures can only move the
-    costs inside this mask; it needs the arena and the structures'
-    tables, not a bind.
-    """
-    return _related(arena.bits.table_ids_of(structures), arena).any(axis=0)
-
-
 # -- the skeleton: one arena / batch / kernel base ----------------------------------
 
 
@@ -555,8 +533,19 @@ class _Batch:
         return best
 
     def _related(self, rows=slice(None)) -> np.ndarray:
-        """(S', Q) :func:`_related` of the bound structures ``rows``."""
-        return _related(self.struct_table[rows], self)
+        """(S', Q) bool over the bound structures ``rows``: the
+        structure's table is the query's anchor table or one of its
+        dimension tables — the only pairs whose cost can differ from
+        the empty-design cost."""
+        struct_table = self.struct_table[rows]
+        related = struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
+        for j in range(self.dim_pad.shape[1]):
+            col = self.dim_pad[:, j]
+            tables = self.acc_table[np.maximum(col, 0)]
+            related = related | (
+                (col >= 0)[None, :] & (struct_table[:, None] == tables[None, :])
+            )
+        return related
 
     def _write_costs(self, locate: np.ndarray, members: np.ndarray) -> np.ndarray:
         """(Q,) write-path costs given the per-query locate cost.

@@ -31,13 +31,12 @@ Caching contract (see ``docs/cost_model.md`` for the prose version):
   it — is a :class:`~repro.costing.memo.BoundedMemo`, the repo's one
   LRU class.
 * **One miss-fill path, in process.**  Every cache miss is priced by
-  :meth:`CostEvaluationService._fill_misses`, whose callers only choose
-  *how* the stale cells get their floats (scalar model, full arena
-  bind, copy-from-reference delta, single-row sweep delta).  The
-  service never fans out inside a pricing call: the kernel reduction is
-  ~1% of a design run's wall, so parallelism lives one level up, in the
-  harness's whole-task fan-out and the serve daemon's background
-  re-design (see :mod:`repro.parallel`).
+  :meth:`CostEvaluationService._fill_misses`: the workload's arena
+  bound to the design, or the scalar model below ``KERNEL_MIN_BATCH``
+  misses.  The service never fans out inside a pricing call: the kernel
+  reduction is ~1% of a design run's wall, so parallelism lives one
+  level up, in the harness's whole-task fan-out and the serve daemon's
+  background re-design (see :mod:`repro.parallel`).
 * **Bit-identical results.**  Cached values are the exact floats the
   underlying cost model produced — the cached-vs-uncached property test
   in ``tests/test_costing_service.py`` asserts equality, not closeness.
@@ -55,12 +54,11 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from dataclasses import fields as dataclass_fields
-from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.costing.kernel import affected_union, kernel_for
+from repro.costing.kernel import kernel_for
 from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
@@ -240,7 +238,7 @@ class CostServiceStats(_Counters):
 
 @dataclass
 class ArenaStats(_Counters):
-    """Counters for the workload-arena cache and delta re-costing.
+    """Counters for the workload-arena and candidate-matrix caches.
 
     Deliberately **separate** from :class:`CostServiceStats` and
     **excluded from** :meth:`CostEvaluationService.export_state`: arenas
@@ -258,11 +256,6 @@ class ArenaStats(_Counters):
     evictions: int = 0
     #: Arenas dropped by ``invalidate_design``/``clear``.
     invalidations: int = 0
-    #: Design evaluations priced via single-structure delta re-costing.
-    delta_recosts: int = 0
-    #: Query re-evaluations skipped by delta re-costing (unaffected
-    #: queries whose previous costs were reused bit-identically).
-    delta_queries_saved: int = 0
     #: (candidate, query) cells served from the candidate-matrix cache
     #: instead of being re-priced by the kernel.
     matrix_hits: int = 0
@@ -274,28 +267,10 @@ class ArenaStats(_Counters):
     matrix_extends: int = 0
     #: Matrix columns dropped by the cell-budget LRU bound.
     matrix_evictions: int = 0
-    #: Neighborhood evaluations priced via design-diff delta re-costing.
-    neighborhood_deltas: int = 0
-    #: (design, query) pairs copied verbatim from the incumbent design's
-    #: cached costs instead of being re-priced (delta neighborhood path).
+    # Read by benchmarks/e2e/spans.py (``getattr(arena_stats,
+    # "delta_pairs_saved")``) and by nothing else: no path counts into
+    # it, so it reads 0 until the ledger stops naming it.
     delta_pairs_saved: int = 0
-
-    def rows(self) -> list[list[object]]:
-        """(label, value) rows for the reporting tables."""
-        return [
-            ["arena builds", self.builds],
-            ["arena hits", self.hits],
-            ["arena evictions (lru)", self.evictions],
-            ["arena invalidations", self.invalidations],
-            ["delta re-costs", self.delta_recosts],
-            ["delta queries saved", self.delta_queries_saved],
-            ["matrix cell hits", self.matrix_hits],
-            ["matrix cells priced", self.matrix_pairs_priced],
-            ["matrix extensions", self.matrix_extends],
-            ["matrix column evictions", self.matrix_evictions],
-            ["neighborhood delta re-costs", self.neighborhood_deltas],
-            ["delta pairs saved", self.delta_pairs_saved],
-        ]
 
 
 # -- candidate-matrix cache -------------------------------------------------------
@@ -393,7 +368,7 @@ class CostEvaluationService:
         #: Dispatch is exact-type; stubs and subclasses stay scalar.
         self.kernel = kernel_for(cost_model)
         self.stats = CostServiceStats()
-        #: Arena/matrix/delta counters — derived-state instrumentation,
+        #: Arena/matrix counters — derived-state instrumentation,
         #: intentionally outside ``stats`` (see :class:`ArenaStats`).
         self.arena_stats = ArenaStats()
         #: arena key (digest of the distinct SQL tuple) -> compiled
@@ -406,9 +381,6 @@ class CostEvaluationService:
         #: call re-prices the full matrix (the cold-rebuild baseline).
         #: Results and exported counters are identical either way.
         self.matrix_cache_enabled = True
-        #: Delta neighborhood toggle: off, ``evaluate_neighborhood``
-        #: ignores its ``reference`` design and re-prices fully.
-        self.delta_neighborhood_enabled = True
         self.max_matrix_cells = DEFAULT_MAX_MATRIX_CELLS
         #: matrix key (digest of the distinct SQL tuple) -> cached
         #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
@@ -578,24 +550,6 @@ class CostEvaluationService:
                 bytes=arena.nbytes,
             )
         return arena
-
-    def prepare_workload(self, queries) -> bool:
-        """Pre-warm the arena for a workload's distinct queries.
-
-        Call sites that know a workload will be costed repeatedly
-        (CliffGuard iterations, replay windows) can pay the one-time
-        compile up front; subsequent binds are cache hits.  Returns
-        False (and does nothing) when no kernel is available or the
-        workload is below the kernel batch threshold.
-        """
-        if self.kernel is None:
-            return False
-        sqls = [q if isinstance(q, str) else q.sql for q in queries]
-        unique = tuple(dict.fromkeys(sqls))
-        if len(unique) < KERNEL_MIN_BATCH:
-            return False
-        self._arena_for(unique)
-        return True
 
     def _bind(self, arena, structures):
         """``kernel.bind`` plus its ``kernel_bind`` trace event — the one
@@ -794,107 +748,48 @@ class CostEvaluationService:
             self.stats.kernel_batch_calls += 1
             self.stats.kernel_pairs_priced += len(sqls) + matrix_cells
 
-    def _fill_misses(self, design, design_fp: str, misses: list[str], price=None):
+    def _fill_misses(
+        self, design, design_fp: str, unique: tuple[str, ...], misses: list[str]
+    ) -> None:
         """Price the uncached SQL texts of one design into the cache.
 
-        Every batched entry point fills its misses here; callers only
-        choose *how the stale cells get their floats* by passing a
-        ``price(design, misses) -> (costs, structure_count, writes)``
-        strategy (``writes``: how many misses are write statements, or
-        ``None`` to have the model's profiles consulted) —
-        :meth:`_price_through_arena` (full bind, or copy-from-reference
-        plus a re-price of the affected queries) or a
-        :class:`_DesignSweep` (single-row delta between consecutive
-        designs).  Miss batches below ``KERNEL_MIN_BATCH``, and models
-        without a kernel, are priced by the scalar model whatever the
-        strategy.  Kernel results are bit-identical to the scalar path
-        (every kernel op is element-wise or a per-query reduction), so
-        cache contents and counters never depend on the strategy.
+        Every batched entry point fills its misses here, one way: the
+        arena of the *workload's* distinct-SQL tuple ``unique`` — a key
+        stable across designs and iterations — is bound to the design,
+        and the misses (a design-dependent subset of ``unique``) are a
+        ``take`` of the bound batch.  Miss batches below
+        ``KERNEL_MIN_BATCH``, and models without a kernel, are priced by
+        the scalar model.  Kernel results are bit-identical to the
+        scalar path (every kernel op is element-wise or a per-query
+        reduction), so cache contents and counters never depend on
+        which of the two priced a batch.
         """
         if not misses:
             return
         t = tracer()
         if t.enabled:
             t.emit("cache_fill", design=design_fp, misses=len(misses))
-        if price is None or self.kernel is None or len(misses) < KERNEL_MIN_BATCH:
-            structures = writes = None
-            costs = (self.cost_model.query_cost(sql, design) for sql in misses)
+        kernel = self.kernel is not None and len(misses) >= KERNEL_MIN_BATCH
+        if kernel:
+            batch = self._bind(self._arena_for(unique), list(design))
+            if len(misses) != len(unique):
+                q_index = {sql: i for i, sql in enumerate(unique)}
+                batch = batch.take([q_index[sql] for sql in misses])
+            costs = [float(cost) for cost in batch.design_costs()]
+            writes = int(batch.is_write.sum())
         else:
-            costs, structures, writes = price(design, misses)
-        if writes is None:
+            costs = (self.cost_model.query_cost(sql, design) for sql in misses)
             writes = self._count_write_sqls(misses)
         self.stats.write_pairs_priced += writes
-        self._charge(design_fp, misses, costs, kernel=structures is not None)
-        if structures is not None and t.enabled:
+        self._charge(design_fp, misses, costs, kernel=kernel)
+        if kernel and t.enabled:
             t.emit(
                 "kernel_batch",
                 substrate=self.kernel.name,
                 design=design_fp,
                 pairs=len(misses),
-                structures=structures,
+                structures=batch.structure_count,
             )
-
-    def _price_through_arena(self, unique: tuple[str, ...], reference, design, misses):
-        """Pricing strategy: bind the workload's arena to the design
-        (callers pass it to :meth:`_fill_misses` with ``unique`` and
-        ``reference`` pre-bound).
-
-        The arena is keyed by the *workload's* distinct-SQL tuple
-        ``unique``, so its key is stable across designs and iterations;
-        the misses (a design-dependent subset) are a ``take`` of the
-        bound batch — bit-identical to compiling them alone, since every
-        kernel op is per-query.
-
-        With an already-priced ``reference`` design (CliffGuard's
-        incumbent) the fill is a delta: the queries any added/removed
-        structure can touch (``affected_union`` — read off the arena and
-        the changed structures' tables, no bind — is conservative:
-        dimension tables and write maintenance included) are re-priced,
-        the rest copy the reference's cached floats verbatim —
-        bit-identical, because a query no changed structure can touch
-        has the same serving set and maintenance sum under both designs.
-        Exported counters are charged as-if-cold; the savings land in
-        :class:`ArenaStats` only.  Reference reads ``peek`` — no LRU
-        reordering, so exported cache order stays warmth-independent.
-        """
-        arena = self._arena_for(unique)
-        q_index = {sql: i for i, sql in enumerate(unique)}
-        structures = list(design)
-        costs: list[float | None] = [None] * len(misses)
-        changed: list = []
-        if reference is not None and self.delta_neighborhood_enabled:
-            in_reference = set(reference)
-            in_design = set(structures)
-            changed = [s for s in structures if s not in in_reference]
-            changed += [s for s in reference if s not in in_design]
-        if changed:
-            ref_fp = self.design_fingerprint(reference)
-            affected = affected_union(arena, changed)
-            for i, sql in enumerate(misses):
-                if not affected[q_index[sql]]:
-                    costs[i] = self._query_cache.peek((ref_fp, sql))
-        need = [i for i, cost in enumerate(costs) if cost is None]
-        if need:
-            batch = self._bind(arena, structures)
-            if len(need) != len(unique):
-                batch = batch.take([q_index[misses[i]] for i in need])
-            for i, cost in zip(need, batch.design_costs()):
-                costs[i] = float(cost)
-        copied = len(misses) - len(need)
-        if copied:
-            self.arena_stats.neighborhood_deltas += 1
-            self.arena_stats.delta_pairs_saved += copied
-            t = tracer()
-            if t.enabled:
-                t.emit(
-                    "neighborhood_delta",
-                    substrate=self.kernel.name,
-                    design=self.design_fingerprint(design),
-                    changed=len(changed),
-                    priced=len(need),
-                    copied=copied,
-                )
-        return costs, len(structures), None
 
     def _count_write_sqls(self, sqls) -> int:
         """How many of ``sqls`` are write statements (for ``writes.*``
@@ -982,18 +877,49 @@ class CostEvaluationService:
         self.stats.query_requests += len(sqls)
         self.stats.query_hits += len(sqls) - len(misses)
         with _Timer(self.stats):
-            self._fill_misses(
-                design,
-                design_fp,
-                misses,
-                partial(self._price_through_arena, distinct, None),
-            )
+            self._fill_misses(design, design_fp, distinct, misses)
         return self._report(design, design_fp, sqls, weights)
 
     # -- batched neighborhood evaluation ----------------------------------------------
 
+    def _batched_reports(
+        self, designs: Sequence, workloads: Sequence
+    ) -> list[list[WorkloadCostReport]]:
+        """``result[d][w]`` — the loop behind both batched entry points.
+
+        The distinct SQL of all ``workloads`` is one request set per
+        design: duplicates are collapsed before the cache is consulted,
+        the misses are filled in one batch, and every workload's report
+        is assembled from the cache.  Cached designs are served without
+        touching the kernel, and a design listed twice hits the entries
+        its first occurrence filled.  (A shared private loop, not one
+        entry point calling the other: ``_Timer`` does not nest.)
+        """
+        per_workload = [_sql_weights(w) for w in workloads]
+        occurrences = sum(len(sqls) for sqls, _ in per_workload)
+        unique = tuple(
+            dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls)
+        )
+        results: list[list[WorkloadCostReport]] = []
+        for design in designs:
+            design_fp = self.design_fingerprint(design)
+            misses = [
+                sql for sql in unique if (design_fp, sql) not in self._query_cache
+            ]
+            self.stats.dedup_saved += occurrences - len(unique)
+            self.stats.query_requests += len(unique)
+            self.stats.query_hits += len(unique) - len(misses)
+            self._fill_misses(design, design_fp, unique, misses)
+            results.append(
+                [
+                    self._report(design, design_fp, sqls, weights)
+                    for sqls, weights in per_workload
+                ]
+            )
+        return results
+
     def evaluate_neighborhood(
-        self, designs: Sequence, workloads: Sequence, reference=None
+        self, designs: Sequence, workloads: Sequence
     ) -> list[list[WorkloadCostReport]]:
         """Cost every design × workload pair, deduplicating shared queries.
 
@@ -1003,72 +929,19 @@ class CostEvaluationService:
         distinct (design, query) pair is costed exactly once no matter how
         many neighbors contain it.  Returns ``result[d][w]``, the report
         of ``workloads[w]`` under ``designs[d]``.
-
-        ``reference`` is an optional already-priced design (CliffGuard's
-        incumbent): each design's fill then diffs against it and
-        re-prices only the queries the added/removed structures can
-        touch, copying the rest verbatim from the reference's cached
-        floats (see :meth:`_price_through_arena`).  Results and exported
-        counters are bit-identical with or without a reference.
         """
         with _Timer(self.stats):
-            per_workload = [_sql_weights(w) for w in workloads]
-            occurrences = sum(len(sqls) for sqls, _ in per_workload)
-            unique = tuple(
-                dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls)
-            )
-            price = partial(self._price_through_arena, unique, reference)
-            results: list[list[WorkloadCostReport]] = []
-            for design in designs:
-                design_fp = self.design_fingerprint(design)
-                misses = [
-                    sql for sql in unique if (design_fp, sql) not in self._query_cache
-                ]
-                self.stats.dedup_saved += occurrences - len(unique)
-                self.stats.query_requests += len(unique)
-                self.stats.query_hits += len(unique) - len(misses)
-                self._fill_misses(design, design_fp, misses, price)
-                results.append(
-                    [
-                        self._report(design, design_fp, sqls, weights)
-                        for sqls, weights in per_workload
-                    ]
-                )
-            return results
-
-    # -- batched design sweeps ---------------------------------------------------------
+            return self._batched_reports(designs, workloads)
 
     def workload_costs_batch(self, designs: Sequence, workload) -> list[WorkloadCostReport]:
-        """Cost one workload under many designs as matrix reductions.
+        """Cost one workload under many designs, one report per design.
 
-        This is the neighborhood-exploration shape of the paper's
-        Algorithm 4 turned sideways: the query axis is fixed, the design
-        axis fans out.  The workload's arena is bound once to the union
-        of *all* designs' structures; each design's costs are then a
-        masked min-reduction over its member rows, with single-structure
-        steps delta re-costed (see :class:`_DesignSweep`).  Caches and
-        counters behave exactly as if :meth:`workload_cost` had been
-        called once per design in order — cached designs are served
-        without touching the kernel, and duplicate designs hit the
-        entries their first occurrence filled.
+        The neighborhood shape of the paper's Algorithm 4 turned
+        sideways — the query axis is fixed, the design axis fans out —
+        and exactly ``evaluate_neighborhood(designs, [workload])``.
         """
         with _Timer(self.stats):
-            sqls, weights = _sql_weights(workload)
-            unique = tuple(dict.fromkeys(sqls))
-            designs = list(designs)
-            sweep = _DesignSweep(self, designs, unique)
-            reports: list[WorkloadCostReport] = []
-            for design in designs:
-                design_fp = self.design_fingerprint(design)
-                misses = [
-                    sql for sql in unique if (design_fp, sql) not in self._query_cache
-                ]
-                self.stats.dedup_saved += len(sqls) - len(unique)
-                self.stats.query_requests += len(unique)
-                self.stats.query_hits += len(unique) - len(misses)
-                self._fill_misses(design, design_fp, misses, sweep)
-                reports.append(self._report(design, design_fp, sqls, weights))
-            return reports
+            return [row[0] for row in self._batched_reports(designs, [workload])]
 
     def candidate_costs(self, profiles: Sequence, candidates: Sequence, make_design):
         """``(base_costs, matrix)`` for greedy candidate selection.
@@ -1258,10 +1131,6 @@ class CostEvaluationService:
         registry.gauge("arena.hits").set(self.arena_stats.hits)
         registry.gauge("arena.evictions").set(self.arena_stats.evictions)
         registry.gauge("arena.invalidations").set(self.arena_stats.invalidations)
-        registry.gauge("arena.delta_recosts").set(self.arena_stats.delta_recosts)
-        registry.gauge("arena.delta_queries_saved").set(
-            self.arena_stats.delta_queries_saved
-        )
         registry.gauge("arena.cached").set(self.cached_arenas)
         registry.gauge("arena.resident_bytes").set(
             sum(getattr(arena, "nbytes", 0) for _, arena in self._arenas.items())
@@ -1274,64 +1143,4 @@ class CostEvaluationService:
         registry.gauge("matrix.evictions").set(self.arena_stats.matrix_evictions)
         registry.gauge("matrix.cached_columns").set(self.cached_matrix_columns)
         registry.gauge("matrix.cached_cells").set(self.cached_matrix_cells)
-        registry.gauge("delta.neighborhood_recosts").set(
-            self.arena_stats.neighborhood_deltas
-        )
-        registry.gauge("delta.pairs_saved").set(self.arena_stats.delta_pairs_saved)
 
-
-class _DesignSweep:
-    """Pricing strategy for one ``workload_costs_batch`` sweep.
-
-    The workload's arena is bound once — lazily, on the first design
-    that needs the kernel — to the union of every design's structures,
-    with per-design membership rows.  Consecutive priced designs
-    differing by exactly one structure — the shape every
-    ``core/move.py`` neighborhood step produces — are delta re-costed:
-    only the queries that structure's table can touch are re-reduced,
-    the rest keep their previous floats verbatim.
-    """
-
-    def __init__(self, service: CostEvaluationService, designs, unique):
-        self.service = service
-        self.designs = designs
-        self.unique = unique
-        self.batch = None
-        self.row_of: dict = {}
-        self.q_index: dict[str, int] = {}
-        self.prev_members: set[int] | None = None
-        self.prev_costs = None
-
-    def __call__(self, design, misses):
-        service = self.service
-        if self.batch is None:
-            structures = list(dict.fromkeys(s for d in self.designs for s in d))
-            self.row_of = {s: i for i, s in enumerate(structures)}
-            self.q_index = {sql: i for i, sql in enumerate(self.unique)}
-            self.batch = service._bind(service._arena_for(self.unique), structures)
-        batch = self.batch
-        members = [self.row_of[s] for s in design]
-        member_set = set(members)
-        changed = member_set ^ self.prev_members if self.prev_members is not None else ()
-        if len(changed) == 1:
-            (row,) = changed
-            costs = batch.delta_design_costs(members, row, self.prev_costs)
-            affected = int(batch.affected_queries(row).sum())
-            service.arena_stats.delta_recosts += 1
-            service.arena_stats.delta_queries_saved += batch.query_count - affected
-            t = tracer()
-            if t.enabled:
-                t.emit(
-                    "delta_recost",
-                    design=service.design_fingerprint(design),
-                    changed_row=row,
-                    affected=affected,
-                    saved=batch.query_count - affected,
-                )
-        else:
-            costs = batch.design_costs(members)
-        self.prev_members = member_set
-        self.prev_costs = costs
-        rows = [self.q_index[sql] for sql in misses]
-        writes = sum(int(batch.is_write[q]) for q in rows)
-        return [float(costs[q]) for q in rows], len(members), writes

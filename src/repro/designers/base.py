@@ -149,17 +149,9 @@ class DesignAdapter(abc.ABC):
         """Latency report of a workload under ``design`` (memoized)."""
         return self.costing.workload_cost(workload, design)
 
-    def evaluate_neighborhood(
-        self, designs, workloads, reference=None
-    ) -> list[list[WorkloadCostReport]]:
-        """Batched ``designs × workloads`` reports with shared-query dedup.
-
-        ``reference`` is an optional already-priced design to delta
-        against (CliffGuard's incumbent); results are bit-identical
-        with or without it."""
-        return self.costing.evaluate_neighborhood(
-            designs, workloads, reference=reference
-        )
+    def evaluate_neighborhood(self, designs, workloads) -> list[list[WorkloadCostReport]]:
+        """Batched ``designs × workloads`` reports with shared-query dedup."""
+        return self.costing.evaluate_neighborhood(designs, workloads)
 
     def workload_costs_batch(self, designs, workload) -> list[WorkloadCostReport]:
         """One workload under many designs, vectorized when possible."""

@@ -278,9 +278,6 @@ def replay(
             evaluation = test.collapsed()
         if not evaluation:
             continue
-        # One arena compile serves every designer's evaluation pass on
-        # this window (the costing service binds it per design).
-        service.prepare_workload(evaluation)
         result.evaluated_query_counts.append(len(evaluation))
         t = tracer()
         if t.enabled:

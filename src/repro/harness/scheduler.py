@@ -262,9 +262,6 @@ def scheduled_replay(
                     policy=type(policy).__name__,
                     deployment_seconds=deployment,
                 )
-        # Pre-warm the window's arena: repeated policy evaluations of the
-        # same test window bind against one compiled query side.
-        adapter.costing.prepare_workload(test)
         average_ms = adapter.workload_cost(test, design).average_ms
         outcome.per_window_avg_ms.append(average_ms)
         if t.enabled:

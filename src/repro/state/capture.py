@@ -75,7 +75,7 @@ def costing_state(adapter_or_service) -> dict | None:
     workload text and the model's statistics, both of which survive a
     restart, so snapshots exclude them (``export_state`` ships the query
     cache and counters only) and a resumed run rebuilds arenas on first
-    use.  The arena/matrix/delta counters (``ArenaStats``) are likewise
+    use.  The arena/matrix counters (``ArenaStats``) are likewise
     excluded so a kill-resume run's counter deltas stay byte-identical
     to an uninterrupted run's.
     """

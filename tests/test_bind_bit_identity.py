@@ -44,8 +44,7 @@ from hypothesis import strategies as st
 
 import repro.costing.kernel as kernel_module
 from repro.catalog.schema import SchemaError
-from repro.costing.kernel import _write_fold_order, affected_union, kernel_for
-from repro.costing.service import CostEvaluationService
+from repro.costing.kernel import _write_fold_order, kernel_for
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
@@ -56,7 +55,6 @@ from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
-from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
 SUBSTRATES = ("columnar", "rowstore")
@@ -657,40 +655,3 @@ def test_read_only_bind_does_no_write_side_work(substrate, monkeypatch):
     )
     kernel.bind(kernel.compile_queries(profiles), structures)
     assert weighed == structures
-
-
-@pytest.mark.parametrize("substrate", SUBSTRATES)
-def test_delta_neighborhood_binds_once(substrate):
-    """``evaluate_neighborhood(reference=…)`` derives its delta mask from
-    the arena — one bind (the design's), not two — and copies exactly
-    the pairs the parent's bound ``changed`` batch would have spared."""
-    kernel, _oracle_kernel, profiles, structures = _pool(substrate, "r1")
-    known = [s for s in structures if not s.table.startswith("no_such")]
-    sqls = [p.sql for p in profiles]
-    workload = Workload(WorkloadQuery(sql=sql, frequency=1.0) for sql in sqls)
-    arena = kernel.compile_queries(profiles)
-    spared = {}
-    for structure in known:  # the parent's mask: bind ``changed``, then _related
-        mask = kernel.bind(arena, [structure])._related().any(axis=0)
-        assert np.array_equal(mask, affected_union(arena, [structure]))
-        spared[structure] = int((~mask).sum())
-    added = max((s for s in known[3:] if spared[s] < len(sqls)), key=spared.__getitem__)
-    assert spared[added] > 0
-
-    service = CostEvaluationService(kernel.model)
-    adapter_type = ColumnarAdapter if substrate == "columnar" else RowstoreAdapter
-    adapter = adapter_type(kernel.model, costing=service)
-    reference = adapter.make_design(known[:3])
-    design = adapter.make_design(known[:3] + [added])
-    service.evaluate_neighborhood([reference], [workload])
-
-    binds = []
-    bind = service._bind
-    service._bind = lambda arena, members: binds.append(list(members)) or bind(arena, members)
-    (report,) = service.evaluate_neighborhood([design], [workload], reference=reference)[0]
-    assert binds == [list(design)]
-    assert service.arena_stats.neighborhood_deltas == 1
-    assert service.arena_stats.delta_pairs_saved == spared[added]
-    cold = CostEvaluationService(kernel.model)
-    (full,) = cold.evaluate_neighborhood([design], [workload])[0]
-    assert report.per_query_ms == full.per_query_ms

@@ -128,3 +128,31 @@ class TestCheckpointFlags:
         # The resumed run replays entirely from the snapshot and must
         # print the exact same deterministic table.
         assert resumed == baseline
+
+
+class TestFeedConnect:
+    """``feed --connect`` takes the spec grammar ``serve --listen`` does
+    (the malformed cases of ``test_serve_sources.py::test_bad_specs_raise``
+    plus a non-numeric port) and fails with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "spec", ["serve.sock", "tcp:nohost", "tcp:nohost:abc", "tcp:nohost:", "udp:1:2", ""]
+    )
+    def test_malformed_spec_exits_cleanly(self, spec):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["feed", "--connect", spec, "--connect-timeout", "0", *FAST])
+        message = str(excinfo.value)
+        assert message.startswith("feed: bad --connect") and repr(spec) in message
+
+    def test_empty_tcp_host_dials_the_serve_default(self):
+        import socket
+
+        from repro.cli import _feed_connect
+
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            port = server.getsockname()[1]
+            client = _feed_connect(f"tcp::{port}", timeout=5.0)
+            try:
+                assert client.getpeername() == ("127.0.0.1", port)
+            finally:
+                client.close()

@@ -1,13 +1,13 @@
-"""Design-stream reuse tests: candidate-matrix cache, delta neighborhood
-evaluation, incremental greedy selection.
+"""Design-stream reuse tests: candidate-matrix cache, the one batched
+miss-fill loop, incremental greedy selection.
 
 The contract is the arena refactor's, one level up: a warm candidate
-matrix (or a delta neighborhood fill) must equal the cold rebuild
-bit-for-bit — tolerance zero, on all three substrates, for read-only and
-mixed read/write workloads — and must leave every
-**exported** counter and cache exactly as a cold service would.  The
-cache is derived state: only :class:`~repro.costing.service.ArenaStats`
-(never checkpointed) may see the savings.
+matrix must equal the cold rebuild bit-for-bit — tolerance zero, on all
+three substrates, for read-only and mixed read/write workloads — and
+must leave every **exported** counter and cache exactly as a cold
+service would.  The cache is derived state: only
+:class:`~repro.costing.service.ArenaStats` (never checkpointed) may see
+the savings.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.costing.kernel import affected_union, kernel_for
 from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
@@ -39,7 +38,7 @@ from repro.workload.workload import Workload
 
 SUBSTRATES = ("columnar", "rowstore", "samples")
 #: Read-only (R1) and mixed read/write (HTAP) query pools: maintenance
-#: terms must survive matrix reuse and delta fills bit-for-bit too.
+#: terms must survive matrix reuse bit-for-bit too.
 MIXES = ("read", "htap")
 
 
@@ -101,14 +100,13 @@ def _adapter(model, service: CostEvaluationService):
 
 
 def _stack(model, *, warm: bool):
-    """(adapter, service) with the design-stream reuse toggles set.
+    """(adapter, service) with the candidate-matrix cache toggle set.
 
     ``warm=False`` is the cold baseline: every candidate_costs call
-    compiles and prices from scratch, every neighborhood fill is full.
+    compiles and prices from scratch.
     """
     service = CostEvaluationService(model)
     service.matrix_cache_enabled = warm
-    service.delta_neighborhood_enabled = warm
     return _adapter(model, service), service
 
 
@@ -224,68 +222,44 @@ def test_exported_stats_warmth_independent(substrate, mix):
         workload = _workload([p.sql for p in profiles])
         ref = adapter.make_design(candidates[:3])
         service.evaluate_neighborhood([ref], [workload])
-        service.evaluate_neighborhood(
-            [adapter.make_design(candidates[:4])], [workload], reference=ref
-        )
+        service.evaluate_neighborhood([adapter.make_design(candidates[:4])], [workload])
         sequences.append(_stat_facts(service))
     assert sequences[0] == sequences[1]
 
 
-# -- delta neighborhood evaluation -------------------------------------------------
+# -- the one batched miss-fill loop -----------------------------------------------
 
 
-def _least_affecting(model, candidates, profiles):
-    """(candidate, affected_count) minimizing the affected-query mask."""
-    kernel = kernel_for(model)
-    arena = kernel.compile_queries(profiles)
-    best, best_count = None, None
-    for candidate in candidates:
-        count = int(affected_union(arena, [candidate]).sum())
-        if best_count is None or count < best_count:
-            best, best_count = candidate, count
-    return best, best_count
-
-
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(substrate=st.sampled_from(SUBSTRATES), mix=st.sampled_from(MIXES))
-def test_delta_neighborhood_bit_identical(substrate, mix):
-    """Pricing a candidate design against the incumbent re-reduces only
-    the queries the diff can touch, copies the rest from the reference's
-    cache, and equals the full fill bit-for-bit — stats included."""
+@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate, mix):
+    """``workload_costs_batch(designs, w)`` and
+    ``evaluate_neighborhood(designs, [w])`` are one loop: same floats,
+    same exported stats, same query-cache item order — over a cold
+    design, single-structure steps, a repeated design (all hits) and a
+    warm-then-partial design whose miss batch falls below
+    ``KERNEL_MIN_BATCH`` (the scalar side of the fill)."""
     model, candidates, profiles = _substrate(substrate, mix)
     sqls = [p.sql for p in profiles]
-    workload = _workload(sqls)
-    added, affected = _least_affecting(model, candidates, profiles)
-    ref_structures = [c for c in candidates[:4] if c is not added]
-    new_structures = ref_structures + [added]
-
-    results = []
-    facts = []
-    for warm in (False, True):
-        adapter, service = _stack(model, warm=warm)
-        ref = adapter.make_design(ref_structures)
-        new = adapter.make_design(new_structures)
-        before = service.evaluate_neighborhood([ref], [workload])[0][0]
-        after = service.evaluate_neighborhood([new], [workload], reference=ref)[0][0]
-        results.append((before.per_query_ms, after.per_query_ms))
-        facts.append(_stat_facts(service))
-        if warm and affected < len(sqls):
-            assert service.arena_stats.neighborhood_deltas >= 1
-            assert service.arena_stats.delta_pairs_saved >= len(sqls) - affected
-    assert results[0] == results[1]
-    assert facts[0] == facts[1]
-
-
-def test_delta_falls_back_when_designs_identical():
-    """reference == design (no diff) must take the full path untouched."""
-    model, candidates, profiles = _substrate("columnar", "read")
-    adapter, service = _stack(model, warm=True)
-    workload = _workload([p.sql for p in profiles])
-    design = adapter.make_design(candidates[:3])
-    twin = adapter.make_design(candidates[:3])
-    service.evaluate_neighborhood([design], [workload])
-    service.evaluate_neighborhood([twin], [workload], reference=design)
-    assert service.arena_stats.neighborhood_deltas == 0
+    workload = _workload(sqls + sqls[:3])
+    runs = []
+    for entry_point in ("batch", "neighborhood"):
+        service = CostEvaluationService(model)
+        make = _adapter(model, service).make_design
+        designs = [make(candidates[:k]) for k in (0, 1, 2, 3, 2, 5)]
+        partial = make(candidates[3:9])
+        service.workload_cost(sqls[: len(sqls) - KERNEL_MIN_BATCH + 1], partial)
+        designs.append(partial)
+        if entry_point == "batch":
+            reports = service.workload_costs_batch(designs, workload)
+        else:
+            reports = [row[0] for row in service.evaluate_neighborhood(designs, [workload])]
+        runs.append(([r.per_query_ms for r in reports], _stat_facts(service)))
+    assert runs[0] == runs[1]
+    facts = runs[0][1]
+    # Both sides of the fill ran: kernel batches, and scalar-priced pairs.
+    assert facts["kernel_batch_calls"] >= 1
+    assert facts["raw_model_calls"] > facts["kernel_pairs_priced"]
 
 
 # -- invalidation and bounds -------------------------------------------------------
@@ -609,9 +583,7 @@ def _golden_sequence(substrate: str, mix: str, max_query_entries: int) -> dict:
     w_all = _workload(sqls)
     w_overlap = _workload(sqls[4:] + sqls[:6])
     floats: list[float] = []
-    for row in service.evaluate_neighborhood(
-        steps[:4], [w_all, w_overlap], reference=steps[0]
-    ):
+    for row in service.evaluate_neighborhood(steps[:4], [w_all, w_overlap]):
         floats += [c for report in row for c in report.per_query_ms]
     for report in service.workload_costs_batch(steps + [make(candidates[3:9])], w_all):
         floats += report.per_query_ms
