@@ -67,6 +67,11 @@ class Table:
                 )
             seen.add(column.name)
         self._by_name = {column.name: column for column in self.columns}
+        #: Column names in declaration order.  Shared, not copied per read:
+        #: callers iterate or copy it.
+        self.column_names: list[str] = list(self._by_name)
+        #: Approximate width of one full row, in bytes.
+        self.row_bytes: int = sum(column.type.byte_width for column in self.columns)
 
     def column(self, name: str) -> Column:
         """Look up a column by bare name."""
@@ -78,16 +83,6 @@ class Table:
     def has_column(self, name: str) -> bool:
         """True when the table defines ``name``."""
         return name in self._by_name
-
-    @property
-    def column_names(self) -> list[str]:
-        """Column names in declaration order."""
-        return [column.name for column in self.columns]
-
-    @property
-    def row_bytes(self) -> int:
-        """Approximate width of one full row, in bytes."""
-        return sum(column.type.byte_width for column in self.columns)
 
 
 @dataclass

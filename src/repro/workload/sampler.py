@@ -21,30 +21,49 @@ columns swapped for co-occurring columns of the same table — the novel
 part).  Historical candidates are weighted up by ``history_bias`` when
 drawing a perturbation set.
 
-Mutation works on parsed statements: each base query is parsed once per
-:meth:`NeighborhoodSampler.sample` call, the mutation chain walks the
-AST, and only a candidate whose template survives the dedup is formatted
-back to SQL.  ``tests/test_sampler_bit_identity.py`` holds the text-level
-chain this replaced as the oracle: same SQL, same generator state.
+**The random stream is the contract.**  :meth:`NeighborhoodSampler.sample`
+makes these draws on ``self.rng``, in this order, and no others:
+
+* per sample, ``uniform(0, Γ)`` for ``α``;
+* per mutation chain (at most ``MUTATION_CHAINS``, fewer once the candidate
+  list holds ``recent_pool_size + 4·max_query_set`` entries),
+  ``integers(0, |W0|)`` for the source query and ``integers(1, 4)`` for the
+  depth;
+* per chain step — one module-level :func:`mutate_query` call —
+  ``integers(0, sites)`` for the mutation site, then one ``random()`` that
+  picks the replacement column by affinity weight (``integers(0, others)``
+  without an affinity).  A site on a joined table's column, or on a table
+  with no other column, draws no replacement: the step fails and ends the
+  chain;
+* per probe, ``choice(candidates, size=k, replace=False, p=...)``, up to
+  ``ATTEMPTS_PER_SIZE`` times for each of three sizes ``k``.
+
+Everything between the draws — how sites are counted, weights gathered,
+statements rebuilt, when a candidate is formatted — may be rewritten while
+``tests/test_sampler_bit_identity.py`` holds: its verbatim text-level chain
+(parse → swap → format per step, ``Generator.choice`` over an options list)
+is the oracle, and its recorded neighborhoods pin every SQL text, every
+frequency and the generator's final state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Schema, Table
 from repro.sql.analyzer import analyze
 from repro.sql.ast import (
     Aggregate,
+    Assignment,
     ColumnRef,
-    DeleteStatement,
     InsertStatement,
     OrderItem,
     SelectItem,
+    SelectStatement,
     Statement,
     UpdateStatement,
 )
@@ -63,6 +82,29 @@ from repro.workload.workload import VectorKey, Workload, template_key
 MIN_QUERY_SET_SIZE = 16
 MAX_QUERY_SET_SIZE = 48
 ATTEMPTS_PER_SIZE = 8
+#: Mutation chains started per sample (each 1-3 ``mutate_query`` steps).
+MUTATION_CHAINS = 400
+
+
+@dataclasses.dataclass(frozen=True)
+class _TableLayout:
+    """One table's columns laid out against a :class:`ColumnAffinity`."""
+
+    #: Column name -> its index in the table's declaration order.
+    position: dict[str, int]
+    #: Observed column name -> its row of ``counts``.
+    rows: dict[str, int]
+    #: ``counts[rows[a], position[b]]``: how often ``a`` and ``b`` co-occurred.
+    counts: np.ndarray
+
+    def weights(self, context_columns: Iterable[str]) -> np.ndarray:
+        """Per column, by position: 1 + total co-occurrence with the context.
+
+        The counts are integer-valued, so the gather-and-sum is exact: the
+        weights (and their sum) do not depend on summation order.
+        """
+        rows = [self.rows[c] for c in context_columns if c in self.rows]
+        return np.add.reduce(self.counts.take(rows, axis=0), axis=0) + 1.0
 
 
 class ColumnAffinity:
@@ -77,12 +119,12 @@ class ColumnAffinity:
 
     def __init__(self) -> None:
         self.counts: dict[str, dict[str, dict[str, float]]] = {}
-        #: ``counts`` per table as (column -> index, matrix); see _dense_counts.
-        self._dense: dict[str, tuple[dict[str, int], np.ndarray]] = {}
+        #: ``layout`` per table name, dropped by ``observe``.
+        self._layouts: dict[str, _TableLayout] = {}
 
     def observe(self, queries) -> None:
         """Accumulate co-occurrence from an iterable of workload queries."""
-        self._dense.clear()
+        self._layouts.clear()
         for query in queries:
             try:
                 template = query.template
@@ -101,42 +143,45 @@ class ColumnAffinity:
                         if a != b:
                             row[b] = row.get(b, 0.0) + 1.0
 
-    def _dense_counts(self, table: str) -> tuple[dict[str, int], np.ndarray]:
-        """``counts[table]`` as an index map plus a square matrix, built on
-        first use after ``observe``.  The extra all-zero row and column at
-        ``len(index)`` stands for every column never observed."""
-        dense = self._dense.get(table)
-        if dense is None:
-            table_counts = self.counts.get(table, {})
-            index = {column: i for i, column in enumerate(table_counts)}
-            matrix = np.zeros((len(index) + 1, len(index) + 1), dtype=np.float64)
-            for a, row in table_counts.items():
-                for b, count in row.items():
-                    matrix[index[a], index[b]] = count
-            dense = self._dense[table] = (index, matrix)
-        return dense
+    def layout(self, table: Table) -> _TableLayout:
+        """``table``'s columns against ``counts``, built on first use after
+        ``observe``."""
+        if table.name not in self._layouts:
+            self._layouts[table.name] = self._layout_over(table.name, table.column_names)
+        return self._layouts[table.name]
+
+    def _layout_over(self, table: str, names: Sequence[str]) -> _TableLayout:
+        position = {name: j for j, name in enumerate(names)}
+        table_counts = self.counts.get(table, {})
+        rows = {column: i for i, column in enumerate(table_counts)}
+        counts = np.zeros((len(rows), len(names)), dtype=np.float64)
+        for a, row in table_counts.items():
+            for b, count in row.items():
+                if b in position:
+                    counts[rows[a], position[b]] = count
+        return _TableLayout(position, rows, counts)
 
     def replacement_weights(
         self, table: str, context_columns: list[str], options: list[str]
     ) -> np.ndarray:
         """Sampling weights for replacement columns: 1 + total co-occurrence
-        with the query's remaining columns.
-
-        The counts are integer-valued, so the gather-and-sum is exact: the
-        weights do not depend on summation order.
+        with the query's remaining columns, normalized.
 
         An empty ``options`` list (a single-column table offers no
         replacement) yields an empty weight array; normalizing it would
         divide zero by zero and return NaN with a RuntimeWarning.
         """
-        weights = np.ones(len(options), dtype=np.float64)
-        if not options:
-            return weights
-        index, matrix = self._dense_counts(table)
-        rows = [index[c] for c in context_columns if c in index]
-        columns = [index.get(o, len(index)) for o in options]
-        weights += matrix[rows].sum(axis=0)[columns]
-        return weights / weights.sum()
+        weights = self._layout_over(table, options).weights(context_columns)
+        return weights / weights.sum() if options else weights
+
+
+def _weighted_draw(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """``rng.choice(len(weights), p=weights / weights.sum())``: the same
+    arithmetic on the same single ``rng.random()``, minus ``choice``'s
+    argument validation.  ``side="right"`` never lands on a zero weight."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def mutate_query(
@@ -166,6 +211,27 @@ def mutate_query(
     return None if mutated is None else format_statement(mutated)
 
 
+def _context_columns(stmt: Statement) -> list[str]:
+    """Bare names of the distinct columns ``stmt`` references — what
+    ``analyze(stmt).union`` holds, read straight off the column refs (a
+    bare DML column counts as the target table's, as in the analyzer)."""
+    if isinstance(stmt, InsertStatement):
+        refs = list(stmt.columns)
+    else:
+        refs = [pred.column for pred in stmt.where]
+        if isinstance(stmt, UpdateStatement):
+            refs += [assignment.column for assignment in stmt.assignments]
+        elif isinstance(stmt, SelectStatement):
+            exprs = [item.expr for item in stmt.select]
+            refs += [e.column if isinstance(e, Aggregate) else e for e in exprs]
+            refs += [ref for join in stmt.joins for ref in (join.left, join.right)]
+            refs += stmt.group_by
+            refs += [item.column for item in stmt.order_by]
+    default = None if isinstance(stmt, SelectStatement) else stmt.table
+    distinct = {(ref.table or default, ref.name) for ref in refs if ref is not None}
+    return [name for _, name in distinct]
+
+
 def _mutate_statement(
     stmt: Statement,
     schema: Schema,
@@ -176,93 +242,80 @@ def _mutate_statement(
     if table is None:
         return None
 
-    context_columns = [
-        qualified.partition(".")[2] or qualified
-        for qualified in analyze(stmt).union
-    ]
-
-    def sibling(name: str) -> str | None:
-        options = [c for c in table.column_names if c != name]
-        if not options:
-            return None
-        if affinity is not None:
-            context = [c for c in context_columns if c != name]
-            weights = affinity.replacement_weights(stmt.table, context, options)
-            return options[int(rng.choice(len(options), p=weights))]
-        return options[int(rng.integers(0, len(options)))]
-
     def swap_ref(ref: ColumnRef) -> ColumnRef | None:
         if ref.table is not None and ref.table != stmt.table:
             return None  # only mutate anchor-table references
-        replacement = sibling(ref.name)
-        if replacement is None:
-            return None
-        return ColumnRef(replacement, ref.table)
+        # The swapped-out column keeps its slot and is skipped over (uniform
+        # draw) or masked to weight 0 (affinity draw): the pick an options
+        # list without it would give, minus building the list.
+        names = table.column_names
+        known = table.has_column(ref.name)
+        if len(names) == known:
+            return None  # no other column to swap in
+        if affinity is None:
+            pick = int(rng.integers(0, len(names) - known))
+            if known and pick >= names.index(ref.name):
+                pick += 1
+        else:
+            layout = affinity.layout(table)
+            weights = layout.weights([c for c in _context_columns(stmt) if c != ref.name])
+            if known:
+                weights[layout.position[ref.name]] = 0.0
+            pick = _weighted_draw(rng, weights)
+        return ColumnRef(names[pick], ref.table)
 
-    if isinstance(stmt, (InsertStatement, UpdateStatement, DeleteStatement)):
+    if not isinstance(stmt, SelectStatement):
         return _mutate_write(stmt, rng, swap_ref)
 
-    # Collect mutation sites: (kind, position) pairs.  Select-list and
-    # grouping sites are weighted up (entered twice) because analytical
+    # One draw over the mutation sites, clause by clause.  Select-list and
+    # grouping sites are weighted up (two indices each) because analytical
     # drift changes the measures and breakdowns far more often than the
     # sticky business-key filters.
-    sites: list[tuple[str, int]] = []
-    for i, item in enumerate(stmt.select):
-        if isinstance(item.expr, ColumnRef) or (
-            isinstance(item.expr, Aggregate) and item.expr.column is not None
-        ):
-            sites.append(("select", i))
-            sites.append(("select", i))
-    sites.extend(("where", i) for i in range(len(stmt.where)))
-    for i in range(len(stmt.group_by)):
-        sites.append(("group", i))
-        sites.append(("group", i))
-    sites.extend(("order", i) for i in range(len(stmt.order_by)))
+    select, where, group_by, order_by = stmt.select, stmt.where, stmt.group_by, stmt.order_by
+    selectable = [
+        i for i, item in enumerate(select)
+        if isinstance(item.expr, ColumnRef) or item.expr.column is not None
+    ]
+    select_sites, group_sites = 2 * len(selectable), 2 * len(group_by)
+    sites = select_sites + len(where) + group_sites + len(order_by)
     if not sites:
         return None
-
-    kind, pos = sites[int(rng.integers(0, len(sites)))]
-    if kind == "select":
-        item = stmt.select[pos]
-        if isinstance(item.expr, Aggregate):
-            new_ref = swap_ref(item.expr.column)
-            if new_ref is None:
-                return None
-            new_expr: ColumnRef | Aggregate = dataclasses.replace(
-                item.expr, column=new_ref
-            )
-        else:
-            new_ref = swap_ref(item.expr)
-            if new_ref is None:
-                return None
-            new_expr = new_ref
-        select = list(stmt.select)
-        select[pos] = SelectItem(expr=new_expr, alias=item.alias)
-        stmt = dataclasses.replace(stmt, select=tuple(select))
-    elif kind == "where":
-        pred = stmt.where[pos]
-        new_ref = swap_ref(pred.column)
+    site = int(rng.integers(0, sites))
+    if site < select_sites:
+        pos = selectable[site // 2]
+        item = select[pos]
+        aggregate = item.expr if isinstance(item.expr, Aggregate) else None
+        new_ref = swap_ref(aggregate.column if aggregate else item.expr)
         if new_ref is None:
             return None
-        where = list(stmt.where)
-        where[pos] = dataclasses.replace(pred, column=new_ref)
-        stmt = dataclasses.replace(stmt, where=tuple(where))
-    elif kind == "group":
-        new_ref = swap_ref(stmt.group_by[pos])
+        if aggregate:
+            new_ref = Aggregate(aggregate.func, new_ref, aggregate.distinct)
+        select = _with(select, pos, SelectItem(new_ref, item.alias))
+    elif (site := site - select_sites) < len(where):
+        new_ref = swap_ref(where[site].column)
         if new_ref is None:
             return None
-        group = list(stmt.group_by)
-        group[pos] = new_ref
-        stmt = dataclasses.replace(stmt, group_by=tuple(group))
+        where = _with(where, site, dataclasses.replace(where[site], column=new_ref))
+    elif (site := site - len(where)) < group_sites:
+        new_ref = swap_ref(group_by[site // 2])
+        if new_ref is None:
+            return None
+        group_by = _with(group_by, site // 2, new_ref)
     else:
-        item = stmt.order_by[pos]
+        item = order_by[site - group_sites]
         new_ref = swap_ref(item.column)
         if new_ref is None:
             return None
-        order = list(stmt.order_by)
-        order[pos] = OrderItem(column=new_ref, ascending=item.ascending)
-        stmt = dataclasses.replace(stmt, order_by=tuple(order))
-    return stmt
+        order_by = _with(order_by, site - group_sites, OrderItem(new_ref, item.ascending))
+    return SelectStatement(
+        select, stmt.table, stmt.joins, where, group_by, order_by,
+        stmt.limit, stmt.select_star,
+    )
+
+
+def _with(items: tuple, pos: int, item) -> tuple:
+    """``items`` with the element at ``pos`` replaced."""
+    return items[:pos] + (item,) + items[pos + 1 :]
 
 
 def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
@@ -271,8 +324,8 @@ def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
     Writes drift the same way reads do — the *column set* shifts: an
     insert starts populating a different attribute, an update rewrites a
     different measure, a delete filters on a different key.  Written
-    columns are weighted up (entered twice) over locate predicates, and
-    a swap that would collide with another referenced column is a failed
+    columns are weighted up (two site indices each) over locate predicates,
+    and a swap that would collide with another referenced column is a failed
     attempt (``None``), mirroring the read path's contract.
     """
     if isinstance(stmt, InsertStatement):
@@ -281,36 +334,28 @@ def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
         new_ref = swap_ref(stmt.columns[pos])
         if new_ref is None or new_ref.name in taken:
             return None
-        columns = list(stmt.columns)
-        columns[pos] = new_ref
-        return dataclasses.replace(stmt, columns=tuple(columns))
-    sites: list[tuple[str, int]] = []
-    if isinstance(stmt, UpdateStatement):
-        for i in range(len(stmt.assignments)):
-            sites.append(("set", i))
-            sites.append(("set", i))
-    sites.extend(("where", i) for i in range(len(stmt.where)))
+        return InsertStatement(stmt.table, _with(stmt.columns, pos, new_ref), stmt.rows)
+    assignments = stmt.assignments if isinstance(stmt, UpdateStatement) else ()
+    sites = 2 * len(assignments) + len(stmt.where)
     if not sites:
         return None
-    kind, pos = sites[int(rng.integers(0, len(sites)))]
-    if kind == "set":
-        taken = {a.column.name for a in stmt.assignments}
-        assignment = stmt.assignments[pos]
+    site = int(rng.integers(0, sites))
+    if site < 2 * len(assignments):
+        taken = {a.column.name for a in assignments}
+        assignment = assignments[site // 2]
         new_ref = swap_ref(assignment.column)
         if new_ref is None or new_ref.name in taken:
             return None
-        assignments = list(stmt.assignments)
-        assignments[pos] = dataclasses.replace(assignment, column=new_ref)
-        stmt = dataclasses.replace(stmt, assignments=tuple(assignments))
-    else:
-        pred = stmt.where[pos]
-        new_ref = swap_ref(pred.column)
-        if new_ref is None:
-            return None
-        where = list(stmt.where)
-        where[pos] = dataclasses.replace(pred, column=new_ref)
-        stmt = dataclasses.replace(stmt, where=tuple(where))
-    return stmt
+        assignment = Assignment(new_ref, assignment.value)
+        return UpdateStatement(
+            stmt.table, _with(assignments, site // 2, assignment), stmt.where
+        )
+    pos = site - 2 * len(assignments)
+    new_ref = swap_ref(stmt.where[pos].column)
+    if new_ref is None:
+        return None
+    pred = dataclasses.replace(stmt.where[pos], column=new_ref)
+    return dataclasses.replace(stmt, where=_with(stmt.where, pos, pred))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,11 +390,15 @@ class NeighborhoodSampler:
         self.schema = schema
         self.pool = list(pool)
         self.rng = np.random.default_rng(seed)
+        if recent_pool_size < 0:
+            raise ValueError("recent_pool_size must be non-negative")
         self.recent_pool_size = recent_pool_size
         if not 1 <= min_query_set <= max_query_set:
             raise ValueError("need 1 <= min_query_set <= max_query_set")
         self.min_query_set = min_query_set
         self.max_query_set = max_query_set
+        if not history_bias > 0:
+            raise ValueError("history_bias must be positive")
         #: How much likelier a historical template is to enter a perturbed
         #: workload than a synthesized mutation.  Real drift is largely
         #: recurrence (the generator's revival channel), and recurrence is
@@ -366,6 +415,8 @@ class NeighborhoodSampler:
         """``count`` workloads at uniformly random distances in ``[0, Γ]``."""
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
+        if count < 0:
+            raise ValueError("count must be non-negative")
         # Nothing below Γ = 0 (or under an empty base) reads the sources.
         sources = self._candidate_sources(base) if gamma > 0.0 and base else None
         samples: list[Workload] = []
@@ -388,6 +439,10 @@ class NeighborhoodSampler:
         candidates, pool_count = self._candidate_queries(sources)
         if not candidates:
             return Workload(list(base))
+        # Historical candidates weighted up; the same vector for every pick.
+        weights = np.ones(len(candidates), dtype=np.float64)
+        weights[:pool_count] = self.history_bias
+        weights /= weights.sum()
         base_count = max(base.total_weight, 1.0)
         best: Workload | None = None
         best_error = math.inf
@@ -395,7 +450,7 @@ class NeighborhoodSampler:
         sizes = sorted({self.min_query_set, midpoint, self.max_query_set})
         for k in sizes:
             for _ in range(ATTEMPTS_PER_SIZE):
-                picks = self._pick_distinct(candidates, pool_count, k)
+                picks = self._pick_distinct(candidates, weights, k)
                 if len(picks) < k:
                     break
                 probe = Workload(picks)
@@ -469,11 +524,12 @@ class NeighborhoodSampler:
 
     def _candidate_queries(
         self, sources: _CandidateSources
-    ) -> tuple[list[WorkloadQuery], int]:
+    ) -> tuple[list[WorkloadQuery | Statement], int]:
         """Pool queries (template-disjoint from the base) plus mutations.
 
         Returns the candidate list (historical templates first) and the
         count of historical entries, so picking can weight history up.
+        A mutation stays a statement until ``_pick_distinct`` picks it.
         """
         clauses = self.distance.clauses
         statements = sources.statements
@@ -482,7 +538,7 @@ class NeighborhoodSampler:
         # Always add affinity-guided mutations of the base's own queries:
         # fresh drift looks like an existing query with one related column
         # swapped, which history alone cannot supply.
-        for _ in range(400):
+        for _ in range(MUTATION_CHAINS):
             source = int(self.rng.integers(0, len(statements)))
             # Future drift is several mutation steps away from the current
             # window, so perturbation queries are mutated 1-3 times.
@@ -501,19 +557,20 @@ class NeighborhoodSampler:
             if key in taken:
                 continue
             taken.add(key)
-            candidates.append(WorkloadQuery(sql=format_statement(mutated)))
+            candidates.append(mutated)
             if len(candidates) >= self.recent_pool_size + self.max_query_set * 4:
                 break
         return candidates, len(sources.history)
 
     def _pick_distinct(
-        self, candidates: list[WorkloadQuery], pool_count: int, k: int
+        self, candidates: list[WorkloadQuery | Statement], weights: np.ndarray, k: int
     ) -> list[WorkloadQuery]:
-        """Sample ``k`` distinct candidates, historical ones weighted up."""
+        """Sample ``k`` distinct candidates with probabilities ``weights``;
+        a mutation is formatted to SQL, in place, the first time it is picked."""
         if len(candidates) < k:
             return []
-        weights = np.ones(len(candidates), dtype=np.float64)
-        weights[:pool_count] = self.history_bias
-        weights /= weights.sum()
         picks = self.rng.choice(len(candidates), size=k, replace=False, p=weights)
-        return [candidates[int(i)] for i in picks]
+        for i in picks:
+            if not isinstance(candidates[i], WorkloadQuery):
+                candidates[i] = WorkloadQuery(sql=format_statement(candidates[i]))
+        return [candidates[i] for i in picks]

@@ -43,6 +43,7 @@ class TestTable:
             ],
         )
         assert table.row_bytes == 25
+        assert table.column_names == ["a", "b", "c"]
 
 
 class TestSchema:

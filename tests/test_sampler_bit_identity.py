@@ -18,9 +18,10 @@ from functools import lru_cache
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Column, Schema, Table
+from repro.catalog.types import ColumnType
 from repro.sql.analyzer import extract_template
 from repro.sql.ast import (
     Aggregate,
@@ -35,10 +36,15 @@ from repro.sql.ast import (
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
 from repro.workload.distance import WorkloadDistance
-from repro.workload.families import htap_profile
+from repro.workload.families import ecommerce_profile, htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
-from repro.workload.sampler import ColumnAffinity, NeighborhoodSampler, mutate_query
+from repro.workload.sampler import (
+    ColumnAffinity,
+    NeighborhoodSampler,
+    _weighted_draw,
+    mutate_query,
+)
 from repro.workload.windows import split_windows
 from repro.workload.workload import Workload
 
@@ -227,12 +233,13 @@ def environment(family: str) -> Environment:
         )
         profile = r1_profile(queries_per_day=8, topic_count=3, templates_per_topic=4)
         trace = TraceGenerator(schema, roles, profile, seed=5).generate(days=70)
-    else:
+    else:  # htap, and ecommerce (insert / update / delete at 25 / 10 / 5 %)
         schema, roles = build_star_schema(
             fact_tables=2, fact_rows=200_000, fact_attributes=10,
             legacy_tables=2, legacy_columns=3, seed=7,
         )
-        profile = htap_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
+        family_profile = htap_profile if family == "htap" else ecommerce_profile
+        profile = family_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
         trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=70)
     base = split_windows(trace, 28)[1]
     affinity = ColumnAffinity()
@@ -265,7 +272,7 @@ def test_sources_cover_every_statement_shape():
 
 
 @given(
-    family=st.sampled_from(["r1", "htap"]),
+    family=st.sampled_from(["r1", "htap", "ecommerce"]),
     source=st.integers(0, 10**6),
     seed=st.integers(0, 2**32 - 1),
     depth=st.integers(1, 3),
@@ -294,7 +301,7 @@ def test_ast_chain_equals_text_chain(family, source, seed, depth, with_affinity)
 
 
 @given(
-    family=st.sampled_from(["r1", "htap"]),
+    family=st.sampled_from(["r1", "htap", "ecommerce"]),
     source=st.integers(0, 10**6),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -337,6 +344,43 @@ def test_sample_reproduces_recorded_neighborhood(family, gamma, expected):
     samples = sampler.sample(env.base, gamma, 8)
     assert any(len(sample) > len(env.base) for sample in samples)
     assert neighborhood_digest(samples) == expected
+
+
+def stream_position(rng: np.random.Generator) -> tuple[int, int, int]:
+    """Where the generator stands: the PCG64 state word plus the buffered
+    32-bit half that ``rng.integers`` leaves behind (``inc`` is the seed's)."""
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["has_uint32"], state["uinteger"]
+
+
+@pytest.mark.parametrize(
+    "family,gamma,expected,position",
+    [  # recorded at 1dc597e, the commit before the chain's per-step work was rewritten
+        ("r1", 0.004, "47acbbf45fac2f05",
+         (298503101201358969083948949248493646986, 0, 1629767394)),
+        ("r1", 0.02, "a616daf85e3b3e75",
+         (168903209653650092426796747744659593310, 0, 2892307542)),
+        ("htap", 0.004, "6b641546b0347e46",
+         (141912303075736156469978441310733938954, 1, 1637052186)),
+        ("htap", 0.02, "a40499052b01a820",
+         (137429431732575069219981213001193224562, 1, 2615597497)),
+        ("ecommerce", 0.004, "40a3530010e55aa1",
+         (60991480725293577881212372314170366083, 0, 859602649)),
+        ("ecommerce", 0.02, "ff23d98d8a5d1e90",
+         (12633364365235557330777094375995027237, 0, 3955643649)),
+    ],
+)
+def test_sample_leaves_the_generator_where_it_was_recorded(
+    family, gamma, expected, position
+):
+    """The digests above see texts and frequencies; a draw added or dropped
+    *after* the last pick would pass them and shift every later design."""
+    env = environment(family)
+    sampler = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    samples = sampler.sample(env.base, gamma, 8)
+    assert any(len(sample) > len(env.base) for sample in samples)
+    assert neighborhood_digest(samples) == expected
+    assert stream_position(sampler.rng) == position
 
 
 # -- (c) dense replacement weights == the dict loop, with ``==`` ----------------------
@@ -408,6 +452,77 @@ class TestDenseReplacementWeights:
         assert before.tolist() != after.tolist()
         assert_dense_equals_reference(affinity, "t", ["a"], ["b", "c"])
         assert_dense_equals_reference(affinity, "t", ["d"], ["a", "b", "c"])
+
+
+# -- (e) the inline draw == ``Generator.choice``; a masked column == a deleted one -----
+
+
+@given(
+    counts=st.lists(st.integers(0, 40), min_size=1, max_size=70),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_weighted_draw_is_generator_choice(counts, seed):
+    """``_weighted_draw`` spells out what ``Generator.choice(n, p=...)`` does
+    with one uniform.  A numpy release that changes ``choice`` fails here, by
+    name, before any golden does."""
+    weights = np.array(counts, dtype=np.float64) + 1.0
+    inline_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        expected = int(choice_rng.choice(len(weights), p=weights / weights.sum()))
+        assert _weighted_draw(inline_rng, weights) == expected
+        assert inline_rng.bit_generator.state == choice_rng.bit_generator.state
+
+
+@given(
+    width=st.integers(2, 9),
+    swapped=st.integers(0, 8),
+    observed=st.lists(st.lists(st.integers(0, 8), min_size=2, max_size=4), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    with_affinity=st.booleans(),
+)
+@example(width=2, swapped=0, observed=[[0, 1]], seed=0, with_affinity=True)
+@example(width=2, swapped=1, observed=[], seed=1, with_affinity=True)
+@example(width=5, swapped=0, observed=[[0, 1, 2], [0, 4]], seed=2, with_affinity=True)
+@example(width=5, swapped=4, observed=[[3, 4], [0, 4]], seed=3, with_affinity=True)
+@example(width=2, swapped=1, observed=[], seed=4, with_affinity=False)
+@settings(max_examples=200, deadline=None)
+def test_masking_the_swapped_column_equals_deleting_it(
+    width, swapped, observed, seed, with_affinity
+):
+    """The chain keeps the swapped-out column in its slot at weight 0 (or
+    skips over it); the oracle deletes it from the options.  Same name, same
+    generator state — first column, last column, two-column table included."""
+    swapped %= width
+    table = Table("t", [Column(f"c{i}", ColumnType.INT) for i in range(width)])
+    schema = Schema({"t": table})
+    affinity = ColumnAffinity()
+    affinity.observe(
+        WorkloadQuery(sql="SELECT " + ", ".join(f"t.c{i % width}" for i in columns) + " FROM t")
+        for columns in observed
+    )
+    other = (swapped + 1) % width
+    sql = f"SELECT t.c{other} FROM t WHERE t.c{swapped} = 1 ORDER BY t.c{swapped}"
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(4):  # four draws of the site: every clause gets swapped
+        assert mutate_query(
+            sql, schema, new_rng, affinity if with_affinity else None
+        ) == text_mutate_query(sql, schema, old_rng, affinity if with_affinity else None)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sql", ["SELECT t.only FROM t", "SELECT t.ghost FROM t"])
+def test_no_sibling_draws_only_the_site_and_an_unknown_column_masks_nothing(sql):
+    """A single-column table offers ``t.only`` no replacement (``None``, no
+    second draw); a column the table does not define leaves every column an
+    option."""
+    schema = Schema({"t": Table("t", [Column("only", ColumnType.INT)])})
+    new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for affinity in (None, ColumnAffinity()):
+        expected = text_mutate_query(sql, schema, old_rng, affinity)
+        assert mutate_query(sql, schema, new_rng, affinity) == expected
+        assert (expected is None) == ("only" in sql)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 # -- (d) sample_at alone == the same call through sample() ----------------------------

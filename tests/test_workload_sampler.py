@@ -133,6 +133,24 @@ class TestSampler:
         with pytest.raises(ValueError):
             NeighborhoodSampler(distance, schema, min_query_set=5, max_query_set=2)
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("history_bias", 0.0), ("history_bias", -1.0), ("history_bias", float("nan")),
+         ("recent_pool_size", -1)],
+    )
+    def test_invalid_constructor_argument_is_named(self, setup, argument, value):
+        """``history_bias=0`` used to surface as numpy's "probabilities
+        contain NaN" from inside a pick, in the middle of a design."""
+        schema, distance, _, _ = setup
+        with pytest.raises(ValueError, match=argument):
+            NeighborhoodSampler(distance, schema, **{argument: value})
+
+    def test_negative_count_rejected(self, setup):
+        _, _, base, sampler = setup
+        with pytest.raises(ValueError, match="count"):
+            sampler.sample(base, 0.01, -1)
+        assert sampler.sample(base, 0.01, 0) == []
+
 
 class TestReplacementWeightsEdgeCases:
     def test_empty_options_return_empty_weights(self):
