@@ -8,7 +8,7 @@ Commands:
 * ``compare`` — the Figure-7-style designer comparison,
 * ``gamma`` — the Figure-8/9 robustness-knob sweep,
 * ``stats`` — cost-evaluation-service counters for a CliffGuard replay
-  (what-if calls, cache hits, dedup ratio, costing wall-time), plus the
+  (what-if calls, dedup ratio, costing wall-time), plus the
   process-wide metrics registry (:mod:`repro.obs`),
 * ``serve`` — the online tuning daemon: ingest a query stream (replayed
   trace, or a newline-JSON socket via ``--listen``), re-design in the
@@ -286,18 +286,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0 if outcome.dropped == 0 else 1
 
 
-def _feed_connect(spec: str, timeout: float):
-    import socket
-    import time
-
+def _feed_endpoint(spec: str):
     from repro.serve.sources import resolve_source
 
     # One spec grammar for both ends: the address ``serve --listen SPEC``
     # would bind is the one dialled here (same checks, same host default).
     try:
-        endpoint = resolve_source(spec)
+        return resolve_source(spec)
     except ValueError as exc:
         raise SystemExit(f"feed: bad --connect: {exc}") from None
+
+
+def _feed_connect(spec: str, timeout: float):
+    import socket
+    import time
+
+    endpoint = _feed_endpoint(spec)
     if endpoint.path is not None:
         family, address = socket.AF_UNIX, endpoint.path
     else:
@@ -318,6 +322,8 @@ def _feed_connect(spec: str, timeout: float):
 def cmd_feed(args: argparse.Namespace) -> int:
     from repro.serve.protocol import encode_control, encode_query
 
+    # A malformed spec fails before the trace is generated, not after.
+    _feed_endpoint(args.connect)
     queries = _session(args).context.trace(args.workload)
     if args.limit is not None:
         queries = queries[: args.limit]

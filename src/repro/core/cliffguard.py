@@ -51,13 +51,12 @@ class CliffGuardReport:
     worst_case_history: list[float] = field(default_factory=list)
     alpha_history: list[float] = field(default_factory=list)
     designer_calls: int = 0
-    #: Query-cost evaluations requested during this run (cache hits
-    #: included) — the designer-effort number the A1–A3 benches report.
+    #: Query-cost evaluations requested during this run, counting the
+    #: duplicates batched evaluation collapsed — the designer-effort
+    #: number the A1–A3 benches report.
     query_cost_calls: int = 0
-    #: Raw cost-model invocations actually paid (misses only).
+    #: (design, query) pairs the cost model actually priced.
     raw_cost_model_calls: int = 0
-    #: Lookups served by the cost-evaluation service's memo cache.
-    cache_hits: int = 0
     #: The step size after the last accepted/rejected move.
     final_alpha: float = 0.0
     #: Wall-clock seconds spent inside cost evaluation during this run.
@@ -104,7 +103,6 @@ class CliffGuard(Designer):
         worst_fraction: float = 1.0,
         min_worst: int = 1,
         patience: int | None = None,
-        include_base_in_neighborhood: bool = True,
         keep_base_in_move: bool = True,
     ):
         if gamma < 0:
@@ -137,7 +135,6 @@ class CliffGuard(Designer):
         self.worst_fraction = worst_fraction
         self.min_worst = min_worst
         self.patience = patience
-        self.include_base_in_neighborhood = include_base_in_neighborhood
         self.keep_base_in_move = keep_base_in_move
         self.last_report: CliffGuardReport | None = None
         #: Optional :class:`repro.state.RunCheckpointer`; when set,
@@ -147,16 +144,26 @@ class CliffGuard(Designer):
 
     # -- neighborhood machinery ----------------------------------------------------
 
-    def _neighborhood_costs(self, neighborhood: list[Workload], design) -> list[float]:
-        """f(W_i, D) for every sampled neighbor (average latency).
+    def _neighborhood_costs(
+        self, neighborhood: list[Workload], design
+    ) -> tuple[list[float], dict[str, float]]:
+        """``(f(W_i, D) per neighbor, {sql: cost under D})``.
 
         Evaluated through the adapter's batched neighborhood API: the
         neighbors overwhelmingly share queries (they come from the same
         history pool), so each distinct query is costed once per design
-        instead of once per neighbor.
+        instead of once per neighbor.  The per-SQL map covers every
+        query of the neighborhood — ``W0`` included — which is exactly
+        what MoveWorkload needs priced under the incumbent, so the
+        incumbent's map is kept instead of asking the service again.
         """
         reports = self.adapter.evaluate_neighborhood([design], neighborhood)[0]
-        return [report.average_ms for report in reports]
+        per_sql = {
+            query.sql: cost
+            for workload, report in zip(neighborhood, reports)
+            for query, cost in zip(workload, report.per_query_ms)
+        }
+        return [report.average_ms for report in reports], per_sql
 
     def _worst_neighbors(
         self, neighborhood: list[Workload], costs: list[float]
@@ -179,8 +186,9 @@ class CliffGuard(Designer):
         """Run Algorithm 2 and return the robust design.
 
         With a ``checkpointer`` attached, the loop state (iteration,
-        α, accepted design, neighborhood costs, worst-case history, the
-        sampler's bit-generator state, and the warm cost cache) is
+        α, accepted design, its per-query and neighborhood costs,
+        worst-case history, the sampler's bit-generator state, and the
+        cost service's counters) is
         snapshotted after the initial neighborhood evaluation and after
         every iteration; a killed run resumed from any of those
         boundaries produces a bit-identical design and report (see
@@ -227,6 +235,7 @@ class CliffGuard(Designer):
                     "design": design,
                     "neighborhood": neighborhood,
                     "costs": costs,
+                    "incumbent_costs": incumbent_costs,
                     "worst_case": worst_case,
                     "alpha": alpha,
                     "stale": stale,
@@ -259,11 +268,10 @@ class CliffGuard(Designer):
                 )
                 return design
 
-            neighborhood = self.sampler.sample(workload, self.gamma, self.n_samples)
-            if self.include_base_in_neighborhood:
-                neighborhood = [workload] + neighborhood
-
-            costs = self._neighborhood_costs(neighborhood, design)
+            neighborhood = [workload] + self.sampler.sample(
+                workload, self.gamma, self.n_samples
+            )
+            costs, incumbent_costs = self._neighborhood_costs(neighborhood, design)
             worst_case = max(costs) if costs else 0.0
             report.worst_case_history.append(worst_case)
 
@@ -275,6 +283,7 @@ class CliffGuard(Designer):
             design = state["design"]
             neighborhood = state["neighborhood"]
             costs = state["costs"]
+            incumbent_costs = state["incumbent_costs"]
             worst_case = state["worst_case"]
             alpha = state["alpha"]
             stale = state["stale"]
@@ -301,10 +310,9 @@ class CliffGuard(Designer):
             moved = move_workload(
                 workload,
                 worst,
-                cost=lambda sql: self.adapter.query_cost(sql, design),
+                cost=incumbent_costs.__getitem__,
                 alpha=alpha,
                 keep_base=self.keep_base_in_move,
-                batch_cost=lambda sqls: self.adapter.query_costs(sqls, design),
             )
             if t.enabled:
                 t.emit(
@@ -319,11 +327,14 @@ class CliffGuard(Designer):
             candidate = self.nominal.design(moved)
             report.nominal_wall_seconds += time.perf_counter() - nominal_started
             report.designer_calls += 1
-            candidate_costs = self._neighborhood_costs(neighborhood, candidate)
+            candidate_costs, candidate_per_sql = self._neighborhood_costs(
+                neighborhood, candidate
+            )
             candidate_worst = max(candidate_costs) if candidate_costs else 0.0
             if candidate_worst < worst_case:
                 design = candidate
                 costs = candidate_costs
+                incumbent_costs = candidate_per_sql
                 worst_case = candidate_worst
                 alpha *= self.lambda_success
                 report.accepted_moves += 1
@@ -375,7 +386,6 @@ class CliffGuard(Designer):
         # without the evaluation service would have paid.
         report.query_cost_calls = delta.query_requests + delta.dedup_saved
         report.raw_cost_model_calls = delta.raw_model_calls
-        report.cache_hits = delta.query_hits
         arena_delta = service.arena_stats.since(arena_baseline)
         report.matrix_hits = arena_delta.matrix_hits
         report.matrix_pairs_priced = arena_delta.matrix_pairs_priced

@@ -31,11 +31,14 @@ def move_workload(
     cost: Callable[[str], float],
     alpha: float,
     keep_base: bool = True,
-    batch_cost: Callable[[Sequence[str]], dict[str, float]] | None = None,
 ) -> Workload:
     """Merge ``base`` with its worst neighbors, re-weighted per Algorithm 3.
 
-    ``cost`` maps a SQL string to its latency under the *current* design.
+    ``cost`` maps a SQL string to its latency under the *current* design;
+    it is called once per distinct query of ``base`` and the neighbors.
+    CliffGuard passes the lookup of the incumbent's per-query costs it
+    already holds from evaluating the neighborhood (which contains
+    ``W0``), so the move prices nothing itself.
     ``keep_base=False`` drops the ``+ weight(q, W0)`` anchor — the paper
     credits that anchor for CliffGuard never falling below the nominal
     designer at extreme Γ (Section 6.5), and the A3 ablation bench
@@ -70,13 +73,7 @@ def move_workload(
         for query in neighbor:
             all_sql.setdefault(query.sql, query)
 
-    # ``batch_cost`` (the cost-evaluation service's deduplicated batch
-    # API) prices all merged queries in one call; the per-query ``cost``
-    # callable remains the fallback for callers without a service.
-    if batch_cost is not None:
-        costs = dict(batch_cost(list(all_sql)))
-    else:
-        costs = {sql: cost(sql) for sql in all_sql}
+    costs = {sql: cost(sql) for sql in all_sql}
     mean_cost = sum(costs.values()) / max(len(costs), 1)
     if mean_cost <= 0:
         mean_cost = 1.0

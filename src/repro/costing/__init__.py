@@ -3,8 +3,8 @@
 All three engines price queries from the same parsed, schema-resolved,
 selectivity-annotated :class:`QueryProfile`; only the translation from
 profile to milliseconds differs per engine.  On top of that shared
-profile sits the :class:`CostEvaluationService` — a fingerprinted memo
-cache with batched neighborhood evaluation and instrumentation — which
+profile sits the :class:`CostEvaluationService` — batched neighborhood
+evaluation over compiled workload arenas, with instrumentation — which
 every :class:`repro.designers.base.DesignAdapter` routes its what-if
 calls through.
 """

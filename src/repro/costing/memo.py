@@ -1,9 +1,9 @@
 """The one bounded LRU every cache in the repo is built on.
 
-The costing service memoizes per-(design, query) costs, design
-fingerprints and compiled arenas, the query profiler memoizes profiles
-by SQL text, and the distance metrics memoize template encodings and
-per-workload terms.  All of them need the same thing — a mapping that
+The costing service memoizes design fingerprints and compiled arenas
+(never a cost), the query profiler memoizes profiles by SQL text, the
+distance metrics memoize template encodings and per-workload terms, and
+the bandit designer keeps its arm log.  All of them need the same thing — a mapping that
 forgets its least-recently-used entry once it is full — so a months-long
 ``scheduled_replay``, monitor or serve run cannot grow them (and the
 objects they reference) without bound.  :class:`BoundedMemo` is that

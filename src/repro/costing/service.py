@@ -6,44 +6,44 @@ sampled neighbor under every candidate design; with the paper defaults
 re-costed hundreds of times per replay window even though neighbors
 overwhelmingly share queries.  The paper itself stresses that what-if
 cost calls dominate designer runtime (Figure 14), so this module puts
-**one memoizing, batching, instrumented layer** between the consumers
-(CliffGuard, the baseline designers, the replay harness, the CLI) and
-the three engine cost models.
+**one batching, instrumented layer** between the consumers (CliffGuard,
+the baseline designers, the replay harness, the CLI) and the three
+engine cost models.
 
 The service only assumes the :class:`CostModel` protocol — ``profile``,
 ``query_cost``, ``workload_cost`` — which all three substrates
 (:class:`repro.engine.optimizer.ColumnarCostModel`,
 :class:`repro.rowstore.optimizer.RowstoreCostModel`,
 :class:`repro.samples.optimizer.SamplesCostModel`) already satisfy, so
-the cache and batching are shared rather than re-implemented per engine.
+the batching is shared rather than re-implemented per engine.
 
-Caching contract (see ``docs/cost_model.md`` for the prose version):
+Contract (see ``docs/cost_model.md`` for the prose version):
 
+* **No cost is memoized.**  Every entry point collapses its request to
+  distinct SQL and prices it; a caller that needs a cost twice keeps
+  the one it was given.  What the service does keep is derived state —
+  compiled workload arenas, the candidate-matrix cache and a
+  design-fingerprint memo — which depends only on the queries, the
+  candidates and the model, is never exported, and cannot change a
+  float or an exported counter.
 * **Fingerprints are content hashes.**  A design's fingerprint digests
-  the canonical DDL of its structures in deterministic order; a query's
-  fingerprint digests its exact SQL text (two queries sharing a template
-  but differing in literals cost differently, so the template alone is
-  not a sound key).  Content-identical designs therefore share cache
-  entries even when they are distinct objects.
-* **One exported level.**  The query cache memoizes per-(design, query)
-  costs; every entry point, workload reports included, is assembled
-  from it.  It — and the derived fingerprint and arena caches beside
-  it — is a :class:`~repro.costing.memo.BoundedMemo`, the repo's one
-  LRU class.
-* **One miss-fill path, in process.**  Every cache miss is priced by
-  :meth:`CostEvaluationService._fill_misses`: the workload's arena
-  bound to the design, or the scalar model below ``KERNEL_MIN_BATCH``
-  misses.  The service never fans out inside a pricing call: the kernel
-  reduction is ~1% of a design run's wall, so parallelism lives one
-  level up, in the harness's whole-task fan-out and the serve daemon's
-  background re-design (see :mod:`repro.parallel`).
-* **Bit-identical results.**  Cached values are the exact floats the
-  underlying cost model produced — the cached-vs-uncached property test
-  in ``tests/test_costing_service.py`` asserts equality, not closeness.
+  the canonical DDL of its structures in deterministic order, so
+  content-identical designs share candidate-matrix columns even when
+  they are distinct objects.
+* **One pricing path, in process.**  Every batched request is priced by
+  :meth:`CostEvaluationService._price`: the request's arena bound to
+  the design, or the scalar model below ``KERNEL_MIN_BATCH`` distinct
+  queries.  The service never fans out inside a pricing call: the
+  kernel reduction is ~1% of a design run's wall, so parallelism lives
+  one level up, in the harness's whole-task fan-out and the serve
+  daemon's background re-design (see :mod:`repro.parallel`).
+* **Bit-identical results.**  Every float is the exact float the
+  underlying cost model produces — the property tests in
+  ``tests/test_costing_service.py`` assert equality, not closeness.
 * **Explicit invalidation.**  The service never watches the cost model
   for mutation; callers that change statistics or cost constants must
-  call :meth:`CostEvaluationService.invalidate_design` or
-  :meth:`CostEvaluationService.clear`.
+  call :meth:`CostEvaluationService.clear`, which drops every arena and
+  matrix column built from the old ones.
 """
 
 from __future__ import annotations
@@ -63,17 +63,12 @@ from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
 
-#: Default bound on the per-(design, query) memo cache.  Sized to hold a
-#: full bench-scale CliffGuard run's working set (~550k distinct pairs:
-#: the nominal designer's candidate×query matrix dominates); a bound just
-#: under the working set thrashes and loses all cross-iteration reuse.
-DEFAULT_MAX_QUERY_ENTRIES = 1_048_576
 #: Designs whose fingerprints are memoized (they are hashable, so the
 #: digest only has to be computed once per distinct design).
 DEFAULT_MAX_FINGERPRINTS = 16_384
-#: Miss batches smaller than this stay on the scalar path: compiling the
-#: structure-of-arrays batch has fixed overhead that only pays off once a
-#: vectorized call amortizes it over enough (structure, query) pairs.
+#: Requests with fewer distinct queries stay on the scalar path:
+#: compiling the structure-of-arrays batch has fixed overhead that only
+#: pays off once a vectorized call amortizes it over enough pairs.
 KERNEL_MIN_BATCH = 8
 #: Bound on the per-service workload-arena cache.  Arenas are per
 #: distinct query set — one per replay window or neighborhood pool — and
@@ -179,18 +174,23 @@ class _Counters:
 class CostServiceStats(_Counters):
     """Counters for one service (cumulative; see :meth:`snapshot`)."""
 
-    #: Query-cost lookups requested by consumers (hits + misses).
+    #: Query-cost evaluations requested by consumers.  Nothing is
+    #: memoized, so every request is priced: this always equals
+    #: ``raw_model_calls``.
     query_requests: int = 0
-    #: Lookups served from the per-(design, query) cache.
+    # Read by benchmarks/e2e/spans.py (``getattr(stats, "query_hits")``)
+    # and by nothing else: the service memoizes no cost, so no path
+    # counts into it and it reads 0 until the ledger stops naming it.
     query_hits: int = 0
-    #: Raw calls into the underlying cost model's ``query_cost``.
+    #: (design, query) pairs priced, by the scalar model or the kernel.
     raw_model_calls: int = 0
     #: Duplicate (design, query) pairs collapsed by batched evaluation
-    #: before any cache or model was consulted.
+    #: before the model was consulted.
     dedup_saved: int = 0
     #: Wall-clock seconds spent inside evaluation entry points.
     eval_seconds: float = 0.0
-    #: Cache entries dropped by the LRU bound or explicit invalidation.
+    # Read by benchmarks/e2e/spans.py by name, like ``query_hits``; no
+    # exported cache is left to evict from, so it reads 0.
     evictions: int = 0
     #: Vectorized kernel dispatches (one per compiled batch evaluation).
     kernel_batch_calls: int = 0
@@ -205,13 +205,6 @@ class CostServiceStats(_Counters):
     write_pairs_priced: int = 0
 
     @property
-    def hit_rate(self) -> float:
-        """Fraction of query-cost lookups served from cache."""
-        if self.query_requests == 0:
-            return 0.0
-        return self.query_hits / self.query_requests
-
-    @property
     def dedup_ratio(self) -> float:
         """Fraction of batched lookups collapsed as duplicates."""
         total = self.query_requests + self.dedup_saved
@@ -224,12 +217,9 @@ class CostServiceStats(_Counters):
         return [
             ["raw cost-model calls", self.raw_model_calls],
             ["query-cost lookups", self.query_requests],
-            ["query-cache hits", self.query_hits],
-            ["query-cache hit rate", self.hit_rate],
             ["batched duplicates collapsed", self.dedup_saved],
             ["dedup ratio", self.dedup_ratio],
             ["evaluation wall-time (s)", self.eval_seconds],
-            ["cache evictions", self.evictions],
             ["kernel batch dispatches", self.kernel_batch_calls],
             ["kernel-priced pairs", self.kernel_pairs_priced],
             ["write pairs priced", self.write_pairs_priced],
@@ -254,7 +244,7 @@ class ArenaStats(_Counters):
     hits: int = 0
     #: Arenas dropped by the LRU bound.
     evictions: int = 0
-    #: Arenas dropped by ``invalidate_design``/``clear``.
+    #: Arenas dropped by ``clear``.
     invalidations: int = 0
     #: (candidate, query) cells served from the candidate-matrix cache
     #: instead of being re-priced by the kernel.
@@ -300,7 +290,7 @@ class _MatrixEntry:
     arena reference (so an LRU-evicted arena stays alive while its
     matrix does), are never exported by
     :meth:`CostEvaluationService.export_state`, and are dropped by
-    ``clear``/``invalidate_design``.
+    ``clear``.
     """
 
     key: str
@@ -354,15 +344,9 @@ def _sql_weights(queries) -> tuple[list[str], list[float]]:
 
 
 class CostEvaluationService:
-    """Fingerprinted memo cache + batched evaluation over one cost model."""
+    """Batched, counted evaluation over one cost model."""
 
-    def __init__(
-        self,
-        cost_model: CostModel,
-        max_query_entries: int = DEFAULT_MAX_QUERY_ENTRIES,
-    ):
-        if max_query_entries < 1:
-            raise ValueError("max_query_entries must be positive")
+    def __init__(self, cost_model: CostModel):
         self.cost_model = cost_model
         #: Vectorized batch kernel for the model, or None (scalar path).
         #: Dispatch is exact-type; stubs and subclasses stay scalar.
@@ -386,10 +370,6 @@ class CostEvaluationService:
         #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
         #: state: never exported, rebuilt on demand (see _MatrixEntry).
         self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
-        #: (design_fp, sql) -> cost.
-        self._query_cache = BoundedMemo(
-            max_entries=max_query_entries, on_evict=self._query_evicted
-        )
         #: design object -> fingerprint (designs are hashable by content).
         self._fingerprints = BoundedMemo(max_entries=DEFAULT_MAX_FINGERPRINTS)
 
@@ -402,95 +382,51 @@ class CostEvaluationService:
             cached = self._fingerprints[design] = design_fingerprint(design)
         return cached
 
-    # -- cache plumbing -------------------------------------------------------------
-
-    @property
-    def cached_query_entries(self) -> int:
-        return len(self._query_cache)
-
-    def _query_evicted(self, _key, _value) -> None:
-        self.stats.evictions += 1
-        t = tracer()
-        if t.enabled:
-            t.emit("cache_evict", reason="lru", cache="query", entries=1)
-
     def clear(self) -> None:
-        """Drop every cached entry (fingerprints survive: content hashes
-        stay valid as long as the design objects themselves do).
+        """Drop every compiled arena and candidate-matrix entry.
 
-        Compiled workload arenas are dropped too: ``clear`` is the
-        "cost model changed under me" escape hatch, and arenas bake the
-        model's statistics into their query-side arrays.
+        ``clear`` is the "cost model changed under me" escape hatch:
+        arenas bake the model's statistics into their query-side arrays
+        and matrix columns into their costs (matrix entries pin their
+        own arena reference, so an empty arena cache does not imply an
+        empty matrix; matrix drops are not counted as arena
+        invalidations).  Fingerprints survive — content hashes stay
+        valid as long as the design objects do.
         """
-        dropped = len(self._query_cache)
-        self.stats.evictions += dropped
-        self._query_cache.clear()
-        self._drop_arenas("clear")
         t = tracer()
-        if t.enabled and dropped:
-            t.emit("cache_evict", reason="clear", entries=dropped)
-
-    def invalidate_design(self, design) -> None:
-        """Drop every cached entry priced under ``design``.
-
-        The service never watches the cost model for mutation; callers
-        that update statistics or cost constants for a design must
-        invalidate it (or :meth:`clear`) themselves.  Because the usual
-        reason to invalidate is exactly such a model mutation, the
-        compiled workload arenas — whose query-side arrays bake in the
-        model's statistics — are conservatively dropped as well.
-        """
-        self._drop_arenas("invalidate_design")
-        fingerprint = self.design_fingerprint(design)
-        kept = [
-            item for item in self._query_cache.items() if item[0][0] != fingerprint
-        ]
-        dropped = len(self._query_cache) - len(kept)
-        self._query_cache.replace(kept)
-        self.stats.evictions += dropped
-        t = tracer()
-        if t.enabled and dropped:
-            t.emit(
-                "cache_evict",
-                reason="invalidate_design",
-                design=fingerprint,
-                entries=dropped,
-            )
+        entries, columns = len(self._matrix), self.cached_matrix_columns
+        self._matrix.clear()
+        if t.enabled and entries:
+            t.emit("matrix_evict", reason="clear", entries=entries, columns=columns)
+        arenas = len(self._arenas)
+        self._arenas.clear()
+        self.arena_stats.invalidations += arenas
+        if t.enabled and arenas:
+            t.emit("arena_evict", reason="clear", arenas=arenas)
 
     # -- checkpoint/resume support ---------------------------------------------------
 
     def export_state(self) -> dict:
-        """Snapshot the query cache and counters for a run checkpoint.
+        """Snapshot the counters for a run checkpoint.
 
-        The export preserves LRU order (the items list is oldest-first)
-        and the exact cached floats, so a service restored via
-        :meth:`import_state` serves the same hits, misses, and values —
-        in the same eviction order — as the service it was exported
-        from.  That is what makes a resumed run's per-window counter
-        deltas bit-identical to the uninterrupted run's (see
-        docs/state.md).  The design-fingerprint memo is not exported:
-        fingerprints are content hashes, recomputed deterministically on
-        first use.  Compiled workload arenas, the candidate-matrix
-        cache, and :class:`ArenaStats` are not exported either — all
-        three are derived state (pure functions of the queries, the
-        candidates, and the model, rebuilt on demand after a resume),
-        and folding their counters into the snapshot would make a
-        resumed run's exported stats diverge from the uninterrupted
-        run's even though every cost is identical.
+        The service memoizes no cost, so its counters are its only run
+        state: restoring them via :meth:`import_state` makes a resumed
+        run's counter deltas bit-identical to the uninterrupted run's
+        (see docs/state.md), and the export stays the same size however
+        long the run.  Compiled workload arenas, the candidate-matrix
+        cache, the fingerprint memo and :class:`ArenaStats` are not
+        exported — all are derived state (pure functions of the
+        queries, the candidates, and the model, rebuilt on demand after
+        a resume), and folding their counters into the snapshot would
+        make a resumed run's exported stats diverge from the
+        uninterrupted run's even though every cost is identical.
         """
-        return {
-            "query": self._query_cache.items(),
-            "stats": self.stats.snapshot(),
-        }
+        return {"stats": self.stats.snapshot()}
 
     def import_state(self, state: dict) -> None:
-        """Restore a cache export from :meth:`export_state` in place.
-
-        Arenas are *not* part of the import (they are derived state,
-        absent from :meth:`export_state`); whatever arenas this service
-        holds stay valid — they depend only on queries and the model.
-        """
-        self._query_cache.replace(state["query"])
+        """Restore the counters from :meth:`export_state` in place;
+        whatever arenas this service holds stay valid — they depend
+        only on queries and the model."""
         self.stats = state["stats"].snapshot()
 
     # -- workload arenas ---------------------------------------------------------------
@@ -504,22 +440,6 @@ class CostEvaluationService:
         t = tracer()
         if t.enabled:
             t.emit("arena_evict", reason="lru", key=key, arenas=1)
-
-    def _drop_arenas(self, reason: str) -> None:
-        # The candidate-matrix cache bakes the same model statistics into
-        # its columns as the arenas do into their arrays, so every arena
-        # invalidation drops it too (matrix entries pin their own arena
-        # reference, so an empty ``_arenas`` does not imply an empty
-        # matrix).  Matrix drops do not count as arena invalidations.
-        self._drop_matrix(reason)
-        dropped = len(self._arenas)
-        if not dropped:
-            return
-        self._arenas.clear()
-        self.arena_stats.invalidations += dropped
-        t = tracer()
-        if t.enabled:
-            t.emit("arena_evict", reason=reason, arenas=dropped)
 
     def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
         """The compiled workload arena for a distinct-SQL tuple.
@@ -575,16 +495,6 @@ class CostEvaluationService:
     @property
     def cached_matrix_cells(self) -> int:
         return sum(entry.cells for entry in self._matrix.values())
-
-    def _drop_matrix(self, reason: str) -> None:
-        dropped = len(self._matrix)
-        if not dropped:
-            return
-        columns = self.cached_matrix_columns
-        self._matrix.clear()
-        t = tracer()
-        if t.enabled:
-            t.emit("matrix_evict", reason=reason, entries=dropped, columns=columns)
 
     def _build_matrix_entry(self, sqls: tuple[str, ...], profiles) -> _MatrixEntry:
         """Compile a fresh matrix entry (arena + eager base costs)."""
@@ -725,71 +635,49 @@ class CostEvaluationService:
                 break
             del self._matrix[key]
 
-    # -- the one miss-fill path ---------------------------------------------------------
+    # -- the one pricing path -------------------------------------------------------------
 
-    def _charge(
-        self, design_fp: str, sqls, costs, kernel: bool = False, matrix_cells: int = 0
-    ) -> None:
-        """Cache and charge freshly priced (design, query) pairs.
-
-        The only place priced costs enter the query cache and the only
-        place ``raw_model_calls`` / ``kernel_*`` are charged.  ``costs``
-        may be lazy: each is cached as soon as it is produced, so a
-        model error mid-batch leaves the earlier pairs cached and
-        charged.  ``matrix_cells`` are candidate-matrix cells priced
-        alongside — charged as raw kernel evaluations like any pair,
-        but held by the matrix cache instead of the query cache.
-        """
-        for sql, cost in zip(sqls, costs):
-            self.stats.raw_model_calls += 1
-            self._query_cache[(design_fp, sql)] = cost
-        self.stats.raw_model_calls += matrix_cells
+    def _charge(self, pairs: int, writes: int, kernel: bool = False) -> None:
+        """Count ``pairs`` freshly priced (design, query) pairs, ``writes``
+        of them write statements.  The only place requests and raw
+        evaluations are charged, and always together: nothing is
+        memoized, so every request is a raw evaluation."""
+        self.stats.query_requests += pairs
+        self.stats.raw_model_calls += pairs
+        self.stats.write_pairs_priced += writes
         if kernel:
             self.stats.kernel_batch_calls += 1
-            self.stats.kernel_pairs_priced += len(sqls) + matrix_cells
+            self.stats.kernel_pairs_priced += pairs
 
-    def _fill_misses(
-        self, design, design_fp: str, unique: tuple[str, ...], misses: list[str]
-    ) -> None:
-        """Price the uncached SQL texts of one design into the cache.
+    def _price(self, design, unique: tuple[str, ...]) -> list[float]:
+        """Costs of the distinct SQL texts ``unique`` under ``design``.
 
-        Every batched entry point fills its misses here, one way: the
-        arena of the *workload's* distinct-SQL tuple ``unique`` — a key
-        stable across designs and iterations — is bound to the design,
-        and the misses (a design-dependent subset of ``unique``) are a
-        ``take`` of the bound batch.  Miss batches below
+        Every batched entry point prices here, one way: the arena of the
+        request's distinct-SQL tuple — a key stable across designs and
+        iterations — is bound to the design.  Requests below
         ``KERNEL_MIN_BATCH``, and models without a kernel, are priced by
         the scalar model.  Kernel results are bit-identical to the
         scalar path (every kernel op is element-wise or a per-query
-        reduction), so cache contents and counters never depend on
-        which of the two priced a batch.
+        reduction), so floats and counters never depend on which of the
+        two priced a request.
         """
-        if not misses:
-            return
+        if self.kernel is None or len(unique) < KERNEL_MIN_BATCH:
+            costs = [self.cost_model.query_cost(sql, design) for sql in unique]
+            self._charge(len(unique), self._count_write_sqls(unique))
+            return costs
+        batch = self._bind(self._arena_for(unique), list(design))
+        costs = [float(cost) for cost in batch.design_costs()]
+        self._charge(len(unique), int(batch.is_write.sum()), kernel=True)
         t = tracer()
         if t.enabled:
-            t.emit("cache_fill", design=design_fp, misses=len(misses))
-        kernel = self.kernel is not None and len(misses) >= KERNEL_MIN_BATCH
-        if kernel:
-            batch = self._bind(self._arena_for(unique), list(design))
-            if len(misses) != len(unique):
-                q_index = {sql: i for i, sql in enumerate(unique)}
-                batch = batch.take([q_index[sql] for sql in misses])
-            costs = [float(cost) for cost in batch.design_costs()]
-            writes = int(batch.is_write.sum())
-        else:
-            costs = (self.cost_model.query_cost(sql, design) for sql in misses)
-            writes = self._count_write_sqls(misses)
-        self.stats.write_pairs_priced += writes
-        self._charge(design_fp, misses, costs, kernel=kernel)
-        if kernel and t.enabled:
             t.emit(
                 "kernel_batch",
                 substrate=self.kernel.name,
-                design=design_fp,
-                pairs=len(misses),
+                design=self.design_fingerprint(design),
+                pairs=len(unique),
                 structures=batch.structure_count,
             )
+        return costs
 
     def _count_write_sqls(self, sqls) -> int:
         """How many of ``sqls`` are write statements (for ``writes.*``
@@ -807,78 +695,43 @@ class CostEvaluationService:
                 continue
         return count
 
-    def _cached_cost(self, design_fp: str, sql: str, design) -> float:
-        """Serve one already-prefetched cost without re-counting a lookup.
-
-        Falls back to the model if the LRU bound evicted the entry between
-        prefetch and assembly (only possible when a single neighborhood
-        exceeds the query-cache bound).
-        """
-        cached = self._query_cache.get((design_fp, sql))
-        if cached is None:
-            cached = self.cost_model.query_cost(sql, design)
-            self._charge(design_fp, (sql,), (cached,))
-        return cached
-
-    def _report(self, design, design_fp: str, sqls, weights) -> WorkloadCostReport:
-        """Assemble one workload report from the (just filled) cache."""
-        return WorkloadCostReport(
-            per_query_ms=[self._cached_cost(design_fp, sql, design) for sql in sqls],
-            weights=list(weights),
-        )
+    def _reports(self, design, per_workload, unique) -> list[WorkloadCostReport]:
+        """One report per ``(sqls, weights)`` workload, priced in one
+        request over ``unique``, their distinct SQL."""
+        cost_of = dict(zip(unique, self._price(design, unique)))
+        return [
+            WorkloadCostReport(
+                per_query_ms=[cost_of[sql] for sql in sqls], weights=list(weights)
+            )
+            for sqls, weights in per_workload
+        ]
 
     # -- single-query costing --------------------------------------------------------
 
     def query_cost(self, sql_or_profile, design) -> float:
-        """Memoized ``cost_model.query_cost`` (bit-identical to uncached)."""
-        sql = sql_or_profile if isinstance(sql_or_profile, str) else sql_or_profile.sql
-        design_fp = self.design_fingerprint(design)
-        self.stats.query_requests += 1
-        cached = self._query_cache.get((design_fp, sql))
-        if cached is not None:
-            self.stats.query_hits += 1
-            return cached
+        """``cost_model.query_cost``, counted (one request, one raw call)."""
         with _Timer(self.stats):
             cost = self.cost_model.query_cost(sql_or_profile, design)
         if isinstance(sql_or_profile, str):
-            self.stats.write_pairs_priced += self._count_write_sqls((sql,))
-        elif getattr(sql_or_profile, "is_write", False):
-            self.stats.write_pairs_priced += 1
-        self._charge(design_fp, (sql,), (cost,))
+            writes = self._count_write_sqls((sql_or_profile,))
+        else:
+            writes = int(getattr(sql_or_profile, "is_write", False))
+        self._charge(1, writes)
         return cost
-
-    def query_costs(self, sqls: Sequence[str], design) -> dict[str, float]:
-        """Batched per-query costs for one design, deduplicated first."""
-        unique = list(dict.fromkeys(sqls))
-        self.stats.dedup_saved += len(sqls) - len(unique)
-        return {sql: self.query_cost(sql, design) for sql in unique}
 
     # -- workload costing -------------------------------------------------------------
 
     def workload_cost(self, queries, design) -> WorkloadCostReport:
-        """Workload report, assembled from the per-query cache.
+        """Workload report, priced once per distinct SQL text.
 
         Accepts the same inputs the engine cost models do: an iterable of
         ``WorkloadQuery``-like objects (``sql`` + ``frequency``) or raw
         SQL strings (weight 1).
         """
-        design_fp = self.design_fingerprint(design)
-        # Misses are collapsed to distinct SQL and priced in one batched
-        # fill instead of one scalar ``query_cost`` per occurrence.
-        # Counters match the per-occurrence loop exactly: every
-        # occurrence is a request, repeated occurrences of one SQL hit
-        # the entry its first occurrence filled, and each distinct miss
-        # is one raw model call.
-        sqls, weights = _sql_weights(queries)
-        distinct = tuple(dict.fromkeys(sqls))
-        misses = [
-            sql for sql in distinct if (design_fp, sql) not in self._query_cache
-        ]
-        self.stats.query_requests += len(sqls)
-        self.stats.query_hits += len(sqls) - len(misses)
         with _Timer(self.stats):
-            self._fill_misses(design, design_fp, distinct, misses)
-        return self._report(design, design_fp, sqls, weights)
+            sqls, weights = _sql_weights(queries)
+            unique = tuple(dict.fromkeys(sqls))
+            return self._reports(design, [(sqls, weights)], unique)[0]
 
     # -- batched neighborhood evaluation ----------------------------------------------
 
@@ -887,35 +740,18 @@ class CostEvaluationService:
     ) -> list[list[WorkloadCostReport]]:
         """``result[d][w]`` — the loop behind both batched entry points.
 
-        The distinct SQL of all ``workloads`` is one request set per
-        design: duplicates are collapsed before the cache is consulted,
-        the misses are filled in one batch, and every workload's report
-        is assembled from the cache.  Cached designs are served without
-        touching the kernel, and a design listed twice hits the entries
-        its first occurrence filled.  (A shared private loop, not one
-        entry point calling the other: ``_Timer`` does not nest.)
+        The distinct SQL of all ``workloads`` is one request per design:
+        duplicates are collapsed (and counted in ``dedup_saved``) before
+        the model is consulted.  (A shared private loop, not one entry
+        point calling the other: ``_Timer`` does not nest.)
         """
         per_workload = [_sql_weights(w) for w in workloads]
         occurrences = sum(len(sqls) for sqls, _ in per_workload)
-        unique = tuple(
-            dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls)
-        )
+        unique = tuple(dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls))
         results: list[list[WorkloadCostReport]] = []
         for design in designs:
-            design_fp = self.design_fingerprint(design)
-            misses = [
-                sql for sql in unique if (design_fp, sql) not in self._query_cache
-            ]
             self.stats.dedup_saved += occurrences - len(unique)
-            self.stats.query_requests += len(unique)
-            self.stats.query_hits += len(unique) - len(misses)
-            self._fill_misses(design, design_fp, unique, misses)
-            results.append(
-                [
-                    self._report(design, design_fp, sqls, weights)
-                    for sqls, weights in per_workload
-                ]
-            )
+            results.append(self._reports(design, per_workload, unique))
         return results
 
     def evaluate_neighborhood(
@@ -972,27 +808,13 @@ class CostEvaluationService:
             profiles = list(profiles)
             candidates = list(candidates)
             sqls = [p.sql for p in profiles]
-            empty_fp = self.design_fingerprint(make_design([]))
             fps = [self.design_fingerprint(make_design([c])) for c in candidates]
             t = tracer()
             entry, mapped = self._matrix_entry_for(tuple(sqls), profiles, fps)
             rows = np.arange(len(sqls), dtype=np.intp) if mapped is None else mapped
             n_entry = len(entry.sqls)
-            # Base (empty-design) costs go through the query cache
-            # exactly as the cold path: the cache is exported state, so
-            # hits and misses depend only on its contents, never on
-            # matrix warmth.
-            base = np.zeros(len(sqls), dtype=np.float64)
-            base_misses: list[int] = []
-            self.stats.query_requests += len(sqls)
-            for q, sql in enumerate(sqls):
-                cached = self._query_cache.get((empty_fp, sql))
-                if cached is not None:
-                    self.stats.query_hits += 1
-                    base[q] = cached
-                else:
-                    base_misses.append(q)
-                    base[q] = entry.base[rows[q]]
+            # Base (empty-design) costs: the entry's eagerly priced base.
+            base = entry.base[rows]
             first_of: dict[str, int] = {}
             for i, fp in enumerate(fps):
                 first_of.setdefault(fp, i)
@@ -1044,23 +866,15 @@ class CostEvaluationService:
                 price_sub = np.zeros((0, len(sqls)), dtype=bool)
                 matrix = np.zeros((0, len(sqls)), dtype=np.float64)
             priced_request = int(price_sub.sum())
-            # As-if-cold accounting: every priced cell is one request and
-            # one raw evaluation on every call, whatever the matrix cache
-            # served — exported stats must not leak warmth.
-            self.stats.query_requests += priced_request
-            self._charge(
-                empty_fp,
-                [sqls[q] for q in base_misses],
-                base[base_misses].tolist(),
-                kernel=True,
-                matrix_cells=priced_request,
-            )
+            # As-if-cold accounting: every base cost and every priced cell
+            # is one request and one raw evaluation on every call,
+            # whatever the matrix cache served — exported stats must not
+            # leak warmth.
             is_write = np.asarray(entry.arena.is_write, dtype=bool)[rows]
-            self.stats.write_pairs_priced += sum(
-                int(is_write[q]) for q in base_misses
-            )
-            self.stats.write_pairs_priced += int(
-                (price_sub & is_write[None, :]).sum()
+            self._charge(
+                len(sqls) + priced_request,
+                int(is_write.sum()) + int((price_sub & is_write[None, :]).sum()),
+                kernel=True,
             )
             # Derived-state savings accounting (never exported): request
             # cells minus the cells this call actually priced.
@@ -1098,7 +912,7 @@ class CostEvaluationService:
                     substrate=self.kernel.name,
                     queries=len(sqls),
                     structures=len(candidates),
-                    pairs=len(base_misses) + priced_request,
+                    pairs=len(sqls) + priced_request,
                 )
             self._shrink_matrix()
             return base, matrix
@@ -1115,13 +929,9 @@ class CostEvaluationService:
         """
         registry = registry if registry is not None else get_metrics()
         registry.gauge("costing.query_requests").set(self.stats.query_requests)
-        registry.gauge("costing.query_hits").set(self.stats.query_hits)
         registry.gauge("costing.raw_model_calls").set(self.stats.raw_model_calls)
         registry.gauge("costing.dedup_saved").set(self.stats.dedup_saved)
         registry.gauge("costing.eval_seconds").set(self.stats.eval_seconds)
-        registry.gauge("costing.evictions").set(self.stats.evictions)
-        registry.gauge("costing.hit_rate").set(self.stats.hit_rate)
-        registry.gauge("costing.cached_query_entries").set(self.cached_query_entries)
         registry.gauge("costing.kernel.batch_calls").set(self.stats.kernel_batch_calls)
         registry.gauge("costing.kernel.pairs_priced").set(
             self.stats.kernel_pairs_priced

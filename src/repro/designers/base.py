@@ -79,10 +79,10 @@ class DesignAdapter(abc.ABC):
     Every adapter speaks to its engine through the shared
     :class:`~repro.costing.service.CostModel` protocol and routes all
     what-if evaluation through one
-    :class:`~repro.costing.service.CostEvaluationService`, so the memo
-    cache, batched neighborhood evaluation, and instrumentation are
-    common across the columnar, row-store, and samples substrates
-    rather than re-implemented per engine.
+    :class:`~repro.costing.service.CostEvaluationService`, so batched
+    neighborhood evaluation, the compiled-arena kernel path, and
+    instrumentation are common across the columnar, row-store, and
+    samples substrates rather than re-implemented per engine.
     """
 
     def __init__(
@@ -138,15 +138,11 @@ class DesignAdapter(abc.ABC):
         return self.cost_model.profile(sql)
 
     def query_cost(self, sql_or_profile, design) -> float:
-        """Estimated latency of one query under ``design`` (memoized)."""
+        """Estimated latency of one query under ``design``."""
         return self.costing.query_cost(sql_or_profile, design)
 
-    def query_costs(self, sqls, design) -> dict[str, float]:
-        """Batched per-query latencies under ``design`` (deduplicated)."""
-        return self.costing.query_costs(sqls, design)
-
     def workload_cost(self, workload: Workload, design) -> WorkloadCostReport:
-        """Latency report of a workload under ``design`` (memoized)."""
+        """Latency report of a workload under ``design``."""
         return self.costing.workload_cost(workload, design)
 
     def evaluate_neighborhood(self, designs, workloads) -> list[list[WorkloadCostReport]]:

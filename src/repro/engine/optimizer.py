@@ -68,8 +68,7 @@ class ColumnarCostModel:
 
     Query profiles are memoized (by SQL text); costs are computed on every
     call — this is the reference implementation the vectorized kernel is
-    held bit-identical to, and the costing service's query cache above it
-    is what serves repeated (design, query) pairs.
+    held bit-identical to.
     """
 
     def __init__(

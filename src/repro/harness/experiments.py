@@ -317,9 +317,7 @@ def _run_cells(
     executor = resolve_backend(backend) or SerialBackend()
     loaded = checkpointer.load(kind, state_key) if checkpointer is not None else None
     if loaded is not None:
-        # Fields this build does not write (an older Γ-sweep snapshot's
-        # ``costing`` export) are dropped rather than carried forward.
-        state = {name: loaded[name] for name in state}
+        state = loaded
     done = state[done_field]
     # The run key covers the requested cells, but a forged or hand-moved
     # snapshot could still carry others; returning them would be silent
@@ -715,10 +713,10 @@ def run_costing_stats(
     """Replay CliffGuard once and capture the cost-service counters.
 
     Backs ``python -m repro stats``: how many what-if calls the run
-    requested, how many the memo cache absorbed, the dedup ratio of the
+    requested, how many the model priced, the dedup ratio of the
     batched neighborhood evaluation, and the wall-time spent costing.
     ``checkpointer`` makes the replay resumable per window transition;
-    the service counters survive through the checkpointed cache export.
+    the service counters survive through the checkpointed export.
     """
     adapter, nominal = _engine_stack(context, engine)
     gamma = context.default_gamma(workload)
@@ -830,6 +828,12 @@ def run_latency_metric_correlation(
         sampler.sample_at(anchor, float(alpha))
         for alpha in np.linspace(0.0, gamma, n_probes)
     ]
+    # The probes' latencies under the design do not depend on ω: price
+    # them once, in one batched request.
+    latencies = [
+        report.average_ms
+        for report in adapter.evaluate_neighborhood([design], probes)[0]
+    ]
     for omega in omegas:
         metric = LatencyAwareDistance(
             context.distance,
@@ -839,9 +843,8 @@ def run_latency_metric_correlation(
             omega=omega,
         )
         points: list[tuple[float, float]] = []
-        for probe in probes:
+        for probe, latency in zip(probes, latencies):
             distance = metric(anchor, probe)
-            latency = adapter.workload_cost(probe, design).average_ms
             ratio = latency / base_latency if base_latency else 0.0
             points.append((distance, ratio))
         points.sort(key=lambda p: p[0])

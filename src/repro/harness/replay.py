@@ -112,10 +112,8 @@ class WindowOutcome:
     #: Query-cost evaluations this designer requested for this window
     #: (duplicates collapsed by the batched API counted back in).
     query_cost_calls: int = 0
-    #: Raw cost-model invocations actually paid (cache misses only).
+    #: (design, query) pairs the cost model actually priced.
     raw_cost_model_calls: int = 0
-    #: Fraction of lookups served from the evaluation service's cache.
-    cache_hit_rate: float = 0.0
     #: Per-query observed costs under the window's active design
     #: (``sql -> ms``).  Recorded only for online-learning designers
     #: (``learns_online``) — it is the reward signal their ``observe``
@@ -165,13 +163,6 @@ class DesignerRun:
     def total_raw_cost_model_calls(self) -> int:
         """Raw cost-model invocations actually paid across all windows."""
         return sum(w.raw_cost_model_calls for w in self.windows)
-
-    @property
-    def mean_cache_hit_rate(self) -> float:
-        """Average per-window cache hit rate (0 when uninstrumented)."""
-        if not self.windows:
-            return 0.0
-        return sum(w.cache_hit_rate for w in self.windows) / len(self.windows)
 
 
 @dataclass
@@ -227,9 +218,9 @@ def replay(
     neighborhood sampling never peeks at the future).
 
     ``checkpointer`` snapshots the partial result after every completed
-    window transition (plus each designer's sampler stream and the warm
-    cost cache) and resumes from the latest snapshot; a resumed replay is
-    bit-identical to an uninterrupted one (docs/state.md).  ``state_key``
+    window transition (plus each designer's sampler stream and the cost
+    service's counters) and resumes from the latest snapshot; a resumed
+    replay is bit-identical to an uninterrupted one (docs/state.md).  ``state_key``
     overrides the derived run-identity key when the caller already knows
     its run configuration digest.
     """
@@ -305,20 +296,14 @@ def replay(
                 structure_count=len(adapter.structures(design)),
                 query_cost_calls=delta.query_requests + delta.dedup_saved,
                 raw_cost_model_calls=delta.raw_model_calls,
-                cache_hit_rate=delta.hit_rate,
             )
             if getattr(designer, "learns_online", False):
                 # The observed per-query costs are the learner's reward
-                # signal; the evaluation pass just priced them, so this
-                # drains the memo cache (outside the effort delta above,
-                # keeping the classic counters unchanged).
-                observed: dict[str, float] = {}
-                for query in evaluation:
-                    try:
-                        profile = adapter.profile(query.sql)
-                    except ValueError:
-                        continue
-                    observed[query.sql] = adapter.query_cost(profile, design)
+                # signal, and the evaluation pass just priced them.
+                observed = {
+                    query.sql: cost
+                    for query, cost in zip(evaluation, report.per_query_ms)
+                }
                 outcome.observed_query_ms = observed
                 designer.observe(evaluation, design, observed)
             result.runs[name].windows.append(outcome)

@@ -66,19 +66,14 @@ def format_metrics(registry, title: str | None = None) -> str:
 
 def format_designer_effort(result, title: str | None = None) -> str:
     """Designer-effort table for a :class:`~repro.harness.replay.ReplayResult`:
-    query-cost evaluations requested, raw cost-model calls paid, and the
-    evaluation-service cache hit rate, per designer."""
+    query-cost evaluations requested and raw cost-model calls paid, per
+    designer."""
     rows = [
-        [
-            name,
-            run.total_query_cost_calls,
-            run.total_raw_cost_model_calls,
-            run.mean_cache_hit_rate,
-        ]
+        [name, run.total_query_cost_calls, run.total_raw_cost_model_calls]
         for name, run in result.runs.items()
     ]
     return format_table(
-        ["Designer", "Cost calls", "Raw model calls", "Cache hit rate"],
+        ["Designer", "Cost calls", "Raw model calls"],
         rows,
         title=title,
     )

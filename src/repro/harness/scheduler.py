@@ -194,8 +194,8 @@ def scheduled_replay(
 
     ``checkpointer`` snapshots the partial outcome (plus the active
     design, the policy anchor, the designer's sampler stream, and the
-    warm cost cache) after every completed window and resumes from the
-    latest snapshot, bit-identically (docs/state.md).
+    cost service's counters) after every completed window and resumes
+    from the latest snapshot, bit-identically (docs/state.md).
     """
     windows = as_windows(windows)
     if evaluation_windows is None:

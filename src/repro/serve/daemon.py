@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 from repro.designers import registry
 from repro.harness.scheduler import RedesignPolicy
@@ -457,13 +457,17 @@ class ServeDaemon:
     def _observe_window(self, window: Workload) -> None:
         """Feed one completed window's observed costs to the learner."""
         with self.active.pin() as (_epoch, design):
-            observed: dict[str, float] = {}
+            priceable = []
             for query in window.collapsed():
                 try:
-                    profile = self.adapter.profile(query.sql)
+                    self.adapter.profile(query.sql)
                 except ValueError:
                     continue
-                observed[query.sql] = self.adapter.query_cost(profile, design)
+                priceable.append(query)
+            report = self.adapter.workload_cost(priceable, design)
+            observed = {
+                query.sql: cost for query, cost in zip(priceable, report.per_query_ms)
+            }
             self.learner.observe(window, design, observed)
         get_metrics().counter("serve.learner_observations").inc()
 

@@ -5,11 +5,12 @@ of downstream nondeterminism must be snapshotted too.  Concretely that
 is the :class:`~repro.workload.sampler.NeighborhoodSampler`'s numpy
 ``Generator`` (its bit-generator state decides every future
 perturbation draw) and the
-:class:`~repro.costing.service.CostEvaluationService`'s query cache
-(cache warmth decides the hit/miss counters every report surfaces, so a
-resumed run must see exactly the cache the uninterrupted run would
-have).  These helpers keep the knowledge of *where* that state lives in
-one place; the checkpoint call sites stay one-liners.
+:class:`~repro.costing.service.CostEvaluationService`'s counters (every
+report surfaces counter deltas, so a resumed run must continue from
+exactly the counts the uninterrupted run had).  The service memoizes no
+cost, so the counters are all of its run state.  These helpers keep the
+knowledge of *where* that state lives in one place; the checkpoint call
+sites stay one-liners.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def restore_designer(designer, state: dict | None) -> None:
 
 
 def costing_state(adapter_or_service) -> dict | None:
-    """Export the cost-evaluation cache behind an adapter (or service).
+    """Export the cost-evaluation counters behind an adapter (or service).
 
     Accepts either a :class:`DesignAdapter` (the common case — its
     ``costing`` attribute is the service) or a service itself; returns
@@ -73,11 +74,11 @@ def costing_state(adapter_or_service) -> dict | None:
 
     Compiled workload arenas are *derived* state: they bake only the
     workload text and the model's statistics, both of which survive a
-    restart, so snapshots exclude them (``export_state`` ships the query
-    cache and counters only) and a resumed run rebuilds arenas on first
-    use.  The arena/matrix counters (``ArenaStats``) are likewise
-    excluded so a kill-resume run's counter deltas stay byte-identical
-    to an uninterrupted run's.
+    restart, so snapshots exclude them (``export_state`` ships the
+    counters only) and a resumed run rebuilds arenas on first use.  The
+    arena/matrix counters (``ArenaStats``) are likewise excluded so a
+    kill-resume run's counter deltas stay byte-identical to an
+    uninterrupted run's.
     """
     service = getattr(adapter_or_service, "costing", adapter_or_service)
     export = getattr(service, "export_state", None)
@@ -87,7 +88,7 @@ def costing_state(adapter_or_service) -> dict | None:
 
 
 def restore_costing(adapter_or_service, state: dict | None) -> None:
-    """Import a cache export from :func:`costing_state` (``None`` = no-op)."""
+    """Import a counter export from :func:`costing_state` (``None`` = no-op)."""
     if state is None:
         return
     service = getattr(adapter_or_service, "costing", adapter_or_service)

@@ -11,8 +11,8 @@ points (:meth:`repro.core.cliffguard.CliffGuard.design`,
 grids) call it at their natural boundaries — iteration, window,
 Γ-point, designer — and restore from it on resume.
 
-Snapshot file format (version 2; version 1 payloads carried a second,
-per-workload cost cache and are refused)::
+Snapshot file format (version 3; version 1 and 2 payloads carried
+per-(design, query) cost-cache exports and are refused)::
 
     <one JSON header line>\\n<binary pickle payload>
 
@@ -21,7 +21,7 @@ wrote the snapshot), ``key`` (a digest of the run's identifying
 parameters — see :func:`run_key`), ``payload_bytes``, and ``digest``, a
 blake2b content hash of the payload bytes that is re-verified on every
 load.  The payload is a pickle of plain run state (designs, workloads,
-numpy bit-generator states, cost-cache exports) written by this
+numpy bit-generator states, cost-service counters) written by this
 codebase for this codebase; treat checkpoint files like any other
 trusted local state, not as an interchange format.
 
@@ -59,7 +59,7 @@ from repro.obs import MetricsRegistry, get_metrics, tracer
 
 #: Bump when the payload layout changes incompatibly; loaders refuse
 #: snapshots from other versions rather than guessing.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: File-type marker in the header line.
 MAGIC = "repro-state"
 #: Environment variable: SIGKILL the process after N checkpoint writes.

@@ -78,9 +78,9 @@ class TestCommands:
 
         events = [json.loads(line) for line in trace_path.read_text().splitlines()]
         names = {e["event"] for e in events}
-        # The acceptance set: design-loop, cache, and redesign events (a
+        # The acceptance set: design-loop, kernel, and redesign events (a
         # single replay fans nothing out, so no chunk events).
-        assert {"iteration", "cache_fill", "redesign"} <= names
+        assert {"iteration", "kernel_batch", "redesign"} <= names
         assert "chunk_dispatch" not in names
         assert all("seq" in e and "t" in e for e in events)
 
@@ -138,11 +138,23 @@ class TestFeedConnect:
     @pytest.mark.parametrize(
         "spec", ["serve.sock", "tcp:nohost", "tcp:nohost:abc", "tcp:nohost:", "udp:1:2", ""]
     )
-    def test_malformed_spec_exits_cleanly(self, spec):
+    def test_malformed_spec_exits_cleanly(self, spec, monkeypatch):
+        from repro.workload.generator import TraceGenerator
+
+        generated = []
+        real_generate = TraceGenerator.generate
+
+        def counted_generate(self, *args, **kwargs):
+            generated.append(1)
+            return real_generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "generate", counted_generate)
         with pytest.raises(SystemExit) as excinfo:
             main(["feed", "--connect", spec, "--connect-timeout", "0", *FAST])
         message = str(excinfo.value)
         assert message.startswith("feed: bad --connect") and repr(spec) in message
+        # The spec is checked before the trace is generated.
+        assert generated == []
 
     def test_empty_tcp_host_dials_the_serve_default(self):
         import socket

@@ -8,6 +8,13 @@ from repro.workload.distance import WorkloadDistance
 from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
 
+#: The accepted-move count and design digest of
+#: ``test_move_reads_the_incumbent_costs_it_already_holds``, recorded
+#: while MoveWorkload still read the incumbent's costs back from the
+#: service's per-(design, query) cost cache.
+GOLDEN_MOVES = 1
+GOLDEN_DIGEST = "9633fe288d507c20"
+
 
 @pytest.fixture
 def parts(tiny_star, tiny_trace, tiny_windows, columnar_adapter):
@@ -77,6 +84,32 @@ class TestDegenerateCases:
 
 
 class TestAlgorithm:
+    def test_move_reads_the_incumbent_costs_it_already_holds(self, parts, monkeypatch):
+        """MoveWorkload's per-query costs come from the incumbent's own
+        neighborhood reports, so a design run never asks the service for
+        a single query's cost — and lands on the design the service's
+        per-(design, query) cost cache used to answer it with."""
+        from repro.costing.service import CostEvaluationService
+        from repro.serve.handle import design_digest
+
+        calls = []
+        real_query_cost = CostEvaluationService.query_cost
+
+        def counted_query_cost(self, *args, **kwargs):
+            calls.append(args)
+            return real_query_cost(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostEvaluationService, "query_cost", counted_query_cost)
+        adapter, nominal, sampler, window = parts
+        robust = CliffGuard(
+            nominal, adapter, sampler, gamma=0.005, n_samples=4, max_iterations=4
+        )
+        design = robust.design(window)
+        assert calls == []
+        report = robust.last_report
+        assert (report.iterations, report.accepted_moves) == (4, GOLDEN_MOVES)
+        assert design_digest(adapter, design) == GOLDEN_DIGEST
+
     def test_design_within_budget(self, parts):
         adapter, nominal, sampler, window = parts
         robust = CliffGuard(
@@ -122,15 +155,19 @@ class TestAlgorithm:
         )
 
     def test_neighborhood_evaluation_hits_cache_across_iterations(self, parts):
-        """Re-evaluating the same neighborhood under a revisited design
-        must be served by the evaluation service, not the cost model."""
+        """Every iteration prices its candidate over the one neighborhood
+        sampled up front, so the neighborhood's compiled arena is reused
+        rather than rebuilt per iteration."""
         adapter, nominal, sampler, window = parts
+        service = adapter.costing
         robust = CliffGuard(
             nominal, adapter, sampler, gamma=0.005, n_samples=4, max_iterations=3
         )
+        before = service.arena_stats.snapshot()
         robust.design(window)
-        report = robust.last_report
-        assert report.cache_hits > 0
+        delta = service.arena_stats.since(before)
+        assert robust.last_report.iterations == 3
+        assert delta.hits >= robust.last_report.iterations
 
     def test_alpha_adapts_on_success_and_failure(self, parts):
         adapter, nominal, sampler, window = parts

@@ -314,19 +314,6 @@ def test_arena_reused_across_designs():
     ).per_query_ms
 
 
-def test_invalidate_design_drops_arenas():
-    model, candidates, _ = _substrate("columnar")
-    adapter = _adapter(model)
-    service = adapter.costing
-    _, sqls = _environment()
-    design = adapter.make_design(candidates[:2])
-    adapter.workload_cost(_workload(sqls), design)
-    assert service.cached_arenas == 1
-    service.invalidate_design(design)
-    assert service.cached_arenas == 0
-    assert service.arena_stats.invalidations == 1
-
-
 def test_clear_drops_arenas():
     model, candidates, _ = _substrate("columnar")
     adapter = _adapter(model)

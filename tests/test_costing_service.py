@@ -1,10 +1,10 @@
 """Tests for the unified cost-evaluation service.
 
-The load-bearing guarantee is **bit-identical** cached-vs-uncached
-evaluation: every float the service returns must be exactly the float the
-underlying cost model would have produced, on all three substrates,
-before and after cache warm-up, design changes, and explicit
-invalidation.  The property-based tests below draw random workloads and
+The load-bearing guarantee is **bit-identical** evaluation: every float
+the service returns must be exactly the float the underlying cost model
+would have produced, on all three substrates, on the kernel and the
+scalar path, before and after arena warm-up, design changes, and
+``clear``.  The property-based tests below draw random workloads and
 designs and assert exact equality, not closeness.
 """
 
@@ -114,7 +114,7 @@ def test_cached_matches_uncached_exactly(
     substrate, picks, weights, mask, second_mask
 ):
     """Service results are bit-identical to the raw cost model — cold,
-    warm, across a design change, and after explicit invalidation."""
+    warm, across a design change, and after ``clear``."""
     model, adapter, sqls, candidates = _substrate(substrate)
     service = CostEvaluationService(model)
     workload = _workload(sqls, picks, weights)
@@ -125,15 +125,15 @@ def test_cached_matches_uncached_exactly(
     warm = service.workload_cost(workload, design)
     _assert_same_report(warm, model.workload_cost(workload, design))
 
-    # A different design must not reuse the first design's entries.
+    # A different design over the same (now compiled) arena.
     changed = _design(adapter, candidates, second_mask)
     _assert_same_report(
         service.workload_cost(workload, changed),
         model.workload_cost(workload, changed),
     )
 
-    # Explicit invalidation drops the entries; results stay exact.
-    service.invalidate_design(design)
+    # Explicit invalidation drops the arenas; results stay exact.
+    service.clear()
     _assert_same_report(
         service.workload_cost(workload, design),
         model.workload_cost(workload, design),
@@ -200,15 +200,15 @@ class TestFingerprints:
 
 class TestServiceMechanics:
     def test_cache_hits_and_raw_calls_counted(self):
+        """Nothing is memoized: every request is a raw call, no hit."""
         model, adapter, sqls, candidates = _substrate("columnar")
         service = CostEvaluationService(model)
         design = _design(adapter, candidates, 3)
         for _ in range(3):
             service.query_cost(sqls[0], design)
         assert service.stats.query_requests == 3
-        assert service.stats.query_hits == 2
-        assert service.stats.raw_model_calls == 1
-        assert service.stats.hit_rate == pytest.approx(2 / 3)
+        assert service.stats.query_hits == 0
+        assert service.stats.raw_model_calls == 3
 
     def test_dedup_counted_in_batched_evaluation(self):
         model, adapter, sqls, candidates = _substrate("columnar")
@@ -221,18 +221,23 @@ class TestServiceMechanics:
         assert service.stats.raw_model_calls == 2
         assert service.stats.dedup_ratio == pytest.approx(4 / 6)
 
-    def test_repeated_workload_is_answered_from_the_query_cache(self):
+    def test_repeated_workload_is_repriced_bit_identically(self):
+        """Each entry point prices its request once per distinct SQL —
+        repeats included, on the scalar (5 queries) and kernel (10)
+        paths — and requests always equal raw calls."""
         model, adapter, sqls, candidates = _substrate("columnar")
-        service = CostEvaluationService(model)
-        design = _design(adapter, candidates, 2)
-        workload = Workload.from_sql(sqls[:5])
-        first = service.workload_cost(workload, design)
-        (batched,) = service.workload_costs_batch([design], workload)
-        again = service.workload_cost(workload, design)
-        assert first.per_query_ms == batched.per_query_ms == again.per_query_ms
-        assert service.stats.raw_model_calls == 5
-        assert service.stats.query_requests == 15
-        assert service.stats.query_hits == 10
+        for width, kernel_calls in ((5, 0), (10, 3)):
+            service = CostEvaluationService(model)
+            design = _design(adapter, candidates, 2)
+            workload = Workload.from_sql(sqls[:width] + sqls[:2])
+            first = service.workload_cost(workload, design)
+            (batched,) = service.workload_costs_batch([design], workload)
+            again = service.workload_cost(workload, design)
+            assert first.per_query_ms == batched.per_query_ms == again.per_query_ms
+            assert service.stats.raw_model_calls == 3 * width
+            assert service.stats.query_requests == 3 * width
+            assert service.stats.query_hits == 0
+            assert service.stats.kernel_batch_calls == kernel_calls
 
     @pytest.mark.parametrize("cls", [CostServiceStats, ArenaStats])
     def test_stats_snapshot_and_since_cover_every_field(self, cls):
@@ -245,42 +250,14 @@ class TestServiceMechanics:
             2 * (i + 1) for i in range(len(names))
         ]
 
-    def test_lru_bound_is_enforced(self):
-        model, adapter, sqls, candidates = _substrate("columnar")
-        service = CostEvaluationService(model, max_query_entries=3)
-        design = _design(adapter, candidates, 0)
-        for sql in sqls[:6]:
-            service.query_cost(sql, design)
-        assert service.cached_query_entries == 3
-        assert service.stats.evictions == 3
-
-    def test_invalidate_design_only_touches_that_design(self):
-        model, adapter, sqls, candidates = _substrate("columnar")
-        service = CostEvaluationService(model)
-        one = _design(adapter, candidates, 1)
-        two = _design(adapter, candidates, 2)
-        service.query_cost(sqls[0], one)
-        service.query_cost(sqls[0], two)
-        assert service.cached_query_entries == 2
-        service.invalidate_design(one)
-        assert service.cached_query_entries == 1
-        before = service.stats.raw_model_calls
-        service.query_cost(sqls[0], two)  # still cached
-        assert service.stats.raw_model_calls == before
-
     def test_clear_resets_caches(self):
         model, adapter, sqls, candidates = _substrate("columnar")
         service = CostEvaluationService(model)
         design = _design(adapter, candidates, 1)
-        service.workload_cost(Workload.from_sql(sqls[:3]), design)
-        assert service.cached_query_entries > 0
+        service.workload_cost(Workload.from_sql(sqls[:10]), design)
+        assert service.cached_arenas > 0
         service.clear()
-        assert service.cached_query_entries == 0
-
-    def test_invalid_parameters_rejected(self):
-        model, _, _, _ = _substrate("columnar")
-        with pytest.raises(ValueError):
-            CostEvaluationService(model, max_query_entries=0)
+        assert service.cached_arenas == 0
 
     def test_adapter_routes_through_service(self):
         _, adapter, sqls, candidates = _substrate("rowstore")

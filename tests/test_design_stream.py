@@ -4,8 +4,8 @@ miss-fill loop, incremental greedy selection.
 The contract is the arena refactor's, one level up: a warm candidate
 matrix must equal the cold rebuild bit-for-bit — tolerance zero, on all
 three substrates, for read-only and mixed read/write workloads — and
-must leave every **exported** counter and cache exactly as a cold
-service would.  The cache is derived state: only
+must leave every **exported** counter exactly as a cold service would.
+The cache is derived state: only
 :class:`~repro.costing.service.ArenaStats` (never checkpointed) may see
 the savings.
 """
@@ -117,14 +117,12 @@ def _workload(sqls) -> Workload:
 
 
 def _stat_facts(service: CostEvaluationService) -> dict:
-    """Exported stats minus wall-clock, plus exported cache item order."""
-    facts = {
+    """Exported stats minus wall-clock."""
+    return {
         f.name: getattr(service.stats, f.name)
         for f in dataclass_fields(service.stats)
         if f.name != "eval_seconds"
     }
-    facts["query_cache"] = list(service._query_cache.items())
-    return facts
 
 
 # -- warm matrix == cold rebuild ---------------------------------------------------
@@ -209,9 +207,8 @@ def test_matrix_extension_bit_identical():
 @given(substrate=st.sampled_from(SUBSTRATES), mix=st.sampled_from(MIXES))
 def test_exported_stats_warmth_independent(substrate, mix):
     """Cold and warm services running the identical call sequence export
-    identical counters and identical query-cache contents *in order* —
-    matrix warmth must be invisible to checkpoints (kill-resume
-    byte-identity)."""
+    identical counters — matrix warmth must be invisible to checkpoints
+    (kill-resume byte-identity)."""
     model, candidates, profiles = _substrate(substrate, mix)
     sequences = []
     for warm in (False, True):
@@ -235,10 +232,9 @@ def test_exported_stats_warmth_independent(substrate, mix):
 def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate, mix):
     """``workload_costs_batch(designs, w)`` and
     ``evaluate_neighborhood(designs, [w])`` are one loop: same floats,
-    same exported stats, same query-cache item order — over a cold
-    design, single-structure steps, a repeated design (all hits) and a
-    warm-then-partial design whose miss batch falls below
-    ``KERNEL_MIN_BATCH`` (the scalar side of the fill)."""
+    same exported stats — over a cold design, single-structure steps and
+    a repeated design, after a scalar-priced request below
+    ``KERNEL_MIN_BATCH`` (both sides of the pricing path)."""
     model, candidates, profiles = _substrate(substrate, mix)
     sqls = [p.sql for p in profiles]
     workload = _workload(sqls + sqls[:3])
@@ -265,22 +261,17 @@ def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate
 # -- invalidation and bounds -------------------------------------------------------
 
 
-def test_clear_and_invalidate_drop_matrix():
+def test_clear_drops_matrix():
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
-    service.candidate_costs(profiles, candidates, adapter.make_design)
-    assert service.cached_matrix_cells > 0
-    service.clear()
-    assert service.cached_matrix_cells == 0
-    assert service.cached_matrix_columns == 0
-
     base_1, matrix_1 = service.candidate_costs(
         profiles, candidates, adapter.make_design
     )
     assert service.cached_matrix_cells > 0
-    service.invalidate_design(adapter.make_design(candidates[:1]))
+    service.clear()
     assert service.cached_matrix_cells == 0
-    # The rebuild after either drop is bit-identical.
+    assert service.cached_matrix_columns == 0
+    # The rebuild after the drop is bit-identical.
     base_2, matrix_2 = service.candidate_costs(
         profiles, candidates, adapter.make_design
     )
@@ -357,209 +348,74 @@ def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix)
     np.testing.assert_array_equal(matrix, matrix_full[:, :small])
 
 
-# -- golden: exported stats and cache order are the parent commit's -----------------
+# -- golden: exported stats and floats --------------------------------------------
 
 #: Recorded from the commit *before* the service's four miss-fill paths
 #: were folded into one (and its LRUs moved onto ``BoundedMemo``), by
 #: running :func:`_golden_sequence` verbatim against that checkout: the
-#: exported ``CostServiceStats`` (minus wall-clock), a digest of the
-#: exported query-cache key order, and a digest of every returned
-#: float's ``repr``.  The refactor's contract is that none of these
-#: move.  Bounds 40 and 10 force LRU evictions mid-sequence (10 is
-#: below one neighborhood's width, so the post-eviction model fallback
-#: runs too).
+#: exported ``CostServiceStats`` (minus wall-clock) and a digest of every
+#: returned float's ``repr``.  Every ``floats`` digest is the original.
 #:
-#: ``stats`` / ``query_keys`` were re-recorded once, when the per-
-#: (design, workload) report memo was deleted; every ``floats`` digest
-#: is the original.  The sequence repeats exactly one (design, workload)
-#: pair — ``k = 2`` twice in ``steps`` — and that memo used to answer
-#: the repeat.  The query cache answers it now: 14 more requests and 14
-#: more hits at bounds 40 and 1 048 576 (the hits refresh recency, which
-#: reorders ``query_keys`` at the bound that never evicts), and a
-#: re-price at bound 10, which cannot hold one workload's 14 queries —
-#: one more kernel batch of 14 pairs (6 of them writes on the HTAP mix)
-#: plus the 14 post-eviction model fallbacks, so ``raw_model_calls`` and
-#: ``evictions`` rise by 28.  ``workload_hits`` / ``workload_requests``
-#: / ``workload_keys`` left with the memo.
+#: ``stats`` were re-recorded when the per-(design, workload) report memo
+#: was deleted, and once more when the per-(design, query) cost cache
+#: was: the cache's bound used to be a third axis of this table (40 and
+#: 10 forced evictions mid-sequence) and its key order a third field.
+#: Without the cache every pair the sequence requests is priced, so
+#: ``raw_model_calls`` equals ``query_requests`` (workload reports now
+#: count distinct SQL, not occurrences), ``query_hits`` and
+#: ``evictions`` read 0, and the pairs the cache used to answer are
+#: kernel- or scalar-priced.  ``dedup_saved`` did not move.
 GOLDEN = {
-    ("columnar", "htap", 10): {
+    ("columnar", "htap"): {
         "stats": {
             "dedup_saved": 64,
-            "evictions": 378,
+            "evictions": 0,
             "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 267,
-            "query_hits": 12,
-            "query_requests": 284,
-            "raw_model_calls": 466,
-            "write_pairs_priced": 147,
+            "kernel_pairs_priced": 277,
+            "query_hits": 0,
+            "query_requests": 282,
+            "raw_model_calls": 282,
+            "write_pairs_priced": 151,
         },
-        "query_entries": 10,
-        "query_keys": "91f41c762e98a430",
         "floats": "977dc64a72bbc140",
     },
-    ("columnar", "htap", 1_048_576): {
+    ("columnar", "read"): {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 10,
-            "kernel_pairs_priced": 176,
-            "query_hits": 104,
-            "query_requests": 284,
-            "raw_model_calls": 180,
-            "write_pairs_priced": 106,
-        },
-        "query_entries": 102,
-        "query_keys": "609370e2e7c3c5da",
-        "floats": "977dc64a72bbc140",
-    },
-    ("columnar", "htap", 40): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 133,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 246,
-            "query_hits": 33,
-            "query_requests": 284,
-            "raw_model_calls": 251,
-            "write_pairs_priced": 137,
-        },
-        "query_entries": 40,
-        "query_keys": "26a59d9130e1d2cc",
-        "floats": "977dc64a72bbc140",
-    },
-    ("columnar", "read", 10): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 378,
             "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 224,
-            "query_hits": 12,
-            "query_requests": 241,
-            "raw_model_calls": 423,
+            "kernel_pairs_priced": 234,
+            "query_hits": 0,
+            "query_requests": 239,
+            "raw_model_calls": 239,
             "write_pairs_priced": 0,
         },
-        "query_entries": 10,
-        "query_keys": "e7bfc2b6301415f3",
         "floats": "88e610aa5fe37b14",
     },
-    ("columnar", "read", 1_048_576): {
+    ("rowstore", "htap"): {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 10,
-            "kernel_pairs_priced": 133,
-            "query_hits": 104,
-            "query_requests": 241,
-            "raw_model_calls": 137,
-            "write_pairs_priced": 0,
-        },
-        "query_entries": 102,
-        "query_keys": "2ffa530216f3fd88",
-        "floats": "88e610aa5fe37b14",
-    },
-    ("columnar", "read", 40): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 133,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 203,
-            "query_hits": 33,
-            "query_requests": 241,
-            "raw_model_calls": 208,
-            "write_pairs_priced": 0,
-        },
-        "query_entries": 40,
-        "query_keys": "67a0bdf36a66174d",
-        "floats": "88e610aa5fe37b14",
-    },
-    ("rowstore", "htap", 10): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 378,
             "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 283,
-            "query_hits": 12,
-            "query_requests": 300,
-            "raw_model_calls": 482,
-            "write_pairs_priced": 139,
+            "kernel_pairs_priced": 293,
+            "query_hits": 0,
+            "query_requests": 298,
+            "raw_model_calls": 298,
+            "write_pairs_priced": 143,
         },
-        "query_entries": 10,
-        "query_keys": "406dec5c35272d84",
         "floats": "6f93ffd84383afeb",
     },
-    ("rowstore", "htap", 1_048_576): {
+    ("rowstore", "read"): {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 10,
-            "kernel_pairs_priced": 192,
-            "query_hits": 104,
-            "query_requests": 300,
-            "raw_model_calls": 196,
-            "write_pairs_priced": 98,
-        },
-        "query_entries": 102,
-        "query_keys": "d0b22230a57e8eed",
-        "floats": "6f93ffd84383afeb",
-    },
-    ("rowstore", "htap", 40): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 133,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 262,
-            "query_hits": 33,
-            "query_requests": 300,
-            "raw_model_calls": 267,
-            "write_pairs_priced": 129,
-        },
-        "query_entries": 40,
-        "query_keys": "464ec4bbe3ba9d65",
-        "floats": "6f93ffd84383afeb",
-    },
-    ("rowstore", "read", 10): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 378,
             "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 240,
-            "query_hits": 12,
-            "query_requests": 257,
-            "raw_model_calls": 439,
+            "kernel_pairs_priced": 250,
+            "query_hits": 0,
+            "query_requests": 255,
+            "raw_model_calls": 255,
             "write_pairs_priced": 0,
         },
-        "query_entries": 10,
-        "query_keys": "34ace2530d9e2782",
-        "floats": "2af4fc7d9c2437b9",
-    },
-    ("rowstore", "read", 1_048_576): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 0,
-            "kernel_batch_calls": 10,
-            "kernel_pairs_priced": 149,
-            "query_hits": 104,
-            "query_requests": 257,
-            "raw_model_calls": 153,
-            "write_pairs_priced": 0,
-        },
-        "query_entries": 102,
-        "query_keys": "0780471ee496097d",
-        "floats": "2af4fc7d9c2437b9",
-    },
-    ("rowstore", "read", 40): {
-        "stats": {
-            "dedup_saved": 64,
-            "evictions": 133,
-            "kernel_batch_calls": 14,
-            "kernel_pairs_priced": 219,
-            "query_hits": 33,
-            "query_requests": 257,
-            "raw_model_calls": 224,
-            "write_pairs_priced": 0,
-        },
-        "query_entries": 40,
-        "query_keys": "3df7eb8251c8e291",
         "floats": "2af4fc7d9c2437b9",
     },
 }
@@ -573,9 +429,9 @@ def _digest(parts) -> str:
     return h.hexdigest()
 
 
-def _golden_sequence(substrate: str, mix: str, max_query_entries: int) -> dict:
+def _golden_sequence(substrate: str, mix: str) -> dict:
     model, candidates, profiles = _substrate(substrate, mix)
-    service = CostEvaluationService(model, max_query_entries=max_query_entries)
+    service = CostEvaluationService(model)
     adapter = _adapter(model, service)
     sqls = [p.sql for p in profiles]
     make = adapter.make_design
@@ -599,20 +455,19 @@ def _golden_sequence(substrate: str, mix: str, max_query_entries: int) -> dict:
     floats += service.workload_cost(w_overlap, make(candidates[1:7])).per_query_ms
     floats += service.workload_cost(sqls[:3], make(candidates[6:8])).per_query_ms
     state = service.export_state()
+    assert set(state) == {"stats"}
     return {
         "stats": {
             f.name: getattr(state["stats"], f.name)
             for f in dataclass_fields(state["stats"])
             if f.name != "eval_seconds"
         },
-        "query_entries": len(state["query"]),
-        "query_keys": _digest(key for key, _ in state["query"]),
         "floats": _digest(floats),
     }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
-def test_exported_stats_and_cache_order_match_parent_commit(case):
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(case))
+def test_exported_stats_and_floats_match_golden(case):
     assert _golden_sequence(*case) == GOLDEN[case]
 
 

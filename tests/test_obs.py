@@ -260,32 +260,6 @@ class _StubModel:
 
 
 class TestServiceEvents:
-    def test_lru_eviction_emits_cache_evict(self, capture):
-        service = CostEvaluationService(_StubModel(), max_query_entries=2)
-        design = ("structure-a",)
-        for sql in ("SELECT 1", "SELECT 22", "SELECT 333"):
-            service.query_cost(sql, design)
-        evictions = [e for e in capture() if e["event"] == "cache_evict"]
-        assert evictions and evictions[0]["reason"] == "lru"
-        assert evictions[0]["cache"] == "query"
-
-    def test_clear_emits_cache_evict_with_entry_count(self, capture):
-        service = CostEvaluationService(_StubModel())
-        service.query_cost("SELECT 1", ("s",))
-        service.clear()
-        events = [e for e in capture() if e["event"] == "cache_evict"]
-        assert events[-1]["reason"] == "clear"
-        assert events[-1]["entries"] >= 1
-
-    def test_neighborhood_fill_emits_cache_fill(self, capture):
-        service = CostEvaluationService(_StubModel())
-        service.evaluate_neighborhood(
-            [("s1",), ("s2",)], [["SELECT 1", "SELECT 22"], ["SELECT 22"]]
-        )
-        fills = [e for e in capture() if e["event"] == "cache_fill"]
-        assert len(fills) == 2  # one per design
-        assert all(f["misses"] == 2 for f in fills)
-
     def test_publish_metrics_snapshots_stats(self):
         registry = MetricsRegistry()
         service = CostEvaluationService(_StubModel())
@@ -294,9 +268,7 @@ class TestServiceEvents:
         service.publish_metrics(registry)
         snap = registry.snapshot()
         assert snap["costing.query_requests"] == 2
-        assert snap["costing.query_hits"] == 1
-        assert snap["costing.hit_rate"] == 0.5
-        assert snap["costing.cached_query_entries"] == 1
+        assert snap["costing.raw_model_calls"] == 2
         # Re-publishing mirrors the latest snapshot, never accumulates.
         service.publish_metrics(registry)
         assert registry.snapshot()["costing.query_requests"] == 2

@@ -13,6 +13,7 @@ outcome is bit-identical to an uninterrupted one.  Verified two ways:
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -134,6 +135,29 @@ class TestInProcessCrashSweep:
         assert normalize(resumed.run()) == baseline
 
 
+class TestCheckpointSize:
+    def test_costing_entry_does_not_grow_with_the_stream(self, tmp_path):
+        """A serve checkpoint's ``costing`` entry is the service's counters
+        and nothing else, so it pickles to the same size after 200 and
+        after 2 000 ingested queries — up to pickle writing an int below
+        256 in one byte and one below 65 536 in two."""
+        sizes = []
+        for count in (200, 2_000):
+            session = repro.serve_session(
+                RunConfig(**{**TINY, "queries_per_day": 40}),
+                ServeConfig(swap_mode="boundary", min_window_queries=4, max_queries=count),
+            )
+            daemon = session.daemon()
+            daemon.checkpointer = RunCheckpointer(tmp_path / f"q{count}")
+            assert daemon.run().position == count
+            state = RunCheckpointer(tmp_path / f"q{count}", resume=True).load(
+                "serve", daemon._state_key
+            )
+            assert set(state["costing"]) == {"stats"}
+            sizes.append(len(pickle.dumps(state["costing"])))
+        assert 0 <= sizes[1] - sizes[0] <= 8, sizes
+
+
 class TestSubprocessSigkill:
     def run_cli(self, tmp_path, name, *extra, env_extra=None):
         env = dict(os.environ)
@@ -142,15 +166,30 @@ class TestSubprocessSigkill:
         ).rstrip(os.pathsep)
         if env_extra:
             env.update(env_extra)
-        return subprocess.run(
-            [
-                sys.executable, "-m", "repro", "serve", *CLI_SCALE,
-                "--checkpoint", str(tmp_path / name), *extra,
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
+        args = [
+            sys.executable, "-m", "repro", "serve", *CLI_SCALE,
+            "--checkpoint", str(tmp_path / name), *extra,
+        ]
+        # Output goes to files and the CLI leads its own session: a
+        # SIGKILLed daemon's orphaned pool workers (process backend)
+        # inherit its stdout, so waiting on a pipe would wait on them.
+        # The daemon's own exit is what is awaited; then the session is
+        # killed, so no worker outlives the test.
+        out, err = tmp_path / f"{name}.out", tmp_path / f"{name}.err"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            process = subprocess.Popen(
+                args, stdout=stdout, stderr=stderr, text=True, env=env,
+                start_new_session=True,
+            )
+            try:
+                returncode = process.wait(timeout=300)
+            finally:
+                try:
+                    os.killpg(process.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        return subprocess.CompletedProcess(
+            args, returncode, out.read_text(), err.read_text()
         )
 
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):

@@ -112,7 +112,6 @@ def _window_facts(run):
             w.structure_count,
             w.query_cost_calls,
             w.raw_cost_model_calls,
-            w.cache_hit_rate,
         )
         for w in run.windows
     ]
@@ -218,9 +217,18 @@ class TestCheckpointerUnit:
     def test_version_1_snapshot_refused(self, tmp_path):
         """A version-1 costing export carries a ``workload`` cache and two
         stats fields this build no longer has: refused, not half-loaded."""
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION > 1
         path = tmp_path / "run.ckpt"
         key = self._saved_as_version(path, 1)
+        with pytest.raises(CheckpointVersionError):
+            RunCheckpointer(path, resume=True).load("unit", key)
+
+    def test_version_2_snapshot_refused(self, tmp_path):
+        """A version-2 costing export carries the per-(design, query)
+        cost cache this build no longer has: refused, not half-loaded."""
+        assert FORMAT_VERSION == 3
+        path = tmp_path / "run.ckpt"
+        key = self._saved_as_version(path, 2)
         with pytest.raises(CheckpointVersionError):
             RunCheckpointer(path, resume=True).load("unit", key)
 
