@@ -393,14 +393,20 @@ class ServeDaemon:
             self._boundary(completed)
         record = self._price(query)
         self.position += 1
-        self.monitor.observe(query)
-        if self.serve.history_limit:
-            self.history.append(query)
-            if len(self.history) > self.serve.history_limit:
-                del self.history[: len(self.history) - self.serve.history_limit]
+        metrics = get_metrics()
+        if record.cost_ms is None:
+            # Unpriceable (malformed SQL, an unknown table): the ledger
+            # records it, but the drift window and the re-design history
+            # re-parse what they hold, so it stays out of both.
+            metrics.counter("serve.rejected").inc()
+        else:
+            self.monitor.observe(query)
+            if self.serve.history_limit:
+                self.history.append(query)
+                if len(self.history) > self.serve.history_limit:
+                    del self.history[: len(self.history) - self.serve.history_limit]
         if self.serve.record_queries:
             self.priced.append(record)
-        metrics = get_metrics()
         metrics.counter("serve.ingested").inc()
         metrics.gauge("serve.epoch").set(record.epoch)
 
@@ -455,18 +461,15 @@ class ServeDaemon:
         self._checkpoint("window", force=force)
 
     def _observe_window(self, window: Workload) -> None:
-        """Feed one completed window's observed costs to the learner."""
+        """Feed one completed window's observed costs to the learner.
+
+        Every query in the window was priced at ingest (rejected ones
+        never enter it), so the whole window prices again here."""
         with self.active.pin() as (_epoch, design):
-            priceable = []
-            for query in window.collapsed():
-                try:
-                    self.adapter.profile(query.sql)
-                except ValueError:
-                    continue
-                priceable.append(query)
-            report = self.adapter.workload_cost(priceable, design)
+            queries = list(window.collapsed())
+            report = self.adapter.workload_cost(queries, design)
             observed = {
-                query.sql: cost for query, cost in zip(priceable, report.per_query_ms)
+                query.sql: cost for query, cost in zip(queries, report.per_query_ms)
             }
             self.learner.observe(window, design, observed)
         get_metrics().counter("serve.learner_observations").inc()

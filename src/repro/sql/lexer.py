@@ -3,11 +3,24 @@
 The lexer is intentionally small: the OLAP subset used by the workload
 generator and the engines only needs identifiers, numeric and string
 literals, comparison operators, punctuation, and a fixed keyword set.
+
+One compiled pattern scans a query.  :func:`scan` writes the tokens into
+three parallel columns — kinds, values, positions — which the parser
+walks with an index; :func:`tokenize` zips them into :class:`Token`
+objects for callers that want them.
+
+The pattern's character classes are the ``str`` predicates, exactly and
+for every code point: ``\\s`` is ``isspace``, ``\\w`` is ``isalnum`` or
+``_``, and the digit class is ``\\d`` (``isdecimal``) plus the code
+points that are ``isdigit`` but not decimal (superscripts, circled
+digits, ...).  An identifier must start with ``isalpha`` or ``_``; a
+``\\w`` run that starts otherwise is an unexpected character.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 #: Keywords recognized by the parser.  Matched case-insensitively and
@@ -89,7 +102,78 @@ class LexError(ValueError):
         self.position = position
 
 
-_OPERATOR_STARTS = "<>=!"
+#: ``str.isdigit`` as a character class: ``\d`` plus the 128 digits
+#: that are not decimal.
+DIGIT = (
+    r"[\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079"
+    r"\u2080-\u2089\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea"
+    r"\u24f5-\u24fd\u24ff\u2776-\u277e\u2780-\u2788\u278a-\u2792"
+    r"\U00010a40-\U00010a43\U00010e60-\U00010e68\U00011052-\U0001105a"
+    r"\U0001f100-\U0001f10a]"
+)
+
+# Leading whitespace is folded into every match; ``scan`` stops the
+# search before trailing whitespace, so every match is one token or one
+# error.  A dot is part of a number only when a digit follows (``t.c`` is
+# a qualifier), and the exponent form (``1e-05``, ``1.5E+19``) is what
+# ``str(float)`` emits, so the formatter's output lexes back to the same
+# number.  A string closes on a quote that no second quote follows
+# (``''`` escapes one).
+_TOKEN = re.compile(
+    rf"""\s*(?:
+      (?P<NUMBER>-?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?)
+    | (?P<WORD>\w+)
+    | (?P<DOT>\.) | (?P<COMMA>,) | (?P<LPAREN>\() | (?P<RPAREN>\))
+    | (?P<OPERATOR>[<>!]=|<>|[<>=])
+    | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<STAR>\*)
+    | (?P<ERROR>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+
+_KINDS = {kind.name: kind for kind in TokenType}
+_KEYWORD, _IDENTIFIER, _STRING = TokenType.KEYWORD, TokenType.IDENTIFIER, TokenType.STRING
+
+
+def scan(text: str) -> tuple[list[TokenType], list[str], list[int]]:
+    """Scan ``text`` into ``(kinds, values, positions)`` columns, one entry
+    per token, ending with an EOF entry at ``len(text)``.
+
+    Raises :class:`LexError` on unknown characters or unterminated strings.
+    """
+    kinds: list[TokenType] = []
+    values: list[str] = []
+    positions: list[int] = []
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        group = match.lastgroup
+        value = match[group]
+        position = match.start(group)
+        if group == "WORD":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise LexError(f"unexpected character {value[0]!r}", position)
+            upper = value.upper()
+            if upper in KEYWORDS:
+                kind, value = _KEYWORD, upper
+            else:
+                kind = _IDENTIFIER
+        elif group == "ERROR":
+            if value == "'":
+                raise LexError("unterminated string literal", position)
+            raise LexError(f"unexpected character {value!r}", position)
+        else:
+            kind = _KINDS[group]
+            if kind is _STRING:
+                value = value[1:-1].replace("''", "'")
+            elif value == "<>":
+                value = "!="
+        kinds.append(kind)
+        values.append(value)
+        positions.append(position)
+    kinds.append(TokenType.EOF)
+    values.append("")
+    positions.append(len(text))
+    return kinds, values, positions
 
 
 def tokenize(text: str) -> list[Token]:
@@ -97,92 +181,4 @@ def tokenize(text: str) -> list[Token]:
 
     Raises :class:`LexError` on unknown characters or unterminated strings.
     """
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token(TokenType.COMMA, ",", i))
-            i += 1
-        elif ch == "(":
-            tokens.append(Token(TokenType.LPAREN, "(", i))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token(TokenType.RPAREN, ")", i))
-            i += 1
-        elif ch == "*":
-            tokens.append(Token(TokenType.STAR, "*", i))
-            i += 1
-        elif ch == ".":
-            tokens.append(Token(TokenType.DOT, ".", i))
-            i += 1
-        elif ch == "'":
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise LexError("unterminated string literal", i)
-                if text[j] == "'":
-                    # '' escapes a single quote inside a string literal.
-                    if j + 1 < n and text[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), i))
-            i = j + 1
-        elif ch in _OPERATOR_STARTS:
-            if i + 1 < n and text[i : i + 2] in ("<=", ">=", "<>", "!="):
-                op = text[i : i + 2]
-                tokens.append(Token(TokenType.OPERATOR, "!=" if op == "<>" else op, i))
-                i += 2
-            elif ch in "<>=":
-                tokens.append(Token(TokenType.OPERATOR, ch, i))
-                i += 1
-            else:
-                raise LexError(f"unexpected character {ch!r}", i)
-        elif ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                # A dot is part of the number only when followed by a digit;
-                # otherwise it is a qualifier dot (``t.c``).
-                if text[j] == ".":
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            # Exponent form (``1e-05``, ``1.5E+19``): what ``str(float)``
-            # emits below 1e-4 and from 1e16 up, so the formatter's
-            # output lexes back to the same number.
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token(TokenType.NUMBER, text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, i))
-            else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, i))
-            i = j
-        else:
-            raise LexError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
+    return list(map(Token, *scan(text)))

@@ -51,7 +51,14 @@ from repro.sql.ast import (
     Statement,
     UpdateStatement,
 )
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, scan
+
+_KEYWORD, _IDENTIFIER = TokenType.KEYWORD, TokenType.IDENTIFIER
+_NUMBER, _STRING, _OPERATOR = TokenType.NUMBER, TokenType.STRING, TokenType.OPERATOR
+_COMMA, _LPAREN, _RPAREN = TokenType.COMMA, TokenType.LPAREN, TokenType.RPAREN
+_DOT, _STAR, _EOF = TokenType.DOT, TokenType.STAR, TokenType.EOF
+
+_KEYWORD_LITERALS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 
 class ParseError(ValueError):
@@ -63,91 +70,111 @@ class ParseError(ValueError):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """Recursive descent over :func:`~repro.sql.lexer.scan`'s token columns.
 
-    # -- token-stream helpers -------------------------------------------------
+    ``i`` is the cursor.  It never moves past the EOF entry: every step
+    over a token first checks that token's kind.  A :class:`Token` is
+    built only for a :class:`ParseError`.
+    """
 
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
+    __slots__ = ("kinds", "values", "positions", "i")
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.type is not TokenType.EOF:
-            self._pos += 1
-        return token
+    def __init__(self, text: str):
+        self.kinds, self.values, self.positions = scan(text)
+        self.i = 0
 
-    def _check_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.KEYWORD and token.value in keywords
+    # -- cursor helpers --------------------------------------------------------
 
-    def _match_keyword(self, *keywords: str) -> Token | None:
-        if self._check_keyword(*keywords):
-            return self._advance()
-        return None
+    def _error(self, message: str, at: int | None = None) -> ParseError:
+        """A :class:`ParseError` near token ``at`` (default: the cursor)."""
+        i = self.i if at is None else at
+        return ParseError(message, Token(self.kinds[i], self.values[i], self.positions[i]))
 
-    def _expect_keyword(self, keyword: str) -> Token:
-        token = self._match_keyword(keyword)
-        if token is None:
-            raise ParseError(f"expected {keyword}", self._peek())
-        return token
+    def _keyword(self) -> str | None:
+        """The next token's keyword, or ``None`` if it is not a keyword."""
+        i = self.i
+        return self.values[i] if self.kinds[i] is _KEYWORD else None
 
-    def _expect(self, token_type: TokenType) -> Token:
-        token = self._peek()
-        if token.type is not token_type:
-            raise ParseError(f"expected {token_type.value}", token)
-        return self._advance()
+    def _match(self, keyword: str) -> bool:
+        """Step over ``keyword`` if it is next."""
+        i = self.i
+        if self.values[i] == keyword and self.kinds[i] is _KEYWORD:
+            self.i = i + 1
+            return True
+        return False
+
+    def _expect_keyword(self, keyword: str) -> None:
+        if not self._match(keyword):
+            raise self._error(f"expected {keyword}")
+
+    def _accept(self, kind: TokenType) -> bool:
+        """Step over the next token if it is of ``kind``."""
+        if self.kinds[self.i] is kind:
+            self.i += 1
+            return True
+        return False
+
+    def _expect(self, kind: TokenType) -> str:
+        """Step over the next token, which must be of ``kind``; its value."""
+        i = self.i
+        if self.kinds[i] is not kind:
+            raise self._error(f"expected {kind.value}")
+        self.i = i + 1
+        return self.values[i]
+
+    def _expect_eof(self) -> None:
+        if self.kinds[self.i] is not _EOF:
+            raise self._error("unexpected trailing input")
+
+    def _list(self, item) -> list:
+        """``item (',' item)*``."""
+        items = [item()]
+        while self._accept(_COMMA):
+            items.append(item())
+        return items
 
     # -- grammar productions ---------------------------------------------------
 
     def parse_statement(self) -> Statement:
-        if self._check_keyword("INSERT"):
+        if self._match("INSERT"):
             return self._parse_insert()
-        if self._check_keyword("UPDATE"):
+        if self._match("UPDATE"):
             return self._parse_update()
-        if self._check_keyword("DELETE"):
+        if self._match("DELETE"):
             return self._parse_delete()
         return self._parse_select()
 
     def _parse_select(self) -> SelectStatement:
         self._expect_keyword("SELECT")
-        select_star = False
-        items: list[SelectItem] = []
-        if self._peek().type is TokenType.STAR:
-            self._advance()
-            select_star = True
-        else:
-            items.append(self._parse_select_item())
-            while self._peek().type is TokenType.COMMA:
-                self._advance()
-                items.append(self._parse_select_item())
-
+        select_star = self._accept(_STAR)
+        items = [] if select_star else self._list(self._parse_select_item)
         self._expect_keyword("FROM")
-        table = self._expect(TokenType.IDENTIFIER).value
+        table = self._expect(_IDENTIFIER)
 
         joins: list[Join] = []
-        while self._check_keyword("JOIN", "INNER"):
+        while self._keyword() in ("JOIN", "INNER"):
             joins.append(self._parse_join())
 
-        where: tuple[PredicateType, ...] = ()
-        if self._match_keyword("WHERE"):
-            where = self._parse_where()
+        where = self._parse_where() if self._match("WHERE") else ()
 
         group_by: tuple[ColumnRef, ...] = ()
-        if self._match_keyword("GROUP"):
+        if self._match("GROUP"):
             self._expect_keyword("BY")
-            group_by = tuple(self._parse_column_list())
+            group_by = tuple(self._list(self._parse_column))
 
         order_by: tuple[OrderItem, ...] = ()
-        if self._match_keyword("ORDER"):
+        if self._match("ORDER"):
             self._expect_keyword("BY")
-            order_by = tuple(self._parse_order_list())
+            order_by = tuple(self._list(self._parse_order_item))
 
         limit: int | None = None
-        if self._match_keyword("LIMIT"):
-            limit_token = self._expect(TokenType.NUMBER)
-            limit = int(float(limit_token.value))
+        if self._match("LIMIT"):
+            at = self.i
+            text = self._expect(_NUMBER)
+            try:
+                limit = int(float(text))
+            except OverflowError:  # ``1e400`` reads as infinity
+                raise self._error("LIMIT out of range", at) from None
 
         self._expect_eof()
 
@@ -162,55 +189,35 @@ class _Parser:
             select_star=select_star,
         )
 
-    def _expect_eof(self) -> None:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            raise ParseError("unexpected trailing input", token)
-
     def _parse_insert(self) -> InsertStatement:
-        self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
-        table = self._expect(TokenType.IDENTIFIER).value
-        self._expect(TokenType.LPAREN)
-        columns = [self._parse_column()]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            columns.append(self._parse_column())
-        self._expect(TokenType.RPAREN)
+        table = self._expect(_IDENTIFIER)
+        self._expect(_LPAREN)
+        columns = self._list(self._parse_column)
+        self._expect(_RPAREN)
         self._expect_keyword("VALUES")
-        rows = [self._parse_values_row(len(columns))]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            rows.append(self._parse_values_row(len(columns)))
+        rows = self._list(lambda: self._parse_values_row(len(columns)))
         self._expect_eof()
         return InsertStatement(
             table=table, columns=tuple(columns), rows=tuple(rows)
         )
 
     def _parse_values_row(self, width: int) -> tuple[Literal, ...]:
-        opener = self._expect(TokenType.LPAREN)
-        values = [self._parse_literal()]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            values.append(self._parse_literal())
-        self._expect(TokenType.RPAREN)
+        opener = self.i
+        self._expect(_LPAREN)
+        values = self._list(self._parse_literal)
+        self._expect(_RPAREN)
         if len(values) != width:
-            raise ParseError(
+            raise self._error(
                 f"VALUES row has {len(values)} values for {width} columns", opener
             )
         return tuple(values)
 
     def _parse_update(self) -> UpdateStatement:
-        self._expect_keyword("UPDATE")
-        table = self._expect(TokenType.IDENTIFIER).value
+        table = self._expect(_IDENTIFIER)
         self._expect_keyword("SET")
-        assignments = [self._parse_assignment()]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            assignments.append(self._parse_assignment())
-        where: tuple[PredicateType, ...] = ()
-        if self._match_keyword("WHERE"):
-            where = self._parse_where()
+        assignments = self._list(self._parse_assignment)
+        where = self._parse_where() if self._match("WHERE") else ()
         self._expect_eof()
         return UpdateStatement(
             table=table, assignments=tuple(assignments), where=where
@@ -218,147 +225,110 @@ class _Parser:
 
     def _parse_assignment(self) -> Assignment:
         column = self._parse_column()
-        op = self._expect(TokenType.OPERATOR)
-        if op.value != "=":
-            raise ParseError("expected = in SET assignment", op)
-        value = self._parse_literal()
-        return Assignment(column=column, value=value)
+        if self._expect(_OPERATOR) != "=":
+            raise self._error("expected = in SET assignment", self.i - 1)
+        return Assignment(column=column, value=self._parse_literal())
 
     def _parse_delete(self) -> DeleteStatement:
-        self._expect_keyword("DELETE")
         self._expect_keyword("FROM")
-        table = self._expect(TokenType.IDENTIFIER).value
-        where: tuple[PredicateType, ...] = ()
-        if self._match_keyword("WHERE"):
-            where = self._parse_where()
+        table = self._expect(_IDENTIFIER)
+        where = self._parse_where() if self._match("WHERE") else ()
         self._expect_eof()
         return DeleteStatement(table=table, where=where)
 
     def _parse_select_item(self) -> SelectItem:
-        token = self._peek()
         expr: ColumnRef | Aggregate
-        if token.type is TokenType.KEYWORD and token.value in AGGREGATE_FUNCS:
+        if self._keyword() in AGGREGATE_FUNCS:
             expr = self._parse_aggregate()
         else:
             expr = self._parse_column()
-        alias: str | None = None
-        if self._match_keyword("AS"):
-            alias = self._expect(TokenType.IDENTIFIER).value
+        alias = self._expect(_IDENTIFIER) if self._match("AS") else None
         return SelectItem(expr=expr, alias=alias)
 
     def _parse_aggregate(self) -> Aggregate:
-        func = self._advance().value
-        self._expect(TokenType.LPAREN)
-        distinct = self._match_keyword("DISTINCT") is not None
-        column: ColumnRef | None
-        if self._peek().type is TokenType.STAR:
-            self._advance()
-            column = None
+        func = self.values[self.i]
+        self.i += 1
+        self._expect(_LPAREN)
+        distinct = self._match("DISTINCT")
+        column: ColumnRef | None = None
+        if self._accept(_STAR):
             if func != "COUNT":
-                raise ParseError(f"{func}(*) is not valid", self._peek())
+                raise self._error(f"{func}(*) is not valid")
         else:
             column = self._parse_column()
-        self._expect(TokenType.RPAREN)
+        self._expect(_RPAREN)
         return Aggregate(func=func, column=column, distinct=distinct)
 
     def _parse_column(self) -> ColumnRef:
-        first = self._expect(TokenType.IDENTIFIER).value
-        if self._peek().type is TokenType.DOT:
-            self._advance()
-            second = self._expect(TokenType.IDENTIFIER).value
-            return ColumnRef(second, first)
+        first = self._expect(_IDENTIFIER)
+        if self._accept(_DOT):
+            return ColumnRef(self._expect(_IDENTIFIER), first)
         return ColumnRef(first)
-
-    def _parse_column_list(self) -> list[ColumnRef]:
-        columns = [self._parse_column()]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            columns.append(self._parse_column())
-        return columns
-
-    def _parse_order_list(self) -> list[OrderItem]:
-        items = [self._parse_order_item()]
-        while self._peek().type is TokenType.COMMA:
-            self._advance()
-            items.append(self._parse_order_item())
-        return items
 
     def _parse_order_item(self) -> OrderItem:
         column = self._parse_column()
-        ascending = True
-        if self._match_keyword("DESC"):
-            ascending = False
-        else:
-            self._match_keyword("ASC")
+        ascending = not self._match("DESC")
+        if ascending:
+            self._match("ASC")
         return OrderItem(column=column, ascending=ascending)
 
     def _parse_join(self) -> Join:
-        self._match_keyword("INNER")
+        self._match("INNER")
         self._expect_keyword("JOIN")
-        table = self._expect(TokenType.IDENTIFIER).value
+        table = self._expect(_IDENTIFIER)
         self._expect_keyword("ON")
         left = self._parse_column()
-        op = self._expect(TokenType.OPERATOR)
-        if op.value != "=":
-            raise ParseError("only equi-joins are supported", op)
-        right = self._parse_column()
-        return Join(table=table, left=left, right=right)
+        if self._expect(_OPERATOR) != "=":
+            raise self._error("only equi-joins are supported", self.i - 1)
+        return Join(table=table, left=left, right=self._parse_column())
 
     def _parse_where(self) -> tuple[PredicateType, ...]:
         predicates = [self._parse_predicate()]
-        while self._match_keyword("AND"):
+        while self._match("AND"):
             predicates.append(self._parse_predicate())
-        if self._check_keyword("OR"):
-            raise ParseError("OR is not supported in this subset", self._peek())
+        if self._keyword() == "OR":
+            raise self._error("OR is not supported in this subset")
         return tuple(predicates)
 
     def _parse_predicate(self) -> PredicateType:
         column = self._parse_column()
-        token = self._peek()
-        if token.type is TokenType.OPERATOR:
-            op = self._advance().value
+        i = self.i
+        if self.kinds[i] is _OPERATOR:
+            self.i = i + 1
             value = self._parse_literal()
-            return ComparisonPredicate(column=column, op=op, value=value)
-        if self._match_keyword("BETWEEN"):
+            return ComparisonPredicate(column=column, op=self.values[i], value=value)
+        if self._match("BETWEEN"):
             low = self._parse_literal()
             self._expect_keyword("AND")
-            high = self._parse_literal()
-            return BetweenPredicate(column=column, low=low, high=high)
-        if self._match_keyword("IN"):
-            self._expect(TokenType.LPAREN)
-            values = [self._parse_literal()]
-            while self._peek().type is TokenType.COMMA:
-                self._advance()
-                values.append(self._parse_literal())
-            self._expect(TokenType.RPAREN)
+            return BetweenPredicate(column=column, low=low, high=self._parse_literal())
+        if self._match("IN"):
+            self._expect(_LPAREN)
+            values = self._list(self._parse_literal)
+            self._expect(_RPAREN)
             return InPredicate(column=column, values=tuple(values))
-        if self._match_keyword("LIKE"):
-            pattern = self._expect(TokenType.STRING)
-            return LikePredicate(column=column, pattern=pattern.value)
-        if self._match_keyword("IS"):
-            negated = self._match_keyword("NOT") is not None
+        if self._match("LIKE"):
+            return LikePredicate(column=column, pattern=self._expect(_STRING))
+        if self._match("IS"):
+            negated = self._match("NOT")
             self._expect_keyword("NULL")
             return IsNullPredicate(column=column, negated=negated)
-        raise ParseError("expected a predicate operator", token)
+        raise self._error("expected a predicate operator")
 
     def _parse_literal(self) -> Literal:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            text = token.value
+        i = self.i
+        kind, text = self.kinds[i], self.values[i]
+        if kind is _NUMBER:
+            self.i = i + 1
             if "." in text or "e" in text or "E" in text:
                 return Literal(float(text))
             return Literal(int(text))
-        if token.type is TokenType.STRING:
-            self._advance()
-            return Literal(token.value)
-        if self._match_keyword("NULL"):
-            return Literal(None)
-        if self._match_keyword("TRUE"):
-            return Literal(True)
-        if self._match_keyword("FALSE"):
-            return Literal(False)
-        raise ParseError("expected a literal", token)
+        if kind is _STRING:
+            self.i = i + 1
+            return Literal(text)
+        if kind is _KEYWORD and text in _KEYWORD_LITERALS:
+            self.i = i + 1
+            return Literal(_KEYWORD_LITERALS[text])
+        raise self._error("expected a literal")
 
 
 def parse(sql: str) -> Statement:
@@ -367,4 +337,4 @@ def parse(sql: str) -> Statement:
     Raises :class:`ParseError` (or :class:`~repro.sql.lexer.LexError`) on
     malformed input.
     """
-    return _Parser(tokenize(sql)).parse_statement()
+    return _Parser(sql).parse_statement()

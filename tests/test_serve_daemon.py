@@ -263,6 +263,36 @@ class TestServeEndToEnd:
         assert outcome.priced is None
         assert outcome.dropped == 0
 
+    def test_malformed_queries_are_recorded_and_kept_out_of_the_window(self):
+        """An unparseable line mid-stream is priced ``None`` and counted as
+        rejected; the drift window never sees it, so the next boundary's
+        policy check does not re-parse it (it used to raise ``ParseError``
+        out of the daemon there)."""
+        from repro.obs import get_metrics
+        from repro.workload.query import WorkloadQuery
+
+        clean = tiny_session().serve()
+        source = QueueSource()
+        session = tiny_session(serve=dict(source=source))
+        trace = list(session.context.trace("R1"))
+        middle = len(trace) // 2
+        stamp = trace[middle - 1].timestamp
+        bad = [
+            WorkloadQuery("SELEC nonsense(((", timestamp=stamp),
+            WorkloadQuery("SELECT fact_00.attr_00 FROM fact_00 LIMIT 1e400", timestamp=stamp),
+        ]
+        trace[middle:middle] = bad
+        for query in trace:
+            source.put_nowait(query)
+        source.close()
+        get_metrics().reset()
+        outcome = session.serve()
+        assert outcome.position == len(trace)
+        assert outcome.dropped == 0
+        assert [p.position for p in outcome.priced if p.cost_ms is None] == [middle, middle + 1]
+        assert get_metrics().snapshot()["serve.rejected"] == 2
+        assert outcome.final_design_digest == clean.final_design_digest
+
 
 # -- degradation --------------------------------------------------------------------
 

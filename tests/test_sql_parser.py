@@ -147,3 +147,16 @@ class TestErrors:
         with pytest.raises(ParseError) as exc:
             parse("SELECT a FROM t WHERE = 5")
         assert "position" in str(exc.value)
+
+    @pytest.mark.parametrize("number", ["1e400", "9e999", "-1E+309"])
+    def test_infinite_limit_is_a_parse_error_at_the_number(self, number):
+        # float() reads these as ±infinity, which int() refuses with an
+        # OverflowError — outside the ValueError contract callers catch.
+        sql = f"SELECT a FROM t LIMIT {number}"
+        with pytest.raises(ParseError) as exc:
+            parse(sql)
+        assert exc.value.token.position == sql.index(number)
+        assert exc.value.token.value == number
+
+    def test_large_finite_limit_still_parses(self):
+        assert parse("SELECT a FROM t LIMIT 1e300").limit == int(1e300)

@@ -39,13 +39,35 @@ class TestFuzz:
         except (ParseError, LexError, ValueError):
             pass
 
-    @given(st.text(alphabet="abc_.0123456789'% ()=<>,*", max_size=60))
+    # Number, operator and character-class edges: signs and exponents,
+    # ``!`` without ``=``, a tab and a no-break space, digits that are not
+    # decimal (``²``, ``①``), a numeric non-digit (``½``), and letters
+    # outside ASCII (``ſ`` upper-cases to S).
+    @given(st.text(alphabet="abc_.0123456789'% ()=<>,*-!eE+\t\xa0²①½ſé一", max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_lexer_total_on_charset(self, text):
         try:
             tokenize(text)
         except LexError:
             pass
+
+    @given(
+        st.sampled_from(
+            ["SELECT a FROM t", "SELECT COUNT(*) FROM t WHERE x = 1 ORDER BY a DESC"]
+        ),
+        st.from_regex(r"[0-9]{1,4}[eE][+-]?[0-9]{1,4}", fullmatch=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exponent_limit_parses_or_raises_parse_error(self, query, number):
+        sql = f"{query} LIMIT {number}"
+        try:
+            stmt = parse(sql)
+        except ParseError as error:
+            # Only a LIMIT beyond float range is refused, at the number.
+            assert float(number) == float("inf")
+            assert error.token.position == sql.rindex(number)
+        else:
+            assert stmt.limit == int(float(number))
 
 
 class TestColumnOf:
