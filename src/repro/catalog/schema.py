@@ -7,9 +7,13 @@ paper's two evaluation targets (Vertica and DBMS-X) shared one workload.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.catalog.types import ColumnType
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -133,3 +137,18 @@ class Schema:
             table = self.tables[table_name]
             names.extend(f"{table_name}.{c}" for c in table.column_names)
         return names
+
+
+def group_by_table(structures: Iterable[T], key: Callable[[T], object]) -> dict[str, list[T]]:
+    """Design structures grouped by their ``table``, each group sorted by ``key``.
+
+    The sort is stable, so every group equals
+    ``sorted((s for s in structures if s.table == name), key=key)`` —
+    ties keep the iteration order of ``structures``.
+    """
+    groups: dict[str, list[T]] = {}
+    for structure in structures:
+        groups.setdefault(structure.table, []).append(structure)
+    for members in groups.values():
+        members.sort(key=key)
+    return groups

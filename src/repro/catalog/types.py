@@ -12,6 +12,12 @@ import enum
 import numpy as np
 
 
+#: Approximate storage width of one cell, in bytes, by type value.
+#: Strings are dictionary-encoded in the columnar engine, so their
+#: effective width is a code word plus amortized dictionary cost.
+_BYTE_WIDTHS = {"int": 8, "float": 8, "string": 16, "date": 8, "bool": 1}
+
+
 class ColumnType(enum.Enum):
     """Logical column type."""
 
@@ -21,14 +27,11 @@ class ColumnType(enum.Enum):
     DATE = "date"  # stored as days since an epoch (int64)
     BOOL = "bool"
 
-    @property
-    def byte_width(self) -> int:
-        """Approximate storage width of one cell, in bytes.
-
-        Strings are dictionary-encoded in the columnar engine, so their
-        effective width is a code word plus amortized dictionary cost.
-        """
-        return _BYTE_WIDTHS[self]
+    def __init__(self, value: str) -> None:
+        # A plain member attribute: the cost models and profile builds read
+        # it per column, and a lookup keyed by the member would hash the
+        # enum through its Python-level ``__hash__`` every time.
+        self.byte_width: int = _BYTE_WIDTHS[value]
 
     @property
     def numpy_dtype(self) -> np.dtype:
@@ -50,13 +53,3 @@ class ColumnType(enum.Enum):
     def is_orderable(self) -> bool:
         """Whether range predicates and sort orders make sense."""
         return self is not ColumnType.BOOL
-
-
-#: Hoisted so the hot ``byte_width`` lookup never rebuilds the table.
-_BYTE_WIDTHS = {
-    ColumnType.INT: 8,
-    ColumnType.FLOAT: 8,
-    ColumnType.STRING: 16,
-    ColumnType.DATE: 8,
-    ColumnType.BOOL: 1,
-}

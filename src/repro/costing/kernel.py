@@ -403,7 +403,7 @@ def _prefix_fold(key_ids: np.ndarray, side: _TablePredicates):
     """Walk each structure's key against each access of its table ->
     ``(selectivity, depth)``, both (S_t, A_t) float64.
 
-    The scalar walks (``_prefix_selectivity``, ``seek_prefix``) consume
+    The scalar walks (``_scan_cost``, ``seek_prefix``) consume
     key columns left to right while each carries an eq predicate, plus
     the first non-eq one if it carries a range.  Position ``j``
     multiplies its factor in only while the walk is alive — skipped
@@ -862,7 +862,9 @@ class ColumnarKernel(_Kernel):
         )
         acc_super_scan = np.zeros(len(accesses), dtype=np.float64)
         for i, access in enumerate(accesses):
-            acc_super_scan[i] = model._scan_cost(access, model._super[access.table])
+            acc_super_scan[i] = model._scan_cost(
+                access, model._super[access.table], access.eq_map, access.range_map
+            )[1]
 
         # Per-query folded terms (all log2 work happens here, scalarly).
         count = len(profiles)

@@ -76,6 +76,11 @@ class TableAccess:
     #: Number of predicates on this table.
     predicate_count: int
 
+    # The two lookups build a fresh dict per read (a profile is pure data
+    # and pickles as such); the cost models read them once per pricing
+    # call, not once per structure.  A column with two predicates keeps
+    # the larger selectivity: the tuples are sorted and the last wins.
+
     @property
     def eq_map(self) -> dict[str, float]:
         return dict(self.eq_selectivity)

@@ -9,9 +9,11 @@ the base data).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Schema, group_by_table
 from repro.engine.projection import Projection
+from repro.state.capture import PickleFieldsOnly
 
 #: Deployment throughput used by the Figure 14 model: building a projection
 #: is a sort + rewrite of its data, charged per byte.
@@ -19,8 +21,13 @@ DEPLOY_SECONDS_PER_GB = 360.0
 
 
 @dataclass(frozen=True)
-class PhysicalDesign:
-    """An immutable set of (non-super) projections."""
+class PhysicalDesign(PickleFieldsOnly):
+    """An immutable set of (non-super) projections.
+
+    The per-table canonical order :meth:`for_table` returns is built once
+    per design, on the first call, and never pickled: a pinned design is
+    priced thousands of times, a candidate design often never.
+    """
 
     projections: frozenset[Projection] = frozenset()
 
@@ -45,12 +52,17 @@ class PhysicalDesign:
         """Return a new design with ``projection`` added."""
         return PhysicalDesign(self.projections | {projection})
 
+    @cached_property
+    def _by_table(self) -> dict[str, list[Projection]]:
+        return group_by_table(self.projections, lambda p: (p.columns, p.sort_key))
+
     def for_table(self, table: str) -> list[Projection]:
-        """All projections anchored on ``table`` (deterministic order)."""
-        return sorted(
-            (p for p in self.projections if p.table == table),
-            key=lambda p: (p.columns, p.sort_key),
-        )
+        """All projections anchored on ``table`` (deterministic order).
+
+        The list is shared by every call on this design: read it, do not
+        mutate it.
+        """
+        return self._by_table.get(table, [])
 
     def price(self, schema: Schema) -> int:
         """Total bytes of all projections — the paper's ``price(D)``."""

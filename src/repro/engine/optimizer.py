@@ -92,11 +92,19 @@ class ColumnarCostModel:
 
     # -- costing ---------------------------------------------------------------
 
+    # Every pricing call reads the anchor's selectivity lookups once
+    # (``TableAccess.eq_map`` / ``range_map`` build a dict each) and hands
+    # them to the per-projection helpers below.
+
     @staticmethod
-    def _prefix_selectivity(access: TableAccess, projection: Projection) -> float:
-        """Row-range reduction from binary search on the sort-key prefix."""
-        eq_map = access.eq_map
-        range_map = access.range_map
+    def _scan_cost(
+        access: TableAccess, projection: Projection, eq_map: dict, range_map: dict
+    ) -> tuple[float, float] | None:
+        """``(rows scanned, scan + filter cost)`` of serving ``access`` from
+        ``projection`` — the rows left after binary search on the sort-key
+        prefix — or ``None`` when the projection does not cover it."""
+        if not projection.covers(access.needed_columns):
+            return None
         selectivity = 1.0
         for sort_column in projection.sort_columns:
             name = sort_column.name
@@ -106,17 +114,10 @@ class ColumnarCostModel:
             if name in range_map:
                 selectivity *= range_map[name]
             break
-        return selectivity
-
-    def _scan_cost(self, access: TableAccess, projection: Projection) -> float | None:
-        """Scan + filter cost of serving ``access`` from ``projection``."""
-        if not projection.covers(access.needed_columns):
-            return None
-        prefix = self._prefix_selectivity(access, projection)
-        rows_scanned = max(access.row_count * prefix, 1.0)
+        rows_scanned = max(access.row_count * selectivity, 1.0)
         cost = rows_scanned * access.needed_bytes * BYTE_COST_MS
         cost += rows_scanned * access.predicate_count * PREDICATE_COST_MS
-        return cost
+        return rows_scanned, cost
 
     def projection_cost(self, profile: QueryProfile, projection: Projection) -> float | None:
         """Cost of answering ``profile``'s anchor access via ``projection``.
@@ -125,14 +126,19 @@ class ColumnarCostModel:
         optimizer would never choose it).
         """
         access = profile.anchor
+        return self._projection_cost(profile, projection, access.eq_map, access.range_map)
+
+    def _projection_cost(
+        self, profile: QueryProfile, projection: Projection, eq_map: dict, range_map: dict
+    ) -> float | None:
+        """:meth:`projection_cost` with the anchor's lookups already read."""
+        access = profile.anchor
         if projection.table != access.table:
             return None
-        scan = self._scan_cost(access, projection)
+        scan = self._scan_cost(access, projection, eq_map, range_map)
         if scan is None:
             return None
-        cost = scan
-        prefix = self._prefix_selectivity(access, projection)
-        rows_scanned = max(access.row_count * prefix, 1.0)
+        rows_scanned, cost = scan
         rows_out = max(access.row_count * access.total_selectivity, 1.0)
 
         if profile.group_by:
@@ -148,8 +154,7 @@ class ColumnarCostModel:
         if profile.order_by:
             free = (
                 not profile.group_by
-                and tuple(projection.sort_key[: len(profile.order_by)])
-                == profile.order_by
+                and projection.sort_key[: len(profile.order_by)] == profile.order_by
             )
             if not free:
                 n = max(result_rows, 2.0)
@@ -166,13 +171,29 @@ class ColumnarCostModel:
         prefix = projection.sort_key[: len(group_by)]
         return set(prefix) == set(group_by) and len(prefix) == len(group_by)
 
+    def _best_projection(
+        self, profile: QueryProfile, design: PhysicalDesign
+    ) -> tuple[Projection, float]:
+        """The cheapest anchor path — the super-projection or a design
+        projection — and its cost."""
+        access = profile.anchor
+        eq_map, range_map = access.eq_map, access.range_map
+        best = self._super[access.table]
+        best_cost = self._projection_cost(profile, best, eq_map, range_map)
+        for projection in design.for_table(access.table):
+            cost = self._projection_cost(profile, projection, eq_map, range_map)
+            if cost is not None and (best_cost is None or cost < best_cost):
+                best, best_cost = projection, cost
+        return best, best_cost
+
     def _dimension_cost(self, access: TableAccess, design: PhysicalDesign) -> float:
         """Best-path cost of reading one joined dimension table."""
+        eq_map, range_map = access.eq_map, access.range_map
         best = None
-        for projection in [self._super[access.table]] + design.for_table(access.table):
-            scan = self._scan_cost(access, projection)
-            if scan is not None and (best is None or scan < best):
-                best = scan
+        for projection in (self._super[access.table], *design.for_table(access.table)):
+            scan = self._scan_cost(access, projection, eq_map, range_map)
+            if scan is not None and (best is None or scan[1] < best):
+                best = scan[1]
         rows = max(access.row_count * access.total_selectivity, 1.0)
         return (best or 0.0) + rows * JOIN_BUILD_COST_MS
 
@@ -180,13 +201,7 @@ class ColumnarCostModel:
         self, profile: QueryProfile, design: PhysicalDesign
     ) -> Projection:
         """The projection the optimizer would pick for the anchor access."""
-        best = self._super[profile.anchor.table]
-        best_cost = self.projection_cost(profile, best)
-        for projection in design.for_table(profile.anchor.table):
-            cost = self.projection_cost(profile, projection)
-            if cost is not None and (best_cost is None or cost < best_cost):
-                best, best_cost = projection, cost
-        return best
+        return self._best_projection(profile, design)[0]
 
     # -- write costing ---------------------------------------------------------
 
@@ -211,7 +226,7 @@ class ColumnarCostModel:
             return False
         if profile.statement_kind != "update":
             return True
-        return bool(projection.column_set & set(profile.written_columns))
+        return not projection.column_set.isdisjoint(profile.written_columns)
 
     def _write_cost(self, profile: QueryProfile, design: PhysicalDesign) -> float:
         """DML cost: locate the affected rows, apply the base write, then
@@ -220,12 +235,7 @@ class ColumnarCostModel:
         if profile.statement_kind == "insert":
             locate = 0.0
         else:
-            anchor_costs = [
-                self.projection_cost(profile, self._super[profile.anchor.table])
-            ]
-            for projection in design.for_table(profile.anchor.table):
-                anchor_costs.append(self.projection_cost(profile, projection))
-            locate = min(c for c in anchor_costs if c is not None)
+            _, locate = self._best_projection(profile, design)
         cost = (QUERY_OVERHEAD_MS + locate) + self.base_write_cost(profile)
         for projection in design.for_table(profile.anchor.table):
             if self.write_touches(profile, projection):
@@ -241,10 +251,7 @@ class ColumnarCostModel:
         )
         if profile.is_write:
             return self._write_cost(profile, design)
-        anchor_costs = [self.projection_cost(profile, self._super[profile.anchor.table])]
-        for projection in design.for_table(profile.anchor.table):
-            anchor_costs.append(self.projection_cost(profile, projection))
-        anchor_cost = min(c for c in anchor_costs if c is not None)
+        _, anchor_cost = self._best_projection(profile, design)
         dim_cost = sum(self._dimension_cost(d, design) for d in profile.dimensions)
         return QUERY_OVERHEAD_MS + anchor_cost + dim_cost
 

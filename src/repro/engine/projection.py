@@ -15,8 +15,10 @@ key is the first column by convention) and always exists — it is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.catalog.schema import Schema, Table
+from repro.state.capture import PickleFieldsOnly
 
 #: Sorted, RLE-friendly columns compress better than unsorted ones; these
 #: factors keep projection sizes (and therefore budgets) in a realistic
@@ -37,8 +39,11 @@ class SortColumn:
 
 
 @dataclass(frozen=True)
-class Projection:
-    """An immutable projection definition (hashable; used as a design atom)."""
+class Projection(PickleFieldsOnly):
+    """An immutable projection definition (hashable; used as a design atom).
+
+    ``column_set`` is derived once, on first use, and never pickled.
+    """
 
     table: str
     columns: tuple[str, ...]
@@ -57,7 +62,7 @@ class Projection:
                     f"sort column {sort_column.name!r} not in projection columns"
                 )
 
-    @property
+    @cached_property
     def column_set(self) -> frozenset[str]:
         """Unordered view of the stored columns."""
         return frozenset(self.columns)

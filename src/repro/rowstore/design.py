@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Schema, group_by_table
 from repro.catalog.statistics import TableStatistics
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
+from repro.state.capture import PickleFieldsOnly
 
 #: Deployment throughput for the Figure 14 model (sort + write per byte).
 DEPLOY_SECONDS_PER_GB = 300.0
 
 
 @dataclass(frozen=True)
-class RowstoreDesign:
-    """An immutable set of indices and materialized views."""
+class RowstoreDesign(PickleFieldsOnly):
+    """An immutable set of indices and materialized views.
+
+    The per-table canonical orders :meth:`indices_for` and
+    :meth:`views_for` return are built once per design, on the first
+    call, and never pickled.
+    """
 
     indices: frozenset[Index] = frozenset()
     views: frozenset[MaterializedView] = frozenset()
@@ -38,18 +45,23 @@ class RowstoreDesign:
             return RowstoreDesign(self.indices | {structure}, self.views)
         return RowstoreDesign(self.indices, self.views | {structure})
 
+    @cached_property
+    def _indices_by_table(self) -> dict[str, list[Index]]:
+        return group_by_table(self.indices, lambda i: i.columns)
+
+    @cached_property
+    def _views_by_table(self) -> dict[str, list[MaterializedView]]:
+        return group_by_table(self.views, lambda v: (v.group_columns, v.measure_columns))
+
     def indices_for(self, table: str) -> list[Index]:
-        """Indices anchored on ``table`` (deterministic order)."""
-        return sorted(
-            (i for i in self.indices if i.table == table), key=lambda i: i.columns
-        )
+        """Indices anchored on ``table`` (deterministic order; a shared
+        list — read it, do not mutate it)."""
+        return self._indices_by_table.get(table, [])
 
     def views_for(self, table: str) -> list[MaterializedView]:
-        """Views anchored on ``table`` (deterministic order)."""
-        return sorted(
-            (v for v in self.views if v.table == table),
-            key=lambda v: (v.group_columns, v.measure_columns),
-        )
+        """Views anchored on ``table`` (deterministic order; a shared
+        list — read it, do not mutate it)."""
+        return self._views_by_table.get(table, [])
 
     def price(
         self, schema: Schema, statistics: dict[str, TableStatistics]

@@ -8,9 +8,12 @@ base rows (paying row-store random-access width).
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.catalog.schema import Table
+from repro.state.capture import PickleFieldsOnly
 
 #: Per-entry overhead of an index entry beyond the key bytes (row pointer
 #: plus node bookkeeping).
@@ -18,8 +21,11 @@ INDEX_ENTRY_OVERHEAD_BYTES = 12
 
 
 @dataclass(frozen=True)
-class Index:
-    """An immutable composite index definition (hashable design atom)."""
+class Index(PickleFieldsOnly):
+    """An immutable composite index definition (hashable design atom).
+
+    ``column_set`` is derived once, on first use, and never pickled.
+    """
 
     table: str
     columns: tuple[str, ...]
@@ -30,12 +36,12 @@ class Index:
         if len(set(self.columns)) != len(self.columns):
             raise ValueError(f"duplicate columns in index on {self.table!r}")
 
-    @property
+    @cached_property
     def column_set(self) -> frozenset[str]:
         return frozenset(self.columns)
 
     def seek_prefix(
-        self, eq_columns: set[str] | frozenset[str], range_columns: set[str] | frozenset[str]
+        self, eq_columns: Container[str], range_columns: Container[str]
     ) -> tuple[int, bool]:
         """How much of the key a query can seek on.
 

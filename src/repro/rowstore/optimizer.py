@@ -83,19 +83,19 @@ class RowstoreCostModel:
         cost += rows * access.predicate_count * PREDICATE_COST_MS
         return cost
 
-    def _index_access_cost(self, access: TableAccess, index: Index) -> float | None:
+    # Every pricing call reads an access's selectivity lookups once
+    # (``TableAccess.eq_map`` / ``range_map`` build a dict each) and hands
+    # them to the per-structure helpers below.
+
+    def _index_access_cost(
+        self, access: TableAccess, index: Index, eq_map: dict, range_map: dict
+    ) -> float | None:
         """Cost of driving ``access`` through ``index`` (None if useless)."""
-        eq_map = access.eq_map
-        range_map = access.range_map
-        depth, used_range = index.seek_prefix(
-            set(eq_map), set(range_map)
-        )
+        depth, used_range = index.seek_prefix(eq_map, range_map)
         if depth == 0:
             return None
         selectivity = 1.0
-        consumed: set[str] = set()
         for name in index.columns[:depth]:
-            consumed.add(name)
             selectivity *= eq_map.get(name, range_map.get(name, 1.0))
         matched = max(access.row_count * selectivity, 1.0)
         cost = SEEK_COST_MS * math.log2(max(access.row_count, 2))
@@ -108,7 +108,8 @@ class RowstoreCostModel:
             cost += matched * key_bytes * BYTE_COST_MS
         else:
             cost += matched * access.row_bytes * BYTE_COST_MS * RANDOM_READ_FACTOR
-        remaining = max(access.predicate_count - len(consumed), 0)
+        # Index columns are distinct: the seek consumed ``depth`` of them.
+        remaining = max(access.predicate_count - depth, 0)
         cost += matched * remaining * PREDICATE_COST_MS
         return cost
 
@@ -142,10 +143,21 @@ class RowstoreCostModel:
 
         ``None`` when the structure cannot serve the query.
         """
+        access = profile.anchor
+        return self._structure_cost(profile, structure, access.eq_map, access.range_map)
+
+    def _structure_cost(
+        self,
+        profile: QueryProfile,
+        structure: Index | MaterializedView,
+        eq_map: dict,
+        range_map: dict,
+    ) -> float | None:
+        """:meth:`structure_cost` with the anchor's lookups already read."""
         if isinstance(structure, MaterializedView):
             # Views fully answer the query; no post work.
             return self._view_cost(profile, structure)
-        base = self._index_access_cost(profile.anchor, structure)
+        base = self._index_access_cost(profile.anchor, structure, eq_map, range_map)
         return None if base is None else base + self._post_cost(profile)
 
     def _post_cost(self, profile: QueryProfile) -> float:
@@ -166,9 +178,10 @@ class RowstoreCostModel:
 
     def _dimension_cost(self, access: TableAccess, design: RowstoreDesign) -> float:
         """Best-path cost of reading one joined dimension table."""
+        eq_map, range_map = access.eq_map, access.range_map
         best = self._scan_cost(access)
         for index in design.indices_for(access.table):
-            cost = self._index_access_cost(access, index)
+            cost = self._index_access_cost(access, index, eq_map, range_map)
             if cost is not None and cost < best:
                 best = cost
         rows = max(access.row_count * access.total_selectivity, 1.0)
@@ -178,15 +191,27 @@ class RowstoreCostModel:
         self, profile: QueryProfile, design: RowstoreDesign
     ) -> Index | MaterializedView | None:
         """The structure the optimizer would use (None = full scan)."""
+        return self._best_path(profile, design)[0]
+
+    @staticmethod
+    def _structures(design: RowstoreDesign, table: str) -> tuple:
+        """``table``'s indices, then its views, in the design's order."""
+        return (*design.indices_for(table), *design.views_for(table))
+
+    def _best_path(
+        self, profile: QueryProfile, design: RowstoreDesign
+    ) -> tuple[Index | MaterializedView | None, float]:
+        """The cheapest anchor path — a full scan (``None``) or one of the
+        design's structures — and its cost, post-fetch work included."""
+        access = profile.anchor
+        eq_map, range_map = access.eq_map, access.range_map
         best_structure: Index | MaterializedView | None = None
-        best_cost = self._scan_cost(profile.anchor) + self._post_cost(profile)
-        for structure in list(design.indices_for(profile.anchor.table)) + list(
-            design.views_for(profile.anchor.table)
-        ):
-            cost = self.structure_cost(profile, structure)
+        best_cost = self._scan_cost(access) + self._post_cost(profile)
+        for structure in self._structures(design, access.table):
+            cost = self._structure_cost(profile, structure, eq_map, range_map)
             if cost is not None and cost < best_cost:
                 best_structure, best_cost = structure, cost
-        return best_structure
+        return best_structure, best_cost
 
     # -- write costing -------------------------------------------------------------
 
@@ -217,30 +242,24 @@ class RowstoreCostModel:
             return False
         if profile.statement_kind != "update":
             return True
-        written = set(profile.written_columns)
+        written = profile.written_columns
         if isinstance(structure, MaterializedView):
-            return bool((structure.group_set | structure.measure_set) & written)
-        return bool(structure.column_set & written)
+            return not (
+                structure.group_set.isdisjoint(written)
+                and structure.measure_set.isdisjoint(written)
+            )
+        return not structure.column_set.isdisjoint(written)
 
     def _write_cost(self, profile: QueryProfile, design: RowstoreDesign) -> float:
         """DML cost: locate the affected rows, apply the base write, then
         charge per-structure maintenance for every index/view the write
         touches."""
-        table = profile.anchor.table
         if profile.statement_kind == "insert":
             locate = 0.0
         else:
-            locate = self._scan_cost(profile.anchor) + self._post_cost(profile)
-            for structure in list(design.indices_for(table)) + list(
-                design.views_for(table)
-            ):
-                cost = self.structure_cost(profile, structure)
-                if cost is not None and cost < locate:
-                    locate = cost
+            _, locate = self._best_path(profile, design)
         total = (QUERY_OVERHEAD_MS + locate) + self.base_write_cost(profile)
-        for structure in list(design.indices_for(table)) + list(
-            design.views_for(table)
-        ):
+        for structure in self._structures(design, profile.anchor.table):
             if self.write_touches(profile, structure):
                 total = total + profile.affected_rows * self.maintenance_weight(
                     structure
@@ -258,13 +277,7 @@ class RowstoreCostModel:
         )
         if profile.is_write:
             return self._write_cost(profile, design)
-        best = self._scan_cost(profile.anchor) + self._post_cost(profile)
-        for structure in list(design.indices_for(profile.anchor.table)) + list(
-            design.views_for(profile.anchor.table)
-        ):
-            cost = self.structure_cost(profile, structure)
-            if cost is not None and cost < best:
-                best = cost
+        _, best = self._best_path(profile, design)
         dim_cost = sum(self._dimension_cost(d, design) for d in profile.dimensions)
         return QUERY_OVERHEAD_MS + best + dim_cost
 

@@ -158,24 +158,27 @@ class SamplesCostModel:
         )
         if profile.is_write:
             return self._write_cost(profile, design)
-        best = self.exact_cost(profile)
-        for sample in design.for_table(profile.anchor.table):
-            cost = self.sample_cost(profile, sample)
-            if cost is not None and cost < best:
-                best = cost
+        _, best = self._best_sample(profile, design)
         return QUERY_OVERHEAD_MS + best
 
     def choose_sample(
         self, profile: QueryProfile, design: SampleDesign
     ) -> StratifiedSample | None:
         """The sample the optimizer would use (None = exact execution)."""
+        return self._best_sample(profile, design)[0]
+
+    def _best_sample(
+        self, profile: QueryProfile, design: SampleDesign
+    ) -> tuple[StratifiedSample | None, float]:
+        """The cheapest path — exact execution (``None``) or one of the
+        design's samples — and its cost."""
         best_sample = None
         best = self.exact_cost(profile)
         for sample in design.for_table(profile.anchor.table):
             cost = self.sample_cost(profile, sample)
             if cost is not None and cost < best:
                 best_sample, best = sample, cost
-        return best_sample
+        return best_sample, best
 
     def workload_cost(self, queries, design: SampleDesign) -> WorkloadCostReport:
         """Cost every query in ``queries`` under ``design``."""

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import astuple, dataclass
+from collections import deque
+from dataclasses import astuple, dataclass, replace
 
 from repro.designers import registry
 from repro.harness.scheduler import RedesignPolicy
@@ -246,7 +247,7 @@ class ServeDaemon:
         self.redesigns_failed = 0
         self.design_window: Workload | None = None
         self.pending: PendingRedesign | None = None
-        self.history: list[WorkloadQuery] = []
+        self.history: deque[WorkloadQuery] = deque(maxlen=serve.history_limit)
         self.priced: list[PricedQuery] = []
         self.swaps = 0
         self.resumed = False
@@ -331,7 +332,7 @@ class ServeDaemon:
         self.design_window = state["design_window"]
         self.policy.restore(state["policy"])
         self.monitor.restore(state["monitor"])
-        self.history = list(state["history"])
+        self.history = deque(state["history"], maxlen=self.serve.history_limit)
         self.priced = list(state["priced"]) if state["priced"] is not None else []
         restore_costing(self.adapter, state["costing"])
         if self.learner is not None:
@@ -381,9 +382,16 @@ class ServeDaemon:
         )
 
     def _ingest(self, query: WorkloadQuery) -> None:
+        # A query stamped before the newest one the drift window holds
+        # (clients merged in arrival order) is late: it is priced and
+        # recorded with its own timestamp, while the window index, the
+        # monitor and the history see it at that newest timestamp.
+        newest = self.monitor.newest
+        late = newest is not None and query.timestamp < newest
+        placed = replace(query, timestamp=newest) if late else query
         if self.window_anchor is None:
-            self.window_anchor = query.timestamp
-        index = int((query.timestamp - self.window_anchor) // self.window_days)
+            self.window_anchor = placed.timestamp
+        index = int((placed.timestamp - self.window_anchor) // self.window_days)
         while index > self.window_index:
             # Increment first: every checkpoint written inside the
             # boundary (window step, forced swap save) must snapshot the
@@ -394,17 +402,16 @@ class ServeDaemon:
         record = self._price(query)
         self.position += 1
         metrics = get_metrics()
+        if late:
+            metrics.counter("serve.late").inc()
         if record.cost_ms is None:
             # Unpriceable (malformed SQL, an unknown table): the ledger
             # records it, but the drift window and the re-design history
             # re-parse what they hold, so it stays out of both.
             metrics.counter("serve.rejected").inc()
         else:
-            self.monitor.observe(query)
-            if self.serve.history_limit:
-                self.history.append(query)
-                if len(self.history) > self.serve.history_limit:
-                    del self.history[: len(self.history) - self.serve.history_limit]
+            self.monitor.observe(placed)
+            self.history.append(placed)
         if self.serve.record_queries:
             self.priced.append(record)
         metrics.counter("serve.ingested").inc()

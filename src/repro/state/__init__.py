@@ -7,7 +7,8 @@
   ``REPRO_STATE_CRASH_AFTER`` fault-injection hooks.
 * :mod:`repro.state.capture` — capture/restore helpers for the state
   that makes resume bit-identical: sampler rng streams, designer state,
-  and warm cost-evaluation caches.
+  and warm cost-evaluation caches; :class:`PickleFieldsOnly` keeps
+  derived values out of snapshots.
 
 Contract (docs/state.md): a run checkpointed and killed after any
 iteration/window/Γ-point boundary resumes to a bit-identical final

@@ -11,9 +11,32 @@ exactly the counts the uninterrupted run had).  The service memoizes no
 cost, so the counters are all of its run state.  These helpers keep the
 knowledge of *where* that state lives in one place; the checkpoint call
 sites stay one-liners.
+
+The opposite direction lives here too: :class:`PickleFieldsOnly` keeps
+values a design caches about itself out of every snapshot.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+
+
+class PickleFieldsOnly:
+    """Mixin for frozen dataclasses that cache derived values in their
+    ``__dict__`` (``functools.cached_property``).
+
+    A pickle carries the dataclass fields only, in declaration order: the
+    bytes an object dumps to after it was priced are the bytes it dumped
+    to before, and no cached frozenset — whose pickle follows hash order —
+    reaches a checkpoint.  Unpickling restores the fields; the derived
+    values come back on first use.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        return {field.name: state[field.name] for field in fields(self)}
 
 
 def sampler_state(sampler) -> dict:

@@ -107,6 +107,12 @@ class WorkloadMonitor:
         """The sliding window's contents."""
         return Workload(list(self._current))
 
+    @property
+    def newest(self) -> float | None:
+        """Timestamp of the newest observed query (``None`` before the
+        first).  The sliding window never drops its newest entry."""
+        return self._current[-1].timestamp if self._current else None
+
     # -- streaming ------------------------------------------------------------------
 
     def observe(self, query: WorkloadQuery) -> DriftAlarm | None:

@@ -293,6 +293,33 @@ class TestServeEndToEnd:
         assert get_metrics().snapshot()["serve.rejected"] == 2
         assert outcome.final_design_digest == clean.final_design_digest
 
+    def test_out_of_order_query_is_priced_and_clamped(self):
+        """A query stamped before one already ingested (two clients merged
+        in arrival order) is priced and recorded with its own timestamp;
+        the window, the monitor and the history see it at the newest
+        timestamp so far, and ``serve.late`` counts it.  The monitor used
+        to raise out of the daemon here, after the query was priced."""
+        from dataclasses import replace
+
+        from repro.obs import get_metrics
+
+        source = QueueSource()
+        session = tiny_session(serve=dict(source=source))
+        trace = list(session.context.trace("R1"))
+        late = len(trace) // 2
+        trace[late] = replace(trace[late], timestamp=trace[late - 1].timestamp - 0.5)
+        for query in trace:
+            source.put_nowait(query)
+        source.close()
+        get_metrics().reset()
+        outcome = session.serve()
+        assert outcome.position == len(trace)
+        assert outcome.dropped == 0
+        assert get_metrics().snapshot()["serve.late"] == 1
+        assert outcome.priced[late].timestamp == trace[late].timestamp
+        assert outcome.priced[late].cost_ms is not None
+        check_invariants(outcome)
+
 
 # -- degradation --------------------------------------------------------------------
 
