@@ -158,12 +158,16 @@ class QueryProfiler:
         #: equal profile.
         self._profiles = BoundedMemo("costing.profile_evictions")
 
-    def profile(self, sql: str) -> QueryProfile:
-        """Parse and annotate ``sql`` (cached by exact text)."""
+    def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
+        """Parse and annotate ``sql`` (cached by exact text).
+
+        ``statement`` is ``sql`` already parsed, for a caller that needs
+        the AST too; a miss then annotates it instead of parsing again.
+        """
         cached = self._profiles.get(sql)
         if cached is not None:
             return cached
-        profile = self._build(sql, parse(sql))
+        profile = self._build(sql, parse(sql) if statement is None else statement)
         self._profiles[sql] = profile
         return profile
 

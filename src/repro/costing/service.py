@@ -91,8 +91,9 @@ class CostModel(Protocol):
     ever touches these three members.
     """
 
-    def profile(self, sql: str):  # pragma: no cover - protocol
-        """Parse and schema-resolve one SQL text."""
+    def profile(self, sql: str, statement=None):  # pragma: no cover - protocol
+        """Parse and schema-resolve one SQL text (``statement``: the text
+        already parsed)."""
         ...
 
     def query_cost(self, sql_or_profile, design) -> float:  # pragma: no cover

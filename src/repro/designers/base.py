@@ -28,6 +28,7 @@ from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.samples.design import SampleDesign, StratifiedSample
 from repro.samples.optimizer import SamplesCostModel
+from repro.sql.ast import Statement
 from repro.workload.workload import Workload
 
 #: Vertica auto-picked a 50 GB budget for the paper's 151 GB dataset; we
@@ -133,9 +134,10 @@ class DesignAdapter(abc.ABC):
         is charged the columnar one."""
         return price_bytes / 1e9 * DEPLOY_SECONDS_PER_GB
 
-    def profile(self, sql: str) -> QueryProfile:
-        """Schema-resolved profile for one query."""
-        return self.cost_model.profile(sql)
+    def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
+        """Schema-resolved profile for one query (``statement``: ``sql``
+        already parsed, so a profile miss does not parse it again)."""
+        return self.cost_model.profile(sql, statement)
 
     def query_cost(self, sql_or_profile, design) -> float:
         """Estimated latency of one query under ``design``."""

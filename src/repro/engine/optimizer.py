@@ -32,6 +32,7 @@ from repro.costing.profile import QueryProfile, QueryProfiler, TableAccess, reso
 from repro.costing.report import WorkloadCostReport
 from repro.engine.design import PhysicalDesign
 from repro.engine.projection import Projection, super_projection
+from repro.sql.ast import Statement
 
 __all__ = [
     "ColumnarCostModel",
@@ -86,9 +87,10 @@ class ColumnarCostModel:
             name: super_projection(table) for name, table in schema.tables.items()
         }
 
-    def profile(self, sql: str) -> QueryProfile:
-        """Parse and annotate ``sql`` (cached by exact text)."""
-        return self.profiler.profile(sql)
+    def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
+        """Parse and annotate ``sql`` (cached by exact text; ``statement``
+        is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
+        return self.profiler.profile(sql, statement)
 
     # -- costing ---------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.costing.report import WorkloadCostReport
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
+from repro.sql.ast import Statement
 
 # -- cost constants (model milliseconds) --------------------------------------
 
@@ -70,9 +71,10 @@ class RowstoreCostModel:
         }
         self.profiler = QueryProfiler(schema, self.statistics)
 
-    def profile(self, sql: str) -> QueryProfile:
-        """Parse and annotate ``sql`` (cached by exact text)."""
-        return self.profiler.profile(sql)
+    def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
+        """Parse and annotate ``sql`` (cached by exact text; ``statement``
+        is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
+        return self.profiler.profile(sql, statement)
 
     # -- access paths ------------------------------------------------------------
 

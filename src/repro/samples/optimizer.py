@@ -16,6 +16,7 @@ from repro.catalog.statistics import TableStatistics
 from repro.costing.profile import QueryProfile, QueryProfiler
 from repro.costing.report import WorkloadCostReport
 from repro.samples.design import SampleDesign, StratifiedSample
+from repro.sql.ast import Statement
 
 #: Sequential scan cost per byte (matches the other engines).
 BYTE_COST_MS = 5e-6
@@ -51,9 +52,10 @@ class SamplesCostModel:
         }
         self.profiler = QueryProfiler(schema, self.statistics)
 
-    def profile(self, sql: str) -> QueryProfile:
-        """Parse and annotate ``sql`` (cached by exact text)."""
-        return self.profiler.profile(sql)
+    def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
+        """Parse and annotate ``sql`` (cached by exact text; ``statement``
+        is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
+        return self.profiler.profile(sql, statement)
 
     # -- serviceability -----------------------------------------------------------
 

@@ -48,6 +48,8 @@ from repro.parallel.jobs import BackgroundJob
 from repro.serve.config import ServeConfig
 from repro.serve.handle import ActiveDesign, design_digest
 from repro.serve.sources import QuerySource
+from repro.sql.ast import Statement
+from repro.sql.parser import parse
 from repro.state import (
     RunCheckpointer,
     costing_state,
@@ -364,22 +366,27 @@ class ServeDaemon:
 
     # -- hot path ----------------------------------------------------------------
 
-    def _price(self, query: WorkloadQuery) -> PricedQuery:
+    def _price(self, query: WorkloadQuery) -> tuple[PricedQuery, Statement | None]:
+        """The query's pricing record and its parsed statement (``None``
+        when it is unpriceable) — the one parse of this query, shared by
+        the profiler and the drift monitor."""
         with self.active.pin() as (epoch, design):
             try:
-                profile = self.adapter.profile(query.sql)
+                statement = parse(query.sql)
+                profile = self.adapter.profile(query.sql, statement)
             except ValueError:
-                cost = None
+                statement = cost = None
             else:
                 cost = self.adapter.query_cost(profile, design)
                 if profile.is_write:
                     get_metrics().counter("writes.ingested").inc()
-        return PricedQuery(
+        record = PricedQuery(
             position=self.position,
             timestamp=query.timestamp,
             epoch=epoch,
             cost_ms=cost,
         )
+        return record, statement
 
     def _ingest(self, query: WorkloadQuery) -> None:
         # A query stamped before the newest one the drift window holds
@@ -399,18 +406,19 @@ class ServeDaemon:
             completed = self.window_index
             self.window_index += 1
             self._boundary(completed)
-        record = self._price(query)
+        record, statement = self._price(query)
         self.position += 1
         metrics = get_metrics()
         if late:
             metrics.counter("serve.late").inc()
         if record.cost_ms is None:
             # Unpriceable (malformed SQL, an unknown table): the ledger
-            # records it, but the drift window and the re-design history
-            # re-parse what they hold, so it stays out of both.
+            # records it, but it stays out of the drift window and the
+            # re-design history, which re-parse what they hold (a
+            # restored window, a re-design's workload).
             metrics.counter("serve.rejected").inc()
         else:
-            self.monitor.observe(placed)
+            self.monitor.observe(placed, statement)
             self.history.append(placed)
         if self.serve.record_queries:
             self.priced.append(record)

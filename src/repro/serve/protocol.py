@@ -19,6 +19,7 @@ misbehaving client must not take the tuner down (docs/serving.md).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.workload.query import WorkloadQuery
@@ -79,15 +80,20 @@ def decode_line(line: str | bytes) -> WorkloadQuery | ServeControl:
     sql = record.get("sql")
     if not isinstance(sql, str) or not sql:
         raise ProtocolError(f"query record needs a non-empty 'sql': {text[:80]!r}")
-    timestamp = record.get("timestamp", 0.0)
-    frequency = record.get("frequency", 1.0)
-    if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
-        raise ProtocolError(f"timestamp must be a number, got {timestamp!r}")
-    if not isinstance(frequency, (int, float)) or isinstance(frequency, bool):
-        raise ProtocolError(f"frequency must be a number, got {frequency!r}")
+    numbers = {}
+    for name, default in (("timestamp", 0.0), ("frequency", 1.0)):
+        value = record.get(name, default)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ProtocolError(f"{name} must be a number, got {value!r}")
+        # json.loads accepts NaN and ±Infinity, and integers past the
+        # float range; none is a point on the trace clock or a weight.
+        try:
+            numbers[name] = float(value)
+        except OverflowError:
+            numbers[name] = math.inf
+        if not math.isfinite(numbers[name]):
+            raise ProtocolError(f"{name} must be finite, got {value!r}")
     try:
-        return WorkloadQuery(
-            sql=sql, timestamp=float(timestamp), frequency=float(frequency)
-        )
+        return WorkloadQuery(sql=sql, **numbers)
     except ValueError as error:  # e.g. non-positive frequency
         raise ProtocolError(str(error)) from error

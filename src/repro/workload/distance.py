@@ -22,7 +22,12 @@ Variants:
 
 Implementation notes: templates are encoded as fixed-width ``uint64`` bit
 arrays, so every Hamming distance is a vectorized XOR + popcount; the
-quadratic form is evaluated in chunked numpy.  For the sampler's hot path
+quadratic form is evaluated in chunked numpy.  Only the words some mask
+of the pair sum uses are XOR-ed: a word that is zero in every mask adds
+zero to every distance, and a reading's masks use a median of 2 of the
+13 words of an 809-column schema.  The chunks are still sized by the
+full width, so the skip changes neither the integer Hamming matrix nor
+the float summation order.  For the sampler's hot path
 (``W0`` vs. a template-disjoint probe ``Q``) the form decomposes as
 ``δ = q(V_W0) + 2·cross(W0, Q) + q(V_Q)`` with the per-workload self term
 ``q(·)`` cached, cutting the cost from ``O(T0²)`` to ``O(T0·k)`` per probe.
@@ -176,7 +181,16 @@ class WorkloadDistance:
         """``Σ_i Σ_j a_i b_j · hamming(mask_a_i, mask_b_j)`` (chunked)."""
         if weights_a.size == 0 or weights_b.size == 0:
             return 0.0
+        # Chunk rows stay sized by the full width: each chunk adds one
+        # partial sum, so the chunking fixes the float summation order.
         rows_per_chunk = max(1, _CHUNK_WORD_BUDGET // max(1, weights_b.size * self._words))
+        # A word no mask uses XORs to zero in every pair; drop it first.
+        used = masks_a.any(axis=0)
+        if masks_b is masks_a:
+            masks_a = masks_b = masks_a[:, used]
+        else:
+            used |= masks_b.any(axis=0)
+            masks_a, masks_b = masks_a[:, used], masks_b[:, used]
         total = 0.0
         for start in range(0, weights_a.size, rows_per_chunk):
             stop = start + rows_per_chunk

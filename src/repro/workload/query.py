@@ -22,7 +22,8 @@ class WorkloadQuery:
     frequency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.frequency <= 0:
+        # Negated, so that NaN fails too.
+        if not self.frequency > 0:
             raise ValueError("frequency must be positive")
 
     @property

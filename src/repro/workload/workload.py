@@ -124,26 +124,33 @@ class Workload:
         trivia like ``SELECT version()``).  The vector is cached per clause
         spec.
         """
-        cache_key = clauses if isinstance(clauses, str) else tuple(clauses)
+        cache_key = _spec_key(clauses)
         cached = self._vectors.get(cache_key)
         if cached is not None:
             return cached
-        raw: dict[VectorKey, float] = defaultdict(float)
-        total = 0.0
-        for query in self.queries:
-            template = query.template
-            if template.is_empty:
-                continue
-            key = template_key(template, clauses)
-            if not _key_nonempty(key):
-                continue
-            raw[key] += query.frequency
-            total += query.frequency
-        vector = (
-            {key: weight / total for key, weight in raw.items()} if total else {}
+        vector = _normalized_vector(
+            (template_key(query.template, clauses), query.frequency)
+            for query in self.queries
         )
         self._vectors[cache_key] = vector
         return vector
+
+    @classmethod
+    def keyed(
+        cls,
+        queries: Iterable[WorkloadQuery],
+        clauses: ClauseSpec | str,
+        keys: Iterable[VectorKey],
+    ) -> "Workload":
+        """A workload whose template keys under ``clauses`` the caller
+        already holds, one per query in order.  Its vector for that spec
+        is built from them, so no SQL is re-analysed; it equals the one
+        :meth:`template_vector` computes from the texts, bit for bit."""
+        workload = cls(queries)
+        workload._vectors[_spec_key(clauses)] = _normalized_vector(
+            zip(keys, (query.frequency for query in workload.queries), strict=True)
+        )
+        return workload
 
     def query_weight(self, sql: str) -> float:
         """Normalized weight of one SQL text within this workload."""
@@ -171,7 +178,26 @@ class Workload:
         )
 
 
+def _spec_key(clauses: ClauseSpec | str) -> object:
+    return clauses if isinstance(clauses, str) else tuple(clauses)
+
+
 def _key_nonempty(key: VectorKey) -> bool:
     if isinstance(key, tuple):
         return any(part for part in key)
     return bool(key)
+
+
+def _normalized_vector(
+    entries: Iterable[tuple[VectorKey, float]],
+) -> dict[VectorKey, float]:
+    """``V_W`` from ``(template key, frequency)`` pairs in query order;
+    empty keys (queries referencing no columns) are ignored."""
+    raw: dict[VectorKey, float] = defaultdict(float)
+    total = 0.0
+    for key, frequency in entries:
+        if not _key_nonempty(key):
+            continue
+        raw[key] += frequency
+        total += frequency
+    return {key: weight / total for key, weight in raw.items()} if total else {}

@@ -293,6 +293,47 @@ class TestServeEndToEnd:
         assert get_metrics().snapshot()["serve.rejected"] == 2
         assert outcome.final_design_digest == clean.final_design_digest
 
+    def test_non_finite_wire_number_is_counted_and_skipped(self, tmp_path):
+        """A ``"timestamp": NaN`` line mid-stream is a protocol error the
+        socket counts and skips; it used to raise ``ValueError`` out of
+        the daemon's window index and end the run."""
+        import socket
+
+        from repro.serve.protocol import encode_control, encode_query
+        from repro.serve.sources import SocketSource
+
+        path = str(tmp_path / "serve.sock")
+        source = SocketSource(path=path)
+        session = tiny_session(serve=dict(source=source))
+        good = [encode_query(query) for query in session.context.trace("R1")[:40]]
+        poisoned = json.dumps({"sql": "SELECT fact_00.attr_00 FROM fact_00", "timestamp": float("nan")})
+        lines = [*good[:20], poisoned, *good[20:], encode_control()]
+
+        def feed():
+            deadline = time.monotonic() + 10.0
+            while True:  # the daemon binds the listener concurrently
+                client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
+                    client.connect(path)
+                    break
+                except OSError:
+                    client.close()
+                    if time.monotonic() >= deadline:
+                        raise
+                    time.sleep(0.02)
+            with client:
+                client.sendall(("\n".join(lines) + "\n").encode("utf-8"))
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            outcome = session.serve()
+        finally:
+            feeder.join()
+        assert source.protocol_errors == 1
+        assert outcome.position == len(good)
+        check_invariants(outcome)
+
     def test_out_of_order_query_is_priced_and_clamped(self):
         """A query stamped before one already ingested (two clients merged
         in arrival order) is priced and recorded with its own timestamp;

@@ -95,6 +95,15 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             decode_line(line)
 
+    @pytest.mark.parametrize("field", ["timestamp", "frequency"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400])
+    def test_non_finite_numbers_raise(self, field, literal):
+        """json.loads accepts these; a NaN timestamp used to raise
+        ``ValueError`` out of the daemon's window index, and a NaN
+        frequency was accepted."""
+        with pytest.raises(ProtocolError, match=f"{field} must be finite"):
+            decode_line(f'{{"sql": "SELECT 1 FROM t", "{field}": {literal}}}')
+
     def test_wire_format_is_compact_json(self):
         line = encode_query(WorkloadQuery(sql="SELECT 1 FROM t", timestamp=2.0))
         record = json.loads(line)

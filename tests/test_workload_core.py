@@ -16,6 +16,10 @@ class TestWorkloadQuery:
         with pytest.raises(ValueError):
             WorkloadQuery(sql="SELECT a FROM t", frequency=0)
 
+    def test_rejects_nan_frequency(self):
+        with pytest.raises(ValueError):
+            WorkloadQuery(sql="SELECT a FROM t", frequency=float("nan"))
+
     def test_template_extraction(self):
         query = q("SELECT t.a FROM t WHERE t.b = 1")
         assert query.template.union == frozenset({"t.a", "t.b"})
