@@ -241,9 +241,7 @@ def _run_matrix_stream(substrate: str, shape: dict):
         gc.collect()
         started = time.perf_counter()
         for q_slice, c_slice in calls:
-            base, matrix = service.candidate_costs(
-                profiles[q_slice], pool[c_slice], adapter.make_design
-            )
+            base, matrix = service.candidate_costs(profiles[q_slice], pool[c_slice])
             out.append((base, matrix))
         seconds[mode] = time.perf_counter() - started
         outputs[mode] = out

@@ -22,14 +22,14 @@ Contract (see ``docs/cost_model.md`` for the prose version):
 * **No cost is memoized.**  Every entry point collapses its request to
   distinct SQL and prices it; a caller that needs a cost twice keeps
   the one it was given.  What the service does keep is derived state —
-  compiled workload arenas, the candidate-matrix cache and a
-  design-fingerprint memo — which depends only on the queries, the
-  candidates and the model, is never exported, and cannot change a
-  float or an exported counter.
-* **Fingerprints are content hashes.**  A design's fingerprint digests
-  the canonical DDL of its structures in deterministic order, so
-  content-identical designs share candidate-matrix columns even when
-  they are distinct objects.
+  compiled workload arenas and the candidate-matrix cache — which
+  depends only on the queries, the candidates and the model, is never
+  exported, and cannot change a float or an exported counter.
+* **Identity is content.**  A design's fingerprint digests the
+  canonical DDL of its structures in deterministic order, and a
+  candidate-matrix column is keyed by its structure's DDL text, so
+  content-identical candidates share columns even when they are
+  distinct objects.
 * **One pricing path, in process.**  Every batched request is priced by
   :meth:`CostEvaluationService._price`: the request's arena bound to
   the design, or the scalar model below ``KERNEL_MIN_BATCH`` distinct
@@ -63,9 +63,6 @@ from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
 
-#: Designs whose fingerprints are memoized (they are hashable, so the
-#: digest only has to be computed once per distinct design).
-DEFAULT_MAX_FINGERPRINTS = 16_384
 #: Requests with fewer distinct queries stay on the scalar path:
 #: compiling the structure-of-arrays batch has fixed overhead that only
 #: pays off once a vectorized call amortizes it over enough pairs.
@@ -271,16 +268,16 @@ class ArenaStats(_Counters):
 class _MatrixColumn:
     """One priced candidate column over a matrix entry's query rows.
 
-    ``values[q]`` is the kernel's single-structure cost where
-    ``price[q]`` is set and ``0.0`` elsewhere; ``price``/``unservable``
-    are the :meth:`candidate_frame` masks for this candidate.  A column
+    ``costs[q]`` is the matrix cell itself: the kernel's single-structure
+    cost where ``price[q]`` is set, ``inf`` where the candidate cannot
+    serve the query, and the entry's base cost elsewhere; ``price`` is
+    the :meth:`candidate_frame` price mask for this candidate.  A column
     priced before its entry was extended is shorter than the entry —
     its tail is priced on the next request that needs it.
     """
 
-    values: np.ndarray
+    costs: np.ndarray
     price: np.ndarray
-    unservable: np.ndarray
 
 
 @dataclass
@@ -302,12 +299,13 @@ class _MatrixEntry:
     index: dict[str, int]
     #: (N,) empty-design costs, priced eagerly at build time.
     base: np.ndarray
-    #: candidate fingerprint -> priced column, LRU-ordered (oldest first).
+    #: candidate DDL text (``str(structure)``) -> priced column,
+    #: LRU-ordered (oldest first).
     columns: OrderedDict[str, _MatrixColumn]
 
     @property
     def cells(self) -> int:
-        return sum(col.values.shape[0] for col in self.columns.values())
+        return sum(col.costs.shape[0] for col in self.columns.values())
 
 
 # -- the service -----------------------------------------------------------------
@@ -371,17 +369,6 @@ class CostEvaluationService:
         #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
         #: state: never exported, rebuilt on demand (see _MatrixEntry).
         self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
-        #: design object -> fingerprint (designs are hashable by content).
-        self._fingerprints = BoundedMemo(max_entries=DEFAULT_MAX_FINGERPRINTS)
-
-    # -- fingerprints --------------------------------------------------------------
-
-    def design_fingerprint(self, design) -> str:
-        """Memoized content hash of ``design``."""
-        cached = self._fingerprints.get(design)
-        if cached is None:
-            cached = self._fingerprints[design] = design_fingerprint(design)
-        return cached
 
     def clear(self) -> None:
         """Drop every compiled arena and candidate-matrix entry.
@@ -391,8 +378,7 @@ class CostEvaluationService:
         and matrix columns into their costs (matrix entries pin their
         own arena reference, so an empty arena cache does not imply an
         empty matrix; matrix drops are not counted as arena
-        invalidations).  Fingerprints survive — content hashes stay
-        valid as long as the design objects do.
+        invalidations).
         """
         t = tracer()
         entries, columns = len(self._matrix), self.cached_matrix_columns
@@ -415,12 +401,12 @@ class CostEvaluationService:
         run's counter deltas bit-identical to the uninterrupted run's
         (see docs/state.md), and the export stays the same size however
         long the run.  Compiled workload arenas, the candidate-matrix
-        cache, the fingerprint memo and :class:`ArenaStats` are not
-        exported — all are derived state (pure functions of the
-        queries, the candidates, and the model, rebuilt on demand after
-        a resume), and folding their counters into the snapshot would
-        make a resumed run's exported stats diverge from the
-        uninterrupted run's even though every cost is identical.
+        cache and :class:`ArenaStats` are not exported — all are derived
+        state (pure functions of the queries, the candidates, and the
+        model, rebuilt on demand after a resume), and folding their
+        counters into the snapshot would make a resumed run's exported
+        stats diverge from the uninterrupted run's even though every
+        cost is identical.
         """
         return {"stats": self.stats.snapshot()}
 
@@ -545,7 +531,7 @@ class CostEvaluationService:
             )
         return entry
 
-    def _matrix_entry_for(self, sqls: tuple[str, ...], profiles, fps=()):
+    def _matrix_entry_for(self, sqls: tuple[str, ...], profiles, keys=()):
         """``(entry, rows)`` covering ``sqls`` (``rows=None`` = identity).
 
         Resolution order: exact key, then a resident superset entry
@@ -554,7 +540,7 @@ class CostEvaluationService:
         every call builds an entry that is not retained — same pricing,
         same counters.
 
-        ``fps`` — the request's candidate fingerprints — gates the
+        ``keys`` — the request's candidate column keys — gates the
         superset and extension paths: serving a request through a
         *wider* entry prices every fresh candidate over the entry's
         full query axis, which only pays off when at least half the
@@ -569,11 +555,11 @@ class CostEvaluationService:
         if entry is not None:
             self._matrix.move_to_end(key)
             return entry, None
-        unique_fps = set(fps)
+        unique_keys = set(keys)
 
         def _warm_enough(other: _MatrixEntry) -> bool:
-            priced = sum(1 for fp in unique_fps if fp in other.columns)
-            return 2 * priced >= len(unique_fps)
+            priced = sum(1 for k in unique_keys if k in other.columns)
+            return 2 * priced >= len(unique_keys)
 
         for other_key in reversed(self._matrix):
             other = self._matrix[other_key]
@@ -592,7 +578,7 @@ class CostEvaluationService:
         if (
             best is not None
             and 2 * best_overlap >= len(sqls)
-            and unique_fps
+            and unique_keys
             and _warm_enough(best)
         ):
             entry = self._extend_matrix_entry(best, sqls, profiles)
@@ -607,15 +593,13 @@ class CostEvaluationService:
         if start:
             batch = batch.take(list(range(start, len(entry.sqls))))
         price, unservable = batch.candidate_frame()
-        numeric = batch.candidate_costs()
-        return [
-            _MatrixColumn(
-                values=np.where(price[j], numeric[j], 0.0),
-                price=np.array(price[j], dtype=bool),
-                unservable=np.array(unservable[j], dtype=bool),
-            )
-            for j in range(len(members))
-        ]
+        price = np.array(price, dtype=bool)
+        costs = np.where(
+            price,
+            batch.candidate_costs(),
+            np.where(unservable, np.inf, entry.base[None, start:]),
+        )
+        return [_MatrixColumn(costs=costs[j], price=price[j]) for j in range(len(members))]
 
     def _shrink_matrix(self) -> None:
         """Enforce the cell budget by dropping least-recently-used
@@ -623,11 +607,13 @@ class CostEvaluationService:
         resident entry's base is never dropped — it is almost certainly
         the one the current design stream is using."""
         t = tracer()
-        while self._matrix and self.cached_matrix_cells > self.max_matrix_cells:
+        cells = self.cached_matrix_cells
+        while self._matrix and cells > self.max_matrix_cells:
             key = next(iter(self._matrix))
             entry = self._matrix[key]
             if entry.columns:
-                entry.columns.popitem(last=False)
+                _, column = entry.columns.popitem(last=False)
+                cells -= column.costs.shape[0]
                 self.arena_stats.matrix_evictions += 1
                 if t.enabled:
                     t.emit("matrix_evict", reason="lru", key=key, columns=1)
@@ -674,7 +660,7 @@ class CostEvaluationService:
             t.emit(
                 "kernel_batch",
                 substrate=self.kernel.name,
-                design=self.design_fingerprint(design),
+                design=design_fingerprint(design),
                 pairs=len(unique),
                 structures=batch.structure_count,
             )
@@ -780,11 +766,15 @@ class CostEvaluationService:
         with _Timer(self.stats):
             return [row[0] for row in self._batched_reports(designs, [workload])]
 
-    def candidate_costs(self, profiles: Sequence, candidates: Sequence, make_design):
+    def candidate_costs(self, profiles: Sequence, candidates: Sequence):
         """``(base_costs, matrix)`` for greedy candidate selection.
 
+        Both are fresh C-contiguous float64 arrays, on every resolution
+        path: reductions over them (the bandit's BLAS calls) read the same
+        bits whichever path served the request.
+
         Pricing goes through the bounded candidate-matrix cache: priced
-        (candidate-fingerprint × arena) columns persist across calls, so
+        (candidate DDL text × arena) columns persist across calls, so
         a designer re-run over an arena-resident workload prices only
         the (query, candidate) pairs the cache has never seen — new SQL
         extends the resident entry (and each stale column's tail) in
@@ -808,94 +798,78 @@ class CostEvaluationService:
         with _Timer(self.stats):
             profiles = list(profiles)
             candidates = list(candidates)
-            sqls = [p.sql for p in profiles]
-            fps = [self.design_fingerprint(make_design([c])) for c in candidates]
+            sqls = tuple(p.sql for p in profiles)
+            # A column is keyed by its candidate's DDL text: the content
+            # identity a design fingerprint digests, read off the
+            # structure without building a design around it.
+            keys = [str(c) for c in candidates]
             t = tracer()
-            entry, mapped = self._matrix_entry_for(tuple(sqls), profiles, fps)
-            rows = np.arange(len(sqls), dtype=np.intp) if mapped is None else mapped
+            entry, rows = self._matrix_entry_for(sqls, profiles, keys)
             n_entry = len(entry.sqls)
-            # Base (empty-design) costs: the entry's eagerly priced base.
-            base = entry.base[rows]
             first_of: dict[str, int] = {}
-            for i, fp in enumerate(fps):
-                first_of.setdefault(fp, i)
-            fresh = [fp for fp in first_of if fp not in entry.columns]
+            for i, key in enumerate(keys):
+                first_of.setdefault(key, i)
+            fresh = [key for key in first_of if key not in entry.columns]
             stale_groups: dict[int, list[str]] = {}
-            for fp in first_of:
-                column = entry.columns.get(fp)
-                if column is not None and column.values.shape[0] < n_entry:
-                    stale_groups.setdefault(column.values.shape[0], []).append(fp)
+            for key in first_of:
+                column = entry.columns.get(key)
+                if column is not None and column.costs.shape[0] < n_entry:
+                    stale_groups.setdefault(column.costs.shape[0], []).append(key)
             priced_entry_cells = 0
             if fresh:
-                members = [candidates[first_of[fp]] for fp in fresh]
-                for fp, column in zip(fresh, self._price_columns(entry, members)):
-                    entry.columns[fp] = column
+                members = [candidates[first_of[key]] for key in fresh]
+                for key, column in zip(fresh, self._price_columns(entry, members)):
+                    entry.columns[key] = column
                     priced_entry_cells += int(column.price.sum())
             for old_len in sorted(stale_groups):
                 # Columns priced before the entry's last extension only
                 # cover a prefix; price the missing tail rows, grouped by
                 # prefix length so each group binds once.
                 group = stale_groups[old_len]
-                members = [candidates[first_of[fp]] for fp in group]
+                members = [candidates[first_of[key]] for key in group]
                 tails = self._price_columns(entry, members, start=old_len)
-                for fp, tail in zip(group, tails):
-                    column = entry.columns[fp]
-                    entry.columns[fp] = _MatrixColumn(
-                        values=np.concatenate([column.values, tail.values]),
+                for key, tail in zip(group, tails):
+                    column = entry.columns[key]
+                    entry.columns[key] = _MatrixColumn(
+                        costs=np.concatenate([column.costs, tail.costs]),
                         price=np.concatenate([column.price, tail.price]),
-                        unservable=np.concatenate(
-                            [column.unservable, tail.unservable]
-                        ),
                     )
                     priced_entry_cells += int(tail.price.sum())
-            for fp in first_of:
-                entry.columns.move_to_end(fp)
-            if candidates:
-                price_sub = np.stack([entry.columns[fp].price[rows] for fp in fps])
-                unserv_sub = np.stack(
-                    [entry.columns[fp].unservable[rows] for fp in fps]
-                )
-                values_sub = np.stack(
-                    [entry.columns[fp].values[rows] for fp in fps]
-                )
-                matrix = np.where(
-                    price_sub,
-                    values_sub,
-                    np.where(unserv_sub, np.inf, base[None, :]),
-                )
+            for key in first_of:
+                entry.columns.move_to_end(key)
+            columns = [entry.columns[key] for key in keys]
+            if columns:
+                matrix = np.stack([column.costs for column in columns])
+                price = np.stack([column.price for column in columns])
             else:
-                price_sub = np.zeros((0, len(sqls)), dtype=bool)
-                matrix = np.zeros((0, len(sqls)), dtype=np.float64)
-            priced_request = int(price_sub.sum())
+                matrix = np.zeros((0, n_entry), dtype=np.float64)
+                price = np.zeros((0, n_entry), dtype=bool)
+            is_write = np.asarray(entry.arena.is_write, dtype=bool)
+            if rows is None:
+                base = entry.base.copy()
+                rows = np.arange(n_entry, dtype=np.intp)
+            else:
+                # ``take`` keeps the row-mapped matrix C-contiguous; a
+                # ``[:, rows]`` index would return it in Fortran order.
+                base, is_write = entry.base[rows], is_write[rows]
+                matrix = np.take(matrix, rows, axis=1)
+                price = np.take(price, rows, axis=1)
+            priced_request = int(price.sum())
             # As-if-cold accounting: every base cost and every priced cell
             # is one request and one raw evaluation on every call,
             # whatever the matrix cache served — exported stats must not
             # leak warmth.
-            is_write = np.asarray(entry.arena.is_write, dtype=bool)[rows]
             self._charge(
                 len(sqls) + priced_request,
-                int(is_write.sum()) + int((price_sub & is_write[None, :]).sum()),
+                int(is_write.sum()) + int((price & is_write[None, :]).sum()),
                 kernel=True,
             )
             # Derived-state savings accounting (never exported): request
             # cells minus the cells this call actually priced.
-            new_request = 0
-            fresh_set = set(fresh)
-            stale_len = {
-                fp: old_len
-                for old_len, group in stale_groups.items()
-                for fp in group
-            }
-            counted: set[str] = set()
-            for i, fp in enumerate(fps):
-                if fp in counted:
-                    continue
-                if fp in fresh_set:
-                    new_request += int(price_sub[i].sum())
-                    counted.add(fp)
-                elif fp in stale_len:
-                    new_request += int(price_sub[i][rows >= stale_len[fp]].sum())
-                    counted.add(fp)
+            new_request = sum(int(price[first_of[key]].sum()) for key in fresh)
+            for old_len, group in stale_groups.items():
+                tail = rows >= old_len
+                new_request += sum(int(price[first_of[key]][tail].sum()) for key in group)
             warm_cells = priced_request - new_request
             self.arena_stats.matrix_pairs_priced += priced_entry_cells
             self.arena_stats.matrix_hits += warm_cells

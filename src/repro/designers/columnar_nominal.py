@@ -11,6 +11,8 @@ CliffGuard exists to repair).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.costing.profile import QueryProfile, TableAccess
 from repro.designers.base import ColumnarAdapter, Designer
 from repro.designers.greedy import evaluate_candidates, greedy_select
@@ -22,9 +24,16 @@ from repro.workload.workload import Workload
 MAX_SORT_DEPTH = 4
 
 
-def _ordered_columns(access: TableAccess, sort_key: tuple[str, ...], schema_order: list[str]) -> tuple[str, ...]:
-    """Projection column list: sort key first, the rest in table order."""
-    rest = [c for c in schema_order if c in access.needed_columns and c not in sort_key]
+def _ordered_columns(
+    columns: Iterable[str], sort_key: tuple[str, ...], position: dict[str, int]
+) -> tuple[str, ...]:
+    """Projection column list: sort key first, then the rest of
+    ``columns`` that the table defines, in table order (``position``:
+    column name -> its index in the table)."""
+    rest = sorted(
+        (c for c in columns if c in position and c not in sort_key),
+        key=position.__getitem__,
+    )
     return tuple(sort_key) + tuple(rest)
 
 
@@ -81,6 +90,10 @@ class ColumnarNominalDesigner(Designer):
         max_structures: int | None = None,
         merge_radius: int = MERGE_RADIUS,
     ):
+        if merge_radius < 0:
+            raise ValueError(f"merge_radius must be >= 0, got {merge_radius}")
+        if max_structures is not None and max_structures < 0:
+            raise ValueError(f"max_structures must be >= 0, got {max_structures}")
         self.adapter = adapter
         self.max_structures = max_structures
         self.merge_radius = merge_radius
@@ -89,17 +102,35 @@ class ColumnarNominalDesigner(Designer):
 
     def generate_candidates(self, workload: Workload) -> list[Projection]:
         """Per-template candidates plus merged cluster candidates."""
-        seen: set[Projection] = set()
+        # (table, columns, sort key) of every proposed projection: a
+        # repeat is recognized before a Projection is built and hashed.
+        seen: set[tuple] = set()
         candidates: list[Projection] = []
         schema = self.adapter.schema
+        positions: dict[str, dict[str, int]] = {}
         # Anchor accesses collected for the merged-candidate clustering
         # pass: (access, weight) pairs.
         anchor_accesses: list[tuple[TableAccess, float]] = []
 
-        def add(projection: Projection) -> None:
-            if projection not in seen:
-                seen.add(projection)
-                candidates.append(projection)
+        def position_of(table_name: str) -> dict[str, int]:
+            position = positions.get(table_name)
+            if position is None:
+                names = schema.table(table_name).column_names
+                position = positions[table_name] = {c: i for i, c in enumerate(names)}
+            return position
+
+        def add(table_name: str, columns: Iterable[str], sort_key: tuple[str, ...]) -> None:
+            ordered = _ordered_columns(columns, sort_key, position_of(table_name))
+            key = (table_name, ordered, sort_key)
+            if key not in seen:
+                seen.add(key)
+                candidates.append(
+                    Projection(
+                        table=table_name,
+                        columns=ordered,
+                        sort_columns=tuple(SortColumn(c) for c in sort_key),
+                    )
+                )
 
         for query in workload.collapsed():
             try:
@@ -109,8 +140,7 @@ class ColumnarNominalDesigner(Designer):
             for access in profile.tables:
                 if not access.needed_columns:
                     continue
-                table = schema.tables.get(access.table)
-                if table is None:
+                if access.table not in schema.tables:
                     continue
                 # A projection only ever beats the super-projection through
                 # its sort prefix; an access with no filters and no
@@ -119,28 +149,15 @@ class ColumnarNominalDesigner(Designer):
                 has_grouping = access is profile.anchor and bool(profile.group_by)
                 if not has_filters and not has_grouping:
                     continue
-                order = table.column_names
                 filter_key = _filter_first_sort(access)
                 if not filter_key and has_grouping:
                     filter_key = tuple(profile.group_by[:1])
                 if filter_key:
-                    add(
-                        Projection(
-                            table=access.table,
-                            columns=_ordered_columns(access, filter_key, order),
-                            sort_columns=tuple(SortColumn(c) for c in filter_key),
-                        )
-                    )
+                    add(access.table, access.needed_columns, filter_key)
                 if access is profile.anchor and profile.group_by:
                     group_key = _group_first_sort(profile)
                     if group_key:
-                        add(
-                            Projection(
-                                table=access.table,
-                                columns=_ordered_columns(access, group_key, order),
-                                sort_columns=tuple(SortColumn(c) for c in group_key),
-                            )
-                        )
+                        add(access.table, access.needed_columns, group_key)
                 if access is profile.anchor:
                     anchor_accesses.append((access, query.frequency))
 
@@ -152,7 +169,6 @@ class ColumnarNominalDesigner(Designer):
             self._note_cluster(clusters, access, weight)
 
         for table_name, table_clusters in clusters.items():
-            order = schema.table(table_name).column_names
             for cluster in table_clusters:
                 if cluster["members"] < 2:
                     continue
@@ -161,17 +177,7 @@ class ColumnarNominalDesigner(Designer):
                 # sort prefix, so robustness against a drifting filter
                 # column means owning a variant sorted by each likely one.
                 for sort_key in self._cluster_sort_keys(cluster):
-                    columns = self._trimmed_columns(cluster, sort_key)
-                    ordered = tuple(sort_key) + tuple(
-                        c for c in order if c in columns and c not in sort_key
-                    )
-                    add(
-                        Projection(
-                            table=table_name,
-                            columns=ordered,
-                            sort_columns=tuple(SortColumn(c) for c in sort_key),
-                        )
-                    )
+                    add(table_name, self._trimmed_columns(cluster, sort_key), sort_key)
         return candidates
 
     def _note_cluster(self, clusters: dict, access: TableAccess, weight: float) -> None:
@@ -186,9 +192,10 @@ class ColumnarNominalDesigner(Designer):
         """
         table_clusters = clusters.setdefault(access.table, [])
         for cluster in table_clusters:
+            if len(cluster["columns"] ^ access.needed_columns) > self.merge_radius:
+                continue
             union = cluster["columns"] | access.needed_columns
-            symmetric = len(cluster["columns"] ^ access.needed_columns)
-            if symmetric <= self.merge_radius and len(union) <= MAX_MERGED_WIDTH:
+            if len(union) <= MAX_MERGED_WIDTH:
                 cluster["columns"] = union
                 cluster["members"] += 1
                 for name in access.needed_columns:

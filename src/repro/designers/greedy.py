@@ -11,6 +11,8 @@ approximations of the nominal optima" — this module is that strategy.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +67,7 @@ def evaluate_candidates(
 
     service = adapter.costing
     if profiles and candidates and getattr(service, "kernel", None) is not None:
-        base, matrix = service.candidate_costs(
-            profiles, candidates, adapter.make_design
-        )
+        base, matrix = service.candidate_costs(profiles, candidates)
     else:
         empty = adapter.empty_design()
         base = np.array(
@@ -112,51 +112,72 @@ def greedy_select(
 ) -> list:
     """Greedy benefit-per-byte selection under a byte budget.
 
-    Returns the chosen candidate structures.  The marginal benefit of a
-    candidate is computed against the running per-query best costs, so
-    overlapping candidates are not double-counted.
+    Returns the chosen candidate structures, in pick order.  The marginal
+    benefit of a candidate is computed against the running per-query
+    best costs, so overlapping candidates are not double-counted:
+    ``benefit[c] = Σ_q w_q · max(0, current_q − matrix[c, q])`` over the
+    finite improvements, summed with :func:`math.fsum` — correctly
+    rounded, so the value does not depend on the order of the queries.
+    Each pick takes the affordable candidate of highest
+    ``benefit / max(size, 1)``, the lower candidate index on a tie, and
+    selection stops when that benefit is at most ``min_benefit_ms``.
+    Weights must be finite and non-negative (they are query frequencies).
+
+    The loop is lazy: a pick only lowers ``current``, so a benefit can
+    only fall, and a max-heap of last-known densities re-prices just its
+    top entry until a freshly priced entry stays on top.  Only the cells
+    below the base cost are ever read after setup — a small fraction of
+    the matrix, since a structure improves few of the queries it sees.
     """
     if not evaluation.candidates or evaluation.base_costs.size == 0:
         return []
-    current = evaluation.base_costs.copy()
-    weights = evaluation.weights
+    base = evaluation.base_costs
     matrix = evaluation.matrix
-    sizes = evaluation.sizes
+    weights = evaluation.weights.tolist()
+    sizes = evaluation.sizes.tolist()
     remaining = float(budget_bytes)
-    chosen: list[int] = []
-    available = np.ones(len(evaluation.candidates), dtype=bool)
 
-    # benefit[c] = Σ_q w_q · max(0, current_q − matrix[c, q]).  The
-    # improvements array is materialized once and updated in place per
-    # pick, for only the queries the pick improved: a column whose
-    # ``current_q`` did not move keeps byte-identical improvements, so
-    # the dot products — and therefore the selection order — match the
-    # full rebuild exactly.
-    improvements = np.maximum(current[None, :] - matrix, 0.0)
-    improvements[~np.isfinite(improvements)] = 0.0
+    # The cells each candidate can improve: finite and below the base
+    # cost (``current`` never rises above it); candidate c's are
+    # ``reach[bounds[c]:bounds[c + 1]]``, as (query, cost) pairs.
+    rows, cols = np.nonzero(np.isfinite(matrix) & (matrix < base[None, :]))
+    bounds = np.searchsorted(rows, np.arange(len(sizes) + 1)).tolist()
+    reach = list(zip(cols.tolist(), matrix[rows, cols].tolist()))
+    current = base.tolist()
+    inf = math.inf
 
-    while True:
-        if max_structures is not None and len(chosen) >= max_structures:
-            break
-        affordable = available & (sizes <= remaining)
-        if not affordable.any():
-            break
-        benefits = improvements @ weights
-        benefits[~affordable] = -np.inf
-        density = benefits / np.maximum(sizes, 1.0)
-        pick = int(np.argmax(density))
-        if benefits[pick] <= min_benefit_ms:
-            break
-        chosen.append(pick)
-        available[pick] = False
-        remaining -= float(sizes[pick])
-        new_current = np.minimum(
-            current, np.where(np.isfinite(matrix[pick]), matrix[pick], np.inf)
+    def benefit_of(c: int) -> float:
+        # An improvement that overflows to inf counts 0, as it always has.
+        return math.fsum(
+            [
+                gain * weights[q]
+                for q, cost in reach[bounds[c] : bounds[c + 1]]
+                if 0.0 < (gain := current[q] - cost) < inf
+            ]
         )
-        touched = np.flatnonzero(new_current < current)
-        if touched.size:
-            delta = np.maximum(new_current[touched][None, :] - matrix[:, touched], 0.0)
-            delta[~np.isfinite(delta)] = 0.0
-            improvements[:, touched] = delta
-        current = new_current
+
+    benefits = [benefit_of(c) for c in range(len(sizes))]
+    # Entries are (-density, index, picks when priced): the heap's top is
+    # the highest density, the lower index on a tie, and an entry priced
+    # before the latest pick is an upper bound that needs re-pricing.
+    heap = [(-(b / max(s, 1.0)), c, 0) for c, (b, s) in enumerate(zip(benefits, sizes))]
+    heapq.heapify(heap)
+    chosen: list[int] = []
+    while heap and (max_structures is None or len(chosen) < max_structures):
+        _, c, priced_at = heap[0]
+        if sizes[c] > remaining:
+            heapq.heappop(heap)  # the budget only shrinks
+            continue
+        if priced_at != len(chosen):
+            benefits[c] = fresh = benefit_of(c)
+            heapq.heapreplace(heap, (-(fresh / max(sizes[c], 1.0)), c, len(chosen)))
+            continue
+        if benefits[c] <= min_benefit_ms:
+            break
+        heapq.heappop(heap)
+        chosen.append(c)
+        remaining -= sizes[c]
+        for q, cost in reach[bounds[c] : bounds[c + 1]]:
+            if cost < current[q]:
+                current[q] = cost
     return [evaluation.candidates[i] for i in chosen]

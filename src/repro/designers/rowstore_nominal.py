@@ -16,7 +16,7 @@ more than CliffGuard's.  This advisor reproduces both halves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.costing.profile import QueryProfile
 from repro.designers.base import Designer, RowstoreAdapter
@@ -50,15 +50,16 @@ class _CompressedTemplate:
     select_columns: set[str]
     weight: float
     has_aggregates: bool
+    #: Every column of the five roles; kept up to date by :func:`_merge`.
+    union: set[str] = field(init=False)
 
-    @property
-    def union(self) -> frozenset[str]:
-        return (
-            frozenset(self.eq_columns)
-            | frozenset(self.range_columns)
-            | frozenset(self.group_columns)
-            | frozenset(self.measure_columns)
-            | frozenset(self.select_columns)
+    def __post_init__(self) -> None:
+        self.union = (
+            set(self.eq_columns)
+            | set(self.range_columns)
+            | set(self.group_columns)
+            | set(self.measure_columns)
+            | self.select_columns
         )
 
 
@@ -102,6 +103,7 @@ def _merge(into: _CompressedTemplate, other: _CompressedTemplate) -> None:
         if name not in into.measure_columns:
             into.measure_columns.append(name)
     into.select_columns |= other.select_columns
+    into.union |= other.union
     into.weight += other.weight
     into.has_aggregates = into.has_aggregates or other.has_aggregates
 
@@ -137,6 +139,10 @@ class RowstoreNominalDesigner(Designer):
         compression_radius: int = COMPRESSION_RADIUS,
         max_structures: int | None = None,
     ):
+        if compression_radius < 0:
+            raise ValueError(f"compression_radius must be >= 0, got {compression_radius}")
+        if max_structures is not None and max_structures < 0:
+            raise ValueError(f"max_structures must be >= 0, got {max_structures}")
         self.adapter = adapter
         self.compression_radius = compression_radius
         self.max_structures = max_structures

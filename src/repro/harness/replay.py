@@ -80,9 +80,7 @@ def beneficial_queries(
         rows = [row_of.setdefault(c, len(row_of)) for own_q in own for c in own_q]
         cols = [q for q, own_q in enumerate(own) for _ in own_q]
         if rows:
-            _, matrix = service.candidate_costs(
-                profiles, list(row_of), adapter.make_design
-            )
+            _, matrix = service.candidate_costs(profiles, list(row_of))
             best = np.array(bases, dtype=np.float64)
             np.minimum.at(best, cols, matrix[rows, cols])
             ideal = best.tolist()

@@ -72,9 +72,7 @@ def _oracle_beneficial_queries(adapter, candidate_source, workload, factor=3.0):
     for (query, profile), base in zip(parseable, base_report.per_query_ms):
         candidates = candidate_source.generate_candidates(Workload([query]))
         if kernel is not None and candidates:
-            _, matrix = service.candidate_costs(
-                [profile], candidates, adapter.make_design
-            )
+            _, matrix = service.candidate_costs([profile], candidates)
             best = min(base, float(matrix[:, 0].min()))
         else:
             best = base
@@ -254,7 +252,7 @@ def test_a_query_is_not_credited_with_another_querys_candidate(substrate):
         )
     )
     base, matrix = adapter.costing.candidate_costs(
-        [profile for _, profile in parseable], union, adapter.make_design
+        [profile for _, profile in parseable], union
     )
     unmasked = np.minimum(base, matrix.min(axis=0))
     credited = {
@@ -320,9 +318,9 @@ def test_one_candidate_costs_call_per_window():
     calls = []
     inner = service.candidate_costs
 
-    def counted(profiles, candidates, make_design):
+    def counted(profiles, candidates):
         calls.append((len(profiles), len(candidates)))
-        return inner(profiles, candidates, make_design)
+        return inner(profiles, candidates)
 
     service.candidate_costs = counted
     builds = []

@@ -95,6 +95,19 @@ class TestColumnarNominal:
         nominal = ColumnarNominalDesigner(columnar_adapter)
         assert nominal.design(window) == nominal.design(window)
 
+    @pytest.mark.parametrize(
+        "argument", [{"merge_radius": -1}, {"max_structures": -1}], ids=lambda a: next(iter(a))
+    )
+    def test_negative_arguments_rejected(self, columnar_adapter, argument):
+        # A negative radius used to disable merging and a negative cap to
+        # yield the empty design, both silently.
+        with pytest.raises(ValueError, match=next(iter(argument))):
+            ColumnarNominalDesigner(columnar_adapter, **argument)
+
+    def test_zero_arguments_accepted(self, columnar_adapter, window):
+        nominal = ColumnarNominalDesigner(columnar_adapter, max_structures=0, merge_radius=0)
+        assert len(nominal.design(window)) == 0
+
 
 class TestRowstoreNominal:
     def test_design_improves_input_workload(self, rowstore_adapter, window):
@@ -124,6 +137,39 @@ class TestRowstoreNominal:
         assert len(tight.generate_candidates(window)) <= len(
             loose.generate_candidates(window)
         )
+
+    def test_compressed_template_keeps_its_column_union(self, rowstore_adapter, window):
+        from repro.designers.rowstore_nominal import _template_of, compress_templates
+
+        templates = [
+            _template_of(rowstore_adapter.profile(q.sql), q.frequency)
+            for q in window.collapsed()
+        ]
+        merged = compress_templates(templates, radius=6)
+        assert len(merged) < len(templates)
+        for template in merged:
+            assert template.union == (
+                set(template.eq_columns)
+                | set(template.range_columns)
+                | set(template.group_columns)
+                | set(template.measure_columns)
+                | template.select_columns
+            )
+
+    @pytest.mark.parametrize(
+        "argument",
+        [{"compression_radius": -1}, {"max_structures": -1}],
+        ids=lambda a: next(iter(a)),
+    )
+    def test_negative_arguments_rejected(self, rowstore_adapter, argument):
+        with pytest.raises(ValueError, match=next(iter(argument))):
+            RowstoreNominalDesigner(rowstore_adapter, **argument)
+
+    def test_zero_arguments_accepted(self, rowstore_adapter, window):
+        nominal = RowstoreNominalDesigner(
+            rowstore_adapter, compression_radius=0, max_structures=0
+        )
+        assert len(nominal.design(window)) == 0
 
 
 class TestBaselines:
