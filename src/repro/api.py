@@ -37,6 +37,7 @@ facade; there is no second configuration path (docs/serving.md).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager, nullcontext
@@ -153,8 +154,8 @@ class RunConfig:
             raise ValueError("days must cover at least one window")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be non-negative when set")
+        if self.gamma is not None and not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative when set, got {self.gamma!r}")
         if self.legacy_tables < 0:
             raise ValueError("legacy_tables must be non-negative")
         if self.max_transitions is not None and self.max_transitions < 1:

@@ -105,20 +105,20 @@ class CliffGuard(Designer):
         patience: int | None = None,
         keep_base_in_move: bool = True,
     ):
-        if gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
         if n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if initial_alpha <= 0:
-            raise ValueError("initial_alpha must be positive")
+        if not initial_alpha > 0:
+            raise ValueError(f"initial_alpha must be positive, got {initial_alpha!r}")
         if min_worst < 1:
             raise ValueError("min_worst must be at least 1")
         if not 0 < worst_fraction <= 1:
             raise ValueError("worst_fraction must be in (0, 1]")
-        if lambda_success <= 1:
-            raise ValueError("lambda_success must exceed 1")
+        if not lambda_success > 1:
+            raise ValueError(f"lambda_success must exceed 1, got {lambda_success!r}")
         if not 0 < lambda_failure < 1:
             raise ValueError("lambda_failure must be in (0, 1)")
         if patience is not None and patience < 1:

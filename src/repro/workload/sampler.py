@@ -44,6 +44,20 @@ statements rebuilt, when a candidate is formatted — may be rewritten while
 (parse → swap → format per step, ``Generator.choice`` over an options list)
 is the oracle, and its recorded neighborhoods pin every SQL text, every
 frequency and the generator's final state.
+
+No chain step touches an AST.  :meth:`NeighborhoodSampler.sample` parses
+and compiles each base statement once into a :class:`_Chain`: its column
+refs as one flat list of names, its mutation sites as indices into that
+list, the multiplicity of every distinct qualified ref, and ``totals``, the
+replacement weights with nothing swapped out (1 + the affinity rows of
+those refs, summed; statements with the same distinct refs share one
+array).  A step swaps one name, adjusts ``totals`` by at most two rows, and
+weighs the swap as ``totals − k·row`` for the ``k`` distinct refs that share
+the swapped-out name; the counts are integers, so these are the floats the
+per-step gather gave.  A chain's template key is read off its refs — under
+SWGO, the distinct qualified names themselves; under any other spec, a
+:class:`QueryTemplate` built from the refs clause by clause — and only a
+candidate a probe picks becomes a statement and SQL.
 """
 
 from __future__ import annotations
@@ -55,11 +69,12 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.catalog.schema import Schema, Table
-from repro.sql.analyzer import analyze
+from repro.sql.analyzer import QueryTemplate
 from repro.sql.ast import (
     Aggregate,
     Assignment,
     ColumnRef,
+    DeleteStatement,
     InsertStatement,
     OrderItem,
     SelectItem,
@@ -69,7 +84,7 @@ from repro.sql.ast import (
 )
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
-from repro.workload.distance import WorkloadDistance
+from repro.workload.distance import SWGO, WorkloadDistance
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import VectorKey, Workload, template_key
 
@@ -185,191 +200,332 @@ def _weighted_draw(rng: np.random.Generator, weights: np.ndarray) -> int:
 
 
 def mutate_query(
-    query: str | Statement,
+    query: str | Statement | _Chain,
     schema: Schema,
     rng: np.random.Generator,
     affinity: ColumnAffinity | None = None,
-) -> str | Statement | None:
+) -> str | Statement | _Chain | None:
     """Swap one referenced column for a sibling column of the same table.
 
-    SQL text in, SQL text out; a parsed statement in, a statement out (so
-    the sampler's chain stays on the AST — equivalent to the text form step
-    by step, by the formatter's round-trip guarantee).  Returns ``None``
-    when the query offers nothing to mutate.  With an :class:`ColumnAffinity`, the
+    SQL text in, SQL text out; a parsed statement in, a statement out; a
+    :class:`_Chain` in, the chain's next state out (the sampler's form: a
+    chain carries the table and affinity it was compiled against, so
+    ``schema`` and ``affinity`` are not read again).  The three take the
+    same step on the same compiled chain.  Returns ``None`` when the query
+    offers nothing to mutate.  With a :class:`ColumnAffinity`, the
     replacement is drawn from columns that co-occur with the query's other
-    columns — the way real analytical queries actually drift (same shape,
-    a related column).  The literal of a mutated predicate is kept as-is:
+    columns — the way real analytical queries actually drift (same shape, a
+    related column).  The literal of a mutated predicate is kept as-is:
     template distances only see column sets.
     """
-    if not isinstance(query, str):
-        return _mutate_statement(query, schema, rng, affinity)
-    try:
-        stmt = parse(query)
-    except ValueError:
-        return None
-    mutated = _mutate_statement(stmt, schema, rng, affinity)
-    return None if mutated is None else format_statement(mutated)
-
-
-def _context_columns(stmt: Statement) -> list[str]:
-    """Bare names of the distinct columns ``stmt`` references — what
-    ``analyze(stmt).union`` holds, read straight off the column refs (a
-    bare DML column counts as the target table's, as in the analyzer)."""
-    if isinstance(stmt, InsertStatement):
-        refs = list(stmt.columns)
+    if isinstance(query, _Chain):
+        return query.step(rng)
+    if isinstance(query, str):
+        try:
+            stmt = parse(query)
+        except ValueError:
+            return None
     else:
-        refs = [pred.column for pred in stmt.where]
-        if isinstance(stmt, UpdateStatement):
-            refs += [assignment.column for assignment in stmt.assignments]
-        elif isinstance(stmt, SelectStatement):
-            exprs = [item.expr for item in stmt.select]
-            refs += [e.column if isinstance(e, Aggregate) else e for e in exprs]
-            refs += [ref for join in stmt.joins for ref in (join.left, join.right)]
-            refs += stmt.group_by
-            refs += [item.column for item in stmt.order_by]
-    default = None if isinstance(stmt, SelectStatement) else stmt.table
-    distinct = {(ref.table or default, ref.name) for ref in refs if ref is not None}
-    return [name for _, name in distinct]
-
-
-def _mutate_statement(
-    stmt: Statement,
-    schema: Schema,
-    rng: np.random.Generator,
-    affinity: ColumnAffinity | None,
-) -> Statement | None:
-    table = schema.tables.get(stmt.table)
-    if table is None:
+        stmt = query
+    mutated = _Chain.compile(stmt, schema, affinity).step(rng)
+    if mutated is None:
         return None
+    stmt = mutated.statement()
+    return format_statement(stmt) if isinstance(query, str) else stmt
 
-    def swap_ref(ref: ColumnRef) -> ColumnRef | None:
-        if ref.table is not None and ref.table != stmt.table:
+
+def _twice(indices: range) -> list[int]:
+    return [i for i in indices for _ in (0, 1)]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Shape:
+    """What no step of a chain changes: its base statement, compiled.
+
+    The statement's column refs sit in one flat list, clause by clause:
+    select, where, group by, order by, then join keys (context only, never
+    a site).  A DML statement's list is its written columns (INSERT list or
+    UPDATE targets), then its predicates.
+    """
+
+    #: The base statement, rebuilt around the swapped refs on a pick.
+    stmt: Statement
+    #: The anchor table, or ``None`` when the schema does not define it.
+    table: Table | None
+    #: The anchor table against the affinity; ``None`` draws uniformly.
+    layout: _TableLayout | None
+    #: Per ref: its table as written (a swap keeps the qualifier).
+    tables: tuple[str | None, ...]
+    #: Per ref: ``"table."`` as the template qualifies it, or ``""``
+    #: (a bare DML column is the target table's, as in the analyzer).
+    prefixes: tuple[str, ...]
+    #: The distinct ``prefixes``: every scope a swapped-out name may also
+    #: be counted under, so ``k`` never exceeds their number.
+    scopes: tuple[str, ...]
+    #: Per ref: its base name, which a render keeps the AST node for.
+    names: tuple[str, ...]
+    #: Mutation sites as ref indices: 2 per selectable item, 1 per WHERE
+    #: predicate, 2 per GROUP BY column, 1 per ORDER BY item; for DML, 2 per
+    #: assignment or 1 per INSERT column, then 1 per predicate.
+    sites: tuple[int, ...]
+    #: Refs ``[0, written)`` are DML written columns: a swap onto the name
+    #: of one of them is a failed step.
+    written: int
+    #: Where the select, where, group-by and order-by refs end.
+    bounds: tuple[int, int, int, int]
+
+
+class _Chain:
+    """One state of a mutation chain: a compiled statement's refs, swapped
+    one name at a time in place of a rebuilt AST (module docstring)."""
+
+    __slots__ = ("shape", "names", "counts", "totals")
+
+    def __init__(
+        self,
+        shape: _Shape,
+        names: list[str],
+        counts: dict[str, int],
+        totals: np.ndarray | None,
+    ):
+        self.shape = shape
+        #: Per ref: its column name now.
+        self.names = names
+        #: Qualified ref -> how many refs read it.  The keys are the
+        #: statement's distinct columns: its SWGO template key.
+        self.counts = counts
+        #: Per column of the table: 1 + its co-occurrence with every
+        #: distinct ref — ``layout.weights`` of the whole context.
+        self.totals = totals
+
+    @classmethod
+    def compile(
+        cls,
+        stmt: Statement,
+        schema: Schema,
+        affinity: ColumnAffinity | None,
+        shared: dict | None = None,
+    ) -> _Chain:
+        """``stmt`` as a chain's first state.  ``shared`` (context ->
+        ``totals``) lets statements with the same distinct refs share one
+        array."""
+        if isinstance(stmt, SelectStatement):
+            exprs = [item.expr for item in stmt.select]
+            select = [e.column if isinstance(e, Aggregate) else e for e in exprs]
+            select = [ref for ref in select if ref is not None]
+            where = [pred.column for pred in stmt.where]
+            group = list(stmt.group_by)
+            order = [item.column for item in stmt.order_by]
+            joins = [ref for join in stmt.joins for ref in (join.left, join.right)]
+            refs = select + where + group + order + joins
+            s = len(select)
+            w = s + len(where)
+            g = w + len(group)
+            o = g + len(order)
+            sites = _twice(range(s)) + list(range(s, w)) + _twice(range(w, g)) + list(range(g, o))
+            written, bounds = 0, (s, w, g, o)
+            prefixes = tuple(f"{ref.table}." if ref.table else "" for ref in refs)
+        else:
+            if isinstance(stmt, InsertStatement):
+                targets, where = list(stmt.columns), []
+                sites = list(range(len(targets)))
+            else:
+                assignments = stmt.assignments if isinstance(stmt, UpdateStatement) else ()
+                targets = [assignment.column for assignment in assignments]
+                where = [pred.column for pred in stmt.where]
+                sites = _twice(range(len(targets))) + list(
+                    range(len(targets), len(targets) + len(where))
+                )
+            refs = targets + where
+            written, bounds = len(targets), (len(targets), len(refs), len(refs), len(refs))
+            prefixes = tuple(f"{ref.table or stmt.table}." for ref in refs)
+        names = [ref.name for ref in refs]
+        distinct: dict[str, str] = {}
+        counts: dict[str, int] = {}
+        for prefix, name in zip(prefixes, names):
+            key = prefix + name
+            distinct[key] = name
+            counts[key] = counts.get(key, 0) + 1
+        table = schema.tables.get(stmt.table)
+        layout = totals = None
+        if affinity is not None and table is not None:
+            layout = affinity.layout(table)
+            context = (table.name, frozenset(distinct))
+            totals = None if shared is None else shared.get(context)
+            if totals is None:
+                totals = layout.weights(distinct.values())
+                if shared is not None:
+                    shared[context] = totals
+        shape = _Shape(
+            stmt, table, layout, tuple(ref.table for ref in refs), prefixes,
+            tuple(dict.fromkeys(prefixes)), tuple(names), tuple(sites), written, bounds,
+        )
+        return cls(shape, names, counts, totals)
+
+    def step(self, rng: np.random.Generator) -> _Chain | None:
+        """One mutation: the site draw, then the replacement draw."""
+        shape = self.shape
+        table, sites = shape.table, shape.sites
+        if table is None or not sites:
+            return None
+        slot = sites[int(rng.integers(0, len(sites)))]
+        qualifier = shape.tables[slot]
+        if qualifier is not None and qualifier != shape.stmt.table:
             return None  # only mutate anchor-table references
         # The swapped-out column keeps its slot and is skipped over (uniform
         # draw) or masked to weight 0 (affinity draw): the pick an options
         # list without it would give, minus building the list.
-        names = table.column_names
-        known = table.has_column(ref.name)
-        if len(names) == known:
+        columns = table.column_names
+        old = self.names[slot]
+        known = table.has_column(old)
+        if len(columns) == known:
             return None  # no other column to swap in
-        if affinity is None:
-            pick = int(rng.integers(0, len(names) - known))
-            if known and pick >= names.index(ref.name):
+        if shape.layout is None:
+            pick = int(rng.integers(0, len(columns) - known))
+            if known and pick >= columns.index(old):
                 pick += 1
         else:
-            layout = affinity.layout(table)
-            weights = layout.weights([c for c in _context_columns(stmt) if c != ref.name])
-            if known:
-                weights[layout.position[ref.name]] = 0.0
-            pick = _weighted_draw(rng, weights)
-        return ColumnRef(names[pick], ref.table)
+            pick = _weighted_draw(rng, self.weights(old))
+        new = columns[pick]
+        if slot < shape.written and new in self.names[: shape.written]:
+            return None  # a DML swap onto another written column
+        return self._swapped(slot, old, new)
 
-    if not isinstance(stmt, SelectStatement):
-        return _mutate_write(stmt, rng, swap_ref)
+    def weights(self, name: str) -> np.ndarray:
+        """Replacement weights for swapping out a ref named ``name``:
+        ``layout.weights`` of every other distinct ref's name, with
+        ``name``'s own column masked to 0.
 
-    # One draw over the mutation sites, clause by clause.  Select-list and
-    # grouping sites are weighted up (two indices each) because analytical
-    # drift changes the measures and breakdowns far more often than the
-    # sticky business-key filters.
-    select, where, group_by, order_by = stmt.select, stmt.where, stmt.group_by, stmt.order_by
-    selectable = [
-        i for i, item in enumerate(select)
-        if isinstance(item.expr, ColumnRef) or item.expr.column is not None
-    ]
-    select_sites, group_sites = 2 * len(selectable), 2 * len(group_by)
-    sites = select_sites + len(where) + group_sites + len(order_by)
-    if not sites:
-        return None
-    site = int(rng.integers(0, sites))
-    if site < select_sites:
-        pos = selectable[site // 2]
-        item = select[pos]
-        aggregate = item.expr if isinstance(item.expr, Aggregate) else None
-        new_ref = swap_ref(aggregate.column if aggregate else item.expr)
-        if new_ref is None:
+        Every distinct ref named ``name`` leaves the context, and each put
+        its row into ``totals`` once.  The counts are integers, so the
+        subtraction is exact.
+        """
+        layout = self.shape.layout
+        row = layout.rows.get(name)
+        if row is None:
+            weights = self.totals.copy()
+        else:
+            scopes = self.shape.scopes
+            k = 1 if len(scopes) == 1 else sum(s + name in self.counts for s in scopes)
+            counts = layout.counts[row]
+            weights = self.totals - (counts if k == 1 else k * counts)
+        position = layout.position.get(name)
+        if position is not None:
+            weights[position] = 0.0
+        return weights
+
+    def _swapped(self, slot: int, old: str, new: str) -> _Chain:
+        """The next state: ref ``slot`` renamed ``old`` → ``new``."""
+        shape = self.shape
+        names = self.names.copy()
+        names[slot] = new
+        counts = self.counts.copy()
+        prefix = shape.prefixes[slot]
+        gone, came = prefix + old, prefix + new
+        left = counts.pop(gone) - 1
+        if left:
+            counts[gone] = left
+        already = counts.get(came, 0)
+        counts[came] = already + 1
+        totals = self.totals
+        if totals is not None:
+            rows, matrix = shape.layout.rows, shape.layout.counts
+            if not left and old in rows:
+                totals = totals - matrix[rows[old]]
+            if not already and new in rows:
+                totals = totals + matrix[rows[new]]
+        return _Chain(shape, names, counts, totals)
+
+    def key(self, clauses: Sequence[str] | str) -> VectorKey | None:
+        """``template_key(analyze(statement), clauses)``, read off the refs;
+        ``None`` when the statement references no column at all (an empty
+        template, which the sampler skips — an empty key under a restricted
+        spec is still a key)."""
+        if not self.counts:
             return None
-        if aggregate:
-            new_ref = Aggregate(aggregate.func, new_ref, aggregate.distinct)
-        select = _with(select, pos, SelectItem(new_ref, item.alias))
-    elif (site := site - select_sites) < len(where):
-        new_ref = swap_ref(where[site].column)
-        if new_ref is None:
-            return None
-        where = _with(where, site, dataclasses.replace(where[site], column=new_ref))
-    elif (site := site - len(where)) < group_sites:
-        new_ref = swap_ref(group_by[site // 2])
-        if new_ref is None:
-            return None
-        group_by = _with(group_by, site // 2, new_ref)
-    else:
-        item = order_by[site - group_sites]
-        new_ref = swap_ref(item.column)
-        if new_ref is None:
-            return None
-        order_by = _with(order_by, site - group_sites, OrderItem(new_ref, item.ascending))
-    return SelectStatement(
-        select, stmt.table, stmt.joins, where, group_by, order_by,
-        stmt.limit, stmt.select_star,
-    )
+        if clauses == SWGO:
+            return frozenset(self.counts)
+        return template_key(self.template(), clauses)
 
-
-def _with(items: tuple, pos: int, item) -> tuple:
-    """``items`` with the element at ``pos`` replaced."""
-    return items[:pos] + (item,) + items[pos + 1 :]
-
-
-def _mutate_write(stmt, rng: np.random.Generator, swap_ref):
-    """Template-mutate one DML statement (the write analogue of drift).
-
-    Writes drift the same way reads do — the *column set* shifts: an
-    insert starts populating a different attribute, an update rewrites a
-    different measure, a delete filters on a different key.  Written
-    columns are weighted up (two site indices each) over locate predicates,
-    and a swap that would collide with another referenced column is a failed
-    attempt (``None``), mirroring the read path's contract.
-    """
-    if isinstance(stmt, InsertStatement):
-        taken = {c.name for c in stmt.columns}
-        pos = int(rng.integers(0, len(stmt.columns)))
-        new_ref = swap_ref(stmt.columns[pos])
-        if new_ref is None or new_ref.name in taken:
-            return None
-        return InsertStatement(stmt.table, _with(stmt.columns, pos, new_ref), stmt.rows)
-    assignments = stmt.assignments if isinstance(stmt, UpdateStatement) else ()
-    sites = 2 * len(assignments) + len(stmt.where)
-    if not sites:
-        return None
-    site = int(rng.integers(0, sites))
-    if site < 2 * len(assignments):
-        taken = {a.column.name for a in assignments}
-        assignment = assignments[site // 2]
-        new_ref = swap_ref(assignment.column)
-        if new_ref is None or new_ref.name in taken:
-            return None
-        assignment = Assignment(new_ref, assignment.value)
-        return UpdateStatement(
-            stmt.table, _with(assignments, site // 2, assignment), stmt.where
+    def template(self) -> QueryTemplate:
+        """``analyze(self.statement())``, read off the refs."""
+        shape = self.shape
+        refs = [prefix + name for prefix, name in zip(shape.prefixes, self.names)]
+        s, w, g, o = shape.bounds
+        return QueryTemplate(
+            select=frozenset(refs[:s]),
+            where=frozenset(refs[s:w] + refs[o:]),  # join keys filter too
+            group_by=frozenset(refs[w:g]),
+            order_by=frozenset(refs[g:o]),
         )
-    pos = site - 2 * len(assignments)
-    new_ref = swap_ref(stmt.where[pos].column)
-    if new_ref is None:
-        return None
-    pred = dataclasses.replace(stmt.where[pos], column=new_ref)
-    return dataclasses.replace(stmt, where=_with(stmt.where, pos, pred))
+
+    def statement(self) -> Statement:
+        """The base statement with every swapped ref put in."""
+        shape = self.shape
+        stmt = shape.stmt
+        refs = iter([
+            None if name == base else ColumnRef(name, table)
+            for name, base, table in zip(self.names, shape.names, shape.tables)
+        ])
+        if isinstance(stmt, InsertStatement):
+            return InsertStatement(stmt.table, _replaced(stmt.columns, refs, _ref), stmt.rows)
+        if isinstance(stmt, UpdateStatement):
+            assignments = _replaced(
+                stmt.assignments, refs, lambda assignment, ref: Assignment(ref, assignment.value)
+            )
+            return UpdateStatement(stmt.table, assignments, _replaced(stmt.where, refs, _predicate))
+        if isinstance(stmt, DeleteStatement):
+            return DeleteStatement(stmt.table, _replaced(stmt.where, refs, _predicate))
+        select = []
+        for item in stmt.select:
+            expr = item.expr
+            if isinstance(expr, ColumnRef) or expr.column is not None:
+                ref = next(refs)
+                if ref is not None:
+                    if isinstance(expr, Aggregate):
+                        ref = Aggregate(expr.func, ref, expr.distinct)
+                    item = SelectItem(ref, item.alias)
+            select.append(item)
+        return SelectStatement(
+            tuple(select),
+            stmt.table,
+            stmt.joins,
+            _replaced(stmt.where, refs, _predicate),
+            _replaced(stmt.group_by, refs, _ref),
+            _replaced(
+                stmt.order_by, refs, lambda item, ref: OrderItem(ref, item.ascending)
+            ),
+            stmt.limit,
+            stmt.select_star,
+        )
+
+
+def _replaced(nodes: tuple, refs, rebuild) -> tuple:
+    """``nodes``, each rebuilt around the next of ``refs`` unless that is
+    ``None`` (the node still reads its base column)."""
+    return tuple(node if (ref := next(refs)) is None else rebuild(node, ref) for node in nodes)
+
+
+def _ref(_node, ref: ColumnRef) -> ColumnRef:
+    return ref
+
+
+def _predicate(pred, ref: ColumnRef):
+    return dataclasses.replace(pred, column=ref)
 
 
 @dataclasses.dataclass(frozen=True)
 class _CandidateSources:
     """What candidate generation reads; see ``_candidate_sources``."""
 
-    #: The base workload's queries, parsed, in workload order.
-    statements: list[Statement]
+    #: The base workload's queries, compiled against the schema and the
+    #: column co-occurrence of the base plus the recent pool, in workload
+    #: order.
+    chains: list[_Chain]
     #: Template-distinct pool queries at unit frequency, most recent first.
     history: list[WorkloadQuery]
     #: Template keys a mutation may not land on: the base's and history's.
     taken: frozenset[VectorKey]
-    #: Column co-occurrence over the base plus the recent pool.
-    affinity: ColumnAffinity
 
 
 class NeighborhoodSampler:
@@ -413,8 +569,8 @@ class NeighborhoodSampler:
 
     def sample(self, base: Workload, gamma: float, count: int) -> list[Workload]:
         """``count`` workloads at uniformly random distances in ``[0, Γ]``."""
-        if gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
         if count < 0:
             raise ValueError("count must be non-negative")
         # Nothing below Γ = 0 (or under an empty base) reads the sources.
@@ -518,43 +674,44 @@ class NeighborhoodSampler:
             history.append(query.with_frequency(1.0))
         affinity = ColumnAffinity()
         affinity.observe(base)
-        affinity.observe(self.pool[-self.recent_pool_size :])
-        statements = [parse(query.sql) for query in base]
-        return _CandidateSources(statements, history, frozenset(taken), affinity)
+        affinity.observe(self.pool[max(len(self.pool) - self.recent_pool_size, 0) :])
+        shared: dict = {}
+        chains = [
+            _Chain.compile(parse(query.sql), self.schema, affinity, shared) for query in base
+        ]
+        return _CandidateSources(chains, history, frozenset(taken))
 
     def _candidate_queries(
         self, sources: _CandidateSources
-    ) -> tuple[list[WorkloadQuery | Statement], int]:
+    ) -> tuple[list[WorkloadQuery | _Chain], int]:
         """Pool queries (template-disjoint from the base) plus mutations.
 
         Returns the candidate list (historical templates first) and the
         count of historical entries, so picking can weight history up.
-        A mutation stays a statement until ``_pick_distinct`` picks it.
+        A mutation stays a chain until ``_pick_distinct`` picks it.
         """
         clauses = self.distance.clauses
-        statements = sources.statements
+        chains = sources.chains
         candidates = list(sources.history)
         taken = set(sources.taken)
         # Always add affinity-guided mutations of the base's own queries:
         # fresh drift looks like an existing query with one related column
         # swapped, which history alone cannot supply.
         for _ in range(MUTATION_CHAINS):
-            source = int(self.rng.integers(0, len(statements)))
+            source = int(self.rng.integers(0, len(chains)))
             # Future drift is several mutation steps away from the current
             # window, so perturbation queries are mutated 1-3 times.
             depth = int(self.rng.integers(1, 4))
-            mutated: Statement | None = statements[source]
+            mutated: _Chain | None = chains[source]
             for _ in range(depth):
-                mutated = mutate_query(mutated, self.schema, self.rng, sources.affinity)
+                # The chain carries its table and affinity layout.
+                mutated = mutate_query(mutated, self.schema, self.rng)
                 if mutated is None:
                     break
             if mutated is None:
                 continue
-            template = analyze(mutated)
-            if template.is_empty:
-                continue
-            key = template_key(template, clauses)
-            if key in taken:
+            key = mutated.key(clauses)
+            if key is None or key in taken:
                 continue
             taken.add(key)
             candidates.append(mutated)
@@ -563,14 +720,15 @@ class NeighborhoodSampler:
         return candidates, len(sources.history)
 
     def _pick_distinct(
-        self, candidates: list[WorkloadQuery | Statement], weights: np.ndarray, k: int
+        self, candidates: list[WorkloadQuery | _Chain], weights: np.ndarray, k: int
     ) -> list[WorkloadQuery]:
         """Sample ``k`` distinct candidates with probabilities ``weights``;
-        a mutation is formatted to SQL, in place, the first time it is picked."""
+        a mutation becomes a statement and SQL, in place, the first time it
+        is picked."""
         if len(candidates) < k:
             return []
         picks = self.rng.choice(len(candidates), size=k, replace=False, p=weights)
         for i in picks:
             if not isinstance(candidates[i], WorkloadQuery):
-                candidates[i] = WorkloadQuery(sql=format_statement(candidates[i]))
+                candidates[i] = WorkloadQuery(sql=format_statement(candidates[i].statement()))
         return [candidates[i] for i in picks]

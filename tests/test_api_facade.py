@@ -55,6 +55,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**overrides)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        """A NaN or infinite Γ used to pass here and crash the first design
+        inside ``rng.uniform(0, Γ)`` with an ``OverflowError``."""
+        with pytest.raises(ValueError, match="gamma"):
+            RunConfig(gamma=gamma)
+
     def test_frozen(self):
         config = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

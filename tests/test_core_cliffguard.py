@@ -53,6 +53,20 @@ class TestParameters:
         with pytest.raises(ValueError):
             CliffGuard(nominal, adapter, sampler, gamma=0.1, patience=0)
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("gamma", float("nan")), ("gamma", float("inf")), ("gamma", float("-inf")),
+         ("initial_alpha", float("nan")), ("lambda_success", float("nan"))],
+    )
+    def test_non_finite_parameter_is_named(self, parts, argument, value):
+        """Every guard read ``x < 0`` / ``x <= 0`` / ``x <= 1``, which NaN
+        passes; a non-finite Γ then crashed the first design in
+        ``rng.uniform`` with an ``OverflowError``."""
+        adapter, nominal, sampler, _ = parts
+        kwargs = {"gamma": 0.1, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            CliffGuard(nominal, adapter, sampler, **kwargs)
+
     def test_worst_neighbors_clamped_to_neighborhood(self, parts):
         """min_worst beyond the sample count selects the whole neighborhood
         (previously an oversized slice silently degraded to the same thing,

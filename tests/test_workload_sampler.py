@@ -145,6 +145,33 @@ class TestSampler:
         with pytest.raises(ValueError, match=argument):
             NeighborhoodSampler(distance, schema, **{argument: value})
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_rejected(self, setup, gamma):
+        """``gamma < 0`` let NaN and +inf through to ``rng.uniform(0, Γ)``,
+        which raised an ``OverflowError`` mid-design."""
+        _, _, base, sampler = setup
+        before = sampler.rng.bit_generator.state
+        with pytest.raises(ValueError, match="gamma"):
+            sampler.sample(base, gamma, 3)
+        assert sampler.rng.bit_generator.state == before
+
+    def test_zero_recent_pool_learns_affinity_from_the_base_alone(self, setup):
+        """``pool[-0:]`` is the whole pool: a size of 0 used to learn the
+        affinity from every past query instead of none.  With no recent
+        pool, a sampler over the trace must draw what one over no pool
+        draws."""
+        schema, distance, base, sampler = setup
+        assert sampler.pool
+        samples = [
+            NeighborhoodSampler(
+                distance, schema, pool=pool, seed=7, recent_pool_size=0
+            ).sample(base, 0.01, 4)
+            for pool in (sampler.pool, [])
+        ]
+        with_pool, without = ([[(q.sql, q.frequency) for q in w] for w in s] for s in samples)
+        assert any(len(w) > len(base) for w in with_pool)
+        assert with_pool == without
+
     def test_negative_count_rejected(self, setup):
         _, _, base, sampler = setup
         with pytest.raises(ValueError, match="count"):
