@@ -24,26 +24,36 @@ drawing a perturbation set.
 **The random stream is the contract.**  :meth:`NeighborhoodSampler.sample`
 makes these draws on ``self.rng``, in this order, and no others:
 
-* per sample, ``uniform(0, Γ)`` for ``α``;
-* per mutation chain (at most ``MUTATION_CHAINS``, fewer once the candidate
-  list holds ``recent_pool_size + 4·max_query_set`` entries),
-  ``integers(0, |W0|)`` for the source query and ``integers(1, 4)`` for the
-  depth;
-* per chain step — one module-level :func:`mutate_query` call —
-  ``integers(0, sites)`` for the mutation site, then one ``random()`` that
-  picks the replacement column by affinity weight (``integers(0, others)``
-  without an affinity).  A site on a joined table's column, or on a table
-  with no other column, draws no replacement: the step fails and ends the
-  chain;
-* per probe, ``choice(candidates, size=k, replace=False, p=...)``, up to
-  ``ATTEMPTS_PER_SIZE`` times for each of three sizes ``k``.
+* ``uniform(0, Γ, size=n)`` for the ``n`` samples' ``α`` (the same doubles
+  as ``n`` scalar draws);
+* once per call, and only when some ``α > 0`` under a non-empty base — the
+  candidate pool every sample picks from:
+
+  * ``integers(0, |W0|, size=MUTATION_CHAINS)`` for the chains' source
+    queries, then ``integers(1, 4, size=MUTATION_CHAINS)`` for their
+    depths;
+  * per chain step, chain by chain (fewer chains once the candidate list
+    holds ``recent_pool_size + 4·max_query_set`` entries) — one
+    module-level :func:`mutate_query` call — ``integers(0, sites)`` for the
+    mutation site, then one ``random()`` that picks the replacement column
+    by affinity weight (``integers(0, others)`` without an affinity).  A
+    site on a joined table's column, or on a table with no other column,
+    draws no replacement: the step fails and ends the chain;
+
+* per sample with ``α > 0``, per probe, ``choice(candidates, size=k,
+  replace=False, p=...)``, up to ``ATTEMPTS_PER_SIZE`` times for each of
+  three sizes ``k``.
+
+:meth:`NeighborhoodSampler.sample_at` is ``sample`` after its ``α`` draw:
+the pool, then one sample's probes.  The pool is a local of one call;
+nothing of it outlives the call.
 
 Everything between the draws — how sites are counted, weights gathered,
 statements rebuilt, when a candidate is formatted — may be rewritten while
 ``tests/test_sampler_bit_identity.py`` holds: its verbatim text-level chain
 (parse → swap → format per step, ``Generator.choice`` over an options list)
-is the oracle, and its recorded neighborhoods pin every SQL text, every
-frequency and the generator's final state.
+is the oracle of a chain step, and its recorded neighborhoods pin every SQL
+text, every frequency and the generator's final state.
 
 No chain step touches an AST.  :meth:`NeighborhoodSampler.sample` parses
 and compiles each base statement once into a :class:`_Chain`: its column
@@ -57,7 +67,8 @@ the swapped-out name; the counts are integers, so these are the floats the
 per-step gather gave.  A chain's template key is read off its refs — under
 SWGO, the distinct qualified names themselves; under any other spec, a
 :class:`QueryTemplate` built from the refs clause by clause — and only a
-candidate a probe picks becomes a statement and SQL.
+candidate a probe picks becomes a statement and SQL, once, however many
+samples pick it.
 """
 
 from __future__ import annotations
@@ -97,7 +108,8 @@ from repro.workload.workload import VectorKey, Workload, template_key
 MIN_QUERY_SET_SIZE = 16
 MAX_QUERY_SET_SIZE = 48
 ATTEMPTS_PER_SIZE = 8
-#: Mutation chains started per sample (each 1-3 ``mutate_query`` steps).
+#: Mutation chains started per :meth:`NeighborhoodSampler.sample` call (each
+#: 1-3 ``mutate_query`` steps); every sample of the call picks from them.
 MUTATION_CHAINS = 400
 
 
@@ -568,37 +580,35 @@ class NeighborhoodSampler:
     # -- Algorithm 4 -------------------------------------------------------------
 
     def sample(self, base: Workload, gamma: float, count: int) -> list[Workload]:
-        """``count`` workloads at uniformly random distances in ``[0, Γ]``."""
+        """``count`` workloads at uniformly random distances in ``[0, Γ]``,
+        each picking its perturbation from one candidate pool."""
         if not 0.0 <= gamma < math.inf:
             raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
         if count < 0:
             raise ValueError("count must be non-negative")
-        # Nothing below Γ = 0 (or under an empty base) reads the sources.
-        sources = self._candidate_sources(base) if gamma > 0.0 and base else None
-        samples: list[Workload] = []
-        for _ in range(count):
-            alpha = float(self.rng.uniform(0.0, gamma))
-            samples.append(self._sample_from(base, alpha, sources))
-        return samples
+        alphas = self.rng.uniform(0.0, gamma, size=count).tolist()
+        # Nothing at α = 0 (or under an empty base) reads the pool.
+        pool = self._pool(base) if base and any(alpha > 0.0 for alpha in alphas) else None
+        return [self._sample_from(base, alpha, pool) for alpha in alphas]
 
     def sample_at(self, base: Workload, alpha: float) -> Workload:
         """One workload at distance ≈ ``alpha`` from ``base``."""
-        return self._sample_from(base, alpha, None)
+        if not 0.0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
+        pool = self._pool(base) if base and alpha > 0.0 else None
+        return self._sample_from(base, alpha, pool)
 
     def _sample_from(
-        self, base: Workload, alpha: float, sources: _CandidateSources | None
+        self,
+        base: Workload,
+        alpha: float,
+        pool: tuple[list[WorkloadQuery | _Chain], np.ndarray] | None,
     ) -> Workload:
         if alpha <= 0.0 or not base:
             return Workload(list(base))
-        if sources is None:
-            sources = self._candidate_sources(base)
-        candidates, pool_count = self._candidate_queries(sources)
+        candidates, weights = pool
         if not candidates:
             return Workload(list(base))
-        # Historical candidates weighted up; the same vector for every pick.
-        weights = np.ones(len(candidates), dtype=np.float64)
-        weights[:pool_count] = self.history_bias
-        weights /= weights.sum()
         base_count = max(base.total_weight, 1.0)
         best: Workload | None = None
         best_error = math.inf
@@ -644,7 +654,7 @@ class NeighborhoodSampler:
 
     def _candidate_sources(self, base: Workload) -> _CandidateSources:
         """What candidate generation reads and draws no randomness for: a
-        function of ``(base, pool)`` alone, built once per :meth:`sample`.
+        function of ``(base, pool)`` alone.
 
         Disjointness is checked under the *distance metric's* clause spec so
         the decomposed fast path in :meth:`WorkloadDistance.disjoint_distance`
@@ -681,27 +691,27 @@ class NeighborhoodSampler:
         ]
         return _CandidateSources(chains, history, frozenset(taken))
 
-    def _candidate_queries(
-        self, sources: _CandidateSources
-    ) -> tuple[list[WorkloadQuery | _Chain], int]:
-        """Pool queries (template-disjoint from the base) plus mutations.
+    def _pool(self, base: Workload) -> tuple[list[WorkloadQuery | _Chain], np.ndarray]:
+        """The candidates every sample of one call picks from: pool queries
+        (template-disjoint from the base) plus mutations.
 
-        Returns the candidate list (historical templates first) and the
-        count of historical entries, so picking can weight history up.
-        A mutation stays a chain until ``_pick_distinct`` picks it.
+        Returns the candidate list (historical templates first) and its
+        pick probabilities, history weighted up by ``history_bias``.  A
+        mutation stays a chain until ``_pick_distinct`` picks it.
         """
+        sources = self._candidate_sources(base)
         clauses = self.distance.clauses
         chains = sources.chains
         candidates = list(sources.history)
         taken = set(sources.taken)
         # Always add affinity-guided mutations of the base's own queries:
         # fresh drift looks like an existing query with one related column
-        # swapped, which history alone cannot supply.
-        for _ in range(MUTATION_CHAINS):
-            source = int(self.rng.integers(0, len(chains)))
-            # Future drift is several mutation steps away from the current
-            # window, so perturbation queries are mutated 1-3 times.
-            depth = int(self.rng.integers(1, 4))
+        # swapped, which history alone cannot supply.  Future drift is
+        # several mutation steps away from the current window, so each
+        # chain mutates its source 1-3 times.
+        starts = self.rng.integers(0, len(chains), size=MUTATION_CHAINS).tolist()
+        depths = self.rng.integers(1, 4, size=MUTATION_CHAINS).tolist()
+        for source, depth in zip(starts, depths):
             mutated: _Chain | None = chains[source]
             for _ in range(depth):
                 # The chain carries its table and affinity layout.
@@ -717,7 +727,9 @@ class NeighborhoodSampler:
             candidates.append(mutated)
             if len(candidates) >= self.recent_pool_size + self.max_query_set * 4:
                 break
-        return candidates, len(sources.history)
+        weights = np.ones(len(candidates), dtype=np.float64)
+        weights[: len(sources.history)] = self.history_bias
+        return candidates, weights / weights.sum()
 
     def _pick_distinct(
         self, candidates: list[WorkloadQuery | _Chain], weights: np.ndarray, k: int

@@ -9,11 +9,13 @@ from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
 
 #: The accepted-move count and design digest of
-#: ``test_move_reads_the_incumbent_costs_it_already_holds``, recorded
-#: while MoveWorkload still read the incumbent's costs back from the
-#: service's per-(design, query) cost cache.
+#: ``test_move_reads_the_incumbent_costs_it_already_holds``.  The move
+#: count was recorded while MoveWorkload still read the incumbent's costs
+#: back from the service's per-(design, query) cost cache; the digest is
+#: re-recorded on the sampler's shared-pool stream (one candidate pool per
+#: ``sample()``), with the move and costing code it guards unchanged.
 GOLDEN_MOVES = 1
-GOLDEN_DIGEST = "9633fe288d507c20"
+GOLDEN_DIGEST = "b1b7795d7632d174"
 
 
 @pytest.fixture

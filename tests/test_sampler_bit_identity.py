@@ -35,6 +35,7 @@ from repro.sql.ast import (
 )
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
+from repro.workload import sampler as sampler_module
 from repro.workload.distance import WorkloadDistance
 from repro.workload.families import ecommerce_profile, htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
@@ -317,7 +318,12 @@ def test_text_entry_equals_text_oracle(family, source, seed):
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-# -- (b) golden neighborhoods, recorded at the commit before the AST chain -----------
+# -- (b) golden neighborhoods ----------------------------------------------------------
+#
+# Recorded on the shared-pool stream: ``sample`` draws every α first and
+# builds one candidate pool per call.  The chain oracles above and
+# ``tests/test_sampler_chain_state.py`` pin the per-step draws, which that
+# change left alone.
 
 
 def neighborhood_digest(samples) -> str:
@@ -332,10 +338,10 @@ def neighborhood_digest(samples) -> str:
 @pytest.mark.parametrize(
     "family,gamma,expected",
     [
-        ("r1", 0.004, "47acbbf45fac2f05"),
-        ("r1", 0.02, "a616daf85e3b3e75"),
-        ("htap", 0.004, "6b641546b0347e46"),
-        ("htap", 0.02, "a40499052b01a820"),
+        ("r1", 0.004, "0db325655fd03f3d"),
+        ("r1", 0.02, "09946ec772fcdac0"),
+        ("htap", 0.004, "18d593b778aa03f2"),
+        ("htap", 0.02, "7301c2e011d39c5b"),
     ],
 )
 def test_sample_reproduces_recorded_neighborhood(family, gamma, expected):
@@ -355,19 +361,19 @@ def stream_position(rng: np.random.Generator) -> tuple[int, int, int]:
 
 @pytest.mark.parametrize(
     "family,gamma,expected,position",
-    [  # recorded at 1dc597e, the commit before the chain's per-step work was rewritten
-        ("r1", 0.004, "47acbbf45fac2f05",
-         (298503101201358969083948949248493646986, 0, 1629767394)),
-        ("r1", 0.02, "a616daf85e3b3e75",
-         (168903209653650092426796747744659593310, 0, 2892307542)),
-        ("htap", 0.004, "6b641546b0347e46",
-         (141912303075736156469978441310733938954, 1, 1637052186)),
-        ("htap", 0.02, "a40499052b01a820",
-         (137429431732575069219981213001193224562, 1, 2615597497)),
-        ("ecommerce", 0.004, "40a3530010e55aa1",
-         (60991480725293577881212372314170366083, 0, 859602649)),
-        ("ecommerce", 0.02, "ff23d98d8a5d1e90",
-         (12633364365235557330777094375995027237, 0, 3955643649)),
+    [  # recorded on the shared-pool stream: every α first, one pool per sample()
+        ("r1", 0.004, "0db325655fd03f3d",
+         (314058383447061125932130095914481240764, 0, 2738611214)),
+        ("r1", 0.02, "09946ec772fcdac0",
+         (73727049190630416560697137673262581177, 0, 2738611214)),
+        ("htap", 0.004, "18d593b778aa03f2",
+         (27117476466281060851184295248800685816, 0, 270691851)),
+        ("htap", 0.02, "7301c2e011d39c5b",
+         (262858591467580140566095224430164665419, 0, 270691851)),
+        ("ecommerce", 0.004, "1395e71c86e7e451",
+         (210162661732873142287366594960034722153, 1, 1837420993)),
+        ("ecommerce", 0.02, "bb97041767e9a9f8",
+         (136838801214013947528379908908710044616, 1, 1837420993)),
     ],
 )
 def test_sample_leaves_the_generator_where_it_was_recorded(
@@ -543,3 +549,47 @@ def test_sample_at_alone_equals_sample_of_one(family):
     ]
     assert len(actual) > len(env.base)
     assert alone.rng.bit_generator.state == through_sample.rng.bit_generator.state
+
+
+# -- (e) one candidate pool per sample() ----------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["r1", "htap"])
+@pytest.mark.parametrize("count", [1, 8, 20])
+def test_sample_runs_the_mutation_chains_once(monkeypatch, family, count):
+    """Every sample of one call picks from one pool: at most
+    ``MUTATION_CHAINS`` chains of at most 3 steps, whatever ``count``."""
+    env = environment(family)
+    steps = []
+    original = sampler_module.mutate_query
+
+    def counted(*args, **kwargs):
+        steps.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sampler_module, "mutate_query", counted)
+    sampler = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    samples = sampler.sample(env.base, 0.02, count)
+    assert len(samples) == count
+    assert any(len(sample) > len(env.base) for sample in samples)
+    assert 0 < len(steps) <= 3 * sampler_module.MUTATION_CHAINS
+
+
+def test_sample_of_none_leaves_the_generator_untouched():
+    env = environment("r1")
+    sampler = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    before = sampler.rng.bit_generator.state
+    assert sampler.sample(env.base, 0.02, 0) == []
+    assert sampler.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+def test_sample_at_rejects_a_non_finite_or_negative_alpha(alpha):
+    """``math.floor`` raised on a NaN α deep in the probe loop, and an
+    infinite α silently returned the base."""
+    env = environment("r1")
+    sampler = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    before = sampler.rng.bit_generator.state
+    with pytest.raises(ValueError, match="alpha"):
+        sampler.sample_at(env.base, alpha)
+    assert sampler.rng.bit_generator.state == before
