@@ -27,8 +27,9 @@ import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro.costing.service import workload_fingerprint
+from repro.costing.service import WorkloadBatch, workload_fingerprint
 from repro.designers.base import DesignAdapter, Designer
+from repro.designers.scope import DesignScope
 from repro.obs import tracer
 from repro.state import (
     RunCheckpointer,
@@ -111,14 +112,18 @@ class CliffGuard(Designer):
             raise ValueError("n_samples must be at least 1")
         if max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if not initial_alpha > 0:
-            raise ValueError(f"initial_alpha must be positive, got {initial_alpha!r}")
+        if not 0 < initial_alpha < math.inf:
+            raise ValueError(
+                f"initial_alpha must be finite and positive, got {initial_alpha!r}"
+            )
         if min_worst < 1:
             raise ValueError("min_worst must be at least 1")
         if not 0 < worst_fraction <= 1:
             raise ValueError("worst_fraction must be in (0, 1]")
-        if not lambda_success > 1:
-            raise ValueError(f"lambda_success must exceed 1, got {lambda_success!r}")
+        if not 1 < lambda_success < math.inf:
+            raise ValueError(
+                f"lambda_success must be finite and exceed 1, got {lambda_success!r}"
+            )
         if not 0 < lambda_failure < 1:
             raise ValueError("lambda_failure must be in (0, 1)")
         if patience is not None and patience < 1:
@@ -145,11 +150,12 @@ class CliffGuard(Designer):
     # -- neighborhood machinery ----------------------------------------------------
 
     def _neighborhood_costs(
-        self, neighborhood: list[Workload], design
+        self, batch: WorkloadBatch, design
     ) -> tuple[list[float], dict[str, float]]:
         """``(f(W_i, D) per neighbor, {sql: cost under D})``.
 
-        Evaluated through the adapter's batched neighborhood API: the
+        Evaluated through the adapter's batched neighborhood API over
+        ``batch``, the neighborhood's SQL lists built once per design: the
         neighbors overwhelmingly share queries (they come from the same
         history pool), so each distinct query is costed once per design
         instead of once per neighbor.  The per-SQL map covers every
@@ -157,12 +163,10 @@ class CliffGuard(Designer):
         what MoveWorkload needs priced under the incumbent, so the
         incumbent's map is kept instead of asking the service again.
         """
-        reports = self.adapter.evaluate_neighborhood([design], neighborhood)[0]
-        per_sql = {
-            query.sql: cost
-            for workload, report in zip(neighborhood, reports)
-            for query, cost in zip(workload, report.per_query_ms)
-        }
+        reports = self.adapter.evaluate_neighborhood([design], batch)[0]
+        per_sql: dict[str, float] = {}
+        for (sqls, _), report in zip(batch.per_workload, reports):
+            per_sql.update(zip(sqls, report.per_query_ms))
         return [report.average_ms for report in reports], per_sql
 
     def _worst_neighbors(
@@ -193,8 +197,18 @@ class CliffGuard(Designer):
         every iteration; a killed run resumed from any of those
         boundaries produces a bit-identical design and report (see
         docs/state.md).
+
+        The call's weight-independent work — parsing, the nominal
+        designer's per-text proposals, the fixed neighborhood's weights
+        and SQL lists — is done once, in a :class:`DesignScope` that
+        lives as long as the call (see :mod:`repro.designers.scope`).
         """
-        from repro.core.move import move_workload
+        scope = DesignScope()
+        with self.nominal.scoped(scope):
+            return self._design(workload, scope)
+
+    def _design(self, workload: Workload, scope: DesignScope):
+        from repro.core.move import WorkloadDigest, move_workload
 
         report = CliffGuardReport()
         self.last_report = report
@@ -257,11 +271,17 @@ class CliffGuard(Designer):
                     queries=len(workload),
                 )
 
+            explores = self.gamma > 0 and self.max_iterations > 0 and bool(workload)
+            if explores:
+                # W0 is parsed once: the profiler annotates these
+                # statements, and the sampler compiles its chains from them.
+                scope.parse_texts(workload)
+                scope.hand_off(self.adapter)
             nominal_started = time.perf_counter()
             design = self.nominal.design(workload)  # Line 1: initial nominal design
             report.nominal_wall_seconds += time.perf_counter() - nominal_started
             report.designer_calls += 1
-            if self.gamma == 0 or self.max_iterations == 0 or not workload:
+            if not explores:
                 # Γ = 0 degenerates to the nominal design by definition.
                 self._finish(
                     report, service, baseline, self.initial_alpha, arena_baseline
@@ -269,9 +289,13 @@ class CliffGuard(Designer):
                 return design
 
             neighborhood = [workload] + self.sampler.sample(
-                workload, self.gamma, self.n_samples
+                workload, self.gamma, self.n_samples, statements=scope.statements
             )
-            costs, incumbent_costs = self._neighborhood_costs(neighborhood, design)
+            # The picked mutations' statements, annotated before the
+            # neighborhood is priced, so no one parses their texts.
+            scope.hand_off(self.adapter)
+            batch = WorkloadBatch.of(neighborhood)
+            costs, incumbent_costs = self._neighborhood_costs(batch, design)
             worst_case = max(costs) if costs else 0.0
             report.worst_case_history.append(worst_case)
 
@@ -293,6 +317,15 @@ class CliffGuard(Designer):
             baseline = state["baseline"]
             restore_sampler(self.sampler, state["sampler"])
             restore_costing(self.adapter, state["costing"])
+            batch = WorkloadBatch.of(neighborhood)
+
+        # The neighborhood is fixed from here on: what MoveWorkload reads
+        # of W0 and of each neighbor is computed once.  (A fresh run's
+        # neighborhood[0] is W0 itself; a resumed run's is a copy.)
+        digests: dict[int, WorkloadDigest] = {}
+        for w in (workload, *neighborhood):
+            if id(w) not in digests:
+                digests[id(w)] = WorkloadDigest(w)
 
         for _ in range(next_iteration, self.max_iterations):
             report.iterations += 1
@@ -313,6 +346,7 @@ class CliffGuard(Designer):
                 cost=incumbent_costs.__getitem__,
                 alpha=alpha,
                 keep_base=self.keep_base_in_move,
+                digest=lambda w: digests[id(w)],
             )
             if t.enabled:
                 t.emit(
@@ -328,7 +362,7 @@ class CliffGuard(Designer):
             report.nominal_wall_seconds += time.perf_counter() - nominal_started
             report.designer_calls += 1
             candidate_costs, candidate_per_sql = self._neighborhood_costs(
-                neighborhood, candidate
+                batch, candidate
             )
             candidate_worst = max(candidate_costs) if candidate_costs else 0.0
             if candidate_worst < worst_case:

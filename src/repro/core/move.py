@@ -19,10 +19,25 @@ size (the analogue of BNT's ``t_k``).  Two properties the paper leans on:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
+
+
+class WorkloadDigest:
+    """What :func:`move_workload` reads of one workload that no α and no
+    cost changes: its normalized weight per text, and the first query of
+    each text (whose timestamp a moved query keeps)."""
+
+    __slots__ = ("weights", "first")
+
+    def __init__(self, workload: Workload):
+        self.weights: dict[str, float] = workload.normalized_weights()
+        self.first: dict[str, WorkloadQuery] = {}
+        for query in workload:
+            self.first.setdefault(query.sql, query)
 
 
 def move_workload(
@@ -31,6 +46,7 @@ def move_workload(
     cost: Callable[[str], float],
     alpha: float,
     keep_base: bool = True,
+    digest: Callable[[Workload], WorkloadDigest] = WorkloadDigest,
 ) -> Workload:
     """Merge ``base`` with its worst neighbors, re-weighted per Algorithm 3.
 
@@ -43,6 +59,9 @@ def move_workload(
     credits that anchor for CliffGuard never falling below the nominal
     designer at extreme Γ (Section 6.5), and the A3 ablation bench
     measures exactly that.
+    ``digest`` maps a workload to its :class:`WorkloadDigest`; CliffGuard
+    passes a lookup of digests it built once for its fixed neighborhood.
+    ``alpha`` must be finite and positive.
 
     Two practical refinements over the paper's formula, both documented in
     DESIGN.md:
@@ -61,17 +80,18 @@ def move_workload(
       tilts toward the worst neighbors, and the backtracking line search
       grows or shrinks that tilt — across cost scales.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    base_weights = base.normalized_weights()
-    neighbor_weights = [w.normalized_weights() for w in worst_neighbors]
+    # Negated, so that NaN fails too.
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    base_digest = digest(base)
+    neighbor_digests = [digest(w) for w in worst_neighbors]
+    base_weights = base_digest.weights
+    neighbor_weights = [d.weights for d in neighbor_digests]
 
-    all_sql: dict[str, WorkloadQuery] = {}
-    for query in base:
-        all_sql.setdefault(query.sql, query)
-    for neighbor in worst_neighbors:
-        for query in neighbor:
-            all_sql.setdefault(query.sql, query)
+    all_sql: dict[str, WorkloadQuery] = dict(base_digest.first)
+    for neighbor in neighbor_digests:
+        for sql, query in neighbor.first.items():
+            all_sql.setdefault(sql, query)
 
     costs = {sql: cost(sql) for sql in all_sql}
     mean_cost = sum(costs.values()) / max(len(costs), 1)

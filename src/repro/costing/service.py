@@ -342,6 +342,32 @@ def _sql_weights(queries) -> tuple[list[str], list[float]]:
     return sqls, weights
 
 
+@dataclass(frozen=True)
+class WorkloadBatch:
+    """What a batched evaluation reads of its workloads: each one's
+    ``(sqls, weights)`` and their distinct SQL, first seen first.
+
+    :meth:`CostEvaluationService.evaluate_neighborhood` builds one per
+    call from a list of workloads; a caller that evaluates one fixed list
+    under many designs (CliffGuard's neighborhood) builds it once with
+    :meth:`of` and passes it in place of the list.
+    """
+
+    per_workload: tuple[tuple[list[str], list[float]], ...]
+    unique: tuple[str, ...]
+    #: Query occurrences over all the workloads.
+    occurrences: int
+
+    @classmethod
+    def of(cls, workloads: Sequence) -> "WorkloadBatch":
+        per_workload = tuple(_sql_weights(w) for w in workloads)
+        return cls(
+            per_workload=per_workload,
+            unique=tuple(dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls)),
+            occurrences=sum(len(sqls) for sqls, _ in per_workload),
+        )
+
+
 class CostEvaluationService:
     """Batched, counted evaluation over one cost model."""
 
@@ -727,18 +753,19 @@ class CostEvaluationService:
     ) -> list[list[WorkloadCostReport]]:
         """``result[d][w]`` — the loop behind both batched entry points.
 
-        The distinct SQL of all ``workloads`` is one request per design:
+        The distinct SQL of all ``workloads`` (a list, or a
+        :class:`WorkloadBatch` of one) is one request per design:
         duplicates are collapsed (and counted in ``dedup_saved``) before
         the model is consulted.  (A shared private loop, not one entry
         point calling the other: ``_Timer`` does not nest.)
         """
-        per_workload = [_sql_weights(w) for w in workloads]
-        occurrences = sum(len(sqls) for sqls, _ in per_workload)
-        unique = tuple(dict.fromkeys(sql for sqls, _ in per_workload for sql in sqls))
+        if not isinstance(workloads, WorkloadBatch):
+            workloads = WorkloadBatch.of(workloads)
+        unique = workloads.unique
         results: list[list[WorkloadCostReport]] = []
         for design in designs:
-            self.stats.dedup_saved += occurrences - len(unique)
-            results.append(self._reports(design, per_workload, unique))
+            self.stats.dedup_saved += workloads.occurrences - len(unique)
+            results.append(self._reports(design, workloads.per_workload, unique))
         return results
 
     def evaluate_neighborhood(
@@ -751,7 +778,8 @@ class CostEvaluationService:
         share queries (they are drawn from the same history pool), so each
         distinct (design, query) pair is costed exactly once no matter how
         many neighbors contain it.  Returns ``result[d][w]``, the report
-        of ``workloads[w]`` under ``designs[d]``.
+        of ``workloads[w]`` under ``designs[d]``; ``workloads`` may be a
+        :class:`WorkloadBatch` built once for a fixed list.
         """
         with _Timer(self.stats):
             return self._batched_reports(designs, workloads)
@@ -766,7 +794,9 @@ class CostEvaluationService:
         with _Timer(self.stats):
             return [row[0] for row in self._batched_reports(designs, [workload])]
 
-    def candidate_costs(self, profiles: Sequence, candidates: Sequence):
+    def candidate_costs(
+        self, profiles: Sequence, candidates: Sequence, keys: Sequence[str] | None = None
+    ):
         """``(base_costs, matrix)`` for greedy candidate selection.
 
         Both are fresh C-contiguous float64 arrays, on every resolution
@@ -789,6 +819,10 @@ class CostEvaluationService:
         structure cannot change any access path); anchor-table
         candidates that cannot serve the query are ``inf``, exactly
         like the scalar designer.
+
+        ``keys``, when given, are ``str(candidate)`` for each candidate —
+        a caller that re-prices the same structures call after call
+        computes them once.
         """
         if self.kernel is None:
             raise RuntimeError(
@@ -801,8 +835,9 @@ class CostEvaluationService:
             sqls = tuple(p.sql for p in profiles)
             # A column is keyed by its candidate's DDL text: the content
             # identity a design fingerprint digests, read off the
-            # structure without building a design around it.
-            keys = [str(c) for c in candidates]
+            # structure without building a design around it (``keys``:
+            # the caller already holds them).
+            keys = [str(c) for c in candidates] if keys is None else list(keys)
             t = tracer()
             entry, rows = self._matrix_entry_for(sqls, profiles, keys)
             n_entry = len(entry.sqls)

@@ -12,12 +12,14 @@ CliffGuard implementation drive both the columnar engine and the row store
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 
 from repro.catalog.schema import Schema
 from repro.costing.profile import QueryProfile
 from repro.costing.report import WorkloadCostReport
 from repro.costing.service import CostEvaluationService, CostModel
+from repro.designers.scope import DesignScope
 from repro.engine.design import DEPLOY_SECONDS_PER_GB, PhysicalDesign
 from repro.engine.optimizer import ColumnarCostModel
 from repro.engine.projection import Projection
@@ -54,9 +56,34 @@ class Designer(abc.ABC):
     #: must run in-process (a background worker would lose the learning).
     learns_online: bool = False
 
+    #: The robust design whose calls this designer is serving, or
+    #: ``None`` (see :meth:`scoped`).
+    scope: DesignScope | None = None
+
     @abc.abstractmethod
     def design(self, workload: Workload):
         """Produce a design for ``workload`` within the budget."""
+
+    @contextmanager
+    def scoped(self, scope: DesignScope) -> Iterator[None]:
+        """Mark the calls inside the block as parts of one robust design.
+
+        A designer that keeps per-text work (the nominal designers) reads
+        it from ``scope`` instead of redoing it every call; any other
+        designer ignores it.  The scope is detached on exit, so nothing
+        of it outlives the block.
+        """
+        outer = vars(self).get("scope")
+        self.scope = scope
+        try:
+            yield
+        finally:
+            # Back to the class default when there was no outer scope, so
+            # a pickled designer carries no trace of the block.
+            if outer is None:
+                del self.scope
+            else:
+                self.scope = outer
 
     def observe(self, window: Workload, design, observed_costs) -> None:
         """Feedback hook: the costs actually observed for one window.

@@ -11,7 +11,8 @@ CliffGuard exists to repair).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import operator
+from collections.abc import Callable, Iterable
 
 from repro.costing.profile import QueryProfile, TableAccess
 from repro.designers.base import ColumnarAdapter, Designer
@@ -23,6 +24,9 @@ from repro.workload.workload import Workload
 #: Sort keys longer than this add negligible prefix benefit.
 MAX_SORT_DEPTH = 4
 
+#: Sort key of a ``(column, selectivity)`` pair: most selective first.
+_selectivity = operator.itemgetter(1)
+
 
 def _ordered_columns(
     columns: Iterable[str], sort_key: tuple[str, ...], position: dict[str, int]
@@ -30,22 +34,19 @@ def _ordered_columns(
     """Projection column list: sort key first, then the rest of
     ``columns`` that the table defines, in table order (``position``:
     column name -> its index in the table)."""
-    rest = sorted(
-        (c for c in columns if c in position and c not in sort_key),
-        key=position.__getitem__,
-    )
-    return tuple(sort_key) + tuple(rest)
+    rest = [c for c in columns if c in position and c not in sort_key]
+    rest.sort(key=position.__getitem__)
+    return (*sort_key, *rest)
 
 
 def _filter_first_sort(access: TableAccess) -> tuple[str, ...]:
     """Sort key optimized for the filters: most selective equalities first,
     then one range column.  Deduplicated — a query may carry several
     predicates on one column."""
-    eq = sorted(access.eq_selectivity, key=lambda item: item[1])
-    key = list(dict.fromkeys(name for name, _ in eq))[:MAX_SORT_DEPTH]
+    eq = sorted(access.eq_selectivity, key=_selectivity)
+    key = list(dict.fromkeys([name for name, _ in eq]))[:MAX_SORT_DEPTH]
     if len(key) < MAX_SORT_DEPTH:
-        rng = sorted(access.range_selectivity, key=lambda item: item[1])
-        for name, _ in rng:
+        for name, _ in sorted(access.range_selectivity, key=_selectivity):
             if name not in key:
                 key.append(name)
                 break
@@ -56,7 +57,7 @@ def _group_first_sort(profile: QueryProfile) -> tuple[str, ...]:
     """Sort key optimized for streaming aggregation: group columns first,
     then the filter columns."""
     key = list(dict.fromkeys(profile.group_by))[:MAX_SORT_DEPTH]
-    for name, _ in sorted(profile.anchor.eq_selectivity, key=lambda item: item[1]):
+    for name, _ in sorted(profile.anchor.eq_selectivity, key=_selectivity):
         if name not in key and len(key) < MAX_SORT_DEPTH:
             key.append(name)
     return tuple(key)
@@ -101,12 +102,20 @@ class ColumnarNominalDesigner(Designer):
     # -- candidate generation ------------------------------------------------------
 
     def generate_candidates(self, workload: Workload) -> list[Projection]:
-        """Per-template candidates plus merged cluster candidates."""
-        # (table, columns, sort key) of every proposed projection: a
-        # repeat is recognized before a Projection is built and hashed.
-        seen: set[tuple] = set()
+        """Per-template candidates plus merged cluster candidates.
+
+        Inside a :meth:`~repro.designers.base.Designer.scoped` block, each
+        text's proposals and each projection object are kept in the scope
+        and reused by later calls; only the clustering, which reads the
+        weights, runs again.  Either way the list is the same.
+        """
+        scope = self.scope
+        proposals = {} if scope is None else scope.proposals
+        # (table, columns, sort key) -> its projection: one object per
+        # key, so a repeat is recognized by identity.
+        structures = {} if scope is None else scope.structures
+        seen: set[int] = set()
         candidates: list[Projection] = []
-        schema = self.adapter.schema
         positions: dict[str, dict[str, int]] = {}
         # Anchor accesses collected for the merged-candidate clustering
         # pass: (access, weight) pairs.
@@ -115,51 +124,38 @@ class ColumnarNominalDesigner(Designer):
         def position_of(table_name: str) -> dict[str, int]:
             position = positions.get(table_name)
             if position is None:
-                names = schema.table(table_name).column_names
+                names = self.adapter.schema.table(table_name).column_names
                 position = positions[table_name] = {c: i for i, c in enumerate(names)}
             return position
 
-        def add(table_name: str, columns: Iterable[str], sort_key: tuple[str, ...]) -> None:
+        def projection_of(table_name: str, columns, sort_key: tuple[str, ...]) -> Projection:
             ordered = _ordered_columns(columns, sort_key, position_of(table_name))
             key = (table_name, ordered, sort_key)
-            if key not in seen:
-                seen.add(key)
-                candidates.append(
-                    Projection(
-                        table=table_name,
-                        columns=ordered,
-                        sort_columns=tuple(SortColumn(c) for c in sort_key),
-                    )
+            projection = structures.get(key)
+            if projection is None:
+                projection = structures[key] = Projection(
+                    table=table_name,
+                    columns=ordered,
+                    sort_columns=tuple(SortColumn(c) for c in sort_key),
                 )
+            return projection
+
+        def add(projection: Projection) -> None:
+            if id(projection) not in seen:
+                seen.add(id(projection))
+                candidates.append(projection)
 
         for query in workload.collapsed():
-            try:
-                profile = self.adapter.profile(query.sql)
-            except ValueError:
-                continue
-            for access in profile.tables:
-                if not access.needed_columns:
-                    continue
-                if access.table not in schema.tables:
-                    continue
-                # A projection only ever beats the super-projection through
-                # its sort prefix; an access with no filters and no
-                # grouping cannot benefit, so propose nothing for it.
-                has_filters = bool(access.eq_selectivity or access.range_selectivity)
-                has_grouping = access is profile.anchor and bool(profile.group_by)
-                if not has_filters and not has_grouping:
-                    continue
-                filter_key = _filter_first_sort(access)
-                if not filter_key and has_grouping:
-                    filter_key = tuple(profile.group_by[:1])
-                if filter_key:
-                    add(access.table, access.needed_columns, filter_key)
-                if access is profile.anchor and profile.group_by:
-                    group_key = _group_first_sort(profile)
-                    if group_key:
-                        add(access.table, access.needed_columns, group_key)
-                if access is profile.anchor:
-                    anchor_accesses.append((access, query.frequency))
+            proposal = proposals.get(query.sql)
+            if proposal is None:
+                proposal = proposals[query.sql] = self._propose(query.sql, projection_of)
+            projections, anchor = proposal
+            for projection in projections:  # add(), inlined: the hot loop
+                if id(projection) not in seen:
+                    seen.add(id(projection))
+                    candidates.append(projection)
+            if anchor is not None:
+                anchor_accesses.append((anchor, query.frequency))
 
         # Cluster heaviest-first so high-weight queries seed the clusters
         # and their relatives coalesce around them (ordering matters for a
@@ -177,8 +173,52 @@ class ColumnarNominalDesigner(Designer):
                 # sort prefix, so robustness against a drifting filter
                 # column means owning a variant sorted by each likely one.
                 for sort_key in self._cluster_sort_keys(cluster):
-                    add(table_name, self._trimmed_columns(cluster, sort_key), sort_key)
+                    columns = self._trimmed_columns(cluster, sort_key)
+                    add(projection_of(table_name, columns, sort_key))
         return candidates
+
+    def _propose(
+        self, sql: str, projection_of: Callable[..., Projection]
+    ) -> tuple[list[Projection], TableAccess | None]:
+        """One text's proposals, which no weight changes: each projection
+        it asks for (``projection_of(table, columns, sort key)``), and its
+        anchor access when that joins the clustering (``None`` otherwise,
+        and for a text that does not profile)."""
+        try:
+            profile = self.adapter.profile(sql)
+        except ValueError:
+            return [], None
+        schema = self.adapter.schema
+        projections: list[Projection] = []
+        anchor = None
+        for access in profile.tables:
+            if not access.needed_columns:
+                continue
+            if access.table not in schema.tables:
+                continue
+            # A projection only ever beats the super-projection through
+            # its sort prefix; an access with no filters and no grouping
+            # cannot benefit, so propose nothing for it.
+            has_filters = bool(access.eq_selectivity or access.range_selectivity)
+            has_grouping = access is profile.anchor and bool(profile.group_by)
+            if not has_filters and not has_grouping:
+                continue
+            filter_key = _filter_first_sort(access)
+            if not filter_key and has_grouping:
+                filter_key = tuple(profile.group_by[:1])
+            if filter_key:
+                projections.append(
+                    projection_of(access.table, access.needed_columns, filter_key)
+                )
+            if access is profile.anchor and profile.group_by:
+                group_key = _group_first_sort(profile)
+                if group_key:
+                    projections.append(
+                        projection_of(access.table, access.needed_columns, group_key)
+                    )
+            if access is profile.anchor:
+                anchor = access
+        return projections, anchor
 
     def _note_cluster(self, clusters: dict, access: TableAccess, weight: float) -> None:
         """Accumulate this access into a same-table column cluster.
@@ -273,7 +313,7 @@ class ColumnarNominalDesigner(Designer):
         candidates = self.generate_candidates(workload)
         if not candidates:
             return PhysicalDesign.empty()
-        evaluation = evaluate_candidates(self.adapter, workload, candidates)
+        evaluation = evaluate_candidates(self.adapter, workload, candidates, self.scope)
         chosen = greedy_select(
             evaluation, self.adapter.budget_bytes, max_structures=self.max_structures
         )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.designers.base import DesignAdapter
+from repro.designers.scope import DesignScope
 from repro.workload.workload import Workload
 
 
@@ -40,7 +41,10 @@ class CandidateEvaluation:
 
 
 def evaluate_candidates(
-    adapter: DesignAdapter, workload: Workload, candidates: list
+    adapter: DesignAdapter,
+    workload: Workload,
+    candidates: list,
+    scope: DesignScope | None = None,
 ) -> CandidateEvaluation:
     """Price every candidate against every distinct query of ``workload``.
 
@@ -52,6 +56,9 @@ def evaluate_candidates(
     model, the whole (candidates × queries) matrix is priced in a handful
     of numpy ops (see :mod:`repro.costing.kernel`); the scalar loop below
     is the reference path and stays bit-identical to it.
+
+    With a ``scope``, each candidate's column key and size are computed
+    once per structure object for the whole robust design.
     """
     collapsed = workload.collapsed()
     sqls: list[str] = []
@@ -65,9 +72,16 @@ def evaluate_candidates(
         sqls.append(query.sql)
         weights.append(query.frequency)
 
+    if scope is None:
+        keys = None
+        sizes = [adapter.structure_size(c) for c in candidates]
+    else:
+        identities = [scope.identity(c, adapter) for c in candidates]
+        keys = [key for key, _ in identities]
+        sizes = [size for _, size in identities]
     service = adapter.costing
     if profiles and candidates and getattr(service, "kernel", None) is not None:
-        base, matrix = service.candidate_costs(profiles, candidates)
+        base, matrix = service.candidate_costs(profiles, candidates, keys)
     else:
         empty = adapter.empty_design()
         base = np.array(
@@ -93,14 +107,13 @@ def evaluate_candidates(
                 # structure still changes their cost (maintenance), so they
                 # are priced rather than left at inf.
                 matrix[c, q] = adapter.query_cost(profile, single)
-    sizes = np.array([adapter.structure_size(c) for c in candidates], dtype=np.float64)
     return CandidateEvaluation(
         candidates=candidates,
         sqls=sqls,
         weights=np.array(weights, dtype=np.float64),
         base_costs=base,
         matrix=matrix,
-        sizes=sizes,
+        sizes=np.array(sizes, dtype=np.float64),
     )
 
 

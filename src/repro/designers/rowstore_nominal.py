@@ -62,6 +62,23 @@ class _CompressedTemplate:
             | self.select_columns
         )
 
+    def at(self, weight: float) -> "_CompressedTemplate":
+        """This template at ``weight``, sharing its column containers
+        (:func:`compress_templates` copies them before a merge)."""
+        clone = object.__new__(_CompressedTemplate)
+        vars(clone).update(vars(self))
+        clone.weight = weight
+        return clone
+
+    def own(self) -> None:
+        """Give this template column containers of its own."""
+        self.eq_columns = self.eq_columns.copy()
+        self.range_columns = self.range_columns.copy()
+        self.group_columns = self.group_columns.copy()
+        self.measure_columns = self.measure_columns.copy()
+        self.select_columns = self.select_columns.copy()
+        self.union = self.union.copy()
+
 
 def _template_of(profile: QueryProfile, weight: float) -> _CompressedTemplate:
     eq = list(
@@ -111,19 +128,34 @@ def _merge(into: _CompressedTemplate, other: _CompressedTemplate) -> None:
 def compress_templates(
     templates: list[_CompressedTemplate], radius: int = COMPRESSION_RADIUS
 ) -> list[_CompressedTemplate]:
-    """Merge near-identical templates (the DBMS-X anti-overfit heuristic)."""
+    """Merge near-identical templates (the DBMS-X anti-overfit heuristic).
+
+    Heaviest first, each template merges into the first earlier survivor
+    on its table whose column union is within ``radius`` of its own.  A
+    survivor gets containers of its own before its first merge, so the
+    input templates are never mutated through shared ones.
+    """
     merged: list[_CompressedTemplate] = []
+    by_table: dict[str, list[_CompressedTemplate]] = {}
+    owned: set[int] = set()
     for template in sorted(templates, key=lambda t: -t.weight):
+        size = len(template.union)
+        survivors = by_table.setdefault(template.table, [])
         target = None
-        for existing in merged:
-            if existing.table != template.table:
+        for existing in survivors:
+            # |A ^ B| >= ||A| - |B||: most pairs fail on the sizes alone.
+            if abs(len(existing.union) - size) > radius:
                 continue
             if len(existing.union ^ template.union) <= radius:
                 target = existing
                 break
         if target is None:
             merged.append(template)
+            survivors.append(template)
         else:
+            if id(target) not in owned:
+                owned.add(id(target))
+                target.own()
             _merge(target, template)
     return merged
 
@@ -150,22 +182,44 @@ class RowstoreNominalDesigner(Designer):
     # -- candidate generation -------------------------------------------------------
 
     def generate_candidates(self, workload: Workload) -> list[Index | MaterializedView]:
-        """Index and view candidates from compressed templates."""
+        """Index and view candidates from compressed templates.
+
+        Inside a :meth:`~repro.designers.base.Designer.scoped` block, each
+        text's template and each structure object are kept in the scope
+        and reused by later calls; compression, which reads the weights,
+        runs again on fresh copies.  Either way the list is the same.
+        """
+        scope = self.scope
+        proposals = {} if scope is None else scope.proposals
+        structures = {} if scope is None else scope.structures
         templates: list[_CompressedTemplate] = []
         for query in workload.collapsed():
-            try:
-                profile = self.adapter.profile(query.sql)
-            except ValueError:
-                continue
-            templates.append(_template_of(profile, query.frequency))
+            if query.sql in proposals:
+                template = proposals[query.sql]
+            else:
+                try:
+                    profile = self.adapter.profile(query.sql)
+                except ValueError:
+                    template = None
+                else:
+                    template = _template_of(profile, 0.0)
+                proposals[query.sql] = template
+            if template is not None:
+                templates.append(template.at(query.frequency))
         templates = compress_templates(templates, self.compression_radius)
 
         seen: set = set()
         candidates: list[Index | MaterializedView] = []
 
-        def add(structure: Index | MaterializedView) -> None:
-            if structure not in seen:
-                seen.add(structure)
+        def add(key: tuple) -> None:
+            if key in seen:
+                return
+            seen.add(key)
+            if key in structures:
+                structure = structures[key]
+            else:
+                structure = structures[key] = self._structure(*key)
+            if structure is not None:
                 candidates.append(structure)
 
         for template in templates:
@@ -175,7 +229,7 @@ class RowstoreNominalDesigner(Designer):
                 dict.fromkeys(template.eq_columns + template.range_columns)
             )[:MAX_INDEX_WIDTH]
             if filter_key:
-                add(Index(table=template.table, columns=tuple(filter_key)))
+                add(("index", template.table, tuple(filter_key)))
                 covering = filter_key + [
                     c
                     for c in sorted(
@@ -186,7 +240,7 @@ class RowstoreNominalDesigner(Designer):
                     if c not in filter_key
                 ]
                 if len(covering) <= MAX_COVERING_WIDTH and len(covering) > len(filter_key):
-                    add(Index(table=template.table, columns=tuple(covering)))
+                    add(("index", template.table, tuple(covering)))
             if template.has_aggregates and template.measure_columns:
                 group = list(
                     dict.fromkeys(
@@ -196,19 +250,23 @@ class RowstoreNominalDesigner(Designer):
                     )
                 )
                 if group:
-                    view = MaterializedView(
-                        table=template.table,
-                        group_columns=tuple(group),
-                        measure_columns=tuple(
-                            m for m in template.measure_columns if m not in group
-                        ),
-                    )
-                    stats = self.adapter.cost_model.statistics.get(template.table)
-                    if stats is not None and view.estimated_rows(stats) <= max(
-                        1, int(stats.row_count * MAX_VIEW_FRACTION)
-                    ):
-                        add(view)
+                    measures = tuple(m for m in template.measure_columns if m not in group)
+                    add(("view", template.table, tuple(group), measures))
         return candidates
+
+    def _structure(self, kind: str, table: str, *columns) -> Index | MaterializedView | None:
+        """The structure a candidate key names; ``None`` for a view too
+        large to propose."""
+        if kind == "index":
+            return Index(table=table, columns=columns[0])
+        group, measures = columns
+        view = MaterializedView(table=table, group_columns=group, measure_columns=measures)
+        stats = self.adapter.cost_model.statistics.get(table)
+        if stats is not None and view.estimated_rows(stats) <= max(
+            1, int(stats.row_count * MAX_VIEW_FRACTION)
+        ):
+            return view
+        return None
 
     # -- the designer ------------------------------------------------------------------
 
@@ -217,7 +275,7 @@ class RowstoreNominalDesigner(Designer):
         candidates = self.generate_candidates(workload)
         if not candidates:
             return RowstoreDesign.empty()
-        evaluation = evaluate_candidates(self.adapter, workload, candidates)
+        evaluation = evaluate_candidates(self.adapter, workload, candidates, self.scope)
         chosen = greedy_select(
             evaluation, self.adapter.budget_bytes, max_structures=self.max_structures
         )

@@ -56,7 +56,8 @@ is the oracle of a chain step, and its recorded neighborhoods pin every SQL
 text, every frequency and the generator's final state.
 
 No chain step touches an AST.  :meth:`NeighborhoodSampler.sample` parses
-and compiles each base statement once into a :class:`_Chain`: its column
+each distinct base text once (or takes the statement from its caller's
+``statements``) and compiles each base query into a :class:`_Chain`: its column
 refs as one flat list of names, its mutation sites as indices into that
 list, the multiplicity of every distinct qualified ref, and ``totals``, the
 replacement weights with nothing swapped out (1 + the affinity rows of
@@ -68,7 +69,10 @@ per-step gather gave.  A chain's template key is read off its refs — under
 SWGO, the distinct qualified names themselves; under any other spec, a
 :class:`QueryTemplate` built from the refs clause by clause — and only a
 candidate a probe picks becomes a statement and SQL, once, however many
-samples pick it.
+samples pick it.  A probe's template vector is built from its candidates'
+keys (:meth:`Workload.keyed`), so no picked text is parsed again; the
+caller's ``statements`` receives the statement of each pick a returned
+sample holds.
 """
 
 from __future__ import annotations
@@ -536,8 +540,23 @@ class _CandidateSources:
     chains: list[_Chain]
     #: Template-distinct pool queries at unit frequency, most recent first.
     history: list[WorkloadQuery]
+    #: Their template keys under the metric's clause spec, in order.
+    history_keys: list[VectorKey]
     #: Template keys a mutation may not land on: the base's and history's.
     taken: frozenset[VectorKey]
+
+
+@dataclasses.dataclass
+class _Pool:
+    """The candidates one ``sample`` call picks from; see ``_pool``."""
+
+    candidates: list[WorkloadQuery | _Chain]
+    #: Per candidate: its template key under the metric's clause spec.
+    keys: list[VectorKey]
+    #: Per candidate: its pick probability.
+    weights: np.ndarray
+    #: Each picked mutation's SQL -> its statement.
+    rendered: dict[str, Statement] = dataclasses.field(default_factory=dict)
 
 
 class NeighborhoodSampler:
@@ -579,35 +598,54 @@ class NeighborhoodSampler:
 
     # -- Algorithm 4 -------------------------------------------------------------
 
-    def sample(self, base: Workload, gamma: float, count: int) -> list[Workload]:
+    def sample(
+        self,
+        base: Workload,
+        gamma: float,
+        count: int,
+        statements: dict[str, Statement] | None = None,
+    ) -> list[Workload]:
         """``count`` workloads at uniformly random distances in ``[0, Γ]``,
-        each picking its perturbation from one candidate pool."""
+        each picking its perturbation from one candidate pool.
+
+        ``statements`` (SQL text -> parsed statement) lends the call the
+        base's statements a caller already parsed, and receives the
+        statement of every mutation in a returned sample; the draws and
+        the workloads are the same with or without it.
+        """
         if not 0.0 <= gamma < math.inf:
             raise ValueError(f"gamma must be finite and non-negative, got {gamma!r}")
         if count < 0:
             raise ValueError("count must be non-negative")
         alphas = self.rng.uniform(0.0, gamma, size=count).tolist()
+        if statements is None:
+            statements = {}
         # Nothing at α = 0 (or under an empty base) reads the pool.
-        pool = self._pool(base) if base and any(alpha > 0.0 for alpha in alphas) else None
-        return [self._sample_from(base, alpha, pool) for alpha in alphas]
+        pool = (
+            self._pool(base, statements)
+            if base and any(alpha > 0.0 for alpha in alphas)
+            else None
+        )
+        samples = [self._sample_from(base, alpha, pool) for alpha in alphas]
+        if pool is not None and pool.rendered:
+            for sample in samples:
+                for query in sample:
+                    stmt = pool.rendered.get(query.sql)
+                    if stmt is not None:
+                        statements.setdefault(query.sql, stmt)
+        return samples
 
     def sample_at(self, base: Workload, alpha: float) -> Workload:
         """One workload at distance ≈ ``alpha`` from ``base``."""
         if not 0.0 <= alpha < math.inf:
             raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
-        pool = self._pool(base) if base and alpha > 0.0 else None
+        pool = self._pool(base, {}) if base and alpha > 0.0 else None
         return self._sample_from(base, alpha, pool)
 
-    def _sample_from(
-        self,
-        base: Workload,
-        alpha: float,
-        pool: tuple[list[WorkloadQuery | _Chain], np.ndarray] | None,
-    ) -> Workload:
+    def _sample_from(self, base: Workload, alpha: float, pool: _Pool | None) -> Workload:
         if alpha <= 0.0 or not base:
             return Workload(list(base))
-        candidates, weights = pool
-        if not candidates:
+        if not pool.candidates:
             return Workload(list(base))
         base_count = max(base.total_weight, 1.0)
         best: Workload | None = None
@@ -616,10 +654,10 @@ class NeighborhoodSampler:
         sizes = sorted({self.min_query_set, midpoint, self.max_query_set})
         for k in sizes:
             for _ in range(ATTEMPTS_PER_SIZE):
-                picks = self._pick_distinct(candidates, weights, k)
+                picks, keys = self._pick_distinct(pool, k)
                 if len(picks) < k:
                     break
-                probe = Workload(picks)
+                probe = Workload.keyed(picks, self.distance.clauses, keys)
                 # The probe is template-disjoint from the base by
                 # construction, so the decomposed fast path applies.
                 beta = self.distance.disjoint_distance(base, probe)
@@ -652,9 +690,12 @@ class NeighborhoodSampler:
 
     # -- candidate machinery -----------------------------------------------------
 
-    def _candidate_sources(self, base: Workload) -> _CandidateSources:
+    def _candidate_sources(
+        self, base: Workload, statements: dict[str, Statement]
+    ) -> _CandidateSources:
         """What candidate generation reads and draws no randomness for: a
-        function of ``(base, pool)`` alone.
+        function of ``(base, pool)`` alone.  ``statements`` holds the
+        base's parsed texts; a text missing there is parsed into it.
 
         Disjointness is checked under the *distance metric's* clause spec so
         the decomposed fast path in :meth:`WorkloadDistance.disjoint_distance`
@@ -663,6 +704,7 @@ class NeighborhoodSampler:
         clauses = self.distance.clauses
         taken = self.distance.template_keys(base)
         history: list[WorkloadQuery] = []
+        history_keys: list[VectorKey] = []
         # History first, most recent first: templates that ran before but
         # are absent from the current window are plausible comebacks, and
         # recently retired ones are the likeliest.  Deduplicating by
@@ -682,27 +724,34 @@ class NeighborhoodSampler:
                 continue
             taken.add(key)
             history.append(query.with_frequency(1.0))
+            history_keys.append(key)
         affinity = ColumnAffinity()
         affinity.observe(base)
         affinity.observe(self.pool[max(len(self.pool) - self.recent_pool_size, 0) :])
         shared: dict = {}
-        chains = [
-            _Chain.compile(parse(query.sql), self.schema, affinity, shared) for query in base
-        ]
-        return _CandidateSources(chains, history, frozenset(taken))
+        chains = []
+        for query in base:
+            stmt = statements.get(query.sql)
+            if stmt is None:
+                stmt = statements[query.sql] = parse(query.sql)
+            chains.append(_Chain.compile(stmt, self.schema, affinity, shared))
+        return _CandidateSources(chains, history, history_keys, frozenset(taken))
 
-    def _pool(self, base: Workload) -> tuple[list[WorkloadQuery | _Chain], np.ndarray]:
+    def _pool(self, base: Workload, statements: dict[str, Statement]) -> _Pool:
         """The candidates every sample of one call picks from: pool queries
         (template-disjoint from the base) plus mutations.
 
-        Returns the candidate list (historical templates first) and its
-        pick probabilities, history weighted up by ``history_bias``.  A
-        mutation stays a chain until ``_pick_distinct`` picks it.
+        Returns the candidate list (historical templates first), their
+        template keys and pick probabilities, history weighted up by
+        ``history_bias``.  A mutation stays a chain until
+        ``_pick_distinct`` picks it.  ``statements`` holds the base's
+        parsed texts (see ``_candidate_sources``).
         """
-        sources = self._candidate_sources(base)
+        sources = self._candidate_sources(base, statements)
         clauses = self.distance.clauses
         chains = sources.chains
-        candidates = list(sources.history)
+        candidates: list[WorkloadQuery | _Chain] = list(sources.history)
+        keys = list(sources.history_keys)
         taken = set(sources.taken)
         # Always add affinity-guided mutations of the base's own queries:
         # fresh drift looks like an existing query with one related column
@@ -725,22 +774,24 @@ class NeighborhoodSampler:
                 continue
             taken.add(key)
             candidates.append(mutated)
+            keys.append(key)
             if len(candidates) >= self.recent_pool_size + self.max_query_set * 4:
                 break
         weights = np.ones(len(candidates), dtype=np.float64)
         weights[: len(sources.history)] = self.history_bias
-        return candidates, weights / weights.sum()
+        return _Pool(candidates, keys, weights / weights.sum())
 
-    def _pick_distinct(
-        self, candidates: list[WorkloadQuery | _Chain], weights: np.ndarray, k: int
-    ) -> list[WorkloadQuery]:
-        """Sample ``k`` distinct candidates with probabilities ``weights``;
-        a mutation becomes a statement and SQL, in place, the first time it
-        is picked."""
+    def _pick_distinct(self, pool: _Pool, k: int) -> tuple[list[WorkloadQuery], list[VectorKey]]:
+        """Sample ``k`` distinct candidates with the pool's probabilities,
+        and their template keys; a mutation becomes a statement and SQL,
+        in place, the first time it is picked."""
+        candidates = pool.candidates
         if len(candidates) < k:
-            return []
-        picks = self.rng.choice(len(candidates), size=k, replace=False, p=weights)
+            return [], []
+        picks = self.rng.choice(len(candidates), size=k, replace=False, p=pool.weights)
         for i in picks:
             if not isinstance(candidates[i], WorkloadQuery):
-                candidates[i] = WorkloadQuery(sql=format_statement(candidates[i].statement()))
-        return [candidates[i] for i in picks]
+                stmt = candidates[i].statement()
+                candidates[i] = WorkloadQuery(sql=format_statement(stmt))
+                pool.rendered[candidates[i].sql] = stmt
+        return [candidates[i] for i in picks], [pool.keys[i] for i in picks]

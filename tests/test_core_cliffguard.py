@@ -1,9 +1,17 @@
 """Tests for the CliffGuard designer (Algorithm 2)."""
 
+import gc
+import importlib.util
+import random
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from repro.core.cliffguard import CliffGuard
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
+from repro.designers.scope import DesignScope
 from repro.workload.distance import WorkloadDistance
 from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
@@ -58,7 +66,8 @@ class TestParameters:
     @pytest.mark.parametrize(
         "argument,value",
         [("gamma", float("nan")), ("gamma", float("inf")), ("gamma", float("-inf")),
-         ("initial_alpha", float("nan")), ("lambda_success", float("nan"))],
+         ("initial_alpha", float("nan")), ("lambda_success", float("nan")),
+         ("initial_alpha", float("inf")), ("lambda_success", float("inf"))],
     )
     def test_non_finite_parameter_is_named(self, parts, argument, value):
         """Every guard read ``x < 0`` / ``x <= 0`` / ``x <= 1``, which NaN
@@ -263,3 +272,117 @@ class TestTraceIdentity:
         assert finish[0]["designer"] == "CliffGuard[renamed]"
         start = [e for e in events if e["event"] == "design_start"]
         assert start[0]["designer"] == finish[0]["designer"]
+
+
+# -- the per-design scope ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@lru_cache(maxsize=None)
+def e2e_workloads():
+    """``benchmarks/e2e/workloads.py``: the ledger's design rounds."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", ROOT / "benchmarks" / "e2e" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Registered before it runs: its dataclasses look their module up.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+DESIGN_ROUNDS = ("design-r1-columnar", "design-htap-rowstore")
+
+
+@lru_cache(maxsize=None)
+def moved_workloads(name: str):
+    """The nominal designer and every workload it was handed during the
+    first design of ``name``'s seed-1 round (W0, then the moved ones)."""
+    workloads = e2e_workloads()
+    round_ = workloads.WORKLOADS[name]
+    stack = round_.setup(1)
+    designer = stack["designer"]
+    nominal = designer.nominal
+    handed = []
+    real_design = nominal.design
+
+    def recording_design(workload):
+        handed.append(workload)
+        return real_design(workload)
+
+    nominal.design = recording_design
+    try:
+        round_.run(stack, workloads.Budget(0.0, 1))
+    finally:
+        del nominal.design
+    return nominal, handed
+
+
+class TestDesignScope:
+    @pytest.mark.parametrize("name", DESIGN_ROUNDS)
+    def test_scoped_candidates_equal_unscoped(self, name):
+        """Proposals and structures kept across a design's calls give the
+        list a fresh call gives, in its order — also for a moved workload
+        whose queries come in another order than the scope first saw."""
+        nominal, handed = moved_workloads(name)
+        assert len(handed) == 5  # W0, then one moved workload per iteration
+        permuted = Workload(handed[-1].queries)
+        random.Random(1).shuffle(permuted.queries)
+        unscoped = [nominal.generate_candidates(w) for w in [*handed, permuted]]
+        scope = DesignScope()
+        with nominal.scoped(scope):
+            scoped = [nominal.generate_candidates(w) for w in [*handed, permuted]]
+        assert nominal.scope is None
+        assert scope.proposals and scope.structures
+        for expected, actual in zip(unscoped, scoped):
+            assert [str(c) for c in actual] == [str(c) for c in expected]
+            assert actual == expected
+
+    @pytest.mark.parametrize("name", DESIGN_ROUNDS)
+    def test_scoped_design_equals_unscoped(self, name):
+        nominal, handed = moved_workloads(name)
+        unscoped = [nominal.design(w) for w in handed]
+        with nominal.scoped(DesignScope()):
+            assert [nominal.design(w) for w in handed] == unscoped
+
+    def test_scope_dies_with_the_design_call(self, parts):
+        adapter, nominal, sampler, window = parts
+        robust = CliffGuard(
+            nominal, adapter, sampler, gamma=0.005, n_samples=3, max_iterations=2
+        )
+        robust.design(window)
+        assert nominal.scope is None
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, DesignScope)]
+
+
+#: ``Round.outputs["digest"]`` of the ledger's design rounds, seeds 1–5:
+#: every design's quality pair, price, structure count and DDL digest.
+#: Recorded before the per-design scope existed; they must not move.
+RECORDED_ROUNDS = {
+    "design-r1-columnar": [
+        "bb2bd5991db70f16", "32ecb806747af434", "c89ed06ed7090664",
+        "96040d3ca4e075d1", "3e968dd894fce394",
+    ],
+    "design-htap-rowstore": [
+        "16f2a943eac7f316", "c05bbceb0b290831", "7d965d31198eec69",
+        "5fe274030d91de5f", "27387cb7e4f374c6",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name,seed,expected",
+    [
+        (name, seed, digest)
+        for name, digests in RECORDED_ROUNDS.items()
+        for seed, digest in enumerate(digests, start=1)
+    ],
+)
+def test_design_round_reproduces_recorded_digest(name, seed, expected):
+    workloads = e2e_workloads()
+    round_ = workloads.WORKLOADS[name]
+    result = round_.run(round_.setup(seed), workloads.Budget(0.0, round_.units_per_round))
+    assert result.failed == 0
+    assert result.outputs["digest"] == expected

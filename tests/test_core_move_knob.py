@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.knob import drift_history, gamma_from_history
-from repro.core.move import move_workload
+from repro.core.move import WorkloadDigest, move_workload
 from repro.workload.distance import WorkloadDistance
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
@@ -59,6 +59,28 @@ class TestMoveWorkload:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             move_workload(BASE, [NEIGHBOR], COSTS.get, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_alpha(self, alpha):
+        """``nan <= 0`` is false, so a NaN α used to return an empty
+        workload; ∞ dropped every W0-only query (``∞·0`` is NaN) and gave
+        the neighbors' texts infinite weight."""
+        with pytest.raises(ValueError, match="alpha"):
+            move_workload(BASE, [NEIGHBOR], COSTS.get, alpha=alpha)
+
+    def test_digests_built_once_move_the_same(self):
+        """CliffGuard hands in digests it built once for its neighborhood:
+        the moved workload is the one a fresh digest per call gives."""
+        digests = {id(w): WorkloadDigest(w) for w in (BASE, NEIGHBOR)}
+        for alpha in (0.1, 1.0, 10.0):
+            fresh = move_workload(BASE, [NEIGHBOR, BASE], COSTS.get, alpha=alpha)
+            kept = move_workload(
+                BASE, [NEIGHBOR, BASE], COSTS.get, alpha=alpha,
+                digest=lambda w: digests[id(w)],
+            )
+            assert [(x.sql, x.timestamp, x.frequency) for x in kept] == [
+                (x.sql, x.timestamp, x.frequency) for x in fresh
+            ]
 
     def test_neighbor_count_does_not_inflate_tilt(self):
         one = move_workload(BASE, [NEIGHBOR], COSTS.get, alpha=1.0)

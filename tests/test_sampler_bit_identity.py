@@ -593,3 +593,29 @@ def test_sample_at_rejects_a_non_finite_or_negative_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         sampler.sample_at(env.base, alpha)
     assert sampler.rng.bit_generator.state == before
+
+
+# -- (f) a caller's statements: lent for the base, filled with the picks --------------
+
+
+@pytest.mark.parametrize("family", ["r1", "htap"])
+def test_statements_hand_off_leaves_the_neighborhood_alone(family):
+    """CliffGuard lends ``sample`` the base statements it parsed and takes
+    back the statement of each mutation in a returned sample: every one
+    equals the parse of its text, and the samples and the generator are
+    those of a call without it."""
+    env = environment(family)
+    plain = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    lent = NeighborhoodSampler(env.distance, env.schema, pool=env.pool, seed=7)
+    expected = plain.sample(env.base, 0.02, 8)
+    statements = {query.sql: parse(query.sql) for query in env.base}
+    base_texts = set(statements)
+    actual = lent.sample(env.base, 0.02, 8, statements=statements)
+    assert neighborhood_digest(actual) == neighborhood_digest(expected)
+    assert lent.rng.bit_generator.state == plain.rng.bit_generator.state
+    pool_texts = {query.sql for query in env.pool}
+    mutations = {query.sql for sample in actual for query in sample} - base_texts - pool_texts
+    picked = set(statements) - base_texts
+    assert picked and picked == mutations
+    for sql in picked:
+        assert statements[sql] == parse(sql)
