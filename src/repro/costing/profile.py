@@ -171,6 +171,21 @@ class QueryProfiler:
         self._profiles[sql] = profile
         return profile
 
+    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
+        """The profile of ``sql`` (parsed as ``statement``) without
+        memoising it: the memo's entry when it holds the text (its
+        recency untouched), else a fresh profile nobody keeps.
+
+        For a caller that prices a text once and drops it — the serve
+        daemon's stream, whose texts rarely recur — so the memo does not
+        grow with the stream.  The profile equals what :meth:`profile`
+        returns.
+        """
+        cached = self._profiles.peek(sql)
+        if cached is not None:
+            return cached
+        return self._build(sql, statement)
+
     def _build(self, sql: str, stmt: Statement) -> QueryProfile:
         if isinstance(stmt, (InsertStatement, UpdateStatement, DeleteStatement)):
             return self._build_write(sql, stmt)

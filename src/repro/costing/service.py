@@ -85,12 +85,16 @@ class CostModel(Protocol):
 
     All three substrates satisfy this structurally; the service (and the
     :class:`repro.designers.base.DesignAdapter` refactored onto it) only
-    ever touches these three members.
+    ever touches these four members.
     """
 
     def profile(self, sql: str, statement=None):  # pragma: no cover - protocol
         """Parse and schema-resolve one SQL text (``statement``: the text
         already parsed)."""
+        ...
+
+    def annotate(self, sql: str, statement):  # pragma: no cover - protocol
+        """:meth:`profile` of a parsed text, not memoised."""
         ...
 
     def query_cost(self, sql_or_profile, design) -> float:  # pragma: no cover

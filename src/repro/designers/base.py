@@ -166,6 +166,11 @@ class DesignAdapter(abc.ABC):
         already parsed, so a profile miss does not parse it again)."""
         return self.cost_model.profile(sql, statement)
 
+    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
+        """:meth:`profile` for a text priced once: the profiler does not
+        memoise it."""
+        return self.cost_model.annotate(sql, statement)
+
     def query_cost(self, sql_or_profile, design) -> float:
         """Estimated latency of one query under ``design``."""
         return self.costing.query_cost(sql_or_profile, design)

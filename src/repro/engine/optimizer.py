@@ -92,6 +92,11 @@ class ColumnarCostModel:
         is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
         return self.profiler.profile(sql, statement)
 
+    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
+        """The profile of a text priced once, not memoised (see
+        :meth:`QueryProfiler.annotate`)."""
+        return self.profiler.annotate(sql, statement)
+
     # -- costing ---------------------------------------------------------------
 
     # Every pricing call reads the anchor's selectivity lookups once

@@ -76,6 +76,11 @@ class RowstoreCostModel:
         is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
         return self.profiler.profile(sql, statement)
 
+    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
+        """The profile of a text priced once, not memoised (see
+        :meth:`QueryProfiler.annotate`)."""
+        return self.profiler.annotate(sql, statement)
+
     # -- access paths ------------------------------------------------------------
 
     def _scan_cost(self, access: TableAccess) -> float:

@@ -57,6 +57,11 @@ class SamplesCostModel:
         is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
         return self.profiler.profile(sql, statement)
 
+    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
+        """The profile of a text priced once, not memoised (see
+        :meth:`QueryProfiler.annotate`)."""
+        return self.profiler.annotate(sql, statement)
+
     # -- serviceability -----------------------------------------------------------
 
     def answers(self, profile: QueryProfile, sample: StratifiedSample) -> bool:

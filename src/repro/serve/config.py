@@ -75,8 +75,10 @@ class ServeConfig:
         the final swap before stopping (otherwise cancel it).
     record_queries:
         Keep the per-query `(position, epoch, cost)` log in the outcome
-        and the checkpoint.  The atomicity tests and the resume
-        bit-identity diffs need it; long-lived daemons can turn it off.
+        and the checkpoint (as typed columns, 24 bytes a query).  The
+        atomicity tests and the resume bit-identity diffs need it;
+        long-lived daemons can turn it off.  Part of the run key: a
+        snapshot resumes only with the setting that wrote it.
     history_limit:
         How many recent queries to retain as the perturbation pool for
         background re-designs (0 disables pool seeding).

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from array import array
 from collections import deque
 from dataclasses import astuple, dataclass, replace
 
@@ -58,6 +59,7 @@ from repro.state import (
     restore_designer,
     run_key,
 )
+from repro.state.capture import columns_queries, query_columns
 from repro.workload.monitor import WorkloadMonitor
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
@@ -79,6 +81,60 @@ class PricedQuery:
     timestamp: float
     epoch: int
     cost_ms: float | None
+
+
+class Ledger:
+    """The priced-query log (``ServeConfig.record_queries``) as typed
+    columns: ``timestamps`` and ``costs`` in ``array('d')``, ``epochs``
+    in ``array('q')``.
+
+    Entry *i* is stream position *i* — the log is contiguous from 0, so
+    positions are implicit.  A rejected query (priced ``None``) holds
+    0.0 in ``costs`` and its position in ``rejected``, so no cost value
+    doubles as the marker.  :meth:`records` materialises the
+    :class:`PricedQuery` list once, when the run is over; a snapshot
+    pickles the four columns, not one object per query.
+    """
+
+    __slots__ = ("timestamps", "epochs", "costs", "rejected")
+
+    def __init__(
+        self,
+        timestamps: array | None = None,
+        epochs: array | None = None,
+        costs: array | None = None,
+        rejected: array | None = None,
+    ):
+        self.timestamps = array("d") if timestamps is None else timestamps
+        self.epochs = array("q") if epochs is None else epochs
+        self.costs = array("d") if costs is None else costs
+        #: Positions priced ``None``, ascending.
+        self.rejected = array("q") if rejected is None else rejected
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def append(self, timestamp: float, epoch: int, cost_ms: float | None) -> None:
+        if cost_ms is None:
+            self.rejected.append(len(self.costs))
+            cost_ms = 0.0
+        self.timestamps.append(timestamp)
+        self.epochs.append(epoch)
+        self.costs.append(cost_ms)
+
+    def columns(self) -> tuple[array, array, array, array]:
+        """``(timestamps, epochs, costs, rejected)``; the inverse of
+        ``Ledger(*columns)``."""
+        return self.timestamps, self.epochs, self.costs, self.rejected
+
+    def records(self) -> list[PricedQuery]:
+        rejected = set(self.rejected)
+        return [
+            PricedQuery(position, timestamp, epoch, None if position in rejected else cost)
+            for position, (timestamp, epoch, cost) in enumerate(
+                zip(self.timestamps, self.epochs, self.costs)
+            )
+        ]
 
 
 @dataclass
@@ -189,6 +245,25 @@ def _redesign_task(task):
     return design, time.perf_counter() - started
 
 
+def _window_columns(window: Workload | None):
+    return None if window is None else query_columns(window)
+
+
+def _columns_window(columns) -> Workload | None:
+    return None if columns is None else Workload(columns_queries(columns))
+
+
+def _task_columns(task: tuple) -> tuple:
+    """A re-design task with its window and history as columns."""
+    *head, window_queries, pool = task
+    return (*head, query_columns(window_queries), query_columns(pool))
+
+
+def _columns_task(task: tuple) -> tuple:
+    *head, window_queries, pool = task
+    return (*head, tuple(columns_queries(window_queries)), tuple(columns_queries(pool)))
+
+
 class ServeDaemon:
     """The online tuning loop.  Built by the api facade; see
     :meth:`repro.api.RobustDesignSession.serve`."""
@@ -250,7 +325,7 @@ class ServeDaemon:
         self.design_window: Workload | None = None
         self.pending: PendingRedesign | None = None
         self.history: deque[WorkloadQuery] = deque(maxlen=serve.history_limit)
-        self.priced: list[PricedQuery] = []
+        self.ledger: Ledger | None = Ledger() if serve.record_queries else None
         self.swaps = 0
         self.resumed = False
         self._swap_dirty = False
@@ -270,12 +345,20 @@ class ServeDaemon:
             serve.max_queries,
             serve.history_limit,
             serve.monitor_log_limit,
+            serve.record_queries,
         )
 
     # -- checkpointing -----------------------------------------------------------
 
+    # Every query list in a snapshot — the history, both monitor windows,
+    # the design window and the pending task's — is pickled as columns
+    # (repro.state.capture.query_columns), and the ledger as its own.
+
     def _payload(self) -> dict:
         snapshot = self.active.snapshot()
+        monitor = self.monitor.state()
+        monitor["current"] = query_columns(monitor["current"])
+        monitor["reference"] = _window_columns(monitor["reference"])
         return {
             "position": self.position,
             "window_anchor": self.window_anchor,
@@ -287,17 +370,17 @@ class ServeDaemon:
             "swaps": self.swaps,
             "epoch": snapshot.epoch,
             "design": snapshot.design,
-            "design_window": self.design_window,
+            "design_window": _window_columns(self.design_window),
             "policy": self.policy.state(),
-            "monitor": self.monitor.state(),
-            "history": list(self.history),
-            "priced": list(self.priced) if self.serve.record_queries else None,
+            "monitor": monitor,
+            "history": query_columns(self.history),
+            "priced": None if self.ledger is None else self.ledger.columns(),
             "pending": None
             if self.pending is None
             else {
                 "index": self.pending.index,
-                "window": self.pending.window,
-                "task": self.pending.task,
+                "window": query_columns(self.pending.window),
+                "task": _task_columns(self.pending.task),
                 "launch_position": self.pending.launch_position,
                 "result": self.pending.result,
             },
@@ -331,11 +414,17 @@ class ServeDaemon:
         self.swaps = state["swaps"]
         self.active.restore(state["design"], state["epoch"])
         self.active.swaps = state["swaps"]
-        self.design_window = state["design_window"]
+        self.design_window = _columns_window(state["design_window"])
         self.policy.restore(state["policy"])
-        self.monitor.restore(state["monitor"])
-        self.history = deque(state["history"], maxlen=self.serve.history_limit)
-        self.priced = list(state["priced"]) if state["priced"] is not None else []
+        monitor = dict(state["monitor"])
+        monitor["current"] = columns_queries(monitor["current"])
+        monitor["reference"] = _columns_window(monitor["reference"])
+        self.monitor.restore(monitor)
+        self.history = deque(
+            columns_queries(state["history"]), maxlen=self.serve.history_limit
+        )
+        if self.ledger is not None:
+            self.ledger = Ledger(*state["priced"])
         restore_costing(self.adapter, state["costing"])
         if self.learner is not None:
             restore_designer(self.learner, state.get("learner"))
@@ -343,8 +432,8 @@ class ServeDaemon:
         if pending is not None:
             self.pending = PendingRedesign(
                 index=pending["index"],
-                window=pending["window"],
-                task=pending["task"],
+                window=Workload(columns_queries(pending["window"])),
+                task=_columns_task(pending["task"]),
                 launch_position=pending["launch_position"],
                 result=pending.get("result"),
             )
@@ -366,27 +455,24 @@ class ServeDaemon:
 
     # -- hot path ----------------------------------------------------------------
 
-    def _price(self, query: WorkloadQuery) -> tuple[PricedQuery, Statement | None]:
-        """The query's pricing record and its parsed statement (``None``
-        when it is unpriceable) — the one parse of this query, shared by
-        the profiler and the drift monitor."""
+    def _price(self, query: WorkloadQuery) -> tuple[int, float | None, Statement | None]:
+        """``(epoch, cost_ms, statement)``: the epoch the query was priced
+        in, its cost and its parsed statement (both ``None`` when it is
+        unpriceable) — the one parse of this query, shared by the
+        profiler and the drift monitor.  The profile is used once and
+        dropped (``annotate``): a stream's texts rarely recur, so the
+        profiler's memo does not keep them."""
         with self.active.pin() as (epoch, design):
             try:
                 statement = parse(query.sql)
-                profile = self.adapter.profile(query.sql, statement)
+                profile = self.adapter.annotate(query.sql, statement)
             except ValueError:
                 statement = cost = None
             else:
                 cost = self.adapter.query_cost(profile, design)
                 if profile.is_write:
                     get_metrics().counter("writes.ingested").inc()
-        record = PricedQuery(
-            position=self.position,
-            timestamp=query.timestamp,
-            epoch=epoch,
-            cost_ms=cost,
-        )
-        return record, statement
+        return epoch, cost, statement
 
     def _ingest(self, query: WorkloadQuery) -> None:
         # A query stamped before the newest one the drift window holds
@@ -406,12 +492,12 @@ class ServeDaemon:
             completed = self.window_index
             self.window_index += 1
             self._boundary(completed)
-        record, statement = self._price(query)
+        epoch, cost, statement = self._price(query)
         self.position += 1
         metrics = get_metrics()
         if late:
             metrics.counter("serve.late").inc()
-        if record.cost_ms is None:
+        if cost is None:
             # Unpriceable (malformed SQL, an unknown table): the ledger
             # records it, but it stays out of the drift window and the
             # re-design history, which re-parse what they hold (a
@@ -420,10 +506,10 @@ class ServeDaemon:
         else:
             self.monitor.observe(placed, statement)
             self.history.append(placed)
-        if self.serve.record_queries:
-            self.priced.append(record)
+        if self.ledger is not None:
+            self.ledger.append(query.timestamp, epoch, cost)
         metrics.counter("serve.ingested").inc()
-        metrics.gauge("serve.epoch").set(record.epoch)
+        metrics.gauge("serve.epoch").set(epoch)
 
     # -- boundary machinery --------------------------------------------------------
 
@@ -689,7 +775,7 @@ class ServeDaemon:
             design_price_bytes=self.adapter.design_price(snapshot.design),
             drift_readings=self.monitor.readings_total,
             drift_alarms=self.monitor.alarms_total,
-            priced=list(self.priced) if self.serve.record_queries else None,
+            priced=None if self.ledger is None else self.ledger.records(),
             resumed=resumed,
             wall_seconds=wall,
         )

@@ -13,12 +13,21 @@ knowledge of *where* that state lives in one place; the checkpoint call
 sites stay one-liners.
 
 The opposite direction lives here too: :class:`PickleFieldsOnly` keeps
-values a design caches about itself out of every snapshot.
+values a design caches about itself out of every snapshot, and
+:func:`query_columns` / :func:`columns_queries` carry a query list as
+three columns rather than one object per query.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from dataclasses import fields
+
+from repro.workload.query import WorkloadQuery
+
+#: A query list as columns: ``(sqls, timestamps, frequencies)``.
+QueryColumns = tuple[list[str], array, array]
 
 
 class PickleFieldsOnly:
@@ -37,6 +46,36 @@ class PickleFieldsOnly:
     def __getstate__(self) -> dict:
         state = self.__dict__
         return {field.name: state[field.name] for field in fields(self)}
+
+
+def query_columns(queries: Iterable[WorkloadQuery]) -> QueryColumns:
+    """``queries`` as ``(sqls, timestamps, frequencies)``: a list of
+    texts and two ``array('d')`` columns, in order.
+
+    A snapshot of a window then pickles three objects instead of one
+    per query (texts shared with another list in the same pickle are
+    written once either way), and :func:`columns_queries` rebuilds
+    equal queries bit for bit (a timestamp or frequency given as an
+    ``int`` comes back as the equal ``float``).  Only exact
+    :class:`WorkloadQuery` instances are encoded: a subclass would come
+    back as its base.
+    """
+    sqls: list[str] = []
+    timestamps = array("d")
+    frequencies = array("d")
+    for query in queries:
+        if type(query) is not WorkloadQuery:
+            raise TypeError(f"cannot encode {type(query).__name__} as a WorkloadQuery")
+        sqls.append(query.sql)
+        timestamps.append(query.timestamp)
+        frequencies.append(query.frequency)
+    return sqls, timestamps, frequencies
+
+
+def columns_queries(columns: QueryColumns) -> list[WorkloadQuery]:
+    """The queries :func:`query_columns` encoded, in order."""
+    sqls, timestamps, frequencies = columns
+    return list(map(WorkloadQuery, sqls, timestamps, frequencies))
 
 
 def sampler_state(sampler) -> dict:

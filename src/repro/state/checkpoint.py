@@ -11,8 +11,10 @@ points (:meth:`repro.core.cliffguard.CliffGuard.design`,
 grids) call it at their natural boundaries — iteration, window,
 Γ-point, designer — and restore from it on resume.
 
-Snapshot file format (version 3; version 1 and 2 payloads carried
-per-(design, query) cost-cache exports and are refused)::
+Snapshot file format (version 4; version 1 and 2 payloads carried
+per-(design, query) cost-cache exports, a version-3 serve payload
+carried its query lists and ledger as one object per query, and all
+three are refused)::
 
     <one JSON header line>\\n<binary pickle payload>
 
@@ -59,7 +61,7 @@ from repro.obs import MetricsRegistry, get_metrics, tracer
 
 #: Bump when the payload layout changes incompatibly; loaders refuse
 #: snapshots from other versions rather than guessing.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 #: File-type marker in the header line.
 MAGIC = "repro-state"
 #: Environment variable: SIGKILL the process after N checkpoint writes.

@@ -226,9 +226,19 @@ class TestCheckpointerUnit:
     def test_version_2_snapshot_refused(self, tmp_path):
         """A version-2 costing export carries the per-(design, query)
         cost cache this build no longer has: refused, not half-loaded."""
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION > 2
         path = tmp_path / "run.ckpt"
         key = self._saved_as_version(path, 2)
+        with pytest.raises(CheckpointVersionError):
+            RunCheckpointer(path, resume=True).load("unit", key)
+
+    def test_version_3_snapshot_refused(self, tmp_path):
+        """A version-3 serve payload pickles its ledger and query lists
+        one object per query; this build reads them as columns: refused,
+        not half-loaded."""
+        assert FORMAT_VERSION == 4
+        path = tmp_path / "run.ckpt"
+        key = self._saved_as_version(path, 3)
         with pytest.raises(CheckpointVersionError):
             RunCheckpointer(path, resume=True).load("unit", key)
 
