@@ -58,11 +58,21 @@ declarations and its access-cost arithmetic:
 * ``base_anchor`` / ``base_dim`` — the empty-design anchor-path and
   per-access dimension costs (``base_dim = None``: the substrate has no
   dimension term at all, as samples);
-* ``_anchor_matrix(rows)`` / ``_dim_matrix(rows)`` — the (S', Q) anchor
-  and (S', A) dimension access costs, ``inf`` where a structure cannot
-  serve; ``_servable()`` — the (S, Q) "can serve the anchor" mask;
-* ``_locate(best)`` — what a write pays to find its rows (samples
+* ``_anchor_matrix(s, q)`` / ``_dim_matrix(s, a)`` — the anchor and
+  dimension access costs of structures ``s`` on queries ``q`` / accesses
+  ``a``: an (S', 1) column of structure rows × a query / access axis
+  (a design's block) or two (P,) index arrays (the candidate matrix's
+  priced pairs; see :func:`_gather`), ``inf`` where a structure cannot
+  serve; ``_servable()`` — the (S, Q) "can serve the
+  anchor" mask (where ``_anchor_matrix`` is finite, read off the bound
+  booleans);
+* ``_locate(best, qs)`` — what a write pays to find its rows (samples
   override it: always the exact cost).
+
+Arenas slice like batches: :meth:`_Arena.take` is the arena of a subset
+of its queries (``per_query`` fields sliced, ``query_maps`` re-numbered,
+the access side shared), so the service serves a request whose texts a
+resident arena already holds without compiling them again.
 
 Bound batches additionally carry a **delta re-costing** primitive
 (:meth:`_Batch.delta_design_costs`): when a design changes by a
@@ -224,6 +234,15 @@ def _rows_by_table(struct_table: np.ndarray) -> dict[int, np.ndarray]:
     return {tid: np.array(members, dtype=np.intp) for tid, members in rows.items()}
 
 
+def _gather(matrix: np.ndarray, s: np.ndarray, cols) -> np.ndarray:
+    """``matrix[s, cols]`` for the two index shapes the cost hooks take:
+    an (S', 1) column of rows × a column axis (index array or slice),
+    gathered row-first as a block, or (P,) × (P,) pairs."""
+    if s.ndim == 2:
+        return matrix[s[:, 0]][:, cols]
+    return matrix[s, cols]
+
+
 # -- shared access-side compilation -----------------------------------------------
 
 
@@ -265,16 +284,6 @@ def _dim_sum_vector(dim_pad: np.ndarray, term: np.ndarray) -> np.ndarray:
     for j in range(dim_pad.shape[1]):
         col = dim_pad[:, j]
         total = total + np.where(col >= 0, term[np.maximum(col, 0)], 0.0)
-    return total
-
-
-def _dim_sum_matrix(dim_pad: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """The (S, A)-term variant of :func:`_dim_sum_vector` -> (S, Q)."""
-    total = np.zeros((term.shape[0], dim_pad.shape[0]), dtype=np.float64)
-    for j in range(dim_pad.shape[1]):
-        col = dim_pad[:, j]
-        contrib = term[:, np.maximum(col, 0)]
-        total = total + np.where((col >= 0)[None, :], contrib, 0.0)
     return total
 
 
@@ -464,17 +473,74 @@ class _Arena:
     base_write: np.ndarray
     written_mask: np.ndarray
 
+    #: Fields that run along the query axis (arrays and lists): ``take``
+    #: slices exactly these and shares every other field.  Substrates
+    #: extend it.
+    per_query = (
+        "sqls",
+        "anchor_acc",
+        "dim_pad",
+        "is_write",
+        "is_insert",
+        "always_touch",
+        "affected",
+        "base_write",
+        "written_mask",
+    )
+    #: Fields mapping a key to query rows; ``take`` re-numbers them.
+    query_maps = ()
+
     @property
     def query_count(self) -> int:
         return len(self.sqls)
 
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """sql -> its (first) query row."""
+        rows: dict[str, int] = {}
+        for q, sql in enumerate(self.sqls):
+            rows.setdefault(sql, q)
+        return rows
+
+    def take(self, rows):
+        """The arena of the queries ``rows`` (repeats allowed), as if
+        compiled from their profiles alone: the access side is shared,
+        the per-query fields are sliced and the query-row maps
+        re-numbered.  Every query-side value is per query, and an access
+        no kept query reads is never indexed, so a bind of the view
+        prices exactly like a bind of a fresh compile."""
+        idx = np.asarray(rows, dtype=np.intp).reshape(-1)
+        order = idx.tolist()
+        taken = {}
+        for name in self.per_query:
+            value = getattr(self, name)
+            taken[name] = (
+                value[idx] if isinstance(value, np.ndarray) else [value[q] for q in order]
+            )
+        if self.query_maps:
+            new_rows: dict[int, list[int]] = {}
+            for i, q in enumerate(order):
+                new_rows.setdefault(q, []).append(i)
+            for name in self.query_maps:
+                remapped = {}
+                for key, qs in getattr(self, name).items():
+                    mapped = sorted(i for q in qs for i in new_rows.get(q, ()))
+                    if mapped:
+                        remapped[key] = mapped
+                taken[name] = remapped
+        return replace(self, **taken)
+
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of the compiled arrays."""
+        return sum(array.nbytes for array in self.arrays())
+
+    def arrays(self) -> list[np.ndarray]:
+        """The compiled arrays (a view shares its access side's)."""
         arrays = [value for value in vars(self).values() if isinstance(value, np.ndarray)]
         for side in getattr(self, "predicates", {}).values():
             arrays.extend(side)
-        return sum(array.nbytes for array in arrays)
+        return arrays
 
 
 @dataclass
@@ -528,8 +594,9 @@ class _Batch:
         taken.update((name, getattr(self, name)[:, idx]) for name in self.per_pair)
         return replace(self, sqls=[self.sqls[i] for i in idx], **taken)
 
-    def _locate(self, best: np.ndarray) -> np.ndarray:
-        """What a write pays to find its rows: the best anchor path."""
+    def _locate(self, best: np.ndarray, qs=slice(None)) -> np.ndarray:
+        """What a write pays to find its rows (queries ``qs``): the best
+        anchor path."""
         return best
 
     def _related(self, rows=slice(None)) -> np.ndarray:
@@ -577,9 +644,13 @@ class _Batch:
         best = self.base_anchor
         dim_best = self.base_dim
         if members.size:
-            best = np.minimum(best, self._anchor_matrix(members).min(axis=0))
+            rows = members[:, None]
+            everything = slice(None)
+            best = np.minimum(best, self._anchor_matrix(rows, everything).min(axis=0))
             if dim_best is not None:
-                dim_best = np.minimum(dim_best, self._dim_matrix(members).min(axis=0))
+                dim_best = np.minimum(
+                    dim_best, self._dim_matrix(rows, everything).min(axis=0)
+                )
         read = self.consts.QUERY_OVERHEAD_MS + best
         if dim_best is not None:
             read = read + _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
@@ -621,6 +692,16 @@ class _Batch:
             out[affected] = self.take(affected).design_costs(members)
         return out
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        anchor_table = self.acc_table[self.anchor_acc]
+        same_anchor = self.struct_table[:, None] == anchor_table[None, :]
+        # A write is never *served* by a structure, but a same-table
+        # structure still changes its cost (maintenance + locate), so
+        # write cells are priced rather than marked unservable.
+        unservable = same_anchor & ~self._servable() & ~self.is_write[None, :]
+        return self._related() & ~unservable, unservable
+
     def candidate_frame(self) -> tuple[np.ndarray, np.ndarray]:
         """``(price, unservable)`` masks for the greedy candidate matrix.
 
@@ -631,39 +712,57 @@ class _Batch:
         anchor-table candidates that cannot serve the query at all (the
         scalar designer leaves those cells at ``inf``); every remaining
         cell is exactly the base cost (off-table candidates leave every
-        access path unchanged).
+        access path unchanged).  Computed once per batch (a bound batch
+        is immutable; ``take`` starts its copy without it).
         """
-        same_anchor = (
-            self.struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
-        )
-        # A write is never *served* by a structure, but a same-table
-        # structure still changes its cost (maintenance + locate), so
-        # write cells are priced rather than marked unservable.
-        unservable = same_anchor & ~self._servable() & ~self.is_write[None, :]
-        return self._related() & ~unservable, unservable
+        return self._frame
 
-    def candidate_costs(self) -> np.ndarray:
-        """(S, Q) query cost with only structure ``s`` deployed."""
-        best = np.minimum(self.base_anchor[None, :], self._anchor_matrix())
+    def candidate_costs(self, base=None) -> np.ndarray:
+        """(S, Q) greedy candidate matrix: the query cost with only
+        structure ``s`` deployed where :meth:`candidate_frame` prices,
+        ``inf`` where it is unservable, and the base cost (``base``: the
+        (Q,) :meth:`base_costs`, computed when not given) elsewhere.
+
+        Only the priced pairs are computed — each with the element-wise
+        ops of a full-matrix pass, in the same order, so each is the
+        float a full pass would give.  Every other cell is exactly the
+        base cost or ``inf`` and is filled as such.
+        """
+        price, unservable = self._frame
+        out = np.empty(price.shape, dtype=np.float64)
+        out[...] = self.base_costs() if base is None else base
+        out[unservable] = np.inf
+        rows, queries = np.nonzero(price)
+        out[rows, queries] = self._pair_costs(rows, queries)
+        return out
+
+    def _pair_costs(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """(P,) single-structure query costs of the pairs ``(s[i], q[i])``."""
+        best = np.minimum(self.base_anchor[q], self._anchor_matrix(s, q))
         read = self.consts.QUERY_OVERHEAD_MS + best
         if self.base_dim is not None:
-            dim_term = (
-                np.minimum(self.base_dim[None, :], self._dim_matrix())
-                + self.acc_build_add[None, :]
-            )
-            read = read + _dim_sum_matrix(self.dim_pad, dim_term)
-        if not self.any_write:
+            # ``_dim_sum_vector``'s left fold (the scalar ``sum``), pair by pair.
+            total = np.zeros(q.shape[0], dtype=np.float64)
+            for j in range(self.dim_pad.shape[1]):
+                col = self.dim_pad[q, j]
+                a = np.maximum(col, 0)
+                term = (
+                    np.minimum(self.base_dim[a], self._dim_matrix(s, a))
+                    + self.acc_build_add[a]
+                )
+                total = total + np.where(col >= 0, term, 0.0)
+            read = read + total
+        is_write = self.is_write[q]
+        if not is_write.any():
             return read
         wcost = (
             self.consts.QUERY_OVERHEAD_MS
-            + np.where(self.is_insert[None, :], 0.0, self._locate(best))
-        ) + self.base_write[None, :]
+            + np.where(self.is_insert[q], 0.0, self._locate(best, q))
+        ) + self.base_write[q]
         wcost = wcost + np.where(
-            self.write_touch,
-            self.affected[None, :] * self.write_weight[:, None],
-            0.0,
+            self.write_touch[s, q], self.affected[q] * self.write_weight[s], 0.0
         )
-        return np.where(self.is_write[None, :], wcost, read)
+        return np.where(is_write, wcost, read)
 
 
 class _Kernel:
@@ -793,31 +892,32 @@ class ColumnarBatch(_Batch):
     def _servable(self) -> np.ndarray:
         return self.scan_valid[:, self.anchor_acc]
 
-    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
-        """(S', Q) full anchor-path cost, inf where the projection cannot
-        serve the query (wrong table or missing columns).  ``rows``
-        restricts the structure axis: the sliced computation is
-        element-wise identical to slicing the full matrix, without
-        materializing the unused rows."""
-        a = self.anchor_acc
-        rows_scanned = np.maximum(self.acc_rows[a][None, :] * self.prefix[rows][:, a], 1.0)
-        cost = (rows_scanned * self.acc_needed_bytes[a][None, :]) * _col.BYTE_COST_MS
-        cost = cost + (rows_scanned * self.acc_pred[a][None, :]) * _col.PREDICATE_COST_MS
+    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
+        """Full anchor-path cost of structures ``s`` on queries ``q`` —
+        index arrays that broadcast: an (S', 1) × (Q',) block or
+        (P,) × (P,) pairs — inf where the projection cannot serve the
+        query (wrong table or missing columns).  Every op is
+        element-wise, so a cell is the same float in any shape."""
+        a = self.anchor_acc[q]
+        rows_scanned = np.maximum(self.acc_rows[a] * _gather(self.prefix, s, a), 1.0)
+        cost = (rows_scanned * self.acc_needed_bytes[a]) * _col.BYTE_COST_MS
+        cost = cost + (rows_scanned * self.acc_pred[a]) * _col.PREDICATE_COST_MS
         agg = np.where(
-            self.sorted_groups[rows], self.agg_sorted_add[None, :], self.agg_hash_add[None, :]
+            _gather(self.sorted_groups, s, q), self.agg_sorted_add[q], self.agg_hash_add[q]
         )
-        cost = cost + np.where(self.has_group[None, :], agg, 0.0)
-        needs_sort = self.has_order[None, :] & ~self.order_free[rows]
-        cost = cost + np.where(needs_sort, self.sort_add[None, :], 0.0)
-        cost = cost + (rows_scanned * self.n_dims[None, :]) * _col.JOIN_PROBE_COST_MS
-        return np.where(self.scan_valid[rows][:, a], cost, np.inf)
+        cost = cost + np.where(self.has_group[q], agg, 0.0)
+        needs_sort = self.has_order[q] & ~_gather(self.order_free, s, q)
+        cost = cost + np.where(needs_sort, self.sort_add[q], 0.0)
+        cost = cost + (rows_scanned * self.n_dims[q]) * _col.JOIN_PROBE_COST_MS
+        return np.where(_gather(self.scan_valid, s, a), cost, np.inf)
 
-    def _dim_matrix(self, rows=slice(None)) -> np.ndarray:
-        """(S', A) projection scan cost per access, inf where unusable."""
-        rows_scanned = np.maximum(self.acc_rows[None, :] * self.prefix[rows], 1.0)
-        cost = (rows_scanned * self.acc_needed_bytes[None, :]) * _col.BYTE_COST_MS
-        cost = cost + (rows_scanned * self.acc_pred[None, :]) * _col.PREDICATE_COST_MS
-        return np.where(self.scan_valid[rows], cost, np.inf)
+    def _dim_matrix(self, s: np.ndarray, a) -> np.ndarray:
+        """Projection scan cost of structures ``s`` on accesses ``a``
+        (broadcasting index arrays), inf where unusable."""
+        rows_scanned = np.maximum(self.acc_rows[a] * _gather(self.prefix, s, a), 1.0)
+        cost = (rows_scanned * self.acc_needed_bytes[a]) * _col.BYTE_COST_MS
+        cost = cost + (rows_scanned * self.acc_pred[a]) * _col.PREDICATE_COST_MS
+        return np.where(_gather(self.scan_valid, s, a), cost, np.inf)
 
 
 @dataclass
@@ -843,6 +943,17 @@ class ColumnarArena(_Arena):
     #: ORDER BY tuple) -> query rows.
     group_queries: dict
     order_queries: dict
+
+    per_query = _Arena.per_query + (
+        "super_anchor",
+        "has_group",
+        "has_order",
+        "agg_sorted_add",
+        "agg_hash_add",
+        "sort_add",
+        "n_dims",
+    )
+    query_maps = ("group_queries", "order_queries")
 
 
 class ColumnarKernel(_Kernel):
@@ -1016,41 +1127,41 @@ class RowstoreBatch(_Batch):
     def base_dim(self) -> np.ndarray:
         return self.acc_base_scan
 
-    @cached_property
-    def _anchor_full(self) -> np.ndarray:
-        """The all-rows anchor matrix, built once per batch (batches are
-        immutable after ``bind``; ``take`` goes through ``replace``, which
-        starts the copy without it): ``candidate_frame`` reads it through
-        ``_servable`` and ``candidate_costs`` right after."""
-        return self._anchor_matrix(slice(None))
-
     def _servable(self) -> np.ndarray:
-        return np.isfinite(self._anchor_full)
+        # Where ``_anchor_matrix`` is finite: a view that can answer the
+        # query, or an index that seeks its anchor access.
+        return np.where(
+            self.is_view[:, None],
+            np.isfinite(self.view_cost),
+            self.seek_valid[:, self.anchor_acc],
+        )
 
-    def _dim_matrix(self, rows=slice(None)) -> np.ndarray:
-        """(S', A) cost of driving each access through each index.
-
-        ``rows`` restricts the structure axis *before* any elementwise
-        work, so member-sized designs never materialize the full matrix.
-        """
-        matched = np.maximum(self.acc_rows[None, :] * self.seek_sel[rows], 1.0)
+    def _dim_matrix(self, s: np.ndarray, a) -> np.ndarray:
+        """Cost of driving accesses ``a`` through indices ``s``
+        (broadcasting index arrays: a block or pairs), inf where the
+        index cannot seek the access."""
+        matched = np.maximum(self.acc_rows[a] * _gather(self.seek_sel, s, a), 1.0)
         fetch = np.where(
-            self.covering[rows],
-            (matched * self.key_bytes[rows][:, None]) * _row.BYTE_COST_MS,
-            ((matched * self.acc_row_bytes[None, :]) * _row.BYTE_COST_MS)
+            _gather(self.covering, s, a),
+            (matched * self.key_bytes[s]) * _row.BYTE_COST_MS,
+            ((matched * self.acc_row_bytes[a]) * _row.BYTE_COST_MS)
             * _row.RANDOM_READ_FACTOR,
         )
-        cost = self.acc_seek_add[None, :] + fetch
-        remaining = np.maximum(self.acc_pred[None, :] - self.seek_depth[rows], 0.0)
+        cost = self.acc_seek_add[a] + fetch
+        remaining = np.maximum(self.acc_pred[a] - _gather(self.seek_depth, s, a), 0.0)
         cost = cost + (matched * remaining) * _row.PREDICATE_COST_MS
-        return np.where(self.seek_valid[rows], cost, np.inf)
+        return np.where(_gather(self.seek_valid, s, a), cost, np.inf)
 
-    def _anchor_matrix(self, rows=None) -> np.ndarray:
-        """(S', Q) full query cost via each structure's anchor path."""
-        if rows is None:
-            return self._anchor_full
-        idx_anchor = self._dim_matrix(rows)[:, self.anchor_acc] + self.post[None, :]
-        return np.where(self.is_view[rows][:, None], self.view_cost[rows], idx_anchor)
+    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
+        """Full query cost of queries ``q`` via each structure's anchor
+        path (broadcasting index arrays)."""
+        if s.ndim == 2:
+            # A block: drive every access once, then gather the anchors.
+            idx_anchor = self._dim_matrix(s, slice(None))[:, self.anchor_acc[q]]
+        else:
+            idx_anchor = self._dim_matrix(s, self.anchor_acc[q])
+        idx_anchor = idx_anchor + self.post[q]
+        return np.where(self.is_view[s], _gather(self.view_cost, s, q), idx_anchor)
 
 
 @dataclass
@@ -1076,6 +1187,9 @@ class RowstoreArena(_Arena):
     post: np.ndarray
     #: anchor table id -> the query rows a view on that table could answer.
     view_queries: dict[int, list[int]]
+
+    per_query = _Arena.per_query + ("profiles", "base_path", "post")
+    query_maps = ("view_queries",)
 
 
 class RowstoreKernel(_Kernel):
@@ -1235,25 +1349,20 @@ class SamplesBatch(_Batch):
     def _servable(self) -> np.ndarray:
         return self.valid
 
-    def _locate(self, best: np.ndarray) -> np.ndarray:
+    def _locate(self, best: np.ndarray, qs=slice(None)) -> np.ndarray:
         """Samples never answer a write's locate scan, so the locate term
         is always the exact full-table cost (as the scalar ``_write_cost``)."""
-        return self.exact
+        return self.exact[qs]
 
-    def _anchor_matrix(self, rows=slice(None)) -> np.ndarray:
-        """(S', Q) sample scan cost, inf where the sample cannot answer.
-
-        ``rows`` restricts the structure axis *before* any elementwise
-        work, so member-sized designs never materialize the full matrix.
-        """
-        sample_rows = self.sample_rows[rows][:, None]
-        cost = (sample_rows * self.needed_bytes[None, :]) * _smp.BYTE_COST_MS
-        cost = cost + (sample_rows * self.pred[None, :]) * _smp.PREDICATE_COST_MS
-        filtered = np.maximum(sample_rows * self.total_sel[None, :], 1.0)
-        cost = cost + np.where(
-            self.agg_flag[None, :], filtered * _smp.HASH_AGG_COST_MS, 0.0
-        )
-        return np.where(self.valid[rows], cost, np.inf)
+    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
+        """Sample scan cost of samples ``s`` on queries ``q``
+        (broadcasting index arrays), inf where the sample cannot answer."""
+        sample_rows = self.sample_rows[s]
+        cost = (sample_rows * self.needed_bytes[q]) * _smp.BYTE_COST_MS
+        cost = cost + (sample_rows * self.pred[q]) * _smp.PREDICATE_COST_MS
+        filtered = np.maximum(sample_rows * self.total_sel[q], 1.0)
+        cost = cost + np.where(self.agg_flag[q], filtered * _smp.HASH_AGG_COST_MS, 0.0)
+        return np.where(_gather(self.valid, s, q), cost, np.inf)
 
 
 @dataclass
@@ -1267,6 +1376,16 @@ class SamplesArena(_Arena):
     agg_flag: np.ndarray
     answerable: np.ndarray
     depends_mask: np.ndarray
+
+    per_query = _Arena.per_query + (
+        "exact",
+        "needed_bytes",
+        "pred",
+        "total_sel",
+        "agg_flag",
+        "answerable",
+        "depends_mask",
+    )
 
 
 class SamplesKernel(_Kernel):

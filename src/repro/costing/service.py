@@ -307,10 +307,6 @@ class _MatrixEntry:
     #: LRU-ordered (oldest first).
     columns: OrderedDict[str, _MatrixColumn]
 
-    @property
-    def cells(self) -> int:
-        return sum(col.costs.shape[0] for col in self.columns.values())
-
 
 # -- the service -----------------------------------------------------------------
 
@@ -399,6 +395,10 @@ class CostEvaluationService:
         #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
         #: state: never exported, rebuilt on demand (see _MatrixEntry).
         self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
+        #: Cells of every resident column, kept current where a column is
+        #: added, tail-extended or evicted (an extended entry carries its
+        #: predecessor's columns over; a dropped entry holds none).
+        self._matrix_cells = 0
 
     def clear(self) -> None:
         """Drop every compiled arena and candidate-matrix entry.
@@ -413,6 +413,7 @@ class CostEvaluationService:
         t = tracer()
         entries, columns = len(self._matrix), self.cached_matrix_columns
         self._matrix.clear()
+        self._matrix_cells = 0
         if t.enabled and entries:
             t.emit("matrix_evict", reason="clear", entries=entries, columns=columns)
         arenas = len(self._arenas)
@@ -461,14 +462,29 @@ class CostEvaluationService:
     def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
         """The compiled workload arena for a distinct-SQL tuple.
 
-        Builds (and LRU-caches) on miss: queries are profiled (unless
-        the caller already holds ``profiles``) and the kernel's
-        ``compile_queries`` runs once; every later design bind against
-        the same query set reuses the arrays.
+        Resolution order: the exact key; then the most recently used
+        resident arena that holds every requested text, served as its
+        row-mapped view (``arena.take``) and cached under the exact key;
+        then a compile, LRU-cached: queries are profiled (unless the
+        caller already holds ``profiles``) and the kernel's
+        ``compile_queries`` runs once.  Every later design bind against
+        the same query set reuses the arrays.  A view prices exactly like
+        a compile of its texts (every query-side value is per query), so
+        which of the three served a request never shows in a cost.
         """
         key = _digest("a", *unique_sqls)
         arena = self._arenas.get(key)
         t = tracer()
+        if arena is None:
+            for _, resident in reversed(self._arenas.items()):
+                if resident.query_count < len(unique_sqls):
+                    continue
+                row_of = resident.row_of
+                if all(sql in row_of for sql in unique_sqls):
+                    arena = self._arenas[key] = resident.take(
+                        [row_of[sql] for sql in unique_sqls]
+                    )
+                    break
         if arena is not None:
             self.arena_stats.hits += 1
             if t.enabled:
@@ -511,7 +527,7 @@ class CostEvaluationService:
 
     @property
     def cached_matrix_cells(self) -> int:
-        return sum(entry.cells for entry in self._matrix.values())
+        return self._matrix_cells
 
     def _build_matrix_entry(self, sqls: tuple[str, ...], profiles) -> _MatrixEntry:
         """Compile a fresh matrix entry (arena + eager base costs)."""
@@ -535,11 +551,13 @@ class CostEvaluationService:
     def _extend_matrix_entry(self, old: _MatrixEntry, sqls, profiles) -> _MatrixEntry:
         """Grow ``old`` in place of a recompile to cover new SQL.
 
-        The arena is recompiled over the concatenated profile list —
-        access interning is first-seen, so the old rows' arrays (and
-        therefore every already-priced column value) stay bit-identical
-        — and the priced columns are carried over; their tails are
-        priced lazily by the next request that asks for them.
+        The arena over the concatenated text list comes from
+        :meth:`_arena_for` — a view of a resident arena that holds every
+        text (a CliffGuard design's neighborhood arena, typically), else
+        a compile; either way every old row prices the same bits, so
+        every already-priced column value stays valid — and the priced
+        columns are carried over; their tails are priced lazily by the
+        next request that asks for them.
         """
         prof_of = dict(zip(sqls, profiles))
         fresh = [sql for sql in sqls if sql not in old.index]
@@ -622,13 +640,8 @@ class CostEvaluationService:
         batch = self._bind(entry.arena, members)
         if start:
             batch = batch.take(list(range(start, len(entry.sqls))))
-        price, unservable = batch.candidate_frame()
-        price = np.array(price, dtype=bool)
-        costs = np.where(
-            price,
-            batch.candidate_costs(),
-            np.where(unservable, np.inf, entry.base[None, start:]),
-        )
+        price, _ = batch.candidate_frame()
+        costs = batch.candidate_costs(entry.base[start:])
         return [_MatrixColumn(costs=costs[j], price=price[j]) for j in range(len(members))]
 
     def _shrink_matrix(self) -> None:
@@ -637,13 +650,12 @@ class CostEvaluationService:
         resident entry's base is never dropped — it is almost certainly
         the one the current design stream is using."""
         t = tracer()
-        cells = self.cached_matrix_cells
-        while self._matrix and cells > self.max_matrix_cells:
+        while self._matrix and self._matrix_cells > self.max_matrix_cells:
             key = next(iter(self._matrix))
             entry = self._matrix[key]
             if entry.columns:
                 _, column = entry.columns.popitem(last=False)
-                cells -= column.costs.shape[0]
+                self._matrix_cells -= column.costs.shape[0]
                 self.arena_stats.matrix_evictions += 1
                 if t.enabled:
                     t.emit("matrix_evict", reason="lru", key=key, columns=1)
@@ -855,11 +867,13 @@ class CostEvaluationService:
                 if column is not None and column.costs.shape[0] < n_entry:
                     stale_groups.setdefault(column.costs.shape[0], []).append(key)
             priced_entry_cells = 0
+            added_cells = 0
             if fresh:
                 members = [candidates[first_of[key]] for key in fresh]
                 for key, column in zip(fresh, self._price_columns(entry, members)):
                     entry.columns[key] = column
                     priced_entry_cells += int(column.price.sum())
+                added_cells += len(fresh) * n_entry
             for old_len in sorted(stale_groups):
                 # Columns priced before the entry's last extension only
                 # cover a prefix; price the missing tail rows, grouped by
@@ -874,6 +888,11 @@ class CostEvaluationService:
                         price=np.concatenate([column.price, tail.price]),
                     )
                     priced_entry_cells += int(tail.price.sum())
+                added_cells += len(group) * (n_entry - old_len)
+            if self._matrix.get(entry.key) is entry:
+                # Only resident columns count against the budget (with the
+                # cache off, the entry is not kept).
+                self._matrix_cells += added_cells
             for key in first_of:
                 entry.columns.move_to_end(key)
             columns = [entry.columns[key] for key in keys]
@@ -956,9 +975,14 @@ class CostEvaluationService:
         registry.gauge("arena.evictions").set(self.arena_stats.evictions)
         registry.gauge("arena.invalidations").set(self.arena_stats.invalidations)
         registry.gauge("arena.cached").set(self.cached_arenas)
-        registry.gauge("arena.resident_bytes").set(
-            sum(getattr(arena, "nbytes", 0) for _, arena in self._arenas.items())
-        )
+        # A row-mapped view shares its access side with the arena it was
+        # taken from: each array counts once.
+        resident = {
+            id(array): array.nbytes
+            for _, arena in self._arenas.items()
+            for array in arena.arrays()
+        }
+        registry.gauge("arena.resident_bytes").set(sum(resident.values()))
         registry.gauge("matrix.hits").set(self.arena_stats.matrix_hits)
         registry.gauge("matrix.pairs_priced").set(
             self.arena_stats.matrix_pairs_priced

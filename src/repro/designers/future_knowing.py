@@ -10,7 +10,11 @@ the input window.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 from repro.designers.base import Designer
+from repro.designers.scope import DesignScope
 from repro.workload.workload import Workload
 
 
@@ -26,3 +30,9 @@ class FutureKnowingDesigner(Designer):
     def design(self, workload: Workload):
         """Design for ``workload`` — the harness passes the future window."""
         return self.inner.design(workload)
+
+    @contextmanager
+    def scoped(self, scope: DesignScope) -> Iterator[None]:
+        """Scope the inner designer too: it is the one that reads it."""
+        with super().scoped(scope), self.inner.scoped(scope):
+            yield

@@ -18,6 +18,9 @@ key and size.  A :class:`DesignScope` holds that work for one
 The scope is derived state.  ``CliffGuard.design`` creates one, marks the
 nominal designer's calls with it (:meth:`Designer.scoped
 <repro.designers.base.Designer.scoped>`) and drops it when it returns.
+The replay harness does the same for each window transition, whose
+filter and designers read the same window's texts
+(:mod:`repro.harness.replay`).
 It is never checkpointed: a resumed run starts with an empty one and
 refills it on demand.  A designer called outside a scope runs with a
 throwaway memo — the same work, redone every call.

@@ -11,17 +11,30 @@ Evaluation is restricted to *beneficial* queries: the paper keeps only
 queries "for which there existed an ideal design (no matter how expensive)
 that could improve on their bare table-scan latency by at least a factor
 of 3×" (515 of R1's 15.5K parseable queries).
+
+Each transition does its per-text work once.  The filter, every
+designer and the evaluation passes of one transition run inside one
+:class:`~repro.designers.scope.DesignScope` (each designer's
+:meth:`~repro.designers.base.Designer.scoped` block): the filter's
+per-query proposals for ``W_{i+1}`` are the ones the oracle's design of
+``W_{i+1}`` reads, and every candidate's column key and size are
+computed once for the transition.  The scope is left before the
+transition's checkpoint, so no snapshot carries it and memory stays
+bounded by one transition's texts.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.costing.service import workload_fingerprint
 from repro.designers.base import DesignAdapter, Designer
+from repro.designers.scope import DesignScope
 from repro.obs import tracer
 from repro.serve.sources import QuerySource, as_windows
 from repro.state import (
@@ -38,6 +51,26 @@ from repro.workload.workload import Workload
 BENEFIT_FACTOR = 3.0
 
 
+def _check_factor(name: str, value: float) -> None:
+    """A benefit factor must be a finite number ≥ 0: ``base / best >=
+    nan`` is always false, so NaN (or an infinite factor) would keep no
+    query at all and evaluate nothing, silently."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+@contextmanager
+def _scoped(scope: DesignScope, designers):
+    """Every designer that takes a scope (``scoped``) runs in ``scope``
+    inside the block, and none is left holding it after."""
+    with ExitStack() as stack:
+        for designer in designers:
+            scoped = getattr(designer, "scoped", None)
+            if scoped is not None:
+                stack.enter_context(scoped(scope))
+        yield
+
+
 def beneficial_queries(
     adapter: DesignAdapter,
     candidate_source,
@@ -50,6 +83,7 @@ def beneficial_queries(
     method (a nominal designer); the ideal cost of a query is its best cost
     across the candidates generated for that query alone.
     """
+    _check_factor("factor", factor)
     queries: list = []
     profiles: list = []
     for query in workload.collapsed():
@@ -222,6 +256,7 @@ def replay(
     overrides the derived run-identity key when the caller already knows
     its run configuration digest.
     """
+    _check_factor("benefit_factor", benefit_factor)
     windows = as_windows(windows)
     if checkpointer is not None and state_key is None:
         state_key = run_key(
@@ -259,67 +294,68 @@ def replay(
             continue
         if before_transition is not None:
             before_transition(i, train, test)
-        if candidate_source is not None:
-            evaluation = beneficial_queries(
-                adapter, candidate_source, test, benefit_factor
-            )
-        else:
-            evaluation = test.collapsed()
-        if not evaluation:
-            continue
-        result.evaluated_query_counts.append(len(evaluation))
-        t = tracer()
-        if t.enabled:
-            t.emit(
-                "window",
-                workload=workload_name,
-                index=i,
-                train_queries=len(train),
-                evaluated_queries=len(evaluation),
-            )
-        for name, designer in designers.items():
-            input_window = test if getattr(designer, "is_oracle", False) else train
-            baseline = service.stats.snapshot()
-            started = time.perf_counter()
-            design = designer.design(input_window)
-            design_seconds = time.perf_counter() - started
-            report = adapter.workload_cost(evaluation, design)
-            delta = service.stats.since(baseline)
-            outcome = WindowOutcome(
-                window_index=i,
-                average_ms=report.average_ms,
-                max_ms=report.max_ms,
-                design_seconds=design_seconds,
-                design_price_bytes=adapter.design_price(design),
-                structure_count=len(adapter.structures(design)),
-                query_cost_calls=delta.query_requests + delta.dedup_saved,
-                raw_cost_model_calls=delta.raw_model_calls,
-            )
-            if getattr(designer, "learns_online", False):
-                # The observed per-query costs are the learner's reward
-                # signal, and the evaluation pass just priced them.
-                observed = {
-                    query.sql: cost
-                    for query, cost in zip(evaluation, report.per_query_ms)
-                }
-                outcome.observed_query_ms = observed
-                designer.observe(evaluation, design, observed)
-            result.runs[name].windows.append(outcome)
-            stats = getattr(designer, "stats", None)
-            if callable(stats):
-                result.runs[name].stats = stats()
+        with _scoped(DesignScope(), [candidate_source, *designers.values()]):
+            if candidate_source is not None:
+                evaluation = beneficial_queries(
+                    adapter, candidate_source, test, benefit_factor
+                )
+            else:
+                evaluation = test.collapsed()
+            if not evaluation:
+                continue
+            result.evaluated_query_counts.append(len(evaluation))
+            t = tracer()
             if t.enabled:
                 t.emit(
-                    "redesign",
+                    "window",
                     workload=workload_name,
-                    window=i,
-                    designer=name,
-                    avg_ms=outcome.average_ms,
-                    max_ms=outcome.max_ms,
-                    price_bytes=outcome.design_price_bytes,
-                    structures=outcome.structure_count,
-                    seconds=design_seconds,
+                    index=i,
+                    train_queries=len(train),
+                    evaluated_queries=len(evaluation),
                 )
+            for name, designer in designers.items():
+                input_window = test if getattr(designer, "is_oracle", False) else train
+                baseline = service.stats.snapshot()
+                started = time.perf_counter()
+                design = designer.design(input_window)
+                design_seconds = time.perf_counter() - started
+                report = adapter.workload_cost(evaluation, design)
+                delta = service.stats.since(baseline)
+                outcome = WindowOutcome(
+                    window_index=i,
+                    average_ms=report.average_ms,
+                    max_ms=report.max_ms,
+                    design_seconds=design_seconds,
+                    design_price_bytes=adapter.design_price(design),
+                    structure_count=len(adapter.structures(design)),
+                    query_cost_calls=delta.query_requests + delta.dedup_saved,
+                    raw_cost_model_calls=delta.raw_model_calls,
+                )
+                if getattr(designer, "learns_online", False):
+                    # The observed per-query costs are the learner's reward
+                    # signal, and the evaluation pass just priced them.
+                    observed = {
+                        query.sql: cost
+                        for query, cost in zip(evaluation, report.per_query_ms)
+                    }
+                    outcome.observed_query_ms = observed
+                    designer.observe(evaluation, design, observed)
+                result.runs[name].windows.append(outcome)
+                stats = getattr(designer, "stats", None)
+                if callable(stats):
+                    result.runs[name].stats = stats()
+                if t.enabled:
+                    t.emit(
+                        "redesign",
+                        workload=workload_name,
+                        window=i,
+                        designer=name,
+                        avg_ms=outcome.average_ms,
+                        max_ms=outcome.max_ms,
+                        price_bytes=outcome.design_price_bytes,
+                        structures=outcome.structure_count,
+                        seconds=design_seconds,
+                    )
         if checkpointer is not None:
             checkpointer.step(
                 "replay",

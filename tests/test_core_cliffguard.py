@@ -1,5 +1,6 @@
 """Tests for the CliffGuard designer (Algorithm 2)."""
 
+import contextlib
 import gc
 import importlib.util
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core.cliffguard import CliffGuard
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
+from repro.designers.future_knowing import FutureKnowingDesigner
 from repro.designers.scope import DesignScope
 from repro.workload.distance import WorkloadDistance
 from repro.workload.sampler import NeighborhoodSampler
@@ -281,7 +283,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @lru_cache(maxsize=None)
 def e2e_workloads():
-    """``benchmarks/e2e/workloads.py``: the ledger's design rounds."""
+    """``benchmarks/e2e/workloads.py``: the ledger's rounds."""
     spec = importlib.util.spec_from_file_location(
         "e2e_workloads", ROOT / "benchmarks" / "e2e" / "workloads.py"
     )
@@ -356,10 +358,30 @@ class TestDesignScope:
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, DesignScope)]
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_oracle_wrapper_scopes_its_inner_designer(self, parts, raises):
+        """The oracle's ``design`` is its inner designer's, so a scope
+        given to the wrapper reaches the inner designer, and the block
+        leaves neither holding it — also when the block raises."""
+        _, nominal, _, _ = parts
+        oracle = FutureKnowingDesigner(nominal)
+        scope = DesignScope()
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            with oracle.scoped(scope):
+                assert oracle.scope is scope
+                assert nominal.scope is scope
+                if raises:
+                    raise RuntimeError("inside the block")
+        assert oracle.scope is None and nominal.scope is None
+        assert "scope" not in vars(oracle) and "scope" not in vars(nominal)
 
-#: ``Round.outputs["digest"]`` of the ledger's design rounds, seeds 1–5:
-#: every design's quality pair, price, structure count and DDL digest.
-#: Recorded before the per-design scope existed; they must not move.
+
+#: ``Round.outputs["digest"]`` of the ledger's design rounds, seeds 1–5
+#: (every design's quality pair, price, structure count and DDL digest),
+#: recorded before the per-design scope existed, and of its replay round,
+#: seeds 1–3 (every transition's quality pairs, price, structure count
+#: and evaluated-query count), recorded before the per-transition scope
+#: and the row-mapped arenas existed.  They must not move.
 RECORDED_ROUNDS = {
     "design-r1-columnar": [
         "bb2bd5991db70f16", "32ecb806747af434", "c89ed06ed7090664",
@@ -368,6 +390,9 @@ RECORDED_ROUNDS = {
     "design-htap-rowstore": [
         "16f2a943eac7f316", "c05bbceb0b290831", "7d965d31198eec69",
         "5fe274030d91de5f", "27387cb7e4f374c6",
+    ],
+    "replay-r1-nominal": [
+        "36af7fc726d5801a", "59bf99b94045d780", "1047d67165e1c140",
     ],
 }
 

@@ -234,6 +234,102 @@ def test_take_prices_like_indexing_the_full_batch(substrate, mix, idx, mask):
         np.testing.assert_array_equal(got, want[:, idx])
 
 
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    substrate=st.sampled_from(SUBSTRATES),
+    mix=st.sampled_from(("r1", "htap")),
+    idx=st.lists(st.integers(0, 13), max_size=20),
+    mask=st.integers(0, 1023),
+)
+def test_row_mapped_arena_prices_like_a_fresh_compile(substrate, mix, idx, mask):
+    """``arena.take(rows)`` — rows permuted, repeated or dropped — binds
+    and prices bit for bit like ``compile_queries`` of those rows'
+    profiles: the shared access side is only ever indexed through the
+    kept queries, and the query-row maps are re-numbered exactly."""
+    model, candidates, profiles = _substrate(substrate, mix)
+    kernel = kernel_for(model)
+    arena = kernel.compile_queries(profiles)
+    idx = [i % len(profiles) for i in idx]
+    members = [i for i in range(len(candidates)) if mask & (1 << i)]
+    view = arena.take(idx)
+    fresh = kernel.compile_queries([profiles[i] for i in idx])
+
+    assert view.sqls == fresh.sqls
+    assert view.query_count == len(idx)
+    for name in type(arena).query_maps:
+        assert getattr(view, name) == getattr(fresh, name), name
+    for name in type(arena).per_query:
+        if name in ("sqls", "anchor_acc", "dim_pad", "profiles"):
+            continue  # access indices differ by interning; compared below
+        assert _same_bits(getattr(view, name), getattr(fresh, name)), name
+    if hasattr(view, "accesses"):
+        assert [view.accesses[a] for a in view.anchor_acc] == [
+            fresh.accesses[a] for a in fresh.anchor_acc
+        ]
+
+    got, want = kernel.bind(view, candidates), kernel.bind(fresh, candidates)
+    assert _same_bits(got.design_costs(members), want.design_costs(members))
+    assert _same_bits(got.base_costs(), want.base_costs())
+    assert _same_bits(got.candidate_costs(), want.candidate_costs())
+    for mask_got, mask_want in zip(got.candidate_frame(), want.candidate_frame()):
+        assert _same_bits(mask_got, mask_want)
+
+
+def test_take_of_a_take_is_one_take():
+    model, _, profiles = _substrate("rowstore", "htap")
+    arena = kernel_for(model).compile_queries(profiles)
+    outer = [5, 3, 3, 9, 0, 12, 7]
+    inner = [6, 1, 1, 4]
+    twice, once = arena.take(outer).take(inner), arena.take([outer[i] for i in inner])
+    assert twice.sqls == once.sqls
+    assert twice.view_queries == once.view_queries
+    assert [p.sql for p in twice.profiles] == [p.sql for p in once.profiles]
+    assert _same_bits(twice.base_path, once.base_path)
+
+
+def test_service_serves_a_subset_from_a_resident_arena():
+    """A request whose texts a resident arena holds is served as a
+    row-mapped view of it — no compile — with the floats a fresh service
+    computes; a text no arena holds compiles."""
+    model, candidates, _ = _substrate("columnar", "htap")
+    adapter = _adapter(model)
+    service = adapter.costing
+    _, sqls = _environment("htap")
+    design = adapter.make_design(candidates[:4])
+    adapter.workload_cost(_workload(sqls), design)
+    assert service.arena_stats.builds == 1
+    subset = sqls[::-1][: KERNEL_MIN_BATCH + 2]
+    served = adapter.workload_cost(_workload(subset), design)
+    assert service.arena_stats.builds == 1
+    assert service.cached_arenas == 2
+    again = adapter.workload_cost(_workload(subset), adapter.make_design(candidates[4:]))
+    assert service.arena_stats.builds == 1
+
+    fresh = _adapter(model)
+    assert served.per_query_ms == fresh.workload_cost(_workload(subset), design).per_query_ms
+    assert (
+        again.per_query_ms
+        == fresh.workload_cost(
+            _workload(subset), fresh.make_design(candidates[4:])
+        ).per_query_ms
+    )
+    assert adapter.costing.stats.raw_model_calls == sum(
+        (len(sqls), len(subset), len(subset))
+    )
+
+    _, other_sqls = _environment("r1")
+    adapter.workload_cost(_workload(subset[:-1] + [other_sqls[0]]), design)
+    assert service.arena_stats.builds == 2
+
+
 def test_take_fixture_mixes_reads_and_writes():
     """The htap leg of the ``take`` property really prices writes."""
     for substrate in SUBSTRATES:

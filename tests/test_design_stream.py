@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -315,16 +316,48 @@ def test_clear_drops_matrix():
     np.testing.assert_array_equal(matrix_1, matrix_2)
 
 
+def _recount(service) -> int:
+    """The resident matrix cells, counted column by column."""
+    return sum(
+        column.costs.shape[0]
+        for entry in service._matrix.values()
+        for column in entry.columns.values()
+    )
+
+
 def test_matrix_cell_budget_evicts_columns():
+    """The shrink policy under a budget of ~2 columns: the running cell
+    total equals a recount after every call (columns added, tails
+    extended, columns and entries dropped), and every call returns what
+    a service without the matrix cache returns, with the same exported
+    counters."""
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
     service.max_matrix_cells = len(profiles) * 2  # room for ~2 columns
-    base_1, matrix_1 = service.candidate_costs(profiles, candidates)
+    _, cold = _stack(model, warm=True)
+    cold.matrix_cache_enabled = False
+    n = len(profiles)
+    stream = [
+        (profiles, candidates),
+        (profiles, candidates),
+        (profiles[: n - 2], candidates[:3]),
+        (profiles[:2], candidates[1:4]),
+        (profiles[: n // 2], candidates[:2]),
+        (profiles[n // 4 :], candidates[:2]),
+        (profiles[::-1], candidates[5:]),
+        (profiles, candidates[::-1]),
+    ]
+    for request_profiles, request_candidates in stream:
+        base, matrix = service.candidate_costs(request_profiles, request_candidates)
+        assert service.cached_matrix_cells == _recount(service)
+        assert service.cached_matrix_cells <= service.max_matrix_cells
+        cold_base, cold_matrix = cold.candidate_costs(request_profiles, request_candidates)
+        np.testing.assert_array_equal(base, cold_base)
+        np.testing.assert_array_equal(matrix, cold_matrix)
     assert service.arena_stats.matrix_evictions >= 1
-    assert service.cached_matrix_cells <= service.max_matrix_cells
-    base_2, matrix_2 = service.candidate_costs(profiles, candidates)
-    np.testing.assert_array_equal(base_1, base_2)
-    np.testing.assert_array_equal(matrix_1, matrix_2)
+    assert replace(service.stats, eval_seconds=0.0) == replace(cold.stats, eval_seconds=0.0)
+    service.clear()
+    assert service.cached_matrix_cells == _recount(service) == 0
 
 
 def test_matrix_excluded_from_state_export():

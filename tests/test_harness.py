@@ -1,5 +1,10 @@
 """Tests for the replay harness and reporting."""
 
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
@@ -27,6 +32,24 @@ class TestBeneficialQueries:
         loose = beneficial_queries(columnar_adapter, nominal, window, factor=1.01)
         strict = beneficial_queries(columnar_adapter, nominal, window, factor=50.0)
         assert len(strict) <= len(loose)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_or_negative_factor_rejected(
+        self, columnar_adapter, tiny_windows, factor
+    ):
+        """``base / best >= nan`` is always false: such a factor would keep
+        nothing, silently.  It is refused before anything is priced."""
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        with pytest.raises(ValueError, match="factor"):
+            beneficial_queries(columnar_adapter, nominal, tiny_windows[1], factor=factor)
+        assert columnar_adapter.costing.stats.query_requests == 0
+
+    def test_zero_factor_keeps_every_priced_query(self, columnar_adapter, tiny_windows):
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        kept = beneficial_queries(columnar_adapter, nominal, tiny_windows[1], factor=0.0)
+        assert len(kept) >= len(
+            beneficial_queries(columnar_adapter, nominal, tiny_windows[1])
+        )
 
 
 class TestReplay:
@@ -102,6 +125,112 @@ class TestReplay:
             before_transition=lambda i, train, test: calls.append(i),
         )
         assert calls == list(range(len(tiny_windows) - 1))
+
+
+    @pytest.mark.parametrize(
+        "factor", [float("nan"), float("inf"), -float("inf"), -0.5]
+    )
+    def test_non_finite_or_negative_benefit_factor_rejected(
+        self, columnar_adapter, tiny_windows, factor
+    ):
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        with pytest.raises(ValueError, match="benefit_factor"):
+            replay(
+                TraceSource.from_windows(tiny_windows),
+                {"ExistingDesigner": nominal},
+                columnar_adapter,
+                candidate_source=nominal,
+                benefit_factor=factor,
+            )
+        assert columnar_adapter.costing.stats.query_requests == 0
+
+    def test_transition_scope_is_left_after_each_transition(
+        self, columnar_adapter, tiny_windows
+    ):
+        """Every designer runs a transition inside one scope and holds
+        none after it (nothing of it can reach a checkpoint)."""
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        oracle = FutureKnowingDesigner(nominal)
+        hooks, designs = [], []
+        real_design = nominal.design
+
+        def recording_design(workload):
+            designs.append((nominal.scope, oracle.scope))
+            return real_design(workload)
+
+        nominal.design = recording_design
+        replay(
+            TraceSource.from_windows(tiny_windows),
+            {"ExistingDesigner": nominal, "FutureKnowingDesigner": oracle},
+            columnar_adapter,
+            candidate_source=nominal,
+            before_transition=lambda i, train, test: hooks.append(nominal.scope),
+        )
+        del nominal.design
+        assert nominal.scope is None and oracle.scope is None
+        assert hooks and all(scope is None for scope in hooks)
+        # Two designs per transition (the nominal's, then the oracle's
+        # through it), both in the transition's scope; no scope is
+        # shared by two transitions.
+        assert len(designs) == 2 * len(hooks)
+        scopes = []
+        for (existing, seen), (inner, wrapper) in zip(designs[::2], designs[1::2]):
+            assert existing is not None
+            assert existing is seen is inner is wrapper
+            scopes.append(existing)
+        assert len({id(scope) for scope in scopes}) == len(scopes)
+
+
+def _e2e_workloads():
+    """``benchmarks/e2e/workloads.py`` (the ledger's rounds)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered before it runs: its dataclasses look their module up.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_replay_equals_one_call_per_transition():
+    """The ledger's replay round calls ``replay`` once per transition on
+    one warm service; one call over all of them (one transition scope
+    after another, the caches carried across) gives the same outcomes,
+    field for field — the effort counters included."""
+    workloads = _e2e_workloads()
+    round_ = workloads.WORKLOADS["replay-r1-nominal"]
+    first = round_.skip_windows
+    count = round_.units_per_round
+
+    def replayed(stack, skip, transitions):
+        session = stack["session"]
+        return replay(
+            stack["source"],
+            stack["designers"],
+            session.adapter,
+            candidate_source=session.nominal,
+            workload_name=round_.family,
+            max_transitions=transitions,
+            skip_transitions=skip,
+        )
+
+    whole = replayed(round_.setup(1), first, count)
+    stack = round_.setup(1)
+    parts = [replayed(stack, first + i, 1) for i in range(count)]
+
+    def fields(outcome):
+        values = dataclasses.asdict(outcome)
+        del values["design_seconds"]
+        return values
+
+    assert whole.evaluated_query_counts == [
+        n for part in parts for n in part.evaluated_query_counts
+    ]
+    assert len(whole.evaluated_query_counts) == count
+    for name in round_.designers:
+        assert [fields(w) for w in whole.run(name).windows] == [
+            fields(w) for part in parts for w in part.run(name).windows
+        ]
 
 
 class TestAggregation:
