@@ -1,37 +1,36 @@
-"""Design-stream re-costing: warm candidate matrix vs the cold rebuild,
+"""Design-stream re-costing: warm structure store vs the cold rebuild,
 end to end through CliffGuard's outer loop.
 
 A tuning session is a *stream* of designer invocations over largely
 overlapping workloads: every CliffGuard iteration re-invokes the nominal
 designer on a moved workload, every serve-daemon window re-designs over
 a slid window, every replay transition re-prices the same recurring
-queries.  Without the cache each invocation recompiles and re-prices
-the full (candidates × queries) matrix; with it priced matrix columns
-persist in ``CostEvaluationService``'s candidate-matrix cache (new SQL
-extends the arena, new candidates price fresh columns).  This benchmark
-times three stream shapes:
+queries.  Without the store each invocation binds every structure it
+names again; with it each structure is bound once per root arena and
+kept as a column in ``CostEvaluationService``'s per-arena store, so a
+request over a subset of the root's texts binds only the structures the
+store has never seen.  This benchmark times three stream shapes:
 
 * ``matrix-stream-*`` — a sliding-window ``candidate_costs`` stream per
-  substrate (columnar / rowstore / samples), the designer-invocation
-  inner loop in isolation;
+  substrate (columnar / rowstore / samples) over one root arena (the
+  stream's texts, compiled first, as CliffGuard compiles its
+  neighborhood's), the designer-invocation inner loop in isolation;
 * ``cliffguard-*`` — end-to-end ``CliffGuard.design`` over successive
   trace windows (the serve-daemon re-design stream), columnar and
   rowstore;
 * ``comparison-columnar`` — ``run_designer_comparison`` (the Figure 7
   harness) with the CliffGuard designer;
 
-in two modes each — ``cold`` (matrix cache disabled: the per-call
-rebuild) and ``warm`` (enabled) — asserts both modes' outputs are
-bit-identical, and writes
+in two modes each — ``cold`` (a zero-cell store budget: every call
+binds its structures again) and ``warm`` (the default budget) — asserts
+both modes' outputs are bit-identical, and writes
 ``BENCH_design_stream.json``::
 
     PYTHONPATH=src python benchmarks/bench_design_stream.py           # full
     PYTHONPATH=src python benchmarks/bench_design_stream.py --smoke   # CI leg
 
 Either run exits non-zero only if a config's modes diverge bitwise
-(an ``equal: false`` row); the speedups are recorded, not gated —
-consecutive full runs on identical code give 2.3–3.3x on the headline
-matrix stream.
+(an ``equal: false`` row); the speedups are recorded, not gated.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from repro.serve.handle import design_digest
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 
 #: Matrix-stream shape: ``windows`` sliding query windows (slide =
-#: ``step`` sqls, an arena extension), each re-priced ``repeats`` times
+#: ``step`` sqls, each a view of the stream's root), each re-priced ``repeats`` times
 #: with a candidate set growing by ``cstep`` per call — the shape of
 #: CliffGuard's repeated nominal invocations, the multi-designer
 #: comparison, and serve-daemon re-designs over one boundary.
@@ -125,13 +124,15 @@ COMPARISON_SMOKE = ExperimentScale(
 
 @contextmanager
 def _toggles(enabled: bool):
-    """Force the candidate-matrix cache toggle for every service built
-    inside the block (the harness builds its own stacks)."""
+    """Every service built inside the block keeps store columns across
+    calls (``enabled``) or none (a zero-cell budget: the cold rebuild);
+    the harness builds its own stacks."""
     original = CostEvaluationService.__init__
 
     def patched(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        self.matrix_cache_enabled = enabled
+        if not enabled:
+            self.max_store_cells = 0
 
     CostEvaluationService.__init__ = patched
     try:
@@ -202,10 +203,10 @@ def _matrix_substrate(substrate: str, shape: dict):
 
 
 def _matrix_calls(shape: dict):
-    """The (query-slice, candidate-slice) stream: each window slide is an
-    arena extension; the ``repeats`` calls that follow re-price the same
-    queries with a candidate set growing per call — the warm path
-    reduces them to cached-column assembly plus the fresh columns."""
+    """The (query-slice, candidate-slice) stream: each window is a view
+    of the stream's root; the ``repeats`` calls that follow re-price the
+    same queries with a candidate set growing per call — the warm path
+    binds only the fresh candidates and gathers the rest."""
     calls = []
     call_index = 0
     for w in range(shape["windows"]):
@@ -231,15 +232,18 @@ def _run_matrix_stream(substrate: str, shape: dict):
     calls = _matrix_calls(shape)
     seconds: dict[str, float] = {}
     outputs: dict[str, list] = {}
+    span = slice(min(q.start for q, _ in calls), max(q.stop for q, _ in calls))
     for mode in ("cold", "warm"):
         service = CostEvaluationService(model)
-        service.matrix_cache_enabled = mode != "cold"
+        if mode == "cold":
+            service.max_store_cells = 0
         adapter = _adapter_for(model, service)
         out = []
         # Accumulated heap from earlier configs penalizes whichever
         # mode runs later; settle the collector before each timing.
         gc.collect()
         started = time.perf_counter()
+        service.compile_arena([p.sql for p in profiles[span]])
         for q_slice, c_slice in calls:
             base, matrix = service.candidate_costs(profiles[q_slice], pool[c_slice])
             out.append((base, matrix))

@@ -242,8 +242,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"{report.nominal_wall_seconds:.2f}s nominal)"
         )
         print(
-            f"design-stream reuse: {report.matrix_hits} matrix hits, "
-            f"{report.matrix_pairs_priced} matrix pairs priced"
+            f"structure store: {report.matrix_hits} cells reused, "
+            f"{report.matrix_pairs_priced} cells priced"
         )
     print()
     print(format_metrics(get_metrics(), title="Metrics registry"))

@@ -62,21 +62,20 @@ class CliffGuardReport:
     final_alpha: float = 0.0
     #: Wall-clock seconds spent inside cost evaluation during this run.
     eval_wall_seconds: float = 0.0
-    #: (candidate, query) cells the candidate-matrix cache served warm
-    #: during this run's nominal-designer calls.
+    #: Structure-store cells this run read from columns priced earlier
+    #: (``ArenaStats.matrix_hits``).
     matrix_hits: int = 0
-    #: (candidate, query) cells the kernel actually priced into matrix
-    #: columns during this run.
+    #: Structure-store cells the kernel priced during this run
+    #: (``ArenaStats.matrix_pairs_priced``).
     matrix_pairs_priced: int = 0
     #: Wall-clock seconds spent inside the nominal designer's ``design``
-    #: calls (the candidate generation + pricing + greedy selection the
-    #: matrix cache accelerates).
+    #: calls (candidate generation + pricing + greedy selection).
     nominal_wall_seconds: float = 0.0
 
     #: Fields a resumed run may legitimately report differently from the
     #: uninterrupted run: wall-clock times, plus every counter derived
-    #: from non-exported cache state (the matrix cache is rebuilt cold
-    #: after a resume; see docs/state.md).
+    #: from non-exported cache state (the structure store is rebuilt
+    #: cold after a resume; see docs/state.md).
     RESUME_EXEMPT_FIELDS: ClassVar[tuple[str, ...]] = (
         "eval_wall_seconds",
         "matrix_hits",
@@ -214,9 +213,9 @@ class CliffGuard(Designer):
         self.last_report = report
         service = self.adapter.costing
         baseline = service.stats.snapshot()
-        # Arena/matrix counters are derived state (never checkpointed), so
+        # Arena/store counters are derived state (never checkpointed), so
         # their baseline is taken fresh on every call — resumed runs
-        # legitimately report different matrix numbers (see
+        # legitimately report different store numbers (see
         # CliffGuardReport.RESUME_EXEMPT_FIELDS).
         arena_baseline = service.arena_stats.snapshot()
         t = tracer()
@@ -277,6 +276,19 @@ class CliffGuard(Designer):
                 # statements, and the sampler compiles its chains from them.
                 scope.parse_texts(workload)
                 scope.hand_off(self.adapter)
+                # The neighborhood is drawn before the initial design (the
+                # sampler has its own generator and reads no design, so no
+                # draw moves) and its arena compiled first: W0 and every
+                # moved workload are views of it, so each structure of the
+                # run is priced once, into one store.
+                neighborhood = [workload] + self.sampler.sample(
+                    workload, self.gamma, self.n_samples, statements=scope.statements
+                )
+                # The picked mutations' statements, annotated before the
+                # neighborhood is priced, so no one parses their texts.
+                scope.hand_off(self.adapter)
+                batch = WorkloadBatch.of(neighborhood)
+                service.compile_arena(batch.unique)
             nominal_started = time.perf_counter()
             design = self.nominal.design(workload)  # Line 1: initial nominal design
             report.nominal_wall_seconds += time.perf_counter() - nominal_started
@@ -288,13 +300,6 @@ class CliffGuard(Designer):
                 )
                 return design
 
-            neighborhood = [workload] + self.sampler.sample(
-                workload, self.gamma, self.n_samples, statements=scope.statements
-            )
-            # The picked mutations' statements, annotated before the
-            # neighborhood is priced, so no one parses their texts.
-            scope.hand_off(self.adapter)
-            batch = WorkloadBatch.of(neighborhood)
             costs, incumbent_costs = self._neighborhood_costs(batch, design)
             worst_case = max(costs) if costs else 0.0
             report.worst_case_history.append(worst_case)

@@ -59,20 +59,30 @@ declarations and its access-cost arithmetic:
   per-access dimension costs (``base_dim = None``: the substrate has no
   dimension term at all, as samples);
 * ``_anchor_matrix(s, q)`` / ``_dim_matrix(s, a)`` — the anchor and
-  dimension access costs of structures ``s`` on queries ``q`` / accesses
-  ``a``: an (S', 1) column of structure rows × a query / access axis
-  (a design's block) or two (P,) index arrays (the candidate matrix's
-  priced pairs; see :func:`_gather`), ``inf`` where a structure cannot
-  serve; ``_servable()`` — the (S, Q) "can serve the
-  anchor" mask (where ``_anchor_matrix`` is finite, read off the bound
-  booleans);
+  dimension access costs of the (P,) pairs of structure rows ``s`` and
+  queries ``q`` / accesses ``a``, ``inf`` where a structure cannot
+  serve;
+* ``fold_key`` (on the kernel) — the sort key of a structure in the
+  scalar maintenance fold;
 * ``_locate(best, qs)`` — what a write pays to find its rows (samples
   override it: always the exact cost).
 
-Arenas slice like batches: :meth:`_Arena.take` is the arena of a subset
-of its queries (``per_query`` fields sliced, ``query_maps`` re-numbered,
-the access side shared), so the service serves a request whose texts a
-resident arena already holds without compiling them again.
+**Designs are reductions.**  The hooks are called once per bound
+structure, on its own table's queries and accesses only, into
+:class:`StructureColumns` (``_Batch.structure_columns``): per structure
+an anchor cost per query and a dimension cost per access, ``inf``
+elsewhere, plus its write-touch row and maintenance weight.  A design's
+costs are then ``OVERHEAD + min(base_anchor, min_s anchor) + Σ_dims
+min(base_dim, min_s dim)`` and the write fold; a candidate matrix is the
+same columns one structure at a time.  Because rows are independent, the
+costing service keeps each structure's columns once per compiled arena
+and gathers them for every later design (``columns=`` of
+:meth:`_Batch.design_costs` / :meth:`_Batch.candidate_costs`).
+
+A bound batch slices along the query axis (:meth:`_Batch.take`: every
+op is per query), so a batch over a subset of an arena's queries — the
+costing service's row-mapped views — prices exactly like a compile of
+those queries.
 
 Bound batches additionally carry a **delta re-costing** primitive
 (:meth:`_Batch.delta_design_costs`): when a design changes by a
@@ -142,11 +152,16 @@ class _ColumnBits:
         #: Per table id ``(first bit, column count)``: a table's bits are
         #: contiguous, so ``bit - first`` is a table-local column id.
         self.spans: list[tuple[int, int]] = []
+        #: table -> column -> bit (``bits`` by table, for per-item loops).
+        self.table_bits: dict[str, dict[str, int]] = {}
         for name, table in schema.tables.items():
             first = len(self.bits)
             for column in table.column_names:
                 self.bits[(name, column)] = len(self.bits)
             self.spans.append((first, len(self.bits) - first))
+            self.table_bits[name] = {
+                column: first + j for j, column in enumerate(table.column_names)
+            }
         self.words = max(1, (len(self.bits) + 63) // 64)
 
     def table_id(self, name: str) -> int:
@@ -197,21 +212,18 @@ class _ColumnBits:
         one flattened scatter instead of N per-item array builds."""
         out = np.zeros((len(items), self.words), dtype=np.uint64)
         rows: list[int] = []
-        words: list[int] = []
-        values: list[int] = []
+        bits: list[int] = []
         for i, (table, columns) in enumerate(items):
-            for column in columns:
-                bit = self.bits.get((table, column))
-                if bit is None:
-                    continue
-                rows.append(i)
-                words.append(bit >> 6)
-                values.append(1 << (bit & 63))
+            table_bits = self.table_bits.get(table, {})
+            found = [table_bits[column] for column in columns if column in table_bits]
+            rows.extend([i] * len(found))
+            bits.extend(found)
         if rows:
+            at = np.array(bits, dtype=np.uint64)
             np.bitwise_or.at(
                 out,
-                (np.array(rows, dtype=np.intp), np.array(words, dtype=np.intp)),
-                np.array(values, dtype=np.uint64),
+                (np.array(rows, dtype=np.intp), (at >> np.uint64(6)).astype(np.intp)),
+                np.left_shift(np.uint64(1), at & np.uint64(63)),
             )
         return out
 
@@ -232,15 +244,6 @@ def _rows_by_table(struct_table: np.ndarray) -> dict[int, np.ndarray]:
         if tid >= 0:
             rows.setdefault(tid, []).append(s)
     return {tid: np.array(members, dtype=np.intp) for tid, members in rows.items()}
-
-
-def _gather(matrix: np.ndarray, s: np.ndarray, cols) -> np.ndarray:
-    """``matrix[s, cols]`` for the two index shapes the cost hooks take:
-    an (S', 1) column of rows × a column axis (index array or slice),
-    gathered row-first as a block, or (P,) × (P,) pairs."""
-    if s.ndim == 2:
-        return matrix[s[:, 0]][:, cols]
-    return matrix[s, cols]
 
 
 # -- shared access-side compilation -----------------------------------------------
@@ -451,6 +454,22 @@ def _table_blocks(arena, struct_table: np.ndarray, struct_mask: np.ndarray, keys
 # -- the skeleton: one arena / batch / kernel base ----------------------------------
 
 
+class StructureColumns(NamedTuple):
+    """Per-structure quantities a design's costs reduce over, one row per
+    structure: a design costs ``min`` over its rows plus the write fold
+    (:meth:`_Batch.design_costs`).  Rows are independent, so the rows of
+    any structures over any queries can be gathered from wherever they
+    were priced."""
+
+    table: np.ndarray  # (S,) table id
+    anchor: np.ndarray  # (S, Q) anchor-path cost, inf off the structure's table
+    dim: np.ndarray | None  # (S, A) dimension-access cost, inf likewise; None: no term
+    # The write side, read only where the queries hold a write (else None):
+    touch: np.ndarray | None  # (S, Q) bool: write q maintains structure s
+    weight: np.ndarray | None  # (S,) per-affected-row maintenance weight
+    rank: np.ndarray | None  # (S,) scalar maintenance fold order (see _write_fold_order)
+
+
 @dataclass
 class _Arena:
     """Query-side compiled state every substrate shares.
@@ -473,23 +492,6 @@ class _Arena:
     base_write: np.ndarray
     written_mask: np.ndarray
 
-    #: Fields that run along the query axis (arrays and lists): ``take``
-    #: slices exactly these and shares every other field.  Substrates
-    #: extend it.
-    per_query = (
-        "sqls",
-        "anchor_acc",
-        "dim_pad",
-        "is_write",
-        "is_insert",
-        "always_touch",
-        "affected",
-        "base_write",
-        "written_mask",
-    )
-    #: Fields mapping a key to query rows; ``take`` re-numbers them.
-    query_maps = ()
-
     @property
     def query_count(self) -> int:
         return len(self.sqls)
@@ -502,41 +504,13 @@ class _Arena:
             rows.setdefault(sql, q)
         return rows
 
-    def take(self, rows):
-        """The arena of the queries ``rows`` (repeats allowed), as if
-        compiled from their profiles alone: the access side is shared,
-        the per-query fields are sliced and the query-row maps
-        re-numbered.  Every query-side value is per query, and an access
-        no kept query reads is never indexed, so a bind of the view
-        prices exactly like a bind of a fresh compile."""
-        idx = np.asarray(rows, dtype=np.intp).reshape(-1)
-        order = idx.tolist()
-        taken = {}
-        for name in self.per_query:
-            value = getattr(self, name)
-            taken[name] = (
-                value[idx] if isinstance(value, np.ndarray) else [value[q] for q in order]
-            )
-        if self.query_maps:
-            new_rows: dict[int, list[int]] = {}
-            for i, q in enumerate(order):
-                new_rows.setdefault(q, []).append(i)
-            for name in self.query_maps:
-                remapped = {}
-                for key, qs in getattr(self, name).items():
-                    mapped = sorted(i for q in qs for i in new_rows.get(q, ()))
-                    if mapped:
-                        remapped[key] = mapped
-                taken[name] = remapped
-        return replace(self, **taken)
-
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of the compiled arrays."""
         return sum(array.nbytes for array in self.arrays())
 
     def arrays(self) -> list[np.ndarray]:
-        """The compiled arrays (a view shares its access side's)."""
+        """The compiled arrays."""
         arrays = [value for value in vars(self).values() if isinstance(value, np.ndarray)]
         for side in getattr(self, "predicates", {}).values():
             arrays.extend(side)
@@ -599,12 +573,34 @@ class _Batch:
         anchor path."""
         return best
 
-    def _related(self, rows=slice(None)) -> np.ndarray:
-        """(S', Q) bool over the bound structures ``rows``: the
+    @cached_property
+    def structure_columns(self) -> StructureColumns:
+        """This batch's structures as :class:`StructureColumns`.
+
+        Anchor and dimension costs are priced only where the structure
+        sits on the query's anchor table / the access's table; every
+        other cell is ``inf`` by construction (a structure cannot serve
+        another table).  Computed once per batch (a bound batch is
+        immutable; ``take`` starts its copy without it)."""
+        count = self.structure_count
+        anchor_table = self.acc_table[self.anchor_acc]
+        anchor = np.full((count, self.query_count), np.inf)
+        s, q = np.nonzero(self.struct_table[:, None] == anchor_table[None, :])
+        anchor[s, q] = self._anchor_matrix(s, q)
+        dim = None
+        if self.base_dim is not None:
+            dim = np.full((count, self.acc_table.shape[0]), np.inf)
+            s, a = np.nonzero(self.struct_table[:, None] == self.acc_table[None, :])
+            dim[s, a] = self._dim_matrix(s, a)
+        return StructureColumns(
+            self.struct_table, anchor, dim, self.write_touch, self.write_weight, self.write_rank
+        )
+
+    def _related(self, struct_table: np.ndarray) -> np.ndarray:
+        """(S', Q) bool over structures on tables ``struct_table``: the
         structure's table is the query's anchor table or one of its
         dimension tables — the only pairs whose cost can differ from
         the empty-design cost."""
-        struct_table = self.struct_table[rows]
         related = struct_table[:, None] == self.acc_table[self.anchor_acc][None, :]
         for j in range(self.dim_pad.shape[1]):
             col = self.dim_pad[:, j]
@@ -614,50 +610,53 @@ class _Batch:
             )
         return related
 
-    def _write_costs(self, locate: np.ndarray, members: np.ndarray) -> np.ndarray:
+    def _write_costs(
+        self, locate: np.ndarray, columns: StructureColumns, fold: np.ndarray
+    ) -> np.ndarray:
         """(Q,) write-path costs given the per-query locate cost.
 
         Replicates the scalar ``_write_cost`` fold exactly: inserts skip
-        the locate, then maintenance terms accumulate in member order
-        (masked adds of ``+0.0`` are bit-preserving for non-touching
-        members, so the interleaved fold matches the scalar per-table
-        restriction of the design order).
+        the locate, then maintenance terms accumulate over the ``fold``
+        rows of ``columns`` in order (masked adds of ``+0.0`` are
+        bit-preserving for non-touching members, so the interleaved fold
+        matches the scalar per-table restriction of the design order, and
+        a member that touches no query here is skipped outright).
         """
         cost = (
             self.consts.QUERY_OVERHEAD_MS + np.where(self.is_insert, 0.0, locate)
         ) + self.base_write
-        fold = members[np.argsort(self.write_rank[members], kind="stable")]
-        for m in fold.tolist():
-            cost = cost + np.where(
-                self.write_touch[m], self.affected * self.write_weight[m], 0.0
-            )
+        touch = columns.touch
+        for m in fold[touch[fold].any(axis=1)].tolist():
+            cost = cost + np.where(touch[m], self.affected * columns.weight[m], 0.0)
         return cost
 
-    def design_costs(self, members=None) -> np.ndarray:
-        """(Q,) costs under the design made of ``members`` (structure row
-        indices; None = all compiled structures)."""
-        members = (
-            np.arange(self.structure_count, dtype=np.intp)
-            if members is None
-            else np.asarray(members, dtype=np.intp)
-        )
+    def design_costs(self, members=None, columns: StructureColumns | None = None) -> np.ndarray:
+        """(Q,) costs under the design made of ``members`` (row indices
+        into ``columns``; None = every row).
+
+        ``columns`` defaults to this batch's own :attr:`structure_columns`;
+        the costing service passes a design's columns gathered from its
+        store instead, over this batch's queries.  Either way a design's
+        cost is a ``min`` over its members' columns plus the write fold.
+        """
+        columns = self.structure_columns if columns is None else columns
+        # Every row (the service's gathered designs) reads in place.
+        rows = slice(None) if members is None else np.asarray(members, dtype=np.intp)
+        members = np.arange(columns.table.shape[0], dtype=np.intp)[rows]
         best = self.base_anchor
         dim_best = self.base_dim
         if members.size:
-            rows = members[:, None]
-            everything = slice(None)
-            best = np.minimum(best, self._anchor_matrix(rows, everything).min(axis=0))
+            best = np.minimum(best, columns.anchor[rows].min(axis=0))
             if dim_best is not None:
-                dim_best = np.minimum(
-                    dim_best, self._dim_matrix(rows, everything).min(axis=0)
-                )
+                dim_best = np.minimum(dim_best, columns.dim[rows].min(axis=0))
         read = self.consts.QUERY_OVERHEAD_MS + best
         if dim_best is not None:
             read = read + _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
         if not self.any_write:
             return read
+        fold = members[np.argsort(columns.rank[members], kind="stable")]
         return np.where(
-            self.is_write, self._write_costs(self._locate(best), members), read
+            self.is_write, self._write_costs(self._locate(best), columns, fold), read
         )
 
     def base_costs(self) -> np.ndarray:
@@ -667,7 +666,7 @@ class _Batch:
     def affected_queries(self, row: int) -> np.ndarray:
         """(Q,) bool: queries whose cost can change when structure ``row``
         enters or leaves a design."""
-        return self._related(slice(row, row + 1))[0]
+        return self._related(self.struct_table[row : row + 1])[0]
 
     def delta_design_costs(self, members, changed_row: int, prev_costs) -> np.ndarray:
         """(Q,) costs under ``members``, re-pricing only the queries the
@@ -692,18 +691,27 @@ class _Batch:
             out[affected] = self.take(affected).design_costs(members)
         return out
 
-    @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+    def _frame_of(self, columns: StructureColumns) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`candidate_frame` of the structures ``columns`` holds."""
         anchor_table = self.acc_table[self.anchor_acc]
-        same_anchor = self.struct_table[:, None] == anchor_table[None, :]
+        same_anchor = columns.table[:, None] == anchor_table[None, :]
         # A write is never *served* by a structure, but a same-table
         # structure still changes its cost (maintenance + locate), so
-        # write cells are priced rather than marked unservable.
-        unservable = same_anchor & ~self._servable() & ~self.is_write[None, :]
-        return self._related() & ~unservable, unservable
+        # write cells are priced rather than marked unservable.  A
+        # structure serves the anchor exactly where its anchor cost is
+        # finite.
+        unservable = same_anchor & ~np.isfinite(columns.anchor) & ~self.is_write[None, :]
+        return self._related(columns.table) & ~unservable, unservable
 
-    def candidate_frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(price, unservable)`` masks for the greedy candidate matrix.
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._frame_of(self.structure_columns)
+
+    def candidate_frame(
+        self, columns: StructureColumns | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(price, unservable)`` masks for the greedy candidate matrix of
+        ``columns`` (default: this batch's own, computed once per batch).
 
         ``price[s, q]`` marks pairs whose single-structure cost can differ
         from the base cost: the candidate's table appears in the query
@@ -712,33 +720,40 @@ class _Batch:
         anchor-table candidates that cannot serve the query at all (the
         scalar designer leaves those cells at ``inf``); every remaining
         cell is exactly the base cost (off-table candidates leave every
-        access path unchanged).  Computed once per batch (a bound batch
-        is immutable; ``take`` starts its copy without it).
+        access path unchanged).
         """
-        return self._frame
+        return self._frame if columns is None else self._frame_of(columns)
 
-    def candidate_costs(self, base=None) -> np.ndarray:
+    def candidate_costs(
+        self, base=None, columns: StructureColumns | None = None, frame=None
+    ) -> np.ndarray:
         """(S, Q) greedy candidate matrix: the query cost with only
         structure ``s`` deployed where :meth:`candidate_frame` prices,
         ``inf`` where it is unservable, and the base cost (``base``: the
         (Q,) :meth:`base_costs`, computed when not given) elsewhere.
 
-        Only the priced pairs are computed — each with the element-wise
-        ops of a full-matrix pass, in the same order, so each is the
-        float a full pass would give.  Every other cell is exactly the
-        base cost or ``inf`` and is filled as such.
+        ``columns`` are the candidates, as in :meth:`design_costs`
+        (``frame``: their :meth:`candidate_frame`, when the caller holds
+        it).  Only the priced pairs are computed — each with the
+        element-wise ops of a one-member :meth:`design_costs`, in the
+        same order, so each is the float a full pass would give.  Every
+        other cell is exactly the base cost or ``inf`` and is filled as
+        such.
         """
-        price, unservable = self._frame
+        if frame is None:
+            frame = self.candidate_frame(columns)
+        price, unservable = frame
+        columns = self.structure_columns if columns is None else columns
         out = np.empty(price.shape, dtype=np.float64)
         out[...] = self.base_costs() if base is None else base
         out[unservable] = np.inf
         rows, queries = np.nonzero(price)
-        out[rows, queries] = self._pair_costs(rows, queries)
+        out[rows, queries] = self._pair_costs(rows, queries, columns)
         return out
 
-    def _pair_costs(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def _pair_costs(self, s: np.ndarray, q: np.ndarray, columns: StructureColumns) -> np.ndarray:
         """(P,) single-structure query costs of the pairs ``(s[i], q[i])``."""
-        best = np.minimum(self.base_anchor[q], self._anchor_matrix(s, q))
+        best = np.minimum(self.base_anchor[q], columns.anchor[s, q])
         read = self.consts.QUERY_OVERHEAD_MS + best
         if self.base_dim is not None:
             # ``_dim_sum_vector``'s left fold (the scalar ``sum``), pair by pair.
@@ -746,10 +761,7 @@ class _Batch:
             for j in range(self.dim_pad.shape[1]):
                 col = self.dim_pad[q, j]
                 a = np.maximum(col, 0)
-                term = (
-                    np.minimum(self.base_dim[a], self._dim_matrix(s, a))
-                    + self.acc_build_add[a]
-                )
+                term = np.minimum(self.base_dim[a], columns.dim[s, a]) + self.acc_build_add[a]
                 total = total + np.where(col >= 0, term, 0.0)
             read = read + total
         is_write = self.is_write[q]
@@ -760,7 +772,7 @@ class _Batch:
             + np.where(self.is_insert[q], 0.0, self._locate(best, q))
         ) + self.base_write[q]
         wcost = wcost + np.where(
-            self.write_touch[s, q], self.affected[q] * self.write_weight[s], 0.0
+            columns.touch[s, q], self.affected[q] * columns.weight[s], 0.0
         )
         return np.where(is_write, wcost, read)
 
@@ -768,9 +780,9 @@ class _Batch:
 class _Kernel:
     """Compiles profiles and structures into a substrate's arena / batch.
 
-    Subclasses set ``name``, ``arena_type`` and ``batch_type`` and write
-    ``compile_queries`` / ``bind`` around the shared prologue and
-    epilogue below.
+    Subclasses set ``name``, ``arena_type``, ``batch_type`` and
+    ``fold_key`` and write ``compile_queries`` / ``bind`` around the
+    shared prologue and epilogue below.
     """
 
     def __init__(self, model):
@@ -801,14 +813,12 @@ class _Kernel:
         )
         return accesses, shared
 
-    def _bound(self, arena, structures, struct_table, write_mask, fold_key, **pairs):
+    def _bound(self, arena, structures, struct_table, write_mask, **pairs):
         """``bind`` epilogue: the write-side pair arrays, then the batch.
 
         ``write_mask`` is the (S, words) column set a write must intersect
         to force maintenance of each structure (the scalar
-        ``write_touches`` rule), ``fold_key`` maps a structure to a sort
-        key reproducing the design container's order
-        (:func:`_write_fold_order`), ``pairs`` the substrate's own
+        ``write_touches`` rule), ``pairs`` the substrate's own
         per-design arrays.  The write-side arrays are read only under
         ``any_write``, so a read-only arena binds zeros and does none of
         that work.
@@ -819,7 +829,7 @@ class _Kernel:
                 [self.model.maintenance_weight(s) for s in structures], dtype=np.float64
             ).reshape(count)
             write_touch = _write_touch_mask(arena, struct_table, write_mask)
-            write_rank = _write_fold_order([fold_key(s) for s in structures])
+            write_rank = _write_fold_order([self.fold_key(s) for s in structures])
         else:
             write_weight = np.zeros(count, dtype=np.float64)
             write_touch = np.zeros((count, arena.query_count), dtype=bool)
@@ -889,35 +899,30 @@ class ColumnarBatch(_Batch):
     def base_dim(self) -> np.ndarray:
         return self.acc_super_scan
 
-    def _servable(self) -> np.ndarray:
-        return self.scan_valid[:, self.anchor_acc]
-
-    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
-        """Full anchor-path cost of structures ``s`` on queries ``q`` —
-        index arrays that broadcast: an (S', 1) × (Q',) block or
-        (P,) × (P,) pairs — inf where the projection cannot serve the
-        query (wrong table or missing columns).  Every op is
-        element-wise, so a cell is the same float in any shape."""
+    def _anchor_matrix(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Full anchor-path cost of the pairs ``(s[i], q[i])``, inf where
+        the projection cannot serve the query (wrong table or missing
+        columns)."""
         a = self.anchor_acc[q]
-        rows_scanned = np.maximum(self.acc_rows[a] * _gather(self.prefix, s, a), 1.0)
+        rows_scanned = np.maximum(self.acc_rows[a] * self.prefix[s, a], 1.0)
         cost = (rows_scanned * self.acc_needed_bytes[a]) * _col.BYTE_COST_MS
         cost = cost + (rows_scanned * self.acc_pred[a]) * _col.PREDICATE_COST_MS
         agg = np.where(
-            _gather(self.sorted_groups, s, q), self.agg_sorted_add[q], self.agg_hash_add[q]
+            self.sorted_groups[s, q], self.agg_sorted_add[q], self.agg_hash_add[q]
         )
         cost = cost + np.where(self.has_group[q], agg, 0.0)
-        needs_sort = self.has_order[q] & ~_gather(self.order_free, s, q)
+        needs_sort = self.has_order[q] & ~self.order_free[s, q]
         cost = cost + np.where(needs_sort, self.sort_add[q], 0.0)
         cost = cost + (rows_scanned * self.n_dims[q]) * _col.JOIN_PROBE_COST_MS
-        return np.where(_gather(self.scan_valid, s, a), cost, np.inf)
+        return np.where(self.scan_valid[s, a], cost, np.inf)
 
-    def _dim_matrix(self, s: np.ndarray, a) -> np.ndarray:
-        """Projection scan cost of structures ``s`` on accesses ``a``
-        (broadcasting index arrays), inf where unusable."""
-        rows_scanned = np.maximum(self.acc_rows[a] * _gather(self.prefix, s, a), 1.0)
+    def _dim_matrix(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Projection scan cost of the pairs ``(s[i], a[i])``, inf where
+        unusable."""
+        rows_scanned = np.maximum(self.acc_rows[a] * self.prefix[s, a], 1.0)
         cost = (rows_scanned * self.acc_needed_bytes[a]) * _col.BYTE_COST_MS
         cost = cost + (rows_scanned * self.acc_pred[a]) * _col.PREDICATE_COST_MS
-        return np.where(_gather(self.scan_valid, s, a), cost, np.inf)
+        return np.where(self.scan_valid[s, a], cost, np.inf)
 
 
 @dataclass
@@ -944,17 +949,6 @@ class ColumnarArena(_Arena):
     group_queries: dict
     order_queries: dict
 
-    per_query = _Arena.per_query + (
-        "super_anchor",
-        "has_group",
-        "has_order",
-        "agg_sorted_add",
-        "agg_hash_add",
-        "sort_add",
-        "n_dims",
-    )
-    query_maps = ("group_queries", "order_queries")
-
 
 class ColumnarKernel(_Kernel):
     """Compiles and batch-prices the columnar (projection) substrate."""
@@ -962,6 +956,11 @@ class ColumnarKernel(_Kernel):
     name = "columnar"
     arena_type = ColumnarArena
     batch_type = ColumnarBatch
+
+    @staticmethod
+    def fold_key(structure) -> tuple:
+        """Scalar fold order: the design's (table, columns, sort key)."""
+        return (structure.table, structure.columns, structure.sort_key)
 
     def compile_queries(self, profiles) -> ColumnarArena:
         model = self.model
@@ -1073,7 +1072,6 @@ class ColumnarKernel(_Kernel):
             structures,
             struct_table,
             write_mask=struct_mask,
-            fold_key=lambda s: (s.table, s.columns, s.sort_key),
             scan_valid=scan_valid,
             prefix=prefix,
             sorted_groups=sorted_groups,
@@ -1127,41 +1125,26 @@ class RowstoreBatch(_Batch):
     def base_dim(self) -> np.ndarray:
         return self.acc_base_scan
 
-    def _servable(self) -> np.ndarray:
-        # Where ``_anchor_matrix`` is finite: a view that can answer the
-        # query, or an index that seeks its anchor access.
-        return np.where(
-            self.is_view[:, None],
-            np.isfinite(self.view_cost),
-            self.seek_valid[:, self.anchor_acc],
-        )
-
-    def _dim_matrix(self, s: np.ndarray, a) -> np.ndarray:
-        """Cost of driving accesses ``a`` through indices ``s``
-        (broadcasting index arrays: a block or pairs), inf where the
-        index cannot seek the access."""
-        matched = np.maximum(self.acc_rows[a] * _gather(self.seek_sel, s, a), 1.0)
+    def _dim_matrix(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Cost of driving the pairs' accesses ``a[i]`` through indices
+        ``s[i]``, inf where the index cannot seek the access."""
+        matched = np.maximum(self.acc_rows[a] * self.seek_sel[s, a], 1.0)
         fetch = np.where(
-            _gather(self.covering, s, a),
+            self.covering[s, a],
             (matched * self.key_bytes[s]) * _row.BYTE_COST_MS,
             ((matched * self.acc_row_bytes[a]) * _row.BYTE_COST_MS)
             * _row.RANDOM_READ_FACTOR,
         )
         cost = self.acc_seek_add[a] + fetch
-        remaining = np.maximum(self.acc_pred[a] - _gather(self.seek_depth, s, a), 0.0)
+        remaining = np.maximum(self.acc_pred[a] - self.seek_depth[s, a], 0.0)
         cost = cost + (matched * remaining) * _row.PREDICATE_COST_MS
-        return np.where(_gather(self.seek_valid, s, a), cost, np.inf)
+        return np.where(self.seek_valid[s, a], cost, np.inf)
 
-    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
-        """Full query cost of queries ``q`` via each structure's anchor
-        path (broadcasting index arrays)."""
-        if s.ndim == 2:
-            # A block: drive every access once, then gather the anchors.
-            idx_anchor = self._dim_matrix(s, slice(None))[:, self.anchor_acc[q]]
-        else:
-            idx_anchor = self._dim_matrix(s, self.anchor_acc[q])
-        idx_anchor = idx_anchor + self.post[q]
-        return np.where(self.is_view[s], _gather(self.view_cost, s, q), idx_anchor)
+    def _anchor_matrix(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Full query cost of the pairs ``(s[i], q[i])`` via the
+        structure's anchor path."""
+        idx_anchor = self._dim_matrix(s, self.anchor_acc[q]) + self.post[q]
+        return np.where(self.is_view[s], self.view_cost[s, q], idx_anchor)
 
 
 @dataclass
@@ -1187,9 +1170,6 @@ class RowstoreArena(_Arena):
     post: np.ndarray
     #: anchor table id -> the query rows a view on that table could answer.
     view_queries: dict[int, list[int]]
-
-    per_query = _Arena.per_query + ("profiles", "base_path", "post")
-    query_maps = ("view_queries",)
 
 
 class RowstoreKernel(_Kernel):
@@ -1241,7 +1221,7 @@ class RowstoreKernel(_Kernel):
         )
 
     @staticmethod
-    def _fold_key(structure) -> tuple:
+    def fold_key(structure) -> tuple:
         """Scalar fold order: all of a table's indexes (by columns), then
         its views (by groupings + measures) — see ``_write_cost``."""
         if isinstance(structure, MaterializedView):
@@ -1305,7 +1285,6 @@ class RowstoreKernel(_Kernel):
             structures,
             struct_table,
             write_mask=struct_mask,
-            fold_key=self._fold_key,
             is_view=is_view,
             key_bytes=key_bytes,
             seek_valid=seek_depth > 0,
@@ -1346,23 +1325,20 @@ class SamplesBatch(_Batch):
     def base_anchor(self) -> np.ndarray:
         return self.exact
 
-    def _servable(self) -> np.ndarray:
-        return self.valid
-
     def _locate(self, best: np.ndarray, qs=slice(None)) -> np.ndarray:
         """Samples never answer a write's locate scan, so the locate term
         is always the exact full-table cost (as the scalar ``_write_cost``)."""
         return self.exact[qs]
 
-    def _anchor_matrix(self, s: np.ndarray, q) -> np.ndarray:
-        """Sample scan cost of samples ``s`` on queries ``q``
-        (broadcasting index arrays), inf where the sample cannot answer."""
+    def _anchor_matrix(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Sample scan cost of the pairs ``(s[i], q[i])``, inf where the
+        sample cannot answer."""
         sample_rows = self.sample_rows[s]
         cost = (sample_rows * self.needed_bytes[q]) * _smp.BYTE_COST_MS
         cost = cost + (sample_rows * self.pred[q]) * _smp.PREDICATE_COST_MS
         filtered = np.maximum(sample_rows * self.total_sel[q], 1.0)
         cost = cost + np.where(self.agg_flag[q], filtered * _smp.HASH_AGG_COST_MS, 0.0)
-        return np.where(_gather(self.valid, s, q), cost, np.inf)
+        return np.where(self.valid[s, q], cost, np.inf)
 
 
 @dataclass
@@ -1377,16 +1353,6 @@ class SamplesArena(_Arena):
     answerable: np.ndarray
     depends_mask: np.ndarray
 
-    per_query = _Arena.per_query + (
-        "exact",
-        "needed_bytes",
-        "pred",
-        "total_sel",
-        "agg_flag",
-        "answerable",
-        "depends_mask",
-    )
-
 
 class SamplesKernel(_Kernel):
     """Compiles and batch-prices the stratified-samples substrate."""
@@ -1394,6 +1360,11 @@ class SamplesKernel(_Kernel):
     name = "samples"
     arena_type = SamplesArena
     batch_type = SamplesBatch
+
+    @staticmethod
+    def fold_key(structure) -> tuple:
+        """Scalar fold order: the design's (table, strata, fraction)."""
+        return (structure.table, structure.strata_columns, structure.fraction)
 
     def compile_queries(self, profiles) -> SamplesArena:
         model = self.model
@@ -1468,7 +1439,6 @@ class SamplesKernel(_Kernel):
             structures,
             struct_table,
             write_mask=strata_mask,
-            fold_key=lambda s: (s.table, s.strata_columns, s.fraction),
             sample_rows=sample_rows,
             valid=valid,
         )

@@ -22,28 +22,37 @@ Contract (see ``docs/cost_model.md`` for the prose version):
 * **No cost is memoized.**  Every entry point collapses its request to
   distinct SQL and prices it; a caller that needs a cost twice keeps
   the one it was given.  What the service does keep is derived state —
-  compiled workload arenas and the candidate-matrix cache — which
-  depends only on the queries, the candidates and the model, is never
-  exported, and cannot change a float or an exported counter.
+  compiled workload arenas and, per arena, a store of priced structure
+  columns — which depends only on the queries, the structures and the
+  model, is never exported, and cannot change a float or an exported
+  counter.
+* **Each structure is priced once per arena.**  A design's cost is a
+  reduction over per-structure quantities (an anchor cost per query, a
+  dimension cost per access, a write-touch row; see
+  :class:`~repro.costing.kernel.StructureColumns`).  The first request
+  that names a structure binds it over the whole root arena; every
+  later design and candidate matrix over any subset of that arena's
+  texts gathers its column and takes a ``min``.  A bounded LRU of
+  columns (``max_store_cells``) caps the memory.
 * **Identity is content.**  A design's fingerprint digests the
-  canonical DDL of its structures in deterministic order, and a
-  candidate-matrix column is keyed by its structure's DDL text, so
-  content-identical candidates share columns even when they are
-  distinct objects.
+  canonical DDL of its structures in deterministic order, and a store
+  column is keyed by its structure's DDL text, so content-identical
+  structures share columns even when they are distinct objects.
 * **One pricing path, in process.**  Every batched request is priced by
-  :meth:`CostEvaluationService._price`: the request's arena bound to
-  the design, or the scalar model below ``KERNEL_MIN_BATCH`` distinct
-  queries.  The service never fans out inside a pricing call: the
-  kernel reduction is ~1% of a design run's wall, so parallelism lives
-  one level up, in the harness's whole-task fan-out and the serve
-  daemon's background re-design (see :mod:`repro.parallel`).
+  :meth:`CostEvaluationService._price`: the design's columns gathered
+  from the request's store, or the scalar model below
+  ``KERNEL_MIN_BATCH`` distinct queries.  The service never fans out
+  inside a pricing call: parallelism lives one level up, in the
+  harness's whole-task fan-out and the serve daemon's background
+  re-design (see :mod:`repro.parallel`).
 * **Bit-identical results.**  Every float is the exact float the
   underlying cost model produces — the property tests in
-  ``tests/test_costing_service.py`` assert equality, not closeness.
+  ``tests/test_costing_service.py`` and ``tests/test_costing_arena.py``
+  assert equality, not closeness.
 * **Explicit invalidation.**  The service never watches the cost model
   for mutation; callers that change statistics or cost constants must
   call :meth:`CostEvaluationService.clear`, which drops every arena and
-  matrix column built from the old ones.
+  every column priced from the old ones.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.costing.kernel import kernel_for
+from repro.costing.kernel import StructureColumns, _write_fold_order, kernel_for
 from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
@@ -72,11 +81,14 @@ KERNEL_MIN_BATCH = 8
 #: a handful of windows are ever live at once; each holds the compiled
 #: query-side arrays plus profiles, so the bound is deliberately small.
 DEFAULT_MAX_ARENAS = 8
-#: Bound on the candidate-matrix cache, in (candidate, query) cells
-#: across every resident entry.  Sized for a designer-comparison run
-#: (~1-2k candidates × ~500 distinct queries); the shrink policy drops
+#: Bound on the structure-column stores, in float cells (a column holds
+#: an anchor cost per query and a dimension cost per access of its root
+#: arena) across every live store.  Sized for a designer-comparison run
+#: (~1-2k structures × ~500 distinct queries); the shrink policy drops
 #: whole least-recently-used columns, never partial ones.
-DEFAULT_MAX_MATRIX_CELLS = 2_000_000
+DEFAULT_MAX_STORE_CELLS = 2_000_000
+#: Candidates a candidate-matrix request gathers and prices at a time.
+_MATRIX_ROWS = 128
 
 
 @runtime_checkable
@@ -230,7 +242,7 @@ class CostServiceStats(_Counters):
 
 @dataclass
 class ArenaStats(_Counters):
-    """Counters for the workload-arena and candidate-matrix caches.
+    """Counters for the workload arenas and their structure-column stores.
 
     Deliberately **separate** from :class:`CostServiceStats` and
     **excluded from** :meth:`CostEvaluationService.export_state`: arenas
@@ -248,64 +260,132 @@ class ArenaStats(_Counters):
     evictions: int = 0
     #: Arenas dropped by ``clear``.
     invalidations: int = 0
-    #: (candidate, query) cells served from the candidate-matrix cache
-    #: instead of being re-priced by the kernel.
+    #: Store cells a design or candidate request read from columns an
+    #: earlier request priced, instead of binding their structures again
+    #: (the name predates the store; ``benchmarks/e2e/spans.py`` reads it).
     matrix_hits: int = 0
-    #: (candidate, query) cells the kernel actually priced into matrix
-    #: columns (entry space: extension tails price ahead of requests).
+    #: Store cells the kernel priced into fresh columns (root space: a
+    #: column covers every query and access of its root arena).
     matrix_pairs_priced: int = 0
-    #: Matrix entries grown in place to cover new SQL (arena extension
-    #: instead of a from-scratch recompile).
-    matrix_extends: int = 0
-    #: Matrix columns dropped by the cell-budget LRU bound.
-    matrix_evictions: int = 0
+    #: Store columns dropped by the cell-budget LRU bound.
+    store_evictions: int = 0
     # Read by benchmarks/e2e/spans.py (``getattr(arena_stats,
     # "delta_pairs_saved")``) and by nothing else: no path counts into
     # it, so it reads 0 until the ledger stops naming it.
     delta_pairs_saved: int = 0
 
 
-# -- candidate-matrix cache -------------------------------------------------------
+# -- the structure-column store ------------------------------------------------------
 
 
-@dataclass
-class _MatrixColumn:
-    """One priced candidate column over a matrix entry's query rows.
+class _Store:
+    """The priced structures of one compiled root arena.
 
-    ``costs[q]`` is the matrix cell itself: the kernel's single-structure
-    cost where ``price[q]`` is set, ``inf`` where the candidate cannot
-    serve the query, and the entry's base cost elsewhere; ``price`` is
-    the :meth:`candidate_frame` price mask for this candidate.  A column
-    priced before its entry was extended is shorter than the entry —
-    its tail is priced on the next request that needs it.
+    Each structure is bound once, over the whole root, and kept as one
+    row of the :class:`~repro.costing.kernel.StructureColumns` its bind
+    produced (a *block*: the structures one request lacked), keyed by its
+    DDL text (``str(structure)``, the identity a design fingerprint
+    digests), least recently used first.  Every request whose texts the
+    root holds is a :class:`_View` of it: its designs and candidate
+    matrices are gathers of these rows over the view's rows.  A block is
+    kept as it came out of the bind — nothing is copied in — and freed
+    with its last row.  Derived state, exactly like the arena: never
+    exported, dropped with the last cached view or by ``clear``.
     """
 
-    costs: np.ndarray
-    price: np.ndarray
+    def __init__(self, key: tuple[str, ...], arena, base):
+        self.key = key
+        self.arena = arena
+        #: The empty-design bind: the query side every view takes rows
+        #: of, and the base costs, priced once per arena.
+        self.base = base
+        self.base_costs = base.base_costs()
+        #: Structure key -> ``(block id, row, fold key)``, least recently
+        #: used first.
+        self.rows: OrderedDict[str, tuple[int, int, tuple]] = OrderedDict()
+        #: Block id -> ``[columns, rows still keyed]``.
+        self.blocks: dict[int, list] = {}
+        self._next_block = 0
+        #: Float cells of one column: an anchor cost per query plus a
+        #: dimension cost per access.
+        self.column_cells = arena.query_count + (
+            0 if base.base_dim is None else base.acc_table.shape[0]
+        )
+        #: Cached views (``_arenas`` entries) that read this store.
+        self.views = 0
+
+    def add(self, keys: list[str], priced: StructureColumns, fold_keys: list) -> None:
+        """Keep the rows of ``priced`` under ``keys`` (the write side only
+        when the root holds a write)."""
+        if not self.base.any_write:
+            priced = priced._replace(touch=None, weight=None)
+        block = self._next_block
+        self._next_block += 1
+        self.blocks[block] = [priced._replace(rank=None), len(keys)]
+        for row, (key, fold_key) in enumerate(zip(keys, fold_keys)):
+            self.rows[key] = (block, row, fold_key)
+
+    def drop_oldest(self) -> None:
+        """Forget the least recently used column (its block with it, when
+        no other row of the block is keyed)."""
+        _, (block, _, _) = self.rows.popitem(last=False)
+        entry = self.blocks[block]
+        entry[1] -= 1
+        if entry[1] == 0:
+            del self.blocks[block]
 
 
-@dataclass
-class _MatrixEntry:
-    """Cached candidate-matrix state for one distinct-SQL tuple.
+class _View:
+    """A request's texts as rows of a store's root (``rows=None``: the
+    root itself), with the empty-design batch and base costs of those
+    rows."""
 
-    Derived state, exactly like the arenas: entries hold their own
-    arena reference (so an LRU-evicted arena stays alive while its
-    matrix does), are never exported by
-    :meth:`CostEvaluationService.export_state`, and are dropped by
-    ``clear``.
-    """
+    def __init__(self, store: _Store, rows: np.ndarray | None):
+        self.store = store
+        self.rows = rows
+        if rows is None:
+            self.base, self.base_costs = store.base, store.base_costs
+        else:
+            self.base, self.base_costs = store.base.take(rows), store.base_costs[rows]
 
-    key: str
-    sqls: tuple[str, ...]
-    profiles: list
-    arena: object
-    #: sql -> row in ``sqls`` (and in ``base`` / every full column).
-    index: dict[str, int]
-    #: (N,) empty-design costs, priced eagerly at build time.
-    base: np.ndarray
-    #: candidate DDL text (``str(structure)``) -> priced column,
-    #: LRU-ordered (oldest first).
-    columns: OrderedDict[str, _MatrixColumn]
+    def gather(self, keys: list[str]) -> StructureColumns:
+        """The store's columns ``keys`` as :class:`StructureColumns` over
+        this view's rows (the write side only where the rows hold a
+        write), gathered one block at a time."""
+        store = self.store
+        found = [store.rows[key] for key in keys]
+        count = len(found)
+        base = self.base
+        write = base.any_write
+        table = np.empty(count, dtype=np.int64)
+        anchor = np.empty((count, base.query_count))
+        dim = None if base.base_dim is None else np.empty((count, base.acc_table.shape[0]))
+        touch = np.empty((count, base.query_count), dtype=bool) if write else None
+        weight = np.empty(count) if write else None
+        blocks = np.array([block for block, _, _ in found], dtype=np.intp)
+        at = np.array([row for _, row, _ in found], dtype=np.intp)
+        for block in dict.fromkeys(blocks.tolist()):
+            columns = store.blocks[block][0]
+            into = np.flatnonzero(blocks == block)
+            rows = at[into]
+            table[into] = columns.table[rows]
+            anchor[into] = self._rows(columns.anchor[rows])
+            if dim is not None:
+                dim[into] = columns.dim[rows]
+            if write:
+                touch[into] = self._rows(columns.touch[rows])
+                weight[into] = columns.weight[rows]
+        return StructureColumns(
+            table=table,
+            anchor=anchor,
+            dim=dim,
+            touch=touch,
+            weight=weight,
+            rank=_write_fold_order([fold_key for _, _, fold_key in found]) if write else None,
+        )
+
+    def _rows(self, matrix: np.ndarray) -> np.ndarray:
+        return matrix if self.rows is None else np.take(matrix, self.rows, axis=1)
 
 
 # -- the service -----------------------------------------------------------------
@@ -377,45 +457,38 @@ class CostEvaluationService:
         #: Dispatch is exact-type; stubs and subclasses stay scalar.
         self.kernel = kernel_for(cost_model)
         self.stats = CostServiceStats()
-        #: Arena/matrix counters — derived-state instrumentation,
+        #: Arena/store counters — derived-state instrumentation,
         #: intentionally outside ``stats`` (see :class:`ArenaStats`).
         self.arena_stats = ArenaStats()
-        #: arena key (digest of the distinct SQL tuple) -> compiled
-        #: workload arena.  Derived state: never exported, rebuilt on
-        #: demand after clear/resume.
+        #: distinct-SQL tuple -> the :class:`_View` serving it.  Derived
+        #: state: never exported, rebuilt on demand after clear/resume.
         self._arenas = BoundedMemo(
             max_entries=DEFAULT_MAX_ARENAS, on_evict=self._arena_evicted
         )
-        #: Candidate-matrix cache toggle: off, every ``candidate_costs``
-        #: call re-prices the full matrix (the cold-rebuild baseline).
-        #: Results and exported counters are identical either way.
-        self.matrix_cache_enabled = True
-        self.max_matrix_cells = DEFAULT_MAX_MATRIX_CELLS
-        #: matrix key (digest of the distinct SQL tuple) -> cached
-        #: candidate-matrix entry, LRU-ordered (oldest first).  Derived
-        #: state: never exported, rebuilt on demand (see _MatrixEntry).
-        self._matrix: OrderedDict[str, _MatrixEntry] = OrderedDict()
-        #: Cells of every resident column, kept current where a column is
-        #: added, tail-extended or evicted (an extended entry carries its
-        #: predecessor's columns over; a dropped entry holds none).
-        self._matrix_cells = 0
+        #: Bound on the float cells of every live store's columns; 0
+        #: keeps no column past the call that priced it (the cold
+        #: baseline — same floats, same exported counters).
+        self.max_store_cells = DEFAULT_MAX_STORE_CELLS
+        #: root texts -> the :class:`_Store` of every root arena a cached
+        #: view reads, least recently used first.
+        self._stores: OrderedDict[tuple[str, ...], _Store] = OrderedDict()
+        #: Cells of every live column, kept current where a column is
+        #: priced or dropped.
+        self._store_cells = 0
 
     def clear(self) -> None:
-        """Drop every compiled arena and candidate-matrix entry.
+        """Drop every compiled arena and every store of priced columns.
 
         ``clear`` is the "cost model changed under me" escape hatch:
         arenas bake the model's statistics into their query-side arrays
-        and matrix columns into their costs (matrix entries pin their
-        own arena reference, so an empty arena cache does not imply an
-        empty matrix; matrix drops are not counted as arena
-        invalidations).
+        and store columns into their costs.
         """
         t = tracer()
-        entries, columns = len(self._matrix), self.cached_matrix_columns
-        self._matrix.clear()
-        self._matrix_cells = 0
-        if t.enabled and entries:
-            t.emit("matrix_evict", reason="clear", entries=entries, columns=columns)
+        stores, columns = len(self._stores), self.cached_store_columns
+        self._stores.clear()
+        self._store_cells = 0
+        if t.enabled and stores:
+            t.emit("store_evict", reason="clear", stores=stores, columns=columns)
         arenas = len(self._arenas)
         self._arenas.clear()
         self.arena_stats.invalidations += arenas
@@ -431,13 +504,13 @@ class CostEvaluationService:
         state: restoring them via :meth:`import_state` makes a resumed
         run's counter deltas bit-identical to the uninterrupted run's
         (see docs/state.md), and the export stays the same size however
-        long the run.  Compiled workload arenas, the candidate-matrix
-        cache and :class:`ArenaStats` are not exported — all are derived
-        state (pure functions of the queries, the candidates, and the
-        model, rebuilt on demand after a resume), and folding their
-        counters into the snapshot would make a resumed run's exported
-        stats diverge from the uninterrupted run's even though every
-        cost is identical.
+        long the run.  Compiled workload arenas, their stores of priced
+        columns and :class:`ArenaStats` are not exported — all are
+        derived state (pure functions of the queries, the structures,
+        and the model, rebuilt on demand after a resume), and folding
+        their counters into the snapshot would make a resumed run's
+        exported stats diverge from the uninterrupted run's even though
+        every cost is identical.
         """
         return {"stats": self.stats.snapshot()}
 
@@ -447,62 +520,95 @@ class CostEvaluationService:
         only on queries and the model."""
         self.stats = state["stats"].snapshot()
 
-    # -- workload arenas ---------------------------------------------------------------
+    # -- workload arenas and their stores ------------------------------------------------
 
     @property
     def cached_arenas(self) -> int:
         return len(self._arenas)
 
-    def _arena_evicted(self, key: str, _arena) -> None:
+    @property
+    def cached_store_columns(self) -> int:
+        return sum(len(store.rows) for store in self._stores.values())
+
+    @property
+    def cached_store_cells(self) -> int:
+        return self._store_cells
+
+    def _arena_evicted(self, key: tuple[str, ...], view: _View) -> None:
         self.arena_stats.evictions += 1
         t = tracer()
         if t.enabled:
-            t.emit("arena_evict", reason="lru", key=key, arenas=1)
+            t.emit("arena_evict", reason="lru", key=_digest("a", *key), arenas=1)
+        store = view.store
+        store.views -= 1
+        if store.views == 0:
+            del self._stores[store.key]
+            self._store_cells -= len(store.rows) * store.column_cells
 
-    def _arena_for(self, unique_sqls: tuple[str, ...], profiles=None):
-        """The compiled workload arena for a distinct-SQL tuple.
+    def compile_arena(self, sqls: Sequence[str]) -> None:
+        """Compile (or find) the arena of the distinct texts ``sqls``
+        before any request that reads a subset of them, so those
+        requests are served as views of it — one compile and one store
+        of priced structures — rather than each compiling its own.
+        Prices and charges nothing; a no-op without a kernel."""
+        if self.kernel is not None:
+            self._view_for(tuple(dict.fromkeys(sqls)))
+
+    def _view_for(self, unique_sqls: tuple[str, ...], profiles=None) -> _View:
+        """The :class:`_View` serving a distinct-SQL tuple.
 
         Resolution order: the exact key; then the most recently used
-        resident arena that holds every requested text, served as its
-        row-mapped view (``arena.take``) and cached under the exact key;
-        then a compile, LRU-cached: queries are profiled (unless the
-        caller already holds ``profiles``) and the kernel's
-        ``compile_queries`` runs once.  Every later design bind against
-        the same query set reuses the arrays.  A view prices exactly like
-        a compile of its texts (every query-side value is per query), so
-        which of the three served a request never shows in a cost.
+        live store whose root arena holds every requested text, served
+        as a view of its rows and cached under the exact key; then a
+        compile: queries are profiled (unless the caller already holds
+        ``profiles``), the kernel's ``compile_queries`` runs once and the
+        new store binds the empty design once for its base costs.  A
+        view prices exactly like a compile of its texts (every
+        query-side value is per query), so which of the three served a
+        request never shows in a cost.
         """
-        key = _digest("a", *unique_sqls)
-        arena = self._arenas.get(key)
+        # The tuple itself is the key: its texts' hashes are cached on the
+        # strings, so a lookup costs no digest.
+        key = unique_sqls
+        view = self._arenas.get(key)
         t = tracer()
-        if arena is None:
-            for _, resident in reversed(self._arenas.items()):
-                if resident.query_count < len(unique_sqls):
-                    continue
-                row_of = resident.row_of
-                if all(sql in row_of for sql in unique_sqls):
-                    arena = self._arenas[key] = resident.take(
-                        [row_of[sql] for sql in unique_sqls]
-                    )
+        if view is None:
+            for store in reversed(self._stores.values()):
+                row_of = store.arena.row_of
+                if store.arena.query_count >= len(unique_sqls) and all(
+                    sql in row_of for sql in unique_sqls
+                ):
+                    rows = np.array([row_of[sql] for sql in unique_sqls], dtype=np.intp)
+                    view = self._cache_view(key, _View(store, rows))
                     break
-        if arena is not None:
+        else:
+            self._stores.move_to_end(view.store.key)
+        if view is not None:
             self.arena_stats.hits += 1
             if t.enabled:
-                t.emit("arena_hit", key=key, queries=len(unique_sqls))
-            return arena
+                t.emit("arena_hit", key=_digest("a", *key), queries=len(unique_sqls))
+            return view
         if profiles is None:
             profiles = [self.cost_model.profile(sql) for sql in unique_sqls]
-        arena = self._arenas[key] = self.kernel.compile_queries(profiles)
+        arena = self.kernel.compile_queries(list(profiles))
         self.arena_stats.builds += 1
         if t.enabled:
             t.emit(
                 "arena_build",
-                key=key,
+                key=_digest("a", *key),
                 substrate=self.kernel.name,
                 queries=len(unique_sqls),
                 bytes=arena.nbytes,
             )
-        return arena
+        return self._cache_view(key, _View(_Store(key, arena, self._bind(arena, [])), None))
+
+    def _cache_view(self, key: tuple[str, ...], view: _View) -> _View:
+        store = view.store
+        store.views += 1
+        self._stores[store.key] = store
+        self._stores.move_to_end(store.key)
+        self._arenas[key] = view
+        return view
 
     def _bind(self, arena, structures):
         """``kernel.bind`` plus its ``kernel_bind`` trace event — the one
@@ -519,150 +625,62 @@ class CostEvaluationService:
             )
         return batch
 
-    # -- candidate-matrix cache --------------------------------------------------------
+    def _keep(self, view: _View, structures, keys) -> None:
+        """Make ``view``'s store hold a column for every structure
+        ``keys`` names, most recently used last.
 
-    @property
-    def cached_matrix_columns(self) -> int:
-        return sum(len(entry.columns) for entry in self._matrix.values())
-
-    @property
-    def cached_matrix_cells(self) -> int:
-        return self._matrix_cells
-
-    def _build_matrix_entry(self, sqls: tuple[str, ...], profiles) -> _MatrixEntry:
-        """Compile a fresh matrix entry (arena + eager base costs)."""
-        arena = self._arena_for(sqls, profiles=list(profiles))
-        # ``base_costs`` depends only on the arena's query-side arrays,
-        # so an empty bind prices it once for the entry's whole lifetime.
-        base = np.asarray(self._bind(arena, []).base_costs(), dtype=np.float64)
-        entry = _MatrixEntry(
-            key=_digest("m", *sqls),
-            sqls=sqls,
-            profiles=list(profiles),
-            arena=arena,
-            index={sql: i for i, sql in enumerate(sqls)},
-            base=base,
-            columns=OrderedDict(),
-        )
-        if self.matrix_cache_enabled:
-            self._matrix[entry.key] = entry
-        return entry
-
-    def _extend_matrix_entry(self, old: _MatrixEntry, sqls, profiles) -> _MatrixEntry:
-        """Grow ``old`` in place of a recompile to cover new SQL.
-
-        The arena over the concatenated text list comes from
-        :meth:`_arena_for` — a view of a resident arena that holds every
-        text (a CliffGuard design's neighborhood arena, typically), else
-        a compile; either way every old row prices the same bits, so
-        every already-priced column value stays valid — and the priced
-        columns are carried over; their tails are priced lazily by the
-        next request that asks for them.
-        """
-        prof_of = dict(zip(sqls, profiles))
-        fresh = [sql for sql in sqls if sql not in old.index]
-        all_sqls = old.sqls + tuple(fresh)
-        del self._matrix[old.key]
-        entry = self._build_matrix_entry(
-            all_sqls, old.profiles + [prof_of[sql] for sql in fresh]
-        )
-        entry.columns.update(old.columns)
-        self.arena_stats.matrix_extends += 1
-        t = tracer()
-        if t.enabled:
-            t.emit(
-                "matrix_extend",
-                key=entry.key,
-                queries=len(all_sqls),
-                added=len(fresh),
-                columns=len(old.columns),
+        Structures the store lacks are bound once, together, over the
+        whole root; every other column is the one priced earlier.  The
+        cells each kind covers land in ``matrix_pairs_priced`` /
+        ``matrix_hits``."""
+        store = view.store
+        keyed = store.rows
+        fresh: dict[str, object] = {}
+        for key, structure in zip(keys, structures):
+            if key not in keyed:
+                fresh.setdefault(key, structure)
+        warm = len(dict.fromkeys(keys)) - len(fresh)
+        if fresh:
+            batch = self._bind(store.arena, list(fresh.values()))
+            fold_key = self.kernel.fold_key
+            store.add(
+                list(fresh),
+                batch.structure_columns,
+                [fold_key(structure) for structure in fresh.values()],
             )
-        return entry
-
-    def _matrix_entry_for(self, sqls: tuple[str, ...], profiles, keys=()):
-        """``(entry, rows)`` covering ``sqls`` (``rows=None`` = identity).
-
-        Resolution order: exact key, then a resident superset entry
-        (row-mapped), then extension of the entry sharing at least half
-        the requested SQL, then a fresh build.  With the cache disabled
-        every call builds an entry that is not retained — same pricing,
-        same counters.
-
-        ``keys`` — the request's candidate column keys — gates the
-        superset and extension paths: serving a request through a
-        *wider* entry prices every fresh candidate over the entry's
-        full query axis, which only pays off when at least half the
-        requested candidates are already priced columns.  A request
-        whose candidates the entry has never seen (a designer minting
-        fresh candidates per window) builds at its own width instead.
-        """
-        if not self.matrix_cache_enabled:
-            return self._build_matrix_entry(sqls, profiles), None
-        key = _digest("m", *sqls)
-        entry = self._matrix.get(key)
-        if entry is not None:
-            self._matrix.move_to_end(key)
-            return entry, None
-        unique_keys = set(keys)
-
-        def _warm_enough(other: _MatrixEntry) -> bool:
-            priced = sum(1 for k in unique_keys if k in other.columns)
-            return 2 * priced >= len(unique_keys)
-
-        for other_key in reversed(self._matrix):
-            other = self._matrix[other_key]
-            if len(other.sqls) > len(sqls) and not _warm_enough(other):
-                continue
-            if all(sql in other.index for sql in sqls):
-                self._matrix.move_to_end(other_key)
-                rows = np.array([other.index[sql] for sql in sqls], dtype=np.intp)
-                return other, rows
-        best = None
-        best_overlap = 0
-        for other in self._matrix.values():
-            overlap = sum(1 for sql in sqls if sql in other.index)
-            if overlap > best_overlap:
-                best, best_overlap = other, overlap
-        if (
-            best is not None
-            and 2 * best_overlap >= len(sqls)
-            and unique_keys
-            and _warm_enough(best)
-        ):
-            entry = self._extend_matrix_entry(best, sqls, profiles)
-            rows = np.array([entry.index[sql] for sql in sqls], dtype=np.intp)
-            return entry, rows
-        return self._build_matrix_entry(sqls, profiles), None
-
-    def _price_columns(self, entry: _MatrixEntry, members, start: int = 0):
-        """One priced :class:`_MatrixColumn` per member structure over
-        ``entry``'s query rows ``[start:]`` (one bind for the group)."""
-        batch = self._bind(entry.arena, members)
-        if start:
-            batch = batch.take(list(range(start, len(entry.sqls))))
-        price, _ = batch.candidate_frame()
-        costs = batch.candidate_costs(entry.base[start:])
-        return [_MatrixColumn(costs=costs[j], price=price[j]) for j in range(len(members))]
-
-    def _shrink_matrix(self) -> None:
-        """Enforce the cell budget by dropping least-recently-used
-        columns (then emptied entries), oldest entry first.  The sole
-        resident entry's base is never dropped — it is almost certainly
-        the one the current design stream is using."""
+            added = len(fresh) * store.column_cells
+            self._store_cells += added
+            self.arena_stats.matrix_pairs_priced += added
+        for key in keys:
+            keyed.move_to_end(key)
+        warm_cells = warm * store.column_cells
+        self.arena_stats.matrix_hits += warm_cells
         t = tracer()
-        while self._matrix and self._matrix_cells > self.max_matrix_cells:
-            key = next(iter(self._matrix))
-            entry = self._matrix[key]
-            if entry.columns:
-                _, column = entry.columns.popitem(last=False)
-                self._matrix_cells -= column.costs.shape[0]
-                self.arena_stats.matrix_evictions += 1
+        if t.enabled and warm_cells:
+            t.emit(
+                "store_hit",
+                key=_digest("a", *store.key),
+                cells=warm_cells,
+                structures=len(keys),
+                queries=view.base.query_count,
+            )
+
+    def _shrink_stores(self) -> None:
+        """Enforce the cell budget by dropping least-recently-used
+        columns, oldest store first.  A store itself (its arena and base
+        costs) stays while a cached view reads it."""
+        t = tracer()
+        for store in list(self._stores.values()):
+            while self._store_cells > self.max_store_cells and store.rows:
+                store.drop_oldest()
+                self._store_cells -= store.column_cells
+                self.arena_stats.store_evictions += 1
                 if t.enabled:
-                    t.emit("matrix_evict", reason="lru", key=key, columns=1)
-                continue
-            if len(self._matrix) == 1:
-                break
-            del self._matrix[key]
+                    t.emit(
+                        "store_evict", reason="lru", key=_digest("a", *store.key), columns=1
+                    )
+            if self._store_cells <= self.max_store_cells:
+                return
 
     # -- the one pricing path -------------------------------------------------------------
 
@@ -681,12 +699,13 @@ class CostEvaluationService:
     def _price(self, design, unique: tuple[str, ...]) -> list[float]:
         """Costs of the distinct SQL texts ``unique`` under ``design``.
 
-        Every batched entry point prices here, one way: the arena of the
-        request's distinct-SQL tuple — a key stable across designs and
-        iterations — is bound to the design.  Requests below
-        ``KERNEL_MIN_BATCH``, and models without a kernel, are priced by
-        the scalar model.  Kernel results are bit-identical to the
-        scalar path (every kernel op is element-wise or a per-query
+        Every batched entry point prices here, one way: the design's
+        structures are gathered from the store of the request's view (a
+        key stable across designs and iterations; structures the store
+        lacks are bound once) and reduced to per-query costs.  Requests
+        below ``KERNEL_MIN_BATCH``, and models without a kernel, are
+        priced by the scalar model.  Kernel results are bit-identical to
+        the scalar path (every kernel op is element-wise or a per-query
         reduction), so floats and counters never depend on which of the
         two priced a request.
         """
@@ -694,9 +713,13 @@ class CostEvaluationService:
             costs = [self.cost_model.query_cost(sql, design) for sql in unique]
             self._charge(len(unique), self._count_write_sqls(unique))
             return costs
-        batch = self._bind(self._arena_for(unique), list(design))
-        costs = [float(cost) for cost in batch.design_costs()]
-        self._charge(len(unique), int(batch.is_write.sum()), kernel=True)
+        view = self._view_for(unique)
+        members = list(design)
+        keys = [str(s) for s in members]
+        self._keep(view, members, keys)
+        costs = view.base.design_costs(columns=view.gather(keys)).tolist()
+        self._charge(len(unique), int(view.base.is_write.sum()), kernel=True)
+        self._shrink_stores()
         t = tracer()
         if t.enabled:
             t.emit(
@@ -704,7 +727,7 @@ class CostEvaluationService:
                 substrate=self.kernel.name,
                 design=design_fingerprint(design),
                 pairs=len(unique),
-                structures=batch.structure_count,
+                structures=len(members),
             )
         return costs
 
@@ -815,26 +838,23 @@ class CostEvaluationService:
     ):
         """``(base_costs, matrix)`` for greedy candidate selection.
 
-        Both are fresh C-contiguous float64 arrays, on every resolution
-        path: reductions over them (the bandit's BLAS calls) read the same
-        bits whichever path served the request.
+        Both are fresh C-contiguous float64 arrays: reductions over them
+        (the bandit's BLAS calls) read the same bits however the request
+        was served.
 
-        Pricing goes through the bounded candidate-matrix cache: priced
-        (candidate DDL text × arena) columns persist across calls, so
-        a designer re-run over an arena-resident workload prices only
-        the (query, candidate) pairs the cache has never seen — new SQL
-        extends the resident entry (and each stale column's tail) in
-        place of a recompile, new candidates price fresh columns, and a
-        fully warm call reduces to assembling cached columns.  Results
-        are bit-identical to a cold rebuild, and so is **every exported
-        counter**: priced cells are charged as-if-cold on every call —
-        the cache is derived state, invisible to checkpoints (see
-        :meth:`export_state`); its savings land in :class:`ArenaStats`
-        (``matrix_hits``) only.  Cells whose candidate is unrelated to
-        the query keep the base cost without being priced (an off-table
-        structure cannot change any access path); anchor-table
-        candidates that cannot serve the query are ``inf``, exactly
-        like the scalar designer.
+        The matrix is assembled from the same structure columns that
+        price designs: each candidate is bound once per root arena, so a
+        designer re-run over an arena-resident workload binds only the
+        candidates the store has never seen, and a fully warm call binds
+        nothing.  Results are bit-identical to a cold rebuild, and so is
+        **every exported counter**: priced cells are charged as-if-cold
+        on every call — the store is derived state, invisible to
+        checkpoints (see :meth:`export_state`); its savings land in
+        :class:`ArenaStats` (``matrix_hits``) only.  Cells whose
+        candidate is unrelated to the query keep the base cost without
+        being priced (an off-table structure cannot change any access
+        path); anchor-table candidates that cannot serve the query are
+        ``inf``, exactly like the scalar designer.
 
         ``keys``, when given, are ``str(candidate)`` for each candidate —
         a caller that re-prices the same structures call after call
@@ -849,97 +869,35 @@ class CostEvaluationService:
             profiles = list(profiles)
             candidates = list(candidates)
             sqls = tuple(p.sql for p in profiles)
-            # A column is keyed by its candidate's DDL text: the content
-            # identity a design fingerprint digests, read off the
-            # structure without building a design around it (``keys``:
-            # the caller already holds them).
             keys = [str(c) for c in candidates] if keys is None else list(keys)
-            t = tracer()
-            entry, rows = self._matrix_entry_for(sqls, profiles, keys)
-            n_entry = len(entry.sqls)
-            first_of: dict[str, int] = {}
-            for i, key in enumerate(keys):
-                first_of.setdefault(key, i)
-            fresh = [key for key in first_of if key not in entry.columns]
-            stale_groups: dict[int, list[str]] = {}
-            for key in first_of:
-                column = entry.columns.get(key)
-                if column is not None and column.costs.shape[0] < n_entry:
-                    stale_groups.setdefault(column.costs.shape[0], []).append(key)
-            priced_entry_cells = 0
-            added_cells = 0
-            if fresh:
-                members = [candidates[first_of[key]] for key in fresh]
-                for key, column in zip(fresh, self._price_columns(entry, members)):
-                    entry.columns[key] = column
-                    priced_entry_cells += int(column.price.sum())
-                added_cells += len(fresh) * n_entry
-            for old_len in sorted(stale_groups):
-                # Columns priced before the entry's last extension only
-                # cover a prefix; price the missing tail rows, grouped by
-                # prefix length so each group binds once.
-                group = stale_groups[old_len]
-                members = [candidates[first_of[key]] for key in group]
-                tails = self._price_columns(entry, members, start=old_len)
-                for key, tail in zip(group, tails):
-                    column = entry.columns[key]
-                    entry.columns[key] = _MatrixColumn(
-                        costs=np.concatenate([column.costs, tail.costs]),
-                        price=np.concatenate([column.price, tail.price]),
-                    )
-                    priced_entry_cells += int(tail.price.sum())
-                added_cells += len(group) * (n_entry - old_len)
-            if self._matrix.get(entry.key) is entry:
-                # Only resident columns count against the budget (with the
-                # cache off, the entry is not kept).
-                self._matrix_cells += added_cells
-            for key in first_of:
-                entry.columns.move_to_end(key)
-            columns = [entry.columns[key] for key in keys]
-            if columns:
-                matrix = np.stack([column.costs for column in columns])
-                price = np.stack([column.price for column in columns])
-            else:
-                matrix = np.zeros((0, n_entry), dtype=np.float64)
-                price = np.zeros((0, n_entry), dtype=bool)
-            is_write = np.asarray(entry.arena.is_write, dtype=bool)
-            if rows is None:
-                base = entry.base.copy()
-                rows = np.arange(n_entry, dtype=np.intp)
-            else:
-                # ``take`` keeps the row-mapped matrix C-contiguous; a
-                # ``[:, rows]`` index would return it in Fortran order.
-                base, is_write = entry.base[rows], is_write[rows]
-                matrix = np.take(matrix, rows, axis=1)
-                price = np.take(price, rows, axis=1)
-            priced_request = int(price.sum())
+            view = self._view_for(sqls, profiles)
+            self._keep(view, candidates, keys)
+            batch = view.base
+            base = view.base_costs.copy()
+            matrix = np.empty((len(keys), len(sqls)))
+            is_write = batch.is_write
+            priced_request = priced_writes = 0
+            # A few hundred candidates at a time: the gathered columns
+            # and masks of a whole pool would double the call's memory.
+            for lo in range(0, len(keys), _MATRIX_ROWS):
+                columns = view.gather(keys[lo : lo + _MATRIX_ROWS])
+                frame = batch.candidate_frame(columns)
+                matrix[lo : lo + _MATRIX_ROWS] = batch.candidate_costs(base, columns, frame)
+                price = frame[0]
+                priced_request += int(price.sum())
+                priced_writes += int((price & is_write[None, :]).sum())
             # As-if-cold accounting: every base cost and every priced cell
             # is one request and one raw evaluation on every call,
-            # whatever the matrix cache served — exported stats must not
-            # leak warmth.
+            # whatever the store served — exported stats must not leak
+            # warmth.
             self._charge(
                 len(sqls) + priced_request,
-                int(is_write.sum()) + int((price & is_write[None, :]).sum()),
+                int(is_write.sum()) + priced_writes,
                 kernel=True,
             )
-            # Derived-state savings accounting (never exported): request
-            # cells minus the cells this call actually priced.
-            new_request = sum(int(price[first_of[key]].sum()) for key in fresh)
-            for old_len, group in stale_groups.items():
-                tail = rows >= old_len
-                new_request += sum(int(price[first_of[key]][tail].sum()) for key in group)
-            warm_cells = priced_request - new_request
-            self.arena_stats.matrix_pairs_priced += priced_entry_cells
-            self.arena_stats.matrix_hits += warm_cells
+            self._shrink_stores()
+            t = tracer()
             if t.enabled:
-                if warm_cells:
-                    t.emit(
-                        "matrix_hit",
-                        key=entry.key,
-                        cells=warm_cells,
-                        candidates=len(candidates),
-                        queries=len(sqls),
-                    )
                 t.emit(
                     "kernel_batch",
                     substrate=self.kernel.name,
@@ -947,7 +905,6 @@ class CostEvaluationService:
                     structures=len(candidates),
                     pairs=len(sqls) + priced_request,
                 )
-            self._shrink_matrix()
             return base, matrix
 
     def publish_metrics(self, registry: MetricsRegistry | None = None) -> None:
@@ -975,20 +932,11 @@ class CostEvaluationService:
         registry.gauge("arena.evictions").set(self.arena_stats.evictions)
         registry.gauge("arena.invalidations").set(self.arena_stats.invalidations)
         registry.gauge("arena.cached").set(self.cached_arenas)
-        # A row-mapped view shares its access side with the arena it was
-        # taken from: each array counts once.
-        resident = {
-            id(array): array.nbytes
-            for _, arena in self._arenas.items()
-            for array in arena.arrays()
-        }
-        registry.gauge("arena.resident_bytes").set(sum(resident.values()))
-        registry.gauge("matrix.hits").set(self.arena_stats.matrix_hits)
-        registry.gauge("matrix.pairs_priced").set(
-            self.arena_stats.matrix_pairs_priced
+        registry.gauge("arena.resident_bytes").set(
+            sum(store.arena.nbytes for store in self._stores.values())
         )
-        registry.gauge("matrix.extends").set(self.arena_stats.matrix_extends)
-        registry.gauge("matrix.evictions").set(self.arena_stats.matrix_evictions)
-        registry.gauge("matrix.cached_columns").set(self.cached_matrix_columns)
-        registry.gauge("matrix.cached_cells").set(self.cached_matrix_cells)
-
+        registry.gauge("store.hits").set(self.arena_stats.matrix_hits)
+        registry.gauge("store.cells_priced").set(self.arena_stats.matrix_pairs_priced)
+        registry.gauge("store.evictions").set(self.arena_stats.store_evictions)
+        registry.gauge("store.columns").set(self.cached_store_columns)
+        registry.gauge("store.cells").set(self.cached_store_cells)

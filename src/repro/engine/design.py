@@ -24,9 +24,9 @@ DEPLOY_SECONDS_PER_GB = 360.0
 class PhysicalDesign(PickleFieldsOnly):
     """An immutable set of (non-super) projections.
 
-    The per-table canonical order :meth:`for_table` returns is built once
-    per design, on the first call, and never pickled: a pinned design is
-    priced thousands of times, a candidate design often never.
+    The canonical order :meth:`__iter__` and :meth:`for_table` return is
+    built once per design, on the first call, and never pickled: a pinned
+    design is priced thousands of times, a candidate design often never.
     """
 
     projections: frozenset[Projection] = frozenset()
@@ -78,10 +78,24 @@ class PhysicalDesign(PickleFieldsOnly):
     def __len__(self) -> int:
         return len(self.projections)
 
-    def __iter__(self):
-        return iter(
+    def __getstate__(self) -> dict:
+        # The projections in canonical order: a frozenset pickles in hash
+        # order, which ``PYTHONHASHSEED`` reorders from run to run.
+        return {"projections": tuple(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        # A tuple, or the frozenset a format-4 snapshot written before
+        # the canonical order carries.
+        object.__setattr__(self, "projections", frozenset(state["projections"]))
+
+    @cached_property
+    def _ordered(self) -> tuple[Projection, ...]:
+        return tuple(
             sorted(self.projections, key=lambda p: (p.table, p.columns, p.sort_key))
         )
+
+    def __iter__(self):
+        return iter(self._ordered)
 
     def describe(self) -> str:
         """Human-readable multi-line summary."""

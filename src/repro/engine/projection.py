@@ -42,7 +42,8 @@ class SortColumn:
 class Projection(PickleFieldsOnly):
     """An immutable projection definition (hashable; used as a design atom).
 
-    ``column_set`` is derived once, on first use, and never pickled.
+    ``column_set``, ``sort_key`` and the ``str`` text are derived once, on
+    first use, and never pickled.
     """
 
     table: str
@@ -67,7 +68,7 @@ class Projection(PickleFieldsOnly):
         """Unordered view of the stored columns."""
         return frozenset(self.columns)
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple[str, ...]:
         """Sort column names, in order."""
         return tuple(s.name for s in self.sort_columns)
@@ -102,9 +103,15 @@ class Projection(PickleFieldsOnly):
             ddl += f" ORDER BY {order}"
         return ddl
 
-    def __str__(self) -> str:
+    @cached_property
+    def _text(self) -> str:
         kind = "super" if self.is_super else "proj"
         return f"{kind}({self.table}: {','.join(self.columns)} / {','.join(self.sort_key)})"
+
+    def __str__(self) -> str:
+        # The structure's identity in the costing service's store and in
+        # design fingerprints, read once per design per structure.
+        return self._text
 
 
 def super_projection(table: Table) -> Projection:

@@ -83,6 +83,19 @@ class RowstoreDesign(PickleFieldsOnly):
     def __len__(self) -> int:
         return len(self.indices) + len(self.views)
 
+    def __getstate__(self) -> dict:
+        # The structures in canonical order: a frozenset pickles in hash
+        # order, which ``PYTHONHASHSEED`` reorders from run to run.
+        structures = tuple(self)
+        count = len(self.indices)
+        return {"indices": structures[:count], "views": structures[count:]}
+
+    def __setstate__(self, state: dict) -> None:
+        # Tuples, or the frozensets a format-4 snapshot written before
+        # the canonical order carries.
+        object.__setattr__(self, "indices", frozenset(state["indices"]))
+        object.__setattr__(self, "views", frozenset(state["views"]))
+
     def __iter__(self):
         yield from sorted(self.indices, key=lambda i: (i.table, i.columns))
         yield from sorted(

@@ -187,10 +187,10 @@ class ServeOutcome:
 #: Warm (context, adapter, nominal) stack reused across the background
 #: re-designs of one daemon (single entry — a daemon prices one
 #: (scale, engine) pair; with the process backend each worker keeps its
-#: own).  Reuse keeps the costing service's arena and candidate-matrix
-#: caches hot between window re-designs; the warm path is bit-identical
-#: to a cold stack (docs/cost_model.md, "Design-stream reuse"), so
-#: resume determinism is unaffected.
+#: own).  Reuse keeps the costing service's arenas and structure stores
+#: hot between window re-designs; the warm path is bit-identical to a
+#: cold stack (docs/cost_model.md, "One store of structure columns per
+#: arena"), so resume determinism is unaffected.
 _STACK_MEMO: dict = {}
 
 

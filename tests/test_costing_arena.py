@@ -28,8 +28,10 @@ from repro.costing.kernel import (
     kernel_for,
 )
 from repro.costing.service import (
+    DEFAULT_MAX_STORE_CELLS,
     KERNEL_MIN_BATCH,
     CostEvaluationService,
+    _View,
     design_fingerprint,
     workload_fingerprint,
 )
@@ -194,6 +196,7 @@ def test_affected_queries_is_conservative(substrate, changed):
 BATCHES = (ColumnarBatch, RowstoreBatch, SamplesBatch)
 ALGEBRA = (
     "take",
+    "structure_columns",
     "_write_costs",
     "base_costs",
     "design_costs",
@@ -250,49 +253,52 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     mask=st.integers(0, 1023),
 )
 def test_row_mapped_arena_prices_like_a_fresh_compile(substrate, mix, idx, mask):
-    """``arena.take(rows)`` — rows permuted, repeated or dropped — binds
-    and prices bit for bit like ``compile_queries`` of those rows'
-    profiles: the shared access side is only ever indexed through the
-    kept queries, and the query-row maps are re-numbered exactly."""
+    """A service view of a compiled root over rows ``idx`` — permuted,
+    repeated or dropped — carries the query side of a fresh compile of
+    those rows' profiles and prices bit for bit like it: the shared
+    access side is only ever indexed through the kept queries."""
     model, candidates, profiles = _substrate(substrate, mix)
     kernel = kernel_for(model)
-    arena = kernel.compile_queries(profiles)
+    service = CostEvaluationService(model)
+    root = service._view_for(tuple(p.sql for p in profiles), profiles)
     idx = [i % len(profiles) for i in idx]
-    members = [i for i in range(len(candidates)) if mask & (1 << i)]
-    view = arena.take(idx)
-    fresh = kernel.compile_queries([profiles[i] for i in idx])
+    members = [c for i, c in enumerate(candidates) if mask & (1 << i)]
+    view = _View(root.store, np.array(idx, dtype=np.intp))
+    fresh_arena = kernel.compile_queries([profiles[i] for i in idx])
+    fresh = kernel.bind(fresh_arena, members)
 
-    assert view.sqls == fresh.sqls
-    assert view.query_count == len(idx)
-    for name in type(arena).query_maps:
-        assert getattr(view, name) == getattr(fresh, name), name
-    for name in type(arena).per_query:
-        if name in ("sqls", "anchor_acc", "dim_pad", "profiles"):
+    assert view.base.sqls == fresh.sqls
+    assert view.base.query_count == len(idx)
+    for name in type(fresh).per_query:
+        if name in ("anchor_acc", "dim_pad"):
             continue  # access indices differ by interning; compared below
-        assert _same_bits(getattr(view, name), getattr(fresh, name)), name
-    if hasattr(view, "accesses"):
-        assert [view.accesses[a] for a in view.anchor_acc] == [
-            fresh.accesses[a] for a in fresh.anchor_acc
+        assert _same_bits(getattr(view.base, name), getattr(fresh, name)), name
+    accesses = getattr(root.store.arena, "accesses", None)
+    if accesses is not None:
+        assert [accesses[a] for a in view.base.anchor_acc] == [
+            fresh_arena.accesses[a] for a in fresh.anchor_acc
         ]
-
-    got, want = kernel.bind(view, candidates), kernel.bind(fresh, candidates)
-    assert _same_bits(got.design_costs(members), want.design_costs(members))
-    assert _same_bits(got.base_costs(), want.base_costs())
-    assert _same_bits(got.candidate_costs(), want.candidate_costs())
-    for mask_got, mask_want in zip(got.candidate_frame(), want.candidate_frame()):
-        assert _same_bits(mask_got, mask_want)
+    service._keep(view, members, [str(c) for c in members])
+    columns = view.gather([str(c) for c in members])
+    assert _same_bits(view.base_costs, fresh.base_costs())
+    assert _same_bits(view.base.design_costs(columns=columns), fresh.design_costs())
+    assert _same_bits(
+        view.base.candidate_costs(view.base_costs, columns), fresh.candidate_costs()
+    )
+    for got, want in zip(view.base.candidate_frame(columns), fresh.candidate_frame()):
+        assert _same_bits(got, want)
 
 
 def test_take_of_a_take_is_one_take():
-    model, _, profiles = _substrate("rowstore", "htap")
-    arena = kernel_for(model).compile_queries(profiles)
+    model, candidates, profiles = _substrate("rowstore", "htap")
+    batch = kernel_for(model).compile(profiles, candidates)
     outer = [5, 3, 3, 9, 0, 12, 7]
     inner = [6, 1, 1, 4]
-    twice, once = arena.take(outer).take(inner), arena.take([outer[i] for i in inner])
+    twice, once = batch.take(outer).take(inner), batch.take([outer[i] for i in inner])
     assert twice.sqls == once.sqls
-    assert twice.view_queries == once.view_queries
-    assert [p.sql for p in twice.profiles] == [p.sql for p in once.profiles]
-    assert _same_bits(twice.base_path, once.base_path)
+    for name in (*type(batch).per_query, *type(batch).per_pair):
+        assert _same_bits(getattr(twice, name), getattr(once, name)), name
+    assert _same_bits(twice.design_costs(), once.design_costs())
 
 
 def test_service_serves_a_subset_from_a_resident_arena():
@@ -328,6 +334,79 @@ def test_service_serves_a_subset_from_a_resident_arena():
     _, other_sqls = _environment("r1")
     adapter.workload_cost(_workload(subset[:-1] + [other_sqls[0]]), design)
     assert service.arena_stats.builds == 2
+
+
+# -- the per-arena store of structure columns ----------------------------------------
+
+
+def _store_cells(service) -> int:
+    """The live store cells, counted column by column."""
+    return sum(
+        store.column_cells * live
+        for store in service._stores.values()
+        for _, live in store.blocks.values()
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    substrate=st.sampled_from(SUBSTRATES),
+    mix=st.sampled_from(("r1", "htap")),
+    idx=st.lists(st.integers(0, 13), min_size=1, max_size=20),
+    masks=st.lists(st.integers(0, 1023), min_size=1, max_size=3),
+)
+def test_store_gathers_price_like_a_fresh_bind(substrate, mix, idx, masks):
+    """Designs and candidate matrices gathered from a root's store, over
+    a view of its rows (permuted, repeated, dropped), equal a fresh
+    ``bind`` of a compile of those rows byte for byte — with the store
+    cold, warm, evicting under a one-column budget, and rebuilt after
+    ``clear``; the running cell total equals a recount after every call.
+    The public entry points agree on the view's distinct texts."""
+    model, candidates, profiles = _substrate(substrate, mix)
+    kernel = kernel_for(model)
+    rows = [i % len(profiles) for i in idx]
+    fresh = kernel.compile_queries([profiles[i] for i in rows])
+    distinct = [profiles[i] for i in dict.fromkeys(rows)]
+    fresh_distinct = kernel.compile_queries(distinct)
+    service = CostEvaluationService(model)
+    make = _adapter(model).make_design
+    everything = tuple(p.sql for p in profiles)
+
+    def check():
+        root = service._view_for(everything, profiles)
+        view = _View(root.store, np.array(rows, dtype=np.intp))
+        for mask in masks:
+            chosen = [c for i, c in enumerate(candidates) if mask & (1 << i)]
+            want = kernel.bind(fresh, chosen)
+            service._keep(view, chosen, [str(c) for c in chosen])
+            columns = view.gather([str(c) for c in chosen])
+            assert _same_bits(view.base_costs, want.base_costs())
+            assert _same_bits(view.base.design_costs(columns=columns), want.design_costs())
+            assert _same_bits(
+                view.base.candidate_costs(view.base_costs, columns), want.candidate_costs()
+            )
+            service._shrink_stores()
+            assert service.cached_store_cells == _store_cells(service)
+            want = kernel.bind(fresh_distinct, chosen)
+            base, matrix = service.candidate_costs(distinct, chosen)
+            assert _same_bits(base, want.base_costs())
+            assert _same_bits(matrix, want.candidate_costs())
+            (report,) = service.workload_costs_batch(
+                [make(chosen)], [p.sql for p in distinct]
+            )
+            if len(distinct) >= KERNEL_MIN_BATCH:
+                assert report.per_query_ms == want.design_costs().tolist()
+            assert service.cached_store_cells == _store_cells(service)
+
+    check()  # cold
+    check()  # warm
+    service.max_store_cells = len(profiles)  # less than one column: evicting
+    check()
+    assert service.cached_store_cells <= service.max_store_cells
+    service.max_store_cells = DEFAULT_MAX_STORE_CELLS
+    service.clear()
+    assert service.cached_store_cells == _store_cells(service) == 0
+    check()  # rebuilt
 
 
 def test_take_fixture_mixes_reads_and_writes():

@@ -1,13 +1,14 @@
-"""Design-stream reuse tests: candidate-matrix cache, the one batched
-miss-fill loop, lazy greedy selection.
+"""Design-stream reuse tests: the per-arena store of structure columns,
+the one batched miss-fill loop, lazy greedy selection.
 
-The contract is the arena refactor's, one level up: a warm candidate
-matrix must equal the cold rebuild bit-for-bit — tolerance zero, on all
-three substrates, for read-only and mixed read/write workloads — and
-must leave every **exported** counter exactly as a cold service would.
-The cache is derived state: only
+The contract is the arena refactor's, one level up: a candidate matrix
+assembled from warm store columns must equal the cold rebuild
+bit-for-bit — tolerance zero, on all three substrates, for read-only and
+mixed read/write workloads — and must leave every **exported** counter
+exactly as a cold service would.  The store is derived state: only
 :class:`~repro.costing.service.ArenaStats` (never checkpointed) may see
-the savings.
+the savings.  The cold baseline is a service whose store budget is zero
+cells: it keeps no column past the call that priced it.
 """
 
 from __future__ import annotations
@@ -103,13 +104,14 @@ def _adapter(model, service: CostEvaluationService):
 
 
 def _stack(model, *, warm: bool):
-    """(adapter, service) with the candidate-matrix cache toggle set.
+    """(adapter, service), warm or cold.
 
-    ``warm=False`` is the cold baseline: every candidate_costs call
-    compiles and prices from scratch.
+    ``warm=False`` is the cold baseline: a zero-cell store budget, so
+    every call binds each of its structures from scratch.
     """
     service = CostEvaluationService(model)
-    service.matrix_cache_enabled = warm
+    if not warm:
+        service.max_store_cells = 0
     return _adapter(model, service), service
 
 
@@ -140,9 +142,9 @@ def _stat_facts(service: CostEvaluationService) -> dict:
     q_mask=st.integers(1, (1 << 14) - 1),
 )
 def test_warm_matrix_bit_identical_to_cold(substrate, mix, mask_a, mask_b, q_mask):
-    """A second candidate_costs over the resident matrix — full request,
-    then an arbitrary (query-subset × candidate-subset) request served by
-    superset row-mapping — equals a cold service float-for-float."""
+    """A second candidate_costs over the resident store — full request,
+    then an arbitrary (query-subset × candidate-subset) request served as
+    a row-mapped view — equals a cold service float-for-float."""
     model, candidates, profiles = _substrate(substrate, mix)
     warm_adapter, warm = _stack(model, warm=True)
     calls = [
@@ -158,14 +160,15 @@ def test_warm_matrix_bit_identical_to_cold(substrate, mix, mask_a, mask_b, q_mas
         base_c, matrix_c = cold.candidate_costs(chosen_profiles, chosen_candidates)
         np.testing.assert_array_equal(base_w, base_c)
         np.testing.assert_array_equal(matrix_w, matrix_c)
-    assert len(warm._matrix) >= 1
-    # The cold baseline retains nothing.
-    assert cold.cached_matrix_cells == 0
-    assert len(cold._matrix) == 0
+    assert len(warm._stores) == 1
+    # The cold baseline retains no column.
+    assert cold.cached_store_cells == 0
+    assert cold.cached_store_columns == 0
 
 
 def test_repeat_call_serves_from_matrix():
-    """The second identical candidate_costs prices zero new cells."""
+    """The second identical candidate_costs binds nothing: every store
+    cell it reads was priced by the first."""
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
     first = service.candidate_costs(profiles, candidates)
@@ -179,21 +182,22 @@ def test_repeat_call_serves_from_matrix():
     np.testing.assert_array_equal(first[1], second[1])
 
 
-def test_matrix_extension_bit_identical():
-    """New SQL extends the resident entry (one matrix_extends, no second
-    entry) and only the tails of stale columns are re-priced."""
+def test_subset_request_is_a_warm_view():
+    """A request over texts a resident root holds — fewer of them, in
+    another order — is a view of that root's store: no compile, no bind,
+    every cell warm, and the floats of a cold rebuild."""
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
-    service.candidate_costs(profiles[:8], candidates)
-    priced_prefix = service.arena_stats.matrix_pairs_priced
-    base_w, matrix_w = service.candidate_costs(profiles, candidates)
-    assert service.arena_stats.matrix_extends == 1
-    assert len(service._matrix) == 1
-    # Every cell priced under the 8-query prefix was carried over: the
-    # extended call's warm hits are exactly the prefix cells.
-    assert service.arena_stats.matrix_hits == priced_prefix
+    service.candidate_costs(profiles, candidates)
+    priced = service.arena_stats.matrix_pairs_priced
+    subset = profiles[8:2:-1] + profiles[:2]
+    base_w, matrix_w = service.candidate_costs(subset, candidates[::-1])
+    assert service.arena_stats.builds == 1
+    assert len(service._stores) == 1
+    assert service.arena_stats.matrix_pairs_priced == priced
+    assert service.arena_stats.matrix_hits == priced
     cold_adapter, cold = _stack(model, warm=False)
-    base_c, matrix_c = cold.candidate_costs(profiles, candidates)
+    base_c, matrix_c = cold.candidate_costs(subset, candidates[::-1])
     np.testing.assert_array_equal(base_w, base_c)
     np.testing.assert_array_equal(matrix_w, matrix_c)
 
@@ -202,7 +206,7 @@ def test_matrix_extension_bit_identical():
 @given(substrate=st.sampled_from(SUBSTRATES), mix=st.sampled_from(MIXES))
 def test_exported_stats_warmth_independent(substrate, mix):
     """Cold and warm services running the identical call sequence export
-    identical counters — matrix warmth must be invisible to checkpoints
+    identical counters — store warmth must be invisible to checkpoints
     (kill-resume byte-identity)."""
     model, candidates, profiles = _substrate(substrate, mix)
     sequences = []
@@ -221,43 +225,40 @@ def test_exported_stats_warmth_independent(substrate, mix):
 
 def test_matrix_layout_is_c_contiguous_on_every_path():
     """``candidate_costs`` hands back fresh C-contiguous float64 arrays
-    whichever way the request resolved: the bandit's BLAS reductions over
-    the matrix read bits that depend on its memory layout."""
+    whichever way the request resolved — a compile, the exact root, a
+    row-mapped view, a cold store: the bandit's BLAS reductions over the
+    matrix read bits that depend on its memory layout."""
     model, candidates, profiles = _substrate("columnar", "read")
     paths = []
 
     def traced(service):
-        resolve = service._matrix_entry_for
+        resolve = service._view_for
 
-        def recording(sqls, profiles, keys=()):
-            entry, rows = resolve(sqls, profiles, keys)
-            paths.append(rows is None)
-            return entry, rows
+        def recording(sqls, profiles=None):
+            view = resolve(sqls, profiles)
+            paths.append(view.rows is None)
+            return view
 
-        service._matrix_entry_for = recording
+        service._view_for = recording
         return service
 
     _, warm = _stack(model, warm=True)
+    _, cold = _stack(model, warm=False)
     requests = [
         (traced(warm), profiles, candidates, "fresh"),
         (warm, profiles, candidates, "exact"),
-        (warm, profiles[3:11], candidates[1:], "superset"),
+        (warm, profiles[3:11], candidates[1:], "view"),
+        (warm, profiles[::-1], candidates, "permuted view"),
+        (traced(cold), profiles, candidates, "cold"),
     ]
-    _, growing = _stack(model, warm=True)
-    traced(growing).candidate_costs(profiles[:8], candidates)
-    requests.append((growing, profiles[2:], candidates, "extension"))
-    _, cold = _stack(model, warm=False)
-    requests.append((traced(cold), profiles, candidates, "disabled"))
     for service, chosen_profiles, chosen_candidates, path in requests:
         base, matrix = service.candidate_costs(chosen_profiles, chosen_candidates)
         for array in (base, matrix):
             assert array.dtype == np.float64, path
             assert array.flags.c_contiguous, path
         assert matrix.shape == (len(chosen_candidates), len(chosen_profiles)), path
-        if path in ("superset", "extension"):
-            assert not paths[-1], f"{path} request was not row-mapped"
-    assert growing.arena_stats.matrix_extends == 1
-    # Mutating a returned array must not reach the resident entry.
+        assert paths[-1] == (path not in ("view", "permuted view")), path
+    # Mutating a returned array must not reach the store.
     base, matrix = warm.candidate_costs(profiles, candidates)
     base[:] = -1.0
     matrix[:] = -1.0
@@ -306,10 +307,10 @@ def test_clear_drops_matrix():
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
     base_1, matrix_1 = service.candidate_costs(profiles, candidates)
-    assert service.cached_matrix_cells > 0
+    assert service.cached_store_cells > 0
     service.clear()
-    assert service.cached_matrix_cells == 0
-    assert service.cached_matrix_columns == 0
+    assert service.cached_store_cells == 0
+    assert service.cached_store_columns == 0
     # The rebuild after the drop is bit-identical.
     base_2, matrix_2 = service.candidate_costs(profiles, candidates)
     np.testing.assert_array_equal(base_1, base_2)
@@ -317,25 +318,25 @@ def test_clear_drops_matrix():
 
 
 def _recount(service) -> int:
-    """The resident matrix cells, counted column by column."""
+    """The live store cells, counted column by column."""
     return sum(
-        column.costs.shape[0]
-        for entry in service._matrix.values()
-        for column in entry.columns.values()
+        store.column_cells * live
+        for store in service._stores.values()
+        for _, live in store.blocks.values()
     )
 
 
 def test_matrix_cell_budget_evicts_columns():
     """The shrink policy under a budget of ~2 columns: the running cell
-    total equals a recount after every call (columns added, tails
-    extended, columns and entries dropped), and every call returns what
-    a service without the matrix cache returns, with the same exported
-    counters."""
+    total equals a recount after every call (columns priced and dropped),
+    and every call returns what a zero-budget (cold) service returns,
+    with the same exported counters."""
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
-    service.max_matrix_cells = len(profiles) * 2  # room for ~2 columns
-    _, cold = _stack(model, warm=True)
-    cold.matrix_cache_enabled = False
+    _, probe = _stack(model, warm=True)
+    probe.candidate_costs(profiles, candidates[:1])
+    service.max_store_cells = 2 * probe.cached_store_cells  # room for 2 columns
+    _, cold = _stack(model, warm=False)
     n = len(profiles)
     stream = [
         (profiles, candidates),
@@ -349,29 +350,31 @@ def test_matrix_cell_budget_evicts_columns():
     ]
     for request_profiles, request_candidates in stream:
         base, matrix = service.candidate_costs(request_profiles, request_candidates)
-        assert service.cached_matrix_cells == _recount(service)
-        assert service.cached_matrix_cells <= service.max_matrix_cells
+        assert service.cached_store_cells == _recount(service)
+        assert service.cached_store_cells <= service.max_store_cells
         cold_base, cold_matrix = cold.candidate_costs(request_profiles, request_candidates)
         np.testing.assert_array_equal(base, cold_base)
         np.testing.assert_array_equal(matrix, cold_matrix)
-    assert service.arena_stats.matrix_evictions >= 1
+    assert service.arena_stats.store_evictions >= 1
+    assert service.arena_stats.matrix_hits > 0
+    assert cold.arena_stats.matrix_hits == 0
     assert replace(service.stats, eval_seconds=0.0) == replace(cold.stats, eval_seconds=0.0)
     service.clear()
-    assert service.cached_matrix_cells == _recount(service) == 0
+    assert service.cached_store_cells == _recount(service) == 0
 
 
 def test_matrix_excluded_from_state_export():
-    """The matrix cache is derived state: exports never mention it, and
-    an importing service starts matrix-cold with identical floats."""
+    """The store is derived state: exports never mention it, and an
+    importing service starts store-cold with identical floats."""
     model, candidates, profiles = _substrate("columnar", "read")
     adapter, service = _stack(model, warm=True)
     base_1, matrix_1 = service.candidate_costs(profiles, candidates)
     state = service.export_state()
-    assert "matrix" not in str(sorted(state.keys()))
+    assert set(state) == {"stats"}
 
     resumed_adapter, resumed = _stack(model, warm=True)
     resumed.import_state(state)
-    assert resumed.cached_matrix_cells == 0
+    assert resumed.cached_store_cells == 0
     base_2, matrix_2 = resumed.candidate_costs(profiles, candidates)
     np.testing.assert_array_equal(base_1, base_2)
     np.testing.assert_array_equal(matrix_1, matrix_2)
@@ -399,7 +402,7 @@ def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix)
             )
             np.testing.assert_array_equal(base, base_full[picks])
             np.testing.assert_array_equal(matrix, matrix_full[:, picks])
-    # Served through the resident full-width entry, too.
+    # Served as a view of the resident full-width root, too.
     base, matrix = full.candidate_costs(profiles[:small], candidates)
     np.testing.assert_array_equal(base, base_full[:small])
     np.testing.assert_array_equal(matrix, matrix_full[:, :small])

@@ -560,3 +560,109 @@ class TestPolicyState:
         # The restored list must be a copy, not an alias of the snapshot.
         policy.triggers.append(9)
         assert snapshot == {"triggers": [3]}
+
+
+# -- snapshot bytes do not depend on the string-hash seed ---------------------------
+
+#: Run in a child process under a given ``PYTHONHASHSEED``; prints the
+#: sha256 of a 200-projection design's pickle, of a row-store design's,
+#: and of a seed-1 serve snapshot's payload with its one wall-clock field
+#: (``eval_seconds``) zeroed.  Re-pickled in the child, so a set or dict
+#: whose order follows the hash seed shows up as different bytes.
+_HASH_SEED_PROBE = r"""
+import hashlib, pickle, sys, tempfile
+from pathlib import Path
+
+import repro
+from repro import RunConfig, ServeConfig
+from repro.engine.design import PhysicalDesign
+from repro.engine.projection import Projection, SortColumn
+from repro.rowstore.design import RowstoreDesign
+from repro.rowstore.index import Index
+from repro.rowstore.matview import MaterializedView
+from repro.state import RunCheckpointer
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+projections = []
+for t in range(10):
+    for k in range(20):
+        columns = tuple(f"c{(k + j) % 13}" for j in range(1 + k % 5))
+        projections.append(
+            Projection(f"t{t}", columns, (SortColumn(columns[0]),))
+        )
+design = PhysicalDesign(frozenset(projections))
+assert pickle.loads(pickle.dumps(design)) == design
+rowstore = RowstoreDesign.of(
+    *(Index(f"t{t}", (f"a{k}", f"b{t}")) for t in range(6) for k in range(6)),
+    *(MaterializedView(f"t{t}", (f"g{t}",), (f"m{t}",)) for t in range(6)),
+)
+assert pickle.loads(pickle.dumps(rowstore)) == rowstore
+print(digest(pickle.dumps(design)), digest(pickle.dumps(rowstore)))
+
+config = RunConfig(
+    workload="R1", days=56, window_days=14, queries_per_day=4, n_samples=2,
+    iterations=1, legacy_tables=5, backend=None, seed=1,
+)
+serve = ServeConfig(swap_mode="boundary", min_window_queries=4)
+daemon = repro.serve_session(config, serve).daemon()
+path = Path(tempfile.mkdtemp()) / "serve.ckpt"
+daemon.checkpointer = RunCheckpointer(path)
+daemon.run()
+raw = path.read_bytes()
+payload = pickle.loads(raw[raw.index(b"\n") + 1 :])
+payload["costing"]["stats"].eval_seconds = 0.0
+print(digest(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
+"""
+
+
+def test_snapshot_bytes_independent_of_hash_seed():
+    """A design pickles its structures in canonical order, not in its
+    frozenset's hash order: two processes under different
+    ``PYTHONHASHSEED`` values dump identical bytes for a design and for a
+    seed-1 serve snapshot, and the design unpickles to an equal value."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_format_4_design_state_still_loads(monkeypatch):
+    """A snapshot written before the canonical order carries each design
+    field as a frozenset (the fields-only pickle); it loads to the same
+    design."""
+    from repro.engine.design import PhysicalDesign
+    from repro.engine.projection import Projection, SortColumn
+    from repro.rowstore.design import RowstoreDesign
+    from repro.rowstore.index import Index
+    from repro.rowstore.matview import MaterializedView
+    from repro.state.capture import PickleFieldsOnly
+
+    design = PhysicalDesign.of(
+        Projection("t", ("a", "b"), (SortColumn("a"),)),
+        Projection("u", ("c",), (SortColumn("c"),)),
+    )
+    rowstore = RowstoreDesign.of(Index("t", ("a",)), MaterializedView("t", ("b",), ("a",)))
+    for cls in (PhysicalDesign, RowstoreDesign):
+        monkeypatch.setattr(cls, "__getstate__", PickleFieldsOnly.__getstate__)
+    legacy = [pickle.dumps(design), pickle.dumps(rowstore)]
+    monkeypatch.undo()
+    assert legacy[0] != pickle.dumps(design)
+    assert pickle.loads(legacy[0]) == design
+    assert pickle.loads(legacy[0]).for_table("t") == design.for_table("t")
+    assert pickle.loads(legacy[1]) == rowstore
