@@ -12,7 +12,7 @@ request over a subset of the root's texts binds only the structures the
 store has never seen.  This benchmark times three stream shapes:
 
 * ``matrix-stream-*`` — a sliding-window ``candidate_costs`` stream per
-  substrate (columnar / rowstore / samples) over one root arena (the
+  substrate (columnar / rowstore) over one root arena (the
   stream's texts, compiled first, as CliffGuard compiles its
   neighborhood's), the designer-invocation inner loop in isolation;
 * ``cliffguard-*`` — end-to-end ``CliffGuard.design`` over successive
@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.core.cliffguard import CliffGuard
 from repro.costing.service import CostEvaluationService
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
@@ -59,10 +59,9 @@ from repro.harness.experiments import (
     run_designer_comparison,
 )
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.serve.handle import design_digest
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
+from repro.workload.workload import Workload
 
 #: Matrix-stream shape: ``windows`` sliding query windows (slide =
 #: ``step`` sqls, each a view of the stream's root), each re-priced ``repeats`` times
@@ -169,35 +168,13 @@ def _matrix_substrate(substrate: str, shape: dict):
     if substrate == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
-    elif substrate == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         nominal = RowstoreNominalDesigner(RowstoreAdapter(model))
-    else:
-        model = SamplesCostModel(schema)
-        nominal = None
     profiles = [model.profile(sql) for sql in sqls]
-    if substrate == "samples":
-        # Star-join traces are not sample-answerable, so the nominal pool
-        # is empty; synthesize stratified samples over the touched tables
-        # (reuse must hold for unanswerable structures too).
-        used = list(dict.fromkeys(t.table for p in profiles for t in p.tables))
-        pool = [
-            StratifiedSample(
-                table=table,
-                strata_columns=(schema.table(table).column_names[col],),
-                fraction=fraction,
-            )
-            for table in used
-            for col in range(min(4, len(schema.table(table).column_names)))
-            for fraction in (0.005, 0.01, 0.05, 0.1)
-        ]
-    else:
-        from repro.workload.workload import Workload
-
-        pool = nominal.generate_candidates(Workload.from_sql(sqls))
+    pool = nominal.generate_candidates(Workload.from_sql(sqls))
     if len(pool) < shape["pool"]:
-        # Small pools (samples, sparse templates) cycle with distinct
-        # fractions/width rather than capping the stream.
+        # A small pool (sparse templates) caps the stream's candidate count.
         shape = dict(shape, pool=len(pool), c0=min(shape["c0"], len(pool)))
     return model, pool[: shape["pool"]], profiles, shape
 
@@ -222,9 +199,7 @@ def _matrix_calls(shape: dict):
 def _adapter_for(model, service):
     if isinstance(model, ColumnarCostModel):
         return ColumnarAdapter(model, costing=service)
-    if isinstance(model, RowstoreCostModel):
-        return RowstoreAdapter(model, costing=service)
-    return SamplesAdapter(model, costing=service)
+    return RowstoreAdapter(model, costing=service)
 
 
 def _run_matrix_stream(substrate: str, shape: dict):
@@ -369,7 +344,6 @@ def run(smoke: bool, out_path: Path) -> dict:
     configs = [
         ("matrix-stream-columnar", _run_matrix_stream, ("columnar", matrix_shape)),
         ("matrix-stream-rowstore", _run_matrix_stream, ("rowstore", matrix_shape)),
-        ("matrix-stream-samples", _run_matrix_stream, ("samples", matrix_shape)),
         (
             "cliffguard-columnar",
             _run_cliffguard_stream,

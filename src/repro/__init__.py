@@ -55,8 +55,6 @@ from repro.designers import (
     OptimalLocalSearchDesigner,
     RowstoreAdapter,
     RowstoreNominalDesigner,
-    SamplesAdapter,
-    SamplesNominalDesigner,
     default_budget_bytes,
 )
 from repro.engine import (
@@ -90,7 +88,6 @@ from repro.parallel import (
     SerialBackend,
     ThreadBackend,
 )
-from repro.samples import SampleDesign, SamplesCostModel, StratifiedSample
 from repro.workload import (
     NeighborhoodSampler,
     TraceGenerator,
@@ -168,12 +165,7 @@ __all__ = [
     "RowstoreExecutor",
     "RowstoreNominalDesigner",
     "RunTracer",
-    "SampleDesign",
-    "SamplesAdapter",
-    "SamplesCostModel",
-    "SamplesNominalDesigner",
     "Schema",
-    "StratifiedSample",
     "SortColumn",
     "Table",
     "TraceGenerator",

@@ -1,6 +1,6 @@
 """Engine-agnostic costing infrastructure.
 
-All three engines price queries from the same parsed, schema-resolved,
+Both engines price queries from the same parsed, schema-resolved,
 selectivity-annotated :class:`QueryProfile`; only the translation from
 profile to milliseconds differs per engine.  On top of that shared
 profile sits the :class:`CostEvaluationService` — batched neighborhood

@@ -1,19 +1,19 @@
 """Vectorized batch costing: structure-of-arrays what-if evaluation.
 
-The scalar cost models (``engine/optimizer.py``, ``rowstore/optimizer.py``,
-``samples/optimizer.py``) price one (query, design) pair per Python call.
-Robust-design search needs *matrices* of those pairs — every candidate
-structure against every workload query, every neighborhood design against
-a shared query pool — so this module compiles :class:`QueryProfile`s and
-candidate structures into numpy structure-of-arrays form once and prices
-whole matrices with a handful of vector operations.
+The scalar cost models (``engine/optimizer.py``, ``rowstore/optimizer.py``)
+price one (query, design) pair per Python call.  Robust-design search
+needs *matrices* of those pairs — every candidate structure against every
+workload query, every neighborhood design against a shared query pool —
+so this module compiles :class:`QueryProfile`s and candidate structures
+into numpy structure-of-arrays form once and prices whole matrices with a
+handful of vector operations.
 
 Compiled layout:
 
 * every ``(table, column)`` of the schema gets a global bit; column sets
-  (query needs, projection columns, index keys, view groups, sample
-  strata) become fixed-width ``uint64`` bit arrays, so a coverage check
-  is ``need & ~have == 0`` per mask word — and a table's bits are
+  (query needs, projection columns, index keys, view groups) become
+  fixed-width ``uint64`` bit arrays, so a coverage check is
+  ``need & ~have == 0`` per mask word — and a table's bits are
   contiguous, so a same-table check reads only that table's words,
 * per-query anchor row counts, selectivities, predicate counts, and byte
   widths are ``float64`` arrays,
@@ -29,11 +29,11 @@ Compilation is split into two halves so workloads compile **once**:
 
 * ``compile_queries`` (per substrate, e.g.
   :meth:`ColumnarKernel.compile_queries`) turns a profile batch into a
-  *workload arena* (:class:`ColumnarArena` / :class:`RowstoreArena` /
-  :class:`SamplesArena`) — every array that depends only on the queries
-  and the schema.  Arenas are immutable and design-independent, so the
-  costing service caches them by workload fingerprint and reuses them
-  across CliffGuard iterations, greedy sweeps, and replay windows;
+  *workload arena* (:class:`ColumnarArena` / :class:`RowstoreArena`) —
+  every array that depends only on the queries and the schema.  Arenas
+  are immutable and design-independent, so the costing service caches
+  them by workload fingerprint and reuses them across CliffGuard
+  iterations, greedy sweeps, and replay windows;
 * ``bind`` (e.g. :meth:`ColumnarKernel.bind`) attaches a structure set
   to an arena and does per-design work only: the structures' masks and
   key column ids, then per table one coverage block and one
@@ -44,7 +44,7 @@ Compilation is split into two halves so workloads compile **once**:
   ``bind(compile_queries(profiles), structures)`` and remains the
   one-shot entry point.
 
-One skeleton, three substrates: the reduce / delta / take / candidate
+One skeleton, two substrates: the reduce / delta / take / candidate
 algebra is written once, on :class:`_Batch` (with :class:`_Arena` and
 :class:`_Kernel` holding the shared query-side fields and the shared
 compile prologue / bind epilogue).  A substrate supplies only its array
@@ -56,16 +56,16 @@ declarations and its access-cost arithmetic:
   axis (``(Q, ...)`` and ``(S, Q)``); :meth:`_Batch.take` slices exactly
   these;
 * ``base_anchor`` / ``base_dim`` — the empty-design anchor-path and
-  per-access dimension costs (``base_dim = None``: the substrate has no
-  dimension term at all, as samples);
+  per-access dimension costs;
 * ``_anchor_matrix(s, q)`` / ``_dim_matrix(s, a)`` — the anchor and
   dimension access costs of the (P,) pairs of structure rows ``s`` and
   queries ``q`` / accesses ``a``, ``inf`` where a structure cannot
   serve;
 * ``fold_key`` (on the kernel) — the sort key of a structure in the
-  scalar maintenance fold;
-* ``_locate(best, qs)`` — what a write pays to find its rows (samples
-  override it: always the exact cost).
+  scalar maintenance fold.
+
+A write pays the best anchor path to find its rows (the ``best`` of a
+design's read), on both substrates.
 
 **Designs are reductions.**  The hooks are called once per bound
 structure, on its own table's queries and accesses only, into
@@ -108,7 +108,7 @@ rules make that possible:
 
 The scalar ``query_cost`` remains the reference implementation; the
 property tests in ``tests/test_costing_kernel.py`` assert exact equality
-on all three substrates.  Models the dispatcher does not recognize
+on both substrates.  Models the dispatcher does not recognize
 (stubs, subclasses with overridden constants) simply get no kernel and
 stay on the scalar path.
 """
@@ -124,7 +124,6 @@ import numpy as np
 
 import repro.engine.optimizer as _col
 import repro.rowstore.optimizer as _row
-import repro.samples.optimizer as _smp
 from repro.costing.profile import QueryProfile, TableAccess
 from repro.rowstore.matview import MaterializedView
 
@@ -133,8 +132,6 @@ __all__ = [
     "ColumnarKernel",
     "RowstoreArena",
     "RowstoreKernel",
-    "SamplesArena",
-    "SamplesKernel",
     "kernel_for",
 ]
 
@@ -330,7 +327,7 @@ def _write_fold_order(keys) -> np.ndarray:
 
 
 def _compile_write_side(profiles, bits: "_ColumnBits", model) -> dict:
-    """Query-side write arrays (by arena field name) shared by all three
+    """Query-side write arrays (by arena field name) shared by both
     substrate compiles.
 
     ``base_write`` is folded scalarly through the model's own
@@ -463,7 +460,7 @@ class StructureColumns(NamedTuple):
 
     table: np.ndarray  # (S,) table id
     anchor: np.ndarray  # (S, Q) anchor-path cost, inf off the structure's table
-    dim: np.ndarray | None  # (S, A) dimension-access cost, inf likewise; None: no term
+    dim: np.ndarray  # (S, A) dimension-access cost, inf likewise
     # The write side, read only where the queries hold a write (else None):
     touch: np.ndarray | None  # (S, Q) bool: write q maintains structure s
     weight: np.ndarray | None  # (S,) per-affected-row maintenance weight
@@ -568,11 +565,6 @@ class _Batch:
         taken.update((name, getattr(self, name)[:, idx]) for name in self.per_pair)
         return replace(self, sqls=[self.sqls[i] for i in idx], **taken)
 
-    def _locate(self, best: np.ndarray, qs=slice(None)) -> np.ndarray:
-        """What a write pays to find its rows (queries ``qs``): the best
-        anchor path."""
-        return best
-
     @cached_property
     def structure_columns(self) -> StructureColumns:
         """This batch's structures as :class:`StructureColumns`.
@@ -587,11 +579,9 @@ class _Batch:
         anchor = np.full((count, self.query_count), np.inf)
         s, q = np.nonzero(self.struct_table[:, None] == anchor_table[None, :])
         anchor[s, q] = self._anchor_matrix(s, q)
-        dim = None
-        if self.base_dim is not None:
-            dim = np.full((count, self.acc_table.shape[0]), np.inf)
-            s, a = np.nonzero(self.struct_table[:, None] == self.acc_table[None, :])
-            dim[s, a] = self._dim_matrix(s, a)
+        dim = np.full((count, self.acc_table.shape[0]), np.inf)
+        s, a = np.nonzero(self.struct_table[:, None] == self.acc_table[None, :])
+        dim[s, a] = self._dim_matrix(s, a)
         return StructureColumns(
             self.struct_table, anchor, dim, self.write_touch, self.write_weight, self.write_rank
         )
@@ -647,17 +637,14 @@ class _Batch:
         dim_best = self.base_dim
         if members.size:
             best = np.minimum(best, columns.anchor[rows].min(axis=0))
-            if dim_best is not None:
-                dim_best = np.minimum(dim_best, columns.dim[rows].min(axis=0))
-        read = self.consts.QUERY_OVERHEAD_MS + best
-        if dim_best is not None:
-            read = read + _dim_sum_vector(self.dim_pad, dim_best + self.acc_build_add)
+            dim_best = np.minimum(dim_best, columns.dim[rows].min(axis=0))
+        read = (self.consts.QUERY_OVERHEAD_MS + best) + _dim_sum_vector(
+            self.dim_pad, dim_best + self.acc_build_add
+        )
         if not self.any_write:
             return read
         fold = members[np.argsort(columns.rank[members], kind="stable")]
-        return np.where(
-            self.is_write, self._write_costs(self._locate(best), columns, fold), read
-        )
+        return np.where(self.is_write, self._write_costs(best, columns, fold), read)
 
     def base_costs(self) -> np.ndarray:
         """(Q,) empty-design costs: ``design_costs`` over no members."""
@@ -754,22 +741,19 @@ class _Batch:
     def _pair_costs(self, s: np.ndarray, q: np.ndarray, columns: StructureColumns) -> np.ndarray:
         """(P,) single-structure query costs of the pairs ``(s[i], q[i])``."""
         best = np.minimum(self.base_anchor[q], columns.anchor[s, q])
-        read = self.consts.QUERY_OVERHEAD_MS + best
-        if self.base_dim is not None:
-            # ``_dim_sum_vector``'s left fold (the scalar ``sum``), pair by pair.
-            total = np.zeros(q.shape[0], dtype=np.float64)
-            for j in range(self.dim_pad.shape[1]):
-                col = self.dim_pad[q, j]
-                a = np.maximum(col, 0)
-                term = np.minimum(self.base_dim[a], columns.dim[s, a]) + self.acc_build_add[a]
-                total = total + np.where(col >= 0, term, 0.0)
-            read = read + total
+        # ``_dim_sum_vector``'s left fold (the scalar ``sum``), pair by pair.
+        total = np.zeros(q.shape[0], dtype=np.float64)
+        for j in range(self.dim_pad.shape[1]):
+            col = self.dim_pad[q, j]
+            a = np.maximum(col, 0)
+            term = np.minimum(self.base_dim[a], columns.dim[s, a]) + self.acc_build_add[a]
+            total = total + np.where(col >= 0, term, 0.0)
+        read = (self.consts.QUERY_OVERHEAD_MS + best) + total
         is_write = self.is_write[q]
         if not is_write.any():
             return read
         wcost = (
-            self.consts.QUERY_OVERHEAD_MS
-            + np.where(self.is_insert[q], 0.0, self._locate(best, q))
+            self.consts.QUERY_OVERHEAD_MS + np.where(self.is_insert[q], 0.0, best)
         ) + self.base_write[q]
         wcost = wcost + np.where(
             columns.touch[s, q], self.affected[q] * columns.weight[s], 0.0
@@ -1295,155 +1279,6 @@ class RowstoreKernel(_Kernel):
         )
 
 
-# -- samples ----------------------------------------------------------------------
-
-
-@dataclass
-class SamplesBatch(_Batch):
-    """Compiled (stratified samples × queries) batch.
-
-    Samples ignore dimensions: ``acc_table`` matters for the anchor
-    tables only, and there is no dimension term (``base_dim``).
-    """
-
-    sample_rows: np.ndarray  # (S,)
-    # per query (Q)
-    exact: np.ndarray
-    needed_bytes: np.ndarray
-    pred: np.ndarray
-    total_sel: np.ndarray
-    agg_flag: np.ndarray  # group_by or has_aggregates
-    # (S, Q)
-    valid: np.ndarray  # the full `answers` predicate
-
-    consts = _smp
-    per_query = _Batch.per_query + ("exact", "needed_bytes", "pred", "total_sel", "agg_flag")
-    per_pair = _Batch.per_pair + ("valid",)
-    base_dim = None
-
-    @property
-    def base_anchor(self) -> np.ndarray:
-        return self.exact
-
-    def _locate(self, best: np.ndarray, qs=slice(None)) -> np.ndarray:
-        """Samples never answer a write's locate scan, so the locate term
-        is always the exact full-table cost (as the scalar ``_write_cost``)."""
-        return self.exact[qs]
-
-    def _anchor_matrix(self, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Sample scan cost of the pairs ``(s[i], q[i])``, inf where the
-        sample cannot answer."""
-        sample_rows = self.sample_rows[s]
-        cost = (sample_rows * self.needed_bytes[q]) * _smp.BYTE_COST_MS
-        cost = cost + (sample_rows * self.pred[q]) * _smp.PREDICATE_COST_MS
-        filtered = np.maximum(sample_rows * self.total_sel[q], 1.0)
-        cost = cost + np.where(self.agg_flag[q], filtered * _smp.HASH_AGG_COST_MS, 0.0)
-        return np.where(self.valid[s, q], cost, np.inf)
-
-
-@dataclass
-class SamplesArena(_Arena):
-    """Query-side compiled state for the stratified-samples substrate."""
-
-    exact: np.ndarray
-    needed_bytes: np.ndarray
-    pred: np.ndarray
-    total_sel: np.ndarray
-    agg_flag: np.ndarray
-    answerable: np.ndarray
-    depends_mask: np.ndarray
-
-
-class SamplesKernel(_Kernel):
-    """Compiles and batch-prices the stratified-samples substrate."""
-
-    name = "samples"
-    arena_type = SamplesArena
-    batch_type = SamplesBatch
-
-    @staticmethod
-    def fold_key(structure) -> tuple:
-        """Scalar fold order: the design's (table, strata, fraction)."""
-        return (structure.table, structure.strata_columns, structure.fraction)
-
-    def compile_queries(self, profiles) -> SamplesArena:
-        model = self.model
-        profiles = list(profiles)
-        _accesses, shared = self._compile_shared(profiles)
-        bits = shared["bits"]
-        # No dimension term: only a query's anchor table relates it to a sample.
-        shared["dim_pad"] = shared["dim_pad"][:, :0]
-
-        count = len(profiles)
-        exact = np.zeros(count, dtype=np.float64)
-        needed_bytes = np.zeros(count, dtype=np.float64)
-        pred = np.zeros(count, dtype=np.float64)
-        total_sel = np.zeros(count, dtype=np.float64)
-        agg_flag = np.zeros(count, dtype=bool)
-        answerable = np.zeros(count, dtype=bool)
-        depends_mask = np.zeros((count, bits.words), dtype=np.uint64)
-        for q, profile in enumerate(profiles):
-            access = profile.anchor
-            exact[q] = model.exact_cost(profile)
-            needed_bytes[q] = float(access.needed_bytes)
-            pred[q] = float(access.predicate_count)
-            total_sel[q] = access.total_selectivity
-            agg_flag[q] = bool(profile.group_by) or profile.has_aggregates
-            answerable[q] = (
-                not profile.dimensions
-                and profile.has_aggregates
-                and not any(agg.distinct for agg in profile.aggregates)
-            )
-            depends_mask[q] = bits.mask(
-                access.table, access.predicate_columns | set(profile.group_by)
-            )
-
-        return SamplesArena(
-            **shared,
-            exact=exact,
-            needed_bytes=needed_bytes,
-            pred=pred,
-            total_sel=total_sel,
-            agg_flag=agg_flag,
-            answerable=answerable,
-            depends_mask=depends_mask,
-        )
-
-    def bind(self, arena: SamplesArena, structures) -> SamplesBatch:
-        model = self.model
-        structures = list(structures)
-        bits = arena.bits
-        struct_table = bits.table_ids_of(structures)
-        sample_rows = np.zeros(len(structures), dtype=np.float64)
-        error_ok = np.zeros(len(structures), dtype=bool)
-        strata_mask = np.zeros((len(structures), bits.words), dtype=np.uint64)
-        for s, sample in enumerate(structures):
-            strata_mask[s] = bits.mask(sample.table, sample.strata_columns)
-            stats = model.statistics.get(sample.table)
-            if stats is None:
-                continue
-            sample_rows[s] = float(sample.sample_rows(stats))
-            error_ok[s] = sample.relative_error(stats) <= _smp.MAX_RELATIVE_ERROR
-
-        anchor_tid = arena.acc_table[arena.anchor_acc]
-        valid = (
-            (struct_table[:, None] == anchor_tid[None, :])
-            & arena.answerable[None, :]
-            & error_ok[:, None]
-            & _covered(arena.depends_mask, strata_mask)
-        )
-
-        # Write-side: a sample is "touched" through its stratum columns.
-        return self._bound(
-            arena,
-            structures,
-            struct_table,
-            write_mask=strata_mask,
-            sample_rows=sample_rows,
-            valid=valid,
-        )
-
-
 # -- dispatch ---------------------------------------------------------------------
 
 
@@ -1458,6 +1293,4 @@ def kernel_for(cost_model):
         return ColumnarKernel(cost_model)
     if type(cost_model) is _row.RowstoreCostModel:
         return RowstoreKernel(cost_model)
-    if type(cost_model) is _smp.SamplesCostModel:
-        return SamplesKernel(cost_model)
     return None

@@ -1,4 +1,4 @@
-"""Unified cost-evaluation service shared by all three design substrates.
+"""Unified cost-evaluation service shared by both design substrates.
 
 CliffGuard's inner loop (Algorithm 2) evaluates ``f(W, D)`` for every
 sampled neighbor under every candidate design; with the paper defaults
@@ -7,14 +7,13 @@ re-costed hundreds of times per replay window even though neighbors
 overwhelmingly share queries.  The paper itself stresses that what-if
 cost calls dominate designer runtime (Figure 14), so this module puts
 **one batching, instrumented layer** between the consumers (CliffGuard,
-the baseline designers, the replay harness, the CLI) and the three
+the baseline designers, the replay harness, the CLI) and the two
 engine cost models.
 
 The service only assumes the :class:`CostModel` protocol — ``profile``,
-``query_cost``, ``workload_cost`` — which all three substrates
+``query_cost``, ``workload_cost`` — which both substrates
 (:class:`repro.engine.optimizer.ColumnarCostModel`,
-:class:`repro.rowstore.optimizer.RowstoreCostModel`,
-:class:`repro.samples.optimizer.SamplesCostModel`) already satisfy, so
+:class:`repro.rowstore.optimizer.RowstoreCostModel`) already satisfy, so
 the batching is shared rather than re-implemented per engine.
 
 Contract (see ``docs/cost_model.md`` for the prose version):
@@ -95,7 +94,7 @@ _MATRIX_ROWS = 128
 class CostModel(Protocol):
     """The what-if surface every engine cost model exposes.
 
-    All three substrates satisfy this structurally; the service (and the
+    Both substrates satisfy this structurally; the service (and the
     :class:`repro.designers.base.DesignAdapter` refactored onto it) only
     ever touches these four members.
     """
@@ -308,9 +307,7 @@ class _Store:
         self._next_block = 0
         #: Float cells of one column: an anchor cost per query plus a
         #: dimension cost per access.
-        self.column_cells = arena.query_count + (
-            0 if base.base_dim is None else base.acc_table.shape[0]
-        )
+        self.column_cells = arena.query_count + base.acc_table.shape[0]
         #: Cached views (``_arenas`` entries) that read this store.
         self.views = 0
 
@@ -359,7 +356,7 @@ class _View:
         write = base.any_write
         table = np.empty(count, dtype=np.int64)
         anchor = np.empty((count, base.query_count))
-        dim = None if base.base_dim is None else np.empty((count, base.acc_table.shape[0]))
+        dim = np.empty((count, base.acc_table.shape[0]))
         touch = np.empty((count, base.query_count), dtype=bool) if write else None
         weight = np.empty(count) if write else None
         blocks = np.array([block for block, _, _ in found], dtype=np.intp)
@@ -370,8 +367,7 @@ class _View:
             rows = at[into]
             table[into] = columns.table[rows]
             anchor[into] = self._rows(columns.anchor[rows])
-            if dim is not None:
-                dim[into] = columns.dim[rows]
+            dim[into] = columns.dim[rows]
             if write:
                 touch[into] = self._rows(columns.touch[rows])
                 weight[into] = columns.weight[rows]

@@ -20,7 +20,6 @@ from repro.designers.base import (
     DesignAdapter,
     Designer,
     RowstoreAdapter,
-    SamplesAdapter,
     default_budget_bytes,
 )
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
@@ -29,7 +28,6 @@ from repro.designers.local_search import OptimalLocalSearchDesigner
 from repro.designers.majority_vote import MajorityVoteDesigner
 from repro.designers.no_design import NoDesign
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 
 __all__ = [
     "ColumnarAdapter",
@@ -42,8 +40,6 @@ __all__ = [
     "OptimalLocalSearchDesigner",
     "RowstoreAdapter",
     "RowstoreNominalDesigner",
-    "SamplesAdapter",
-    "SamplesNominalDesigner",
     "default_budget_bytes",
     "registry",
 ]

@@ -28,8 +28,6 @@ from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import SampleDesign, StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.sql.ast import Statement
 from repro.workload.workload import Workload
 
@@ -109,8 +107,8 @@ class DesignAdapter(abc.ABC):
     what-if evaluation through one
     :class:`~repro.costing.service.CostEvaluationService`, so batched
     neighborhood evaluation, the compiled-arena kernel path, and
-    instrumentation are common across the columnar, row-store, and
-    samples substrates rather than re-implemented per engine.
+    instrumentation are common across the columnar and row-store
+    substrates rather than re-implemented per engine.
     """
 
     def __init__(
@@ -156,9 +154,9 @@ class DesignAdapter(abc.ABC):
 
     def deployment_seconds(self, price_bytes: int) -> float:
         """Modeled wall-clock time to build ``price_bytes`` of structures
-        on this engine (Figure 14) — the same rate as the engine's own
-        ``design.deployment_seconds``; the samples engine models none and
-        is charged the columnar one."""
+        on this engine (Figure 14).  The base rate is the columnar
+        engine's (its ``design.deployment_seconds``); the row store
+        overrides it with its own."""
         return price_bytes / 1e9 * DEPLOY_SECONDS_PER_GB
 
     def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
@@ -264,42 +262,3 @@ class RowstoreAdapter(DesignAdapter):
 
     def deployment_seconds(self, price_bytes: int) -> float:
         return price_bytes / 1e9 * rowstore_design.DEPLOY_SECONDS_PER_GB
-
-
-class SamplesAdapter(DesignAdapter):
-    """Adapter for the approximate-database (stratified samples) engine."""
-
-    def __init__(
-        self,
-        cost_model: SamplesCostModel,
-        budget_bytes: int | None = None,
-        costing: CostEvaluationService | None = None,
-    ):
-        super().__init__(
-            cost_model,
-            budget_bytes
-            if budget_bytes is not None
-            else default_budget_bytes(cost_model.schema, 0.1),
-            costing,
-        )
-
-    def empty_design(self) -> SampleDesign:
-        return SampleDesign.empty()
-
-    def make_design(self, structures: Iterable[StratifiedSample]) -> SampleDesign:
-        return SampleDesign.of(*structures)
-
-    def structures(self, design: SampleDesign) -> list[StratifiedSample]:
-        return list(design)
-
-    def structure_size(self, structure: StratifiedSample) -> int:
-        return structure.size_bytes(
-            self.schema.table(structure.table),
-            self.cost_model.statistics[structure.table],
-        )
-
-    def structure_cost(self, profile, structure: StratifiedSample) -> float | None:
-        return self.cost_model.sample_cost(profile, structure)
-
-    def design_price(self, design: SampleDesign) -> int:
-        return design.price(self.schema, self.cost_model.statistics)

@@ -57,7 +57,7 @@ JOIN_PROBE_COST_MS = 1e-5
 #: Fixed per-query overhead (parse/plan/dispatch).
 QUERY_OVERHEAD_MS = 1.0
 #: Per-byte cost of applying a write to a stored structure (WOS/ROS
-#: moveout amortized per byte; shared value across all three substrates).
+#: moveout amortized per byte; shared value across both substrates).
 WRITE_BYTE_COST_MS = 1e-5
 #: Fixed per-affected-row upkeep of keeping one extra projection current
 #: (tuple mover bookkeeping, positional index update).

@@ -47,7 +47,7 @@ JOIN_PROBE_COST_MS = 1e-5
 #: Fixed per-query overhead.
 QUERY_OVERHEAD_MS = 1.0
 #: Per-byte cost of applying a write to a stored structure (shared value
-#: across all three substrates).
+#: across both substrates).
 WRITE_BYTE_COST_MS = 1e-5
 #: Fixed per-affected-row upkeep of one extra B-tree (node descent plus
 #: possible split bookkeeping) — pricier than columnar tuple-mover work.

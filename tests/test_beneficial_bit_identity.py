@@ -20,16 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.costing.service import KERNEL_MIN_BATCH
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.future_knowing import FutureKnowingDesigner
 from repro.designers.no_design import NoDesign
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import beneficial_queries, replay
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.optimizer import SamplesCostModel
 from repro.serve.sources import TraceSource
 from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
@@ -40,7 +38,6 @@ from repro.workload.workload import Workload
 SUBSTRATES = {
     "columnar": (ColumnarCostModel, ColumnarAdapter, ColumnarNominalDesigner),
     "rowstore": (RowstoreCostModel, RowstoreAdapter, RowstoreNominalDesigner),
-    "samples": (SamplesCostModel, SamplesAdapter, SamplesNominalDesigner),
 }
 #: ``repro.harness.replay`` the attribute is the re-exported function.
 replay_module = importlib.import_module("repro.harness.replay")
@@ -117,9 +114,9 @@ def _schema():
 def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
     """``(sqls, muted)``: 40-odd distinct statements of one family.
 
-    Single-table aggregates go first — they are the only queries the
-    samples designer generates candidates for, so every substrate's
-    draw has own-candidate rows to tell apart.
+    Eight statements every substrate's designer proposes candidates
+    for go first, so every substrate's draw has own-candidate rows to
+    tell apart.
     """
     schema, roles = _schema()
     if family == "htap":
@@ -128,12 +125,17 @@ def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
         profile = r1_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
     trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
     distinct = list(dict.fromkeys(q.sql for q in trace))
-    sampler = SamplesNominalDesigner(SamplesAdapter(SamplesCostModel(schema)))
-    sampled = [
-        sql for sql in distinct if sampler.generate_candidates(Workload.from_sql([sql]))
+    designers = [
+        designer_cls(adapter_cls(model_cls(schema)))
+        for model_cls, adapter_cls, designer_cls in SUBSTRATES.values()
+    ]
+    served = [
+        sql
+        for sql in distinct
+        if all(d.generate_candidates(Workload.from_sql([sql])) for d in designers)
     ][:8]
-    assert sampled
-    sqls = list(dict.fromkeys(sampled + distinct[:32]))
+    assert served
+    sqls = list(dict.fromkeys(served + distinct[:32]))
     muted: frozenset[str] = frozenset()
     if family == "htap":
         kinds = {sql.split()[0] for sql in sqls}
@@ -142,7 +144,7 @@ def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
         # Unparseable text in the middle, and two queries — one every
         # substrate has candidates for — that get none of their own.
         sqls[5:5] = UNPARSEABLE
-        muted = frozenset({sampled[0], distinct[0]})
+        muted = frozenset({served[0], distinct[0]})
     return tuple(sqls), muted
 
 

@@ -23,8 +23,6 @@ from repro.costing.kernel import (
     ColumnarKernel,
     RowstoreBatch,
     RowstoreKernel,
-    SamplesBatch,
-    SamplesKernel,
     kernel_for,
 )
 from repro.costing.service import (
@@ -35,20 +33,17 @@ from repro.costing.service import (
     design_fingerprint,
     workload_fingerprint,
 )
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
-SUBSTRATES = ("columnar", "rowstore", "samples")
+SUBSTRATES = ("columnar", "rowstore")
 
 
 @lru_cache(maxsize=None)
@@ -75,28 +70,11 @@ def _substrate(name: str, mix: str = "r1"):
     if name == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
-    elif name == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         nominal = RowstoreNominalDesigner(RowstoreAdapter(model))
-    else:
-        model = SamplesCostModel(schema)
-        nominal = SamplesNominalDesigner(SamplesAdapter(model))
     candidates = nominal.generate_candidates(Workload.from_sql(sqls))[:10]
     profiles = [model.profile(sql) for sql in sqls]
-    if name == "samples" and not candidates:
-        # Star-join traces yield no sample-answerable queries, so the
-        # nominal pool is empty; synthesize samples on the touched tables
-        # — bind/delta identity must hold for unanswerable structures too.
-        used = list(dict.fromkeys(t.table for p in profiles for t in p.tables))
-        candidates = [
-            StratifiedSample(
-                table=table,
-                strata_columns=(schema.table(table).column_names[0],),
-                fraction=fraction,
-            )
-            for table in used[:5]
-            for fraction in (0.01, 0.1)
-        ][:10]
     assert candidates
     return model, candidates, profiles
 
@@ -105,9 +83,7 @@ def _adapter(model):
     service = CostEvaluationService(model)
     if isinstance(model, ColumnarCostModel):
         return ColumnarAdapter(model, costing=service)
-    if isinstance(model, RowstoreCostModel):
-        return RowstoreAdapter(model, costing=service)
-    return SamplesAdapter(model, costing=service)
+    return RowstoreAdapter(model, costing=service)
 
 
 def _workload(sqls: list[str]) -> Workload:
@@ -193,7 +169,7 @@ def test_affected_queries_is_conservative(substrate, changed):
 
 # -- the one generic take / one algebra --------------------------------------------
 
-BATCHES = (ColumnarBatch, RowstoreBatch, SamplesBatch)
+BATCHES = (ColumnarBatch, RowstoreBatch)
 ALGEBRA = (
     "take",
     "structure_columns",
@@ -451,13 +427,13 @@ def test_query_axis_declarations_are_complete(substrate):
 
 
 def test_algebra_has_one_implementation():
-    """Each algebra name is the same object on all three batch classes,
+    """Each algebra name is the same object on both batch classes,
     and the kernels share one ``__init__`` / ``compile``: a re-forked
     per-substrate copy fails here instead of in review."""
     for name in ALGEBRA:
         assert len({id(getattr(cls, name)) for cls in BATCHES}) == 1, name
     for name in ("__init__", "compile"):
-        kernels = (ColumnarKernel, RowstoreKernel, SamplesKernel)
+        kernels = (ColumnarKernel, RowstoreKernel)
         assert len({id(getattr(cls, name)) for cls in kernels}) == 1, name
 
 

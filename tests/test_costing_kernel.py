@@ -1,7 +1,7 @@
 """Bit-identity tests for the vectorized what-if costing kernel.
 
 The kernel's contract (see :mod:`repro.costing.kernel`) is exact
-agreement with the scalar cost models — tolerance zero, on all three
+agreement with the scalar cost models — tolerance zero, on both
 substrates, for base costs, design costs, candidate matrices, and the
 batched design sweep.  The property-based tests below draw random
 workloads and designs and assert ``==`` on every float, never closeness.
@@ -21,23 +21,22 @@ from hypothesis import strategies as st
 from repro.core.cliffguard import CliffGuard
 from repro.costing.kernel import kernel_for
 from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.greedy import evaluate_candidates
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
+from repro.engine.projection import Projection, SortColumn
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
+from repro.rowstore.index import Index
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.workload.distance import WorkloadDistance
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
 
-SUBSTRATES = ("columnar", "rowstore", "samples")
+SUBSTRATES = ("columnar", "rowstore")
 
 
 @lru_cache(maxsize=1)
@@ -70,12 +69,9 @@ def _substrate(name: str):
     if name == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
-    elif name == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         nominal = RowstoreNominalDesigner(RowstoreAdapter(model))
-    else:
-        model = SamplesCostModel(schema)
-        nominal = SamplesNominalDesigner(SamplesAdapter(model))
     candidates = nominal.generate_candidates(Workload.from_sql(sqls))[:10]
     profiles = [model.profile(sql) for sql in sqls]
     return model, candidates, profiles
@@ -86,9 +82,15 @@ def _adapter(model):
     service = CostEvaluationService(model)
     if isinstance(model, ColumnarCostModel):
         return ColumnarAdapter(model, costing=service)
-    if isinstance(model, RowstoreCostModel):
-        return RowstoreAdapter(model, costing=service)
-    return SamplesAdapter(model, costing=service)
+    return RowstoreAdapter(model, costing=service)
+
+
+def _lone_structure(substrate: str, table: str, column: str):
+    """A one-column structure on ``table``: a projection sorted on
+    ``column`` or an index keyed on it."""
+    if substrate == "columnar":
+        return Projection(table=table, columns=(column,), sort_columns=(SortColumn(column),))
+    return Index(table=table, columns=(column,))
 
 
 def _workload(sqls: list[str], picks: list[int], weights: list[int]) -> Workload:
@@ -180,14 +182,7 @@ def test_evaluate_candidates_kernel_equals_scalar(substrate):
     assert np.array_equal(evaluation.matrix, reference.matrix)
     assert np.array_equal(evaluation.weights, reference.weights)
     assert np.array_equal(evaluation.sizes, reference.sizes)
-    # The kernel only dispatches a batch when servable (candidate, query)
-    # pairs exist; the samples pool may have none (star-join queries are
-    # not sample-answerable), in which case only base costs are priced.
-    price, _ = kernel_for(model).compile(
-        [model.profile(sql) for sql in sqls], candidates
-    ).candidate_frame()
-    if price.any():
-        assert with_kernel.costing.stats.kernel_batch_calls >= 1
+    assert with_kernel.costing.stats.kernel_batch_calls >= 1
     assert forced_scalar.costing.stats.kernel_batch_calls == 0
 
 
@@ -204,19 +199,7 @@ def test_off_table_skip_preserves_scalar_matrix(substrate):
     unused = sorted(set(schema.tables) - used)
     assert unused, "environment must have an untouched table"
     spare, column = unused[0], schema.table(unused[0]).column_names[0]
-    if substrate == "columnar":
-        from repro.engine.projection import Projection, SortColumn
-
-        extra = Projection(
-            table=spare, columns=(column,), sort_columns=(SortColumn(column),)
-        )
-    elif substrate == "rowstore":
-        from repro.rowstore.index import Index
-
-        extra = Index(table=spare, columns=(column,))
-    else:
-        extra = StratifiedSample(table=spare, strata_columns=(column,), fraction=0.01)
-    candidates = list(shared) + [extra]
+    candidates = list(shared) + [_lone_structure(substrate, spare, column)]
     evaluation = evaluate_candidates(adapter, Workload.from_sql(sqls), candidates)
     checked = 0
     for c, candidate in enumerate(candidates):
@@ -290,26 +273,33 @@ def test_empty_workload_and_zero_candidates(substrate):
 
 
 def test_all_uncoverable_candidates_price_as_scalar():
-    """A sample stratified on nothing a query depends on serves no query:
-    every same-table cell is inf, exactly as the scalar greedy loop."""
+    """A structure on a column no query reads serves no query — a
+    projection missing every query's needed columns, an index no
+    predicate can seek: every same-table cell is inf, exactly as the
+    scalar greedy loop."""
     schema, sqls = _environment()
-    model = SamplesCostModel(schema)
-    adapter = _adapter(model)
-    tables = sorted(schema.tables)
-    useless = [
-        StratifiedSample(
-            table=name,
-            strata_columns=(schema.table(name).column_names[0],),
-            fraction=1e-6,
-        )
-        for name in tables
-    ]
-    evaluation = evaluate_candidates(adapter, Workload.from_sql(sqls), useless)
-    reference = _adapter(model)
-    reference.costing.kernel = None
-    scalar = evaluate_candidates(reference, Workload.from_sql(sqls), useless)
-    assert np.array_equal(evaluation.matrix, scalar.matrix)
-    assert np.array_equal(evaluation.base_costs, scalar.base_costs)
+    for substrate in SUBSTRATES:
+        model, _, profiles = _substrate(substrate)
+        read: dict[str, set[str]] = {}
+        for profile in profiles:
+            for access in profile.tables:
+                read.setdefault(access.table, set()).update(access.needed_columns)
+        useless = []
+        for name in sorted({p.anchor.table for p in profiles}):
+            unread = [c for c in schema.table(name).column_names if c not in read[name]]
+            if unread:
+                useless.append(_lone_structure(substrate, name, unread[0]))
+        assert useless, "environment must have an unread column on an anchor table"
+        evaluation = evaluate_candidates(_adapter(model), Workload.from_sql(sqls), useless)
+        reference = _adapter(model)
+        reference.costing.kernel = None
+        scalar = evaluate_candidates(reference, Workload.from_sql(sqls), useless)
+        assert np.array_equal(evaluation.matrix, scalar.matrix)
+        assert np.array_equal(evaluation.base_costs, scalar.base_costs)
+        anchors = [model.profile(sql).anchor.table for sql in evaluation.sqls]
+        same_table = np.array([[s.table == t for t in anchors] for s in useless])
+        assert same_table.any()
+        assert np.isinf(evaluation.matrix[same_table]).all()
 
 
 # -- service dispatch, counters, events ----------------------------------

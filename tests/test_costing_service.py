@@ -2,7 +2,7 @@
 
 The load-bearing guarantee is **bit-identical** evaluation: every float
 the service returns must be exactly the float the underlying cost model
-would have produced, on all three substrates, on the kernel and the
+would have produced, on both substrates, on the kernel and the
 scalar path, before and after arena warm-up, design changes, and
 ``clear``.  The property-based tests below draw random workloads and
 designs and assert exact equality, not closeness.
@@ -25,18 +25,16 @@ from repro.costing.service import (
     query_fingerprint,
     workload_fingerprint,
 )
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.optimizer import SamplesCostModel
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
-SUBSTRATES = ("columnar", "rowstore", "samples")
+SUBSTRATES = ("columnar", "rowstore")
 
 
 @lru_cache(maxsize=1)
@@ -69,14 +67,10 @@ def _substrate(name: str):
         model = ColumnarCostModel(schema)
         adapter = ColumnarAdapter(model)
         nominal = ColumnarNominalDesigner(adapter)
-    elif name == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         adapter = RowstoreAdapter(model)
         nominal = RowstoreNominalDesigner(adapter)
-    else:
-        model = SamplesCostModel(schema)
-        adapter = SamplesAdapter(model)
-        nominal = SamplesNominalDesigner(adapter)
     candidates = nominal.generate_candidates(Workload.from_sql(sqls))[:10]
     return model, adapter, sqls, candidates
 

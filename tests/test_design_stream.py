@@ -3,7 +3,7 @@ the one batched miss-fill loop, lazy greedy selection.
 
 The contract is the arena refactor's, one level up: a candidate matrix
 assembled from warm store columns must equal the cold rebuild
-bit-for-bit — tolerance zero, on all three substrates, for read-only and
+bit-for-bit — tolerance zero, on both substrates, for read-only and
 mixed read/write workloads — and must leave every **exported** counter
 exactly as a cold service would.  The store is derived state: only
 :class:`~repro.costing.service.ArenaStats` (never checkpointed) may see
@@ -26,21 +26,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.greedy import CandidateEvaluation, greedy_select
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
-SUBSTRATES = ("columnar", "rowstore", "samples")
+SUBSTRATES = ("columnar", "rowstore")
 #: Read-only (R1) and mixed read/write (HTAP) query pools: maintenance
 #: terms must survive matrix reuse bit-for-bit too.
 MIXES = ("read", "htap")
@@ -72,25 +69,11 @@ def _substrate(name: str, mix: str):
     if name == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
-    elif name == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         nominal = RowstoreNominalDesigner(RowstoreAdapter(model))
-    else:
-        model = SamplesCostModel(schema)
-        nominal = SamplesNominalDesigner(SamplesAdapter(model))
     candidates = nominal.generate_candidates(Workload.from_sql(sqls))[:10]
     profiles = [model.profile(sql) for sql in sqls]
-    if name == "samples" and not candidates:
-        used = list(dict.fromkeys(t.table for p in profiles for t in p.tables))
-        candidates = [
-            StratifiedSample(
-                table=table,
-                strata_columns=(schema.table(table).column_names[0],),
-                fraction=fraction,
-            )
-            for table in used[:5]
-            for fraction in (0.01, 0.1)
-        ][:10]
     assert candidates
     return model, candidates, profiles
 
@@ -98,9 +81,7 @@ def _substrate(name: str, mix: str):
 def _adapter(model, service: CostEvaluationService):
     if isinstance(model, ColumnarCostModel):
         return ColumnarAdapter(model, costing=service)
-    if isinstance(model, RowstoreCostModel):
-        return RowstoreAdapter(model, costing=service)
-    return SamplesAdapter(model, costing=service)
+    return RowstoreAdapter(model, costing=service)
 
 
 def _stack(model, *, warm: bool):

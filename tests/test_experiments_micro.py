@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.designers.base import Designer
+from repro.harness import experiments
 from repro.harness.experiments import (
     ExperimentContext,
     ExperimentScale,
@@ -37,8 +39,45 @@ class TestGammaSweep:
             assert 0 < avg <= mx
 
 
+class _CountingDesigner(Designer):
+    """A nominal designer that counts its ``design`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+
+    def design(self, workload):
+        self.calls += 1
+        return self.inner.design(workload)
+
+    def scoped(self, scope):
+        return self.inner.scoped(scope)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class TestOfflineTime:
-    def test_rows_per_designer(self, context):
+    def test_rows_per_designer(self, context, monkeypatch):
+        """Figure 14's order — CliffGuard does more design work than the
+        designer it wraps — on counted nominal ``design`` calls, not on
+        wall-clock seconds a stall under load can reorder."""
+        counters: dict[str, _CountingDesigner] = {}
+        build = experiments._build_designers
+
+        def counted(context, adapter, nominal, gamma, which, *args, **cfg):
+            designers, samplers = {}, []
+            for name in which:
+                counters[name] = _CountingDesigner(nominal)
+                own, own_samplers = build(
+                    context, adapter, counters[name], gamma, [name], *args, **cfg
+                )
+                designers.update(own)
+                samplers.extend(own_samplers)
+            return designers, samplers
+
+        monkeypatch.setattr(experiments, "_build_designers", counted)
         rows = run_offline_time(
             context, which=["NoDesign", "ExistingDesigner", "CliffGuard"]
         )
@@ -47,10 +86,10 @@ class TestOfflineTime:
         by_name = {r.designer: r for r in rows}
         assert by_name["NoDesign"].deployment_seconds == 0.0
         assert by_name["ExistingDesigner"].deployment_seconds > 0
-        assert (
-            by_name["CliffGuard"].design_seconds
-            >= by_name["ExistingDesigner"].design_seconds
-        )
+        # Both designers replay the same windows, so the totals order
+        # the per-window counts.
+        assert counters["NoDesign"].calls == 0
+        assert counters["CliffGuard"].calls > counters["ExistingDesigner"].calls >= 1
 
 
 class TestFig6Micro:

@@ -4,7 +4,7 @@ drift fixes (S2 progress anchoring, archive retention, bounded monitor
 logs).
 
 The kernel contract extends unchanged to writes: exact agreement with
-the scalar cost models — tolerance zero, on all three substrates — for
+the scalar cost models — tolerance zero, on both substrates — for
 base costs, design costs, candidate matrices, and the batched design
 sweep, now over workloads that mix SELECTs with INSERT/UPDATE/DELETE.
 """
@@ -21,16 +21,14 @@ from hypothesis import strategies as st
 
 from repro.costing.kernel import kernel_for
 from repro.costing.service import CostEvaluationService
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.greedy import evaluate_candidates
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.experiments import ExperimentContext, ExperimentScale
 from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.optimizer import SamplesCostModel
 from repro.serve.config import ServeConfig
 from repro.sql.ast import (
     DeleteStatement,
@@ -47,7 +45,7 @@ from repro.workload.monitor import WorkloadMonitor
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
-SUBSTRATES = ("columnar", "rowstore", "samples")
+SUBSTRATES = ("columnar", "rowstore")
 
 
 @lru_cache(maxsize=1)
@@ -77,12 +75,9 @@ def _substrate(name: str):
     if name == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))
-    elif name == "rowstore":
+    else:
         model = RowstoreCostModel(schema)
         nominal = RowstoreNominalDesigner(RowstoreAdapter(model))
-    else:
-        model = SamplesCostModel(schema)
-        nominal = SamplesNominalDesigner(SamplesAdapter(model))
     candidates = nominal.generate_candidates(Workload.from_sql(sqls))[:10]
     assert candidates, "the mixed pool must still yield read candidates"
     profiles = [model.profile(sql) for sql in sqls]
@@ -94,9 +89,7 @@ def _adapter(model):
     service = CostEvaluationService(model)
     if isinstance(model, ColumnarCostModel):
         return ColumnarAdapter(model, costing=service)
-    if isinstance(model, RowstoreCostModel):
-        return RowstoreAdapter(model, costing=service)
-    return SamplesAdapter(model, costing=service)
+    return RowstoreAdapter(model, costing=service)
 
 
 # -- DML round-trips ---------------------------------------------------------------

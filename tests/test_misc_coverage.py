@@ -10,7 +10,6 @@ from repro.harness.reporting import format_series, format_table
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
-from repro.samples.design import SampleDesign, StratifiedSample
 from repro.workload.distance import WorkloadDistance
 from repro.workload.query import WorkloadQuery
 from repro.workload.windows import split_windows
@@ -37,11 +36,6 @@ class TestDesignRendering:
         )
         text = design.describe()
         assert "idx(" in text and "mv(" in text
-
-    def test_sample_design_describe(self):
-        design = SampleDesign.of(StratifiedSample("t", ("a",), 0.1))
-        assert "sample(" in design.describe()
-        assert SampleDesign.empty().describe() == "(empty design)"
 
     def test_index_and_view_ddl(self):
         assert Index("t", ("a", "b")).to_sql() == "CREATE INDEX idx_t_a_b ON t (a, b)"

@@ -1,6 +1,6 @@
 """The scalar cost models, frozen: prices, canonical orders and pickles.
 
-``query_cost`` on the columnar, row-store and samples models is the
+``query_cost`` on the columnar and row-store models is the
 readable definition of ``f`` and the oracle the kernel is held to, so its
 output must not move when its bookkeeping does.  This module pins three
 things:
@@ -28,10 +28,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.designers.base import ColumnarAdapter, RowstoreAdapter, SamplesAdapter
+from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.design import PhysicalDesign
 from repro.engine.optimizer import ColumnarCostModel
 from repro.engine.projection import Projection, SortColumn
@@ -40,8 +39,6 @@ from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.design import SampleDesign, StratifiedSample
-from repro.samples.optimizer import SamplesCostModel
 from repro.sql.ast import BetweenPredicate, ComparisonPredicate, InPredicate, Literal
 from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
@@ -53,19 +50,16 @@ FAMILIES = ("ECOMMERCE", "R1", "HTAP")
 SUBSTRATES = {
     "columnar": (ColumnarCostModel, ColumnarAdapter, ColumnarNominalDesigner),
     "rowstore": (RowstoreCostModel, RowstoreAdapter, RowstoreNominalDesigner),
-    "samples": (SamplesCostModel, SamplesAdapter, SamplesNominalDesigner),
 }
 
 #: Digests of the five designs' structure DDL, then of every price.
 DESIGN_DIGESTS = {
     "columnar": "596cde1d82005557ba977e0904343a8c",
     "rowstore": "db423a3b26601ba70d12a92130d0028c",
-    "samples": "64751dadd55a518e2c9f2ea5b9e3b7ec",
 }
 PRICE_DIGESTS = {
     "columnar": "bbc54458b9b6b664108f548dc34b5d12",
     "rowstore": "925a4652216c6573ce15097790aca5e4",
-    "samples": "589291b11462e1f461fbfbd5523e1f4e",
 }
 QUERY_COUNT = 3_605
 
@@ -188,12 +182,6 @@ def views(draw):
 
 
 indices = st.builds(Index, st.sampled_from(TABLES), column_tuples)
-samples = st.builds(
-    StratifiedSample,
-    st.sampled_from(TABLES),
-    column_tuples,
-    st.sampled_from((0.01, 0.1, 0.5, 1.0)),
-)
 
 
 def _old_order(structures, table, key):
@@ -222,16 +210,6 @@ def test_indices_and_views_for_are_the_sorted_filters(index_set, view_set):
         for _ in range(2):
             assert design.indices_for(table) == expected_indices
             assert design.views_for(table) == expected_views
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.frozensets(samples, max_size=12))
-def test_samples_for_table_is_the_sorted_filter(members):
-    design = SampleDesign(members)
-    for table in TABLES + ("missing",):
-        expected = _old_order(members, table, lambda s: (s.strata_columns, s.fraction))
-        assert design.for_table(table) == expected
-        assert design.for_table(table) == expected
 
 
 # -- pricing leaves no trace in a pickle ------------------------------------------------

@@ -227,10 +227,3 @@ class TestDeploymentRate:
         events = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
         emitted = [e["deployment_seconds"] for e in events if e["event"] == "redesign"]
         assert emitted == own
-
-    def test_samples_engine_keeps_the_columnar_rate(self, tiny_star):
-        from repro.designers.base import SamplesAdapter
-        from repro.samples.optimizer import SamplesCostModel
-
-        adapter = SamplesAdapter(SamplesCostModel(tiny_star[0]))
-        assert adapter.deployment_seconds(2_000_000_000) == 720.0

@@ -6,7 +6,7 @@ Three layers:
   digest/version/identity verification, ``every`` gating, the
   :class:`SimulatedCrash` hook);
 * resume equivalence — kill-at-every-boundary sweeps over the CliffGuard
-  loop (on all three engine substrates), the windowed replay, and the
+  loop (on both engine substrates), the windowed replay, and the
   scheduled replay, asserting resumed == uninterrupted bit-for-bit
   (modulo wall-clock fields);
 * experiment runners — Γ-sweep / designer-comparison /
@@ -24,12 +24,10 @@ from repro.core.cliffguard import CliffGuard
 from repro.designers.base import (
     ColumnarAdapter,
     RowstoreAdapter,
-    SamplesAdapter,
     default_budget_bytes,
 )
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
-from repro.designers.samples_nominal import SamplesNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import replay
 from repro.harness.scheduler import (
@@ -39,7 +37,6 @@ from repro.harness.scheduler import (
 )
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.samples.optimizer import SamplesCostModel
 from repro.serve.sources import TraceSource
 from repro.state import (
     FORMAT_VERSION,
@@ -64,15 +61,8 @@ def _stack(substrate: str, schema):
             ColumnarCostModel(schema), default_budget_bytes(schema, 0.5)
         )
         return adapter, ColumnarNominalDesigner(adapter)
-    if substrate == "rowstore":
-        adapter = RowstoreAdapter(
-            RowstoreCostModel(schema), default_budget_bytes(schema, 0.5)
-        )
-        return adapter, RowstoreNominalDesigner(adapter)
-    adapter = SamplesAdapter(
-        SamplesCostModel(schema), default_budget_bytes(schema, 0.1)
-    )
-    return adapter, SamplesNominalDesigner(adapter)
+    adapter = RowstoreAdapter(RowstoreCostModel(schema), default_budget_bytes(schema, 0.5))
+    return adapter, RowstoreNominalDesigner(adapter)
 
 
 def _sampler(schema, trace, window, seed=3):
@@ -344,7 +334,7 @@ class TestCliffGuardResume:
         design = robust.design(window)
         return design, robust.last_report
 
-    @pytest.mark.parametrize("substrate", ["columnar", "rowstore", "samples"])
+    @pytest.mark.parametrize("substrate", ["columnar", "rowstore"])
     def test_kill_at_every_boundary_resumes_bit_identical(
         self, tmp_path, tiny_star, tiny_trace, tiny_windows, substrate
     ):
