@@ -14,7 +14,6 @@ from repro.costing.memo import BoundedMemo
 from repro.costing.profile import QueryProfile, QueryProfiler, TableAccess
 from repro.costing.report import WorkloadCostReport
 from repro.costing.service import (
-    KERNEL_MIN_BATCH,
     CostEvaluationService,
     CostModel,
     CostServiceStats,
@@ -28,7 +27,6 @@ __all__ = [
     "CostEvaluationService",
     "CostModel",
     "CostServiceStats",
-    "KERNEL_MIN_BATCH",
     "QueryProfile",
     "QueryProfiler",
     "TableAccess",

@@ -39,8 +39,8 @@ Contract (see ``docs/cost_model.md`` for the prose version):
   structures share columns even when they are distinct objects.
 * **One pricing path, in process.**  Every batched request is priced by
   :meth:`CostEvaluationService._price`: the design's columns gathered
-  from the request's store, or the scalar model below
-  ``KERNEL_MIN_BATCH`` distinct queries.  The service never fans out
+  from the request's store, or the scalar model when the cost model has
+  no kernel.  The service never fans out
   inside a pricing call: parallelism lives one level up, in the
   harness's whole-task fan-out and the serve daemon's background
   re-design (see :mod:`repro.parallel`).
@@ -71,10 +71,6 @@ from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
 from repro.obs import MetricsRegistry, get_metrics, tracer
 
-#: Requests with fewer distinct queries stay on the scalar path:
-#: compiling the structure-of-arrays batch has fixed overhead that only
-#: pays off once a vectorized call amortizes it over enough pairs.
-KERNEL_MIN_BATCH = 8
 #: Bound on the per-service workload-arena cache.  Arenas are per
 #: distinct query set — one per replay window or neighborhood pool — and
 #: a handful of windows are ever live at once; each holds the compiled
@@ -698,14 +694,12 @@ class CostEvaluationService:
         Every batched entry point prices here, one way: the design's
         structures are gathered from the store of the request's view (a
         key stable across designs and iterations; structures the store
-        lacks are bound once) and reduced to per-query costs.  Requests
-        below ``KERNEL_MIN_BATCH``, and models without a kernel, are
-        priced by the scalar model.  Kernel results are bit-identical to
-        the scalar path (every kernel op is element-wise or a per-query
-        reduction), so floats and counters never depend on which of the
-        two priced a request.
+        lacks are bound once) and reduced to per-query costs.  A model
+        without a kernel is priced by the scalar model, the reference the
+        kernel is tested against: kernel results are bit-identical to it
+        (every kernel op is element-wise or a per-query reduction).
         """
-        if self.kernel is None or len(unique) < KERNEL_MIN_BATCH:
+        if self.kernel is None:
             costs = [self.cost_model.query_cost(sql, design) for sql in unique]
             self._charge(len(unique), self._count_write_sqls(unique))
             return costs

@@ -16,9 +16,9 @@ Fan-out is **whole-task only**.  The sites routed through it:
   (per-designer replays),
 * the online daemon (:mod:`repro.serve`), which uses
   :meth:`~repro.parallel.backends.ExecutionBackend.submit` to launch one
-  background re-design at a time and poll its
-  :class:`~repro.parallel.jobs.BackgroundJob` handle while ingestion
-  continues.
+  background re-design at a time and polls the
+  ``concurrent.futures.Future`` it returns from its loop thread while
+  ingestion continues.
 
 Nothing fans out *inside* one pricing call: the costing service
 (:mod:`repro.costing.service`) prices in process on every backend — the
@@ -28,7 +28,6 @@ slower than the serial path at every batch size.
 """
 
 from repro.parallel.backends import (
-    BackendStats,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -36,11 +35,8 @@ from repro.parallel.backends import (
     backend_from_env,
     resolve_backend,
 )
-from repro.parallel.jobs import BackgroundJob
 
 __all__ = [
-    "BackendStats",
-    "BackgroundJob",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",

@@ -25,12 +25,10 @@ import abc
 import logging
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
 
 from repro.obs import get_metrics, tracer
-from repro.parallel.jobs import BackgroundJob
 
 logger = logging.getLogger("repro.parallel")
 
@@ -42,20 +40,14 @@ ENV_JOBS = "REPRO_JOBS"
 _UNSET = object()
 
 
-@dataclass
-class BackendStats:
-    """Cumulative accounting for one backend instance."""
-
-    #: ``map`` invocations.
-    map_calls: int = 0
-    #: Tasks submitted across all ``map`` calls.
-    tasks: int = 0
-    #: Tasks that raised (or whose worker died) and were retried serially.
-    retried: int = 0
-    #: Tasks that exceeded the per-task timeout.
-    timeouts: int = 0
-    #: Wall-clock seconds spent inside ``map`` (includes serial retries).
-    wall_seconds: float = 0.0
+def settled(fn, *args) -> Future:
+    """A ``Future`` that already holds ``fn(*args)``'s value or error."""
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 class ExecutionBackend(abc.ABC):
@@ -71,17 +63,10 @@ class ExecutionBackend(abc.ABC):
             raise ValueError("task_timeout must be positive when set")
         self.jobs = jobs
         self.task_timeout = task_timeout
-        self.stats = BackendStats()
 
-    def map(self, fn, tasks, timeout: float | None = None) -> list:
-        """``[fn(t) for t in tasks]``, scheduled by the backend.
-
-        ``timeout`` (seconds, per task) overrides the backend's default
-        ``task_timeout`` for this call.
-        """
+    def map(self, fn, tasks) -> list:
+        """``[fn(t) for t in tasks]``, scheduled by the backend."""
         tasks = list(tasks)
-        self.stats.map_calls += 1
-        self.stats.tasks += len(tasks)
         metrics = get_metrics()
         metrics.counter("parallel.map_calls").inc()
         metrics.counter("parallel.tasks").inc(len(tasks))
@@ -89,37 +74,25 @@ class ExecutionBackend(abc.ABC):
         try:
             if not tasks:
                 return []
-            return self._run(fn, tasks, timeout if timeout is not None else self.task_timeout)
+            return self._run(fn, tasks)
         finally:
-            elapsed = time.perf_counter() - started
-            self.stats.wall_seconds += elapsed
-            metrics.histogram("parallel.map_seconds").observe(elapsed)
+            metrics.histogram("parallel.map_seconds").observe(time.perf_counter() - started)
 
     @abc.abstractmethod
-    def _run(self, fn, tasks: list, timeout: float | None) -> list:
+    def _run(self, fn, tasks: list) -> list:
         """Backend-specific scheduling of a non-empty task list."""
 
-    def submit(self, fn, task) -> BackgroundJob:
-        """Launch one task in the background; returns a poll handle.
+    def submit(self, fn, task) -> Future:
+        """Launch one task in the background; returns its ``Future``.
 
         The serial backend runs the task inline *now* (the reference
         semantics — still deterministic, but the caller blocks), so the
-        handle it returns is already settled.  Errors never propagate
-        from ``submit`` itself: they surface through the handle's
-        :meth:`~repro.parallel.jobs.BackgroundJob.exception`, which is
-        what lets a long-running caller degrade instead of dying.
+        future it returns is already settled.  Errors never propagate
+        from ``submit`` itself: they surface through the future, which
+        is what lets a long-running caller degrade instead of dying.
         """
-        self.stats.tasks += 1
         get_metrics().counter("parallel.submits").inc()
-        started = time.perf_counter()
-        try:
-            value = fn(task)
-        except Exception as exc:
-            job = BackgroundJob.failed(exc, backend_name=self.name)
-        else:
-            job = BackgroundJob.completed(value, backend_name=self.name)
-        self.stats.wall_seconds += time.perf_counter() - started
-        return job
+        return settled(fn, task)
 
     def shutdown(self) -> None:
         """Release pooled workers (idempotent; the backend stays usable —
@@ -143,7 +116,7 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, jobs: int = 1, task_timeout: float | None = None):
         super().__init__(jobs=1, task_timeout=task_timeout)
 
-    def _run(self, fn, tasks: list, timeout: float | None) -> list:
+    def _run(self, fn, tasks: list) -> list:
         t = tracer()
         if not t.enabled:
             return [fn(task) for task in tasks]
@@ -183,17 +156,16 @@ class _PoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def submit(self, fn, task) -> BackgroundJob:
+    def submit(self, fn, task) -> Future:
         """Launch one task on the pool without blocking the caller.
 
         If the pool cannot accept work (broken executor, interpreter
         shutdown) the task degrades to an inline run in the parent —
         same policy as :meth:`map`'s serial retry.
         """
-        self.stats.tasks += 1
         get_metrics().counter("parallel.submits").inc()
         try:
-            future = self._executor().submit(fn, task)
+            return self._executor().submit(fn, task)
         except Exception as exc:
             logger.warning(
                 "%s backend could not submit background task (%r); running inline",
@@ -201,17 +173,9 @@ class _PoolBackend(ExecutionBackend):
                 exc,
             )
             self.shutdown()
-            return self._submit_inline(fn, task)
-        return BackgroundJob(future, backend_name=self.name)
+            return settled(fn, task)
 
-    def _submit_inline(self, fn, task) -> BackgroundJob:
-        try:
-            value = fn(task)
-        except Exception as exc:
-            return BackgroundJob.failed(exc, backend_name=self.name)
-        return BackgroundJob.completed(value, backend_name=self.name)
-
-    def _run(self, fn, tasks: list, timeout: float | None) -> list:
+    def _run(self, fn, tasks: list) -> list:
         t = tracer()
         started = time.perf_counter()
         results: list = [_UNSET] * len(tasks)
@@ -239,7 +203,7 @@ class _PoolBackend(ExecutionBackend):
         broken = False
         for i, future in enumerate(futures):
             try:
-                results[i] = future.result(timeout=timeout)
+                results[i] = future.result(timeout=self.task_timeout)
                 if t.enabled:
                     # ``seconds`` is the wall time from this map() call's
                     # start until the chunk's result reached the parent.
@@ -253,7 +217,6 @@ class _PoolBackend(ExecutionBackend):
             except FutureTimeoutError as exc:
                 # The worker may be wedged; tear the pool down so the
                 # remaining futures fail fast instead of waiting in line.
-                self.stats.timeouts += 1
                 get_metrics().counter("parallel.timeouts").inc()
                 failed.append((i, exc))
                 if not broken:
@@ -284,7 +247,6 @@ class _PoolBackend(ExecutionBackend):
                 )
             retry_started = time.perf_counter()
             results[i] = fn(tasks[i])
-            self.stats.retried += 1
             get_metrics().counter("parallel.retries").inc()
             if t.enabled:
                 t.emit(

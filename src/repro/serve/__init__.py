@@ -4,8 +4,8 @@
   batch replays and the daemon (`TraceSource`, `QueueSource`,
   `SocketSource`).
 * :mod:`repro.serve.protocol` — the newline-JSON wire protocol.
-* :mod:`repro.serve.handle` — the epoch-fenced `ActiveDesign` handle
-  behind atomic hot swaps.
+* :mod:`repro.serve.handle` — `design_digest`, the short digest of a
+  deployed design the serve summary prints.
 * :mod:`repro.serve.config` — `ServeConfig`, the streaming half of the
   configuration split (`RunConfig` stays the batch core).
 * :mod:`repro.serve.daemon` — the crash-restartable `ServeDaemon` loop.
@@ -17,7 +17,7 @@ breaks that cycle.
 """
 
 from repro.serve.config import ServeConfig
-from repro.serve.handle import ActiveDesign, DesignEpoch, design_digest
+from repro.serve.handle import design_digest
 from repro.serve.protocol import (
     SHUTDOWN_OP,
     ProtocolError,
@@ -47,8 +47,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ActiveDesign",
-    "DesignEpoch",
     "ProtocolError",
     "PricedQuery",
     "QueueSource",

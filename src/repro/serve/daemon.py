@@ -2,22 +2,27 @@
 
 One asyncio loop ingests a live query stream (any
 :class:`~repro.serve.sources.QuerySource`), prices every query against
-the currently deployed design through an epoch-fenced
-:class:`~repro.serve.handle.ActiveDesign` handle, maintains a sliding
+the deployed design, maintains a sliding
 :class:`~repro.workload.monitor.WorkloadMonitor` window, and evaluates a
 :class:`~repro.harness.scheduler.RedesignPolicy` at every window
 boundary.  When the policy fires, a CliffGuard re-design launches **in
 the background** on the session's execution backend
 (:meth:`~repro.parallel.backends.ExecutionBackend.submit`) — ingestion
-never stalls — and the finished design is hot-swapped in atomically.
+never stalls — and the loop polls the ``Future`` it gets back and swaps
+the finished design in between two queries.
+
+Pricing, polling, swapping and checkpointing all run on the loop's one
+thread; only the re-design task itself runs elsewhere, and it touches
+none of the daemon's state.  So the deployed design is plain state —
+``design`` plus ``swaps``, which is also its epoch — and needs no lock.
 
 Guarantees (docs/serving.md):
 
 * **Zero dropped queries** — every ingested query is priced and
   recorded exactly once.
-* **Per-query epoch consistency** — each costing pins one
-  ``(epoch, design)`` pair for its whole duration; a swap mid-costing
-  retires the old epoch but never invalidates the pin.
+* **Per-query epoch consistency** — each query is priced against one
+  design and recorded with that design's epoch; epochs never go
+  backwards and never run ahead of the swap count.
 * **Graceful degradation** — a crashed or slow background re-design
   leaves the old design serving; the failure is logged
   (``serve.degraded``) and the policy retries at a later boundary.
@@ -39,15 +44,15 @@ import asyncio
 import time
 from array import array
 from collections import deque
+from concurrent.futures import Future, wait
 from dataclasses import astuple, dataclass, replace
 
 from repro.designers import registry
 from repro.harness.scheduler import RedesignPolicy
 from repro.obs import get_metrics, tracer
-from repro.parallel.backends import ExecutionBackend
-from repro.parallel.jobs import BackgroundJob
+from repro.parallel.backends import ExecutionBackend, settled
 from repro.serve.config import ServeConfig
-from repro.serve.handle import ActiveDesign, design_digest
+from repro.serve.handle import design_digest
 from repro.serve.sources import QuerySource
 from repro.sql.ast import Statement
 from repro.sql.parser import parse
@@ -145,7 +150,10 @@ class PendingRedesign:
     window: Workload
     task: tuple
     launch_position: int
-    job: BackgroundJob | None = None
+    #: ``perf_counter()`` at launch (or relaunch, on resume): the clock
+    #: ``ServeConfig.redesign_timeout`` runs on.
+    started: float
+    job: Future | None = None
     #: Inline (learner) re-designs finish at launch; their
     #: ``(design, seconds)`` result rides in the checkpoint so a resumed
     #: daemon installs the stored design instead of re-running the
@@ -313,8 +321,9 @@ class ServeDaemon:
             refractory_days=window_days,
             max_log_entries=serve.monitor_log_limit,
         )
-        self.active = ActiveDesign(adapter.empty_design(), epoch=0)
         # -- mutable run state (everything below is checkpointed) --------------
+        #: The deployed design; its epoch is ``swaps``.
+        self.design = adapter.empty_design()
         self.position = 0
         self.window_anchor: float | None = None
         self.window_index = 0
@@ -355,7 +364,6 @@ class ServeDaemon:
     # (repro.state.capture.query_columns), and the ledger as its own.
 
     def _payload(self) -> dict:
-        snapshot = self.active.snapshot()
         monitor = self.monitor.state()
         monitor["current"] = query_columns(monitor["current"])
         monitor["reference"] = _window_columns(monitor["reference"])
@@ -368,8 +376,8 @@ class ServeDaemon:
             "redesigns_launched": self.redesigns_launched,
             "redesigns_failed": self.redesigns_failed,
             "swaps": self.swaps,
-            "epoch": snapshot.epoch,
-            "design": snapshot.design,
+            "epoch": self.swaps,
+            "design": self.design,
             "design_window": _window_columns(self.design_window),
             "policy": self.policy.state(),
             "monitor": monitor,
@@ -412,8 +420,7 @@ class ServeDaemon:
         self.redesigns_launched = state["redesigns_launched"]
         self.redesigns_failed = state["redesigns_failed"]
         self.swaps = state["swaps"]
-        self.active.restore(state["design"], state["epoch"])
-        self.active.swaps = state["swaps"]
+        self.design = state["design"]
         self.design_window = _columns_window(state["design_window"])
         self.policy.restore(state["policy"])
         monitor = dict(state["monitor"])
@@ -435,6 +442,7 @@ class ServeDaemon:
                 window=Workload(columns_queries(pending["window"])),
                 task=_columns_task(pending["task"]),
                 launch_position=pending["launch_position"],
+                started=time.perf_counter(),
                 result=pending.get("result"),
             )
             if self.pending.result is not None:
@@ -442,7 +450,7 @@ class ServeDaemon:
                 # before the snapshot and the learner state already
                 # reflects it — install the stored result rather than
                 # re-running the learner.
-                self.pending.job = BackgroundJob.completed(self.pending.result)
+                self.pending.job = settled(lambda: pending["result"])
             else:
                 # The in-flight job died with the process; relaunch it.
                 # The task tuple fully determines the design, so the
@@ -455,24 +463,21 @@ class ServeDaemon:
 
     # -- hot path ----------------------------------------------------------------
 
-    def _price(self, query: WorkloadQuery) -> tuple[int, float | None, Statement | None]:
-        """``(epoch, cost_ms, statement)``: the epoch the query was priced
-        in, its cost and its parsed statement (both ``None`` when it is
+    def _price(self, query: WorkloadQuery) -> tuple[float | None, Statement | None]:
+        """``(cost_ms, statement)`` under the deployed design: the query's
+        cost and its parsed statement (both ``None`` when it is
         unpriceable) — the one parse of this query, shared by the
         profiler and the drift monitor.  The profile is used once and
         dropped (``annotate``): a stream's texts rarely recur, so the
         profiler's memo does not keep them."""
-        with self.active.pin() as (epoch, design):
-            try:
-                statement = parse(query.sql)
-                profile = self.adapter.annotate(query.sql, statement)
-            except ValueError:
-                statement = cost = None
-            else:
-                cost = self.adapter.query_cost(profile, design)
-                if profile.is_write:
-                    get_metrics().counter("writes.ingested").inc()
-        return epoch, cost, statement
+        try:
+            statement = parse(query.sql)
+            profile = self.adapter.annotate(query.sql, statement)
+        except ValueError:
+            return None, None
+        if profile.is_write:
+            get_metrics().counter("writes.ingested").inc()
+        return self.adapter.query_cost(profile, self.design), statement
 
     def _ingest(self, query: WorkloadQuery) -> None:
         # A query stamped before the newest one the drift window holds
@@ -492,7 +497,7 @@ class ServeDaemon:
             completed = self.window_index
             self.window_index += 1
             self._boundary(completed)
-        epoch, cost, statement = self._price(query)
+        cost, statement = self._price(query)
         self.position += 1
         metrics = get_metrics()
         if late:
@@ -507,9 +512,9 @@ class ServeDaemon:
             self.monitor.observe(placed, statement)
             self.history.append(placed)
         if self.ledger is not None:
-            self.ledger.append(query.timestamp, epoch, cost)
+            self.ledger.append(query.timestamp, self.swaps, cost)
         metrics.counter("serve.ingested").inc()
-        metrics.gauge("serve.epoch").set(epoch)
+        metrics.gauge("serve.epoch").set(self.swaps)
 
     # -- boundary machinery --------------------------------------------------------
 
@@ -529,7 +534,7 @@ class ServeDaemon:
                 index=index,
                 position=self.position,
                 fill=len(window),
-                epoch=self.active.epoch,
+                epoch=self.swaps,
                 distance=last_reading,
                 backlog=self.source.backlog(),
             )
@@ -540,9 +545,9 @@ class ServeDaemon:
             self._observe_window(window)
         if self.pending is not None and self.serve.swap_mode == "boundary":
             # Deterministic barrier: the swap decision depends only on
-            # the boundary index, never on wall-clock timing.
-            self.pending.job.wait()
-            self._finish_pending()
+            # the boundary index, never on wall-clock timing (unless the
+            # re-design outlives ``redesign_timeout``).
+            self._await_pending()
         self._poll_pending()
         if self.pending is None and len(window) >= self.serve.min_window_queries:
             if self.policy.should_redesign(index, self.design_window, window):
@@ -566,13 +571,10 @@ class ServeDaemon:
 
         Every query in the window was priced at ingest (rejected ones
         never enter it), so the whole window prices again here."""
-        with self.active.pin() as (_epoch, design):
-            queries = list(window.collapsed())
-            report = self.adapter.workload_cost(queries, design)
-            observed = {
-                query.sql: cost for query, cost in zip(queries, report.per_query_ms)
-            }
-            self.learner.observe(window, design, observed)
+        queries = list(window.collapsed())
+        report = self.adapter.workload_cost(queries, self.design)
+        observed = {query.sql: cost for query, cost in zip(queries, report.per_query_ms)}
+        self.learner.observe(window, self.design, observed)
         get_metrics().counter("serve.learner_observations").inc()
 
     def _launch(self, index: int, window: Workload) -> None:
@@ -590,6 +592,7 @@ class ServeDaemon:
             window=window,
             task=task,
             launch_position=self.position,
+            started=time.perf_counter(),
         )
         self.redesigns_launched += 1
         get_metrics().counter("serve.redesigns").inc()
@@ -610,35 +613,54 @@ class ServeDaemon:
             # candidate evaluation — that is the point of the bandit),
             # and the finished result still flows through the pending/
             # swap machinery so both swap modes behave identically.
-            started = time.perf_counter()
             design = self.learner.design(window)
-            self.pending.result = (design, time.perf_counter() - started)
-            self.pending.job = BackgroundJob.completed(self.pending.result)
+            seconds = time.perf_counter() - self.pending.started
+            result = self.pending.result = (design, seconds)
+            self.pending.job = settled(lambda: result)
         else:
             self.pending.job = self.backend.submit(_redesign_task, task)
+
+    def _time_left(self) -> float | None:
+        """Seconds the in-flight re-design has left under
+        ``redesign_timeout`` (``None``: no timeout)."""
+        timeout = self.serve.redesign_timeout
+        if timeout is None:
+            return None
+        return max(0.0, self.pending.started + timeout - time.perf_counter())
+
+    def _expire(self) -> None:
+        """Abandon an in-flight re-design that outlived its timeout.  A
+        task already running in a worker cannot be stopped; its result
+        is dropped when it lands."""
+        self.pending.job.cancel()
+        self._degrade(TimeoutError(f"re-design exceeded {self.serve.redesign_timeout}s"))
 
     def _poll_pending(self) -> None:
         """Non-blocking progress check on the in-flight re-design."""
         if self.pending is None:
             return
-        job = self.pending.job
-        if not job.done():
-            timeout = self.serve.redesign_timeout
-            if timeout is not None and time.perf_counter() - job.started > timeout:
-                job.cancel()
-                self._degrade(TimeoutError(f"re-design exceeded {timeout}s"))
-            return
-        if self.serve.swap_mode == "async":
+        if not self.pending.job.done():
+            if self._time_left() == 0.0:
+                self._expire()
+        elif self.serve.swap_mode == "async":
             self._finish_pending()
+
+    def _await_pending(self) -> None:
+        """Block on the in-flight re-design — for at most the time left
+        on its timeout — then swap it in or degrade."""
+        if wait([self.pending.job], timeout=self._time_left()).done:
+            self._finish_pending()
+        else:
+            self._expire()
 
     def _finish_pending(self) -> None:
         pending = self.pending
-        error = pending.job.exception()
-        if error is not None:
+        try:
+            design, design_seconds = pending.job.result()
+        except Exception as error:  # the task's own error, a cancel, a broken pool
             self._degrade(error)
             return
-        design, design_seconds = pending.job.result()
-        retired, installed = self.active.swap(design)
+        self.design = design
         self.swaps += 1
         self.design_window = pending.window
         self.monitor.rebase(pending.window)
@@ -648,19 +670,19 @@ class ServeDaemon:
         metrics.counter("serve.swaps").inc()
         metrics.histogram("serve.redesign_seconds").observe(design_seconds)
         metrics.histogram("serve.swap_stale_queries").observe(stale)
-        metrics.gauge("serve.epoch").set(installed.epoch)
+        metrics.gauge("serve.epoch").set(self.swaps)
         t = tracer()
         if t.enabled:
             t.emit(
                 "serve.swap",
                 redesign=pending.index,
-                epoch=installed.epoch,
-                retired_epoch=retired.epoch,
+                epoch=self.swaps,
+                retired_epoch=self.swaps - 1,
                 position=self.position,
                 stale_queries=stale,
                 design_seconds=design_seconds,
-                structures=len(self.adapter.structures(installed.design)),
-                price_bytes=self.adapter.design_price(installed.design),
+                structures=len(self.adapter.structures(design)),
+                price_bytes=self.adapter.design_price(design),
             )
         # A swap moves the design the whole stream is priced against, so
         # it must be durable — but the snapshot may only be written at a
@@ -681,7 +703,7 @@ class ServeDaemon:
                 "serve.degraded",
                 redesign=pending.index,
                 position=self.position,
-                epoch=self.active.epoch,
+                epoch=self.swaps,
                 error=repr(error),
             )
 
@@ -731,8 +753,7 @@ class ServeDaemon:
             await stream.aclose()
         if self.pending is not None:
             if self.serve.drain:
-                self.pending.job.wait()
-                self._finish_pending()
+                self._await_pending()
             else:
                 self.pending.job.cancel()
                 self._degrade(
@@ -758,7 +779,6 @@ class ServeDaemon:
         return asyncio.run(self.run_async())
 
     def _outcome(self, resumed: bool, wall: float) -> ServeOutcome:
-        snapshot = self.active.snapshot()
         return ServeOutcome(
             workload=self.workload,
             engine=self.engine,
@@ -768,11 +788,11 @@ class ServeDaemon:
             redesigns_launched=self.redesigns_launched,
             redesigns_failed=self.redesigns_failed,
             swaps=self.swaps,
-            final_epoch=snapshot.epoch,
-            final_design=snapshot.design,
-            final_design_digest=design_digest(self.adapter, snapshot.design),
-            structure_count=len(self.adapter.structures(snapshot.design)),
-            design_price_bytes=self.adapter.design_price(snapshot.design),
+            final_epoch=self.swaps,
+            final_design=self.design,
+            final_design_digest=design_digest(self.adapter, self.design),
+            structure_count=len(self.adapter.structures(self.design)),
+            design_price_bytes=self.adapter.design_price(self.design),
             drift_readings=self.monitor.readings_total,
             drift_alarms=self.monitor.alarms_total,
             priced=None if self.ledger is None else self.ledger.records(),

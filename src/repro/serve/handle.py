@@ -1,115 +1,8 @@
-"""The versioned active-design handle with epoch fencing.
-
-The daemon prices every incoming query against the *currently deployed*
-design while a background re-design may complete — and swap — at any
-moment.  :class:`ActiveDesign` makes that safe without ever blocking
-ingestion:
-
-* every costing **pins** the handle first, getting back an immutable
-  ``(epoch, design)`` pair and incrementing that epoch's in-flight
-  count;
-* :meth:`swap` installs the new design and bumps the epoch atomically,
-  but does **not** invalidate pinned pairs — an in-flight costing
-  finishes against the design it started with (no torn reads, no
-  stale-priced queries *after* their pin);
-* a retired epoch is only forgotten once its in-flight count drains to
-  zero, and :meth:`wait_idle` lets a caller (tests, graceful shutdown)
-  block until that happens.
-
-The handle is thread-safe: swaps may come from backend callback threads
-while pins come from the serving loop.
-"""
+"""The design digest the serve summary prints (and resume diffs compare)."""
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from contextlib import contextmanager
-from typing import Iterator, NamedTuple
-
-
-class DesignEpoch(NamedTuple):
-    """An immutable (epoch, design) pair returned by pin/swap."""
-
-    epoch: int
-    design: object
-
-
-class ActiveDesign:
-    """Thread-safe versioned holder for the deployed design."""
-
-    def __init__(self, design: object, epoch: int = 0):
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._current = DesignEpoch(epoch=epoch, design=design)
-        self._in_flight: dict[int, int] = {}
-        #: Total number of swaps performed over the handle's lifetime.
-        self.swaps = 0
-
-    @property
-    def epoch(self) -> int:
-        with self._lock:
-            return self._current.epoch
-
-    @property
-    def design(self) -> object:
-        with self._lock:
-            return self._current.design
-
-    def snapshot(self) -> DesignEpoch:
-        """The current (epoch, design) pair, without pinning."""
-        with self._lock:
-            return self._current
-
-    @contextmanager
-    def pin(self) -> Iterator[DesignEpoch]:
-        """Pin the current pair for the duration of one costing."""
-        with self._lock:
-            pinned = self._current
-            self._in_flight[pinned.epoch] = self._in_flight.get(pinned.epoch, 0) + 1
-        try:
-            yield pinned
-        finally:
-            with self._lock:
-                remaining = self._in_flight[pinned.epoch] - 1
-                if remaining:
-                    self._in_flight[pinned.epoch] = remaining
-                else:
-                    del self._in_flight[pinned.epoch]
-                    self._idle.notify_all()
-
-    def swap(self, design: object) -> tuple[DesignEpoch, DesignEpoch]:
-        """Atomically install ``design`` as a new epoch.
-
-        Returns ``(retired, installed)``.  Costings pinned to the
-        retired epoch keep running against the retired design.
-        """
-        with self._lock:
-            retired = self._current
-            self._current = DesignEpoch(epoch=retired.epoch + 1, design=design)
-            self.swaps += 1
-            return retired, self._current
-
-    def restore(self, design: object, epoch: int) -> None:
-        """Reset the handle to a checkpointed (design, epoch) pair."""
-        with self._lock:
-            if self._in_flight:
-                raise RuntimeError("cannot restore an ActiveDesign with pinned costings")
-            self._current = DesignEpoch(epoch=epoch, design=design)
-
-    def in_flight(self, epoch: int | None = None) -> int:
-        """Pinned costings for one epoch (or for all epochs)."""
-        with self._lock:
-            if epoch is not None:
-                return self._in_flight.get(epoch, 0)
-            return sum(self._in_flight.values())
-
-    def wait_idle(self, epoch: int, timeout: float | None = None) -> bool:
-        """Block until a retired epoch has no pinned costings left."""
-        with self._idle:
-            return self._idle.wait_for(
-                lambda: self._in_flight.get(epoch, 0) == 0, timeout=timeout
-            )
 
 
 def design_digest(adapter, design) -> str:

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.costing.service import KERNEL_MIN_BATCH
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.future_knowing import FutureKnowingDesigner
@@ -314,7 +313,7 @@ def test_one_candidate_costs_call_per_window():
     ``candidate_costs`` call and at most two arena builds (the base
     sweep's and the matrix's — one arena when they coincide)."""
     sqls, _ = _pool("r1")
-    assert len(sqls) >= 3 * KERNEL_MIN_BATCH
+    assert len(sqls) >= 24
     adapter, source = _stack("columnar")
     service = adapter.costing
     calls = []

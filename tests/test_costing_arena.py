@@ -27,7 +27,6 @@ from repro.costing.kernel import (
 )
 from repro.costing.service import (
     DEFAULT_MAX_STORE_CELLS,
-    KERNEL_MIN_BATCH,
     CostEvaluationService,
     _View,
     design_fingerprint,
@@ -288,7 +287,7 @@ def test_service_serves_a_subset_from_a_resident_arena():
     design = adapter.make_design(candidates[:4])
     adapter.workload_cost(_workload(sqls), design)
     assert service.arena_stats.builds == 1
-    subset = sqls[::-1][: KERNEL_MIN_BATCH + 2]
+    subset = sqls[::-1][:10]
     served = adapter.workload_cost(_workload(subset), design)
     assert service.arena_stats.builds == 1
     assert service.cached_arenas == 2
@@ -370,8 +369,7 @@ def test_store_gathers_price_like_a_fresh_bind(substrate, mix, idx, masks):
             (report,) = service.workload_costs_batch(
                 [make(chosen)], [p.sql for p in distinct]
             )
-            if len(distinct) >= KERNEL_MIN_BATCH:
-                assert report.per_query_ms == want.design_costs().tolist()
+            assert report.per_query_ms == want.design_costs().tolist()
             assert service.cached_store_cells == _store_cells(service)
 
     check()  # cold
@@ -447,7 +445,6 @@ def test_arena_reused_across_designs():
     service = adapter.costing
     _, sqls = _environment()
     workload = _workload(sqls)
-    assert len(sqls) >= KERNEL_MIN_BATCH
 
     first = adapter.workload_cost(workload, adapter.make_design(candidates[:3]))
     second = adapter.workload_cost(workload, adapter.make_design(candidates[3:6]))
@@ -483,10 +480,10 @@ def test_arena_lru_bound_evicts_oldest():
     service = adapter.costing
     service._arenas.max_entries = 2
     _, sqls = _environment()
-    slices = [sqls[0:8], sqls[3:11], sqls[6:14]]  # each >= KERNEL_MIN_BATCH
+    slices = [sqls[0:8], sqls[3:11], sqls[6:14]]
     for i, chunk in enumerate(slices):
-        # A fresh design per slice keeps every query a cache miss, so
-        # each call takes the kernel path and builds its slice's arena.
+        # Each slice is a distinct text set no resident arena holds, so
+        # each call builds its slice's arena.
         adapter.workload_cost(_workload(chunk), adapter.make_design(candidates[i : i + 1]))
     assert service.cached_arenas == 2
     assert service.arena_stats.evictions == 1

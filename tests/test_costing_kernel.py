@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.cliffguard import CliffGuard
 from repro.costing.kernel import kernel_for
-from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
+from repro.costing.service import CostEvaluationService
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.greedy import evaluate_candidates
@@ -305,17 +305,25 @@ def test_all_uncoverable_candidates_price_as_scalar():
 # -- service dispatch, counters, events ----------------------------------
 
 
-def test_small_miss_batches_stay_on_scalar_path():
-    """Fewer than KERNEL_MIN_BATCH misses never dispatch the kernel, so
-    exact raw-call counter tests keep their meaning."""
+def test_small_requests_take_the_kernel():
+    """A request of a few queries is one kernel batch like any other:
+    the scalar reference's floats, and one request and one raw call per
+    query."""
     model, candidates, _ = _substrate("columnar")
     _, sqls = _environment()
-    service = CostEvaluationService(model)
-    design = ColumnarAdapter(model, costing=service).make_design(candidates[:2])
-    few = sqls[: KERNEL_MIN_BATCH - 1]
-    service.evaluate_neighborhood([design], [Workload.from_sql(few)])
-    assert service.stats.kernel_batch_calls == 0
-    assert service.stats.raw_model_calls == len(few)
+    few = Workload.from_sql(sqls[:7])
+    costs = []
+    for kernel in (True, False):
+        service = CostEvaluationService(model)
+        if not kernel:
+            service.kernel = None
+        design = ColumnarAdapter(model, costing=service).make_design(candidates[:2])
+        ((report,),) = service.evaluate_neighborhood([design], [few])
+        costs.append(report.per_query_ms)
+        assert service.stats.kernel_batch_calls == int(kernel)
+        assert service.stats.kernel_pairs_priced == (7 if kernel else 0)
+        assert service.stats.raw_model_calls == 7
+    assert costs[0] == costs[1]
 
 
 def test_kernel_events_and_counters_emitted():

@@ -217,10 +217,10 @@ class TestServiceMechanics:
 
     def test_repeated_workload_is_repriced_bit_identically(self):
         """Each entry point prices its request once per distinct SQL —
-        repeats included, on the scalar (5 queries) and kernel (10)
-        paths — and requests always equal raw calls."""
+        repeats included, at 5 queries and at 10, one kernel batch per
+        call — and requests always equal raw calls."""
         model, adapter, sqls, candidates = _substrate("columnar")
-        for width, kernel_calls in ((5, 0), (10, 3)):
+        for width in (5, 10):
             service = CostEvaluationService(model)
             design = _design(adapter, candidates, 2)
             workload = Workload.from_sql(sqls[:width] + sqls[:2])
@@ -231,7 +231,7 @@ class TestServiceMechanics:
             assert service.stats.raw_model_calls == 3 * width
             assert service.stats.query_requests == 3 * width
             assert service.stats.query_hits == 0
-            assert service.stats.kernel_batch_calls == kernel_calls
+            assert service.stats.kernel_batch_calls == 3
 
     @pytest.mark.parametrize("cls", [CostServiceStats, ArenaStats])
     def test_stats_snapshot_and_since_cover_every_field(self, cls):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.costing.service import KERNEL_MIN_BATCH, CostEvaluationService
+from repro.costing.service import CostEvaluationService
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.greedy import CandidateEvaluation, greedy_select
@@ -59,7 +59,6 @@ def _environment(mix: str):
         profile = htap_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
     trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
     sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
-    assert len(sqls) >= KERNEL_MIN_BATCH
     return schema, sqls
 
 
@@ -256,8 +255,8 @@ def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate
     """``workload_costs_batch(designs, w)`` and
     ``evaluate_neighborhood(designs, [w])`` are one loop: same floats,
     same exported stats — over a cold design, single-structure steps and
-    a repeated design, after a scalar-priced request below
-    ``KERNEL_MIN_BATCH`` (both sides of the pricing path)."""
+    a repeated design, after a request over the first seven texts (its
+    own arena; every pair is priced by the kernel)."""
     model, candidates, profiles = _substrate(substrate, mix)
     sqls = [p.sql for p in profiles]
     workload = _workload(sqls + sqls[:3])
@@ -267,7 +266,7 @@ def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate
         make = _adapter(model, service).make_design
         designs = [make(candidates[:k]) for k in (0, 1, 2, 3, 2, 5)]
         partial = make(candidates[3:9])
-        service.workload_cost(sqls[: len(sqls) - KERNEL_MIN_BATCH + 1], partial)
+        service.workload_cost(sqls[:7], partial)
         designs.append(partial)
         if entry_point == "batch":
             reports = service.workload_costs_batch(designs, workload)
@@ -276,9 +275,9 @@ def test_workload_costs_batch_is_evaluate_neighborhood_of_one_workload(substrate
         runs.append(([r.per_query_ms for r in reports], _stat_facts(service)))
     assert runs[0] == runs[1]
     facts = runs[0][1]
-    # Both sides of the fill ran: kernel batches, and scalar-priced pairs.
+    # No request, however small, falls back to the scalar model.
     assert facts["kernel_batch_calls"] >= 1
-    assert facts["raw_model_calls"] > facts["kernel_pairs_priced"]
+    assert facts["raw_model_calls"] == facts["kernel_pairs_priced"]
 
 
 # -- invalidation and bounds -------------------------------------------------------
@@ -367,13 +366,13 @@ def test_matrix_excluded_from_state_export():
 @pytest.mark.parametrize("substrate", SUBSTRATES)
 @pytest.mark.parametrize("mix", MIXES)
 def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix):
-    """A ``candidate_costs`` request below ``KERNEL_MIN_BATCH`` takes the
-    same path as any other: its ``(base, matrix)`` are the same floats as
-    the matching query columns of a full-width request."""
+    """A ``candidate_costs`` request of seven queries takes the same path
+    as any other: its ``(base, matrix)`` are the same floats as the
+    matching query columns of a full-width request."""
     model, candidates, profiles = _substrate(substrate, mix)
     full_adapter, full = _stack(model, warm=True)
     base_full, matrix_full = full.candidate_costs(profiles, candidates)
-    small = KERNEL_MIN_BATCH - 1
+    small = 7
     for start in range(0, len(profiles) - small + 1, 3):
         picks = list(range(start, start + small))
         for warm in (False, True):
@@ -406,13 +405,19 @@ def test_sub_threshold_request_equals_rows_of_full_width_request(substrate, mix)
 #: count distinct SQL, not occurrences), ``query_hits`` and
 #: ``evictions`` read 0, and the pairs the cache used to answer are
 #: kernel- or scalar-priced.  ``dedup_saved`` did not move.
+#:
+#: ``kernel_batch_calls`` (+1) and ``kernel_pairs_priced`` (+3) were
+#: re-recorded when the service stopped sending requests of fewer than
+#: eight distinct texts to the scalar model: the sequence's last
+#: three-query ``workload_cost`` is now one kernel batch.  The floats,
+#: requests and raw calls did not move.
 GOLDEN = {
     ("columnar", "htap"): {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 277,
+            "kernel_batch_calls": 16,
+            "kernel_pairs_priced": 280,
             "query_hits": 0,
             "query_requests": 282,
             "raw_model_calls": 282,
@@ -424,8 +429,8 @@ GOLDEN = {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 234,
+            "kernel_batch_calls": 16,
+            "kernel_pairs_priced": 237,
             "query_hits": 0,
             "query_requests": 239,
             "raw_model_calls": 239,
@@ -437,8 +442,8 @@ GOLDEN = {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 293,
+            "kernel_batch_calls": 16,
+            "kernel_pairs_priced": 296,
             "query_hits": 0,
             "query_requests": 298,
             "raw_model_calls": 298,
@@ -450,8 +455,8 @@ GOLDEN = {
         "stats": {
             "dedup_saved": 64,
             "evictions": 0,
-            "kernel_batch_calls": 15,
-            "kernel_pairs_priced": 250,
+            "kernel_batch_calls": 16,
+            "kernel_pairs_priced": 253,
             "query_hits": 0,
             "query_requests": 255,
             "raw_model_calls": 255,

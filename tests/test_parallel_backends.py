@@ -2,7 +2,8 @@
 
 The fault-injection workers are pid-gated: they fail only inside a pool
 worker process, so the serial retry *in the parent* succeeds — exactly the
-degradation path the backends promise.
+degradation path the backends promise.  Accounting is read as deltas of
+the ``parallel.*`` instruments in the metrics registry.
 """
 
 import os
@@ -11,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.obs import get_metrics
 from repro.parallel import (
     ProcessBackend,
     SerialBackend,
@@ -47,6 +49,16 @@ def _slow_in_worker(task):
 
 _ATTEMPTS = Counter()
 
+_COUNTERS = ("parallel.map_calls", "parallel.tasks", "parallel.retries", "parallel.timeouts")
+
+
+def _counts() -> Counter:
+    """The ``parallel.*`` counters, and the ``map_seconds`` sample count."""
+    snapshot = get_metrics().snapshot()
+    counts = Counter({name: snapshot.get(name, 0) for name in _COUNTERS})
+    counts["parallel.map_seconds"] = snapshot.get("parallel.map_seconds", {}).get("count", 0)
+    return counts
+
 
 def _fail_first_attempt(task):
     _ATTEMPTS[task] += 1
@@ -62,14 +74,17 @@ class TestMapContract:
         ids=["serial", "thread", "process"],
     )
     def test_map_preserves_order(self, make):
+        before = _counts()
         with make() as backend:
             assert backend.map(_double, list(range(20))) == [
                 i * 2 for i in range(20)
             ]
             assert backend.map(_double, []) == []
-        assert backend.stats.map_calls == 2
-        assert backend.stats.tasks == 20
-        assert backend.stats.retried == 0
+        delta = _counts() - before
+        assert delta["parallel.map_calls"] == 2
+        assert delta["parallel.map_seconds"] == 2
+        assert delta["parallel.tasks"] == 20
+        assert delta["parallel.retries"] == 0
 
     def test_serial_forces_single_job(self):
         assert SerialBackend(jobs=8).jobs == 1
@@ -83,28 +98,33 @@ class TestMapContract:
 
 class TestFaultTolerance:
     def test_process_task_failure_retried_serially(self):
+        before = _counts()
         with ProcessBackend(jobs=2) as backend:
             assert backend.map(_fail_in_worker, [1, 2, 3]) == [2, 4, 6]
-        assert backend.stats.retried == 3
+        assert (_counts() - before)["parallel.retries"] == 3
 
     def test_process_worker_crash_recovered(self):
         # os._exit kills the worker: the pool breaks, every in-flight task
         # fails with BrokenExecutor, and all of them are retried serially.
+        before = _counts()
         with ProcessBackend(jobs=2) as backend:
             assert backend.map(_exit_in_worker, [1, 2, 3, 4]) == [2, 4, 6, 8]
-        assert backend.stats.retried == 4
+        assert (_counts() - before)["parallel.retries"] == 4
 
     def test_process_timeout_falls_back_to_serial(self):
+        before = _counts()
         with ProcessBackend(jobs=2, task_timeout=0.2) as backend:
             assert backend.map(_slow_in_worker, [5, 6]) == [10, 12]
-        assert backend.stats.timeouts >= 1
-        assert backend.stats.retried == 2
+        delta = _counts() - before
+        assert delta["parallel.timeouts"] >= 1
+        assert delta["parallel.retries"] == 2
 
     def test_thread_task_failure_retried_serially(self):
         _ATTEMPTS.clear()
+        before = _counts()
         with ThreadBackend(jobs=2) as backend:
             assert backend.map(_fail_first_attempt, [10, 11]) == [20, 22]
-        assert backend.stats.retried == 2
+        assert (_counts() - before)["parallel.retries"] == 2
 
     def test_pool_usable_after_shutdown(self):
         backend = ThreadBackend(jobs=2)

@@ -1,12 +1,14 @@
 """Tests for the online tuning daemon: hot-swap atomicity and liveness.
 
-Three layers:
+Four layers:
 
-* unit — :class:`ActiveDesign` epoch fencing under concurrent pins and
-  swaps, :class:`BackgroundJob` handles over every backend;
+* unit — the ``Future`` that ``submit`` returns on every backend;
 * end-to-end — a drifting stream across several windows fires online
   re-designs on serial, thread, and process backends; no query is
   dropped and every query is priced against exactly one design epoch;
+* one thread — every pricing and every swap runs on the loop thread,
+  whichever backend runs the re-design (what lets the deployed design
+  be plain daemon state);
 * degradation — a crashing or slow background re-design leaves the old
   design serving (``serve.degraded``), and the ``serve.*`` event family
   lands in the JSONL trace.
@@ -24,8 +26,7 @@ import repro.serve.daemon as daemon_module
 from repro import QueueSource, RunConfig, ServeConfig, TraceSource
 from repro.obs import RunTracer, set_tracer
 from repro.parallel import SerialBackend, ThreadBackend
-from repro.parallel.jobs import BackgroundJob
-from repro.serve.handle import ActiveDesign
+from repro.parallel.backends import settled
 
 # Tiny but non-trivial: 70 days / 14-day windows = 5 windows (4 interior
 # boundaries), drifting enough for the drift policy to fire repeatedly.
@@ -49,90 +50,7 @@ def tiny_session(serve=None, **overrides):
     return repro.serve_session(run, cfg)
 
 
-# -- ActiveDesign ------------------------------------------------------------------
-
-
-class TestActiveDesign:
-    def test_pin_returns_current_pair(self):
-        handle = ActiveDesign("d0")
-        with handle.pin() as (epoch, design):
-            assert (epoch, design) == (0, "d0")
-            assert handle.in_flight(0) == 1
-        assert handle.in_flight() == 0
-
-    def test_swap_bumps_epoch_and_returns_both_pairs(self):
-        handle = ActiveDesign("d0")
-        retired, installed = handle.swap("d1")
-        assert (retired.epoch, retired.design) == (0, "d0")
-        assert (installed.epoch, installed.design) == (1, "d1")
-        assert handle.epoch == 1
-        assert handle.swaps == 1
-
-    def test_swap_does_not_invalidate_pins(self):
-        handle = ActiveDesign("d0")
-        with handle.pin() as (epoch, design):
-            handle.swap("d1")
-            # The pinned pair is immutable: mid-costing swaps are invisible.
-            assert (epoch, design) == (0, "d0")
-            assert handle.in_flight(0) == 1
-            assert handle.epoch == 1
-        assert handle.in_flight(0) == 0
-
-    def test_wait_idle_blocks_until_the_epoch_drains(self):
-        handle = ActiveDesign("d0")
-        release = threading.Event()
-
-        def hold():
-            with handle.pin():
-                release.wait(5.0)
-
-        worker = threading.Thread(target=hold)
-        worker.start()
-        while handle.in_flight(0) == 0:
-            time.sleep(0.001)
-        handle.swap("d1")
-        assert not handle.wait_idle(0, timeout=0.05)  # still pinned
-        release.set()
-        assert handle.wait_idle(0, timeout=5.0)
-        worker.join()
-
-    def test_restore_refuses_with_pins_in_flight(self):
-        handle = ActiveDesign("d0")
-        with handle.pin():
-            with pytest.raises(RuntimeError, match="pinned"):
-                handle.restore("d9", 9)
-        handle.restore("d9", 9)
-        assert handle.snapshot() == (9, "d9")
-
-    def test_concurrent_pins_always_see_consistent_pairs(self):
-        """The atomicity hammer: swaps race pins; a pin must never
-        observe a torn (epoch, design) combination."""
-        designs = {epoch: f"design-{epoch}" for epoch in range(50)}
-        handle = ActiveDesign(designs[0])
-        stop = threading.Event()
-        torn: list[tuple] = []
-
-        def pinner():
-            while not stop.is_set():
-                with handle.pin() as (epoch, design):
-                    if designs[epoch] != design:
-                        torn.append((epoch, design))
-
-        threads = [threading.Thread(target=pinner) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for epoch in range(1, 50):
-            handle.swap(designs[epoch])
-            time.sleep(0.001)
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert torn == []
-        assert handle.epoch == 49
-        assert handle.in_flight() == 0
-
-
-# -- BackgroundJob ------------------------------------------------------------------
+# -- the background re-design handle ---------------------------------------------
 
 
 def _double(task):
@@ -144,10 +62,14 @@ def _boom(task):
 
 
 class TestBackgroundJob:
+    """``ExecutionBackend.submit`` returns a ``concurrent.futures.Future``;
+    the serial backend's (and a pool's inline fallback's) is already
+    settled."""
+
     def test_completed_and_failed_factories(self):
-        done = BackgroundJob.completed(42)
+        done = settled(_double, 21)
         assert done.done() and done.result() == 42 and done.exception() is None
-        failed = BackgroundJob.failed(RuntimeError("x"))
+        failed = settled(_boom, "x")
         assert failed.done()
         with pytest.raises(RuntimeError):
             failed.result()
@@ -165,21 +87,19 @@ class TestBackgroundJob:
     def test_thread_backend_submit_runs_in_background(self):
         with ThreadBackend(jobs=1) as backend:
             job = backend.submit(_double, 10)
-            assert job.wait(5.0)
-            assert job.result() == 20
+            assert job.result(timeout=5.0) == 20
             assert job.exception() is None
 
     def test_thread_backend_submit_captures_errors(self):
         with ThreadBackend(jobs=1) as backend:
             job = backend.submit(_boom, "t")
-            assert job.wait(5.0)
             with pytest.raises(RuntimeError, match="boom"):
-                job.result()
+                job.result(timeout=5.0)
 
     def test_cancel_of_a_done_job_is_a_noop(self):
-        job = BackgroundJob.completed(1)
+        job = settled(_double, 1)
         assert not job.cancel()
-        assert job.result() == 1
+        assert job.result() == 2
 
 
 # -- end-to-end ---------------------------------------------------------------------
@@ -362,6 +282,36 @@ class TestServeEndToEnd:
         check_invariants(outcome)
 
 
+# -- one thread ---------------------------------------------------------------------
+
+
+class TestOneThread:
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_pricing_and_swaps_run_on_the_loop_thread(self, backend, monkeypatch):
+        daemon_class = daemon_module.ServeDaemon
+        price, finish = daemon_class._price, daemon_class._finish_pending
+        pricings: list[int] = []
+        swaps: list[int] = []
+
+        def traced_price(daemon, query):
+            pricings.append(threading.get_ident())
+            return price(daemon, query)
+
+        def traced_finish(daemon):
+            before = daemon.swaps
+            finish(daemon)
+            if daemon.swaps > before:
+                swaps.append(threading.get_ident())
+
+        monkeypatch.setattr(daemon_class, "_price", traced_price)
+        monkeypatch.setattr(daemon_class, "_finish_pending", traced_finish)
+        outcome = tiny_session(backend=backend, jobs=2).serve()
+        check_invariants(outcome)
+        assert len(pricings) == outcome.position
+        assert len(swaps) == outcome.swaps >= 1
+        assert set(pricings) | set(swaps) == {threading.get_ident()}
+
+
 # -- degradation --------------------------------------------------------------------
 
 
@@ -372,6 +322,11 @@ def _failing_redesign(task):
 def _slow_redesign(task):
     time.sleep(1.0)
     return None, 1.0
+
+
+def _wedged_redesign(task):
+    time.sleep(3.0)
+    raise RuntimeError("wedged re-design finished")
 
 
 class TestDegradation:
@@ -403,6 +358,30 @@ class TestDegradation:
         assert outcome.swaps == 0
         assert outcome.dropped == 0
         assert all(p.epoch == 0 for p in outcome.priced)
+
+    def test_boundary_barrier_honours_the_timeout(self, monkeypatch):
+        """The boundary-mode barrier and the stop-time drain wait at most
+        the time left on ``redesign_timeout``: a wedged re-design is
+        cancelled and degraded instead of stalling ingestion."""
+        monkeypatch.setattr(daemon_module, "_redesign_task", _wedged_redesign)
+        buffer = io.StringIO()
+        previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
+        started = time.perf_counter()
+        try:
+            outcome = tiny_session(
+                backend="thread", jobs=1, serve=dict(redesign_timeout=0.2)
+            ).serve()
+        finally:
+            set_tracer(previous)
+        wall = time.perf_counter() - started
+        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        degraded = [e for e in events if e["event"] == "serve.degraded"]
+        assert outcome.redesigns_failed == len(degraded) >= 1
+        assert all("TimeoutError" in e["error"] for e in degraded)
+        assert outcome.swaps == 0
+        assert outcome.dropped == 0
+        # Never waited out the 3 s task: four launches at most 0.2 s each.
+        assert wall < 2.5
 
 
 # -- observability ------------------------------------------------------------------
