@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from repro.costing.service import WorkloadBatch, workload_fingerprint
@@ -60,7 +60,8 @@ class CliffGuardReport:
     raw_cost_model_calls: int = 0
     #: The step size after the last accepted/rejected move.
     final_alpha: float = 0.0
-    #: Wall-clock seconds spent inside cost evaluation during this run.
+    #: Wall-clock seconds spent inside cost evaluation during this run
+    #: (a resumed run: since the resume).
     eval_wall_seconds: float = 0.0
     #: Structure-store cells this run read from columns priced earlier
     #: (``ArenaStats.matrix_hits``).
@@ -319,9 +320,14 @@ class CliffGuard(Designer):
             next_iteration = state["next_iteration"]
             report = state["report"]
             self.last_report = report
-            baseline = state["baseline"]
             restore_sampler(self.sampler, state["sampler"])
             restore_costing(self.adapter, state["costing"])
+            # The service's eval_seconds is this process's wall-clock
+            # (never restored), so a resumed run times its evaluation
+            # from here: the snapshot's reading may be a later one.
+            baseline = replace(
+                state["baseline"], eval_seconds=service.stats.eval_seconds
+            )
             batch = WorkloadBatch.of(neighborhood)
 
         # The neighborhood is fixed from here on: what MoveWorkload reads

@@ -178,6 +178,11 @@ class _Counters:
             }
         )
 
+    def add(self, delta) -> None:
+        """Add a :meth:`since` delta to these counters, in place."""
+        for f in dataclass_fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
+
 
 @dataclass
 class CostServiceStats(_Counters):
@@ -196,7 +201,9 @@ class CostServiceStats(_Counters):
     #: Duplicate (design, query) pairs collapsed by batched evaluation
     #: before the model was consulted.
     dedup_saved: int = 0
-    #: Wall-clock seconds spent inside evaluation entry points.
+    #: Wall-clock seconds spent inside evaluation entry points, in this
+    #: process: not run state, so never exported (see
+    #: :meth:`CostEvaluationService.export_state`).
     eval_seconds: float = 0.0
     # Read by benchmarks/e2e/spans.py by name, like ``query_hits``; no
     # exported cache is left to evict from, so it reads 0.
@@ -467,6 +474,10 @@ class CostEvaluationService:
         #: Cells of every live column, kept current where a column is
         #: priced or dropped.
         self._store_cells = 0
+        #: How many times :meth:`clear` ran: work derived from the model
+        #: outside the service (the nominal designers' design memo) is
+        #: valid while this count stands.
+        self.clears = 0
 
     def clear(self) -> None:
         """Drop every compiled arena and every store of priced columns.
@@ -475,6 +486,7 @@ class CostEvaluationService:
         arenas bake the model's statistics into their query-side arrays
         and store columns into their costs.
         """
+        self.clears += 1
         t = tracer()
         stores, columns = len(self._stores), self.cached_store_columns
         self._stores.clear()
@@ -502,15 +514,19 @@ class CostEvaluationService:
         and the model, rebuilt on demand after a resume), and folding
         their counters into the snapshot would make a resumed run's
         exported stats diverge from the uninterrupted run's even though
-        every cost is identical.
+        every cost is identical.  ``eval_seconds`` is wall-clock time,
+        not run state: it is exported as 0, so two same-seed runs write
+        the same bytes.
         """
-        return {"stats": self.stats.snapshot()}
+        return {"stats": replace(self.stats, eval_seconds=0.0)}
 
     def import_state(self, state: dict) -> None:
         """Restore the counters from :meth:`export_state` in place;
         whatever arenas this service holds stay valid — they depend
-        only on queries and the model."""
-        self.stats = state["stats"].snapshot()
+        only on queries and the model.  ``eval_seconds`` keeps this
+        process's reading (an older export's wall-clock is ignored), so
+        it never runs backwards."""
+        self.stats = replace(state["stats"], eval_seconds=self.stats.eval_seconds)
 
     # -- workload arenas and their stores ------------------------------------------------
 

@@ -15,7 +15,7 @@ import operator
 from collections.abc import Callable, Iterable
 
 from repro.costing.profile import QueryProfile, TableAccess
-from repro.designers.base import ColumnarAdapter, Designer
+from repro.designers.base import ColumnarAdapter, Designer, remembered_design
 from repro.designers.greedy import evaluate_candidates, greedy_select
 from repro.engine.design import PhysicalDesign
 from repro.engine.projection import Projection, SortColumn
@@ -309,7 +309,11 @@ class ColumnarNominalDesigner(Designer):
     # -- the designer ---------------------------------------------------------------
 
     def design(self, workload: Workload) -> PhysicalDesign:
-        """Greedy selection of candidate projections under the budget."""
+        """Greedy selection of candidate projections under the budget,
+        once per live workload (:func:`~repro.designers.base.remembered_design`)."""
+        return remembered_design(self, workload, self._design)
+
+    def _design(self, workload: Workload) -> PhysicalDesign:
         candidates = self.generate_candidates(workload)
         if not candidates:
             return PhysicalDesign.empty()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.costing.profile import QueryProfile
-from repro.designers.base import Designer, RowstoreAdapter
+from repro.designers.base import Designer, RowstoreAdapter, remembered_design
 from repro.designers.greedy import evaluate_candidates, greedy_select
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
@@ -271,7 +271,11 @@ class RowstoreNominalDesigner(Designer):
     # -- the designer ------------------------------------------------------------------
 
     def design(self, workload: Workload) -> RowstoreDesign:
-        """Greedy selection of candidate structures under the budget."""
+        """Greedy selection of candidate structures under the budget,
+        once per live workload (:func:`~repro.designers.base.remembered_design`)."""
+        return remembered_design(self, workload, self._design)
+
+    def _design(self, workload: Workload) -> RowstoreDesign:
         candidates = self.generate_candidates(workload)
         if not candidates:
             return RowstoreDesign.empty()

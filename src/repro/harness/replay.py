@@ -21,6 +21,12 @@ per-query proposals for ``W_{i+1}`` are the ones the oracle's design of
 computed once for the transition.  The scope is left before the
 transition's checkpoint, so no snapshot carries it and memory stays
 bounded by one transition's texts.
+
+Each window is designed once across transitions: the oracle's design of
+``W_{i+1}`` at transition ``i`` is the design ExistingDesigner gets for
+the same window object at ``i + 1``, from the nominal designer's memo
+(:func:`~repro.designers.base.remembered_design`), with the same
+counters charged.
 """
 
 from __future__ import annotations

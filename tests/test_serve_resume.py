@@ -12,6 +12,7 @@ outcome is bit-identical to an uninterrupted one.  Verified two ways:
   diffs clean against the uninterrupted baseline.
 """
 
+import filecmp
 import os
 import pickle
 import signal
@@ -206,6 +207,15 @@ class TestSubprocessSigkill:
         resumed = self.run_cli(tmp_path, "kill", "--resume")
         assert resumed.returncode == 0, resumed.stderr
         assert resumed.stdout == baseline.stdout
+
+    def test_same_seed_runs_write_identical_checkpoints(self, tmp_path):
+        """A checkpoint carries no wall-clock reading (the cost service
+        exports its counters without ``eval_seconds``), so two same-seed
+        runs write the same bytes."""
+        for name in ("first", "second"):
+            done = self.run_cli(tmp_path, name)
+            assert done.returncode == 0, done.stderr
+        assert filecmp.cmp(tmp_path / "first", tmp_path / "second", shallow=False)
 
 
 def repro_src():

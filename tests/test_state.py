@@ -16,7 +16,7 @@ Three layers:
 import io
 import json
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -372,6 +372,37 @@ class TestCliffGuardResume:
                 f"boundary {boundary}"
             )
 
+    def test_resumed_eval_wall_seconds_is_never_negative(
+        self, tmp_path, tiny_star, tiny_trace, tiny_windows
+    ):
+        """The service's ``eval_seconds`` is its process's wall-clock and
+        is not restored, so a run resumed on a fresh service times its
+        evaluation from the resume, however far the killed service's
+        clock had run."""
+        schema, _ = tiny_star
+        window = tiny_windows[1]
+
+        def run(ckpt, clock):
+            adapter, nominal = _stack("columnar", schema)
+            adapter.costing.stats.eval_seconds = clock
+            robust = CliffGuard(
+                nominal,
+                adapter,
+                _sampler(schema, tiny_trace, window),
+                gamma=0.005,
+                n_samples=3,
+                max_iterations=2,
+            )
+            robust.checkpointer = ckpt
+            robust.design(window)
+            return robust.last_report
+
+        path = tmp_path / "clock.ckpt"
+        with pytest.raises(SimulatedCrash):
+            run(RunCheckpointer(path, crash_after=1), clock=1e6)
+        report = run(RunCheckpointer(path, resume=True), clock=0.0)
+        assert 0.0 <= report.eval_wall_seconds < 1e6
+
     def test_mismatched_configuration_refuses_to_resume(
         self, tmp_path, tiny_star, tiny_trace, tiny_windows
     ):
@@ -552,13 +583,37 @@ class TestPolicyState:
         assert snapshot == {"triggers": [3]}
 
 
+# -- the cost service's export carries no wall-clock reading ------------------------
+
+
+def test_costing_export_carries_counters_but_no_wall_clock(tiny_star, tiny_windows):
+    """``eval_seconds`` is exported as 0; an import keeps the importing
+    service's own reading — also from a snapshot written while the
+    export still carried it — and every other counter is restored."""
+    schema, _ = tiny_star
+    adapter, nominal = _stack("columnar", schema)
+    nominal.design(tiny_windows[1])
+    stats = adapter.costing.stats
+    assert stats.eval_seconds > 0
+    state = adapter.costing.export_state()
+    assert state["stats"] == replace(stats, eval_seconds=0.0)
+
+    older = {"stats": replace(stats, eval_seconds=123.0)}
+    for exported in (state, older):
+        resumed, _ = _stack("columnar", schema)
+        resumed.costing.stats.eval_seconds = 0.5
+        resumed.costing.import_state(exported)
+        assert resumed.costing.stats == replace(stats, eval_seconds=0.5)
+
+
 # -- snapshot bytes do not depend on the string-hash seed ---------------------------
 
 #: Run in a child process under a given ``PYTHONHASHSEED``; prints the
 #: sha256 of a 200-projection design's pickle, of a row-store design's,
-#: and of a seed-1 serve snapshot's payload with its one wall-clock field
-#: (``eval_seconds``) zeroed.  Re-pickled in the child, so a set or dict
-#: whose order follows the hash seed shows up as different bytes.
+#: and of a seed-1 serve snapshot's payload (which carries no wall-clock
+#: reading: ``eval_seconds`` is exported as 0).  Re-pickled in the child,
+#: so a set or dict whose order follows the hash seed shows up as
+#: different bytes.
 _HASH_SEED_PROBE = r"""
 import hashlib, pickle, sys, tempfile
 from pathlib import Path
@@ -602,7 +657,6 @@ daemon.checkpointer = RunCheckpointer(path)
 daemon.run()
 raw = path.read_bytes()
 payload = pickle.loads(raw[raw.index(b"\n") + 1 :])
-payload["costing"]["stats"].eval_seconds = 0.0
 print(digest(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)))
 """
 
