@@ -95,7 +95,6 @@ from repro.workload import (
     WorkloadDistance,
     WorkloadQuery,
     build_star_schema,
-    delta_euclidean,
     ecommerce_profile,
     htap_profile,
     oltp_profile,
@@ -175,7 +174,6 @@ __all__ = [
     "bnt_minimize",
     "build_star_schema",
     "default_budget_bytes",
-    "delta_euclidean",
     "gamma_from_history",
     "get_metrics",
     "move_workload",

@@ -120,8 +120,6 @@ class RunConfig:
     backend: ExecutionBackend | str | None = "auto"
     #: Worker count for the thread/process backends (``None`` = one per core).
     jobs: int | None = None
-    #: Per-task timeout (seconds) before a task is retried serially.
-    task_timeout: float | None = None
     #: JSONL trace file (appended).  When set, the session activates a
     #: :class:`repro.obs.RunTracer` around every entry point (``design``,
     #: ``replay``, ``sweep``, ``schedule``) — see docs/observability.md
@@ -172,8 +170,6 @@ class RunConfig:
                 )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1 when set")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive when set")
         if self.trace_path is not None and not isinstance(
             self.trace_path, (str, os.PathLike)
         ):
@@ -284,11 +280,7 @@ class RobustDesignSession:
     def backend(self) -> ExecutionBackend | None:
         """The resolved execution backend (``None`` = none given)."""
         if not self._backend_resolved:
-            self._backend = resolve_backend(
-                self.config.backend,
-                jobs=self.config.jobs,
-                task_timeout=self.config.task_timeout,
-            )
+            self._backend = resolve_backend(self.config.backend, jobs=self.config.jobs)
             self._backend_resolved = True
         return self._backend
 

@@ -130,14 +130,6 @@ class Schema:
         """Total column count across all tables (the paper's ``n``)."""
         return sum(len(table.columns) for table in self.tables.values())
 
-    def all_qualified_columns(self) -> list[str]:
-        """Every ``table.column`` name, in deterministic order."""
-        names: list[str] = []
-        for table_name in sorted(self.tables):
-            table = self.tables[table_name]
-            names.extend(f"{table_name}.{c}" for c in table.column_names)
-        return names
-
 
 def group_by_table(structures: Iterable[T], key: Callable[[T], object]) -> dict[str, list[T]]:
     """Design structures grouped by their ``table``, each group sorted by ``key``.

@@ -70,7 +70,8 @@ class CliffGuardReport:
     #: (``ArenaStats.matrix_pairs_priced``).
     matrix_pairs_priced: int = 0
     #: Wall-clock seconds spent inside the nominal designer's ``design``
-    #: calls (candidate generation + pricing + greedy selection).
+    #: calls (candidate generation + pricing + greedy selection; a
+    #: resumed run: since the resume).
     nominal_wall_seconds: float = 0.0
 
     #: Fields a resumed run may legitimately report differently from the
@@ -241,6 +242,9 @@ class CliffGuard(Designer):
         def checkpoint(next_iteration: int) -> None:
             if ckpt is None:
                 return
+            # The wall-clock fields are pickled as 0 (copies; the live
+            # report keeps its timings), so two same-seed runs write the
+            # same bytes; a resumed run times itself from the resume.
             ckpt.step(
                 "cliffguard",
                 key,
@@ -253,8 +257,8 @@ class CliffGuard(Designer):
                     "worst_case": worst_case,
                     "alpha": alpha,
                     "stale": stale,
-                    "report": report,
-                    "baseline": baseline,
+                    "report": replace(report, nominal_wall_seconds=0.0),
+                    "baseline": replace(baseline, eval_seconds=0.0),
                     "sampler": sampler_state(self.sampler),
                     "costing": costing_state(self.adapter),
                 },
@@ -319,6 +323,9 @@ class CliffGuard(Designer):
             stale = state["stale"]
             next_iteration = state["next_iteration"]
             report = state["report"]
+            # Timed from the resume, like eval_wall_seconds (the
+            # baseline below); a snapshot may predate the zeroed copy.
+            report.nominal_wall_seconds = 0.0
             self.last_report = report
             restore_sampler(self.sampler, state["sampler"])
             restore_costing(self.adapter, state["costing"])

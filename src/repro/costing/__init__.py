@@ -18,7 +18,6 @@ from repro.costing.service import (
     CostModel,
     CostServiceStats,
     design_fingerprint,
-    query_fingerprint,
     workload_fingerprint,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "WorkloadCostReport",
     "design_fingerprint",
     "kernel_for",
-    "query_fingerprint",
     "workload_fingerprint",
 ]

@@ -124,11 +124,6 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-def query_fingerprint(sql: str) -> str:
-    """Stable content hash of one query's exact SQL text."""
-    return _digest("q", sql)
-
-
 def design_fingerprint(design) -> str:
     """Stable content hash of a design's structures.
 

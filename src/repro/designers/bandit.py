@@ -133,7 +133,6 @@ class BanditDesigner(Designer):
         safety_margin: float = DEFAULT_SAFETY_MARGIN,
         seed: int = 0,
         max_structures: int | None = None,
-        arm_log_limit: int = DEFAULT_ARM_LOG_LIMIT,
     ):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
@@ -141,8 +140,6 @@ class BanditDesigner(Designer):
             raise ValueError("regularization must be positive")
         if safety_margin < 0:
             raise ValueError("safety_margin must be non-negative")
-        if arm_log_limit < 1:
-            raise ValueError("arm_log_limit must be positive")
         self.nominal = nominal
         self.adapter = adapter
         self.alpha = alpha
@@ -159,7 +156,7 @@ class BanditDesigner(Designer):
         #: The last accepted design; the safety guard's reference point.
         self.incumbent = None
         #: structure -> feature vector it was last selected with (bounded).
-        self._arm_log = BoundedMemo(max_entries=arm_log_limit)
+        self._arm_log = BoundedMemo(max_entries=DEFAULT_ARM_LOG_LIMIT)
 
     # -- selection ----------------------------------------------------------------
 

@@ -15,9 +15,12 @@ import operator
 from collections.abc import Callable, Iterable
 
 from repro.costing.profile import QueryProfile, TableAccess
-from repro.designers.base import ColumnarAdapter, Designer, remembered_design
-from repro.designers.greedy import evaluate_candidates, greedy_select
-from repro.engine.design import PhysicalDesign
+from repro.designers.base import ColumnarAdapter, _NominalDesigner
+
+# Unused here since the nominal designers share one ``design`` (in
+# base.py), but benchmarks/e2e/test_e2e_smoke.py checks that the span
+# tracer rebinds and restores this module's ``greedy_select``.
+from repro.designers.greedy import greedy_select  # noqa: F401
 from repro.engine.projection import Projection, SortColumn
 from repro.workload.workload import Workload
 
@@ -71,7 +74,7 @@ MERGE_RADIUS = 10
 MAX_MERGED_WIDTH = 20
 
 
-class ColumnarNominalDesigner(Designer):
+class ColumnarNominalDesigner(_NominalDesigner):
     """Greedy budget-constrained projection selection (DBD-style).
 
     Besides exact per-template candidates, the designer proposes *merged*
@@ -308,17 +311,5 @@ class ColumnarNominalDesigner(Designer):
 
     # -- the designer ---------------------------------------------------------------
 
-    def design(self, workload: Workload) -> PhysicalDesign:
-        """Greedy selection of candidate projections under the budget,
-        once per live workload (:func:`~repro.designers.base.remembered_design`)."""
-        return remembered_design(self, workload, self._design)
-
-    def _design(self, workload: Workload) -> PhysicalDesign:
-        candidates = self.generate_candidates(workload)
-        if not candidates:
-            return PhysicalDesign.empty()
-        evaluation = evaluate_candidates(self.adapter, workload, candidates, self.scope)
-        chosen = greedy_select(
-            evaluation, self.adapter.budget_bytes, max_structures=self.max_structures
-        )
-        return PhysicalDesign(frozenset(chosen))
+    # Spelled here for benchmarks/e2e/spans.py (see _NominalDesigner).
+    design = _NominalDesigner.design

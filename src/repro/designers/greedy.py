@@ -14,12 +14,15 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.designers.base import DesignAdapter
 from repro.designers.scope import DesignScope
 from repro.workload.workload import Workload
+
+if TYPE_CHECKING:  # base.py imports this module for the nominal designers
+    from repro.designers.base import DesignAdapter
 
 
 @dataclass

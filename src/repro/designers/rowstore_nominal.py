@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.costing.profile import QueryProfile
-from repro.designers.base import Designer, RowstoreAdapter, remembered_design
-from repro.designers.greedy import evaluate_candidates, greedy_select
-from repro.rowstore.design import RowstoreDesign
+from repro.designers.base import RowstoreAdapter, _NominalDesigner
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.workload.workload import Workload
@@ -160,7 +158,7 @@ def compress_templates(
     return merged
 
 
-class RowstoreNominalDesigner(Designer):
+class RowstoreNominalDesigner(_NominalDesigner):
     """Greedy budget-constrained index + view selection (advisor-style)."""
 
     name = "ExistingDesigner"
@@ -270,17 +268,5 @@ class RowstoreNominalDesigner(Designer):
 
     # -- the designer ------------------------------------------------------------------
 
-    def design(self, workload: Workload) -> RowstoreDesign:
-        """Greedy selection of candidate structures under the budget,
-        once per live workload (:func:`~repro.designers.base.remembered_design`)."""
-        return remembered_design(self, workload, self._design)
-
-    def _design(self, workload: Workload) -> RowstoreDesign:
-        candidates = self.generate_candidates(workload)
-        if not candidates:
-            return RowstoreDesign.empty()
-        evaluation = evaluate_candidates(self.adapter, workload, candidates, self.scope)
-        chosen = greedy_select(
-            evaluation, self.adapter.budget_bytes, max_structures=self.max_structures
-        )
-        return RowstoreDesign.of(*chosen)
+    # Spelled here for benchmarks/e2e/spans.py (see _NominalDesigner).
+    design = _NominalDesigner.design

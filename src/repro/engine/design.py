@@ -48,10 +48,6 @@ class PhysicalDesign(PickleFieldsOnly):
         """The NoDesign design: every query scans super-projections."""
         return cls(frozenset())
 
-    def with_projection(self, projection: Projection) -> "PhysicalDesign":
-        """Return a new design with ``projection`` added."""
-        return PhysicalDesign(self.projections | {projection})
-
     @cached_property
     def _by_table(self) -> dict[str, list[Projection]]:
         return group_by_table(self.projections, lambda p: (p.columns, p.sort_key))
@@ -96,9 +92,3 @@ class PhysicalDesign(PickleFieldsOnly):
 
     def __iter__(self):
         return iter(self._ordered)
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        if not self.projections:
-            return "(empty design)"
-        return "\n".join(str(p) for p in self)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.catalog.schema import Schema, Table
+from repro.catalog.schema import Table
 from repro.state.capture import PickleFieldsOnly
 
 #: Sorted, RLE-friendly columns compress better than unsorted ones; these
@@ -123,8 +123,3 @@ def super_projection(table: Table) -> Projection:
         sort_columns=(SortColumn(columns[0]),),
         is_super=True,
     )
-
-
-def super_projections(schema: Schema) -> dict[str, Projection]:
-    """Super-projections for every table in ``schema``."""
-    return {name: super_projection(table) for name, table in schema.tables.items()}

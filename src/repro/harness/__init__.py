@@ -14,7 +14,6 @@ from repro.harness.replay import (
     beneficial_queries,
     replay,
 )
-from repro.harness.export import replay_to_csv, replay_to_json
 from repro.harness.reporting import format_series, format_table
 from repro.harness.scheduler import (
     DriftTriggeredPolicy,
@@ -32,7 +31,5 @@ __all__ = [
     "format_series",
     "format_table",
     "replay",
-    "replay_to_csv",
-    "replay_to_json",
     "scheduled_replay",
 ]

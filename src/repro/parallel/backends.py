@@ -317,7 +317,6 @@ def backend_from_env() -> ExecutionBackend | None:
 def resolve_backend(
     backend: "ExecutionBackend | str | None",
     jobs: int | None = None,
-    task_timeout: float | None = None,
 ) -> ExecutionBackend | None:
     """The single ``backend``/``jobs`` knob.
 
@@ -338,11 +337,11 @@ def resolve_backend(
     if name == "auto":
         return backend_from_env()
     if name == "serial":
-        return SerialBackend(task_timeout=task_timeout)
+        return SerialBackend()
     if name == "thread":
-        return ThreadBackend(jobs=jobs, task_timeout=task_timeout)
+        return ThreadBackend(jobs=jobs)
     if name == "process":
-        return ProcessBackend(jobs=jobs, task_timeout=task_timeout)
+        return ProcessBackend(jobs=jobs)
     raise ValueError(
         f"unknown backend {backend!r} (expected serial, thread, process, or auto)"
     )

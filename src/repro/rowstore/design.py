@@ -39,12 +39,6 @@ class RowstoreDesign(PickleFieldsOnly):
         """The NoDesign design: every query is a full table scan."""
         return cls()
 
-    def with_structure(self, structure: Index | MaterializedView) -> "RowstoreDesign":
-        """Return a new design with ``structure`` added."""
-        if isinstance(structure, Index):
-            return RowstoreDesign(self.indices | {structure}, self.views)
-        return RowstoreDesign(self.indices, self.views | {structure})
-
     @cached_property
     def _indices_by_table(self) -> dict[str, list[Index]]:
         return group_by_table(self.indices, lambda i: i.columns)
@@ -101,9 +95,3 @@ class RowstoreDesign(PickleFieldsOnly):
         yield from sorted(
             self.views, key=lambda v: (v.table, v.group_columns, v.measure_columns)
         )
-
-    def describe(self) -> str:
-        """Human-readable multi-line summary."""
-        if not len(self):
-            return "(empty design)"
-        return "\n".join(str(s) for s in self)

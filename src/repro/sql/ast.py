@@ -251,11 +251,3 @@ Statement = SelectStatement | InsertStatement | UpdateStatement | DeleteStatemen
 
 #: Write statements, as a tuple for isinstance checks.
 WriteStatement = (InsertStatement, UpdateStatement, DeleteStatement)
-
-
-def column_of(name: str) -> ColumnRef:
-    """Build a :class:`ColumnRef` from ``"name"`` or ``"table.name"``."""
-    if "." in name:
-        table, _, col = name.partition(".")
-        return ColumnRef(col, table)
-    return ColumnRef(name)

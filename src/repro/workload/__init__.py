@@ -13,7 +13,6 @@
 from repro.workload.distance import (
     LatencyAwareDistance,
     WorkloadDistance,
-    delta_euclidean,
 )
 from repro.workload.families import (
     ecommerce_profile,
@@ -45,7 +44,6 @@ __all__ = [
     "WorkloadDistance",
     "WorkloadQuery",
     "build_star_schema",
-    "delta_euclidean",
     "ecommerce_profile",
     "htap_profile",
     "oltp_profile",

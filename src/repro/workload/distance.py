@@ -35,6 +35,7 @@ the float summation order.  For the sampler's hot path
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 
 import numpy as np
@@ -48,13 +49,6 @@ SWGO: ClauseSpec = tuple(CLAUSES)
 
 #: Budget (in xor-ed words) per numpy chunk of the pairwise computation.
 _CHUNK_WORD_BUDGET = 4_000_000
-
-#: Bound on the per-workload self-term / baseline-cost caches.  A replay
-#: touches a handful of live workloads at a time (the base window plus a
-#: Γ-neighborhood), so a few hundred entries keep every hot hit while a
-#: months-long ``scheduled_replay``/monitor run can no longer grow the
-#: caches — and their strong references to dead workloads — without bound.
-_WORKLOAD_CACHE_ENTRIES = 512
 
 
 def _require_bitwise_count(module=np) -> None:
@@ -74,13 +68,6 @@ def _require_bitwise_count(module=np) -> None:
 
 
 _require_bitwise_count()
-
-
-def _per_workload_memo(counter_name: str) -> BoundedMemo:
-    """Workload -> float LRU keyed by object identity (hashing a
-    workload would walk every query), evictions counted in the
-    process-wide metrics registry under ``counter_name``."""
-    return BoundedMemo(counter_name, _WORKLOAD_CACHE_ENTRIES, by_identity=True)
 
 
 def _template_order(key: VectorKey) -> tuple:
@@ -121,7 +108,19 @@ class WorkloadDistance:
         #: minting templates; ``_column_bits`` outlives an eviction, so a
         #: re-encoded key gets the same bits.
         self._mask_cache = BoundedMemo("distance.mask_evictions")
-        self._self_terms = _per_workload_memo("distance.self_term_evictions")
+        #: workload -> its self term, held weakly (a workload compares by
+        #: identity and never changes): an entry dies with its workload.
+        self._self_terms = weakref.WeakKeyDictionary()
+
+    def __getstate__(self) -> dict:
+        # The self-term memo is derived state, and a weak mapping does not
+        # pickle: a pickled or copied metric (the experiment context ships
+        # one to every process-backend cell) starts without it.
+        return {key: value for key, value in vars(self).items() if key != "_self_terms"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._self_terms = weakref.WeakKeyDictionary()
 
     # -- encoding ---------------------------------------------------------------
 
@@ -228,7 +227,7 @@ class WorkloadDistance:
     # -- the sampler fast path -------------------------------------------------------
 
     def self_term(self, workload: Workload) -> float:
-        """``V_W × S × V_W^T`` (cached per workload object, bounded LRU)."""
+        """``V_W × S × V_W^T`` (cached per live workload object)."""
         cached = self._self_terms.get(workload)
         if cached is not None:
             return cached
@@ -264,17 +263,6 @@ class WorkloadDistance:
         return set(workload.template_vector(self.clauses))
 
 
-def delta_euclidean(
-    first: Workload,
-    second: Workload,
-    total_columns: int,
-    clauses: ClauseSpec | str = SWGO,
-) -> float:
-    """One-shot ``δ_euclidean`` (prefer :class:`WorkloadDistance` in loops —
-    it caches template encodings across calls)."""
-    return WorkloadDistance(total_columns, clauses)(first, second)
-
-
 class LatencyAwareDistance:
     """``δ_latency`` (Appendix C)::
 
@@ -299,7 +287,8 @@ class LatencyAwareDistance:
         self.base = base
         self.baseline_cost = baseline_cost
         self.omega = omega
-        self._cost_cache = _per_workload_memo("distance.cost_cache_evictions")
+        #: workload -> ``f(W, ∅)``, held weakly like the self terms.
+        self._cost_cache = weakref.WeakKeyDictionary()
 
     def _cost(self, workload: Workload) -> float:
         cached = self._cost_cache.get(workload)

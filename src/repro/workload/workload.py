@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from repro.sql.analyzer import CLAUSES, QueryTemplate
 from repro.workload.query import WorkloadQuery
@@ -100,15 +99,6 @@ class Workload:
         """Plain union of the two query lists (weights kept as-is)."""
         return Workload([*self.queries, *other.queries])
 
-    def reweighted(self, weights: dict[str, float]) -> "Workload":
-        """Replace per-SQL weights (queries absent from ``weights`` drop)."""
-        result = []
-        for query in self.collapsed():
-            weight = weights.get(query.sql)
-            if weight is not None and weight > 0:
-                result.append(query.with_frequency(weight))
-        return Workload(result)
-
     # -- template machinery ------------------------------------------------------------
 
     def templates(self, clauses: ClauseSpec | str = tuple(CLAUSES)) -> set[VectorKey]:
@@ -151,14 +141,6 @@ class Workload:
             zip(keys, (query.frequency for query in workload.queries), strict=True)
         )
         return workload
-
-    def query_weight(self, sql: str) -> float:
-        """Normalized weight of one SQL text within this workload."""
-        total = self.total_weight
-        if total == 0:
-            return 0.0
-        weight = sum(q.frequency for q in self.queries if q.sql == sql)
-        return weight / total
 
     def normalized_weights(self) -> dict[str, float]:
         """Normalized weight per distinct SQL text."""

@@ -48,7 +48,6 @@ class TestRunConfig:
             {"backend": "gpu"},
             {"backend": 42},
             {"jobs": 0},
-            {"task_timeout": 0.0},
         ],
     )
     def test_invalid_knobs_rejected(self, overrides):

@@ -1,15 +1,22 @@
 """Cache census: a memo that takes traffic must, at some point, hit.
 
-Every cache in ``src/`` is a :class:`~repro.costing.memo.BoundedMemo`,
-so wrapping its constructor and its three read methods *from here* —
-no hook and no hit counter in the class — sees every lookup in the
-process, labelled by the line that created the memo.  The test drives
-the four kinds of traffic the end-to-end ledger drives (a CliffGuard
-design stream on each engine, a nominal replay transition, a serve
-session) at micro scale and fails, printing the table, if any creation
-site answered :data:`LOOKUP_FLOOR` lookups without a single hit: the
-signature of a cache keyed on something that never recurs (an object
-identity minted per call, a text the stream never repeats).
+Every bounded cache in ``src/`` is a
+:class:`~repro.costing.memo.BoundedMemo`, so wrapping its constructor
+and its three read methods *from here* — no hook and no hit counter in
+the class — sees every lookup in the process, labelled by the line that
+created the memo.  The census leaves out the state kept per live
+``Workload`` object — the distance metrics' ``_self_terms`` and
+``_cost_cache`` and the nominal designers' design memo
+(``designers.base.remembered_design``): each is a
+``weakref.WeakKeyDictionary`` whose entries die with their workload, so
+a key that never recurs is gone with the object that minted it.
+
+The test drives the four kinds of traffic the end-to-end ledger drives
+(a CliffGuard design stream on each engine, a nominal replay transition,
+a serve session) at micro scale and fails, printing the table, if any
+creation site answered :data:`LOOKUP_FLOOR` lookups without a single
+hit: the signature of a cache keyed on something that never recurs (an
+object identity minted per call, a text the stream never repeats).
 """
 
 from __future__ import annotations

@@ -83,19 +83,8 @@ class TestSchema:
     def test_total_columns(self):
         assert self.make().total_columns == 4
 
-    def test_all_qualified_columns_deterministic(self):
-        schema = self.make()
-        names = schema.all_qualified_columns()
-        assert names == sorted(names, key=lambda n: n.split(".")[0])
-        assert "t.a" in names and "u.b" in names
-
 
 class TestColumnType:
-    def test_every_type_has_width_and_dtype(self):
+    def test_every_type_has_a_width(self):
         for ct in ColumnType:
             assert ct.byte_width > 0
-            assert ct.numpy_dtype is not None
-
-    def test_bool_not_orderable(self):
-        assert not ColumnType.BOOL.is_orderable
-        assert ColumnType.DATE.is_orderable

@@ -1,11 +1,9 @@
 """Unit tests for :class:`repro.costing.memo.BoundedMemo`, the one LRU
-class behind every bounded cache in the repo (cost-model pair memos, the
-service's query/workload/fingerprint/arena caches, the distance
-metrics' per-workload terms, the bandit's arm log)."""
+class behind every bounded cache in the repo (the profiler's profiles,
+the service's arenas, the distance metrics' template encodings, the
+bandit's arm log)."""
 
 from __future__ import annotations
-
-import gc
 
 import pytest
 
@@ -16,9 +14,7 @@ COUNTER = "costing.memo_evictions.test_unit"
 
 
 class _Key:
-    """Hashable by content, distinct by identity — one key type that
-    exercises both memo modes (and, unlike ``int``, has a recyclable
-    ``id``)."""
+    """Hashable by content, distinct by identity."""
 
     def __init__(self, name: str):
         self.name = name
@@ -30,18 +26,13 @@ class _Key:
         return isinstance(other, _Key) and other.name == self.name
 
 
-MODES = pytest.mark.parametrize("by_identity", [False, True], ids=["content", "identity"])
-
-
-@MODES
-def test_bound_recency_and_eviction_accounting(by_identity):
+def test_bound_recency_and_eviction_accounting():
     evicted: list[tuple[object, object]] = []
     counter = get_metrics().counter(COUNTER)
     before = counter.value
     memo = BoundedMemo(
         COUNTER,
         max_entries=2,
-        by_identity=by_identity,
         on_evict=lambda key, value: evicted.append((key, value)),
     )
     a, b, c, d = (_Key(name) for name in "abcd")
@@ -77,17 +68,16 @@ def test_bound_recency_and_eviction_accounting(by_identity):
     assert memo.evictions == 2 and memo.items() == [(c, 3.0), (d, 40.0)]
 
 
-@MODES
-def test_items_round_trip_lru_order(by_identity):
+def test_items_round_trip_lru_order():
     keys = [_Key(name) for name in "abcde"]
-    memo = BoundedMemo(max_entries=8, by_identity=by_identity)
+    memo = BoundedMemo(max_entries=8)
     for i, key in enumerate(keys):
         memo[key] = i
     memo.get(keys[1])  # order is now a c d e b
     exported = memo.items()
     assert [key.name for key, _ in exported] == list("acdeb")
 
-    restored = BoundedMemo(max_entries=5, by_identity=by_identity)
+    restored = BoundedMemo(max_entries=5)
     restored[_Key("stale")] = -1
     restored.replace(exported)
     assert restored.items() == exported
@@ -116,33 +106,8 @@ def test_content_mode_shares_entries_between_equal_keys():
     assert memo.get(_Key("a")) == 1.0
 
 
-def test_identity_mode_never_aliases_equal_or_recycled_keys():
-    memo = BoundedMemo(max_entries=4, by_identity=True)
-    key = _Key("a")
-    memo[key] = "v"
-    # An equal but distinct object is a different identity.
-    assert memo.get(_Key("a")) is None and _Key("a") not in memo
-
-    # An ``id`` recycled after GC must miss.  The memo keeps its keys
-    # alive, so a recycled id cannot occur while the entry is resident;
-    # plant the aliasing directly to prove the stored-object guard.
-    impostor = _Key("a")
-    memo._entries[id(impostor)] = (key, "stale")
-    assert memo.get(impostor) is None
-    assert impostor not in memo
-
-    # ... and the keep-alive itself: dropping the caller's reference
-    # does not free the key, so its id cannot be handed to a new object.
-    resident_id = id(key)
-    del key
-    gc.collect()
-    fresh = [_Key("b") for _ in range(64)]
-    assert all(id(obj) != resident_id for obj in fresh)
-    assert all(obj not in memo for obj in fresh)
-
-
 def test_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         BoundedMemo(COUNTER, max_entries=0)
     with pytest.raises(ValueError):
-        BoundedMemo(max_entries=-1, by_identity=True)
+        BoundedMemo(max_entries=-1)

@@ -22,7 +22,6 @@ from repro.costing.service import (
     CostEvaluationService,
     CostServiceStats,
     design_fingerprint,
-    query_fingerprint,
     workload_fingerprint,
 )
 from repro.designers.base import ColumnarAdapter, RowstoreAdapter
@@ -166,11 +165,6 @@ def test_batched_neighborhood_matches_per_workload(substrate, mask, neighborhood
 
 
 class TestFingerprints:
-    def test_query_fingerprint_stable_and_distinct(self):
-        a = query_fingerprint("SELECT a FROM t")
-        assert a == query_fingerprint("SELECT a FROM t")
-        assert a != query_fingerprint("SELECT b FROM t")
-
     def test_design_fingerprint_is_content_based(self):
         _, adapter, _, candidates = _substrate("columnar")
         if len(candidates) < 2:

@@ -16,10 +16,11 @@ import pickle
 import pytest
 
 from repro.core.cliffguard import CliffGuard
-from repro.designers import columnar_nominal, rowstore_nominal
+from repro.designers import base
 from repro.designers.base import (
     ColumnarAdapter,
     RowstoreAdapter,
+    _NominalDesigner,
     default_budget_bytes,
 )
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
@@ -38,7 +39,7 @@ from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.windows import split_windows
 from repro.workload.workload import Workload
 
-_MODULES = {"columnar": columnar_nominal, "rowstore": rowstore_nominal}
+_CLASSES = {"columnar": ColumnarNominalDesigner, "rowstore": RowstoreNominalDesigner}
 
 
 def _stack(engine: str, schema):
@@ -59,18 +60,17 @@ def _zoo(adapter, nominal) -> dict:
 
 
 @pytest.fixture
-def greedy_calls(monkeypatch):
-    """How many times each substrate's nominal designer ran its greedy
-    selection (one per computed design)."""
-    calls = {engine: 0 for engine in _MODULES}
-    for engine, module in _MODULES.items():
-        real = module.greedy_select
+def design_calls(monkeypatch):
+    """How many designs each substrate's nominal designer computed (a
+    remembered design is not computed)."""
+    calls = {engine: 0 for engine in _CLASSES}
+    for engine, cls in _CLASSES.items():
 
-        def counting(*args, _engine=engine, _real=real, **kwargs):
+        def counting(self, workload, _engine=engine):
             calls[_engine] += 1
-            return _real(*args, **kwargs)
+            return _NominalDesigner._design(self, workload)
 
-        monkeypatch.setattr(module, "greedy_select", counting)
+        monkeypatch.setattr(cls, "_design", counting)
     return calls
 
 
@@ -105,7 +105,7 @@ def _report_facts(report) -> dict:
     "family,engine", [("R1", "columnar"), ("HTAP", "rowstore")]
 )
 def test_replay_with_the_memo_prices_like_cold_designers(
-    tiny_star, greedy_calls, family, engine
+    tiny_star, design_calls, family, engine
 ):
     """One replay of {NoDesign, oracle, ExistingDesigner} over every
     transition, one nominal designer behind both of the last two, gives
@@ -120,7 +120,7 @@ def test_replay_with_the_memo_prices_like_cold_designers(
 
     adapter, nominal = _stack(engine, schema)
     warm = replay(source, _zoo(adapter, nominal), adapter, candidate_source=nominal)
-    warm_calls = greedy_calls[engine]
+    warm_calls = design_calls[engine]
 
     cold_counts: list[int] = []
     cold_windows: dict[str, list] = {name: [] for name in warm.runs}
@@ -137,7 +137,7 @@ def test_replay_with_the_memo_prices_like_cold_designers(
         cold_counts += part.evaluated_query_counts
         for name, run in part.runs.items():
             cold_windows[name] += run.windows
-    cold_calls = greedy_calls[engine] - warm_calls
+    cold_calls = design_calls[engine] - warm_calls
 
     assert len(warm.evaluated_query_counts) >= 3
     assert warm.evaluated_query_counts == cold_counts
@@ -149,7 +149,7 @@ def test_replay_with_the_memo_prices_like_cold_designers(
 
 @pytest.mark.parametrize("engine", ["columnar", "rowstore"])
 def test_cliffguard_in_a_shared_zoo_designs_like_a_private_one(
-    tiny_star, tiny_trace, tiny_windows, greedy_calls, engine
+    tiny_star, tiny_trace, tiny_windows, design_calls, engine
 ):
     """CliffGuard built on ExistingDesigner's nominal designer takes its
     initial design from ExistingDesigner's design of the same window,
@@ -174,12 +174,12 @@ def test_cliffguard_in_a_shared_zoo_designs_like_a_private_one(
     private = cliffguard(private_nominal, private_adapter)
     for window in tiny_windows[1:3]:
         nominal.design(window)  # ExistingDesigner's turn
-        before = greedy_calls[engine]
+        before = design_calls[engine]
         design = shared.design(window)
-        shared_calls = greedy_calls[engine] - before
-        before = greedy_calls[engine]
+        shared_calls = design_calls[engine] - before
+        before = design_calls[engine]
         assert design == private.design(window)
-        assert shared_calls == greedy_calls[engine] - before - 1
+        assert shared_calls == design_calls[engine] - before - 1
         assert _report_facts(shared.last_report) == _report_facts(private.last_report)
         assert shared.last_report.designer_calls == private.last_report.designer_calls
 
@@ -209,17 +209,17 @@ def test_a_hit_charges_what_its_computing_call_charged(columnar_adapter, tiny_wi
     assert deltas[0] == deltas[1]
 
 
-def test_clear_invalidates_the_memo(columnar_adapter, tiny_windows, greedy_calls):
+def test_clear_invalidates_the_memo(columnar_adapter, tiny_windows, design_calls):
     """``clear`` is the cost model's "changed under me" signal: a design
     priced before it is computed again."""
     nominal = ColumnarNominalDesigner(columnar_adapter)
     workload = tiny_windows[1]
     first = nominal.design(workload)
     nominal.design(workload)
-    assert greedy_calls["columnar"] == 1
+    assert design_calls["columnar"] == 1
     columnar_adapter.costing.clear()
     assert nominal.design(workload) == first
-    assert greedy_calls["columnar"] == 2
+    assert design_calls["columnar"] == 2
 
 
 def test_the_memo_is_never_pickled(columnar_adapter, tiny_windows):
@@ -268,8 +268,7 @@ def test_checkpoint_payloads_carry_nothing_of_the_memo(
         return pickle.dumps(payload), pickle.dumps(states)
 
     remembered = checkpointed("remembered")
-    for module in _MODULES.values():
-        monkeypatch.setattr(
-            module, "remembered_design", lambda designer, workload, compute: compute(workload)
-        )
+    monkeypatch.setattr(
+        base, "remembered_design", lambda designer, workload, compute: compute(workload)
+    )
     assert checkpointed("computed") == remembered

@@ -108,12 +108,13 @@ class TestCliffs:
         """Adding structures can only reduce estimated cost (min-choice)."""
         sql = "SELECT sales.store, SUM(sales.amount) FROM sales WHERE sales.day < 50 GROUP BY sales.store"
         empty_cost = model.query_cost(sql, PhysicalDesign.empty())
-        design = PhysicalDesign.empty()
+        projections: list[Projection] = []
         for projection in [
             Projection("sales", ("day", "store", "amount"), (SortColumn("day"),)),
             Projection("sales", ("store", "day", "amount"), (SortColumn("store"),)),
         ]:
-            design = design.with_projection(projection)
+            projections.append(projection)
+            design = PhysicalDesign.of(*projections)
             assert model.query_cost(sql, design) <= empty_cost + 1e-9
             empty_cost = model.query_cost(sql, design)
 

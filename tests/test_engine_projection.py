@@ -9,7 +9,6 @@ from repro.engine.projection import (
     Projection,
     SortColumn,
     super_projection,
-    super_projections,
 )
 
 
@@ -97,13 +96,6 @@ class TestPhysicalDesign:
         assert design.for_table("t") == [p1]
         assert design.for_table("missing") == []
 
-    def test_with_projection_is_persistent(self):
-        p1 = Projection("t", ("a",), (SortColumn("a"),))
-        base = PhysicalDesign.empty()
-        extended = base.with_projection(p1)
-        assert len(base) == 0
-        assert len(extended) == 1
-
     def test_iteration_is_deterministic(self):
         projections = [
             Projection("t", (c,), (SortColumn(c),)) for c in ("c", "a", "b")
@@ -119,10 +111,3 @@ class TestPhysicalDesign:
             Projection("t", ("a", "b", "c", "d"), (SortColumn("a"),))
         )
         assert large.deployment_seconds(schema) > small.deployment_seconds(schema)
-
-    def test_super_projections_helper(self, table):
-        schema = Schema()
-        schema.add_table(table)
-        supers = super_projections(schema)
-        assert set(supers) == {"t"}
-        assert supers["t"].is_super

@@ -4,10 +4,7 @@ distance internals, and reporting formats."""
 import pytest
 
 from repro.core.move import move_workload
-from repro.engine.design import PhysicalDesign
-from repro.engine.projection import Projection, SortColumn
 from repro.harness.reporting import format_series, format_table
-from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.workload.distance import WorkloadDistance
@@ -21,22 +18,6 @@ def q(sql, freq=1.0, day=0.0):
 
 
 class TestDesignRendering:
-    def test_physical_design_describe(self):
-        design = PhysicalDesign.of(
-            Projection("t", ("a", "b"), (SortColumn("a"),)),
-            Projection("t", ("c",), (SortColumn("c"),)),
-        )
-        text = design.describe()
-        assert text.count("proj(") == 2
-        assert PhysicalDesign.empty().describe() == "(empty design)"
-
-    def test_rowstore_design_describe(self):
-        design = RowstoreDesign.of(
-            Index("t", ("a",)), MaterializedView("t", ("a",), ("b",))
-        )
-        text = design.describe()
-        assert "idx(" in text and "mv(" in text
-
     def test_index_and_view_ddl(self):
         assert Index("t", ("a", "b")).to_sql() == "CREATE INDEX idx_t_a_b ON t (a, b)"
         ddl = MaterializedView("t", ("a",), ("m",)).to_sql()

@@ -164,11 +164,6 @@ class TestRowstoreDesign:
         )
         assert design.price(sales_schema, model.statistics) == expected
 
-    def test_with_structure_persistent(self):
-        base = RowstoreDesign.empty()
-        extended = base.with_structure(Index("t", ("a",)))
-        assert len(base) == 0 and len(extended) == 1
-
 
 class TestRealStructures:
     def test_index_seek_matches_mask(self, sales_schema, sales_data):

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.sql.ast import ColumnRef, column_of
 from repro.sql.lexer import LexError, tokenize
 from repro.sql.parser import ParseError, parse
 
@@ -68,11 +67,3 @@ class TestFuzz:
             assert error.token.position == sql.rindex(number)
         else:
             assert stmt.limit == int(float(number))
-
-
-class TestColumnOf:
-    def test_bare(self):
-        assert column_of("a") == ColumnRef("a")
-
-    def test_qualified(self):
-        assert column_of("t.a") == ColumnRef("a", "t")

@@ -372,6 +372,20 @@ class TestCliffGuardResume:
                 f"boundary {boundary}"
             )
 
+    def test_same_seed_runs_write_identical_checkpoints(
+        self, tmp_path, tiny_star, tiny_trace, tiny_windows
+    ):
+        """The snapshot pickles the report and the counter baseline with
+        their wall-clock fields at 0 (copies: the live report keeps its
+        timing), so two same-seed runs write the same bytes."""
+        paths = [tmp_path / "first.ckpt", tmp_path / "second.ckpt"]
+        for path in paths:
+            _, report = self._design(
+                tiny_star, tiny_trace, tiny_windows, "columnar", RunCheckpointer(path)
+            )
+            assert report.nominal_wall_seconds > 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_resumed_eval_wall_seconds_is_never_negative(
         self, tmp_path, tiny_star, tiny_trace, tiny_windows
     ):

@@ -77,17 +77,6 @@ class TestWorkload:
         assert len(workload.template_vector(("select",))) == 1
         assert len(workload.template_vector(("select", "where"))) == 2
 
-    def test_query_weight(self):
-        workload = Workload([q("SELECT t.a FROM t", freq=1), q("SELECT t.b FROM t", freq=3)])
-        assert workload.query_weight("SELECT t.b FROM t") == pytest.approx(0.75)
-        assert workload.query_weight("missing") == 0.0
-
-    def test_reweighted(self):
-        workload = Workload([q("SELECT t.a FROM t"), q("SELECT t.b FROM t")])
-        rew = workload.reweighted({"SELECT t.a FROM t": 5.0})
-        assert len(rew) == 1
-        assert rew.total_weight == 5.0
-
     def test_merged_with(self):
         first = Workload([q("SELECT t.a FROM t")])
         second = Workload([q("SELECT t.b FROM t")])

@@ -1,6 +1,9 @@
 """Distance-metric tests, including the paper's R1–R4 requirements as
 property-based checks (hypothesis)."""
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from repro.workload.distance import (
     SWGO,
     LatencyAwareDistance,
     WorkloadDistance,
-    delta_euclidean,
 )
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
@@ -123,11 +125,6 @@ class TestVariants:
         select_only = WorkloadDistance(N_COLUMNS, ("select",))
         assert select_only(a, b) == pytest.approx(0.0, abs=1e-12)
 
-    def test_one_shot_helper(self):
-        a = Workload([make_query(["t.c0"])])
-        b = Workload([make_query(["t.c1"])])
-        assert delta_euclidean(a, b, N_COLUMNS) == WorkloadDistance(N_COLUMNS)(a, b)
-
 
 class TestLatencyAware:
     def make(self, omega: float) -> LatencyAwareDistance:
@@ -165,19 +162,6 @@ class TestLatencyAware:
 
 
 class TestBoundedCaches:
-    def test_self_term_cache_is_bounded(self):
-        from repro.obs import get_metrics
-
-        metric = WorkloadDistance(N_COLUMNS)
-        metric._self_terms.max_entries = 2
-        before = get_metrics().counter("distance.self_term_evictions").value
-        kept = [Workload([make_query([f"t.c{i}"])]) for i in range(5)]
-        for workload in kept:
-            metric.self_term(workload)
-        assert len(metric._self_terms) <= 2
-        evicted = get_metrics().counter("distance.self_term_evictions").value - before
-        assert evicted == 3
-
     def test_mask_cache_is_bounded(self):
         from repro.obs import get_metrics
 
@@ -203,30 +187,53 @@ class TestBoundedCaches:
         assert metric.self_term(workload) == first
         assert len(metric._self_terms) == 1
 
-    def test_cost_cache_is_bounded(self):
-        from repro.obs import get_metrics
 
-        calls: list[int] = []
+class TestWorkloadMemos:
+    """The self terms and baseline costs are kept per live workload,
+    weakly: an entry lives exactly as long as its workload."""
+
+    def test_entries_die_with_their_workload(self):
+        structural = WorkloadDistance(N_COLUMNS)
+        metric = LatencyAwareDistance(
+            structural, baseline_cost=lambda w: w.total_weight * 100.0
+        )
+        workload = Workload([make_query(["t.c0", "t.c1"], 2.0)])
+        structural.self_term(workload)
+        metric.latency_term(workload, workload)
+        assert len(structural._self_terms) == 1 and len(metric._cost_cache) == 1
+        del workload
+        gc.collect()
+        assert len(structural._self_terms) == 0 and len(metric._cost_cache) == 0
+
+    def test_cost_cache_hit_returns_the_first_float(self):
+        calls: list[float] = []
 
         def baseline(workload):
-            calls.append(1)
-            return workload.total_weight * 100.0
+            calls.append(workload.total_weight * 100.0)
+            return calls[-1]
 
         metric = LatencyAwareDistance(
             WorkloadDistance(N_COLUMNS), baseline_cost=baseline, omega=0.5
         )
-        metric._cost_cache.max_entries = 2
-        before = get_metrics().counter("distance.cost_cache_evictions").value
-        kept = [Workload([make_query([f"t.c{i}"], i + 1.0)]) for i in range(4)]
-        for workload in kept:
-            metric._cost(workload)
-        assert len(metric._cost_cache) <= 2
-        assert len(calls) == 4
-        # A cached workload is served without a new baseline call.
-        metric._cost(kept[-1])
-        assert len(calls) == 4
-        evicted = get_metrics().counter("distance.cost_cache_evictions").value - before
-        assert evicted == 2
+        workload = Workload([make_query(["t.c0"], 3.0)])
+        first = metric._cost(workload)
+        assert metric._cost(workload) is first
+        assert len(calls) == 1
+
+    def test_pickled_metric_round_trips_and_starts_empty(self):
+        metric = WorkloadDistance(N_COLUMNS, ("select", "where"))
+        a = Workload([make_query(["t.c0", "t.c1"], 2.0)])
+        b = Workload([make_query(["t.c2"], 1.0)])
+        expected = metric.disjoint_distance(a, b)
+        assert len(metric._self_terms) == 2
+        restored = pickle.loads(pickle.dumps(metric))
+        assert len(restored._self_terms) == 0
+        assert restored.clauses == metric.clauses
+        assert restored.total_columns == metric.total_columns
+        assert restored.disjoint_distance(a, b) == expected
+        assert len(restored._self_terms) == 2
+        # The original keeps its memo: pickling copies, it does not clear.
+        assert len(metric._self_terms) == 2
 
 
 class TestCrossProcessDeterminism:
