@@ -17,11 +17,12 @@ Quick start — the supported entry point is the :mod:`repro.api` facade::
         comparison = s.replay()    # Figure 7: the designer comparison
         sweep = s.sweep()          # Figures 8-9: the robustness knob
 
-Online tuning (design-as-a-service) runs through the same facade: pair
-the batch ``RunConfig`` with a streaming ``ServeConfig`` and the session
-becomes a crash-restartable daemon (docs/serving.md)::
+Online tuning (design-as-a-service) runs through the same facade: hand
+the session a streaming ``ServeConfig`` and it runs a crash-restartable
+daemon (docs/serving.md)::
 
-    outcome = repro.serve_session(workload="R1").serve(max_queries=500)
+    with RobustDesignSession(RunConfig(workload="R1")) as s:
+        outcome = s.serve(ServeConfig(max_queries=500))
 
 The building blocks remain importable for hand-wired setups::
 
@@ -119,7 +120,6 @@ from repro.api import (
     RobustDesignSession,
     RunConfig,
     ServeOutcome,
-    serve_session,
 )
 
 __version__ = "1.3.0"
@@ -184,7 +184,6 @@ __all__ = [
     "replay",
     "s1_profile",
     "s2_profile",
-    "serve_session",
     "set_tracer",
     "split_windows",
     "trace_to",

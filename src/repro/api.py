@@ -13,8 +13,9 @@ collapses that to::
     comparison = session.replay()     # Figure 7: the designer zoo
 
 ``RunConfig`` is a frozen dataclass that validates every knob at
-construction; ``RobustDesignSession`` owns the lazily built context,
-engine stack, and execution backend (see :mod:`repro.parallel`).  The
+construction (``dataclasses.replace`` returns a re-validated copy);
+``RobustDesignSession(config)`` owns the lazily built context, engine
+stack, and execution backend (see :mod:`repro.parallel`).  The
 ``backend``/``jobs`` pair is the single parallelism knob: ``sweep()``,
 ``replay()`` and ``schedule()`` fan out whole per-Γ / per-designer
 replays across workers and ``serve()`` runs its re-designs in the
@@ -22,15 +23,16 @@ background on it; a single ``design()`` call prices in process on every
 backend (its costing kernel is ~1% of the run — nothing worth splitting).
 
 The configuration is split in two: ``RunConfig`` is the **batch core**
-(workload, engine, scale, search effort, backend, observability), and
+(workload, engine, scale, search effort, backend, checkpointing), and
 :class:`repro.serve.ServeConfig` is the **streaming half** (stream
-source, window length, re-design policy, swap/checkpoint cadence).  A
-serving session is the pair::
+source, window length, re-design policy, swap cadence).  A serving
+session is the pair::
 
-    session = repro.serve_session(RunConfig(workload="R1"),
-                                  ServeConfig(policy="drift"))
-    outcome = session.serve()         # the online tuning daemon
+    session = RobustDesignSession(RunConfig(workload="R1"))
+    outcome = session.serve(ServeConfig(policy="drift"))   # the online daemon
 
+Tracing is switched on around any call with :func:`repro.obs.trace_to`;
+metrics go to the process-wide :func:`repro.obs.get_metrics` registry.
 Everything — CLI, tests, examples — drives the daemon through this same
 facade; there is no second configuration path (docs/serving.md).
 """
@@ -40,12 +42,10 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from repro.core.cliffguard import CliffGuardReport
 from repro.designers import registry
-from repro.obs import MetricsRegistry, RunTracer, get_metrics, set_tracer
 from repro.harness.experiments import (
     ExperimentContext,
     ExperimentScale,
@@ -110,8 +110,6 @@ class RunConfig:
     max_transitions: int | None = 1
     #: Warm-up transitions skipped at the start of every replay.
     skip_transitions: int = 3
-    #: Storage budget as a fraction of raw data bytes.
-    budget_fraction: float = 0.5
     #: Execution backend: "auto", "serial", "thread", "process", an
     #: :class:`~repro.parallel.backends.ExecutionBackend` instance, or
     #: ``None`` for no backend: sweeps and schedule grids then run their
@@ -120,14 +118,6 @@ class RunConfig:
     backend: ExecutionBackend | str | None = "auto"
     #: Worker count for the thread/process backends (``None`` = one per core).
     jobs: int | None = None
-    #: JSONL trace file (appended).  When set, the session activates a
-    #: :class:`repro.obs.RunTracer` around every entry point (``design``,
-    #: ``replay``, ``sweep``, ``schedule``) — see docs/observability.md
-    #: for the event schema.  ``None`` disables tracing (zero overhead).
-    trace_path: str | os.PathLike | None = None
-    #: Metrics registry the session publishes into (``None`` = the
-    #: process-wide default, :func:`repro.obs.get_metrics`).
-    metrics: MetricsRegistry | None = None
     #: Checkpoint file for crash-safe resume (docs/state.md).  When set,
     #: every entry point snapshots its progress at natural boundaries
     #: (iteration, window transition, Γ-point, grid cell) through a
@@ -160,8 +150,6 @@ class RunConfig:
             raise ValueError("max_transitions must be at least 1 when set")
         if self.skip_transitions < 0:
             raise ValueError("skip_transitions must be non-negative")
-        if not 0 < self.budget_fraction <= 1:
-            raise ValueError("budget_fraction must be in (0, 1]")
         if self.backend is not None and not isinstance(self.backend, ExecutionBackend):
             if not isinstance(self.backend, str) or self.backend not in BACKENDS:
                 raise ValueError(
@@ -170,16 +158,6 @@ class RunConfig:
                 )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1 when set")
-        if self.trace_path is not None and not isinstance(
-            self.trace_path, (str, os.PathLike)
-        ):
-            raise ValueError(
-                f"trace_path must be a path, got {self.trace_path!r}"
-            )
-        if self.metrics is not None and not isinstance(self.metrics, MetricsRegistry):
-            raise ValueError(
-                f"metrics must be a repro.obs.MetricsRegistry, got {self.metrics!r}"
-            )
         if self.checkpoint_path is not None and not isinstance(
             self.checkpoint_path, (str, os.PathLike)
         ):
@@ -190,10 +168,6 @@ class RunConfig:
             raise ValueError("checkpoint_every must be at least 1")
         if self.resume and self.checkpoint_path is None:
             raise ValueError("resume requires checkpoint_path")
-
-    def with_overrides(self, **overrides) -> "RunConfig":
-        """A copy with some knobs replaced (re-validated)."""
-        return replace(self, **overrides)
 
     def scale(self) -> ExperimentScale:
         """The harness-level size knobs this config implies."""
@@ -207,19 +181,7 @@ class RunConfig:
             legacy_tables=self.legacy_tables,
             max_transitions=self.max_transitions,
             skip_transitions=self.skip_transitions,
-            budget_fraction=self.budget_fraction,
         )
-
-
-@contextmanager
-def _activated(tracer: RunTracer):
-    """Install ``tracer`` as the process-active tracer for one block."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-        tracer.flush()
 
 
 @dataclass
@@ -242,29 +204,19 @@ class DesignOutcome:
 class RobustDesignSession:
     """One configured run: context, engine stack, backend — lazily built.
 
-    The session is the supported way to launch runs; the CLI, the
-    benchmark suite, and the examples all construct through it.  Use as a
-    context manager (or call :meth:`close`) to release pooled workers.
+    ``RobustDesignSession(config)`` is the supported way to launch runs;
+    the CLI, the benchmark suite, and the examples all construct through
+    it.  Use as a context manager (or call :meth:`close`) to release
+    pooled workers.
     """
 
-    def __init__(
-        self,
-        config: RunConfig | None = None,
-        serve: ServeConfig | None = None,
-        **overrides,
-    ):
-        if config is None:
-            config = RunConfig(**overrides)
-        elif overrides:
-            config = config.with_overrides(**overrides)
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.serve_config = serve
         self._context: ExperimentContext | None = None
         self._backend: ExecutionBackend | None = None
         self._backend_resolved = False
         self._adapter = None
         self._nominal = None
-        self._tracer: RunTracer | None = None
         self._checkpointer: RunCheckpointer | None = None
 
     # -- lazily built pieces -----------------------------------------------------
@@ -306,13 +258,6 @@ class RobustDesignSession:
             return self.config.gamma
         return self.context.default_gamma(self.config.workload)
 
-    # -- observability ---------------------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry this session publishes into."""
-        return self.config.metrics if self.config.metrics is not None else get_metrics()
-
     @property
     def checkpointer(self) -> RunCheckpointer | None:
         """The crash-safe snapshot writer (``None`` when unconfigured)."""
@@ -323,23 +268,8 @@ class RobustDesignSession:
                 self.config.checkpoint_path,
                 every=self.config.checkpoint_every,
                 resume=self.config.resume,
-                metrics=self.config.metrics,
             )
         return self._checkpointer
-
-    def _tracing(self):
-        """Context that activates the session tracer (no-op when
-        ``trace_path`` is unset — disabled tracing costs nothing)."""
-        if self.config.trace_path is None:
-            return nullcontext()
-        if self._tracer is None:
-            self._tracer = RunTracer.open(self.config.trace_path)
-        return _activated(self._tracer)
-
-    def _publish_metrics(self) -> None:
-        """Push the costing service's counters into the registry."""
-        if self._adapter is not None:
-            self._adapter.costing.publish_metrics(self.metrics)
 
     def designer(self, name: str = "CliffGuard", **cfg):
         """Build one registered designer wired to this session's stack."""
@@ -354,7 +284,12 @@ class RobustDesignSession:
         )
         return designer, sampler
 
-    # -- the three entry points ----------------------------------------------------
+    # -- the batch entry points ----------------------------------------------------
+    #
+    # ``design()`` and ``serve()`` price on the session's own service and
+    # publish its counters to the process-wide registry afterwards;
+    # ``replay()``, ``sweep()`` and ``schedule()`` run cells that own
+    # their services, so they publish nothing.
 
     def design(self, window: Workload | int | None = None) -> DesignOutcome:
         """Run CliffGuard on one window and return the robust design.
@@ -378,10 +313,9 @@ class RobustDesignSession:
             [q for q in self.context.trace(self.config.workload) if q.timestamp < start]
         )
         started = time.perf_counter()
-        with self._tracing():
-            design = designer.design(window)
+        design = designer.design(window)
         wall = time.perf_counter() - started
-        self._publish_metrics()
+        self.adapter.costing.publish_metrics()
         return DesignOutcome(
             design=design,
             structures=self.adapter.structures(design),
@@ -393,31 +327,25 @@ class RobustDesignSession:
     def replay(self, which: list[str] | None = None) -> ReplayResult:
         """The Figure 7 / 10 / 15 designer comparison: one shared replay
         without a backend, one isolated cell per designer with one."""
-        with self._tracing():
-            result = run_designer_comparison(
-                self.context,
-                self.config.workload,
-                engine=self.config.engine,
-                which=which,
-                gamma=self.config.gamma,
-                backend=self.backend,
-                checkpointer=self.checkpointer,
-            )
-        self._publish_metrics()
-        return result
+        return run_designer_comparison(
+            self.context,
+            self.config.workload,
+            engine=self.config.engine,
+            which=which,
+            gamma=self.config.gamma,
+            backend=self.backend,
+            checkpointer=self.checkpointer,
+        )
 
     def sweep(self, gammas: list[float] | None = None) -> dict[float, tuple[float, float]]:
         """The Figures 8–9 robustness-knob sweep (per-Γ fan-out)."""
-        with self._tracing():
-            result = run_gamma_sweep(
-                self.context,
-                self.config.workload,
-                gammas=gammas,
-                backend=self.backend,
-                checkpointer=self.checkpointer,
-            )
-        self._publish_metrics()
-        return result
+        return run_gamma_sweep(
+            self.context,
+            self.config.workload,
+            gammas=gammas,
+            backend=self.backend,
+            checkpointer=self.checkpointer,
+        )
 
     def schedule(
         self,
@@ -425,74 +353,58 @@ class RobustDesignSession:
         designers: tuple[str, ...] = ("ExistingDesigner", "CliffGuard"),
     ) -> dict[tuple[str, int], ScheduleOutcome]:
         """Re-design-frequency comparison (per-(designer, period) fan-out)."""
-        with self._tracing():
-            result = run_schedule_comparison(
-                self.context,
-                self.config.workload,
-                engine=self.config.engine,
-                everies=everies,
-                designers=designers,
-                gamma=self.config.gamma,
-                backend=self.backend,
-                checkpointer=self.checkpointer,
-            )
-        self._publish_metrics()
-        return result
+        return run_schedule_comparison(
+            self.context,
+            self.config.workload,
+            engine=self.config.engine,
+            everies=everies,
+            designers=designers,
+            gamma=self.config.gamma,
+            backend=self.backend,
+            checkpointer=self.checkpointer,
+        )
 
     # -- the streaming entry point ---------------------------------------------------
 
-    def daemon(self, serve: ServeConfig | None = None, **overrides) -> ServeDaemon:
+    def daemon(self, serve: ServeConfig) -> ServeDaemon:
         """Build the online tuning daemon for this session (docs/serving.md).
 
-        ``serve`` overrides the session's attached :class:`ServeConfig`
-        (both default to ``ServeConfig()``); keyword ``overrides`` patch
-        individual serve knobs.  Run-config knobs (scale, engine,
-        backend, …) come from the session as everywhere else — one
-        facade, one configuration path.
+        ``serve`` carries the streaming knobs; run-config knobs (scale,
+        engine, backend, checkpoint cadence and resume, …) come from the
+        session as everywhere else — one facade, one configuration path.
         """
-        cfg = serve if serve is not None else self.serve_config
-        if cfg is None:
-            cfg = ServeConfig()
-        if overrides:
-            cfg = cfg.with_overrides(**overrides)
         workload = self.config.workload
         window_days = (
-            cfg.window_days if cfg.window_days is not None else float(self.config.window_days)
+            serve.window_days
+            if serve.window_days is not None
+            else float(self.config.window_days)
         )
         threshold = (
-            cfg.threshold
-            if cfg.threshold is not None
+            serve.threshold
+            if serve.threshold is not None
             else self.context.default_gamma(workload)
         )
-        if cfg.policy == "periodic":
-            policy = PeriodicPolicy(every=cfg.every)
+        if serve.policy == "periodic":
+            policy = PeriodicPolicy(every=serve.every)
         else:
             policy = DriftTriggeredPolicy(self.context.distance, threshold)
-        if cfg.source is None or cfg.source == "trace":
+        if serve.source is None or serve.source == "trace":
             source: QuerySource = TraceSource(
                 self.context.trace(workload), window_days=window_days
             )
         else:
-            source = resolve_source(cfg.source)
+            source = resolve_source(serve.source)
         checkpoint_path = (
-            cfg.checkpoint_path
-            if cfg.checkpoint_path is not None
+            serve.checkpoint_path
+            if serve.checkpoint_path is not None
             else self.config.checkpoint_path
         )
-        resume = cfg.resume if cfg.resume is not None else self.config.resume
-        if resume and checkpoint_path is None:
-            raise ValueError("serve resume requires a checkpoint path")
         checkpointer = None
         if checkpoint_path is not None:
             checkpointer = RunCheckpointer(
                 checkpoint_path,
-                every=(
-                    cfg.checkpoint_every
-                    if cfg.checkpoint_every is not None
-                    else self.config.checkpoint_every
-                ),
-                resume=resume,
-                metrics=self.config.metrics,
+                every=self.config.checkpoint_every,
+                resume=self.config.resume,
             )
         # ``submit`` needs a real backend; no backend maps to an explicit
         # SerialBackend (reference semantics, blocking swaps).
@@ -501,19 +413,19 @@ class RobustDesignSession:
         # — background workers would lose the per-boundary feedback — so
         # the designer is instantiated here and handed over; classic
         # designers keep re-designing by name in background tasks.
-        built, _ = self.designer(cfg.designer)
+        built, _ = self.designer(serve.designer)
         learner = built if getattr(built, "learns_online", False) else None
         return ServeDaemon(
             scale=self.config.scale(),
             workload=workload,
             engine=self.config.engine,
             gamma=self.gamma,
-            designer=cfg.designer,
+            designer=serve.designer,
             adapter=self.adapter,
             source=source,
             policy=policy,
             window_days=window_days,
-            serve=cfg,
+            serve=serve,
             backend=backend,
             distance=self.context.distance,
             threshold=threshold,
@@ -521,7 +433,7 @@ class RobustDesignSession:
             learner=learner,
         )
 
-    def serve(self, serve: ServeConfig | None = None, **overrides) -> ServeOutcome:
+    def serve(self, serve: ServeConfig) -> ServeOutcome:
         """Run the online tuning daemon to stream end (or ``max_queries``).
 
         Ingests the configured query stream, prices every query against
@@ -530,22 +442,17 @@ class RobustDesignSession:
         docs/serving.md for the architecture and guarantees.  Emits the
         ``serve.*`` event/metric family when tracing is on.
         """
-        daemon = self.daemon(serve, **overrides)
-        with self._tracing():
-            outcome = daemon.run()
-        self._publish_metrics()
+        outcome = self.daemon(serve).run()
+        self.adapter.costing.publish_metrics()
         return outcome
 
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release pooled backend workers and close the trace file (the
-        session stays usable — both are recreated lazily on next use)."""
+        """Release pooled backend workers (the session stays usable — the
+        pool is recreated lazily on next use)."""
         if self._backend is not None:
             self._backend.shutdown()
-        if self._tracer is not None:
-            self._tracer.close()
-            self._tracer = None
 
     def __enter__(self) -> "RobustDesignSession":
         return self
@@ -560,22 +467,3 @@ class RobustDesignSession:
             if getattr(self.config, f.name) != f.default
         )
         return f"RobustDesignSession({knobs})"
-
-
-def serve_session(
-    config: RunConfig | None = None,
-    serve: ServeConfig | None = None,
-    **overrides,
-) -> RobustDesignSession:
-    """A session pre-wired for online serving (re-exported as
-    ``repro.serve_session``).
-
-    ``config`` carries the batch core, ``serve`` the streaming knobs;
-    keyword ``overrides`` patch the run config.  The returned session's
-    :meth:`RobustDesignSession.serve` runs the daemon::
-
-        outcome = repro.serve_session(workload="R1").serve(max_queries=500)
-    """
-    if serve is None:
-        serve = ServeConfig()
-    return RobustDesignSession(config, serve=serve, **overrides)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import RobustDesignSession, RunConfig, ServeConfig
+from repro.api import BACKENDS, ENGINES, WORKLOADS, RobustDesignSession, RunConfig
 from repro.designers import registry
 from repro.harness.experiments import run_costing_stats, run_table1
 from repro.harness.reporting import (
@@ -45,8 +45,7 @@ from repro.harness.reporting import (
     format_table,
 )
 from repro.obs import get_metrics, trace_to
-
-WORKLOADS = ("R1", "S1", "S2", "OLTP", "ECOMMERCE", "HTAP")
+from repro.serve.config import POLICIES, SWAP_MODES, ServeConfig
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -62,7 +61,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "thread", "process"),
+        choices=BACKENDS,
         default="auto",
         help="execution backend (auto = REPRO_BACKEND env, else serial)",
     )
@@ -371,9 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workload", choices=WORKLOADS, default="R1", help="trace profile"
         )
         if "engine" in extras:
-            sub.add_argument(
-                "--engine", choices=("columnar", "rowstore"), default="columnar"
-            )
+            sub.add_argument("--engine", choices=ENGINES, default="columnar")
         if "designer" in extras:
             sub.add_argument(
                 "--designer", choices=registry.names(), default="CliffGuard"
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_arguments(serve)
     serve.add_argument("--workload", choices=WORKLOADS, default="R1")
-    serve.add_argument("--engine", choices=("columnar", "rowstore"), default="columnar")
+    serve.add_argument("--engine", choices=ENGINES, default="columnar")
     serve.add_argument(
         "--listen",
         metavar="SPEC",
@@ -395,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept queries on a socket (unix:PATH or tcp:HOST:PORT); "
         "default replays the generated trace in-process",
     )
-    serve.add_argument("--policy", choices=("drift", "periodic"), default="drift")
+    serve.add_argument("--policy", choices=POLICIES, default="drift")
     serve.add_argument(
         "--threshold",
         type=float,
@@ -413,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--swap-mode",
-        choices=("async", "boundary"),
+        choices=SWAP_MODES,
         default="boundary",
         help="swap as soon as the re-design lands (async) or at the next "
         "window boundary (boundary; deterministic, kill-resume safe)",

@@ -303,6 +303,7 @@ def _run_cells(
     backend: ExecutionBackend | str | None,
     checkpointer: RunCheckpointer | None,
     finish=None,
+    snapshot=None,
 ) -> dict:
     """The one resumable fan-out behind the three sweeps.
 
@@ -311,8 +312,9 @@ def _run_cells(
     its ``{key: result}`` dict.  Restores the latest snapshot when
     resuming, maps the pending cells on the backend (a ``SerialBackend``
     when none is given), stores each result — what ``finish(state, key,
-    result)`` returns, when given — and checkpoints.  Returns the payload
-    with its finished cells in ``cells`` order.
+    result)`` returns, when given — and checkpoints the payload, or what
+    ``snapshot(state)`` returns when given.  Returns the payload with its
+    finished cells in ``cells`` order.
     """
     executor = resolve_backend(backend) or SerialBackend()
     loaded = checkpointer.load(kind, state_key) if checkpointer is not None else None
@@ -339,7 +341,9 @@ def _run_cells(
         for key, result in zip(batch, results):
             done[key] = result if finish is None else finish(state, key, result)
         if checkpointer is not None:
-            checkpointer.step(kind, state_key, lambda: state)
+            checkpointer.step(
+                kind, state_key, lambda: state if snapshot is None else snapshot(state)
+            )
     state[done_field] = {key: done[key] for key in cells}
     return state
 
@@ -523,6 +527,9 @@ def run_designer_comparison(
     state = _run_cells(
         "designer_comparison", state_key, {"runs": {}, "counts": []}, "runs",
         cells, _designer_comparison_task, executor, checkpointer, finish,
+        snapshot=lambda state: {
+            **state, "runs": {name: run.without_timings() for name, run in state["runs"].items()}
+        },
     )
     return ReplayResult(
         workload_name=workload, runs=state["runs"], evaluated_query_counts=state["counts"]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,6 +202,12 @@ class DesignerRun:
         """Raw cost-model invocations actually paid across all windows."""
         return sum(w.raw_cost_model_calls for w in self.windows)
 
+    def without_timings(self) -> "DesignerRun":
+        """A copy with every ``design_seconds`` at 0: the form a snapshot
+        holds, since no checkpoint carries a wall-clock value
+        (docs/state.md)."""
+        return replace(self, windows=[replace(w, design_seconds=0.0) for w in self.windows])
+
 
 @dataclass
 class ReplayResult:
@@ -213,6 +219,11 @@ class ReplayResult:
 
     def run(self, name: str) -> DesignerRun:
         return self.runs[name]
+
+    def without_timings(self) -> "ReplayResult":
+        """A copy whose runs hold no wall-clock value (see
+        :meth:`DesignerRun.without_timings`)."""
+        return replace(self, runs={name: run.without_timings() for name, run in self.runs.items()})
 
     def speedup(self, baseline: str, target: str) -> tuple[float, float]:
         """(avg, max) latency improvement factors of ``target`` over
@@ -368,7 +379,7 @@ def replay(
                 state_key,
                 lambda: {
                     "next_transition": i + 1,
-                    "result": result,
+                    "result": result.without_timings(),
                     "designers": {
                         name: designer_state(d) for name, d in designers.items()
                     },

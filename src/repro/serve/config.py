@@ -1,7 +1,7 @@
 """`ServeConfig` — the streaming half of the configuration split.
 
 :class:`repro.api.RunConfig` stays the *batch core*: workload, engine,
-scale, designer search effort, backend, observability.  Everything that
+scale, designer search effort, backend, checkpointing.  Everything that
 only exists once queries arrive continuously lives here — where the
 stream comes from, how long the sliding window is, which policy decides
 to re-design, and how often the daemon swaps and checkpoints.  A serving
@@ -9,13 +9,13 @@ session is always the pair ``(RunConfig, ServeConfig)``; there is no
 second configuration path (`docs/serving.md`).
 
 Fields defaulting to ``None`` inherit the session's ``RunConfig`` value
-(``window_days``, the checkpoint trio) or a derived default
-(``threshold`` → the context's default Γ for the workload).
+(``window_days``, ``checkpoint_path``) or a derived default
+(``threshold`` → the context's default Γ for the workload).  The
+checkpoint cadence and ``resume`` are always the run config's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,19 +79,10 @@ class ServeConfig:
         atomicity tests and the resume bit-identity diffs need it;
         long-lived daemons can turn it off.  Part of the run key: a
         snapshot resumes only with the setting that wrote it.
-    history_limit:
-        How many recent queries to retain as the perturbation pool for
-        background re-designs (0 disables pool seeding).
-    monitor_log_limit:
-        Retention bound on the drift monitor's in-memory reading/alarm
-        logs (and hence on their share of every checkpoint).  Lifetime
-        totals are tracked separately, so the outcome counts are exact
-        regardless of the bound.  ``None`` keeps every entry (the
-        pre-bound behavior — checkpoints grow with stream length).
-    checkpoint_path / checkpoint_every / resume:
-        Crash-safety knobs; each ``None`` inherits the run config's
-        value.  ``checkpoint_every`` counts *window boundaries* between
-        durable snapshots (swaps always checkpoint).
+    checkpoint_path:
+        Snapshot file (``None`` inherits the run config's).  The run
+        config's ``checkpoint_every`` counts *window boundaries* between
+        durable snapshots here (swaps always checkpoint).
     """
 
     source: QuerySource | str | None = None
@@ -106,11 +97,7 @@ class ServeConfig:
     max_queries: int | None = None
     drain: bool = True
     record_queries: bool = True
-    history_limit: int = 4000
-    monitor_log_limit: int | None = 512
     checkpoint_path: str | Path | None = None
-    checkpoint_every: int | None = None
-    resume: bool | None = None
 
     def __post_init__(self):
         if not isinstance(self.designer, str) or not self.designer:
@@ -133,21 +120,11 @@ class ServeConfig:
             raise ValueError("redesign_timeout must be positive")
         if self.max_queries is not None and self.max_queries < 1:
             raise ValueError("max_queries must be >= 1")
-        if self.history_limit < 0:
-            raise ValueError("history_limit must be non-negative")
-        if self.monitor_log_limit is not None and self.monitor_log_limit < 1:
-            raise ValueError("monitor_log_limit must be positive (or None)")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if self.source is not None and not isinstance(self.source, (QuerySource, str)):
             raise TypeError(
                 "source must be a QuerySource, a spec string, or None, "
                 f"got {type(self.source).__name__}"
             )
-
-    def with_overrides(self, **overrides) -> "ServeConfig":
-        """A copy with ``overrides`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **overrides)
 
     def source_label(self) -> str:
         """A stable label for events and run keys."""

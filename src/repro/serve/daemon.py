@@ -72,6 +72,15 @@ from repro.workload.workload import Workload
 #: Checkpoint kind for daemon snapshots (docs/state.md kinds table).
 CHECKPOINT_KIND = "serve"
 
+#: Recent queries retained as the perturbation pool of background
+#: re-designs.
+HISTORY_LIMIT = 4000
+
+#: Retention bound on the drift monitor's in-memory reading/alarm logs
+#: (and hence on their share of every checkpoint).  Lifetime totals are
+#: tracked separately, so the outcome counts are exact whatever the bound.
+MONITOR_LOG_LIMIT = 512
+
 #: Per-re-design seed stride: each background re-design gets its own
 #: deterministic sampler stream (seed + stride * redesign_index), so a
 #: resumed daemon relaunching re-design *k* draws identical neighbors.
@@ -155,9 +164,10 @@ class PendingRedesign:
     started: float
     job: Future | None = None
     #: Inline (learner) re-designs finish at launch; their
-    #: ``(design, seconds)`` result rides in the checkpoint so a resumed
-    #: daemon installs the stored design instead of re-running the
-    #: learner (which would double-advance its model and RNG stream).
+    #: ``(design, seconds)`` result rides in the checkpoint (with the
+    #: seconds at 0) so a resumed daemon installs the stored design
+    #: instead of re-running the learner (which would double-advance
+    #: its model and RNG stream).
     result: tuple | None = None
 
 
@@ -319,7 +329,7 @@ class ServeDaemon:
             window_days=window_days,
             measure_every_days=max(window_days / 4.0, 1e-9),
             refractory_days=window_days,
-            max_log_entries=serve.monitor_log_limit,
+            max_log_entries=MONITOR_LOG_LIMIT,
         )
         # -- mutable run state (everything below is checkpointed) --------------
         #: The deployed design; its epoch is ``swaps``.
@@ -333,7 +343,7 @@ class ServeDaemon:
         self.redesigns_failed = 0
         self.design_window: Workload | None = None
         self.pending: PendingRedesign | None = None
-        self.history: deque[WorkloadQuery] = deque(maxlen=serve.history_limit)
+        self.history: deque[WorkloadQuery] = deque(maxlen=HISTORY_LIMIT)
         self.ledger: Ledger | None = Ledger() if serve.record_queries else None
         self.swaps = 0
         self.resumed = False
@@ -352,8 +362,8 @@ class ServeDaemon:
             serve.min_window_queries,
             serve.swap_mode,
             serve.max_queries,
-            serve.history_limit,
-            serve.monitor_log_limit,
+            HISTORY_LIMIT,
+            MONITOR_LOG_LIMIT,
             serve.record_queries,
         )
 
@@ -390,7 +400,11 @@ class ServeDaemon:
                 "window": query_columns(self.pending.window),
                 "task": _task_columns(self.pending.task),
                 "launch_position": self.pending.launch_position,
-                "result": self.pending.result,
+                # The design without its wall-clock seconds: a snapshot
+                # holds no timing (docs/state.md).
+                "result": None
+                if self.pending.result is None
+                else (self.pending.result[0], 0.0),
             },
             "learner": designer_state(self.learner)
             if self.learner is not None
@@ -428,7 +442,7 @@ class ServeDaemon:
         monitor["reference"] = _columns_window(monitor["reference"])
         self.monitor.restore(monitor)
         self.history = deque(
-            columns_queries(state["history"]), maxlen=self.serve.history_limit
+            columns_queries(state["history"]), maxlen=HISTORY_LIMIT
         )
         if self.ledger is not None:
             self.ledger = Ledger(*state["priced"])

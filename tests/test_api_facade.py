@@ -43,8 +43,8 @@ class TestRunConfig:
             {"legacy_tables": -1},
             {"max_transitions": 0},
             {"skip_transitions": -1},
-            {"budget_fraction": 0.0},
-            {"budget_fraction": 1.5},
+            {"window_days": 0},
+            {"queries_per_day": 0},
             {"backend": "gpu"},
             {"backend": 42},
             {"jobs": 0},
@@ -66,11 +66,11 @@ class TestRunConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.days = 10
 
-    def test_with_overrides_revalidates(self):
+    def test_replace_revalidates(self):
         config = RunConfig(days=196)
-        assert config.with_overrides(days=84).days == 84
+        assert dataclasses.replace(config, days=84).days == 84
         with pytest.raises(ValueError):
-            config.with_overrides(days=-1)
+            dataclasses.replace(config, days=-1)
 
     def test_scale_mapping(self):
         config = RunConfig(**TINY)
@@ -97,11 +97,13 @@ class TestSession:
 
         assert fingerprint() == fingerprint()
 
-    def test_overrides_via_kwargs(self):
-        session = RobustDesignSession(RunConfig(**TINY), seed=9)
-        assert session.config.seed == 9
-        session = RobustDesignSession(**TINY)
+    def test_config_is_the_only_form(self):
+        session = RobustDesignSession(RunConfig(**TINY))
         assert session.config.days == TINY["days"]
+        with pytest.raises(TypeError):
+            RobustDesignSession(**TINY)
+        with pytest.raises(TypeError):
+            RobustDesignSession(RunConfig(**TINY), seed=9)
 
     def test_designer_builds_from_registry(self):
         with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
@@ -161,19 +163,15 @@ class TestRegistry:
 
 
 class TestObservabilityKnobs:
-    def test_invalid_trace_path_and_metrics_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(trace_path=123)
-        with pytest.raises(ValueError):
-            RunConfig(metrics="not a registry")
-
-    def test_trace_path_writes_parseable_events(self, tmp_path):
+    def test_trace_to_writes_parseable_events(self, tmp_path):
         import json
 
+        from repro.obs import trace_to
+
         trace_path = tmp_path / "session.jsonl"
-        config = RunConfig(**TINY, backend="serial", trace_path=trace_path)
-        with RobustDesignSession(config) as session:
-            session.design()
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
+            with trace_to(trace_path):
+                session.design()
         events = [json.loads(line) for line in trace_path.read_text().splitlines()]
         names = [e["event"] for e in events]
         assert "design_start" in names and "design_finish" in names
@@ -181,15 +179,39 @@ class TestObservabilityKnobs:
         assert seqs == sorted(seqs)
 
     def test_metrics_registry_receives_costing_gauges(self):
-        from repro.obs import MetricsRegistry
+        from repro.obs import get_metrics
 
-        registry = MetricsRegistry()
-        config = RunConfig(**TINY, backend="serial", metrics=registry)
-        with RobustDesignSession(config) as session:
+        get_metrics().reset()
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
             session.design()
-        snap = registry.snapshot()
+        snap = get_metrics().snapshot()
         assert snap["costing.query_requests"] > 0
         assert snap["costing.raw_model_calls"] == snap["costing.query_requests"]
+
+    def test_replay_publishes_no_costing_gauges(self):
+        """A replay prices on services its cells own, so the session has
+        nothing of its own to publish — not even a design's stale
+        counters from an earlier call."""
+        from repro.obs import get_metrics
+
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
+            session.design()
+            get_metrics().reset()
+            session.replay(which=["NoDesign"])
+        assert get_metrics().snapshot().get("costing.query_requests", 0) == 0
+
+    def test_serve_publishes_into_one_registry(self):
+        """The daemon's ``serve.*`` metrics and the costing gauges of the
+        service it priced on land in the same registry."""
+        from repro.obs import get_metrics
+        from repro.serve import ServeConfig
+
+        get_metrics().reset()
+        with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
+            outcome = session.serve(ServeConfig(swap_mode="boundary", max_queries=60))
+        snap = get_metrics().snapshot()
+        assert snap["serve.ingested"] == outcome.position == 60
+        assert snap["costing.query_requests"] > 0
 
     def test_no_tracer_leaks_without_trace_path(self):
         from repro.obs import NULL_TRACER, tracer

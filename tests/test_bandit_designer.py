@@ -256,20 +256,17 @@ class TestServeLearner:
 
     @classmethod
     def daemon(cls):
-        import repro
-        from repro import RunConfig, ServeConfig
+        from repro import RobustDesignSession, RunConfig, ServeConfig
 
-        session = repro.serve_session(
-            RunConfig(**cls.TINY),
+        return RobustDesignSession(RunConfig(**cls.TINY)).daemon(
             ServeConfig(
                 designer="BanditDesigner",
                 policy="periodic",
                 every=1,
                 swap_mode="boundary",
                 min_window_queries=1,
-            ),
+            )
         )
-        return session.daemon()
 
     @staticmethod
     def normalize(outcome):

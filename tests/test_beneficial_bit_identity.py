@@ -28,11 +28,10 @@ from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import beneficial_queries, replay
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.serve.sources import TraceSource
-from repro.workload.families import htap_profile
-from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.windows import split_windows
 from repro.workload.workload import Workload
+from tests.corpus import small_star, star_pool
 
 SUBSTRATES = {
     "columnar": (ColumnarCostModel, ColumnarAdapter, ColumnarNominalDesigner),
@@ -98,18 +97,6 @@ class _Muted:
 
 
 @lru_cache(maxsize=None)
-def _schema():
-    return build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
-
-
-@lru_cache(maxsize=None)
 def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
     """``(sqls, muted)``: 40-odd distinct statements of one family.
 
@@ -117,13 +104,7 @@ def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
     for go first, so every substrate's draw has own-candidate rows to
     tell apart.
     """
-    schema, roles = _schema()
-    if family == "htap":
-        profile = htap_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
-    else:
-        profile = r1_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
-    distinct = list(dict.fromkeys(q.sql for q in trace))
+    schema, distinct = star_pool("htap" if family == "htap" else "r1", queries_per_day=8)
     designers = [
         designer_cls(adapter_cls(model_cls(schema)))
         for model_cls, adapter_cls, designer_cls in SUBSTRATES.values()
@@ -149,7 +130,7 @@ def _pool(family: str) -> tuple[tuple[str, ...], frozenset[str]]:
 
 def _stack(substrate: str, muted=()):
     model_cls, adapter_cls, designer_cls = SUBSTRATES[substrate]
-    schema, _ = _schema()
+    schema, _ = small_star()
     adapter = adapter_cls(model_cls(schema))
     return adapter, _Muted(designer_cls(adapter), muted)
 

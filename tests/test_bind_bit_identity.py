@@ -53,9 +53,9 @@ from repro.engine.projection import Projection, SortColumn
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.workload.families import htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.workload import Workload
+from tests.corpus import star_pool
 
 SUBSTRATES = ("columnar", "rowstore")
 MIXES = ("r1", "htap")
@@ -384,26 +384,11 @@ def _hostile_structures(substrate: str) -> list:
 
 
 @lru_cache(maxsize=None)
-def _schema():
-    return build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
-
-
-@lru_cache(maxsize=None)
 def _pool(substrate: str, mix: str):
     """``(kernel, oracle kernel, profiles, structures)`` — 16 profiles
     and 18-odd structures, so subsets are two small bit masks."""
-    schema, roles = _schema()
-    family = htap_profile if mix == "htap" else r1_profile
-    trace_profile = family(queries_per_day=6, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, trace_profile, seed=9).generate(days=30)
-    sqls = list(dict.fromkeys(q.sql for q in trace))[:12] + list(HOSTILE_SQL)
+    schema, sqls = star_pool(mix, limit=12)
+    sqls += HOSTILE_SQL
     if substrate == "columnar":
         model = ColumnarCostModel(schema)
         nominal = ColumnarNominalDesigner(ColumnarAdapter(model))

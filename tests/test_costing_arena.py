@@ -37,28 +37,15 @@ from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.workload.families import htap_profile
-from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
+from tests.corpus import star_pool
 
 SUBSTRATES = ("columnar", "rowstore")
 
 
-@lru_cache(maxsize=None)
 def _environment(mix: str = "r1"):
-    schema, roles = build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
-    family = htap_profile if mix == "htap" else r1_profile
-    profile = family(queries_per_day=6, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
-    sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
+    schema, sqls = star_pool(mix, limit=14)
     assert len(sqls) >= 6
     return schema, sqls
 

@@ -31,28 +31,17 @@ from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.index import Index
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.workload.distance import WorkloadDistance
-from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.workload import Workload
+from tests.corpus import star_pool
 
 SUBSTRATES = ("columnar", "rowstore")
 
 
-@lru_cache(maxsize=1)
 def _environment():
     """A small star schema plus a pool of distinct trace queries."""
-    schema, roles = build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
-    profile = r1_profile(queries_per_day=6, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
-    sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
+    schema, sqls = star_pool("r1", limit=14)
     assert len(sqls) >= 6
     return schema, sqls
 

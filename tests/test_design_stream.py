@@ -32,10 +32,9 @@ from repro.designers.greedy import CandidateEvaluation, greedy_select
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.rowstore.optimizer import RowstoreCostModel
-from repro.workload.families import htap_profile
-from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
+from tests.corpus import star_pool
 
 SUBSTRATES = ("columnar", "rowstore")
 #: Read-only (R1) and mixed read/write (HTAP) query pools: maintenance
@@ -43,23 +42,10 @@ SUBSTRATES = ("columnar", "rowstore")
 MIXES = ("read", "htap")
 
 
-@lru_cache(maxsize=None)
 def _environment(mix: str):
-    schema, roles = build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
     if mix == "read":
-        profile = r1_profile(queries_per_day=6, topic_count=2, templates_per_topic=3)
-    else:
-        profile = htap_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
-    sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
-    return schema, sqls
+        return star_pool("r1", limit=14)
+    return star_pool("htap", queries_per_day=8, limit=14)
 
 
 @lru_cache(maxsize=None)

@@ -44,24 +44,14 @@ from repro.workload.generator import TraceGenerator, build_star_schema, s2_profi
 from repro.workload.monitor import WorkloadMonitor
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
+from tests.corpus import star_pool
 
 SUBSTRATES = ("columnar", "rowstore")
 
 
-@lru_cache(maxsize=1)
 def _environment():
     """A small star schema plus a pool of distinct mixed-DML queries."""
-    schema, roles = build_star_schema(
-        fact_tables=2,
-        fact_rows=200_000,
-        fact_attributes=10,
-        legacy_tables=2,
-        legacy_columns=3,
-        seed=7,
-    )
-    profile = htap_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
-    trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=30)
-    sqls = list(dict.fromkeys(q.sql for q in trace))[:14]
+    schema, sqls = star_pool("htap", queries_per_day=8, limit=14)
     kinds = {type(parse(sql)) for sql in sqls}
     assert SelectStatement in kinds, "pool must mix reads with writes"
     assert kinds - {SelectStatement}, "pool must contain at least one write"
@@ -528,10 +518,18 @@ class TestBoundedMonitor:
         assert clone._vectors == {}
         assert clone.template_vector() == workload.template_vector()
 
-    def test_serve_config_validates_monitor_log_limit(self):
-        assert ServeConfig().monitor_log_limit == 512
-        with pytest.raises(ValueError):
-            ServeConfig(monitor_log_limit=0)
+    def test_serve_daemon_bounds_its_monitor_log(self):
+        from repro.api import RobustDesignSession, RunConfig
+        from repro.serve.daemon import MONITOR_LOG_LIMIT
+
+        session = RobustDesignSession(
+            RunConfig(
+                workload="HTAP", days=14, window_days=7, queries_per_day=4,
+                n_samples=2, iterations=1, legacy_tables=2, backend=None, gamma=0.003,
+            )
+        )
+        daemon = session.daemon(ServeConfig())
+        assert daemon.monitor.max_log_entries == MONITOR_LOG_LIMIT == 512
 
 
 # -- workload families ------------------------------------------------------------

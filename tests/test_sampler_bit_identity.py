@@ -37,7 +37,6 @@ from repro.sql.formatter import format_statement
 from repro.sql.parser import parse
 from repro.workload import sampler as sampler_module
 from repro.workload.distance import WorkloadDistance
-from repro.workload.families import ecommerce_profile, htap_profile
 from repro.workload.generator import TraceGenerator, build_star_schema, r1_profile
 from repro.workload.query import WorkloadQuery
 from repro.workload.sampler import (
@@ -48,6 +47,7 @@ from repro.workload.sampler import (
 )
 from repro.workload.windows import split_windows
 from repro.workload.workload import Workload
+from tests.corpus import small_star, star_trace
 
 # -- the oracle: the text-level chain, as it was before the AST chain ----------------
 
@@ -235,13 +235,8 @@ def environment(family: str) -> Environment:
         profile = r1_profile(queries_per_day=8, topic_count=3, templates_per_topic=4)
         trace = TraceGenerator(schema, roles, profile, seed=5).generate(days=70)
     else:  # htap, and ecommerce (insert / update / delete at 25 / 10 / 5 %)
-        schema, roles = build_star_schema(
-            fact_tables=2, fact_rows=200_000, fact_attributes=10,
-            legacy_tables=2, legacy_columns=3, seed=7,
-        )
-        family_profile = htap_profile if family == "htap" else ecommerce_profile
-        profile = family_profile(queries_per_day=8, topic_count=2, templates_per_topic=3)
-        trace = TraceGenerator(schema, roles, profile, seed=9).generate(days=70)
+        schema = small_star()[0]
+        trace = list(star_trace(family, queries_per_day=8, days=70))
     base = split_windows(trace, 28)[1]
     affinity = ColumnAffinity()
     affinity.observe(trace)

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
-from repro import RunConfig, ServeConfig, TraceSource
+import repro.serve.daemon as daemon_module
+from repro import RobustDesignSession, RunConfig, ServeConfig, TraceSource
 from repro.serve.daemon import Ledger, PricedQuery
 from repro.state import CheckpointMismatchError, RunCheckpointer, SimulatedCrash
 from repro.state.capture import columns_queries, query_columns
@@ -117,7 +117,7 @@ def cycled_session(**serve):
         workload="R1", days=28, window_days=1, queries_per_day=4, n_samples=2,
         iterations=1, legacy_tables=2, backend=None,
     )
-    session = repro.serve_session(run, ServeConfig())
+    session = RobustDesignSession(run)
     texts = [query.sql for query in session.context.trace("R1")[:CYCLE]]
     trace = [
         WorkloadQuery(texts[i % CYCLE], timestamp=i / PER_DAY) for i in range(17 * PER_DAY)
@@ -128,7 +128,6 @@ def cycled_session(**serve):
         swap_mode="boundary",
         # Never enough queries for a re-design: nothing but ingest runs.
         min_window_queries=10**9,
-        history_limit=40,
         **serve,
     )
     return session, session.daemon(config)
@@ -144,7 +143,8 @@ def test_ingest_leaves_the_profiler_memo_alone(tmp_path):
     assert len(memo) == before
 
 
-def test_snapshot_without_its_ledger_does_not_grow(tmp_path):
+def test_snapshot_without_its_ledger_does_not_grow(tmp_path, monkeypatch):
+    monkeypatch.setattr(daemon_module, "HISTORY_LIMIT", 40)
     sizes = []
 
     class Measuring(RunCheckpointer):

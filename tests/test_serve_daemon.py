@@ -21,9 +21,8 @@ import time
 
 import pytest
 
-import repro
 import repro.serve.daemon as daemon_module
-from repro import QueueSource, RunConfig, ServeConfig, TraceSource
+from repro import QueueSource, RobustDesignSession, RunConfig, ServeConfig, TraceSource
 from repro.obs import RunTracer, set_tracer
 from repro.parallel import SerialBackend, ThreadBackend
 from repro.parallel.backends import settled
@@ -42,12 +41,16 @@ TINY = dict(
 )
 
 
-def tiny_session(serve=None, **overrides):
-    run = RunConfig(**{**TINY, **overrides})
-    cfg = ServeConfig(swap_mode="boundary", min_window_queries=4)
-    if serve:
-        cfg = cfg.with_overrides(**serve)
-    return repro.serve_session(run, cfg)
+def tiny_session(**overrides):
+    return RobustDesignSession(RunConfig(**{**TINY, **overrides}))
+
+
+def tiny_config(**serve):
+    return ServeConfig(**{"swap_mode": "boundary", "min_window_queries": 4, **serve})
+
+
+def tiny_serve(serve=None, **overrides):
+    return tiny_session(**overrides).serve(tiny_config(**(serve or {})))
 
 
 # -- the background re-design handle ---------------------------------------------
@@ -120,7 +123,7 @@ def check_invariants(outcome):
 
 class TestServeEndToEnd:
     def test_online_redesigns_and_swaps(self):
-        outcome = tiny_session().serve()
+        outcome = tiny_serve()
         assert outcome.position == 280
         assert outcome.windows >= 3
         assert outcome.triggers >= 1
@@ -137,13 +140,13 @@ class TestServeEndToEnd:
         assert 0 in epochs and len(epochs) >= 2
 
     def test_queue_source_matches_trace_source(self):
-        traced = tiny_session().serve()
+        traced = tiny_serve()
         source = QueueSource()
-        session = tiny_session(serve=dict(source=source))
+        session = tiny_session()
         for query in session.context.trace("R1"):
             source.put_nowait(query)
         source.close()
-        queued = session.serve()
+        queued = session.serve(tiny_config(source=source))
         check_invariants(queued)
         assert queued.position == traced.position
         assert queued.swaps == traced.swaps
@@ -153,33 +156,33 @@ class TestServeEndToEnd:
         ]
 
     def test_thread_backend_boundary_mode_is_deterministic(self):
-        serial = tiny_session().serve()
-        threaded = tiny_session(backend="thread", jobs=2).serve()
+        serial = tiny_serve()
+        threaded = tiny_serve(backend="thread", jobs=2)
         check_invariants(threaded)
         assert threaded.final_design_digest == serial.final_design_digest
         assert threaded.swaps == serial.swaps
 
     def test_process_backend_end_to_end(self):
-        outcome = tiny_session(backend="process", jobs=2).serve()
+        outcome = tiny_serve(backend="process", jobs=2)
         check_invariants(outcome)
         assert outcome.swaps >= 1
         # Boundary mode: the background process lands on the same design
         # as the serial run (the task tuple fully determines the result).
-        assert outcome.final_design_digest == tiny_session().serve().final_design_digest
+        assert outcome.final_design_digest == tiny_serve().final_design_digest
 
     def test_periodic_policy_fires_every_window(self):
-        outcome = tiny_session(serve=dict(policy="periodic", every=1)).serve()
+        outcome = tiny_serve(serve=dict(policy="periodic", every=1))
         check_invariants(outcome)
         assert outcome.triggers == outcome.windows
         assert outcome.swaps >= 1
 
     def test_max_queries_stops_early(self):
-        outcome = tiny_session(serve=dict(max_queries=100)).serve()
+        outcome = tiny_serve(serve=dict(max_queries=100))
         assert outcome.position == 100
         check_invariants(outcome)
 
     def test_record_queries_off_drops_the_log(self):
-        outcome = tiny_session(serve=dict(record_queries=False)).serve()
+        outcome = tiny_serve(serve=dict(record_queries=False))
         assert outcome.priced is None
         assert outcome.dropped == 0
 
@@ -191,9 +194,9 @@ class TestServeEndToEnd:
         from repro.obs import get_metrics
         from repro.workload.query import WorkloadQuery
 
-        clean = tiny_session().serve()
+        clean = tiny_serve()
         source = QueueSource()
-        session = tiny_session(serve=dict(source=source))
+        session = tiny_session()
         trace = list(session.context.trace("R1"))
         middle = len(trace) // 2
         stamp = trace[middle - 1].timestamp
@@ -206,7 +209,7 @@ class TestServeEndToEnd:
             source.put_nowait(query)
         source.close()
         get_metrics().reset()
-        outcome = session.serve()
+        outcome = session.serve(tiny_config(source=source))
         assert outcome.position == len(trace)
         assert outcome.dropped == 0
         assert [p.position for p in outcome.priced if p.cost_ms is None] == [middle, middle + 1]
@@ -224,7 +227,7 @@ class TestServeEndToEnd:
 
         path = str(tmp_path / "serve.sock")
         source = SocketSource(path=path)
-        session = tiny_session(serve=dict(source=source))
+        session = tiny_session()
         good = [encode_query(query) for query in session.context.trace("R1")[:40]]
         poisoned = json.dumps({"sql": "SELECT fact_00.attr_00 FROM fact_00", "timestamp": float("nan")})
         lines = [*good[:20], poisoned, *good[20:], encode_control()]
@@ -247,7 +250,7 @@ class TestServeEndToEnd:
         feeder = threading.Thread(target=feed)
         feeder.start()
         try:
-            outcome = session.serve()
+            outcome = session.serve(tiny_config(source=source))
         finally:
             feeder.join()
         assert source.protocol_errors == 1
@@ -265,7 +268,7 @@ class TestServeEndToEnd:
         from repro.obs import get_metrics
 
         source = QueueSource()
-        session = tiny_session(serve=dict(source=source))
+        session = tiny_session()
         trace = list(session.context.trace("R1"))
         late = len(trace) // 2
         trace[late] = replace(trace[late], timestamp=trace[late - 1].timestamp - 0.5)
@@ -273,7 +276,7 @@ class TestServeEndToEnd:
             source.put_nowait(query)
         source.close()
         get_metrics().reset()
-        outcome = session.serve()
+        outcome = session.serve(tiny_config(source=source))
         assert outcome.position == len(trace)
         assert outcome.dropped == 0
         assert get_metrics().snapshot()["serve.late"] == 1
@@ -305,7 +308,7 @@ class TestOneThread:
 
         monkeypatch.setattr(daemon_class, "_price", traced_price)
         monkeypatch.setattr(daemon_class, "_finish_pending", traced_finish)
-        outcome = tiny_session(backend=backend, jobs=2).serve()
+        outcome = tiny_serve(backend=backend, jobs=2)
         check_invariants(outcome)
         assert len(pricings) == outcome.position
         assert len(swaps) == outcome.swaps >= 1
@@ -332,7 +335,7 @@ def _wedged_redesign(task):
 class TestDegradation:
     def test_crashed_redesign_keeps_the_old_design_serving(self, monkeypatch):
         monkeypatch.setattr(daemon_module, "_redesign_task", _failing_redesign)
-        outcome = tiny_session().serve()
+        outcome = tiny_serve()
         # Every trigger launched, every launch failed, nothing swapped —
         # and ingestion never stalled.
         assert outcome.redesigns_launched >= 1
@@ -349,11 +352,11 @@ class TestDegradation:
         # drain=False: whatever is still in flight at stream end is
         # cancelled, not awaited — a too-slow re-design must never block
         # shutdown (nor ever swap in).
-        outcome = tiny_session(
+        outcome = tiny_serve(
             backend="thread",
             jobs=1,
             serve=dict(swap_mode="async", redesign_timeout=0.05, drain=False),
-        ).serve()
+        )
         assert outcome.redesigns_failed >= 1
         assert outcome.swaps == 0
         assert outcome.dropped == 0
@@ -368,9 +371,9 @@ class TestDegradation:
         previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
         started = time.perf_counter()
         try:
-            outcome = tiny_session(
+            outcome = tiny_serve(
                 backend="thread", jobs=1, serve=dict(redesign_timeout=0.2)
-            ).serve()
+            )
         finally:
             set_tracer(previous)
         wall = time.perf_counter() - started
@@ -393,7 +396,7 @@ class TestServeEvents:
         buffer = io.StringIO()
         previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
         try:
-            tiny_session().serve()
+            tiny_serve()
         finally:
             set_tracer(previous)
         return [json.loads(line) for line in buffer.getvalue().splitlines()]
@@ -432,7 +435,7 @@ class TestServeEvents:
         buffer = io.StringIO()
         previous = set_tracer(RunTracer(buffer, clock=lambda: 0.0))
         try:
-            tiny_session().serve()
+            tiny_serve()
         finally:
             set_tracer(previous)
         events = [json.loads(line) for line in buffer.getvalue().splitlines()]
@@ -445,7 +448,7 @@ class TestServeEvents:
         from repro.obs import get_metrics
 
         get_metrics().reset()
-        outcome = tiny_session().serve()
+        outcome = tiny_serve()
         snapshot = get_metrics().snapshot()
         assert snapshot["serve.ingested"] == outcome.position
         assert snapshot["serve.windows"] == outcome.windows

@@ -21,8 +21,7 @@ import sys
 
 import pytest
 
-import repro
-from repro import RunConfig, ServeConfig
+from repro import RobustDesignSession, RunConfig, ServeConfig
 from repro.state import RunCheckpointer, SimulatedCrash
 
 # 56 days / 14-day windows: 3 interior boundaries, at least one online
@@ -45,10 +44,9 @@ CLI_SCALE = [
 
 
 def tiny_daemon():
-    session = repro.serve_session(
-        RunConfig(**TINY), ServeConfig(swap_mode="boundary", min_window_queries=4)
+    return RobustDesignSession(RunConfig(**TINY)).daemon(
+        ServeConfig(swap_mode="boundary", min_window_queries=4)
     )
-    return session.daemon()
 
 
 def normalize(outcome):
@@ -144,11 +142,9 @@ class TestCheckpointSize:
         256 in one byte and one below 65 536 in two."""
         sizes = []
         for count in (200, 2_000):
-            session = repro.serve_session(
-                RunConfig(**{**TINY, "queries_per_day": 40}),
-                ServeConfig(swap_mode="boundary", min_window_queries=4, max_queries=count),
+            daemon = RobustDesignSession(RunConfig(**{**TINY, "queries_per_day": 40})).daemon(
+                ServeConfig(swap_mode="boundary", min_window_queries=4, max_queries=count)
             )
-            daemon = session.daemon()
             daemon.checkpointer = RunCheckpointer(tmp_path / f"q{count}")
             assert daemon.run().position == count
             state = RunCheckpointer(tmp_path / f"q{count}", resume=True).load(

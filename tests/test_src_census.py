@@ -12,11 +12,18 @@ Everything else is only reached by its own tests and should go, together
 with those tests — unless it is listed in :data:`ALLOWED` with the reason
 it stays.  The scan is by name, so it is lenient: a name shared with
 another definition (``describe``, ``design``) counts as used.
+
+The same rule holds for configuration knobs: a ``RunConfig`` or
+``ServeConfig`` field stays only if code in ``src/``, ``benchmarks/`` or
+``examples/`` sets it — as a keyword of a call to the config, or of a
+call to a helper that forwards its ``**kwargs`` into one — unless it is
+listed in :data:`KNOBS_ALLOWED` with the reason it stays.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -98,3 +105,101 @@ def test_allowlist_is_current():
     """An allowed name that gained a caller, or was deleted, leaves."""
     stale = sorted(set(ALLOWED) - _unreached())
     assert not stale, f"no longer unreached, drop from ALLOWED: {stale}"
+
+
+# -- configuration knobs -------------------------------------------------------------
+
+#: Config fields only tests set, kept on purpose: ``Config.field`` -> why.
+KNOBS_ALLOWED = {
+    "ServeConfig.designer": (
+        "selects the online-learner serve path (BanditDesigner; "
+        "docs/designers.md, ROADMAP 2-b)"
+    ),
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _config_fields() -> dict[str, list[str]]:
+    from repro.api import RunConfig
+    from repro.serve.config import ServeConfig
+
+    return {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in (RunConfig, ServeConfig)
+    }
+
+
+def _set_knobs() -> set[str]:
+    """``Config.field`` for every field code outside ``tests/`` sets."""
+    fields = _config_fields()
+    trees = [
+        ast.parse(path.read_text())
+        for folder in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    #: callee name -> the config its keywords set: the configs, and every
+    #: function that passes its own ``**kwargs`` on to one of them.
+    targets = {name: name for name in fields}
+    grown = True
+    while grown:
+        grown = False
+        for tree in trees:
+            for function in ast.walk(tree):
+                if (
+                    not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or function.args.kwarg is None
+                    or function.name in targets
+                ):
+                    continue
+                forwarded = function.args.kwarg.arg
+                for call in ast.walk(function):
+                    if isinstance(call, ast.Call) and _callee(call) in targets and any(
+                        keyword.arg is None
+                        and isinstance(keyword.value, ast.Name)
+                        and keyword.value.id == forwarded
+                        for keyword in call.keywords
+                    ):
+                        targets[function.name] = targets[_callee(call)]
+                        grown = True
+                        break
+    knobs = set()
+    for call in calls:
+        config = targets.get(_callee(call))
+        if config is None:
+            continue
+        knobs.update(f"{config}.{k.arg}" for k in call.keywords if k.arg is not None)
+        if _callee(call) == config:
+            knobs.update(f"{config}.{name}" for name in fields[config][: len(call.args)])
+    return knobs
+
+
+def _unset_knobs() -> set[str]:
+    knobs = _set_knobs()
+    return {
+        f"{config}.{name}"
+        for config, names in _config_fields().items()
+        for name in names
+        if f"{config}.{name}" not in knobs
+    }
+
+
+def test_every_config_field_has_a_setter():
+    stray = sorted(_unset_knobs() - set(KNOBS_ALLOWED))
+    assert not stray, (
+        "only tests set these config fields; delete them or list them in "
+        "KNOBS_ALLOWED with a reason:\n  " + "\n  ".join(stray)
+    )
+
+
+def test_knob_allowlist_is_current():
+    """An allowed field that gained a setter, or was deleted, leaves."""
+    stale = sorted(set(KNOBS_ALLOWED) - _unset_knobs())
+    assert not stale, f"set outside tests or gone, drop from KNOBS_ALLOWED: {stale}"

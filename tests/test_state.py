@@ -620,6 +620,59 @@ def test_costing_export_carries_counters_but_no_wall_clock(tiny_star, tiny_windo
         assert resumed.costing.stats == replace(stats, eval_seconds=0.5)
 
 
+# -- no snapshot holds a wall-clock value ------------------------------------------
+
+_SAME_SEED = dict(
+    workload="R1", days=56, window_days=14, queries_per_day=4, n_samples=2,
+    iterations=1, legacy_tables=5, max_transitions=2, skip_transitions=1, seed=2,
+)
+
+
+_SAVE = RunCheckpointer.save
+
+
+def _snapshots(monkeypatch, kind: str, path) -> list[bytes]:
+    """The bytes of every snapshot one same-seed run writes to ``path``."""
+    from repro import RobustDesignSession, RunConfig, ServeConfig
+
+    written: list[bytes] = []
+
+    def recording(self, *args):
+        _SAVE(self, *args)
+        written.append(self.path.read_bytes())
+
+    monkeypatch.setattr(RunCheckpointer, "save", recording)
+    backend = "serial" if kind == "replay-cells" else None
+    config = RunConfig(**_SAME_SEED, backend=backend, checkpoint_path=path)
+    with RobustDesignSession(config) as session:
+        if kind == "design":
+            session.design()
+        elif kind.startswith("replay"):
+            session.replay(which=["ExistingDesigner", "CliffGuard"])
+        else:
+            # An online learner designs inline at launch; its result
+            # waits in the snapshots until the next boundary swaps it in.
+            session.serve(
+                ServeConfig(
+                    designer="BanditDesigner", policy="periodic",
+                    swap_mode="boundary", min_window_queries=1,
+                )
+            )
+    return written
+
+
+@pytest.mark.parametrize("kind", ["design", "replay", "replay-cells", "serve"])
+def test_no_snapshot_holds_a_wall_clock_value(tmp_path, monkeypatch, kind):
+    """Two same-seed runs write the same bytes at every boundary: each
+    timing (``eval_seconds``, ``nominal_wall_seconds``, a replay's
+    ``design_seconds``, a learner's re-design seconds) is pickled as 0
+    and kept in the live result only (docs/state.md)."""
+    first = _snapshots(monkeypatch, kind, tmp_path / "first.ckpt")
+    second = _snapshots(monkeypatch, kind, tmp_path / "second.ckpt")
+    assert len(first) >= 2
+    assert first == second
+
+
 # -- snapshot bytes do not depend on the string-hash seed ---------------------------
 
 #: Run in a child process under a given ``PYTHONHASHSEED``; prints the
@@ -665,7 +718,7 @@ config = RunConfig(
     iterations=1, legacy_tables=5, backend=None, seed=1,
 )
 serve = ServeConfig(swap_mode="boundary", min_window_queries=4)
-daemon = repro.serve_session(config, serve).daemon()
+daemon = repro.RobustDesignSession(config).daemon(serve)
 path = Path(tempfile.mkdtemp()) / "serve.ckpt"
 daemon.checkpointer = RunCheckpointer(path)
 daemon.run()
