@@ -347,18 +347,14 @@ class RobustDesignSession:
             checkpointer=self.checkpointer,
         )
 
-    def schedule(
-        self,
-        everies: tuple[int, ...] = (1, 2),
-        designers: tuple[str, ...] = ("ExistingDesigner", "CliffGuard"),
-    ) -> dict[tuple[str, int], ScheduleOutcome]:
-        """Re-design-frequency comparison (per-(designer, period) fan-out)."""
+    def schedule(self) -> dict[tuple[str, int], ScheduleOutcome]:
+        """Re-design-frequency comparison (per-(designer, period) fan-out):
+        ExistingDesigner and CliffGuard, re-designing every window and
+        every other window."""
         return run_schedule_comparison(
             self.context,
             self.config.workload,
             engine=self.config.engine,
-            everies=everies,
-            designers=designers,
             gamma=self.config.gamma,
             backend=self.backend,
             checkpointer=self.checkpointer,

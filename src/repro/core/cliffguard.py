@@ -90,6 +90,8 @@ class CliffGuard(Designer):
     """The robust designer (paper Algorithm 2)."""
 
     name = "CliffGuard"
+    #: The step size α of the first iteration (Algorithm 2's α₀).
+    initial_alpha = 1.0
 
     def __init__(
         self,
@@ -99,7 +101,6 @@ class CliffGuard(Designer):
         gamma: float,
         n_samples: int = 20,
         max_iterations: int = 5,
-        initial_alpha: float = 1.0,
         lambda_success: float = 5.0,
         lambda_failure: float = 0.5,
         worst_fraction: float = 1.0,
@@ -113,10 +114,6 @@ class CliffGuard(Designer):
             raise ValueError("n_samples must be at least 1")
         if max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if not 0 < initial_alpha < math.inf:
-            raise ValueError(
-                f"initial_alpha must be finite and positive, got {initial_alpha!r}"
-            )
         if min_worst < 1:
             raise ValueError("min_worst must be at least 1")
         if not 0 < worst_fraction <= 1:
@@ -135,7 +132,6 @@ class CliffGuard(Designer):
         self.gamma = gamma
         self.n_samples = n_samples
         self.max_iterations = max_iterations
-        self.initial_alpha = initial_alpha
         self.lambda_success = lambda_success
         self.lambda_failure = lambda_failure
         self.worst_fraction = worst_fraction

@@ -84,9 +84,10 @@ class BoundedMemo:
         self._entries.move_to_end(key)
         return value
 
-    def peek(self, key, default=None):
-        """The cached value *without* touching the LRU order."""
-        return self._entries.get(key, default)
+    def peek(self, key):
+        """The cached value (``None`` if absent) *without* touching the
+        LRU order."""
+        return self._entries.get(key)
 
     def __setitem__(self, key, value) -> None:
         self._entries[key] = value

@@ -21,7 +21,6 @@ from repro.sql.ast import (
     InPredicate,
     InsertStatement,
     PredicateType,
-    SelectStatement,
     Statement,
     UpdateStatement,
 )

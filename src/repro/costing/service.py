@@ -69,7 +69,7 @@ import numpy as np
 from repro.costing.kernel import StructureColumns, _write_fold_order, kernel_for
 from repro.costing.memo import BoundedMemo
 from repro.costing.report import WorkloadCostReport
-from repro.obs import MetricsRegistry, get_metrics, tracer
+from repro.obs import get_metrics, tracer
 
 #: Bound on the per-service workload-arena cache.  Arenas are per
 #: distinct query set — one per replay window or neighborhood pool — and
@@ -908,17 +908,17 @@ class CostEvaluationService:
                 )
             return base, matrix
 
-    def publish_metrics(self, registry: MetricsRegistry | None = None) -> None:
+    def publish_metrics(self) -> None:
         """Publish the cumulative :class:`CostServiceStats` (plus current
-        cache sizes) into a metrics registry (default: the process-wide
-        one; see :func:`repro.obs.get_metrics`).
+        cache sizes) into the process-wide metrics registry (see
+        :func:`repro.obs.get_metrics`).
 
         Counters are published as gauges because the service's stats are
         already cumulative — the registry mirrors the latest snapshot
         rather than double-accumulating.  ``python -m repro stats``
         renders the result.
         """
-        registry = registry if registry is not None else get_metrics()
+        registry = get_metrics()
         registry.gauge("costing.query_requests").set(self.stats.query_requests)
         registry.gauge("costing.raw_model_calls").set(self.stats.raw_model_calls)
         registry.gauge("costing.dedup_saved").set(self.stats.dedup_saved)

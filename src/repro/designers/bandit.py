@@ -57,11 +57,8 @@ from repro.workload.workload import Workload
 #: Feature dimension (bias, benefit, penalty, coverage, best-rel, size).
 FEATURE_DIM = 6
 
-#: Default exploration weight α on the confidence width.
-DEFAULT_ALPHA = 0.6
-
-#: Default ridge regularization λ (V starts as λ·I).
-DEFAULT_REGULARIZATION = 1.0
+#: Ridge regularization λ (V starts as λ·I).
+REGULARIZATION = 1.0
 
 #: Default safety margin: reject selections predicted to cost more than
 #: ``(1 + margin) ×`` the incumbent's predicted cost on the same window.
@@ -122,33 +119,25 @@ class BanditDesigner(Designer):
 
     name = "BanditDesigner"
     learns_online = True
+    #: Exploration weight α on the confidence width.
+    alpha = 0.6
 
     def __init__(
         self,
         nominal,
         adapter: DesignAdapter,
         *,
-        alpha: float = DEFAULT_ALPHA,
-        regularization: float = DEFAULT_REGULARIZATION,
         safety_margin: float = DEFAULT_SAFETY_MARGIN,
         seed: int = 0,
-        max_structures: int | None = None,
     ):
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if regularization <= 0:
-            raise ValueError("regularization must be positive")
         if safety_margin < 0:
             raise ValueError("safety_margin must be non-negative")
         self.nominal = nominal
         self.adapter = adapter
-        self.alpha = alpha
-        self.regularization = regularization
         self.safety_margin = safety_margin
-        self.max_structures = max_structures
         self.rng = np.random.default_rng(seed)
         # -- learner state (everything below is export_state-captured) ----
-        self.V = regularization * np.eye(FEATURE_DIM)
+        self.V = REGULARIZATION * np.eye(FEATURE_DIM)
         self.b = np.zeros(FEATURE_DIM)
         self.rounds = 0
         self.observations = 0
@@ -179,8 +168,6 @@ class BanditDesigner(Designer):
         for i in order:
             if scores[i] <= 0:
                 break  # positives sort before non-positives by density
-            if self.max_structures is not None and len(chosen) >= self.max_structures:
-                break
             if sizes[i] <= remaining:
                 chosen.append(int(i))
                 remaining -= float(sizes[i])

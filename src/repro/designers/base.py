@@ -162,7 +162,6 @@ class _NominalDesigner(Designer):
     """
 
     adapter: DesignAdapter
-    max_structures: int | None
 
     @abc.abstractmethod
     def generate_candidates(self, workload: Workload) -> list:
@@ -178,9 +177,7 @@ class _NominalDesigner(Designer):
         if not candidates:
             return self.adapter.empty_design()
         evaluation = evaluate_candidates(self.adapter, workload, candidates, self.scope)
-        chosen = greedy_select(
-            evaluation, self.adapter.budget_bytes, max_structures=self.max_structures
-        )
+        chosen = greedy_select(evaluation, self.adapter.budget_bytes)
         return self.adapter.make_design(chosen)
 
 

@@ -88,19 +88,8 @@ class ColumnarNominalDesigner(_NominalDesigner):
 
     name = "ExistingDesigner"
 
-    def __init__(
-        self,
-        adapter: ColumnarAdapter,
-        max_structures: int | None = None,
-        merge_radius: int = MERGE_RADIUS,
-    ):
-        if merge_radius < 0:
-            raise ValueError(f"merge_radius must be >= 0, got {merge_radius}")
-        if max_structures is not None and max_structures < 0:
-            raise ValueError(f"max_structures must be >= 0, got {max_structures}")
+    def __init__(self, adapter: ColumnarAdapter):
         self.adapter = adapter
-        self.max_structures = max_structures
-        self.merge_radius = merge_radius
 
     # -- candidate generation ------------------------------------------------------
 
@@ -227,7 +216,7 @@ class ColumnarNominalDesigner(_NominalDesigner):
         """Accumulate this access into a same-table column cluster.
 
         A query joins a cluster when its column set is close to the
-        cluster's (symmetric difference within :attr:`merge_radius`) and
+        cluster's (symmetric difference within :data:`MERGE_RADIUS`) and
         the union stays within :data:`MAX_MERGED_WIDTH`; a query that can
         join nowhere seeds a new cluster.  Per-column weights are tracked
         so emission can trim oversized unions back to the columns that
@@ -235,7 +224,7 @@ class ColumnarNominalDesigner(_NominalDesigner):
         """
         table_clusters = clusters.setdefault(access.table, [])
         for cluster in table_clusters:
-            if len(cluster["columns"] ^ access.needed_columns) > self.merge_radius:
+            if len(cluster["columns"] ^ access.needed_columns) > MERGE_RADIUS:
                 continue
             union = cluster["columns"] | access.needed_columns
             if len(union) <= MAX_MERGED_WIDTH:

@@ -24,6 +24,9 @@ from repro.workload.workload import Workload
 if TYPE_CHECKING:  # base.py imports this module for the nominal designers
     from repro.designers.base import DesignAdapter
 
+#: Greedy selection stops once the best affordable benefit is at most this.
+MIN_BENEFIT_MS = 1e-6
+
 
 @dataclass
 class CandidateEvaluation:
@@ -120,12 +123,7 @@ def evaluate_candidates(
     )
 
 
-def greedy_select(
-    evaluation: CandidateEvaluation,
-    budget_bytes: int,
-    max_structures: int | None = None,
-    min_benefit_ms: float = 1e-6,
-) -> list:
+def greedy_select(evaluation: CandidateEvaluation, budget_bytes: int) -> list:
     """Greedy benefit-per-byte selection under a byte budget.
 
     Returns the chosen candidate structures, in pick order.  The marginal
@@ -136,7 +134,7 @@ def greedy_select(
     rounded, so the value does not depend on the order of the queries.
     Each pick takes the affordable candidate of highest
     ``benefit / max(size, 1)``, the lower candidate index on a tie, and
-    selection stops when that benefit is at most ``min_benefit_ms``.
+    selection stops when that benefit is at most :data:`MIN_BENEFIT_MS`.
     Weights must be finite and non-negative (they are query frequencies).
 
     The loop is lazy: a pick only lowers ``current``, so a benefit can
@@ -179,7 +177,7 @@ def greedy_select(
     heap = [(-(b / max(s, 1.0)), c, 0) for c, (b, s) in enumerate(zip(benefits, sizes))]
     heapq.heapify(heap)
     chosen: list[int] = []
-    while heap and (max_structures is None or len(chosen) < max_structures):
+    while heap:
         _, c, priced_at = heap[0]
         if sizes[c] > remaining:
             heapq.heappop(heap)  # the budget only shrinks
@@ -188,7 +186,7 @@ def greedy_select(
             benefits[c] = fresh = benefit_of(c)
             heapq.heapreplace(heap, (-(fresh / max(sizes[c], 1.0)), c, len(chosen)))
             continue
-        if benefits[c] <= min_benefit_ms:
+        if benefits[c] <= MIN_BENEFIT_MS:
             break
         heapq.heappop(heap)
         chosen.append(c)

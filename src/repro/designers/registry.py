@@ -26,9 +26,9 @@ from repro.workload.sampler import NeighborhoodSampler
 _FACTORIES: "OrderedDict[str, Callable]" = OrderedDict()
 
 
-def register(name: str, factory: Callable, replace: bool = False) -> None:
+def register(name: str, factory: Callable) -> None:
     """Register ``factory`` under ``name`` (appended to display order)."""
-    if name in _FACTORIES and not replace:
+    if name in _FACTORIES:
         raise ValueError(f"designer {name!r} is already registered")
     _FACTORIES[name] = factory
 
@@ -175,12 +175,7 @@ def _bandit(adapter, nominal, gamma, make_sampler, **cfg):
     # exploration lives in the UCB width, not in workload perturbation.
     from repro.designers.bandit import BanditDesigner
 
-    kwargs = {
-        key[len("bandit_"):]: value
-        for key, value in cfg.items()
-        if key.startswith("bandit_")
-    }
-    return BanditDesigner(nominal, adapter, **kwargs), None
+    return BanditDesigner(nominal, adapter), None
 
 
 register("NoDesign", _no_design)

@@ -167,15 +167,11 @@ class RowstoreNominalDesigner(_NominalDesigner):
         self,
         adapter: RowstoreAdapter,
         compression_radius: int = COMPRESSION_RADIUS,
-        max_structures: int | None = None,
     ):
         if compression_radius < 0:
             raise ValueError(f"compression_radius must be >= 0, got {compression_radius}")
-        if max_structures is not None and max_structures < 0:
-            raise ValueError(f"max_structures must be >= 0, got {max_structures}")
         self.adapter = adapter
         self.compression_radius = compression_radius
-        self.max_structures = max_structures
 
     # -- candidate generation -------------------------------------------------------
 

@@ -384,10 +384,9 @@ def run_table1(context: ExperimentContext) -> list[Table1Row]:
 def run_fig5(
     context: ExperimentContext,
     window_sizes: tuple[int, ...] = (7, 14, 21, 28),
-    workload: str = "R1",
 ) -> dict[int, list[tuple[int, float]]]:
-    """Shared-template fraction vs window lag, per window size."""
-    trace = context.trace(workload)
+    """Shared-template fraction vs window lag, per window size, on R1."""
+    trace = context.trace("R1")
     curves: dict[int, list[tuple[int, float]]] = {}
     for window_days in window_sizes:
         windows = split_windows(trace, window_days)
@@ -409,23 +408,21 @@ def run_fig5(
 
 def run_fig6(
     context: ExperimentContext,
-    workload: str = "R1",
     n_probes: int = 8,
     anchors: int = 3,
-    repeats: int = 3,
 ) -> list[tuple[float, float]]:
-    """(distance from W0, avg latency on W0's design) pairs.
+    """(distance from W0, avg latency on W0's design) pairs, on R1.
 
     For several anchor windows W0: design nominally for W0, then sample
     workloads at increasing distances and measure their latency under that
     design — the soundness experiment behind Figure 6.  Like the paper
     (which averages many windows per distance), each probe distance is
-    averaged over the anchors and over ``repeats`` independent samples.
+    averaged over the anchors and over three independent samples.
     """
     adapter, nominal = _engine_stack(context, "columnar")
-    windows = [w for w in context.trace_windows(workload) if len(w) > 0]
+    windows = [w for w in context.trace_windows("R1") if len(w) > 0]
     sampler = context.sampler()
-    gamma = context.default_gamma(workload) * 4
+    gamma = context.default_gamma("R1") * 4
     anchor_windows = windows[: max(1, min(anchors, len(windows)))]
     alphas = np.linspace(0.0, gamma, n_probes)
     sums = np.zeros((n_probes, 2))
@@ -436,7 +433,7 @@ def run_fig6(
             [q for w in windows if w is not anchor for q in w]
         )
         for i, alpha in enumerate(alphas):
-            for _ in range(repeats):
+            for _ in range(3):
                 probe = sampler.sample_at(anchor, float(alpha))
                 achieved = context.distance(anchor, probe)
                 latency = adapter.workload_cost(probe, design).average_ms
@@ -597,11 +594,10 @@ def _gamma_sweep_task(task) -> tuple[float, float]:
 
 def run_distance_ablation(
     context: ExperimentContext,
-    workload: str = "R1",
 ) -> dict[str, tuple[float, float]]:
-    """CliffGuard under different distance metrics (Figure 11)."""
+    """CliffGuard under different distance metrics on R1 (Figure 11)."""
     adapter, nominal = _engine_stack(context, "columnar")
-    windows = context.trace_windows(workload)
+    windows = context.trace_windows("R1")
     n = context.schema.total_columns
     variants: dict[str, WorkloadDistance | LatencyAwareDistance] = {
         "Euc-union (S)": WorkloadDistance(n, ("select",)),
@@ -629,7 +625,7 @@ def run_distance_ablation(
         structural = metric.base if isinstance(metric, LatencyAwareDistance) else metric
         gamma = gamma_from_history(drift_history(windows, metric), "avg")
         results[label] = _cliffguard_point(
-            context, adapter, nominal, workload, gamma, structural
+            context, adapter, nominal, "R1", gamma, structural
         )[0]
     return results
 
@@ -639,28 +635,26 @@ def run_distance_ablation(
 
 def run_sample_size_sweep(
     context: ExperimentContext,
-    workload: str = "R1",
     sample_sizes: tuple[int, ...] = (2, 5, 10, 20, 40),
 ) -> dict[int, tuple[float, float]]:
-    """CliffGuard's latency vs neighborhood sample count n (Figure 12)."""
+    """CliffGuard's latency vs neighborhood sample count n on R1 (Figure 12)."""
     adapter, nominal = _engine_stack(context, "columnar")
-    gamma = context.default_gamma(workload)
+    gamma = context.default_gamma("R1")
     return {
-        n: _cliffguard_point(context, adapter, nominal, workload, gamma, n_samples=n)[0]
+        n: _cliffguard_point(context, adapter, nominal, "R1", gamma, n_samples=n)[0]
         for n in sample_sizes
     }
 
 
 def run_iteration_sweep(
     context: ExperimentContext,
-    workload: str = "R1",
     iteration_counts: tuple[int, ...] = (0, 1, 2, 5, 10, 20),
 ) -> dict[int, tuple[float, float]]:
-    """CliffGuard's latency vs iteration budget (Figure 13)."""
+    """CliffGuard's latency vs iteration budget on R1 (Figure 13)."""
     adapter, nominal = _engine_stack(context, "columnar")
-    gamma = context.default_gamma(workload)
+    gamma = context.default_gamma("R1")
     return {
-        n: _cliffguard_point(context, adapter, nominal, workload, gamma, max_iterations=n)[0]
+        n: _cliffguard_point(context, adapter, nominal, "R1", gamma, max_iterations=n)[0]
         for n in iteration_counts
     }
 
@@ -677,14 +671,13 @@ class OfflineTimeRow:
 
 def run_offline_time(
     context: ExperimentContext,
-    workload: str = "R1",
     which: list[str] | None = None,
 ) -> list[OfflineTimeRow]:
-    """Wall-clock design time vs modeled deployment time (Figure 14)."""
+    """Wall-clock design time vs modeled deployment time on R1 (Figure 14)."""
     adapter, nominal = _engine_stack(context, "columnar")
-    gamma = context.default_gamma(workload)
+    gamma = context.default_gamma("R1")
     designers, samplers = _build_designers(context, adapter, nominal, gamma, which)
-    outcome = _replay(context, workload, designers, samplers, adapter, nominal)
+    outcome = _replay(context, "R1", designers, samplers, adapter, nominal)
     return [
         OfflineTimeRow(
             designer=name,
@@ -812,24 +805,23 @@ def _schedule_task(task) -> ScheduleOutcome:
 
 def run_latency_metric_correlation(
     context: ExperimentContext,
-    workload: str = "R1",
     omegas: tuple[float, ...] = (0.1, 0.2),
     n_probes: int = 10,
 ) -> dict[float, list[tuple[float, float]]]:
-    """(δ_latency, latency ratio) scatter per ω (Figure 16).
+    """(δ_latency, latency ratio) scatter per ω on R1 (Figure 16).
 
     For each probe workload W1 at increasing structural distance from W0,
     the y-value is W1's latency under W0's design divided by W0's own
     latency under that design.
     """
     adapter, nominal = _engine_stack(context, "columnar")
-    windows = [w for w in context.trace_windows(workload) if len(w) > 0]
+    windows = [w for w in context.trace_windows("R1") if len(w) > 0]
     anchor = windows[0]
     design = nominal.design(anchor)
     base_latency = adapter.workload_cost(anchor, design).average_ms
     sampler = context.sampler()
     sampler.set_pool([q for w in windows[1:] for q in w])
-    gamma = context.default_gamma(workload) * 4
+    gamma = context.default_gamma("R1") * 4
     curves: dict[float, list[tuple[float, float]]] = {}
     probes = [
         sampler.sample_at(anchor, float(alpha))

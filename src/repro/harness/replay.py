@@ -57,14 +57,6 @@ from repro.workload.workload import Workload
 BENEFIT_FACTOR = 3.0
 
 
-def _check_factor(name: str, value: float) -> None:
-    """A benefit factor must be a finite number ≥ 0: ``base / best >=
-    nan`` is always false, so NaN (or an infinite factor) would keep no
-    query at all and evaluate nothing, silently."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
 @contextmanager
 def _scoped(scope: DesignScope, designers):
     """Every designer that takes a scope (``scoped``) runs in ``scope``
@@ -88,8 +80,13 @@ def beneficial_queries(
     ``candidate_source`` is any object with a ``generate_candidates``
     method (a nominal designer); the ideal cost of a query is its best cost
     across the candidates generated for that query alone.
+
+    ``factor`` must be a finite number ≥ 0: ``base / best >= nan`` is
+    always false, so NaN (or an infinite factor) would keep no query at
+    all and evaluate nothing, silently.
     """
-    _check_factor("factor", factor)
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(f"factor must be a finite number >= 0, got {factor!r}")
     queries: list = []
     profiles: list = []
     for query in workload.collapsed():
@@ -236,11 +233,10 @@ class ReplayResult:
 
 
 def replay(
-    windows: "QuerySource | list[Workload]",
+    windows: QuerySource,
     designers: dict[str, Designer],
     adapter: DesignAdapter,
     candidate_source=None,
-    benefit_factor: float = BENEFIT_FACTOR,
     workload_name: str = "workload",
     max_transitions: int | None = None,
     skip_transitions: int = 0,
@@ -273,14 +269,13 @@ def replay(
     overrides the derived run-identity key when the caller already knows
     its run configuration digest.
     """
-    _check_factor("benefit_factor", benefit_factor)
     windows = as_windows(windows)
     if checkpointer is not None and state_key is None:
         state_key = run_key(
             "replay",
             workload_name,
             sorted(designers),
-            benefit_factor,
+            BENEFIT_FACTOR,
             max_transitions,
             skip_transitions,
             [workload_fingerprint(window) for window in windows],
@@ -313,9 +308,7 @@ def replay(
             before_transition(i, train, test)
         with _scoped(DesignScope(), [candidate_source, *designers.values()]):
             if candidate_source is not None:
-                evaluation = beneficial_queries(
-                    adapter, candidate_source, test, benefit_factor
-                )
+                evaluation = beneficial_queries(adapter, candidate_source, test)
             else:
                 evaluation = test.collapsed()
             if not evaluation:

@@ -35,9 +35,8 @@ def format_series(
     y_label: str,
     points: Sequence[tuple[object, float]],
     title: str | None = None,
-    bar_width: int = 40,
 ) -> str:
-    """An ASCII bar series (one bar per x value)."""
+    """An ASCII bar series (one bar per x value, the peak 40 wide)."""
     values = [v for _, v in points]
     peak = max(values, default=0.0)
     lines: list[str] = []
@@ -46,7 +45,7 @@ def format_series(
     lines.append(f"{x_label} vs {y_label}")
     x_width = max((len(_fmt(x)) for x, _ in points), default=1)
     for x, v in points:
-        filled = int(round(bar_width * (v / peak))) if peak > 0 else 0
+        filled = int(round(40 * (v / peak))) if peak > 0 else 0
         lines.append(f"{_fmt(x).rjust(x_width)} | {'#' * filled} {_fmt(v)}")
     return "\n".join(lines)
 

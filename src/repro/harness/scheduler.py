@@ -21,18 +21,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.costing.service import workload_fingerprint
 from repro.designers.base import DesignAdapter, Designer
 from repro.obs import tracer
 from repro.serve.sources import QuerySource, as_windows
-from repro.state import (
-    RunCheckpointer,
-    costing_state,
-    designer_state,
-    restore_costing,
-    restore_designer,
-    run_key,
-)
 from repro.workload.workload import Workload
 
 
@@ -57,10 +48,10 @@ class RedesignPolicy(abc.ABC):
     def state(self) -> dict:
         """Snapshot the per-replay state :meth:`reset` would clear.
 
-        Checkpoint/resume (docs/state.md) persists this mid-replay so a
-        resumed :func:`scheduled_replay` makes the same re-design
-        decisions the uninterrupted run would have.  Stateless policies
-        return an empty dict.
+        The serve daemon's checkpoint (docs/state.md) persists this so a
+        resumed daemon makes the same re-design decisions the
+        uninterrupted run would have.  Stateless policies return an
+        empty dict.
         """
         return {}
 
@@ -164,14 +155,11 @@ class ScheduleOutcome:
 
 
 def scheduled_replay(
-    windows: "QuerySource | list[Workload]",
+    windows: QuerySource,
     designer: Designer,
     adapter: DesignAdapter,
     policy: RedesignPolicy,
-    evaluation_windows: list[Workload] | None = None,
     before_design=None,
-    checkpointer: RunCheckpointer | None = None,
-    state_key: str | None = None,
 ) -> ScheduleOutcome:
     """Replay ``windows`` re-designing only when ``policy`` says so.
 
@@ -179,10 +167,7 @@ def scheduled_replay(
     (wrap fixed windows with ``TraceSource.from_windows``).
 
     The design built from window ``i`` serves window ``i+1`` (and later
-    windows until the next re-design).  ``evaluation_windows`` optionally
-    substitutes filtered workloads for latency measurement; when given it
-    must pair with ``windows`` one-to-one (``evaluation_windows[i + 1]``
-    measures the design serving window ``i + 1``).
+    windows until the next re-design).
 
     ``before_design(i)`` is called before each re-design (e.g. to refresh
     sampler pools).
@@ -191,59 +176,15 @@ def scheduled_replay(
     reset on entry, so one policy object can drive several replays; the
     triggers a :class:`DriftTriggeredPolicy` fired during *this* replay
     are returned on the outcome's ``drift_triggers``.
-
-    ``checkpointer`` snapshots the partial outcome (plus the active
-    design, the policy anchor, the designer's sampler stream, and the
-    cost service's counters) after every completed window and resumes
-    from the latest snapshot, bit-identically (docs/state.md).
     """
     windows = as_windows(windows)
-    if evaluation_windows is None:
-        evaluation = windows
-    else:
-        # An explicit `is None` check: a caller passing an empty list has
-        # made an indexing error, not requested the unfiltered windows —
-        # the old `evaluation_windows or windows` fallback silently
-        # evaluated on the wrong workloads.
-        if len(evaluation_windows) != len(windows):
-            raise ValueError(
-                "evaluation_windows must pair with windows one-to-one: "
-                f"got {len(evaluation_windows)} evaluation windows for "
-                f"{len(windows)} replay windows"
-            )
-        evaluation = evaluation_windows
-    if checkpointer is not None and state_key is None:
-        state_key = run_key(
-            "scheduled_replay",
-            designer.name,
-            type(policy).__name__,
-            getattr(policy, "every", None),
-            getattr(policy, "threshold", None),
-            [workload_fingerprint(window) for window in windows],
-            evaluation_windows is not None,
-        )
     policy.reset()
-    state = (
-        checkpointer.load("scheduled_replay", state_key)
-        if checkpointer is not None
-        else None
-    )
-    if state is not None:
-        outcome = state["outcome"]
-        design = state["design"]
-        design_window = state["design_window"]
-        policy.restore(state["policy"])
-        restore_designer(designer, state["designer"])
-        restore_costing(adapter, state["costing"])
-        start = state["next_window"]
-    else:
-        outcome = ScheduleOutcome(designer=designer.name)
-        design = None
-        design_window = None
-        start = 0
+    outcome = ScheduleOutcome(designer=designer.name)
+    design = None
+    design_window = None
     t = tracer()
-    for i in range(start, len(windows) - 1):
-        train, test = windows[i], evaluation[i + 1]
+    for i in range(len(windows) - 1):
+        train, test = windows[i], windows[i + 1]
         if not train or not test:
             continue
         if policy.should_redesign(i, design_window, train):
@@ -272,20 +213,6 @@ def scheduled_replay(
                 avg_ms=average_ms,
                 redesigned=bool(outcome.redesign_windows)
                 and outcome.redesign_windows[-1] == i,
-            )
-        if checkpointer is not None:
-            checkpointer.step(
-                "scheduled_replay",
-                state_key,
-                lambda next_window=i + 1: {
-                    "next_window": next_window,
-                    "outcome": outcome,
-                    "design": design,
-                    "design_window": design_window,
-                    "policy": policy.state(),
-                    "designer": designer_state(designer),
-                    "costing": costing_state(adapter),
-                },
             )
     outcome.drift_triggers = list(getattr(policy, "triggers", ()))
     return outcome

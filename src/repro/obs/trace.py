@@ -47,29 +47,19 @@ class RunTracer:
     #: Guard flag for hot call sites (``if t.enabled: t.emit(...)``).
     enabled = True
 
-    def __init__(
-        self,
-        sink: IO[str],
-        clock: Callable[[], float] = time.monotonic,
-        source: str | None = None,
-    ):
+    def __init__(self, sink: IO[str], clock: Callable[[], float] = time.monotonic):
         self._sink = sink
         self._clock = clock
-        self._source = source
         self._seq = 0
         self._lock = threading.Lock()
         self._owns_sink = False
 
     @classmethod
-    def open(cls, path: str | Path, **kwargs) -> "RunTracer":
+    def open(cls, path: str | Path) -> "RunTracer":
         """A tracer appending to ``path`` (closed by :meth:`close`)."""
-        tracer = cls(Path(path).open("a", encoding="utf-8"), **kwargs)
+        tracer = cls(Path(path).open("a", encoding="utf-8"))
         tracer._owns_sink = True
         return tracer
-
-    @property
-    def events_emitted(self) -> int:
-        return self._seq
 
     def emit(self, event: str, /, **fields) -> None:
         """Write one event.  Field values should be JSON-serializable;
@@ -77,8 +67,6 @@ class RunTracer:
         crash the run it observes)."""
         with self._lock:
             record: dict[str, object] = {"event": event, "seq": self._seq, "t": self._clock()}
-            if self._source is not None:
-                record["source"] = self._source
             record.update(fields)
             self._seq += 1
             self._sink.write(
@@ -107,7 +95,6 @@ class NullTracer:
     """The disabled tracer: every operation is a no-op."""
 
     enabled = False
-    events_emitted = 0
 
     def emit(self, event: str, /, **fields) -> None:
         pass
@@ -150,7 +137,7 @@ def set_tracer(new: RunTracer | NullTracer | None) -> RunTracer | NullTracer:
 
 
 @contextmanager
-def trace_to(path: str | Path, source: str | None = None) -> Iterator[RunTracer]:
+def trace_to(path: str | Path) -> Iterator[RunTracer]:
     """Activate a JSONL tracer appending to ``path`` for one block::
 
         with trace_to("run.jsonl"):
@@ -159,7 +146,7 @@ def trace_to(path: str | Path, source: str | None = None) -> Iterator[RunTracer]
     The previous active tracer is restored (and the file closed) on
     exit, even on error.
     """
-    run_tracer = RunTracer.open(path, source=source)
+    run_tracer = RunTracer.open(path)
     previous = set_tracer(run_tracer)
     try:
         yield run_tracer

@@ -7,10 +7,10 @@ All backends share the same contract:
 * :meth:`ExecutionBackend.map` preserves task order: ``results[i]`` is
   ``fn(tasks[i])`` no matter which worker ran it or when it finished, so
   callers reassemble results deterministically.
-* **Graceful degradation** — a worker crash, a poisoned task, or a
-  per-task timeout never loses the run: the failed task is logged and
-  retried once *serially in the parent*; only a task that also fails in
-  the parent propagates its exception.
+* **Graceful degradation** — a worker crash or a poisoned task never
+  loses the run: the failed task is logged and retried once *serially in
+  the parent*; only a task that also fails in the parent propagates its
+  exception.
 * **Exact accounting** — workers never mutate shared state.  They return
   plain values; the caller merges them (cache deltas, counters) in the
   parent, which is what keeps instrumentation bit-identical to serial.
@@ -26,7 +26,6 @@ import logging
 import os
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.obs import get_metrics, tracer
 
@@ -56,13 +55,10 @@ class ExecutionBackend(abc.ABC):
     #: Short name used in reports and the ``backend`` knob.
     name: str = "backend"
 
-    def __init__(self, jobs: int = 1, task_timeout: float | None = None):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive when set")
         self.jobs = jobs
-        self.task_timeout = task_timeout
 
     def map(self, fn, tasks) -> list:
         """``[fn(t) for t in tasks]``, scheduled by the backend."""
@@ -113,9 +109,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def __init__(self, jobs: int = 1, task_timeout: float | None = None):
-        super().__init__(jobs=1, task_timeout=task_timeout)
-
     def _run(self, fn, tasks: list) -> list:
         t = tracer()
         if not t.enabled:
@@ -138,8 +131,8 @@ class SerialBackend(ExecutionBackend):
 class _PoolBackend(ExecutionBackend):
     """Shared submit/collect/retry machinery for the executor backends."""
 
-    def __init__(self, jobs: int | None = None, task_timeout: float | None = None):
-        super().__init__(jobs=jobs or default_jobs(), task_timeout=task_timeout)
+    def __init__(self, jobs: int | None = None):
+        super().__init__(jobs=jobs or default_jobs())
         self._pool = None
 
     @abc.abstractmethod
@@ -203,7 +196,7 @@ class _PoolBackend(ExecutionBackend):
         broken = False
         for i, future in enumerate(futures):
             try:
-                results[i] = future.result(timeout=self.task_timeout)
+                results[i] = future.result()
                 if t.enabled:
                     # ``seconds`` is the wall time from this map() call's
                     # start until the chunk's result reached the parent.
@@ -214,14 +207,6 @@ class _PoolBackend(ExecutionBackend):
                         total=len(tasks),
                         seconds=time.perf_counter() - started,
                     )
-            except FutureTimeoutError as exc:
-                # The worker may be wedged; tear the pool down so the
-                # remaining futures fail fast instead of waiting in line.
-                get_metrics().counter("parallel.timeouts").inc()
-                failed.append((i, exc))
-                if not broken:
-                    broken = True
-                    self.shutdown()
             except BrokenExecutor as exc:
                 failed.append((i, exc))
                 if not broken:

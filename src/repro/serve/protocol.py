@@ -51,9 +51,9 @@ def encode_query(query: WorkloadQuery) -> str:
     )
 
 
-def encode_control(op: str = SHUTDOWN_OP) -> str:
-    """One control line (without the trailing newline)."""
-    return json.dumps({"op": op}, separators=(",", ":"))
+def encode_control() -> str:
+    """The shutdown control line (without the trailing newline)."""
+    return json.dumps({"op": SHUTDOWN_OP}, separators=(",", ":"))
 
 
 def decode_line(line: str | bytes) -> WorkloadQuery | ServeControl:

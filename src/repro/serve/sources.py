@@ -47,7 +47,7 @@ class QuerySource(ABC):
     def stream(self) -> AsyncIterator[WorkloadQuery]:
         """Asynchronously yield queries until the stream ends."""
 
-    def windows(self, window_days: float | None = None) -> list[Workload]:
+    def windows(self) -> list[Workload]:
         """The full stream split into calendar windows (bounded sources only)."""
         raise TypeError(f"{type(self).__name__} is unbounded; it cannot be windowed")
 
@@ -96,15 +96,12 @@ class TraceSource(QuerySource):
     def __len__(self) -> int:
         return len(self._queries)
 
-    def windows(self, window_days: float | None = None) -> list[Workload]:
-        if self._windows is not None and (
-            window_days is None or window_days == self.window_days
-        ):
+    def windows(self) -> list[Workload]:
+        if self._windows is not None:
             return list(self._windows)
-        days = window_days if window_days is not None else self.window_days
-        if days is None:
+        if self.window_days is None:
             raise ValueError("window_days is required to window this trace")
-        return split_windows(list(self._queries), days)
+        return split_windows(list(self._queries), self.window_days)
 
     async def stream(self) -> AsyncIterator[WorkloadQuery]:
         for query in self._queries:
@@ -275,7 +272,7 @@ def resolve_source(spec: "QuerySource | str") -> QuerySource:
     raise ValueError(f"unknown source spec {spec!r} (expected unix:PATH or tcp:HOST:PORT)")
 
 
-def as_windows(windows, window_days: float | None = None) -> list[Workload]:
+def as_windows(windows) -> list[Workload]:
     """A bounded :class:`QuerySource`'s stream as ``list[Workload]``.
 
     Fixed workloads are wrapped with :meth:`TraceSource.from_windows`;
@@ -286,4 +283,4 @@ def as_windows(windows, window_days: float | None = None) -> list[Workload]:
             "windows must be a bounded QuerySource (wrap fixed windows with "
             f"TraceSource.from_windows), got {type(windows).__name__}"
         )
-    return windows.windows(window_days)
+    return windows.windows()

@@ -21,7 +21,6 @@ from repro.sql.ast import (
     ColumnRef,
     DeleteStatement,
     InsertStatement,
-    SelectStatement,
     Statement,
     UpdateStatement,
 )

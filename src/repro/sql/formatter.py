@@ -19,7 +19,6 @@ from repro.sql.ast import (
     OrderItem,
     PredicateType,
     SelectItem,
-    SelectStatement,
     Statement,
     UpdateStatement,
 )

@@ -6,9 +6,8 @@ many-iteration CliffGuard run must not throw away every designer call
 and cost-model evaluation already paid for.  :class:`RunCheckpointer`
 is the one writer/reader of run snapshots; the long-running entry
 points (:meth:`repro.core.cliffguard.CliffGuard.design`,
-:func:`repro.harness.replay.replay`,
-:func:`repro.harness.scheduler.scheduled_replay`, and the experiment
-grids) call it at their natural boundaries — iteration, window,
+:func:`repro.harness.replay.replay`, the experiment grids, and the
+serve daemon) call it at their natural boundaries — iteration, window,
 Γ-point, designer — and restore from it on resume.
 
 Snapshot file format (version 4; version 1 and 2 payloads carried

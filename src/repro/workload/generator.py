@@ -266,9 +266,9 @@ def restrict_roles(
     rng: np.random.Generator,
     eq_pool: int = 5,
     range_pool: int = 2,
-    measure_pool: int = 3,
 ) -> StarRoles:
-    """A narrowed view of the roles: one topic's "business area".
+    """A narrowed view of the roles: one topic's "business area" (at most
+    3 measures, ``eq_pool`` equality and ``range_pool`` range columns).
 
     Real analytical topics revolve around a handful of columns; narrowing
     each topic's pool makes intra-topic templates similar (small Hamming
@@ -280,7 +280,7 @@ def restrict_roles(
         measures=[
             str(m)
             for m in rng.choice(
-                roles.measures, size=min(measure_pool, len(roles.measures)), replace=False
+                roles.measures, size=min(3, len(roles.measures)), replace=False
             )
         ],
         eq_columns=[
@@ -532,7 +532,6 @@ class TraceGenerator:
         roles: WorkloadRoles | StarRoles,
         profile: DriftProfile,
         seed: int = 0,
-        total_days: int | None = None,
     ):
         self.schema = schema
         if isinstance(roles, StarRoles):
@@ -581,11 +580,6 @@ class TraceGenerator:
         else:
             self._log_churn_multiplier = 0.0
         self._progress = 0.0  # fraction of the generation period elapsed
-        #: Overall period length for progress-anchored shapes (S2's churn
-        #: ramp).  Derived from the *first* ``generate`` call when not
-        #: given, so chunked generation matches one long call.
-        self._total_days = total_days
-        self._anchor_day: float | None = None
         self._flash_days_left = 0
 
     def _advance_day(self) -> None:
@@ -768,32 +762,22 @@ class TraceGenerator:
             return f"UPDATE {fact} SET {assignments}{where}"
         return f"DELETE FROM {fact}{where}"
 
-    def generate(self, days: int, start_day: float = 0.0) -> list[WorkloadQuery]:
-        """Emit ``days`` days of queries starting at ``start_day``.
+    def generate(self, days: int) -> list[WorkloadQuery]:
+        """Emit ``days`` days of queries starting at day 0.
 
         Progress-anchored drift shapes (S2's churn ramp) measure progress
-        against the *overall* period — anchored at the first call's
-        ``start_day`` and spanning ``total_days`` (defaulting to the first
-        call's ``days``) — so generating 60 days in one call or in six
-        10-day chunks walks the same trajectory.
+        against the whole ``days``-day period.
         """
         queries: list[WorkloadQuery] = []
         profile = self.profile
-        if self._anchor_day is None:
-            self._anchor_day = start_day
-        if self._total_days is None:
-            self._total_days = days
         for day in range(days):
-            self._day = start_day + day
-            elapsed = self._day - self._anchor_day
-            self._progress = min(
-                max(elapsed / max(self._total_days - 1, 1), 0.0), 1.0
-            )
+            self._day = float(day)
+            self._progress = day / max(days - 1, 1)
             self._advance_day()
             weights = self._topic_weights()
             write_mix = self._day_write_mix()
             for _ in range(profile.queries_per_day):
-                timestamp = start_day + day + float(self.rng.uniform(0.0, 1.0))
+                timestamp = self._day + float(self.rng.uniform(0.0, 1.0))
                 kind = "select" if write_mix is None else self._draw_kind(write_mix)
                 if kind != "select":
                     topic = int(self.rng.choice(profile.topic_count, p=weights))

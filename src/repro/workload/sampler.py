@@ -562,35 +562,32 @@ class _Pool:
 class NeighborhoodSampler:
     """Samples perturbed workloads in the Γ-neighborhood of a workload."""
 
+    #: How many of the pool's most recent queries feed the history and the
+    #: column affinity.
+    recent_pool_size = 400
+    #: How much likelier a historical template is to enter a perturbed
+    #: workload than a synthesized mutation.  Real drift is largely
+    #: recurrence (the generator's revival channel), and recurrence is
+    #: measurable from the query history, so the sampler leans on it.
+    history_bias = 3.0
+
     def __init__(
         self,
         distance: WorkloadDistance,
         schema: Schema,
         pool: Sequence[WorkloadQuery] = (),
         seed: int = 0,
-        recent_pool_size: int = 400,
         min_query_set: int = MIN_QUERY_SET_SIZE,
         max_query_set: int = MAX_QUERY_SET_SIZE,
-        history_bias: float = 3.0,
     ):
         self.distance = distance
         self.schema = schema
         self.pool = list(pool)
         self.rng = np.random.default_rng(seed)
-        if recent_pool_size < 0:
-            raise ValueError("recent_pool_size must be non-negative")
-        self.recent_pool_size = recent_pool_size
         if not 1 <= min_query_set <= max_query_set:
             raise ValueError("need 1 <= min_query_set <= max_query_set")
         self.min_query_set = min_query_set
         self.max_query_set = max_query_set
-        if not history_bias > 0:
-            raise ValueError("history_bias must be positive")
-        #: How much likelier a historical template is to enter a perturbed
-        #: workload than a synthesized mutation.  Real drift is largely
-        #: recurrence (the generator's revival channel), and recurrence is
-        #: measurable from the query history, so the sampler leans on it.
-        self.history_bias = history_bias
 
     def set_pool(self, queries: Sequence[WorkloadQuery]) -> None:
         """Replace the perturbation pool (e.g. with only-past queries)."""

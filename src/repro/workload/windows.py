@@ -15,11 +15,10 @@ from repro.workload.workload import Workload
 def split_windows(
     queries: list[WorkloadQuery] | Workload,
     window_days: float,
-    start_day: float | None = None,
 ) -> list[Workload]:
     """Split ``queries`` into consecutive windows of ``window_days``.
 
-    Windows are aligned at ``start_day`` (default: the first timestamp).
+    Windows are aligned at the first timestamp.
     Empty trailing windows are dropped; empty interior windows are kept so
     window indices stay aligned to calendar time.
     """
@@ -29,7 +28,7 @@ def split_windows(
     if not items:
         return []
     items.sort(key=lambda q: q.timestamp)
-    first = items[0].timestamp if start_day is None else start_day
+    first = items[0].timestamp
     last = items[-1].timestamp
     count = max(1, int(math.floor((last - first) / window_days)) + 1)
     buckets: list[list[WorkloadQuery]] = [[] for _ in range(count)]

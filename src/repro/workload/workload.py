@@ -101,10 +101,6 @@ class Workload:
 
     # -- template machinery ------------------------------------------------------------
 
-    def templates(self, clauses: ClauseSpec | str = tuple(CLAUSES)) -> set[VectorKey]:
-        """The distinct template keys present (empty templates excluded)."""
-        return set(self.template_vector(clauses))
-
     def template_vector(
         self, clauses: ClauseSpec | str = tuple(CLAUSES)
     ) -> dict[VectorKey, float]:

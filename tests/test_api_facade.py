@@ -151,7 +151,7 @@ class TestRegistry:
         factory = registry._FACTORIES["NoDesign"]
         with pytest.raises(ValueError):
             registry.register("NoDesign", factory)
-        registry.register("NoDesign", factory, replace=True)
+        assert registry._FACTORIES["NoDesign"] is factory
 
     def test_unknown_designer_rejected(self):
         with pytest.raises(ValueError, match="unknown designer"):

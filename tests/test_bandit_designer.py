@@ -134,10 +134,6 @@ class TestModel:
         assert twin.design(windows[1]) == bandit.design(windows[1])
 
     def test_constructor_validation(self, context):
-        with pytest.raises(ValueError, match="alpha"):
-            bandit_for(context, alpha=-1.0)
-        with pytest.raises(ValueError, match="regularization"):
-            bandit_for(context, regularization=0.0)
         with pytest.raises(ValueError, match="safety_margin"):
             bandit_for(context, safety_margin=-0.1)
 
@@ -179,7 +175,8 @@ class TestSafetyGuard:
     def test_fallback_surfaces_counter(self, context):
         from repro.obs import get_metrics
 
-        bandit, adapter = bandit_for(context, safety_margin=0.0, alpha=50.0)
+        bandit, adapter = bandit_for(context, safety_margin=0.0)
+        bandit.alpha = 50.0
         windows = [w for w in context.trace_windows("HTAP") if len(w)]
         before = get_metrics().counter("bandit.safety_fallbacks").value
         for window in windows:

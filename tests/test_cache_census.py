@@ -100,18 +100,21 @@ def census(monkeypatch) -> Census:
         census.looked_up(self, hit)
         return hit
 
-    def counted_read(read):
-        def counted(self, key, default=None):
-            value = read(self, key, _MISS)
-            census.looked_up(self, value is not _MISS)
-            return default if value is _MISS else value
+    def counted_get(self, key, default=None):
+        value = get(self, key, _MISS)
+        census.looked_up(self, value is not _MISS)
+        return default if value is _MISS else value
 
-        return counted
+    def counted_peek(self, key):
+        # No memo stores None, so peek's None is a miss.
+        value = peek(self, key)
+        census.looked_up(self, value is not None)
+        return value
 
     monkeypatch.setattr(BoundedMemo, "__init__", counted_init)
     monkeypatch.setattr(BoundedMemo, "__contains__", counted_contains)
-    monkeypatch.setattr(BoundedMemo, "get", counted_read(get))
-    monkeypatch.setattr(BoundedMemo, "peek", counted_read(peek))
+    monkeypatch.setattr(BoundedMemo, "get", counted_get)
+    monkeypatch.setattr(BoundedMemo, "peek", counted_peek)
     return census
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.catalog.datagen import generate_column, generate_database, generate_table
+from repro.catalog.datagen import generate_column, generate_database
 from repro.catalog.schema import Column, ForeignKey, Schema, Table
 from repro.catalog.types import ColumnType
 

@@ -57,10 +57,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             CliffGuard(nominal, adapter, sampler, gamma=0.1, min_worst=0)
         with pytest.raises(ValueError):
-            CliffGuard(nominal, adapter, sampler, gamma=0.1, initial_alpha=0.0)
-        with pytest.raises(ValueError):
-            CliffGuard(nominal, adapter, sampler, gamma=0.1, initial_alpha=-2.0)
-        with pytest.raises(ValueError):
             CliffGuard(nominal, adapter, sampler, gamma=0.1, max_iterations=-1)
         with pytest.raises(ValueError):
             CliffGuard(nominal, adapter, sampler, gamma=0.1, patience=0)
@@ -68,8 +64,7 @@ class TestParameters:
     @pytest.mark.parametrize(
         "argument,value",
         [("gamma", float("nan")), ("gamma", float("inf")), ("gamma", float("-inf")),
-         ("initial_alpha", float("nan")), ("lambda_success", float("nan")),
-         ("initial_alpha", float("inf")), ("lambda_success", float("inf"))],
+         ("lambda_success", float("nan")), ("lambda_success", float("inf"))],
     )
     def test_non_finite_parameter_is_named(self, parts, argument, value):
         """Every guard read ``x < 0`` / ``x <= 0`` / ``x <= 1``, which NaN

@@ -315,7 +315,7 @@ def test_small_requests_take_the_kernel():
     assert costs[0] == costs[1]
 
 
-def test_kernel_events_and_counters_emitted():
+def test_kernel_events_and_counters_emitted(monkeypatch):
     """Kernel dispatch emits arena_build/kernel_bind/kernel_batch trace
     events and bumps the kernel counters."""
     model, candidates, _ = _substrate("columnar")
@@ -345,7 +345,8 @@ def test_kernel_events_and_counters_emitted():
     assert service.stats.kernel_pairs_priced == len(sqls)
 
     registry = MetricsRegistry()
-    service.publish_metrics(registry)
+    monkeypatch.setattr("repro.costing.service.get_metrics", lambda: registry)
+    service.publish_metrics()
     sampled = registry.snapshot()
     assert sampled["costing.kernel.batch_calls"] == 1
     assert sampled["costing.kernel.pairs_priced"] == len(sqls)

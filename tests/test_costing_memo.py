@@ -51,7 +51,7 @@ def test_bound_recency_and_eviction_accounting():
     assert a in memo and memo.peek(a) == 1.0
     memo[d] = 4.0
     assert evicted == [(b, 2.0), (a, 1.0)]
-    assert memo.get(a) is None and memo.peek(a, "gone") == "gone"
+    assert memo.get(a) is None and memo.peek(a) is None
 
     # ``[key]`` refreshes like ``get``; a miss raises.
     assert memo[c] == 3.0

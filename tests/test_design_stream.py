@@ -506,7 +506,7 @@ def test_exported_stats_and_floats_match_golden(case):
 # -- lazy greedy selection -------------------------------------------------------
 
 
-def _reference_greedy(evaluation, budget_bytes, max_structures=None, min_benefit_ms=1e-6):
+def _reference_greedy(evaluation, budget_bytes, min_benefit_ms=1e-6):
     """The dense BLAS selection loop, verbatim: re-materializes the full
     improvements array every pick and sums each benefit with a matvec,
     whose rounding depends on where a query sits.  The oracle for the
@@ -521,8 +521,6 @@ def _reference_greedy(evaluation, budget_bytes, max_structures=None, min_benefit
     chosen = []
     available = np.ones(len(evaluation.candidates), dtype=bool)
     while True:
-        if max_structures is not None and len(chosen) >= max_structures:
-            break
         affordable = available & (sizes <= remaining)
         if not affordable.any():
             break
@@ -541,7 +539,7 @@ def _reference_greedy(evaluation, budget_bytes, max_structures=None, min_benefit
     return [evaluation.candidates[i] for i in chosen]
 
 
-def _fsum_greedy(evaluation, budget_bytes, max_structures=None, min_benefit_ms=1e-6):
+def _fsum_greedy(evaluation, budget_bytes, min_benefit_ms=1e-6):
     """``_reference_greedy`` with each benefit a correctly rounded sum
     (``math.fsum`` of the weighted improvements) instead of a BLAS matvec:
     the dense per-pick rebuild of what ``greedy_select`` computes.
@@ -556,7 +554,7 @@ def _fsum_greedy(evaluation, budget_bytes, max_structures=None, min_benefit_ms=1
     remaining = float(budget_bytes)
     chosen, gap = [], 1.0
     available = np.ones(len(evaluation.candidates), dtype=bool)
-    while max_structures is None or len(chosen) < max_structures:
+    while True:
         affordable = available & (sizes <= remaining)
         if not affordable.any():
             break
@@ -599,12 +597,12 @@ _COST = st.one_of(
 
 @st.composite
 def _greedy_inputs(draw):
-    """``(evaluation, budget, cap)``: ``inf`` cells, off-table rows (the
-    base costs), repeated rows, rows that move another row's cells to
-    other queries (under a flat base cost: equal benefits that a
-    position-order sum can tell apart), zero and equal sizes, zero
-    weights, a budget that may equal one size exactly, and caps
-    None / 0 / k."""
+    """``(evaluation, budget)``: ``inf`` cells, off-table rows (the base
+    costs), repeated rows, rows that move another row's cells to other
+    queries (under a flat base cost: equal benefits that a position-order
+    sum can tell apart), zero and equal sizes, zero weights, and a budget
+    that may equal one size exactly.  Selection has no cap, so each
+    compared pick sequence contains every capped prefix."""
     n_candidates = draw(st.integers(1, 9))
     n_queries = draw(st.integers(1, 7))
     if draw(st.booleans()):
@@ -629,8 +627,7 @@ def _greedy_inputs(draw):
     weight = st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.0, 10.0))
     weights = draw(st.lists(weight, min_size=n_queries, max_size=n_queries))
     budget = draw(st.one_of(st.sampled_from(sizes).map(int), st.integers(0, 150)))
-    cap = draw(st.one_of(st.none(), st.integers(0, 4)))
-    return _evaluation(base, rows, weights, sizes), budget, cap
+    return _evaluation(base, rows, weights, sizes), budget
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -638,9 +635,9 @@ def _greedy_inputs(draw):
 def test_greedy_matches_correctly_rounded_oracle(case):
     """The lazy greedy picks exactly what the dense per-pick rebuild with
     ``math.fsum`` benefits picks, in the same order — ties included."""
-    evaluation, budget, cap = case
-    expected, _ = _fsum_greedy(evaluation, budget, max_structures=cap)
-    assert greedy_select(evaluation, budget, max_structures=cap) == expected
+    evaluation, budget = case
+    expected, _ = _fsum_greedy(evaluation, budget)
+    assert greedy_select(evaluation, budget) == expected
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -648,7 +645,7 @@ def test_greedy_matches_correctly_rounded_oracle(case):
 def test_greedy_pick_sequence_invariant_to_query_order(case, data):
     """Permuting the query axis (weights, base costs and matrix columns
     together) leaves the pick sequence unchanged."""
-    evaluation, budget, cap = case
+    evaluation, budget = case
     order = data.draw(st.permutations(range(len(evaluation.sqls))))
     permuted = _evaluation(
         evaluation.base_costs[order],
@@ -656,9 +653,7 @@ def test_greedy_pick_sequence_invariant_to_query_order(case, data):
         evaluation.weights[order],
         evaluation.sizes,
     )
-    assert greedy_select(permuted, budget, max_structures=cap) == greedy_select(
-        evaluation, budget, max_structures=cap
-    )
+    assert greedy_select(permuted, budget) == greedy_select(evaluation, budget)
 
 
 def test_greedy_equal_benefits_on_different_queries_pick_lower_index_first():
@@ -682,8 +677,7 @@ def test_greedy_equal_benefits_on_different_queries_pick_lower_index_first():
             evaluation.base_costs[order], evaluation.matrix[:, order], [1.0] * 6, [8.0, 8.0]
         )
         assert greedy_select(moved, 16) == [0, 1]
-    # The cap and the budget each stop after the first pick of the tie.
-    assert greedy_select(evaluation, 16, max_structures=1) == [0]
+    # The budget stops after the first pick of the tie.
     assert greedy_select(evaluation, 8) == [0]
 
 
@@ -692,7 +686,6 @@ def test_greedy_edges():
     off_table = _evaluation([5.0, 7.0], [[5.0, 7.0], [6.0, inf]], [1.0, 2.0], [1.0, 1.0])
     assert greedy_select(off_table, 10**6) == []  # no benefit anywhere
     useful = _evaluation([5.0, 7.0], [[1.0, 7.0], [5.0, 2.0]], [1.0, 1.0], [4.0, 0.0])
-    assert greedy_select(useful, 10**6, max_structures=0) == []
     # A zero-size candidate is priced per byte as if it had one byte, and
     # stays affordable once the budget is spent.
     assert greedy_select(useful, 4) == [1, 0]
@@ -706,11 +699,8 @@ def test_greedy_edges():
     n_candidates=st.integers(1, 12),
     n_queries=st.integers(1, 10),
     budget=st.integers(1, 500),
-    cap=st.one_of(st.none(), st.integers(0, 6)),
 )
-def test_greedy_incremental_selection_order_regression(
-    seed, n_candidates, n_queries, budget, cap
-):
+def test_greedy_incremental_selection_order_regression(seed, n_candidates, n_queries, budget):
     """The lazy loop picks what the correctly rounded rebuild picks, in
     order, and — on inputs free of near-ties — the same set as the BLAS
     loop it replaced, on adversarial matrices with unservable (inf)
@@ -729,11 +719,11 @@ def test_greedy_incremental_selection_order_regression(
         matrix=matrix,
         sizes=rng.integers(1, 60, size=n_candidates).astype(np.float64),
     )
-    chosen = greedy_select(evaluation, budget, max_structures=cap)
-    expected, gap = _fsum_greedy(evaluation, budget, max_structures=cap)
+    chosen = greedy_select(evaluation, budget)
+    expected, gap = _fsum_greedy(evaluation, budget)
     assert chosen == expected
     if gap > 1e-9:
-        assert set(chosen) == set(_reference_greedy(evaluation, budget, max_structures=cap))
+        assert set(chosen) == set(_reference_greedy(evaluation, budget))
 
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,9 +1,9 @@
 """Tests for the designer zoo: greedy machinery, nominal designers, and the
 Section 6.1 baselines."""
 
-import numpy as np
 import pytest
 
+from repro.designers import columnar_nominal
 from repro.designers.base import default_budget_bytes
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.future_knowing import FutureKnowingDesigner
@@ -32,13 +32,6 @@ class TestGreedy:
         total = sum(columnar_adapter.structure_size(c) for c in chosen)
         assert total <= budget
         assert 1 <= len(chosen) <= 3
-
-    def test_max_structures_cap(self, columnar_adapter, window):
-        nominal = ColumnarNominalDesigner(columnar_adapter)
-        candidates = nominal.generate_candidates(window)
-        evaluation = evaluate_candidates(columnar_adapter, window, candidates)
-        chosen = greedy_select(evaluation, 10**15, max_structures=2)
-        assert len(chosen) == 2
 
     def test_picks_reduce_workload_cost_monotonically(self, columnar_adapter, window):
         nominal = ColumnarNominalDesigner(columnar_adapter)
@@ -95,18 +88,13 @@ class TestColumnarNominal:
         nominal = ColumnarNominalDesigner(columnar_adapter)
         assert nominal.design(window) == nominal.design(window)
 
-    @pytest.mark.parametrize(
-        "argument", [{"merge_radius": -1}, {"max_structures": -1}], ids=lambda a: next(iter(a))
-    )
-    def test_negative_arguments_rejected(self, columnar_adapter, argument):
-        # A negative radius used to disable merging and a negative cap to
-        # yield the empty design, both silently.
-        with pytest.raises(ValueError, match=next(iter(argument))):
-            ColumnarNominalDesigner(columnar_adapter, **argument)
-
-    def test_zero_arguments_accepted(self, columnar_adapter, window):
-        nominal = ColumnarNominalDesigner(columnar_adapter, max_structures=0, merge_radius=0)
-        assert len(nominal.design(window)) == 0
+    def test_zero_arguments_accepted(self, columnar_adapter, window, monkeypatch):
+        # A zero radius merges only templates with the same column set.
+        monkeypatch.setattr(columnar_nominal, "MERGE_RADIUS", 0)
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        design = nominal.design(window)
+        assert len(design) > 0
+        assert columnar_adapter.design_price(design) <= columnar_adapter.budget_bytes
 
 
 class TestRowstoreNominal:
@@ -157,19 +145,18 @@ class TestRowstoreNominal:
             )
 
     @pytest.mark.parametrize(
-        "argument",
-        [{"compression_radius": -1}, {"max_structures": -1}],
-        ids=lambda a: next(iter(a)),
+        "argument", [{"compression_radius": -1}], ids=lambda a: next(iter(a))
     )
     def test_negative_arguments_rejected(self, rowstore_adapter, argument):
         with pytest.raises(ValueError, match=next(iter(argument))):
             RowstoreNominalDesigner(rowstore_adapter, **argument)
 
     def test_zero_arguments_accepted(self, rowstore_adapter, window):
-        nominal = RowstoreNominalDesigner(
-            rowstore_adapter, compression_radius=0, max_structures=0
-        )
-        assert len(nominal.design(window)) == 0
+        # A zero radius merges only templates with the same column set.
+        nominal = RowstoreNominalDesigner(rowstore_adapter, compression_radius=0)
+        design = nominal.design(window)
+        assert len(design) > 0
+        assert rowstore_adapter.design_price(design) <= rowstore_adapter.budget_bytes
 
 
 class TestBaselines:

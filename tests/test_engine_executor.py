@@ -1,7 +1,6 @@
 """Executor tests, including comparison against a naive reference evaluator
 and the invariant that results are independent of the deployed design."""
 
-import math
 
 import numpy as np
 import pytest

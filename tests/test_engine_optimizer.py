@@ -1,10 +1,8 @@
 """Cost-model tests: profiles, cliffs, monotonicity, and estimated-vs-real
 work orderings."""
 
-import numpy as np
 import pytest
 
-from repro.catalog.datagen import generate_database
 from repro.engine.design import PhysicalDesign
 from repro.engine.executor import ColumnarExecutor
 from repro.engine.optimizer import ColumnarCostModel

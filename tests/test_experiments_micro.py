@@ -94,7 +94,7 @@ class TestOfflineTime:
 
 class TestFig6Micro:
     def test_points_sorted_and_positive(self, context):
-        points = run_fig6(context, n_probes=3, anchors=1, repeats=1)
+        points = run_fig6(context, n_probes=3, anchors=1)
         assert points == sorted(points)
         assert all(latency > 0 for _, latency in points)
 

@@ -7,8 +7,6 @@ from repro.sql.analyzer import extract_template
 from repro.sql.parser import parse
 from repro.workload.generator import (
     StarRoles,
-    TemplateSpec,
-    WorkloadRoles,
     _mutate_spec,
     _random_spec,
     restrict_roles,
@@ -96,7 +94,6 @@ class TestRestrictRoles:
             np.random.default_rng(1),
             eq_pool=100,
             range_pool=100,
-            measure_pool=100,
         )
         assert len(narrowed.eq_columns) == len(roles.eq_columns)
         assert len(narrowed.range_columns) == len(roles.range_columns)

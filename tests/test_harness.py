@@ -13,7 +13,6 @@ from repro.designers.no_design import NoDesign
 from repro.harness.replay import DesignerRun, WindowOutcome, beneficial_queries, replay
 from repro.harness.reporting import format_series, format_table
 from repro.serve.sources import TraceSource
-from repro.workload.workload import Workload
 
 
 class TestBeneficialQueries:
@@ -126,23 +125,6 @@ class TestReplay:
         )
         assert calls == list(range(len(tiny_windows) - 1))
 
-
-    @pytest.mark.parametrize(
-        "factor", [float("nan"), float("inf"), -float("inf"), -0.5]
-    )
-    def test_non_finite_or_negative_benefit_factor_rejected(
-        self, columnar_adapter, tiny_windows, factor
-    ):
-        nominal = ColumnarNominalDesigner(columnar_adapter)
-        with pytest.raises(ValueError, match="benefit_factor"):
-            replay(
-                TraceSource.from_windows(tiny_windows),
-                {"ExistingDesigner": nominal},
-                columnar_adapter,
-                candidate_source=nominal,
-                benefit_factor=factor,
-            )
-        assert columnar_adapter.costing.stats.query_requests == 0
 
     def test_transition_scope_is_left_after_each_transition(
         self, columnar_adapter, tiny_windows

@@ -1,6 +1,5 @@
 """End-to-end integration tests across the whole stack (tiny scale)."""
 
-import numpy as np
 import pytest
 
 from repro.catalog.datagen import generate_database

@@ -9,7 +9,6 @@ from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.workload.distance import WorkloadDistance
 from repro.workload.query import WorkloadQuery
-from repro.workload.windows import split_windows
 from repro.workload.workload import Workload
 
 
@@ -47,18 +46,6 @@ class TestMoveVariants:
         moved = move_workload(self.BASE, [], self.COSTS.get, alpha=1.0)
         assert {x.sql for x in moved} == {"SELECT t.a FROM t"}
         assert moved.total_weight == pytest.approx(1.0)  # normalized
-
-
-class TestWindowOptions:
-    def test_explicit_start_day(self):
-        queries = [q("SELECT t.a FROM t", day=d) for d in (10.0, 16.0)]
-        aligned = split_windows(queries, 7, start_day=7.0)
-        assert [len(w) for w in aligned] == [1, 1]
-
-    def test_queries_before_start_are_dropped(self):
-        queries = [q("SELECT t.a FROM t", day=d) for d in (1.0, 10.0)]
-        windows = split_windows(queries, 7, start_day=7.0)
-        assert sum(len(w) for w in windows) == 1
 
 
 class TestDistanceInternals:

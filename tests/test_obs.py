@@ -78,12 +78,6 @@ class TestRunTracer:
         assert all(e["t"] == 42.5 for e in events)
         assert events[0]["tags"] == ["a", "b"]
         assert events[1]["value"] == 1.25
-        assert t.events_emitted == 2
-
-    def test_source_is_stamped_when_given(self):
-        buffer = io.StringIO()
-        RunTracer(buffer, clock=lambda: 0.0, source="unit").emit("ping")
-        assert parse(buffer)[0]["source"] == "unit"
 
     def test_unserializable_payload_falls_back_to_repr(self):
         buffer = io.StringIO()
@@ -107,7 +101,6 @@ class TestRunTracer:
         NULL_TRACER.emit("ignored", anything=1)
         NULL_TRACER.flush()
         NULL_TRACER.close()
-        assert NULL_TRACER.events_emitted == 0
 
 
 class TestActiveTracer:
@@ -133,13 +126,13 @@ class TestActiveTracer:
     def test_trace_to_writes_and_restores(self, tmp_path):
         path = tmp_path / "run.jsonl"
         before = tracer()
-        with trace_to(path, source="test") as active:
+        with trace_to(path) as active:
             assert tracer() is active
             tracer().emit("inside", step=1)
         assert tracer() is before
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert events == [
-            {"event": "inside", "seq": 0, "t": events[0]["t"], "source": "test", "step": 1}
+            {"event": "inside", "seq": 0, "t": events[0]["t"], "step": 1}
         ]
 
 
@@ -260,17 +253,18 @@ class _StubModel:
 
 
 class TestServiceEvents:
-    def test_publish_metrics_snapshots_stats(self):
+    def test_publish_metrics_snapshots_stats(self, monkeypatch):
         registry = MetricsRegistry()
+        monkeypatch.setattr("repro.costing.service.get_metrics", lambda: registry)
         service = CostEvaluationService(_StubModel())
         service.query_cost("SELECT 1", ("s",))
         service.query_cost("SELECT 1", ("s",))
-        service.publish_metrics(registry)
+        service.publish_metrics()
         snap = registry.snapshot()
         assert snap["costing.query_requests"] == 2
         assert snap["costing.raw_model_calls"] == 2
         # Re-publishing mirrors the latest snapshot, never accumulates.
-        service.publish_metrics(registry)
+        service.publish_metrics()
         assert registry.snapshot()["costing.query_requests"] == 2
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.catalog.datagen import generate_database
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView

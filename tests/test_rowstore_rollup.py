@@ -1,6 +1,5 @@
 """Native materialized-view rollup must agree with base-table execution."""
 
-import numpy as np
 import pytest
 
 from repro.rowstore.design import RowstoreDesign

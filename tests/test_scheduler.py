@@ -131,49 +131,6 @@ class TestPolicyStateRegression:
         assert first.redesign_windows == second.redesign_windows
 
 
-class TestEvaluationWindowsValidation:
-    def test_empty_evaluation_windows_rejected(self, columnar_adapter, tiny_windows):
-        """Regression: the old ``evaluation_windows or windows`` fallback
-        treated an (accidental) empty list as "no filter" and silently
-        evaluated on the raw windows instead of erroring."""
-        nominal = ColumnarNominalDesigner(columnar_adapter)
-        with pytest.raises(ValueError, match="one-to-one"):
-            scheduled_replay(
-                TraceSource.from_windows(tiny_windows),
-                nominal,
-                columnar_adapter,
-                PeriodicPolicy(every=1),
-                evaluation_windows=[],
-            )
-
-    def test_mismatched_length_rejected(self, columnar_adapter, tiny_windows):
-        nominal = ColumnarNominalDesigner(columnar_adapter)
-        with pytest.raises(ValueError, match="one-to-one"):
-            scheduled_replay(
-                TraceSource.from_windows(tiny_windows),
-                nominal,
-                columnar_adapter,
-                PeriodicPolicy(every=1),
-                evaluation_windows=tiny_windows[:-1],
-            )
-
-    def test_matching_evaluation_windows_accepted(
-        self, columnar_adapter, tiny_windows
-    ):
-        nominal = ColumnarNominalDesigner(columnar_adapter)
-        plain = scheduled_replay(
-            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
-        )
-        explicit = scheduled_replay(
-            TraceSource.from_windows(tiny_windows),
-            nominal,
-            columnar_adapter,
-            PeriodicPolicy(every=1),
-            evaluation_windows=list(tiny_windows),
-        )
-        assert explicit.per_window_avg_ms == plain.per_window_avg_ms
-
-
 class _Recording:
     """Designer wrapper that keeps every design it hands out."""
 

@@ -22,7 +22,7 @@ import time
 import pytest
 
 import repro.serve.daemon as daemon_module
-from repro import QueueSource, RobustDesignSession, RunConfig, ServeConfig, TraceSource
+from repro import QueueSource, RobustDesignSession, RunConfig, ServeConfig
 from repro.obs import RunTracer, set_tracer
 from repro.parallel import SerialBackend, ThreadBackend
 from repro.parallel.backends import settled

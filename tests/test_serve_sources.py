@@ -127,8 +127,6 @@ class TestTraceSource:
     def test_windows_split(self, tiny_trace):
         source = TraceSource(tiny_trace, window_days=28)
         assert same_windows(source.windows(), split_windows(list(tiny_trace), 28))
-        # An explicit override re-splits at the requested length.
-        assert same_windows(source.windows(14), split_windows(list(tiny_trace), 14))
 
     def test_windows_requires_a_length(self, tiny_trace):
         with pytest.raises(ValueError, match="window_days"):
@@ -137,7 +135,6 @@ class TestTraceSource:
     def test_from_windows_is_verbatim(self, tiny_windows):
         source = TraceSource.from_windows(tiny_windows, window_days=28)
         assert source.windows() == list(tiny_windows)
-        assert source.windows(28) == list(tiny_windows)
 
     def test_describe_mentions_size(self, tiny_trace):
         description = TraceSource(tiny_trace).describe()
@@ -159,7 +156,7 @@ class TestQueueSource:
         source = QueueSource()
         assert not source.replayable
         with pytest.raises(TypeError, match="unbounded"):
-            source.windows(28)
+            source.windows()
 
 
 class TestSocketSource:

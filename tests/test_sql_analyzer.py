@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql.analyzer import CLAUSES, QueryTemplate, analyze, extract_template
+from repro.sql.analyzer import CLAUSES, analyze, extract_template
 from repro.sql.parser import parse
 
 

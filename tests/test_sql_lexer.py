@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sql.lexer import LexError, Token, TokenType, tokenize
+from repro.sql.lexer import LexError, TokenType, tokenize
 
 
 def kinds(sql: str) -> list[TokenType]:

@@ -6,7 +6,6 @@ exception types, hangs, or crashes.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.sql.lexer import LexError, tokenize

@@ -30,11 +30,7 @@ from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import replay
-from repro.harness.scheduler import (
-    DriftTriggeredPolicy,
-    PeriodicPolicy,
-    scheduled_replay,
-)
+from repro.harness.scheduler import DriftTriggeredPolicy, PeriodicPolicy
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.serve.sources import TraceSource
@@ -528,48 +524,6 @@ class TestReplayResume:
                 assert _window_facts(resumed.run(name)) == _window_facts(
                     baseline.run(name)
                 ), f"{name} @ boundary {boundary}"
-
-
-class TestScheduledReplayResume:
-    def _run(self, tiny_star, tiny_trace, tiny_windows, ckpt=None):
-        schema, _ = tiny_star
-        adapter, nominal = _stack("columnar", schema)
-        sampler = _sampler(schema, tiny_trace, tiny_windows[1])
-        robust = CliffGuard(
-            nominal, adapter, sampler, gamma=0.005, n_samples=3, max_iterations=1
-        )
-        return scheduled_replay(
-            TraceSource.from_windows(tiny_windows),
-            robust,
-            adapter,
-            PeriodicPolicy(every=2),
-            checkpointer=ckpt,
-        )
-
-    def test_kill_at_every_window_resumes_bit_identical(
-        self, tmp_path, tiny_star, tiny_trace, tiny_windows
-    ):
-        baseline = self._run(tiny_star, tiny_trace, tiny_windows)
-        probe = RunCheckpointer(tmp_path / "probe.ckpt")
-        assert self._run(tiny_star, tiny_trace, tiny_windows, probe) == baseline
-
-        for boundary in range(1, probe.writes + 1):
-            path = tmp_path / f"sched.{boundary}.ckpt"
-            with pytest.raises(SimulatedCrash):
-                self._run(
-                    tiny_star,
-                    tiny_trace,
-                    tiny_windows,
-                    RunCheckpointer(path, crash_after=boundary),
-                )
-            resumed = self._run(
-                tiny_star,
-                tiny_trace,
-                tiny_windows,
-                RunCheckpointer(path, resume=True),
-            )
-            # ScheduleOutcome has no wall-clock fields: exact equality.
-            assert resumed == baseline, f"boundary {boundary}"
 
 
 class TestPolicyState:

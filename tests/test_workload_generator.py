@@ -43,7 +43,7 @@ class TestStarSchema:
     def test_restrict_roles_subsets(self, tiny_star):
         _, roles = tiny_star
         rng = np.random.default_rng(0)
-        narrowed = restrict_roles(roles.facts[0], rng, eq_pool=3, range_pool=1, measure_pool=2)
+        narrowed = restrict_roles(roles.facts[0], rng, eq_pool=3, range_pool=1)
         assert set(narrowed.eq_columns) <= set(roles.facts[0].eq_columns)
         assert len(narrowed.eq_columns) == 3
         assert narrowed.fact == roles.facts[0].fact
