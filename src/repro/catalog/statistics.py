@@ -196,10 +196,3 @@ class TableStatistics:
             null_fraction = stats.null_fraction or DEFAULT_NULL_FRACTION
             return (1.0 - null_fraction) if predicate.negated else null_fraction
         raise TypeError(f"unknown predicate type: {type(predicate).__name__}")
-
-    def conjunction_selectivity(self, predicates: tuple[PredicateType, ...]) -> float:
-        """Independence-assumption selectivity of a conjunction."""
-        selectivity = 1.0
-        for predicate in predicates:
-            selectivity *= self.predicate_selectivity(predicate)
-        return selectivity

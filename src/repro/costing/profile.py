@@ -3,6 +3,25 @@
 A profile is pure data.  Costing a profile against a candidate structure is
 plain arithmetic, which is what keeps designer search loops (thousands of
 query × structure evaluations) fast enough for the robust-design search.
+
+A profile is built in two steps.  The *plan* is what a query's *shape* —
+its text with the literals masked — decides: the parse, column
+resolution, the needed columns and bytes, aggregates, group and order
+keys, the group cardinality, and each predicate with the literal slots
+it reads.  *Binding* a text's literals to the plan prices the predicate
+selectivities and reads the LIMIT and the rows a write touches.
+
+Workloads repeat shapes far more than texts: a template recurs with
+fresh constants (a seed-1 R1 replay profiles 4 554 distinct texts of
+1 056 shapes).  So :class:`QueryProfiler` memoises plans by shape.  A
+text it has not profiled is split at its literals
+(:data:`repro.sql.lexer.LITERALS`); when the shape has a plan, the
+literals are read with the parser's own conversions and bound, and the
+text is never parsed.  A new shape is parsed and planned, and its plan is
+kept only when the split reads back exactly the literals the parse
+found, so binding the split reproduces the parsed text's profile.  A
+text whose literals the parse would reject (``LIMIT 1e400``) fails to
+bind and goes the parsing way, which raises the parse's own error.
 """
 
 from __future__ import annotations
@@ -20,11 +39,14 @@ from repro.sql.ast import (
     DeleteStatement,
     InPredicate,
     InsertStatement,
+    LikePredicate,
+    Literal,
     PredicateType,
     Statement,
     UpdateStatement,
 )
-from repro.sql.parser import parse
+from repro.sql.lexer import LITERALS, string_value
+from repro.sql.parser import limit_value, number_value, parse
 
 
 def resolve_column(
@@ -146,6 +168,186 @@ class QueryProfile:
         return (self.anchor, *self.dimensions)
 
 
+def _slot(value, values: list) -> int | None:
+    """Append a literal's ``value`` to ``values`` as the next slot and
+    return its index; ``None`` for ``NULL`` / ``TRUE`` / ``FALSE``,
+    which are keywords of the shape."""
+    if value is None or isinstance(value, bool):
+        return None
+    values.append(value)
+    return len(values) - 1
+
+
+def _predicate_slots(predicate: PredicateType, values: list) -> tuple | None:
+    """Append ``predicate``'s literals to ``values`` as slots.  Returns
+    the slots of the literal fields its selectivity reads — ``(value,)``
+    for a comparison, ``(low, high)`` for BETWEEN — or ``None`` when no
+    slot feeds it (IN counts its values, LIKE and IS NULL read none)."""
+    if isinstance(predicate, ComparisonPredicate):
+        slots = (_slot(predicate.value.value, values),)
+    elif isinstance(predicate, BetweenPredicate):
+        slots = (_slot(predicate.low.value, values), _slot(predicate.high.value, values))
+    else:
+        if isinstance(predicate, InPredicate):
+            for literal in predicate.values:
+                _slot(literal.value, values)
+        elif isinstance(predicate, LikePredicate):
+            _slot(predicate.pattern, values)
+        return None
+    return None if slots.count(None) == len(slots) else slots
+
+
+def _statement_slots(stmt: Statement) -> tuple[list, dict[int, tuple | None], int | None]:
+    """``stmt``'s slots: its literal values in text order, what
+    :func:`_predicate_slots` answers for each WHERE predicate (by
+    ``id``), and the LIMIT's slot."""
+    values: list = []
+    if isinstance(stmt, InsertStatement):
+        for row in stmt.rows:
+            for literal in row:
+                _slot(literal.value, values)
+        return values, {}, None
+    if isinstance(stmt, UpdateStatement):
+        for assignment in stmt.assignments:
+            _slot(assignment.value.value, values)
+    by_predicate = {id(pred): _predicate_slots(pred, values) for pred in stmt.where}
+    limit = getattr(stmt, "limit", None)
+    return values, by_predicate, None if limit is None else _slot(limit, values)
+
+
+def _rebound(predicate: PredicateType, slots: tuple, values: list) -> PredicateType:
+    """``predicate`` with the literals of ``slots`` taken from ``values``."""
+    if isinstance(predicate, ComparisonPredicate):
+        return ComparisonPredicate(predicate.column, predicate.op, Literal(values[slots[0]]))
+    low, high = slots
+    return BetweenPredicate(
+        predicate.column,
+        predicate.low if low is None else Literal(values[low]),
+        predicate.high if high is None else Literal(values[high]),
+    )
+
+
+class _AccessPlan:
+    """A :class:`TableAccess` without its selectivities.
+
+    ``predicates`` holds ``(column name, equality-like, predicate)`` per
+    predicate on the table, in WHERE order; ``slots``, set once the plan
+    is kept for its shape, holds :func:`_predicate_slots`' answer for
+    each.
+    """
+
+    __slots__ = (
+        "table", "stats", "needed_columns", "needed_bytes", "row_bytes", "predicates", "slots"
+    )
+
+    def __init__(self, table, stats, needed_columns, needed_bytes, row_bytes, predicates):
+        self.table = table
+        self.stats = stats
+        self.needed_columns = needed_columns
+        self.needed_bytes = needed_bytes
+        self.row_bytes = row_bytes
+        self.predicates = predicates
+        self.slots: tuple = ()
+
+    def bind(self, values: list | None) -> TableAccess:
+        """The access with each predicate priced on slot ``values``
+        (``None``: as planned), and the conjunction as their product in
+        WHERE order."""
+        stats = self.stats
+        predicates = self.predicates
+        if values is not None:
+            predicates = [
+                (name, equality, predicate if slots is None else _rebound(predicate, slots, values))
+                for (name, equality, predicate), slots in zip(predicates, self.slots)
+            ]
+        eq: list[tuple[str, float]] = []
+        rng: list[tuple[str, float]] = []
+        total = 1.0
+        for name, equality, predicate in predicates:
+            selectivity = stats.predicate_selectivity(predicate)
+            total *= selectivity
+            (eq if equality else rng).append((name, selectivity))
+        return TableAccess(
+            table=self.table,
+            row_count=stats.row_count,
+            needed_columns=self.needed_columns,
+            needed_bytes=self.needed_bytes,
+            row_bytes=self.row_bytes,
+            eq_selectivity=tuple(sorted(eq)),
+            range_selectivity=tuple(sorted(rng)),
+            total_selectivity=total,
+            predicate_count=len(self.predicates),
+        )
+
+
+class _Plan:
+    """The part of a profile a shape decides (module docstring).
+
+    ``fields`` are the :class:`QueryProfile` fields that read no literal
+    but the planned statement's LIMIT; ``locates`` marks an UPDATE /
+    DELETE, whose ``affected_rows`` is what its WHERE keeps.
+    """
+
+    __slots__ = ("accesses", "fields", "locates", "slots", "limit_slot")
+
+    def __init__(self, accesses, fields, locates=False):
+        self.accesses = accesses
+        self.fields = fields
+        self.locates = locates
+        #: Set by :meth:`reads_back`: how :meth:`read` finds each slot in
+        #: a :data:`LITERALS` split — the index of its STRING or NUMBER
+        #: group and the parser's conversion for it — and the LIMIT's
+        #: slot.
+        self.slots: tuple = ()
+        self.limit_slot: int | None = None
+
+    def reads_back(self, statement: Statement, parts: list) -> bool:
+        """Slot the plan, made from ``statement``, for other texts of its
+        shape, and tell whether it reads from ``parts``, the planned
+        text's split, exactly the literal values the parse found — same
+        count, types and values — so that binding any text of the shape
+        reads its literals where its parse would."""
+        values, by_predicate, limit_slot = _statement_slots(statement)
+        if len(parts) != 3 * len(values) + 1:
+            return False
+        self.slots = tuple(
+            (3 * k + 1, string_value)
+            if isinstance(value, str)
+            else (3 * k + 2, limit_value if k == limit_slot else number_value)
+            for k, value in enumerate(values)
+        )
+        self.limit_slot = limit_slot
+        for access in self.accesses:
+            access.slots = tuple(by_predicate[id(p)] for _, _, p in access.predicates)
+        try:
+            read = self.read(parts)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return read == values and list(map(type, read)) == list(map(type, values))
+
+    def read(self, parts: list) -> list:
+        """The slot values of a text split by :data:`LITERALS`."""
+        return [convert(parts[i]) for i, convert in self.slots]
+
+    def bind(self, sql: str, values: list | None = None) -> QueryProfile:
+        """The profile of ``sql``: a text of the shape whose slot values
+        are ``values`` (see :meth:`reads_back`), or (``None``) the
+        planned statement's own text."""
+        anchor, *dimensions = [access.bind(values) for access in self.accesses]
+        fields = self.fields
+        if self.locates:
+            return QueryProfile(
+                sql=sql,
+                anchor=anchor,
+                dimensions=(),
+                affected_rows=max(anchor.row_count * anchor.total_selectivity, 1.0),
+                **fields,
+            )
+        if values is not None and self.limit_slot is not None:
+            fields = {**fields, "limit": values[self.limit_slot]}
+        return QueryProfile(sql=sql, anchor=anchor, dimensions=tuple(dimensions), **fields)
+
+
 class QueryProfiler:
     """Builds and caches :class:`QueryProfile` objects for one schema."""
 
@@ -153,20 +355,28 @@ class QueryProfiler:
         self.schema = schema
         self.statistics = statistics
         #: sql -> profile.  Bounded: a serve session profiles an endless
-        #: stream of distinct texts; an evicted text is re-parsed into an
-        #: equal profile.
+        #: stream of distinct texts; an evicted text is bound or parsed
+        #: again into an equal profile.
         self._profiles = BoundedMemo("costing.profile_evictions")
+        #: shape -> its plan (module docstring).  Bounded the same way;
+        #: an evicted shape is planned again from its next text.
+        self._plans = BoundedMemo("costing.plan_evictions")
 
     def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text).
 
         ``statement`` is ``sql`` already parsed, for a caller that needs
-        the AST too; a miss then annotates it instead of parsing again.
+        the AST too; a miss then plans it instead of parsing again.
+        Without one, a miss binds the text to its shape's plan when the
+        profiler has one (module docstring).
         """
         cached = self._profiles.get(sql)
         if cached is not None:
             return cached
-        profile = self._build(sql, parse(sql) if statement is None else statement)
+        if statement is None:
+            profile = self._from_text(sql)
+        else:
+            profile = self._plan(statement).bind(sql)
         self._profiles[sql] = profile
         return profile
 
@@ -183,11 +393,30 @@ class QueryProfiler:
         cached = self._profiles.peek(sql)
         if cached is not None:
             return cached
-        return self._build(sql, statement)
+        return self._plan(statement).bind(sql)
 
-    def _build(self, sql: str, stmt: Statement) -> QueryProfile:
+    def _from_text(self, sql: str) -> QueryProfile:
+        """The profile of a text not parsed yet: bound to its shape's
+        plan, or parsed and planned (module docstring)."""
+        parts = LITERALS.split(sql)
+        shape = (tuple(parts[0::3]), tuple(map(bool, parts[1::3])))
+        plan = self._plans.get(shape)
+        if plan is not None:
+            try:
+                return plan.bind(sql, plan.read(parts))
+            except (ValueError, OverflowError):
+                pass  # parsed below, which raises the parse's own error
+        statement = parse(sql)
+        plan = self._plan(statement)
+        profile = plan.bind(sql)
+        if shape not in self._plans and plan.reads_back(statement, parts):
+            self._plans[shape] = plan
+        return profile
+
+    def _plan(self, stmt: Statement) -> _Plan:
+        """The plan of ``stmt``'s shape."""
         if isinstance(stmt, (InsertStatement, UpdateStatement, DeleteStatement)):
-            return self._build_write(sql, stmt)
+            return self._plan_write(stmt)
         anchor_name = stmt.table
         if anchor_name not in self.schema.tables:
             raise SchemaError(f"query references unknown table {anchor_name!r}")
@@ -245,10 +474,8 @@ class QueryProfiler:
             if resolved is not None and resolved[0] == anchor_name:
                 order_by.append(resolved[1])
 
-        anchor = self._build_access(anchor_name, needed[anchor_name], predicates[anchor_name])
-        dims = tuple(
-            self._build_access(name, needed[name], predicates[name])
-            for name in table_names[1:]
+        accesses = tuple(
+            self._plan_access(name, needed[name], predicates[name]) for name in table_names
         )
 
         group_cardinality = 1
@@ -256,26 +483,20 @@ class QueryProfiler:
         for col in group_by:
             if col in stats.columns:
                 group_cardinality *= max(1, stats.columns[col].ndv)
-            group_cardinality = min(group_cardinality, anchor.row_count)
+            group_cardinality = min(group_cardinality, stats.row_count)
 
-        return QueryProfile(
-            sql=sql,
-            anchor=anchor,
-            dimensions=dims,
-            group_by=tuple(group_by),
-            order_by=tuple(order_by),
-            aggregates=tuple(aggregates),
-            select_columns=tuple(select_columns),
-            limit=stmt.limit,
-            group_cardinality=group_cardinality,
-        )
+        fields = {
+            "group_by": tuple(group_by),
+            "order_by": tuple(order_by),
+            "aggregates": tuple(aggregates),
+            "select_columns": tuple(select_columns),
+            "limit": stmt.limit,
+            "group_cardinality": group_cardinality,
+        }
+        return _Plan(accesses, fields)
 
-    def _build_write(
-        self,
-        sql: str,
-        stmt: InsertStatement | UpdateStatement | DeleteStatement,
-    ) -> QueryProfile:
-        """Annotate a DML statement.
+    def _plan_write(self, stmt: InsertStatement | UpdateStatement | DeleteStatement) -> _Plan:
+        """Plan a DML statement.
 
         The anchor access describes the *locate* work — the columns and
         predicates needed to find the affected rows — while the write
@@ -309,69 +530,49 @@ class QueryProfiler:
                     needed.add(resolved[1])
                     preds.append(pred)
 
-        anchor = self._build_access(anchor_name, needed, preds)
+        anchor = self._plan_access(anchor_name, needed, preds)
+        fields = {
+            "group_by": (),
+            "order_by": (),
+            "aggregates": (),
+            "select_columns": (),
+            "limit": None,
+            "group_cardinality": 1,
+            "written_columns": tuple(written),
+        }
         if isinstance(stmt, InsertStatement):
-            kind = "insert"
-            affected = float(len(stmt.rows))
-            written_bytes = sum(
-                table.column(c).type.byte_width for c in written
-            )
+            fields["statement_kind"] = "insert"
+            fields["affected_rows"] = float(len(stmt.rows))
+            written_bytes = sum(table.column(c).type.byte_width for c in written)
         elif isinstance(stmt, UpdateStatement):
-            kind = "update"
-            affected = max(anchor.row_count * anchor.total_selectivity, 1.0)
-            written_bytes = sum(
-                table.column(c).type.byte_width for c in written
-            )
+            fields["statement_kind"] = "update"
+            written_bytes = sum(table.column(c).type.byte_width for c in written)
         else:
-            kind = "delete"
-            affected = max(anchor.row_count * anchor.total_selectivity, 1.0)
+            fields["statement_kind"] = "delete"
             written_bytes = anchor.row_bytes
+        fields["written_bytes"] = max(written_bytes, 1)
+        return _Plan((anchor,), fields, locates=not isinstance(stmt, InsertStatement))
 
-        return QueryProfile(
-            sql=sql,
-            anchor=anchor,
-            dimensions=(),
-            group_by=(),
-            order_by=(),
-            aggregates=(),
-            select_columns=(),
-            limit=None,
-            group_cardinality=1,
-            statement_kind=kind,
-            written_columns=tuple(written),
-            written_bytes=max(written_bytes, 1),
-            affected_rows=affected,
-        )
-
-    def _build_access(
+    def _plan_access(
         self, table_name: str, columns: set[str], preds: list[PredicateType]
-    ) -> TableAccess:
+    ) -> _AccessPlan:
         table = self.schema.table(table_name)
-        stats = self.statistics[table_name]
-        eq: list[tuple[str, float]] = []
-        rng: list[tuple[str, float]] = []
-        for pred in preds:
-            selectivity = stats.predicate_selectivity(pred)
-            name = pred.column.name
-            if isinstance(pred, ComparisonPredicate) and pred.op == "=":
-                eq.append((name, selectivity))
-            elif isinstance(pred, InPredicate):
-                eq.append((name, selectivity))
-            elif isinstance(pred, (ComparisonPredicate, BetweenPredicate)):
-                rng.append((name, selectivity))
-            else:
-                rng.append((name, selectivity))
         needed_bytes = sum(
             table.column(c).type.byte_width for c in columns if table.has_column(c)
         )
-        return TableAccess(
-            table=table_name,
-            row_count=stats.row_count,
-            needed_columns=frozenset(columns),
-            needed_bytes=max(needed_bytes, 1),
-            row_bytes=max(table.row_bytes, 1),
-            eq_selectivity=tuple(sorted(eq)),
-            range_selectivity=tuple(sorted(rng)),
-            total_selectivity=stats.conjunction_selectivity(tuple(preds)),
-            predicate_count=len(preds),
+        return _AccessPlan(
+            table_name,
+            self.statistics[table_name],
+            frozenset(columns),
+            max(needed_bytes, 1),
+            max(table.row_bytes, 1),
+            tuple([
+                (
+                    pred.column.name,
+                    isinstance(pred, InPredicate)
+                    or (isinstance(pred, ComparisonPredicate) and pred.op == "="),
+                    pred,
+                )
+                for pred in preds
+            ]),
         )

@@ -167,6 +167,12 @@ class _NominalDesigner(Designer):
     def generate_candidates(self, workload: Workload) -> list:
         """The candidate structures for ``workload``."""
 
+    @abc.abstractmethod
+    def own_candidates(self, queries) -> list[list]:
+        """Per query, the candidates it gets alone —
+        ``generate_candidates(Workload([query]))`` — for a whole window
+        in one call, from the same per-text proposals."""
+
     def design(self, workload: Workload):
         """Greedy selection of candidate structures under the budget,
         once per live workload (:func:`remembered_design`)."""

@@ -22,6 +22,7 @@ from repro.designers.base import ColumnarAdapter, _NominalDesigner
 # tracer rebinds and restores this module's ``greedy_select``.
 from repro.designers.greedy import greedy_select  # noqa: F401
 from repro.engine.projection import Projection, SortColumn
+from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
 #: Sort keys longer than this add negligible prefix benefit.
@@ -97,40 +98,17 @@ class ColumnarNominalDesigner(_NominalDesigner):
         """Per-template candidates plus merged cluster candidates.
 
         Inside a :meth:`~repro.designers.base.Designer.scoped` block, each
-        text's proposals and each projection object are kept in the scope
-        and reused by later calls; only the clustering, which reads the
-        weights, runs again.  Either way the list is the same.
+        text's proposals, each projection object and each table's column
+        positions are kept in the scope and reused by later calls; only
+        the clustering, which reads the weights, runs again.  Either way
+        the list is the same.
         """
-        scope = self.scope
-        proposals = {} if scope is None else scope.proposals
-        # (table, columns, sort key) -> its projection: one object per
-        # key, so a repeat is recognized by identity.
-        structures = {} if scope is None else scope.structures
+        proposals, projection_of = self._memos()
         seen: set[int] = set()
         candidates: list[Projection] = []
-        positions: dict[str, dict[str, int]] = {}
         # Anchor accesses collected for the merged-candidate clustering
         # pass: (access, weight) pairs.
         anchor_accesses: list[tuple[TableAccess, float]] = []
-
-        def position_of(table_name: str) -> dict[str, int]:
-            position = positions.get(table_name)
-            if position is None:
-                names = self.adapter.schema.table(table_name).column_names
-                position = positions[table_name] = {c: i for i, c in enumerate(names)}
-            return position
-
-        def projection_of(table_name: str, columns, sort_key: tuple[str, ...]) -> Projection:
-            ordered = _ordered_columns(columns, sort_key, position_of(table_name))
-            key = (table_name, ordered, sort_key)
-            projection = structures.get(key)
-            if projection is None:
-                projection = structures[key] = Projection(
-                    table=table_name,
-                    columns=ordered,
-                    sort_columns=tuple(SortColumn(c) for c in sort_key),
-                )
-            return projection
 
         def add(projection: Projection) -> None:
             if id(projection) not in seen:
@@ -168,6 +146,51 @@ class ColumnarNominalDesigner(_NominalDesigner):
                     columns = self._trimmed_columns(cluster, sort_key)
                     add(projection_of(table_name, columns, sort_key))
         return candidates
+
+    def own_candidates(self, queries: Iterable[WorkloadQuery]) -> list[list[Projection]]:
+        """Each query's candidates alone, in one pass: per query, what
+        ``generate_candidates(Workload([query]))`` returns — its own
+        proposals, each once (one query forms no cluster to merge)."""
+        proposals, projection_of = self._memos()
+        own = []
+        for query in queries:
+            proposal = proposals.get(query.sql)
+            if proposal is None:
+                proposal = proposals[query.sql] = self._propose(query.sql, projection_of)
+            own.append(list({id(p): p for p in proposal[0]}.values()))
+        return own
+
+    def _memos(self) -> tuple[dict, Callable[..., Projection]]:
+        """``(proposals, projection_of(table, columns, sort key))``: the
+        per-text proposals and the projection interner, over the scope's
+        memos or over fresh ones for an unscoped call."""
+        scope = self.scope
+        proposals = {} if scope is None else scope.proposals
+        # (table, columns, sort key) -> its projection: one object per
+        # key, so a repeat is recognized by identity.
+        structures = {} if scope is None else scope.structures
+        positions = {} if scope is None else scope.positions
+
+        def position_of(table_name: str) -> dict[str, int]:
+            position = positions.get(table_name)
+            if position is None:
+                names = self.adapter.schema.table(table_name).column_names
+                position = positions[table_name] = {c: i for i, c in enumerate(names)}
+            return position
+
+        def projection_of(table_name: str, columns, sort_key: tuple[str, ...]) -> Projection:
+            ordered = _ordered_columns(columns, sort_key, position_of(table_name))
+            key = (table_name, ordered, sort_key)
+            projection = structures.get(key)
+            if projection is None:
+                projection = structures[key] = Projection(
+                    table=table_name,
+                    columns=ordered,
+                    sort_columns=tuple(SortColumn(c) for c in sort_key),
+                )
+            return projection
+
+        return proposals, projection_of
 
     def _propose(
         self, sql: str, projection_of: Callable[..., Projection]

@@ -7,7 +7,9 @@ whole zoo.
 A factory receives the shared wiring — adapter, nominal designer, Γ, the
 neighborhood sampler factory — plus per-designer overrides, and returns
 ``(designer, sampler_or_None)``.  The sampler is surfaced so the replay
-hooks can keep perturbation pools restricted to past queries.
+hooks can keep perturbation pools restricted to past queries.  An
+override the factory does not read is a ``TypeError`` naming it, except
+the session-wide :data:`SESSION_KEYS` that every call carries.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from repro.workload.sampler import NeighborhoodSampler
 
 #: name -> factory(adapter, nominal, gamma, make_sampler, **cfg)
 _FACTORIES: "OrderedDict[str, Callable]" = OrderedDict()
+
+#: Overrides a session merges into every designer it builds; a factory
+#: that has no use for them ignores them.
+SESSION_KEYS = frozenset({"n_samples", "max_iterations"})
 
 
 def register(name: str, factory: Callable) -> None:
@@ -107,6 +113,14 @@ def build_all(
 # -- the Section 6.1 zoo -----------------------------------------------------------
 
 
+def _reject_unread(name: str, cfg: dict) -> None:
+    """Raise ``TypeError`` naming the keys of ``cfg`` beyond
+    SESSION_KEYS, for a factory of ``name`` that reads no other."""
+    unread = sorted(set(cfg) - SESSION_KEYS)
+    if unread:
+        raise TypeError(f"designer {name!r} takes no {', '.join(map(repr, unread))}")
+
+
 def _require_sampler(name: str, make_sampler) -> NeighborhoodSampler:
     if make_sampler is None:
         raise ValueError(f"designer {name!r} needs a sampler factory (make_sampler)")
@@ -114,18 +128,22 @@ def _require_sampler(name: str, make_sampler) -> NeighborhoodSampler:
 
 
 def _no_design(adapter, nominal, gamma, make_sampler, **cfg):
+    _reject_unread("NoDesign", cfg)
     return NoDesign(adapter), None
 
 
 def _future_knowing(adapter, nominal, gamma, make_sampler, **cfg):
+    _reject_unread("FutureKnowingDesigner", cfg)
     return FutureKnowingDesigner(nominal), None
 
 
 def _existing(adapter, nominal, gamma, make_sampler, **cfg):
+    _reject_unread("ExistingDesigner", cfg)
     return nominal, None
 
 
 def _majority_vote(adapter, nominal, gamma, make_sampler, **cfg):
+    _reject_unread("MajorityVoteDesigner", cfg)
     sampler = _require_sampler("MajorityVoteDesigner", make_sampler)
     n_samples = cfg.get("n_samples", 20)
     return (
@@ -135,6 +153,7 @@ def _majority_vote(adapter, nominal, gamma, make_sampler, **cfg):
 
 
 def _local_search(adapter, nominal, gamma, make_sampler, **cfg):
+    _reject_unread("OptimalLocalSearchDesigner", cfg)
     sampler = _require_sampler("OptimalLocalSearchDesigner", make_sampler)
     n_samples = cfg.get("n_samples", 20)
     return (
@@ -150,11 +169,8 @@ def _cliffguard(adapter, nominal, gamma, make_sampler, **cfg):
     from repro.core.cliffguard import CliffGuard
 
     sampler = _require_sampler("CliffGuard", make_sampler)
-    kwargs = {
-        key: value
-        for key, value in cfg.items()
-        if key not in ("n_samples", "max_iterations")
-    }
+    # Every other key goes to the constructor, which rejects a typo.
+    kwargs = {key: value for key, value in cfg.items() if key not in SESSION_KEYS}
     return (
         CliffGuard(
             nominal,
@@ -175,6 +191,7 @@ def _bandit(adapter, nominal, gamma, make_sampler, **cfg):
     # exploration lives in the UCB width, not in workload perturbation.
     from repro.designers.bandit import BanditDesigner
 
+    _reject_unread("BanditDesigner", cfg)
     return BanditDesigner(nominal, adapter), None
 
 

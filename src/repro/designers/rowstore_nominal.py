@@ -16,12 +16,14 @@ more than CliffGuard's.  This advisor reproduces both halves:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.costing.profile import QueryProfile
 from repro.designers.base import RowstoreAdapter, _NominalDesigner
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
+from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
 
 #: Templates whose union column sets differ by at most this many columns
@@ -183,25 +185,57 @@ class RowstoreNominalDesigner(_NominalDesigner):
         and reused by later calls; compression, which reads the weights,
         runs again on fresh copies.  Either way the list is the same.
         """
-        scope = self.scope
-        proposals = {} if scope is None else scope.proposals
-        structures = {} if scope is None else scope.structures
+        proposals, structures = self._memos()
         templates: list[_CompressedTemplate] = []
         for query in workload.collapsed():
             if query.sql in proposals:
                 template = proposals[query.sql]
             else:
-                try:
-                    profile = self.adapter.profile(query.sql)
-                except ValueError:
-                    template = None
-                else:
-                    template = _template_of(profile, 0.0)
-                proposals[query.sql] = template
+                template = proposals[query.sql] = self._template(query.sql)
             if template is not None:
                 templates.append(template.at(query.frequency))
         templates = compress_templates(templates, self.compression_radius)
+        return self._candidates(templates, structures)
 
+    def own_candidates(
+        self, queries: Iterable[WorkloadQuery]
+    ) -> list[list[Index | MaterializedView]]:
+        """Each query's candidates alone, in one pass: per query, what
+        ``generate_candidates(Workload([query]))`` returns — the
+        candidates of its own template, which compression has nothing to
+        merge with."""
+        proposals, structures = self._memos()
+        own = []
+        for query in queries:
+            if query.sql in proposals:
+                template = proposals[query.sql]
+            else:
+                template = proposals[query.sql] = self._template(query.sql)
+            own.append([] if template is None else self._candidates([template], structures))
+        return own
+
+    def _memos(self) -> tuple[dict, dict]:
+        """``(proposals, structures)``: the scope's, or fresh ones for an
+        unscoped call."""
+        scope = self.scope
+        if scope is None:
+            return {}, {}
+        return scope.proposals, scope.structures
+
+    def _template(self, sql: str) -> _CompressedTemplate | None:
+        """The text's template at weight 0; ``None`` for a text that
+        does not profile."""
+        try:
+            profile = self.adapter.profile(sql)
+        except ValueError:
+            return None
+        return _template_of(profile, 0.0)
+
+    def _candidates(
+        self, templates: list[_CompressedTemplate], structures: dict
+    ) -> list[Index | MaterializedView]:
+        """The index and view candidates of ``templates``, each once;
+        ``structures`` interns the structure objects by key."""
         seen: set = set()
         candidates: list[Index | MaterializedView] = []
 

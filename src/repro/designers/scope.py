@@ -13,6 +13,8 @@ key and size.  A :class:`DesignScope` holds that work for one
   mutation's), shared by the sampler's chain compiler and the profiler;
 * ``proposals`` / ``structures`` — the nominal designer's per-text
   proposals and its structure objects, keyed as the designer chooses;
+* ``positions`` — each table's ``{column: index}``, which the columnar
+  designer orders a projection's columns by;
 * :meth:`identity` — each structure's column key and size.
 
 The scope is derived state.  ``CliffGuard.design`` creates one, marks the
@@ -42,6 +44,8 @@ class DesignScope:
         self.proposals: dict[str, object] = {}
         #: The nominal designer's structure key -> the structure object.
         self.structures: dict[object, object] = {}
+        #: Table name -> ``{column name: its index in the table}``.
+        self.positions: dict[str, dict[str, int]] = {}
         #: ``id(structure)`` -> ``(structure, column key, size)``; the
         #: structure is kept so its ``id`` cannot be recycled.
         self._identities: dict[int, tuple[object, str, int]] = {}

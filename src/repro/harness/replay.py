@@ -77,9 +77,10 @@ def beneficial_queries(
 ) -> Workload:
     """Queries whose ideal dedicated structure beats the bare scan ≥ ``factor``×.
 
-    ``candidate_source`` is any object with a ``generate_candidates``
-    method (a nominal designer); the ideal cost of a query is its best cost
-    across the candidates generated for that query alone.
+    ``candidate_source`` is a nominal designer; the ideal cost of a query
+    is its best cost across the candidates generated for that query
+    alone, which its ``own_candidates`` lists for the whole window in one
+    pass.
 
     ``factor`` must be a finite number ≥ 0: ``base / best >= nan`` is
     always false, so NaN (or an infinite factor) would keep no query at
@@ -103,7 +104,7 @@ def beneficial_queries(
         [adapter.empty_design()], [query.sql for query in queries]
     )
     bases = base_report.per_query_ms
-    own = [candidate_source.generate_candidates(Workload([query])) for query in queries]
+    own = candidate_source.own_candidates(queries)
     service = adapter.costing
     ideal = list(bases)
     if getattr(service, "kernel", None) is not None:

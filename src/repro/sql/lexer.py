@@ -112,25 +112,41 @@ DIGIT = (
     r"\U0001f100-\U0001f10a]"
 )
 
+# A number without its sign.  A dot is part of a number only when a
+# digit follows (``t.c`` is a qualifier), and the exponent form
+# (``1e-05``, ``1.5E+19``) is what ``str(float)`` emits, so the
+# formatter's output lexes back to the same number.
+_UNSIGNED = rf"{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
+# A string closes on a quote that no second quote follows (``''``
+# escapes one).
+_QUOTED = r"'[^']*(?:''[^']*)*'(?!')"
+
 # Leading whitespace is folded into every match; ``scan`` stops the
 # search before trailing whitespace, so every match is one token or one
-# error.  A dot is part of a number only when a digit follows (``t.c`` is
-# a qualifier), and the exponent form (``1e-05``, ``1.5E+19``) is what
-# ``str(float)`` emits, so the formatter's output lexes back to the same
-# number.  A string closes on a quote that no second quote follows
-# (``''`` escapes one).
+# error.
 _TOKEN = re.compile(
     rf"""\s*(?:
-      (?P<NUMBER>-?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?)
+      (?P<NUMBER>-?{_UNSIGNED})
     | (?P<WORD>\w+)
     | (?P<DOT>\.) | (?P<COMMA>,) | (?P<LPAREN>\() | (?P<RPAREN>\))
     | (?P<OPERATOR>[<>!]=|<>|[<>=])
-    | (?P<STRING>'[^']*(?:''[^']*)*'(?!'))
+    | (?P<STRING>{_QUOTED})
     | (?P<STAR>\*)
     | (?P<ERROR>.)
     )""",
     re.VERBOSE | re.DOTALL,
 )
+
+#: The literal split: ``LITERALS.split(text)`` alternates the text
+#: between literals with each literal's STRING and NUMBER groups —
+#: ``[piece, string, number, piece, ..., piece]``, one of each pair
+#: ``None``.  Searching instead of scanning, it never starts a number
+#: inside a word (a digit after ``\w`` is the word's, as in ``attr_09``)
+#: and steps over a string whole, so on any text :func:`scan` accepts,
+#: the literals it finds are exactly the NUMBER and STRING tokens; and a
+#: text that differs from such a text only inside those literals scans
+#: to the same tokens around them.
+LITERALS = re.compile(rf"({_QUOTED})|((?:-|(?<!\w)){_UNSIGNED})")
 
 _KINDS = {kind.name: kind for kind in TokenType}
 _KEYWORD, _IDENTIFIER, _STRING = TokenType.KEYWORD, TokenType.IDENTIFIER, TokenType.STRING
@@ -164,7 +180,7 @@ def scan(text: str) -> tuple[list[TokenType], list[str], list[int]]:
         else:
             kind = _KINDS[group]
             if kind is _STRING:
-                value = value[1:-1].replace("''", "'")
+                value = string_value(value)
             elif value == "<>":
                 value = "!="
         kinds.append(kind)
@@ -174,6 +190,12 @@ def scan(text: str) -> tuple[list[TokenType], list[str], list[int]]:
     values.append("")
     positions.append(len(text))
     return kinds, values, positions
+
+
+def string_value(token: str) -> str:
+    """The value of a STRING token's source text: without its quotes,
+    each ``''`` read as one quote."""
+    return token[1:-1].replace("''", "'")
 
 
 def tokenize(text: str) -> list[Token]:

@@ -172,7 +172,7 @@ class _Parser:
             at = self.i
             text = self._expect(_NUMBER)
             try:
-                limit = int(float(text))
+                limit = limit_value(text)
             except OverflowError:  # ``1e400`` reads as infinity
                 raise self._error("LIMIT out of range", at) from None
 
@@ -319,9 +319,7 @@ class _Parser:
         kind, text = self.kinds[i], self.values[i]
         if kind is _NUMBER:
             self.i = i + 1
-            if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
+            return Literal(number_value(text))
         if kind is _STRING:
             self.i = i + 1
             return Literal(text)
@@ -329,6 +327,25 @@ class _Parser:
             self.i = i + 1
             return Literal(_KEYWORD_LITERALS[text])
         raise self._error("expected a literal")
+
+
+# The two conversions of a NUMBER token's text, shared with the query
+# profiler, which binds a text's literals to a plan of its shape and must
+# read each literal as a parse of the text would.
+
+
+def number_value(text: str) -> int | float:
+    """A NUMBER literal's value: a float when the text has a dot or an
+    exponent, else an int."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
+def limit_value(text: str) -> int:
+    """A LIMIT's row count; ``OverflowError`` when the number reads as
+    infinity (``1e400``)."""
+    return int(float(text))
 
 
 def parse(sql: str) -> Statement:

@@ -116,6 +116,19 @@ class TestSession:
         with pytest.raises(ValueError):
             session.designer("NotADesigner")
 
+    def test_override_the_factory_does_not_read_is_rejected(self):
+        # Every call carries the session's n_samples / max_iterations;
+        # any other key a factory would drop is named instead.
+        with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
+            with pytest.raises(TypeError, match="'BanditDesigner' takes no 'seed'"):
+                session.designer("BanditDesigner", seed=5)
+            with pytest.raises(TypeError, match="takes no 'max_iteration'"):
+                session.designer("MajorityVoteDesigner", max_iteration=3)
+            with pytest.raises(TypeError, match="max_iteration"):
+                session.designer("CliffGuard", max_iteration=3)
+            majority, _ = session.designer("MajorityVoteDesigner", n_samples=3)
+            assert majority.n_samples == 3
+
     def test_auto_backend_resolves_from_env(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "process")
         monkeypatch.setenv(ENV_JOBS, "2")

@@ -23,6 +23,7 @@ from repro.designers.base import ColumnarAdapter, RowstoreAdapter
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.future_knowing import FutureKnowingDesigner
 from repro.designers.no_design import NoDesign
+from repro.designers.scope import DesignScope
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import beneficial_queries, replay
@@ -94,6 +95,10 @@ class _Muted:
         if any(query.sql in self.muted for query in workload):
             return []
         return self.nominal.generate_candidates(workload)
+
+    def own_candidates(self, queries):
+        own = self.nominal.own_candidates(queries)
+        return [[] if q.sql in self.muted else c for q, c in zip(queries, own)]
 
 
 @lru_cache(maxsize=None)
@@ -206,6 +211,26 @@ def test_full_pool_matches_oracle_and_filter_bites(substrate, family):
         sizes.append(len(kept))
     assert sizes == sorted(sizes, reverse=True)
     assert any(0 < size < len(sqls) - len(UNPARSEABLE) - len(muted) for size in sizes)
+
+
+@pytest.mark.parametrize("substrate", sorted(SUBSTRATES))
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scoped", [False, True])
+def test_own_candidates_are_each_query_alone(substrate, family, scoped):
+    """The filter's one proposal pass per window: ``own_candidates``
+    lists, per query, what ``generate_candidates`` gives that query
+    alone, in or out of a scope."""
+    sqls, _ = _pool(family)
+    queries = list(_window(sqls, range(len(sqls))).collapsed())
+    nominal = _stack(substrate)[1].nominal
+    expected = [nominal.generate_candidates(Workload([query])) for query in queries]
+    if scoped:
+        with nominal.scoped(DesignScope()):
+            own = nominal.own_candidates(queries)
+    else:
+        own = nominal.own_candidates(queries)
+    assert own == expected
+    assert any(own)
 
 
 @pytest.mark.parametrize("substrate", sorted(SUBSTRATES))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.schema import Column, Table
+from repro.catalog.schema import Column, Schema, Table
 from repro.catalog.statistics import ColumnStatistics, TableStatistics
 from repro.catalog.types import ColumnType
+from repro.costing.profile import QueryProfiler
 from repro.sql.parser import parse
 
 
@@ -106,10 +107,15 @@ class TestSelectivity:
         assert stats.predicate_selectivity(pred_of("zzz = 1")) == 1.0
 
     def test_conjunction_multiplies(self, stats):
-        preds = parse("SELECT a FROM t WHERE a = 5 AND day < 182").where
-        combined = stats.conjunction_selectivity(preds)
+        # A profile's total_selectivity is the independence-assumption
+        # product of its predicates' selectivities, in WHERE order.
+        sql = "SELECT a FROM t WHERE a = 5 AND day < 182 AND name = 'x'"
+        preds = parse(sql).where
+        schema = Schema()
+        schema.add_table(Table("t", [Column(n, ColumnType.INT) for n in ("a", "day", "name")]))
+        profile = QueryProfiler(schema, {"t": stats}).profile(sql)
         lone = [stats.predicate_selectivity(p) for p in preds]
-        assert combined == pytest.approx(lone[0] * lone[1])
+        assert profile.anchor.total_selectivity == lone[0] * lone[1] * lone[2]
 
     def test_selectivities_always_in_unit_interval(self, stats):
         fragments = [

@@ -70,3 +70,18 @@ class TestCandidateInvariants:
 
     def test_empty_workload_no_candidates(self, designer):
         assert designer.generate_candidates(Workload([])) == []
+
+    def test_own_candidates_list_a_twice_proposed_projection_once(self, designer, tiny_star):
+        """Filtering and grouping on the same lone column propose one
+        projection twice; a query's own candidates hold it once, as its
+        single-query ``generate_candidates`` does."""
+        _, roles = tiny_star
+        fact = roles.facts[0].fact
+        eq = roles.facts[0].eq_columns[0]
+        measure = roles.facts[0].measures[0]
+        query = WorkloadQuery(
+            sql=f"SELECT {eq}, SUM({measure}) FROM {fact} WHERE {eq} = 1 GROUP BY {eq}"
+        )
+        (own,) = designer.own_candidates([query])
+        assert own == designer.generate_candidates(Workload([query]))
+        assert len(own) == 1

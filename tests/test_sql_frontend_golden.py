@@ -27,7 +27,7 @@ from functools import lru_cache
 import pytest
 
 from repro.harness.experiments import ExperimentContext, ExperimentScale
-from repro.sql.lexer import DIGIT, LexError, scan, tokenize
+from repro.sql.lexer import DIGIT, LITERALS, LexError, TokenType, scan, string_value, tokenize
 from repro.sql.parser import parse
 
 TOKENIZE_DIGEST = "7ab15be515fe1dd2e45463ef51e1b45c"
@@ -144,6 +144,80 @@ def test_tokenize_outcomes_unchanged():
 
 def test_parse_outcomes_unchanged():
     assert _digest(_outcome(_ast, text) for text in corpus()) == PARSE_DIGEST
+
+
+# -- the literal split the query profiler keys shapes by ------------------------------
+
+
+def _scanned(text: str):
+    """``scan``'s ``(kinds, values)``, or ``None`` for a text it rejects."""
+    try:
+        kinds, values, _ = scan(text)
+    except LexError:
+        return None
+    return kinds, values
+
+
+def _split_literals(parts: list) -> list[tuple[TokenType, str]]:
+    return [
+        (TokenType.STRING, string_value(string))
+        if string is not None
+        else (TokenType.NUMBER, number)
+        for string, number in zip(parts[1::3], parts[2::3])
+    ]
+
+
+def _shape(parts: list) -> tuple:
+    return tuple(parts[0::3]), tuple(map(bool, parts[1::3]))
+
+
+def _with_literals(parts: list, number: str, string: str) -> str:
+    """The split text with every number and every string replaced."""
+    out = list(parts)
+    for k in range(len(parts) // 3):
+        is_string = parts[3 * k + 1] is not None
+        out[3 * k + 1 : 3 * k + 3] = [string if is_string else number, None]
+    return "".join(part for part in out if part is not None)
+
+
+def test_literal_split_finds_the_scanned_literals():
+    """On every text the scanner accepts, ``LITERALS`` finds exactly its
+    NUMBER and STRING tokens, in order (the number in ``5-3``, none in
+    ``attr_09``, a string's digits and quotes inside the string)."""
+    checked = 0
+    for text in corpus():
+        scanned = _scanned(text)
+        if scanned is None:
+            continue
+        literals = [
+            (kind, value)
+            for kind, value in zip(*scanned)
+            if kind in (TokenType.NUMBER, TokenType.STRING)
+        ]
+        assert _split_literals(LITERALS.split(text)) == literals, text
+        checked += 1
+    assert checked > 40_000
+
+
+@pytest.mark.parametrize("number,string", [("7", "'q'"), ("-1.5e3", "'1 ''2'''")])
+def test_a_shape_scans_alike_whatever_its_literals(number, string):
+    """A text with the shape of one the scanner accepts — the same text
+    between the literals, the same literal kinds — scans to the same
+    tokens around its literals."""
+    literal = (TokenType.NUMBER, TokenType.STRING)
+    for text in corpus():
+        scanned = _scanned(text)
+        if scanned is None:
+            continue
+        parts = LITERALS.split(text)
+        other = _with_literals(parts, number, string)
+        if _shape(LITERALS.split(other)) != _shape(parts):
+            continue
+        kinds, values = _scanned(other)
+        assert kinds == scanned[0], text
+        assert [v for k, v in zip(kinds, values) if k not in literal] == [
+            v for k, v in zip(*scanned) if k not in literal
+        ], text
 
 
 # -- character classes, over every code point -----------------------------------------
