@@ -35,13 +35,12 @@ def context() -> ExperimentContext:
 
 @pytest.fixture(scope="session")
 def backend():
-    """Execution backend from ``REPRO_BACKEND``/``REPRO_JOBS`` (``None`` =
-    none given: serial cells, one shared replay for the comparisons).
-    Results are bit-identical either way; only the wall clock changes."""
+    """Execution backend from ``REPRO_BACKEND``/``REPRO_JOBS`` (serial
+    when none is given).  Results are bit-identical on every backend;
+    only the wall clock changes."""
     executor = backend_from_env()
     yield executor
-    if executor is not None:
-        executor.shutdown()
+    executor.shutdown()
 
 
 @pytest.fixture(scope="session")

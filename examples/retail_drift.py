@@ -33,9 +33,9 @@ def main() -> None:
         f"({config.queries_per_day} queries/day, 28-day windows)…"
     )
 
-    # The per-designer replays fan out over the backend selected by
-    # REPRO_BACKEND/REPRO_JOBS (backend="auto"); results are bit-identical
-    # to the serial run at any worker count.
+    # On more than one worker (REPRO_BACKEND/REPRO_JOBS, backend="auto")
+    # the per-designer replays fan out; on one they share one cost
+    # service.  Results are bit-identical at any worker count.
     with RobustDesignSession(config) as session:
         outcome = session.replay()
 

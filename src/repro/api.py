@@ -14,8 +14,8 @@ collapses that to::
 
 ``RunConfig`` is a frozen dataclass that validates every knob at
 construction (``dataclasses.replace`` returns a re-validated copy);
-``RobustDesignSession(config)`` owns the lazily built context, engine
-stack, and execution backend (see :mod:`repro.parallel`).  The
+``RobustDesignSession(config)`` owns the lazily built context and engine
+stack, and the execution backend (see :mod:`repro.parallel`).  The
 ``backend``/``jobs`` pair is the single parallelism knob: ``sweep()``,
 ``replay()`` and ``schedule()`` fan out whole per-Γ / per-designer
 replays across workers and ``serve()`` runs its re-designs in the
@@ -60,7 +60,7 @@ from repro.harness.scheduler import (
     PeriodicPolicy,
     ScheduleOutcome,
 )
-from repro.parallel.backends import ExecutionBackend, SerialBackend, resolve_backend
+from repro.parallel.backends import ExecutionBackend, resolve_backend
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon, ServeOutcome
 from repro.serve.sources import QuerySource, TraceSource, resolve_source
@@ -110,12 +110,11 @@ class RunConfig:
     max_transitions: int | None = 1
     #: Warm-up transitions skipped at the start of every replay.
     skip_transitions: int = 3
-    #: Execution backend: "auto", "serial", "thread", "process", an
-    #: :class:`~repro.parallel.backends.ExecutionBackend` instance, or
-    #: ``None`` for no backend: sweeps and schedule grids then run their
-    #: cells on a ``SerialBackend``, and ``replay()`` compares the
-    #: designers over one shared cost service (docs/api.md).
-    backend: ExecutionBackend | str | None = "auto"
+    #: Execution backend: "auto", "serial", "thread", "process" or an
+    #: :class:`~repro.parallel.backends.ExecutionBackend` instance.  On
+    #: one worker ``replay()`` compares the designers over one shared cost
+    #: service; on more it fans them out as cells (docs/api.md).
+    backend: ExecutionBackend | str = "auto"
     #: Worker count for the thread/process backends (``None`` = one per core).
     jobs: int | None = None
     #: Checkpoint file for crash-safe resume (docs/state.md).  When set,
@@ -150,12 +149,13 @@ class RunConfig:
             raise ValueError("max_transitions must be at least 1 when set")
         if self.skip_transitions < 0:
             raise ValueError("skip_transitions must be non-negative")
-        if self.backend is not None and not isinstance(self.backend, ExecutionBackend):
-            if not isinstance(self.backend, str) or self.backend not in BACKENDS:
-                raise ValueError(
-                    f"backend must be one of {BACKENDS} or an ExecutionBackend, "
-                    f"got {self.backend!r}"
-                )
+        if not isinstance(self.backend, ExecutionBackend) and (
+            not isinstance(self.backend, str) or self.backend not in BACKENDS
+        ):
+            raise ValueError(
+                f"backend must be one of {BACKENDS} or an ExecutionBackend, "
+                f"got {self.backend!r}"
+            )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be at least 1 when set")
         if self.checkpoint_path is not None and not isinstance(
@@ -202,7 +202,8 @@ class DesignOutcome:
 
 
 class RobustDesignSession:
-    """One configured run: context, engine stack, backend — lazily built.
+    """One configured run: its backend, and its context and engine stack
+    built on first use.
 
     ``RobustDesignSession(config)`` is the supported way to launch runs;
     the CLI, the benchmark suite, and the examples all construct through
@@ -213,8 +214,8 @@ class RobustDesignSession:
     def __init__(self, config: RunConfig):
         self.config = config
         self._context: ExperimentContext | None = None
-        self._backend: ExecutionBackend | None = None
-        self._backend_resolved = False
+        #: The resolved execution backend (its pool starts on first use).
+        self.backend: ExecutionBackend = resolve_backend(config.backend, jobs=config.jobs)
         self._adapter = None
         self._nominal = None
         self._checkpointer: RunCheckpointer | None = None
@@ -227,14 +228,6 @@ class RobustDesignSession:
         if self._context is None:
             self._context = ExperimentContext(self.config.scale())
         return self._context
-
-    @property
-    def backend(self) -> ExecutionBackend | None:
-        """The resolved execution backend (``None`` = none given)."""
-        if not self._backend_resolved:
-            self._backend = resolve_backend(self.config.backend, jobs=self.config.jobs)
-            self._backend_resolved = True
-        return self._backend
 
     @property
     def adapter(self):
@@ -326,7 +319,7 @@ class RobustDesignSession:
 
     def replay(self, which: list[str] | None = None) -> ReplayResult:
         """The Figure 7 / 10 / 15 designer comparison: one shared replay
-        without a backend, one isolated cell per designer with one."""
+        on one worker, one isolated cell per designer on more."""
         return run_designer_comparison(
             self.context,
             self.config.workload,
@@ -402,9 +395,6 @@ class RobustDesignSession:
                 every=self.config.checkpoint_every,
                 resume=self.config.resume,
             )
-        # ``submit`` needs a real backend; no backend maps to an explicit
-        # SerialBackend (reference semantics, blocking swaps).
-        backend = self.backend if self.backend is not None else SerialBackend()
         # Online learners (learns_online) must live in the daemon process
         # — background workers would lose the per-boundary feedback — so
         # the designer is instantiated here and handed over; classic
@@ -422,7 +412,7 @@ class RobustDesignSession:
             policy=policy,
             window_days=window_days,
             serve=serve,
-            backend=backend,
+            backend=self.backend,
             distance=self.context.distance,
             threshold=threshold,
             checkpointer=checkpointer,
@@ -447,8 +437,7 @@ class RobustDesignSession:
     def close(self) -> None:
         """Release pooled backend workers (the session stays usable — the
         pool is recreated lazily on next use)."""
-        if self._backend is not None:
-            self._backend.shutdown()
+        self.backend.shutdown()
 
     def __enter__(self) -> "RobustDesignSession":
         return self

@@ -9,6 +9,7 @@ data (for runs that also execute queries).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,15 +121,19 @@ class ColumnStatistics:
 
 
 def _literal_as_float(value: object) -> float | None:
+    """A range bound as a float; ``None`` for a string constant.
+
+    String constants are compared by dictionary code in the engines; for
+    estimation we fall back to NDV-based uniformity.  An integer beyond
+    the float range reads as ±inf, which :meth:`range_fraction` clamps.
+    """
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        # String constants are compared by dictionary code in the engines;
-        # for estimation we fall back to NDV-based uniformity, signalled by
-        # returning None.
-        return None
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     return None
 
 
@@ -170,12 +175,11 @@ class TableStatistics:
             return 1.0
         stats = self.columns[name]
         if isinstance(predicate, ComparisonPredicate):
-            value = _literal_as_float(predicate.value.value)
-            eq = stats.equality_selectivity()
             if predicate.op == "=":
-                return eq
+                return stats.equality_selectivity()
             if predicate.op == "!=":
-                return max(0.0, 1.0 - eq)
+                return max(0.0, 1.0 - stats.equality_selectivity())
+            value = _literal_as_float(predicate.value.value)
             if value is None:
                 # Range over a non-numeric literal: assume a third passes.
                 return 1.0 / 3.0

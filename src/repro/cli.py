@@ -19,12 +19,11 @@ Commands:
 
 Every command builds a :class:`repro.api.RobustDesignSession` from the
 flags; ``--backend``/``--jobs`` select the execution backend that runs
-whole replays as cells — ``gamma``'s per-Γ and ``compare``'s
-per-designer ones — and ``serve``'s background re-designs (see
-:mod:`repro.parallel`; costing inside one design run is always
-in-process).  With no backend selected ``gamma`` runs its cells on a
-serial backend and ``compare`` replays all designers over one shared
-cost service (docs/api.md gives the measured reason);
+whole replays as cells — ``gamma``'s per-Γ ones and, on more than one
+worker, ``compare``'s per-designer ones — and ``serve``'s background
+re-designs (see :mod:`repro.parallel`; costing inside one design run is
+always in-process).  On one worker ``compare`` replays all designers
+over one shared cost service (docs/api.md gives the measured reason);
 ``--trace PATH`` appends a structured JSONL event trace of the run
 (schema in ``docs/observability.md``).  All commands are deterministic
 given ``--seed`` at any worker count.
@@ -63,10 +62,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKENDS,
         default="auto",
-        help="execution backend (auto = REPRO_BACKEND env, else serial)",
+        help="execution backend (auto = REPRO_BACKEND env, else serial); "
+        "compare fans its designers out only on more than one worker",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, help="worker count for thread/process"
+        "--jobs", type=int, default=None, help="thread/process worker count (default: one per core)"
     )
     parser.add_argument(
         "--trace",

@@ -41,7 +41,7 @@ from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.obs import tracer
-from repro.parallel.backends import ExecutionBackend, SerialBackend, resolve_backend
+from repro.parallel.backends import ExecutionBackend, resolve_backend
 from repro.rowstore.optimizer import RowstoreCostModel
 from repro.serve.sources import TraceSource
 from repro.state import CheckpointMismatchError, RunCheckpointer, run_key
@@ -300,7 +300,7 @@ def _run_cells(
     done_field: str,
     cells: dict,
     task,
-    backend: ExecutionBackend | str | None,
+    backend: ExecutionBackend | str,
     checkpointer: RunCheckpointer | None,
     finish=None,
     snapshot=None,
@@ -310,13 +310,13 @@ def _run_cells(
     ``cells`` maps each cell's key to its task tuple; ``state`` is the
     fresh checkpoint payload of this ``kind`` and ``state[done_field]``
     its ``{key: result}`` dict.  Restores the latest snapshot when
-    resuming, maps the pending cells on the backend (a ``SerialBackend``
-    when none is given), stores each result — what ``finish(state, key,
-    result)`` returns, when given — and checkpoints the payload, or what
-    ``snapshot(state)`` returns when given.  Returns the payload with its
+    resuming, maps the pending cells on the backend, stores each result
+    — what ``finish(state, key, result)`` returns, when given — and
+    checkpoints the payload, or what ``snapshot(state)`` returns when
+    given.  Returns the payload with its
     finished cells in ``cells`` order.
     """
-    executor = resolve_backend(backend) or SerialBackend()
+    executor = resolve_backend(backend)
     loaded = checkpointer.load(kind, state_key) if checkpointer is not None else None
     if loaded is not None:
         state = loaded
@@ -457,18 +457,16 @@ def run_designer_comparison(
     engine: str = "columnar",
     which: list[str] | None = None,
     gamma: float | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: ExecutionBackend | str = "serial",
     checkpointer: RunCheckpointer | None = None,
 ) -> ReplayResult:
     """The Figure 7 / 10 / 15 experiment for one workload and engine.
 
-    Without a ``backend`` the designers share one adapter (and its warm
-    cost service) in a single replay; with one, every designer replays as
-    an isolated cell (its own adapter and seeded sampler over the shared
-    context) and the comparison fans out across workers.  Latencies and
-    designs are bit-identical either way and at any worker count; the
-    per-designer cache counters differ between the two (shared vs
-    isolated service) and agree across backends.
+    On a one-worker ``backend`` the designers share one adapter (and its
+    warm cost service) in a single replay; on more workers every designer
+    replays as an isolated cell (its own adapter and seeded sampler over
+    the shared context) and the comparison fans out.  Window outcomes,
+    learner stats and evaluated-query counts are the same either way.
 
     ``checkpointer`` makes the comparison resumable: per window transition
     in the shared replay (through :func:`replay`), per finished designer
@@ -483,12 +481,10 @@ def run_designer_comparison(
         "designer_comparison", astuple(context.scale), workload, engine, tuple(names), gamma
     )
     executor = resolve_backend(backend)
-    if executor is None:
-        # Two behaviours, each measured ahead on its side (docs/api.md):
-        # in process, seven designers over one shared service replay in
-        # 11.2 s against 13.2 s as isolated cells — the service's warmth
-        # is the saving — while two workers finish the cells in 8.6 s.
-        # Whether a backend was given tells the two sides apart.
+    if executor.jobs == 1:
+        # One worker would run the cells one after another, each warming
+        # a service of its own; one shared service gives the same results
+        # in less time (docs/api.md).
         adapter, nominal = _engine_stack(context, engine)
         designers, samplers = _build_designers(context, adapter, nominal, gamma, which)
         return _replay(
@@ -549,15 +545,14 @@ def run_gamma_sweep(
     context: ExperimentContext,
     workload: str,
     gammas: list[float] | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: ExecutionBackend | str = "serial",
     checkpointer: RunCheckpointer | None = None,
 ) -> dict[float, tuple[float, float]]:
     """CliffGuard's (avg, max) latency per Γ; Γ = 0 is the nominal case.
 
     Every Γ replays as an independent cell (its own adapter and seeded
-    sampler over the shared context) on the execution ``backend`` — a
-    ``SerialBackend`` when none is given — so the sweep is bit-identical
-    at any worker count.
+    sampler over the shared context) on the execution ``backend``, so the
+    sweep is bit-identical at any worker count.
 
     ``checkpointer`` makes the sweep resumable at Γ-point granularity
     (:func:`_run_cells`, docs/state.md): on resume only pending Γ-points run.
@@ -746,7 +741,7 @@ def run_schedule_comparison(
     designers: tuple[str, ...] = ("ExistingDesigner", "CliffGuard"),
     gamma: float | None = None,
     iterations: int | None = None,
-    backend: ExecutionBackend | str | None = None,
+    backend: ExecutionBackend | str = "serial",
     checkpointer: RunCheckpointer | None = None,
 ) -> dict[tuple[str, int], ScheduleOutcome]:
     """Scheduled replay for every (designer, re-design period) pair.
@@ -755,7 +750,7 @@ def run_schedule_comparison(
     designer loses when its designs must serve longer between re-designs.
     Each (designer, period) pair is an independent deterministic cell (its
     own adapter and seeded sampler over the shared context) on the
-    execution ``backend`` — a ``SerialBackend`` when none is given.
+    execution ``backend``.
 
     ``checkpointer`` records completed cells (see :func:`_run_cells`) and
     on resume runs only the pending ones.

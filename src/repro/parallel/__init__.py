@@ -11,9 +11,10 @@ so every backend produces bit-identical results at any worker count.
 Fan-out is **whole-task only**.  The sites routed through it:
 
 * :func:`repro.harness.experiments.run_gamma_sweep` (per-Γ replays),
-* :func:`repro.harness.experiments.run_designer_comparison` and
+* :func:`repro.harness.experiments.run_designer_comparison` (per-designer
+  replays, on more than one worker) and
   :func:`repro.harness.experiments.run_schedule_comparison`
-  (per-designer replays),
+  (per-(designer, period) replays),
 * the online daemon (:mod:`repro.serve`), which uses
   :meth:`~repro.parallel.backends.ExecutionBackend.submit` to launch one
   background re-design at a time and polls the

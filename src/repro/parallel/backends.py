@@ -283,41 +283,40 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def backend_from_env() -> ExecutionBackend | None:
-    """The backend selected by ``REPRO_BACKEND`` / ``REPRO_JOBS``.
+def backend_from_env() -> ExecutionBackend:
+    """The backend selected by ``REPRO_BACKEND`` / ``REPRO_JOBS``, and a
+    ``SerialBackend`` when the environment selects none.
 
-    Returns ``None`` when the environment selects nothing — the sweeps
-    then run their cells on a ``SerialBackend``.  This is how the CI
-    matrix runs the tier-1 suite on the process backend without touching
-    any call site.
+    This is how the CI matrix runs the tier-1 suite on the process
+    backend without touching any call site.
     """
     name = os.environ.get(ENV_BACKEND, "").strip().lower()
     if not name:
-        return None
+        return SerialBackend()
     jobs_text = os.environ.get(ENV_JOBS, "").strip()
     jobs = int(jobs_text) if jobs_text else None
     return resolve_backend(name, jobs=jobs)
 
 
 def resolve_backend(
-    backend: "ExecutionBackend | str | None",
+    backend: "ExecutionBackend | str",
     jobs: int | None = None,
-) -> ExecutionBackend | None:
+) -> ExecutionBackend:
     """The single ``backend``/``jobs`` knob.
 
-    ``backend`` may be an :class:`ExecutionBackend` instance (returned
-    as-is), one of ``"serial"``/``"thread"``/``"process"``, ``"auto"``
-    (defer to :func:`backend_from_env`), or ``None`` (no backend: the
-    Γ sweep and the schedule grid run their cells on a
-    ``SerialBackend``; the designer comparison replays all designers
-    over one shared cost service instead of one cell each).
+    ``backend`` is an :class:`ExecutionBackend` instance (returned
+    as-is), one of ``"serial"``/``"thread"``/``"process"``, or
+    ``"auto"`` (defer to :func:`backend_from_env`).  The designer
+    comparison reads its worker count: one worker replays every designer
+    over one cost service, more fan the designers out as cells.
     """
-    if backend is None:
-        return None
     if isinstance(backend, ExecutionBackend):
         return backend
     if not isinstance(backend, str):
-        raise ValueError(f"backend must be a name or ExecutionBackend, got {backend!r}")
+        raise ValueError(
+            f"backend must be serial, thread, process, auto or an "
+            f"ExecutionBackend, got {backend!r}"
+        )
     name = backend.strip().lower()
     if name == "auto":
         return backend_from_env()

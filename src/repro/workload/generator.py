@@ -401,6 +401,17 @@ def _mutate_spec(
 
 # -- drift profiles -------------------------------------------------------------------
 
+#: Mean-reversion factor of the churn walk (closer to 1 = slower regime
+#: changes, i.e. month-scale quiet/turbulent periods).
+CHURN_REVERSION = 0.98
+#: Revivals prefer templates retired a while ago (monthly reports and
+#: seasonal analyses come back after a dormancy, not the next day): only
+#: templates dead at least this many days are eligible, weighted by
+#: ``exp(-(age - REVIVAL_MIN_AGE_DAYS) / revival_halflife_days)`` beyond it.
+REVIVAL_MIN_AGE_DAYS = 25.0
+#: Number of templates in the stable reporting core.
+CORE_TEMPLATES = 10
+
 
 @dataclass
 class DriftProfile:
@@ -419,9 +430,6 @@ class DriftProfile:
     #: Std-dev of the slow log-space random walk modulating the churn rate
     #: (turbulent vs. quiet periods; widens the min–max δ spread of Table 1).
     churn_volatility: float = 0.0
-    #: Mean-reversion factor of the churn walk (closer to 1 = slower regime
-    #: changes, i.e. month-scale quiet/turbulent periods).
-    churn_reversion: float = 0.98
     #: When set, the base churn rate ramps linearly from lo to hi across
     #: the generated period (S2's "uniform drift" construction).
     churn_range: tuple[float, float] | None = None
@@ -432,18 +440,13 @@ class DriftProfile:
     #: Γ-neighborhood from the historical query pool captures part of the
     #: future (and why a designer that only sees the last window cannot).
     revival_probability: float = 0.0
-    #: Revivals prefer templates retired a while ago (monthly reports and
-    #: seasonal analyses come back after a dormancy, not the next day):
-    #: only templates dead at least ``revival_min_age_days`` are eligible,
-    #: weighted by ``exp(-(age - min_age) / revival_halflife)`` beyond it.
+    #: Half-life of a retired template's revival weight beyond
+    #: :data:`REVIVAL_MIN_AGE_DAYS`.
     revival_halflife_days: float = 60.0
-    revival_min_age_days: float = 25.0
     #: Fraction of query mass drawn from a stable "core" of reporting
     #: templates that barely churn (real workloads keep a repetitive core
     #: under a drifting exploratory tail).
     core_mass: float = 0.3
-    #: Number of core templates.
-    core_templates: int = 10
     #: Per-core-template, per-day churn probability.
     core_churn_rate: float = 0.002
     #: Fraction of emitted queries that are trivial full scans (filtered out
@@ -560,7 +563,7 @@ class TraceGenerator:
         core_roles = restrict_roles(roles.facts[0], self.rng, eq_pool=6, range_pool=3)
         self._core_roles = core_roles
         self._core: list[TemplateSpec] = [
-            _random_spec(core_roles, self.rng) for _ in range(profile.core_templates)
+            _random_spec(core_roles, self.rng) for _ in range(CORE_TEMPLATES)
         ]
         self._log_weights = self.rng.normal(0.0, 0.3, size=profile.topic_count)
         self._burst_topic: int | None = None
@@ -572,10 +575,8 @@ class TraceGenerator:
         self._day = 0.0
         # Start the churn regime walk from its stationary distribution so
         # the first windows are as varied as later ones.
-        if profile.churn_volatility > 0 and profile.churn_reversion < 1:
-            stationary = profile.churn_volatility / math.sqrt(
-                1.0 - profile.churn_reversion**2
-            )
+        if profile.churn_volatility > 0:
+            stationary = profile.churn_volatility / math.sqrt(1.0 - CHURN_REVERSION**2)
             self._log_churn_multiplier = float(self.rng.normal(0.0, stationary))
         else:
             self._log_churn_multiplier = 0.0
@@ -596,7 +597,7 @@ class TraceGenerator:
             self._log_churn_multiplier += float(
                 self.rng.normal(0.0, profile.churn_volatility)
             )
-            self._log_churn_multiplier *= profile.churn_reversion
+            self._log_churn_multiplier *= CHURN_REVERSION
         if profile.churn_range is not None:
             lo, hi = profile.churn_range
             base = lo + (hi - lo) * self._progress
@@ -628,7 +629,7 @@ class TraceGenerator:
         prefix is the oldest.
         """
         profile = self.profile
-        horizon = profile.revival_min_age_days + 6.0 * profile.revival_halflife_days
+        horizon = REVIVAL_MIN_AGE_DAYS + 6.0 * profile.revival_halflife_days
         cutoff = self._day - horizon
         for archive in self._archive:
             drop = 0
@@ -659,7 +660,7 @@ class TraceGenerator:
             and self.rng.random() < profile.revival_probability
         ):
             ages = np.array([self._day - died for _, died in archive], dtype=np.float64)
-            mature = ages - profile.revival_min_age_days
+            mature = ages - REVIVAL_MIN_AGE_DAYS
             weights = np.where(
                 mature >= 0,
                 np.exp(-np.maximum(mature, 0.0) / max(profile.revival_halflife_days, 1e-9)),

@@ -84,6 +84,11 @@ class TestRunConfig:
         config = RunConfig(backend=SerialBackend())
         assert isinstance(config.backend, SerialBackend)
 
+    def test_none_backend_rejected(self):
+        # No backend value means "none": one worker is spelled "serial".
+        with pytest.raises(ValueError, match="serial"):
+            RunConfig(backend=None)
+
 
 class TestSession:
     def test_design_deterministic_across_sessions(self):
@@ -106,7 +111,7 @@ class TestSession:
             RobustDesignSession(RunConfig(**TINY), seed=9)
 
     def test_designer_builds_from_registry(self):
-        with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
             designer, sampler = session.designer("NoDesign")
             assert isinstance(designer, NoDesign)
             assert sampler is None
@@ -119,7 +124,7 @@ class TestSession:
     def test_override_the_factory_does_not_read_is_rejected(self):
         # Every call carries the session's n_samples / max_iterations;
         # any other key a factory would drop is named instead.
-        with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
             with pytest.raises(TypeError, match="'BanditDesigner' takes no 'seed'"):
                 session.designer("BanditDesigner", seed=5)
             with pytest.raises(TypeError, match="takes no 'max_iteration'"):
@@ -139,7 +144,7 @@ class TestSession:
         monkeypatch.delenv(ENV_BACKEND)
         monkeypatch.delenv(ENV_JOBS)
         with RobustDesignSession(RunConfig(**TINY)) as session:
-            assert session.backend is None
+            assert isinstance(session.backend, SerialBackend)
 
     def test_gamma_defaults_to_observed_drift(self):
         with RobustDesignSession(RunConfig(**TINY)) as session:
@@ -220,7 +225,7 @@ class TestObservabilityKnobs:
         from repro.serve import ServeConfig
 
         get_metrics().reset()
-        with RobustDesignSession(RunConfig(**TINY, backend=None)) as session:
+        with RobustDesignSession(RunConfig(**TINY, backend="serial")) as session:
             outcome = session.serve(ServeConfig(swap_mode="boundary", max_queries=60))
         snap = get_metrics().snapshot()
         assert snap["serve.ingested"] == outcome.position == 60

@@ -14,7 +14,8 @@ from repro.harness.experiments import (
     run_designer_comparison,
     run_gamma_sweep,
 )
-from repro.parallel import ProcessBackend, SerialBackend
+from repro.designers import registry
+from repro.parallel import ProcessBackend, SerialBackend, ThreadBackend
 
 MICRO = ExperimentScale(
     days=84,
@@ -36,14 +37,10 @@ class TestExperimentFanOut:
         context = ExperimentContext(MICRO)
         base = context.default_gamma("R1")
         gammas = [0.0, base]
-        legacy = run_gamma_sweep(context, "R1", gammas=gammas)
         serial = run_gamma_sweep(context, "R1", gammas=gammas, backend=SerialBackend())
         with ProcessBackend(jobs=2) as pool:
             process = run_gamma_sweep(context, "R1", gammas=gammas, backend=pool)
         assert serial == process
-        # The legacy inline loop shares one adapter across Γs; the cache
-        # returns exact floats, so even it agrees bit-for-bit.
-        assert legacy == serial
 
     def test_designer_comparison_identical_across_backends(self):
         context = ExperimentContext(MICRO)
@@ -66,20 +63,18 @@ class TestExperimentFanOut:
                 assert wa.query_cost_calls == wb.query_cost_calls
                 assert wa.raw_cost_model_calls == wb.raw_cost_model_calls
 
-    def test_designer_comparison_task_path_matches_legacy_values(self):
-        # The legacy path shares one adapter across designers (warm cache),
-        # the task path isolates each designer — *values* must still agree;
-        # only cache-hit instrumentation may differ.
+    @pytest.mark.parametrize("workload, engine", [("R1", "columnar"), ("HTAP", "rowstore")])
+    def test_one_worker_replay_equals_cells(self, workload, engine):
+        # One worker replays every designer over one cost service, two
+        # fan them out as isolated cells: the rule is only sound while
+        # both paths return the same outcomes, learner stats and counts.
         context = ExperimentContext(MICRO)
-        legacy = run_designer_comparison(context, "R1", which=WHICH)
-        serial = run_designer_comparison(
-            context, "R1", which=WHICH, backend=SerialBackend()
+        shared = run_designer_comparison(
+            context, workload, engine=engine, backend=SerialBackend()
         )
-        for name in WHICH:
-            a, b = legacy.run(name), serial.run(name)
-            assert a.mean_average_ms == pytest.approx(b.mean_average_ms)
-            assert a.mean_max_ms == pytest.approx(b.mean_max_ms)
-            for wa, wb in zip(a.windows, b.windows):
-                assert wa.average_ms == wb.average_ms
-                assert wa.max_ms == wb.max_ms
-                assert wa.design_price_bytes == wb.design_price_bytes
+        with ThreadBackend(jobs=2) as pool:
+            cells = run_designer_comparison(context, workload, engine=engine, backend=pool)
+        assert list(shared.runs) == list(cells.runs) == registry.names()
+        assert shared.evaluated_query_counts
+        assert all(run.windows for run in shared.runs.values())
+        assert shared.without_timings() == cells.without_timings()

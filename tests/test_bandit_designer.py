@@ -198,7 +198,7 @@ class TestBackendDeterminism:
         )
 
     def test_serial_thread_process_identical(self):
-        serial = self._facts(None)
+        serial = self._facts("serial")
         assert serial["BanditDesigner"][1]["rounds"] == 2
         with ThreadBackend(jobs=2) as threads:
             assert self._facts(threads) == serial
@@ -248,7 +248,7 @@ class TestServeLearner:
         iterations=1,
         legacy_tables=5,
         seed=42,
-        backend=None,
+        backend="serial",
     )
 
     @classmethod

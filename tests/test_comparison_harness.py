@@ -106,7 +106,8 @@ class TestCountsAgreement:
         monkeypatch.setattr(
             experiments, "_designer_comparison_task", mismatched
         )
-        with ThreadBackend(jobs=1) as backend:
+        # Two workers: one takes the shared replay, which has no tasks.
+        with ThreadBackend(jobs=2) as backend:
             with pytest.raises(RuntimeError, match="counts diverged"):
                 run_designer_comparison(
                     context,

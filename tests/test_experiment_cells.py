@@ -21,7 +21,7 @@ from repro.harness.experiments import (
     run_gamma_sweep,
     run_schedule_comparison,
 )
-from repro.parallel import SerialBackend
+from repro.parallel import SerialBackend, ThreadBackend
 from repro.workload.generator import TraceGenerator
 
 MICRO = ExperimentScale(
@@ -63,9 +63,11 @@ class TestCellsCarryTheContext:
         monkeypatch.setattr(ExperimentContext, "__post_init__", post_init)
         base = context.default_gamma("R1")
         run_gamma_sweep(context, "R1", gammas=[0.0, base], backend=SerialBackend())
-        run_designer_comparison(
-            context, "R1", which=["NoDesign", "ExistingDesigner"], backend=SerialBackend()
-        )
+        # Two workers: one worker replays the designers without cells.
+        with ThreadBackend(jobs=2) as pool:
+            run_designer_comparison(
+                context, "R1", which=["NoDesign", "ExistingDesigner"], backend=pool
+            )
         run_schedule_comparison(
             context, designers=("ExistingDesigner",), backend=SerialBackend()
         )

@@ -228,28 +228,19 @@ class TestExperimentResume:
             resumed = run(RunCheckpointer(path, resume=True))
             assert facts(resumed) == baseline, boundary
 
-    @pytest.mark.parametrize("serial_backend", [False, True])
-    def test_gamma_sweep_resumes_at_every_cell(self, context, tmp_path, serial_backend):
+    def test_gamma_sweep_resumes_at_every_cell(self, context, tmp_path):
         from repro.harness.experiments import run_gamma_sweep
-        from repro.parallel import SerialBackend
 
         base = context.default_gamma("R1")
         gammas = [0.0, base, 2 * base]
 
         def run(checkpointer):
-            backend = SerialBackend() if serial_backend else None
-            return run_gamma_sweep(
-                context, "R1", gammas=gammas, backend=backend, checkpointer=checkpointer
-            )
+            return run_gamma_sweep(context, "R1", gammas=gammas, checkpointer=checkpointer)
 
         self._crash_at_every_checkpoint(run, len(gammas), tmp_path)
 
-    @pytest.mark.parametrize("serial_backend", [False, True])
-    def test_schedule_comparison_resumes_at_every_cell(
-        self, context, tmp_path, serial_backend
-    ):
+    def test_schedule_comparison_resumes_at_every_cell(self, context, tmp_path):
         from repro.harness.experiments import run_schedule_comparison
-        from repro.parallel import SerialBackend
 
         def run(checkpointer):
             return run_schedule_comparison(
@@ -257,32 +248,25 @@ class TestExperimentResume:
                 designers=("ExistingDesigner",),
                 everies=(1, 2, 3),
                 iterations=1,
-                backend=SerialBackend() if serial_backend else None,
                 checkpointer=checkpointer,
             )
 
         self._crash_at_every_checkpoint(run, 3, tmp_path)
 
-    @pytest.mark.parametrize("serial_backend", [False, True])
-    def test_designer_comparison_resumes_at_every_cell(
-        self, context, tmp_path, serial_backend
-    ):
+    @pytest.mark.parametrize("cells", [False, True])
+    def test_designer_comparison_resumes_at_every_cell(self, context, tmp_path, cells):
         from repro.harness.experiments import run_designer_comparison
-        from repro.parallel import SerialBackend
+        from repro.parallel import SerialBackend, ThreadBackend
 
         which = ["NoDesign", "ExistingDesigner", "CliffGuard"]
 
         def run(checkpointer):
-            return run_designer_comparison(
-                context,
-                "R1",
-                which=which,
-                backend=SerialBackend() if serial_backend else None,
-                checkpointer=checkpointer,
-            )
+            with ThreadBackend(jobs=2) if cells else SerialBackend() as backend:
+                return run_designer_comparison(
+                    context, "R1", which=which, backend=backend, checkpointer=checkpointer
+                )
 
-        # Isolated cells checkpoint per designer; the shared replay (no
-        # backend) per window transition — one at this scale.
-        self._crash_at_every_checkpoint(
-            run, len(which) if serial_backend else 1, tmp_path, self._replay_facts
-        )
+        # The shared replay (one worker) checkpoints per window transition,
+        # one at this scale; two workers take the three cells as one batch
+        # and checkpoint once it lands.
+        self._crash_at_every_checkpoint(run, 1, tmp_path, self._replay_facts)

@@ -40,7 +40,12 @@ from repro.sql.formatter import format_statement
 from repro.sql.parser import ParseError, parse
 from repro.workload.distance import WorkloadDistance
 from repro.workload.families import ecommerce_profile, htap_profile, oltp_profile
-from repro.workload.generator import TraceGenerator, build_star_schema, s2_profile
+from repro.workload.generator import (
+    REVIVAL_MIN_AGE_DAYS,
+    TraceGenerator,
+    build_star_schema,
+    s2_profile,
+)
 from repro.workload.monitor import WorkloadMonitor
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import Workload
@@ -375,12 +380,11 @@ class TestArchiveRetention:
             topic_count=3,
             templates_per_topic=3,
             archive_cap=None,
-            revival_min_age_days=5.0,
             revival_halflife_days=5.0,
         )
         gen = TraceGenerator(schema, roles, profile, seed=8)
         gen.generate(days=600)
-        horizon = 5.0 + 6.0 * 5.0
+        horizon = REVIVAL_MIN_AGE_DAYS + 6.0 * 5.0
         for archive in gen._archive:
             assert all(gen._day - died <= horizon for _, died in archive)
 
@@ -510,7 +514,7 @@ class TestBoundedMonitor:
         session = RobustDesignSession(
             RunConfig(
                 workload="HTAP", days=14, window_days=7, queries_per_day=4,
-                n_samples=2, iterations=1, legacy_tables=2, backend=None, gamma=0.003,
+                n_samples=2, iterations=1, legacy_tables=2, backend="serial", gamma=0.003,
             )
         )
         daemon = session.daemon(ServeConfig())

@@ -119,7 +119,6 @@ class TestFaultTolerance:
 
 class TestResolution:
     def test_resolve_names(self):
-        assert resolve_backend(None) is None
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("thread", jobs=3), ThreadBackend)
         assert isinstance(resolve_backend("process", jobs=2), ProcessBackend)
@@ -131,12 +130,14 @@ class TestResolution:
             resolve_backend("gpu")
         with pytest.raises(ValueError):
             resolve_backend(42)
+        with pytest.raises(ValueError, match="serial, thread, process, auto"):
+            resolve_backend(None)
 
     def test_env_selection(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
         monkeypatch.delenv(ENV_JOBS, raising=False)
-        assert backend_from_env() is None
-        assert resolve_backend("auto") is None
+        assert isinstance(backend_from_env(), SerialBackend)
+        assert isinstance(resolve_backend("auto"), SerialBackend)
 
         monkeypatch.setenv(ENV_BACKEND, "process")
         monkeypatch.setenv(ENV_JOBS, "2")

@@ -115,7 +115,7 @@ CYCLE = 4
 def cycled_session(**serve):
     run = RunConfig(
         workload="R1", days=28, window_days=1, queries_per_day=4, n_samples=2,
-        iterations=1, legacy_tables=2, backend=None,
+        iterations=1, legacy_tables=2, backend="serial",
     )
     session = RobustDesignSession(run)
     texts = [query.sql for query in session.context.trace("R1")[:CYCLE]]

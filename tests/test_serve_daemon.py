@@ -37,7 +37,7 @@ TINY = dict(
     n_samples=2,
     iterations=1,
     legacy_tables=5,
-    backend=None,
+    backend="serial",
 )
 
 

@@ -34,7 +34,7 @@ TINY = dict(
     n_samples=2,
     iterations=1,
     legacy_tables=5,
-    backend=None,
+    backend="serial",
 )
 
 CLI_SCALE = [

@@ -13,9 +13,10 @@ with those tests — unless it is listed in :data:`ALLOWED` with the reason
 it stays.  The scan is by name, so it is lenient: a name shared with
 another definition (``describe``, ``design``) counts as used.
 
-The same rule holds for configuration knobs: a ``RunConfig`` or
-``ServeConfig`` field stays only if code in ``src/``, ``benchmarks/`` or
-``examples/`` sets it — as a keyword of a call to the config, or of a
+The same rule holds for configuration knobs: a ``RunConfig``,
+``ServeConfig``, ``DriftProfile`` or ``ExperimentScale`` field stays only
+if code in ``src/``, ``benchmarks/`` or ``examples/`` sets it — as a
+keyword of a call to the config, of a ``dict`` unpacked into one, or of a
 call to a helper that forwards its ``**kwargs`` into one — unless it is
 listed in :data:`KNOBS_ALLOWED` with the reason it stays.
 
@@ -121,6 +122,7 @@ KNOBS_ALLOWED = {
         "selects the online-learner serve path (BanditDesigner; "
         "docs/designers.md, ROADMAP 2-b)"
     ),
+    "ExperimentScale.budget_fraction": "ROADMAP item 4-ii sweeps the budget",
 }
 
 
@@ -138,12 +140,63 @@ def _callee(call: ast.Call) -> str | None:
 
 def _config_fields() -> dict[str, list[str]]:
     from repro.api import RunConfig
+    from repro.harness.experiments import ExperimentScale
     from repro.serve.config import ServeConfig
+    from repro.workload.generator import DriftProfile
 
     return {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (RunConfig, ServeConfig)
+        for cls in (RunConfig, ServeConfig, DriftProfile, ExperimentScale)
     }
+
+
+def _carriers(function: ast.FunctionDef) -> set[str]:
+    """The names in ``function`` that hold its ``**kwargs``: the parameter
+    itself, a name assigned from an expression that reads one, and a
+    dict one is ``update``-d into."""
+    carriers = {function.args.kwarg.arg}
+    grown = True
+    while grown:
+        grown = False
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(n, ast.Name) and n.id in carriers for n in ast.walk(node.value)
+            ):
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update"
+                and isinstance(node.func.value, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id in carriers for a in node.args)
+            ):
+                names = {node.func.value.id}
+            else:
+                continue
+            if not names <= carriers:
+                carriers |= names
+                grown = True
+    return carriers
+
+
+def _dict_keys(tree: ast.Module) -> dict[str, set[str]]:
+    """Name -> the keys of every ``dict(k=...)`` or ``{"k": ...}`` assigned
+    to it in ``tree``: a call that unpacks the name sets those keys."""
+    keys: dict[str, set[str]] = defaultdict(set)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and _callee(value) == "dict":
+            found = {k.arg for k in value.keywords if k.arg is not None}
+        elif isinstance(value, ast.Dict):
+            found = {k.value for k in value.keys if isinstance(k, ast.Constant)}
+        else:
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                keys[target.id] |= found
+    return keys
 
 
 def _set_knobs() -> set[str]:
@@ -154,7 +207,6 @@ def _set_knobs() -> set[str]:
         for folder in ("src", "benchmarks", "examples")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
-    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
     #: callee name -> the config its keywords set: the configs, and every
     #: function that passes its own ``**kwargs`` on to one of them.
     targets = {name: name for name in fields}
@@ -169,25 +221,31 @@ def _set_knobs() -> set[str]:
                     or function.name in targets
                 ):
                     continue
-                forwarded = function.args.kwarg.arg
+                carriers = _carriers(function)
                 for call in ast.walk(function):
                     if isinstance(call, ast.Call) and _callee(call) in targets and any(
                         keyword.arg is None
                         and isinstance(keyword.value, ast.Name)
-                        and keyword.value.id == forwarded
+                        and keyword.value.id in carriers
                         for keyword in call.keywords
                     ):
                         targets[function.name] = targets[_callee(call)]
                         grown = True
                         break
     knobs = set()
-    for call in calls:
-        config = targets.get(_callee(call))
-        if config is None:
-            continue
-        knobs.update(f"{config}.{k.arg}" for k in call.keywords if k.arg is not None)
-        if _callee(call) == config:
-            knobs.update(f"{config}.{name}" for name in fields[config][: len(call.args)])
+    for tree in trees:
+        unpacked = _dict_keys(tree)
+        for call in ast.walk(tree):
+            config = targets.get(_callee(call)) if isinstance(call, ast.Call) else None
+            if config is None:
+                continue
+            for k in call.keywords:
+                if k.arg is not None:
+                    knobs.add(f"{config}.{k.arg}")
+                elif isinstance(k.value, ast.Name):
+                    knobs.update(f"{config}.{key}" for key in unpacked.get(k.value.id, ()))
+            if _callee(call) == config:
+                knobs.update(f"{config}.{name}" for name in fields[config][: len(call.args)])
     return knobs
 
 

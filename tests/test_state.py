@@ -596,8 +596,8 @@ def _snapshots(monkeypatch, kind: str, path) -> list[bytes]:
         written.append(self.path.read_bytes())
 
     monkeypatch.setattr(RunCheckpointer, "save", recording)
-    backend = "serial" if kind == "replay-cells" else None
-    config = RunConfig(**_SAME_SEED, backend=backend, checkpoint_path=path)
+    backend = "thread" if kind == "replay-cells" else "serial"
+    config = RunConfig(**_SAME_SEED, backend=backend, jobs=2, checkpoint_path=path)
     with RobustDesignSession(config) as session:
         if kind == "design":
             session.design()
@@ -623,7 +623,8 @@ def test_no_snapshot_holds_a_wall_clock_value(tmp_path, monkeypatch, kind):
     and kept in the live result only (docs/state.md)."""
     first = _snapshots(monkeypatch, kind, tmp_path / "first.ckpt")
     second = _snapshots(monkeypatch, kind, tmp_path / "second.ckpt")
-    assert len(first) >= 2
+    # Two workers take both cells in one batch and checkpoint once.
+    assert len(first) >= (1 if kind == "replay-cells" else 2)
     assert first == second
 
 
@@ -669,7 +670,7 @@ print(digest(pickle.dumps(design)), digest(pickle.dumps(rowstore)))
 
 config = RunConfig(
     workload="R1", days=56, window_days=14, queries_per_day=4, n_samples=2,
-    iterations=1, legacy_tables=5, backend=None, seed=1,
+    iterations=1, legacy_tables=5, backend="serial", seed=1,
 )
 serve = ServeConfig(swap_mode="boundary", min_window_queries=4)
 daemon = repro.RobustDesignSession(config).daemon(serve)

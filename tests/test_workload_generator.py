@@ -155,7 +155,6 @@ class TestRevivals:
             templates_per_topic=4,
             churn_rate=0.3,
             revival_probability=0.95,
-            revival_min_age_days=10.0,
             revival_halflife_days=30.0,
         )
         trace = TraceGenerator(schema, roles, profile, seed=21).generate(days=120)
