@@ -402,7 +402,7 @@ def run(seeds: dict, checkpointer: RunCheckpointer | None = None) -> dict:
     state_key = run_key("claims", tuple(cells))
     state = _run_cells(
         "claims", state_key, {"records": {}}, "records", cells, _claim_task,
-        None, checkpointer,
+        "serial", checkpointer,
     )
     records: dict = {kind: {} for kind in seeds}
     for (kind, seed), record in state["records"].items():

@@ -1,10 +1,10 @@
 """Drift-aware operations: monitor the workload, re-design on alarm.
 
 Combines the streaming :class:`WorkloadMonitor` (the paper's suggested
-"workload monitoring" application of δ) with the re-design scheduler: the
+"workload monitoring" application of δ) with a re-design policy: the
 database is re-designed only when the observed workload has drifted past
-the robustness knob Γ the current design was built with — instead of on a
-blind monthly timer.
+a threshold since the current design was built — instead of on a blind
+monthly timer.
 
 Run:  python examples/drift_monitoring.py
 """
@@ -18,13 +18,10 @@ from repro import (
     build_star_schema,
     default_budget_bytes,
     r1_profile,
+    replay,
     split_windows,
 )
-from repro.harness.scheduler import (
-    DriftTriggeredPolicy,
-    PeriodicPolicy,
-    scheduled_replay,
-)
+from repro.serve import DriftTriggeredPolicy, PeriodicPolicy, TraceSource
 from repro.workload.monitor import WorkloadMonitor
 
 
@@ -61,12 +58,15 @@ def main() -> None:
         "drift-triggered": DriftTriggeredPolicy(distance, threshold),
     }
     for label, policy in policies.items():
-        outcome = scheduled_replay(windows, nominal, adapter, policy)
+        result = replay(
+            TraceSource.from_windows(windows), {"nominal": nominal}, adapter, policy=policy
+        )
+        run = result.run("nominal")
         print(
-            f"  {label:26s}: avg {outcome.mean_average_ms:8.1f} ms over "
-            f"{len(outcome.per_window_avg_ms)} windows, "
-            f"{outcome.redesign_count} re-designs, "
-            f"deployment {outcome.total_deployment_seconds / 3600:.1f} h"
+            f"  {label:26s}: avg {run.mean_average_ms:8.1f} ms over "
+            f"{len(run.windows)} windows, "
+            f"{run.redesign_count} re-designs, "
+            f"deployment {run.deployment_seconds(adapter) / 3600:.1f} h"
         )
     print(
         "\nReading: the drift-triggered policy spends deployment hours only"

@@ -54,15 +54,11 @@ from repro.harness.experiments import (
     run_gamma_sweep,
     run_schedule_comparison,
 )
-from repro.harness.replay import ReplayResult
-from repro.harness.scheduler import (
-    DriftTriggeredPolicy,
-    PeriodicPolicy,
-    ScheduleOutcome,
-)
+from repro.harness.replay import DesignerRun, ReplayResult
 from repro.parallel.backends import ExecutionBackend, resolve_backend
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon, ServeOutcome
+from repro.serve.policy import DriftTriggeredPolicy, PeriodicPolicy
 from repro.serve.sources import QuerySource, TraceSource, resolve_source
 from repro.state import RunCheckpointer
 from repro.workload.workload import Workload
@@ -340,7 +336,7 @@ class RobustDesignSession:
             checkpointer=self.checkpointer,
         )
 
-    def schedule(self) -> dict[tuple[str, int], ScheduleOutcome]:
+    def schedule(self) -> dict[tuple[str, int], DesignerRun]:
         """Re-design-frequency comparison (per-(designer, period) fan-out):
         ExistingDesigner and CliffGuard, re-designing every window and
         every other window."""

@@ -5,7 +5,7 @@ profiler memoizes profiles by SQL text, the distance metrics memoize
 template encodings, and the bandit designer keeps its arm log.  All of
 them need the same thing — a mapping that forgets its
 least-recently-used entry once it is full — so a months-long
-``scheduled_replay``, monitor or serve run cannot grow them (and the
+replay, monitor or serve run cannot grow them (and the
 objects they reference) without bound.  :class:`BoundedMemo` is that
 mapping.  State kept per live :class:`~repro.workload.workload.Workload`
 (the distance metrics' self terms and baseline costs, the nominal

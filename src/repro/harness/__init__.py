@@ -1,7 +1,8 @@
 """Evaluation harness: windowed replay, experiments, reporting.
 
 * :mod:`repro.harness.replay` — the design→deploy→evaluate replay loop of
-  Section 6.1 (design on window ``W_i``, evaluate on ``W_{i+1}``),
+  Section 6.1 (design on window ``W_i``, evaluate on ``W_{i+1}``), every
+  window or when a re-design policy fires,
 * :mod:`repro.harness.experiments` — one entry point per paper table and
   figure,
 * :mod:`repro.harness.reporting` — fixed-width tables and ASCII series.
@@ -15,21 +16,13 @@ from repro.harness.replay import (
     replay,
 )
 from repro.harness.reporting import format_series, format_table
-from repro.harness.scheduler import (
-    DriftTriggeredPolicy,
-    PeriodicPolicy,
-    scheduled_replay,
-)
 
 __all__ = [
     "DesignerRun",
-    "DriftTriggeredPolicy",
-    "PeriodicPolicy",
     "ReplayResult",
     "WindowOutcome",
     "beneficial_queries",
     "format_series",
     "format_table",
     "replay",
-    "scheduled_replay",
 ]

@@ -43,6 +43,7 @@ from repro.engine.optimizer import ColumnarCostModel
 from repro.obs import tracer
 from repro.parallel.backends import ExecutionBackend, resolve_backend
 from repro.rowstore.optimizer import RowstoreCostModel
+from repro.serve.policy import PeriodicPolicy, RedesignPolicy
 from repro.serve.sources import TraceSource
 from repro.state import CheckpointMismatchError, RunCheckpointer, run_key
 from repro.workload.distance import SWGO, LatencyAwareDistance, WorkloadDistance
@@ -60,7 +61,6 @@ from repro.workload.sampler import NeighborhoodSampler
 from repro.workload.windows import shared_template_fraction, split_windows
 from repro.workload.workload import Workload
 from repro.harness.replay import DesignerRun, ReplayResult, replay
-from repro.harness.scheduler import PeriodicPolicy, ScheduleOutcome, scheduled_replay
 
 
 @dataclass
@@ -223,12 +223,15 @@ def _build_designers(
     )
 
 
-def _past_pool_hook(trace: list[WorkloadQuery], samplers: list[NeighborhoodSampler]):
+def _past_pool_hook(
+    trace: list[WorkloadQuery], samplers: list[NeighborhoodSampler], before_train=False
+):
     """Replay hook: before each transition, restrict the samplers' pools to
-    queries that happened strictly before the test window."""
+    queries that happened strictly before the test window — or before the
+    train window, with ``before_train``."""
 
-    def hook(_index: int, _train: Workload, test: Workload) -> None:
-        start, _ = test.span_days
+    def hook(_index: int, train: Workload, test: Workload) -> None:
+        start, _ = (train if before_train else test).span_days
         past = [q for q in trace if q.timestamp < start]
         for sampler in samplers:
             sampler.set_pool(past)
@@ -245,20 +248,30 @@ def _replay(
     nominal,
     checkpointer: RunCheckpointer | None = None,
     state_key: str | None = None,
+    policy: RedesignPolicy | None = None,
 ) -> ReplayResult:
     """The one replay protocol behind every figure: the scale's transition
-    window, the beneficial-query filter, sampler pools kept in the past."""
+    window, the beneficial-query filter, sampler pools kept in the past.
+
+    A re-design ``policy`` runs the schedule comparison's protocol
+    instead: every transition, each priced on its whole test window, and
+    pools kept before the train window a design is built from.
+    """
+    scheduled = policy is not None
     return replay(
         context.window_source(workload),
         designers,
         adapter,
-        candidate_source=nominal,
+        candidate_source=None if scheduled else nominal,
         workload_name=workload,
-        max_transitions=context.scale.max_transitions,
-        skip_transitions=context.scale.skip_transitions,
-        before_transition=_past_pool_hook(context.trace(workload), samplers),
+        max_transitions=None if scheduled else context.scale.max_transitions,
+        skip_transitions=0 if scheduled else context.scale.skip_transitions,
+        before_transition=_past_pool_hook(
+            context.trace(workload), samplers, before_train=scheduled
+        ),
         checkpointer=checkpointer,
         state_key=state_key,
+        policy=policy,
     )
 
 
@@ -743,14 +756,15 @@ def run_schedule_comparison(
     iterations: int | None = None,
     backend: ExecutionBackend | str = "serial",
     checkpointer: RunCheckpointer | None = None,
-) -> dict[tuple[str, int], ScheduleOutcome]:
-    """Scheduled replay for every (designer, re-design period) pair.
+) -> dict[tuple[str, int], DesignerRun]:
+    """A periodic-policy replay for every (designer, re-design period) pair.
 
     The executable form of the paper's claim (d): how much latency each
     designer loses when its designs must serve longer between re-designs.
-    Each (designer, period) pair is an independent deterministic cell (its
-    own adapter and seeded sampler over the shared context) on the
-    execution ``backend``.
+    A run's ``redesign_count`` and ``deployment_seconds(adapter)`` give the
+    operational cost.  Each (designer, period) pair is an independent
+    deterministic cell (its own adapter and seeded sampler over the shared
+    context) on the execution ``backend``.
 
     ``checkpointer`` records completed cells (see :func:`_run_cells`) and
     on resume runs only the pending ones.
@@ -758,9 +772,11 @@ def run_schedule_comparison(
     if gamma is None:
         gamma = context.default_gamma(workload)
     context.trace_windows(workload)  # generated once here, not once per worker
+    # "DesignerRun" keys the cells' result type: a snapshot whose cells
+    # are the older schedule outcomes is refused, not unpickled.
     state_key = run_key(
         "schedule_comparison", astuple(context.scale), workload, engine,
-        tuple(designers), tuple(everies), gamma, iterations,
+        tuple(designers), tuple(everies), gamma, iterations, "DesignerRun",
     )
     cells = {
         (name, every): (context, workload, engine, name, every, gamma, iterations)
@@ -770,29 +786,26 @@ def run_schedule_comparison(
     state = _run_cells(
         "schedule_comparison", state_key, {"outcomes": {}}, "outcomes",
         cells, _schedule_task, backend, checkpointer,
+        snapshot=lambda state: {
+            "outcomes": {key: run.without_timings() for key, run in state["outcomes"].items()}
+        },
     )
     return state["outcomes"]
 
 
-def _schedule_task(task) -> ScheduleOutcome:
-    """One (designer, period) scheduled replay (process-backend task)."""
+def _schedule_task(task) -> DesignerRun:
+    """One (designer, period) periodic replay (process-backend task)."""
     context, workload, engine, name, every, gamma, iterations = task
     adapter, nominal, distance = _cell_stack(context, engine)
     cfg = {} if iterations is None else {"max_iterations": iterations}
     designers, samplers = _build_designers(
         context, adapter, nominal, gamma, [name], distance, **cfg
     )
-    windows = context.trace_windows(workload)
-    # A design is built from its *train* window, so that is the window
-    # whose past bounds the samplers' pools here.
-    past_pool = _past_pool_hook(context.trace(workload), samplers)
-    return scheduled_replay(
-        context.window_source(workload),
-        designers[name],
-        adapter,
-        PeriodicPolicy(every=every),
-        before_design=lambda i: past_pool(i, None, windows[i]),
+    outcome = _replay(
+        context, workload, designers, samplers, adapter, nominal,
+        policy=PeriodicPolicy(every=every),
     )
+    return outcome.run(name)
 
 
 # -- F16: δ_latency correlation ------------------------------------------------------------

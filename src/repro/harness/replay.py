@@ -27,6 +27,12 @@ Each window is designed once across transitions: the oracle's design of
 the same window object at ``i + 1``, from the nominal designer's memo
 (:func:`~repro.designers.base.remembered_design`), with the same
 counters charged.
+
+The paper re-designs at every transition.  Its claim (d) — a robust
+design needs fewer re-designs — is the same loop under a
+:class:`~repro.serve.policy.RedesignPolicy`: every designer keeps its
+last design until the policy fires, and each
+:class:`WindowOutcome` records whether its design was rebuilt.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.costing.service import workload_fingerprint
 from repro.designers.base import DesignAdapter, Designer
 from repro.designers.scope import DesignScope
 from repro.obs import tracer
+from repro.serve.policy import RedesignPolicy
 from repro.serve.sources import QuerySource, as_windows
 from repro.state import (
     RunCheckpointer,
@@ -155,6 +162,9 @@ class WindowOutcome:
     #: (``learns_online``) — it is the reward signal their ``observe``
     #: hook consumes — so checkpoint sizes for the classic zoo stay flat.
     observed_query_ms: dict[str, float] | None = None
+    #: Whether the design was built at this transition; ``False`` when a
+    #: re-design policy kept an earlier one.
+    redesigned: bool = True
 
 
 @dataclass
@@ -189,6 +199,20 @@ class DesignerRun:
         if not self.windows:
             return 0.0
         return sum(w.design_seconds for w in self.windows) / len(self.windows)
+
+    @property
+    def redesign_count(self) -> int:
+        """Designs this run built (one per window without a policy)."""
+        return sum(w.redesigned for w in self.windows)
+
+    def deployment_seconds(self, adapter: DesignAdapter) -> float:
+        """Modeled time to deploy every design this run built, at
+        ``adapter``'s build rate — the operational cost of claim (d)."""
+        return sum(
+            adapter.deployment_seconds(w.design_price_bytes)
+            for w in self.windows
+            if w.redesigned
+        )
 
     @property
     def total_query_cost_calls(self) -> int:
@@ -244,6 +268,7 @@ def replay(
     before_transition=None,
     checkpointer: RunCheckpointer | None = None,
     state_key: str | None = None,
+    policy: RedesignPolicy | None = None,
 ) -> ReplayResult:
     """Run the full replay; see the module docstring for the protocol.
 
@@ -259,16 +284,24 @@ def replay(
     the trace generators model recurring workloads, so early windows have
     no history for anyone to exploit and would only add noise.
 
-    ``before_transition(i, train, test)`` is called before each transition;
-    experiments use it to refresh sampler pools with only-past queries (so
-    neighborhood sampling never peeks at the future).
+    ``before_transition(i, train, test)`` is called before each transition
+    that re-designs; experiments use it to refresh sampler pools with
+    only-past queries (so neighborhood sampling never peeks at the future).
+
+    ``policy`` decides at each transition whether the designers re-design
+    (``policy.should_redesign(i, design_window, train)``, where
+    ``design_window`` is the train window of the last re-design); until it
+    fires every designer keeps its last design.  ``None`` re-designs at
+    every transition, the paper's protocol.  The policy is reset on a
+    fresh start, so one policy object can drive several replays.
 
     ``checkpointer`` snapshots the partial result after every completed
-    window transition (plus each designer's sampler stream and the cost
-    service's counters) and resumes from the latest snapshot; a resumed
-    replay is bit-identical to an uninterrupted one (docs/state.md).  ``state_key``
-    overrides the derived run-identity key when the caller already knows
-    its run configuration digest.
+    window transition (plus each designer's sampler stream and kept
+    design, the policy's state and the cost service's counters) and
+    resumes from the latest snapshot; a resumed replay is bit-identical
+    to an uninterrupted one (docs/state.md).  ``state_key`` overrides the
+    derived run-identity key when the caller already knows its run
+    configuration digest.
     """
     windows = as_windows(windows)
     if checkpointer is not None and state_key is None:
@@ -280,6 +313,7 @@ def replay(
             max_transitions,
             skip_transitions,
             [workload_fingerprint(window) for window in windows],
+            policy,
         )
     state = (
         checkpointer.load("replay", state_key) if checkpointer is not None else None
@@ -290,11 +324,19 @@ def replay(
             restore_designer(designer, state["designers"].get(name))
         restore_costing(adapter, state["costing"])
         start = state["next_transition"]
+        # A snapshot written before designs were kept has none, and a
+        # replay without a policy needs none.
+        kept, designed_at = state.get("kept", {}), state.get("designed_at")
+        if policy is not None:
+            policy.restore(state["policy"])
     else:
         result = ReplayResult(workload_name=workload_name)
         for name in designers:
             result.runs[name] = DesignerRun(name=name)
         start = skip_transitions
+        kept, designed_at = {}, None
+        if policy is not None:
+            policy.reset()
 
     service = adapter.costing
     transitions = len(windows) - 1
@@ -305,7 +347,10 @@ def replay(
         train, test = windows[i], windows[i + 1]
         if not train or not test:
             continue
-        if before_transition is not None:
+        redesign = policy is None or policy.should_redesign(
+            i, None if designed_at is None else windows[designed_at], train
+        )
+        if redesign and before_transition is not None:
             before_transition(i, train, test)
         with _scoped(DesignScope(), [candidate_source, *designers.values()]):
             if candidate_source is not None:
@@ -324,12 +369,16 @@ def replay(
                     train_queries=len(train),
                     evaluated_queries=len(evaluation),
                 )
+            if redesign:
+                designed_at = i
             for name, designer in designers.items():
                 input_window = test if getattr(designer, "is_oracle", False) else train
                 baseline = service.stats.snapshot()
                 started = time.perf_counter()
-                design = designer.design(input_window)
-                design_seconds = time.perf_counter() - started
+                if redesign:
+                    kept[name] = designer.design(input_window)
+                design = kept[name]
+                design_seconds = time.perf_counter() - started if redesign else 0.0
                 report = adapter.workload_cost(evaluation, design)
                 delta = service.stats.since(baseline)
                 outcome = WindowOutcome(
@@ -341,6 +390,7 @@ def replay(
                     structure_count=len(adapter.structures(design)),
                     query_cost_calls=delta.query_requests + delta.dedup_saved,
                     raw_cost_model_calls=delta.raw_model_calls,
+                    redesigned=redesign,
                 )
                 if getattr(designer, "learns_online", False):
                     # The observed per-query costs are the learner's reward
@@ -355,7 +405,7 @@ def replay(
                 stats = getattr(designer, "stats", None)
                 if callable(stats):
                     result.runs[name].stats = stats()
-                if t.enabled:
+                if redesign and t.enabled:
                     t.emit(
                         "redesign",
                         workload=workload_name,
@@ -377,6 +427,11 @@ def replay(
                     "designers": {
                         name: designer_state(d) for name, d in designers.items()
                     },
+                    # Without a policy every transition re-designs, so
+                    # no design outlives its transition.
+                    "kept": {} if policy is None else kept,
+                    "designed_at": designed_at,
+                    "policy": None if policy is None else policy.state(),
                     "costing": costing_state(adapter),
                 },
             )

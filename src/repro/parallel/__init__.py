@@ -14,7 +14,7 @@ Fan-out is **whole-task only**.  The sites routed through it:
 * :func:`repro.harness.experiments.run_designer_comparison` (per-designer
   replays, on more than one worker) and
   :func:`repro.harness.experiments.run_schedule_comparison`
-  (per-(designer, period) replays),
+  (per-(designer, period) periodic-policy replays),
 * the online daemon (:mod:`repro.serve`), which uses
   :meth:`~repro.parallel.backends.ExecutionBackend.submit` to launch one
   background re-design at a time and polls the

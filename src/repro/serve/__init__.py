@@ -8,16 +8,15 @@
   deployed design the serve summary prints.
 * :mod:`repro.serve.config` — `ServeConfig`, the streaming half of the
   configuration split (`RunConfig` stays the batch core).
+* :mod:`repro.serve.policy` — `RedesignPolicy` and its periodic and
+  drift-triggered forms, consulted by the daemon and by ``replay``.
 * :mod:`repro.serve.daemon` — the crash-restartable `ServeDaemon` loop.
-
-Daemon symbols are exposed lazily: the harness imports this package's
-sources at interpreter start (``replay`` accepts a `QuerySource`), while
-the daemon itself imports the harness — deferring the daemon import
-breaks that cycle.
 """
 
 from repro.serve.config import ServeConfig
+from repro.serve.daemon import PricedQuery, ServeDaemon, ServeOutcome
 from repro.serve.handle import design_digest
+from repro.serve.policy import DriftTriggeredPolicy, PeriodicPolicy, RedesignPolicy
 from repro.serve.protocol import (
     SHUTDOWN_OP,
     ProtocolError,
@@ -35,22 +34,14 @@ from repro.serve.sources import (
     resolve_source,
 )
 
-_DAEMON_SYMBOLS = ("ServeDaemon", "ServeOutcome", "PricedQuery", "CHECKPOINT_KIND")
-
-
-def __getattr__(name: str):
-    if name in _DAEMON_SYMBOLS:
-        from repro.serve import daemon
-
-        return getattr(daemon, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
+    "DriftTriggeredPolicy",
+    "PeriodicPolicy",
     "ProtocolError",
     "PricedQuery",
     "QueueSource",
     "QuerySource",
+    "RedesignPolicy",
     "SHUTDOWN_OP",
     "ServeConfig",
     "ServeControl",

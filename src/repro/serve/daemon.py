@@ -4,7 +4,7 @@ One asyncio loop ingests a live query stream (any
 :class:`~repro.serve.sources.QuerySource`), prices every query against
 the deployed design, maintains a sliding
 :class:`~repro.workload.monitor.WorkloadMonitor` window, and evaluates a
-:class:`~repro.harness.scheduler.RedesignPolicy` at every window
+:class:`~repro.serve.policy.RedesignPolicy` at every window
 boundary.  When the policy fires, a CliffGuard re-design launches **in
 the background** on the session's execution backend
 (:meth:`~repro.parallel.backends.ExecutionBackend.submit`) — ingestion
@@ -48,11 +48,11 @@ from concurrent.futures import Future, wait
 from dataclasses import astuple, dataclass, replace
 
 from repro.designers import registry
-from repro.harness.scheduler import RedesignPolicy
 from repro.obs import get_metrics, tracer
 from repro.parallel.backends import ExecutionBackend, settled
 from repro.serve.config import ServeConfig
 from repro.serve.handle import design_digest
+from repro.serve.policy import RedesignPolicy
 from repro.serve.sources import QuerySource
 from repro.sql.ast import Statement
 from repro.sql.parser import parse
@@ -213,8 +213,8 @@ _STACK_MEMO: dict = {}
 
 
 def _redesign_stack(scale, engine):
-    # Local import: daemon.py is imported by the api facade while the
-    # harness package is still initialising.
+    # Local import: the harness imports this package (``replay`` reads
+    # its sources), so the daemon loads while the harness initialises.
     from repro.harness.experiments import ExperimentContext, _engine_stack
 
     key = (astuple(scale), engine)

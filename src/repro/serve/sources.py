@@ -1,6 +1,6 @@
 """`QuerySource` — the single source-of-queries abstraction.
 
-Batch harnesses (``replay``/``scheduled_replay``) and the online daemon
+The batch ``replay`` and the online daemon
 (:mod:`repro.serve.daemon`) consume queries through the same protocol:
 
 * :class:`TraceSource` wraps a fixed trace (the batch case, and the

@@ -6,7 +6,7 @@ in workload monitoring".  This module is that application: a streaming
 monitor that maintains a reference window and a sliding current window,
 computes δ between them as queries arrive, and raises drift alarms that
 can drive re-design scheduling
-(:class:`repro.harness.scheduler.DriftTriggeredPolicy`) or alerting.
+(:class:`repro.serve.policy.DriftTriggeredPolicy`) or alerting.
 
 A reading prices δ from template keys the monitor keeps, one per window
 entry, instead of re-deriving every template from SQL text.  A query

@@ -82,7 +82,8 @@ def test_fisher_lower_tail():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_change_table_matches_this_tree(seed):
-    """The change table is the code's: one cheap claim re-runs bit for bit."""
-    record = claims._claim_task(("heldout", seed))
+    """The change table is the code's: one cheap claim re-runs bit for bit,
+    through the runner's own fan-out (``_run_cells`` and its backend)."""
+    record = claims.run({"heldout": range(seed, seed + 1)})["heldout"][str(seed)]
     recorded = LEDGER["tables"]["change"]["records"]["heldout"][str(seed)]
     assert (record["robust"], record["nominal"]) == (recorded["robust"], recorded["nominal"])

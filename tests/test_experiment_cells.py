@@ -92,7 +92,7 @@ class TestOneImplementation:
 
     @pytest.mark.parametrize(
         "pattern",
-        [r"\breplay\(", r"scheduled_replay\(", r"checkpointer\.load\(", r"checkpointer\.step\("],
+        [r"\breplay\(", r"checkpointer\.load\(", r"checkpointer\.step\("],
     )
     def test_spelled_once(self, pattern):
         source = inspect.getsource(experiments)

@@ -1,15 +1,24 @@
-"""Tests for the re-design scheduling extension."""
+"""Tests for re-design scheduling: the policies and ``replay`` under one."""
 
 import pytest
 
 from repro.designers.columnar_nominal import ColumnarNominalDesigner
-from repro.harness.scheduler import (
-    DriftTriggeredPolicy,
-    PeriodicPolicy,
-    scheduled_replay,
-)
+from repro.harness.replay import replay
+from repro.serve.policy import DriftTriggeredPolicy, PeriodicPolicy
 from repro.serve.sources import TraceSource
 from repro.workload.distance import WorkloadDistance
+
+
+def _scheduled(windows, designer, adapter, policy, **kwargs):
+    """``designer``'s run of a whole-window replay under ``policy``."""
+    result = replay(
+        TraceSource.from_windows(windows), {"d": designer}, adapter, policy=policy, **kwargs
+    )
+    return result.run("d")
+
+
+def _redesign_windows(run):
+    return [w.window_index for w in run.windows if w.redesigned]
 
 
 class TestPolicies:
@@ -49,46 +58,62 @@ class TestScheduledReplay:
         self, columnar_adapter, tiny_windows
     ):
         nominal = ColumnarNominalDesigner(columnar_adapter)
-        outcome = scheduled_replay(
-            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
-        )
-        assert outcome.redesign_count == len(tiny_windows) - 1
-        assert len(outcome.per_window_avg_ms) == len(tiny_windows) - 1
-        assert outcome.total_deployment_seconds > 0
+        run = _scheduled(tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=1))
+        assert run.redesign_count == len(tiny_windows) - 1
+        assert len(run.windows) == len(tiny_windows) - 1
+        assert run.deployment_seconds(columnar_adapter) > 0
 
     def test_fewer_redesigns_cost_less_deployment(
         self, columnar_adapter, tiny_windows
     ):
         nominal = ColumnarNominalDesigner(columnar_adapter)
-        monthly = scheduled_replay(
-            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=1)
-        )
-        rare = scheduled_replay(
-            TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, PeriodicPolicy(every=3)
-        )
+        monthly = _scheduled(tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=1))
+        rare = _scheduled(tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=3))
         assert rare.redesign_count < monthly.redesign_count
-        assert rare.total_deployment_seconds < monthly.total_deployment_seconds
+        assert rare.deployment_seconds(columnar_adapter) < monthly.deployment_seconds(
+            columnar_adapter
+        )
         # …but the stale designs serve later windows worse (or equal).
         assert rare.mean_average_ms >= monthly.mean_average_ms * 0.95
 
-    def test_before_design_hook(self, columnar_adapter, tiny_windows):
+    def test_before_design_hook(self, columnar_adapter, tiny_trace):
+        """``before_transition`` runs on the transitions that re-design,
+        and only on those."""
+        from repro.workload.windows import split_windows
+
+        windows = split_windows(tiny_trace, 14)
         nominal = ColumnarNominalDesigner(columnar_adapter)
         calls = []
-        scheduled_replay(
-            TraceSource.from_windows(tiny_windows),
+        run = _scheduled(
+            windows,
             nominal,
             columnar_adapter,
             PeriodicPolicy(every=2),
-            before_design=calls.append,
+            before_transition=lambda i, train, test: calls.append(i),
         )
         assert calls and calls[0] == 0
+        assert calls == _redesign_windows(run) == list(range(0, len(windows) - 1, 2))
+
+    def test_kept_design_serves_until_the_policy_fires(self, columnar_adapter, tiny_windows):
+        """A window whose design was kept is priced under the previous
+        window's design, and no design time is charged to it."""
+        nominal = ColumnarNominalDesigner(columnar_adapter)
+        first, kept = _scheduled(
+            tiny_windows, nominal, columnar_adapter, PeriodicPolicy(every=2)
+        ).windows
+        assert (first.redesigned, kept.redesigned) == (True, False)
+        assert kept.design_price_bytes == first.design_price_bytes
+        assert kept.structure_count == first.structure_count
+        assert kept.design_seconds == 0.0
+        fresh = nominal.design(tiny_windows[1])
+        assert kept.design_price_bytes != columnar_adapter.design_price(fresh)
 
 
 class TestPolicyStateRegression:
     def test_periodic_anchors_on_last_redesign_not_window_zero(self, tiny_windows):
         """Regression: the old ``window_index % every`` rule was anchored at
         window 0, so a first design at a late window (e.g. after empty
-        leading windows that scheduled_replay skips without consulting the
+        leading windows that a replay skips without consulting the
         policy) silently shortened the first period."""
         window = tiny_windows[0]
         policy = PeriodicPolicy(every=4)
@@ -111,24 +136,22 @@ class TestPolicyStateRegression:
     def test_drift_triggers_do_not_accumulate_across_replays(
         self, tiny_star, columnar_adapter, tiny_windows
     ):
-        """Regression: ``DriftTriggeredPolicy.triggers`` grew across
-        ``scheduled_replay`` calls, mixing window indices from different
-        runs.  The replay now resets the policy and returns this run's
-        triggers on the outcome."""
+        """Regression: the drift policy once logged every trigger and the
+        log grew across replays.  It now keeps nothing: one policy object
+        drives identical replays to identical re-design windows."""
         schema, _ = tiny_star
         distance = WorkloadDistance(schema.total_columns)
         drift = distance(tiny_windows[0], tiny_windows[1])
         policy = DriftTriggeredPolicy(distance, threshold=drift * 0.5)
         nominal = ColumnarNominalDesigner(columnar_adapter)
-        first = scheduled_replay(TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, policy)
-        second = scheduled_replay(TraceSource.from_windows(tiny_windows), nominal, columnar_adapter, policy)
-        # The eager threshold fires at least once per replay …
-        assert first.drift_triggers
-        # … identical replays must report identical triggers …
-        assert first.drift_triggers == second.drift_triggers
-        # … and the policy's own log holds only the latest run's triggers.
-        assert policy.triggers == second.drift_triggers
-        assert first.redesign_windows == second.redesign_windows
+        first = _scheduled(tiny_windows, nominal, columnar_adapter, policy)
+        second = _scheduled(tiny_windows, nominal, columnar_adapter, policy)
+        # The eager threshold fires after the first design …
+        assert _redesign_windows(first) == [0, 1]
+        # … identical replays re-design at identical windows …
+        assert _redesign_windows(first) == _redesign_windows(second)
+        # … and the policy holds nothing between them.
+        assert policy.state() == {}
 
 
 class _Recording:
@@ -152,17 +175,12 @@ class TestDeploymentRate:
         from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 
         designer = _Recording(RowstoreNominalDesigner(rowstore_adapter))
-        outcome = scheduled_replay(
-            TraceSource.from_windows(tiny_windows),
-            designer,
-            rowstore_adapter,
-            PeriodicPolicy(every=1),
-        )
+        run = _scheduled(tiny_windows, designer, rowstore_adapter, PeriodicPolicy(every=1))
         statistics = rowstore_adapter.cost_model.statistics
         own = [d.deployment_seconds(rowstore_adapter.schema, statistics) for d in designer.designs]
         assert sum(own) > 0
         # Regression: a hard-coded 360 s/GB over-reported this by 20 %.
-        assert outcome.total_deployment_seconds == sum(own)
+        assert run.deployment_seconds(rowstore_adapter) == sum(own)
 
     def test_columnar_outcome_and_event_unchanged(
         self, columnar_adapter, tiny_windows, tmp_path
@@ -173,14 +191,18 @@ class TestDeploymentRate:
 
         designer = _Recording(ColumnarNominalDesigner(columnar_adapter))
         with trace_to(tmp_path / "trace.jsonl"):
-            outcome = scheduled_replay(
-                TraceSource.from_windows(tiny_windows),
-                designer,
-                columnar_adapter,
-                PeriodicPolicy(every=1),
+            run = _scheduled(
+                tiny_windows, designer, columnar_adapter, PeriodicPolicy(every=2)
             )
         own = [d.deployment_seconds(columnar_adapter.schema) for d in designer.designs]
-        assert outcome.total_deployment_seconds == sum(own)
+        assert run.deployment_seconds(columnar_adapter) == sum(own)
         events = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
-        emitted = [e["deployment_seconds"] for e in events if e["event"] == "redesign"]
+        # One ``redesign`` event per design built, none for a kept one; its
+        # price is the deployed design's.
+        emitted = [
+            columnar_adapter.deployment_seconds(e["price_bytes"])
+            for e in events
+            if e["event"] == "redesign"
+        ]
         assert emitted == own
+        assert len(own) == run.redesign_count < len(run.windows)

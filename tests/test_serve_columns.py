@@ -7,7 +7,8 @@
   non-finite values included, compared bit for bit.
 * A session without re-designs keeps flat state: the profiler's memo does
   not grow with ingest, and a snapshot without its ledger is no larger
-  after sixteen windows than after four.
+  after sixteen windows than after four.  A drift-policy daemon's policy
+  state does not grow with its triggers either.
 * ``record_queries`` is part of the serve run key: a snapshot written
   without a ledger cannot be resumed by a daemon that keeps one.
 """
@@ -159,6 +160,34 @@ def test_snapshot_without_its_ledger_does_not_grow(tmp_path, monkeypatch):
     assert len(sizes) >= 16
     # By the fourth save the 40-query history has long been full.
     assert sizes[15] <= sizes[3], sizes
+
+
+def test_drift_policy_state_does_not_grow_with_triggers(tmp_path):
+    """A drift-policy daemon's ``policy`` state is as large after many
+    triggers as after the first: the policy keeps no trigger log."""
+    run = RunConfig(
+        workload="R1", days=10, window_days=1, queries_per_day=6, n_samples=2,
+        iterations=1, legacy_tables=2, backend="serial",
+    )
+    session = RobustDesignSession(run)
+    saved = []
+
+    class Recording(RunCheckpointer):
+        def save(self, kind, key, payload):
+            policy = pickle.dumps(payload["policy"], protocol=pickle.HIGHEST_PROTOCOL)
+            saved.append((payload["triggers"], len(policy)))
+            super().save(kind, key, payload)
+
+    config = ServeConfig(
+        policy="drift", threshold=0.0, window_days=1.0, swap_mode="boundary",
+        min_window_queries=1,
+    )
+    daemon = session.daemon(config)
+    daemon.checkpointer = Recording(tmp_path / "serve.ckpt")
+    daemon.run()
+    sizes = {triggers: size for triggers, size in saved}
+    assert min(sizes) <= 1 and max(sizes) >= 4, sizes
+    assert sizes[max(sizes)] == sizes[1], sizes
 
 
 # -- run key ---------------------------------------------------------------------------

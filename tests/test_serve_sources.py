@@ -3,8 +3,8 @@
 Covers the newline-JSON protocol round-trip and error surface, the three
 :class:`~repro.serve.sources.QuerySource` implementations (trace, queue,
 socket), source-spec resolution, and the harness-side migration:
-``replay``/``scheduled_replay`` consume a ``QuerySource`` and reject raw
-window lists with a ``TypeError``.
+``replay`` (with or without a re-design policy) consumes a
+``QuerySource`` and rejects raw window lists with a ``TypeError``.
 """
 
 import asyncio
@@ -325,22 +325,21 @@ class TestHarnessMigration:
     def test_scheduled_replay_accepts_a_source(
         self, columnar_adapter, tiny_trace, tiny_windows
     ):
+        """A replay under a re-design policy takes the same sources."""
         from repro.designers.columnar_nominal import ColumnarNominalDesigner
-        from repro.harness.scheduler import PeriodicPolicy, scheduled_replay
+        from repro.harness.replay import replay
+        from repro.serve.policy import PeriodicPolicy
 
         nominal = ColumnarNominalDesigner(columnar_adapter)
 
         def run(windows):
-            return scheduled_replay(
-                windows,
-                nominal,
-                columnar_adapter,
-                PeriodicPolicy(every=1),
-            )
+            return replay(
+                windows, {"n": nominal}, columnar_adapter, policy=PeriodicPolicy(every=1)
+            ).run("n")
 
         wrapped = run(TraceSource.from_windows(tiny_windows, window_days=28))
         split = run(TraceSource(tiny_trace, window_days=28))
         with pytest.raises(TypeError):
             run(list(tiny_windows))
-        assert wrapped.per_window_avg_ms == split.per_window_avg_ms
-        assert wrapped.redesign_windows == split.redesign_windows
+        assert [w.average_ms for w in wrapped.windows] == [w.average_ms for w in split.windows]
+        assert [w.redesigned for w in wrapped.windows] == [w.redesigned for w in split.windows]

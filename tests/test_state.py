@@ -6,9 +6,9 @@ Three layers:
   digest/version/identity verification, ``every`` gating, the
   :class:`SimulatedCrash` hook);
 * resume equivalence — kill-at-every-boundary sweeps over the CliffGuard
-  loop (on both engine substrates), the windowed replay, and the
-  scheduled replay, asserting resumed == uninterrupted bit-for-bit
-  (modulo wall-clock fields);
+  loop (on both engine substrates) and the windowed replay, with and
+  without a re-design policy, asserting resumed == uninterrupted
+  bit-for-bit (modulo wall-clock fields);
 * experiment runners — Γ-sweep / designer-comparison /
   schedule-comparison resume at their unit granularity.
 """
@@ -30,9 +30,9 @@ from repro.designers.columnar_nominal import ColumnarNominalDesigner
 from repro.designers.rowstore_nominal import RowstoreNominalDesigner
 from repro.engine.optimizer import ColumnarCostModel
 from repro.harness.replay import replay
-from repro.harness.scheduler import DriftTriggeredPolicy, PeriodicPolicy
 from repro.obs import MetricsRegistry, RunTracer, set_tracer
 from repro.rowstore.optimizer import RowstoreCostModel
+from repro.serve.policy import DriftTriggeredPolicy, PeriodicPolicy
 from repro.serve.sources import TraceSource
 from repro.state import (
     FORMAT_VERSION,
@@ -98,6 +98,7 @@ def _window_facts(run):
             w.structure_count,
             w.query_cost_calls,
             w.raw_cost_model_calls,
+            w.redesigned,
         )
         for w in run.windows
     ]
@@ -475,11 +476,11 @@ class TestCliffGuardResume:
             assert _report_facts(report) == _report_facts(baseline_report)
 
 
-# -- replay / scheduled replay resume -------------------------------------------
+# -- replay resume ---------------------------------------------------------------
 
 
 class TestReplayResume:
-    def _replay(self, tiny_star, tiny_trace, tiny_windows, ckpt=None):
+    def _replay(self, tiny_star, tiny_trace, tiny_windows, ckpt=None, make_policy=None):
         schema, _ = tiny_star
         adapter, nominal = _stack("columnar", schema)
         sampler = _sampler(schema, tiny_trace, tiny_windows[1])
@@ -493,14 +494,19 @@ class TestReplayResume:
             candidate_source=nominal,
             workload_name="tiny",
             checkpointer=ckpt,
+            # A fresh policy per run: the resumed one starts from nothing
+            # but the snapshot.
+            policy=None if make_policy is None else make_policy(),
         )
 
-    def test_kill_at_every_window_resumes_bit_identical(
-        self, tmp_path, tiny_star, tiny_trace, tiny_windows
+    def _kill_at_every_window(
+        self, tmp_path, tiny_star, tiny_trace, windows, make_policy=None
     ):
-        baseline = self._replay(tiny_star, tiny_trace, tiny_windows)
+        """The replay crashed after each of its checkpoints in turn and
+        resumed equals the uninterrupted replay; returns that baseline."""
+        baseline = self._replay(tiny_star, tiny_trace, windows, make_policy=make_policy)
         probe = RunCheckpointer(tmp_path / "probe.ckpt")
-        probed = self._replay(tiny_star, tiny_trace, tiny_windows, probe)
+        probed = self._replay(tiny_star, tiny_trace, windows, probe, make_policy)
         assert probed.evaluated_query_counts == baseline.evaluated_query_counts
         assert probe.writes >= 2
 
@@ -510,20 +516,44 @@ class TestReplayResume:
                 self._replay(
                     tiny_star,
                     tiny_trace,
-                    tiny_windows,
+                    windows,
                     RunCheckpointer(path, crash_after=boundary),
+                    make_policy,
                 )
             resumed = self._replay(
                 tiny_star,
                 tiny_trace,
-                tiny_windows,
+                windows,
                 RunCheckpointer(path, resume=True),
+                make_policy,
             )
             assert resumed.evaluated_query_counts == baseline.evaluated_query_counts
             for name in baseline.runs:
                 assert _window_facts(resumed.run(name)) == _window_facts(
                     baseline.run(name)
                 ), f"{name} @ boundary {boundary}"
+        return baseline
+
+    def test_kill_at_every_window_resumes_bit_identical(
+        self, tmp_path, tiny_star, tiny_trace, tiny_windows
+    ):
+        self._kill_at_every_window(tmp_path, tiny_star, tiny_trace, tiny_windows)
+
+    def test_periodic_policy_resumes_bit_identical(self, tmp_path, tiny_star, tiny_trace):
+        """A replay that keeps each design for two transitions resumes, at
+        every transition, to the uninterrupted run: the kept designs and
+        the policy's anchor travel in the snapshot."""
+        from repro.workload.windows import split_windows
+
+        windows = split_windows(tiny_trace, 14)
+        baseline = self._kill_at_every_window(
+            tmp_path, tiny_star, tiny_trace, windows, lambda: PeriodicPolicy(every=2)
+        )
+        for run in baseline.runs.values():
+            # Kept designs cross a checkpoint: the resume is not vacuous.
+            assert [w.redesigned for w in run.windows] == [True, False] * (
+                len(run.windows) // 2
+            ) + [True] * (len(run.windows) % 2)
 
 
 class TestPolicyState:
@@ -539,16 +569,15 @@ class TestPolicyState:
         assert policy.should_redesign(5, object(), None)
 
     def test_drift_triggered_roundtrip(self):
+        """The drift policy is stateless: its snapshot is empty after it
+        fires, and a snapshot that still carries the trigger log it once
+        kept restores without effect."""
         policy = DriftTriggeredPolicy(lambda a, b: 1.0, threshold=0.5)
-        policy.should_redesign(3, object(), object())
-        snapshot = policy.state()
-        policy.reset()
-        assert policy.triggers == []
-        policy.restore(snapshot)
-        assert policy.triggers == [3]
-        # The restored list must be a copy, not an alias of the snapshot.
-        policy.triggers.append(9)
-        assert snapshot == {"triggers": [3]}
+        assert policy.should_redesign(3, object(), object())
+        assert policy.state() == {}
+        policy.restore({"triggers": [3]})
+        assert policy.state() == {}
+        assert policy.should_redesign(4, object(), object())
 
 
 # -- the cost service's export carries no wall-clock reading ------------------------
