@@ -252,6 +252,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     serve_config = ServeConfig(
         source=args.listen or "trace",
+        designer=args.designer,
         policy=args.policy,
         threshold=args.threshold,
         every=args.every,
@@ -391,6 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="accept queries on a socket (unix:PATH or tcp:HOST:PORT); "
         "default replays the generated trace in-process",
+    )
+    serve.add_argument(
+        "--designer",
+        choices=registry.names(),
+        default="CliffGuard",
+        help="designer driving the re-designs (an online learner such as "
+        "BanditDesigner designs in-process at each boundary)",
     )
     serve.add_argument("--policy", choices=POLICIES, default="drift")
     serve.add_argument(

@@ -13,15 +13,22 @@ selectivities and reads the LIMIT and the rows a write touches.
 
 Workloads repeat shapes far more than texts: a template recurs with
 fresh constants (a seed-1 R1 replay profiles 4 554 distinct texts of
-1 056 shapes).  So :class:`QueryProfiler` memoises plans by shape.  A
-text it has not profiled is split at its literals
-(:data:`repro.sql.lexer.LITERALS`); when the shape has a plan, the
-literals are read with the parser's own conversions and bound, and the
-text is never parsed.  A new shape is parsed and planned, and its plan is
-kept only when the split reads back exactly the literals the parse
-found, so binding the split reproduces the parsed text's profile.  A
-text whose literals the parse would reject (``LIMIT 1e400``) fails to
-bind and goes the parsing way, which raises the parse's own error.
+1 056 shapes, the seed-1 ECOMMERCE serve stream 13 440 texts of 1 367).
+So :class:`QueryProfiler` memoises plans by shape.  A text it has not
+profiled is split at its literals (:data:`repro.sql.lexer.LITERALS`);
+when the shape has a plan, the literals are read with the parser's own
+conversions and bound, and the text is never parsed.  A new shape is
+parsed and planned, and its plan is kept only when the split reads back
+exactly the literals the parse found, so binding the split reproduces
+the parsed text's profile.  A text whose literals the parse would reject
+(``LIMIT 1e400``) fails to bind and goes the parsing way, which raises
+the parse's own error.
+
+A kept plan also carries its shape's :class:`~repro.sql.analyzer.QueryTemplate`
+(``analyze`` of the planned statement; a template reads no literal).
+:meth:`QueryProfiler.annotate` hands it out beside the profile, so the
+serve daemon prices a query and keys it in the drift monitor without
+parsing it: a served text is parsed only when its shape is new.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from dataclasses import dataclass
 from repro.catalog.schema import Schema, SchemaError
 from repro.catalog.statistics import TableStatistics
 from repro.costing.memo import BoundedMemo
+from repro.sql.analyzer import QueryTemplate, analyze
 from repro.sql.ast import (
     Aggregate,
     BetweenPredicate,
@@ -288,12 +296,16 @@ class _Plan:
     DELETE, whose ``affected_rows`` is what its WHERE keeps.
     """
 
-    __slots__ = ("accesses", "fields", "locates", "slots", "limit_slot")
+    __slots__ = ("accesses", "fields", "locates", "slots", "limit_slot", "template")
 
     def __init__(self, accesses, fields, locates=False):
         self.accesses = accesses
         self.fields = fields
         self.locates = locates
+        #: The shape's template, set when a text is planned through
+        #: :meth:`QueryProfiler._bound` (``None`` on a plan made from a
+        #: caller's statement).
+        self.template: QueryTemplate | None = None
         #: Set by :meth:`reads_back`: how :meth:`read` finds each slot in
         #: a :data:`LITERALS` split — the index of its STRING or NUMBER
         #: group and the parser's conversion for it — and the LIMIT's
@@ -348,6 +360,14 @@ class _Plan:
         return QueryProfile(sql=sql, anchor=anchor, dimensions=tuple(dimensions), **fields)
 
 
+#: Bound on one profiler's plans.  Unlike texts, the shapes a workload
+#: repeats are few (1 367 in the seed-1 ECOMMERCE serve stream, the
+#: most of any ledger workload), but a stream whose shapes rarely recur
+#: — IN lists of every length — would keep a plan per text; a plan of
+#: such a shape takes ~15 KB, so this caps them near 30 MB.
+PLAN_MEMO_ENTRIES = 2_048
+
+
 class QueryProfiler:
     """Builds and caches :class:`QueryProfile` objects for one schema."""
 
@@ -358,60 +378,60 @@ class QueryProfiler:
         #: stream of distinct texts; an evicted text is bound or parsed
         #: again into an equal profile.
         self._profiles = BoundedMemo("costing.profile_evictions")
-        #: shape -> its plan (module docstring).  Bounded the same way;
-        #: an evicted shape is planned again from its next text.
-        self._plans = BoundedMemo("costing.plan_evictions")
+        #: shape -> its plan (module docstring).  An evicted shape is
+        #: planned again from its next text.
+        self._plans = BoundedMemo("costing.plan_evictions", PLAN_MEMO_ENTRIES)
 
     def profile(self, sql: str, statement: Statement | None = None) -> QueryProfile:
         """Parse and annotate ``sql`` (cached by exact text).
 
         ``statement`` is ``sql`` already parsed, for a caller that needs
-        the AST too; a miss then plans it instead of parsing again.
-        Without one, a miss binds the text to its shape's plan when the
-        profiler has one (module docstring).
+        the AST too; a miss then plans it instead of parsing again, and
+        keeps no plan.  Without one, a miss binds the text to its shape's
+        plan when the profiler has one (module docstring).
         """
         cached = self._profiles.get(sql)
         if cached is not None:
             return cached
         if statement is None:
-            profile = self._from_text(sql)
+            profile = self._bound(sql)[0]
         else:
             profile = self._plan(statement).bind(sql)
         self._profiles[sql] = profile
         return profile
 
-    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
-        """The profile of ``sql`` (parsed as ``statement``) without
-        memoising it: the memo's entry when it holds the text (its
-        recency untouched), else a fresh profile nobody keeps.
+    def annotate(self, sql: str) -> tuple[QueryProfile, QueryTemplate]:
+        """``(profile, template)`` of ``sql`` without memoising the
+        profile: the text is bound to its shape's plan, or parsed and
+        planned (and the plan kept) when the shape is new.
 
         For a caller that prices a text once and drops it — the serve
-        daemon's stream, whose texts rarely recur — so the memo does not
-        grow with the stream.  The profile equals what :meth:`profile`
-        returns.
+        daemon's stream, whose texts rarely recur but whose shapes do —
+        so the profile memo does not grow with the stream.  The profile
+        equals what :meth:`profile` returns and the template what
+        ``analyze(parse(sql))`` does.
         """
-        cached = self._profiles.peek(sql)
-        if cached is not None:
-            return cached
-        return self._plan(statement).bind(sql)
+        profile, plan = self._bound(sql)
+        return profile, plan.template
 
-    def _from_text(self, sql: str) -> QueryProfile:
-        """The profile of a text not parsed yet: bound to its shape's
-        plan, or parsed and planned (module docstring)."""
+    def _bound(self, sql: str) -> tuple[QueryProfile, _Plan]:
+        """The profile of a text not parsed yet and its plan: bound to its
+        shape's plan, or parsed and planned (module docstring)."""
         parts = LITERALS.split(sql)
         shape = (tuple(parts[0::3]), tuple(map(bool, parts[1::3])))
         plan = self._plans.get(shape)
         if plan is not None:
             try:
-                return plan.bind(sql, plan.read(parts))
+                return plan.bind(sql, plan.read(parts)), plan
             except (ValueError, OverflowError):
                 pass  # parsed below, which raises the parse's own error
         statement = parse(sql)
         plan = self._plan(statement)
         profile = plan.bind(sql)
+        plan.template = analyze(statement)
         if shape not in self._plans and plan.reads_back(statement, parts):
             self._plans[shape] = plan
-        return profile
+        return profile, plan
 
     def _plan(self, stmt: Statement) -> _Plan:
         """The plan of ``stmt``'s shape."""

@@ -100,8 +100,8 @@ class CostModel(Protocol):
         already parsed)."""
         ...
 
-    def annotate(self, sql: str, statement):  # pragma: no cover - protocol
-        """:meth:`profile` of a parsed text, not memoised."""
+    def annotate(self, sql: str):  # pragma: no cover - protocol
+        """``(profile, template)`` of a text, the profile not memoised."""
         ...
 
     def query_cost(self, sql_or_profile, design) -> float:  # pragma: no cover

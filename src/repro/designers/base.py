@@ -30,6 +30,7 @@ from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
 from repro.rowstore.optimizer import RowstoreCostModel
+from repro.sql.analyzer import QueryTemplate
 from repro.sql.ast import Statement
 from repro.workload.workload import Workload
 
@@ -252,10 +253,10 @@ class DesignAdapter(abc.ABC):
         already parsed, so a profile miss does not parse it again)."""
         return self.cost_model.profile(sql, statement)
 
-    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
-        """:meth:`profile` for a text priced once: the profiler does not
-        memoise it."""
-        return self.cost_model.annotate(sql, statement)
+    def annotate(self, sql: str) -> tuple[QueryProfile, QueryTemplate]:
+        """:meth:`profile` for a text priced once, with its template: the
+        profiler does not memoise the profile."""
+        return self.cost_model.annotate(sql)
 
     def query_cost(self, sql_or_profile, design) -> float:
         """Estimated latency of one query under ``design``."""

@@ -32,6 +32,7 @@ from repro.costing.profile import QueryProfile, QueryProfiler, TableAccess, reso
 from repro.costing.report import WorkloadCostReport
 from repro.engine.design import PhysicalDesign
 from repro.engine.projection import Projection, super_projection
+from repro.sql.analyzer import QueryTemplate
 from repro.sql.ast import Statement
 
 __all__ = [
@@ -92,10 +93,10 @@ class ColumnarCostModel:
         is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
         return self.profiler.profile(sql, statement)
 
-    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
-        """The profile of a text priced once, not memoised (see
-        :meth:`QueryProfiler.annotate`)."""
-        return self.profiler.annotate(sql, statement)
+    def annotate(self, sql: str) -> tuple[QueryProfile, QueryTemplate]:
+        """The profile of a text priced once, not memoised, and its
+        template (see :meth:`QueryProfiler.annotate`)."""
+        return self.profiler.annotate(sql)
 
     # -- costing ---------------------------------------------------------------
 

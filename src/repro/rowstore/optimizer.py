@@ -25,6 +25,7 @@ from repro.costing.report import WorkloadCostReport
 from repro.rowstore.design import RowstoreDesign
 from repro.rowstore.index import Index
 from repro.rowstore.matview import MaterializedView
+from repro.sql.analyzer import QueryTemplate
 from repro.sql.ast import Statement
 
 # -- cost constants (model milliseconds) --------------------------------------
@@ -76,10 +77,10 @@ class RowstoreCostModel:
         is ``sql`` already parsed, see :meth:`QueryProfiler.profile`)."""
         return self.profiler.profile(sql, statement)
 
-    def annotate(self, sql: str, statement: Statement) -> QueryProfile:
-        """The profile of a text priced once, not memoised (see
-        :meth:`QueryProfiler.annotate`)."""
-        return self.profiler.annotate(sql, statement)
+    def annotate(self, sql: str) -> tuple[QueryProfile, QueryTemplate]:
+        """The profile of a text priced once, not memoised, and its
+        template (see :meth:`QueryProfiler.annotate`)."""
+        return self.profiler.annotate(sql)
 
     # -- access paths ------------------------------------------------------------
 

@@ -54,8 +54,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.handle import design_digest
 from repro.serve.policy import RedesignPolicy
 from repro.serve.sources import QuerySource
-from repro.sql.ast import Statement
-from repro.sql.parser import parse
+from repro.sql.analyzer import QueryTemplate
 from repro.state import (
     RunCheckpointer,
     costing_state,
@@ -477,21 +476,20 @@ class ServeDaemon:
 
     # -- hot path ----------------------------------------------------------------
 
-    def _price(self, query: WorkloadQuery) -> tuple[float | None, Statement | None]:
-        """``(cost_ms, statement)`` under the deployed design: the query's
-        cost and its parsed statement (both ``None`` when it is
-        unpriceable) — the one parse of this query, shared by the
-        profiler and the drift monitor.  The profile is used once and
-        dropped (``annotate``): a stream's texts rarely recur, so the
-        profiler's memo does not keep them."""
+    def _price(self, query: WorkloadQuery) -> tuple[float | None, QueryTemplate | None]:
+        """``(cost_ms, template)`` under the deployed design: the query's
+        cost and its template (both ``None`` when it is unpriceable),
+        shared by the pricing and the drift monitor.  The text is bound to
+        its shape's plan; only a new shape is parsed.  The profile is used
+        once and dropped (``annotate``): a stream's texts rarely recur, so
+        the profiler's memo does not keep them."""
         try:
-            statement = parse(query.sql)
-            profile = self.adapter.annotate(query.sql, statement)
+            profile, template = self.adapter.annotate(query.sql)
         except ValueError:
             return None, None
         if profile.is_write:
             get_metrics().counter("writes.ingested").inc()
-        return self.adapter.query_cost(profile, self.design), statement
+        return self.adapter.query_cost(profile, self.design), template
 
     def _ingest(self, query: WorkloadQuery) -> None:
         # A query stamped before the newest one the drift window holds
@@ -511,7 +509,7 @@ class ServeDaemon:
             completed = self.window_index
             self.window_index += 1
             self._boundary(completed)
-        cost, statement = self._price(query)
+        cost, template = self._price(query)
         self.position += 1
         metrics = get_metrics()
         if late:
@@ -523,7 +521,7 @@ class ServeDaemon:
             # restored window, a re-design's workload).
             metrics.counter("serve.rejected").inc()
         else:
-            self.monitor.observe(placed, statement)
+            self.monitor.observe(placed, template)
             self.history.append(placed)
         if self.ledger is not None:
             self.ledger.append(query.timestamp, self.swaps, cost)
@@ -584,7 +582,9 @@ class ServeDaemon:
         """Feed one completed window's observed costs to the learner.
 
         Every query in the window was priced at ingest (rejected ones
-        never enter it), so the whole window prices again here."""
+        never enter it), so the whole window prices again here, each
+        text bound to the plan ingest kept for its shape: no text is
+        parsed again."""
         queries = list(window.collapsed())
         report = self.adapter.workload_cost(queries, self.design)
         observed = {query.sql: cost for query, cost in zip(queries, report.per_query_ms)}

@@ -9,13 +9,13 @@ can drive re-design scheduling
 (:class:`repro.serve.policy.DriftTriggeredPolicy`) or alerting.
 
 A reading prices δ from template keys the monitor keeps, one per window
-entry, instead of re-deriving every template from SQL text.  A query
-observed with its parsed statement keeps that statement until the next
-reading (or window boundary) turns it into its key, so no AST outlives
-the window; an entry without one (observed bare, or restored from a
-checkpoint) gets its key through :func:`extract_template`.  Keys and
-statements are derived state: :meth:`WorkloadMonitor.state` never
-carries them.
+entry, instead of re-deriving every template from SQL text.  An entry is
+keyed when it is observed: from the template the caller hands over (the
+serve daemon's, which its profiler read off the text's shape plan without
+parsing the text), else from the SQL text through
+:func:`extract_template` (a bare observation, or an entry restored from a
+checkpoint).  Keys are derived state: :meth:`WorkloadMonitor.state`
+never carries them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.sql.analyzer import analyze
-from repro.sql.ast import Statement
+from repro.sql.analyzer import QueryTemplate
 from repro.workload.distance import WorkloadDistance
 from repro.workload.query import WorkloadQuery
 from repro.workload.workload import VectorKey, Workload, template_key
@@ -86,9 +85,8 @@ class WorkloadMonitor:
         self.max_log_entries = max_log_entries
         self._current: deque[WorkloadQuery] = deque()
         #: Parallel to ``_current``: each entry's template key under the
-        #: distance's clause spec, its parsed statement until a reading
-        #: keys it, or ``None`` when only the SQL text is known.
-        self._keys: deque[VectorKey | Statement | None] = deque()
+        #: distance's clause spec.
+        self._keys: deque[VectorKey] = deque()
         self._reference: Workload | None = None
         self._last_measure: float | None = None
         self._last_alarm: float | None = None
@@ -120,17 +118,8 @@ class WorkloadMonitor:
     @property
     def current_window(self) -> Workload:
         """The sliding window's contents, its template vector built from
-        the kept keys (keying every entry that is not keyed yet)."""
-        clauses = self.distance.clauses
-
-        def keyed(query: WorkloadQuery, entry) -> VectorKey:
-            if isinstance(entry, (frozenset, tuple)):
-                return entry
-            template = query.template if entry is None else analyze(entry)
-            return template_key(template, clauses)
-
-        self._keys = deque(map(keyed, self._current, self._keys))
-        return Workload.keyed(self._current, clauses, self._keys)
+        the kept keys."""
+        return Workload.keyed(self._current, self.distance.clauses, self._keys)
 
     @property
     def newest(self) -> float | None:
@@ -141,18 +130,20 @@ class WorkloadMonitor:
     # -- streaming ------------------------------------------------------------------
 
     def observe(
-        self, query: WorkloadQuery, statement: Statement | None = None
+        self, query: WorkloadQuery, template: QueryTemplate | None = None
     ) -> DriftAlarm | None:
         """Feed one query; returns an alarm if this observation raised one.
 
         Queries must arrive in non-decreasing timestamp order.
-        ``statement``, when given, is ``query.sql`` already parsed; the
+        ``template``, when given, is ``query.sql``'s template; the
         monitor then never parses that text itself.
         """
         if self._current and query.timestamp < self._current[-1].timestamp:
             raise ValueError("queries must be observed in timestamp order")
         self._current.append(query)
-        self._keys.append(statement)
+        self._keys.append(
+            template_key(query.template if template is None else template, self.distance.clauses)
+        )
         horizon = query.timestamp - self.window_days
         while self._current and self._current[0].timestamp < horizon:
             self._current.popleft()
@@ -218,8 +209,8 @@ class WorkloadMonitor:
         exactly as the uninterrupted monitor would have
         (:mod:`repro.state`'s resume-equivalence contract).  The
         configuration knobs are *not* captured; they come from the run
-        config on rebuild.  Nor are the window's template keys and
-        statements: a restored entry is keyed from its SQL text.
+        config on rebuild.  Nor are the window's template keys: a
+        restored entry is keyed from its SQL text.
         """
         return {
             "current": list(self._current),
@@ -239,7 +230,8 @@ class WorkloadMonitor:
         before the retention bound existed restore unchanged.
         """
         self._current = deque(state["current"])
-        self._keys = deque([None] * len(self._current))
+        clauses = self.distance.clauses
+        self._keys = deque(template_key(query.template, clauses) for query in self._current)
         self._reference = state["reference"]
         self._last_measure = state["last_measure"]
         self._last_alarm = state["last_alarm"]

@@ -95,6 +95,26 @@ class TestCommands:
             json.loads(line)
 
 
+class TestServe:
+    SERVE = [
+        "serve", "--days", "56", "--window-days", "14", "--queries-per-day", "4",
+        "--samples", "2", "--seed", "42", "--policy", "periodic", "--min-window-queries", "1",
+    ]
+
+    def test_designer_defaults_to_cliffguard(self):
+        assert build_parser().parse_args(["serve"]).designer == "CliffGuard"
+
+    def test_bandit_designer_serves_deterministically(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main([*self.SERVE, "--designer", "BanditDesigner"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "swaps 0" not in outputs[0]
+        assert main(self.SERVE) == 0
+        assert capsys.readouterr().out != outputs[0]
+
+
 class TestCheckpointFlags:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["gamma"])

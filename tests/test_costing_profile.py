@@ -110,16 +110,14 @@ class TestProfiler:
         assert profiler.profile(texts[-1]) is first[-1]
 
     def test_annotate_neither_inserts_nor_refreshes(self, profiler):
-        """``annotate`` returns what ``profile`` would, keeps nothing,
+        """``annotate`` returns what ``profile`` would, keeps no profile,
         and serves a resident text without moving it in the LRU order."""
-        from repro.sql.parser import parse
-
         texts = [
             f"SELECT sales.amount FROM sales WHERE sales.store = {i}" for i in range(3)
         ]
-        fresh = profiler.annotate(texts[0], parse(texts[0]))
+        fresh, _ = profiler.annotate(texts[0])
         assert len(profiler._profiles) == 0
         assert fresh == profiler.profile(texts[0])
         resident = [profiler.profile(sql) for sql in texts]
-        assert profiler.annotate(texts[0], parse(texts[0])) is resident[0]
+        assert profiler.annotate(texts[0])[0] == resident[0]
         assert [sql for sql, _ in profiler._profiles.items()] == texts

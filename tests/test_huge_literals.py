@@ -41,12 +41,13 @@ def test_profile_on_every_path(request, engine, sql):
     paths = [
         bound,
         cold.profile(sql),
-        cold.annotate(sql + " ", statement),
+        cold.annotate(sql + " ")[0],
         type(warm)(warm.schema).profiler.profile(sql, statement),
+        warm.profiler.annotate(sql)[0],
     ]
     for profile in paths:
         assert 0.0 <= profile.anchor.total_selectivity <= 1.0
-    assert paths[0] == paths[1] == paths[3]
+    assert paths[0] == paths[1] == paths[3] == paths[4]
     assert paths[2].anchor == paths[0].anchor
 
 

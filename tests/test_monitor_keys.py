@@ -1,14 +1,14 @@
 """The keyed drift monitor against the reading it replaced.
 
 :class:`WorkloadMonitor` keeps one template key per window entry (from
-the statement the caller parsed, else from the SQL text) and builds a
-reading's template vector from those keys.  The oracle below is the
+the template the caller handed over, else from the SQL text) and builds
+a reading's template vector from those keys.  The oracle below is the
 monitor as it was before: every reading re-derives the window's vector
 from SQL text, ``distance(reference, Workload(window))``.  Over random
-streams — repeated texts, empty templates, writes, bare and parsed
+streams — repeated texts, empty templates, writes, bare and templated
 observations, rebases and ``restore(state())`` mid-window — readings and
 alarms must be equal bit for bit, and ``pickle.dumps(state())`` byte for
-byte: keys and statements are never part of a checkpoint.
+byte: keys and templates are never part of a checkpoint.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import defaultdict, deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql.ast import SelectStatement
+from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
 from repro.workload.distance import SWGO, WorkloadDistance
 from repro.workload.monitor import DriftAlarm, DriftReading, WorkloadMonitor
@@ -158,7 +158,7 @@ observe_op = st.tuples(
     st.integers(0, len(TEXTS) - 1),
     st.sampled_from([0.0, 0.0, 0.1, 0.4, 0.9, 2.5]),
     st.sampled_from([1.0, 1.0, 2.0, 0.5, 3.25]),
-    st.booleans(),  # observed with its parsed statement
+    st.booleans(),  # observed with its template
 )
 control_op = st.tuples(st.sampled_from(["rebase", "rebase_window", "restore"]))
 streams = st.lists(st.one_of(observe_op, observe_op, observe_op, control_op), max_size=70)
@@ -190,11 +190,11 @@ def test_keyed_monitor_equals_the_text_reading(ops, clauses, threshold, max_log_
     for op in ops:
         kind = op[0]
         if kind == "observe":
-            _, text, step, frequency, parsed = op
+            _, text, step, frequency, templated = op
             day += step
             sql = TEXTS[text]
             query = WorkloadQuery(sql=sql, timestamp=day, frequency=frequency)
-            alarm = monitor.observe(query, parse(sql) if parsed else None)
+            alarm = monitor.observe(query, analyze(parse(sql)) if templated else None)
             assert alarm == oracle.observe(query)
         elif kind == "rebase":
             monitor.rebase()
@@ -223,14 +223,31 @@ def test_keyed_monitor_equals_the_text_reading(ops, clauses, threshold, max_log_
 
 
 def test_statements_live_only_until_the_next_reading():
-    """A parsed statement waits beside its query until a reading (or a
-    window boundary) turns it into its key; none is held past that."""
+    """Nothing the caller hands over with a query outlives the next
+    reading (or window boundary): every window entry is a key, before a
+    rebase, after it and after a reading, and no checkpoint carries one."""
     monitor = WorkloadMonitor(WorkloadDistance(N_COLUMNS), 0.01, **CONFIG)
     for day, sql in enumerate(TEXTS[:4]):
-        monitor.observe(WorkloadQuery(sql=sql, timestamp=day * 0.1), parse(sql))
-    assert all(isinstance(entry, SelectStatement) for entry in monitor._keys)
+        monitor.observe(WorkloadQuery(sql=sql, timestamp=day * 0.1), analyze(parse(sql)))
+    assert all(isinstance(entry, frozenset) for entry in monitor._keys)
     monitor.rebase()  # the reference is the current window, keyed
     assert all(isinstance(entry, frozenset) for entry in monitor._keys)
-    monitor.observe(WorkloadQuery(sql=TEXTS[4], timestamp=0.5), parse(TEXTS[4]))  # a reading
+    monitor.observe(WorkloadQuery(sql=TEXTS[4], timestamp=0.5), analyze(parse(TEXTS[4])))
     assert all(isinstance(entry, frozenset) for entry in monitor._keys)
+    assert b"QueryTemplate" not in pickle.dumps(monitor.state())
     assert b"Statement" not in pickle.dumps(monitor.state())
+
+
+def test_entries_are_keyed_when_observed():
+    """A template handed over with its query is the entry's key at once,
+    and the monitor never reads the text for it: here each query carries
+    another text's template, and the window is keyed by those."""
+    monitor = WorkloadMonitor(WorkloadDistance(N_COLUMNS), 0.01, **CONFIG)
+    handed = [analyze(parse(sql)) for sql in reversed(TEXTS[:4])]
+    for day, (sql, template) in enumerate(zip(TEXTS[:4], handed)):
+        monitor.observe(WorkloadQuery(sql=sql, timestamp=day * 0.1), template)
+    assert list(monitor._keys) == [template_key(t, SWGO) for t in handed]
+    monitor.rebase()
+    monitor.observe(WorkloadQuery(sql=TEXTS[4], timestamp=0.5), handed[0])  # a reading
+    assert len(monitor.readings) == 1
+    assert b"QueryTemplate" not in pickle.dumps(monitor.state())

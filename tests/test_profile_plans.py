@@ -19,8 +19,11 @@ import repro.costing.profile as profile_module
 from repro.catalog.schema import Column, Schema, Table
 from repro.catalog.statistics import TableStatistics
 from repro.catalog.types import ColumnType
-from repro.costing.memo import DEFAULT_MEMO_ENTRIES, BoundedMemo
-from repro.costing.profile import QueryProfiler
+from repro.costing.memo import BoundedMemo
+from repro.costing.profile import PLAN_MEMO_ENTRIES, QueryProfiler
+from repro.engine.optimizer import ColumnarCostModel
+from repro.rowstore.optimizer import RowstoreCostModel
+from repro.sql.analyzer import analyze
 from repro.sql.lexer import LITERALS
 from repro.sql.parser import parse
 from tests.corpus import star_pool
@@ -193,7 +196,7 @@ def test_a_shape_is_parsed_once(edge_schema):
 def test_plan_memo_is_bounded_and_per_profiler(edge_schema):
     profiler = _profiler(edge_schema)
     assert isinstance(profiler._plans, BoundedMemo)
-    assert profiler._plans.max_entries == DEFAULT_MEMO_ENTRIES
+    assert profiler._plans.max_entries == PLAN_MEMO_ENTRIES
     profiler.profile("SELECT x FROM t WHERE x = 1")
     assert len(_profiler(edge_schema)._plans) == 0
 
@@ -201,6 +204,56 @@ def test_plan_memo_is_bounded_and_per_profiler(edge_schema):
 def test_a_given_statement_leaves_the_plan_memo_alone(edge_schema):
     profiler = _profiler(edge_schema)
     sql = "SELECT x FROM t WHERE x = 1"
-    profiler.annotate(sql, parse(sql))
     profiler.profile(sql, parse(sql))
     assert len(profiler._plans) == 0
+
+
+def test_annotate_keeps_one_plan_per_shape(edge_schema):
+    profiler = _profiler(edge_schema)
+    texts = [f"SELECT x FROM t WHERE x < {i} AND s = 'v{i}'" for i in range(10)]
+    texts += [f"DELETE FROM t WHERE x <= {i}" for i in range(10)]
+    with _counted_parses() as parses:
+        annotated = [profiler.annotate(sql) for sql in texts]
+    assert parses[0] == 2
+    assert len(profiler._plans) == 2
+    assert len(profiler._profiles) == 0
+    cold = [_profiler(edge_schema).profile(sql) for sql in texts]
+    assert [profile for profile, _ in annotated] == cold
+
+
+def test_a_stream_of_new_shapes_keeps_at_most_the_bound(edge_schema):
+    """Annotating a stream whose every text is a new shape keeps the
+    newest PLAN_MEMO_ENTRIES plans and no profile; an evicted shape's
+    next text is parsed again and profiles as a cold parse does."""
+    profiler = _profiler(edge_schema)
+    texts = [f"SELECT SUM(x) AS a{i} FROM t WHERE x < {i}" for i in range(PLAN_MEMO_ENTRIES + 10)]
+    for sql in texts:
+        profiler.annotate(sql)
+    assert len(profiler._plans) == PLAN_MEMO_ENTRIES
+    assert profiler._plans.evictions == 10
+    assert len(profiler._profiles) == 0
+    evicted, kept = texts[0].replace("< 0", "< 7"), texts[-1].replace("< ", "< 1")
+    cold = {sql: _profiler(edge_schema).profile(sql) for sql in (evicted, kept)}
+    with _counted_parses() as parses:
+        assert profiler.annotate(kept)[0] == cold[kept]
+        assert parses[0] == 0
+        assert profiler.annotate(evicted)[0] == cold[evicted]
+        assert parses[0] == 1
+    assert len(profiler._plans) == PLAN_MEMO_ENTRIES
+
+
+@pytest.mark.parametrize("family", ["r1", "htap", "ecommerce"])
+@pytest.mark.parametrize("engine", [ColumnarCostModel, RowstoreCostModel])
+def test_annotate_equals_profile_and_analyze(family, engine):
+    """Every corpus text annotates, cold and warm, to its profile and to
+    the template of its parse: a plan's template reads no literal."""
+    schema, sqls = star_pool(family)
+    reference = engine(schema)
+    expected = {sql: (reference.profile(sql), analyze(parse(sql))) for sql in sqls}
+    for sql in sqls:
+        assert engine(schema).annotate(sql) == expected[sql]
+    warm = engine(schema)
+    for _ in range(2):  # planning each shape's first text, then all bound
+        for sql in sqls:
+            assert warm.annotate(sql) == expected[sql]
+    assert len(warm.profiler._plans) < len(sqls)

@@ -315,6 +315,64 @@ class TestOneThread:
         assert set(pricings) | set(swaps) == {threading.get_ident()}
 
 
+# -- the front end ------------------------------------------------------------------
+
+
+def _parses_inside(monkeypatch, method: str) -> list[int]:
+    """Count every parse (whatever module calls it) made inside the
+    daemon's ``method``; the count is the returned list's one element."""
+    from repro.sql import parser
+
+    count, inside = [0], [False]
+    parse_statement = parser._Parser.parse_statement
+    wrapped = getattr(daemon_module.ServeDaemon, method)
+
+    def counting(self):
+        count[0] += inside[0]
+        return parse_statement(self)
+
+    def marked(daemon, *args):
+        inside[0] = True
+        try:
+            return wrapped(daemon, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(parser._Parser, "parse_statement", counting)
+    monkeypatch.setattr(daemon_module.ServeDaemon, method, marked)
+    return count
+
+
+class TestFrontEnd:
+    """A served text is bound to its shape's plan: ingest parses once
+    per new shape, and nothing downstream parses a served text again."""
+
+    def test_ingest_parses_once_per_shape(self, monkeypatch):
+        from repro.sql.lexer import LITERALS
+
+        parses = _parses_inside(monkeypatch, "_price")
+        session = tiny_session()
+        outcome = session.serve(tiny_config())
+        check_invariants(outcome)
+        assert outcome.swaps >= 1
+        texts = {query.sql for query in session.context.trace("R1")}
+        shapes = set()
+        for sql in texts:
+            parts = LITERALS.split(sql)
+            shapes.add((tuple(parts[0::3]), tuple(map(bool, parts[1::3]))))
+        assert parses[0] == len(shapes) < len(texts)
+
+    def test_learner_observation_parses_nothing(self, monkeypatch):
+        parses = _parses_inside(monkeypatch, "_observe_window")
+        session = tiny_session(workload="ECOMMERCE", days=56, queries_per_day=5, seed=42)
+        daemon = session.daemon(
+            tiny_config(designer="BanditDesigner", policy="periodic", every=1, min_window_queries=1)
+        )
+        outcome = daemon.run()
+        assert daemon.learner.observations >= outcome.windows - 1 >= 2
+        assert parses[0] == 0
+
+
 # -- degradation --------------------------------------------------------------------
 
 

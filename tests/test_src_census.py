@@ -118,10 +118,6 @@ def test_allowlist_is_current():
 
 #: Config fields only tests set, kept on purpose: ``Config.field`` -> why.
 KNOBS_ALLOWED = {
-    "ServeConfig.designer": (
-        "selects the online-learner serve path (BanditDesigner; "
-        "docs/designers.md, ROADMAP 2-b)"
-    ),
     "ExperimentScale.budget_fraction": "ROADMAP item 4-ii sweeps the budget",
 }
 
