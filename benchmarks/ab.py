@@ -13,9 +13,12 @@ q1–q3, the change's median as a share of the base's, and "ahead k/n":
 the pairs the change won, ties counting for neither side.  A metric
 whose change won at least nine tenths of the pairs by more than the
 base's own q1–q3 spread in the median reads ``better`` (``worse`` the
-other way round); anything else reads ``-``.
+other way round); anything else reads ``-``.  A row whose change median
+is worse than the base median by more than the metric's BENCHMARK.json
+``bound`` (a fraction of the base median) also reads ``past bound``.
 
-Exits 1 when any run reports ``correct: false`` or ``failed > 0``.
+Exits 1 when any run reports ``correct: false`` or ``failed > 0``, or
+when any row is past its bound.
 """
 
 from __future__ import annotations
@@ -76,12 +79,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(
-    pairs: dict[str, list[tuple[dict, dict]]], better: dict[str, str]
+    pairs: dict[str, list[tuple[dict, dict]]],
+    better: dict[str, str],
+    bounds: dict[str, float] | None = None,
 ) -> tuple[list[str], bool]:
     """``(lines, failed)`` for ``{workload: [(base result, change result), ...]}``.
 
-    ``better`` maps each end-to-end metric to ``"lower"`` or ``"higher"``.
+    ``better`` maps each end-to-end metric to ``"lower"`` or ``"higher"``,
+    ``bounds`` each to the fraction of the base median by which its
+    change median may be worse; ``failed`` is set by a failed run or a
+    row past its bound.
     """
+    bounds = bounds or {}
     lines: list[str] = []
     failed = False
     for workload, results in pairs.items():
@@ -109,11 +118,15 @@ def summarize(
                 verdict = "worse"
             unit = results[0][0]["metrics"][metric]["unit"]
             ratio = f"{cmed / bmed:.3f}" if bmed else "n/a"
-            lines.append(
+            line = (
                 f"{workload}  {metric}  base {bmed:.6g} [{bq1:.6g}–{bq3:.6g}]  "
                 f"change {cmed:.6g} [{cq1:.6g}–{cq3:.6g}] {unit}  "
                 f"change/base {ratio}  ahead {ahead}/{len(results)}  {verdict}"
             )
+            if metric in bounds and sign * (cmed - bmed) > bounds[metric] * abs(bmed):
+                failed = True
+                line += "  past bound"
+            lines.append(line)
     return lines, failed
 
 
@@ -126,6 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = float(manifest["run_seconds"])
     better = {metric["name"]: metric["better"] for metric in manifest["end_to_end"]}
+    bounds = {metric["name"]: float(metric["bound"]) for metric in manifest["end_to_end"]}
     pairs: dict[str, list[tuple[dict, dict]]] = {}
     with tempfile.TemporaryDirectory(prefix="ab-base-") as scratch:
         base = export(args.base, Path(scratch))
@@ -137,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 pair = (first, second) if k % 2 == 0 else (second, first)
                 pairs[workload].append(pair)
                 print(f"{workload} seed {seed}: pair {k + 1}/{len(args.seeds)} done", file=sys.stderr)
-    lines, failed = summarize(pairs, better)
+    lines, failed = summarize(pairs, better, bounds)
     print("\n".join(lines))
     return 1 if failed else 0
 

@@ -91,8 +91,9 @@ class ExecutionBackend(abc.ABC):
         return settled(fn, task)
 
     def shutdown(self) -> None:
-        """Release pooled workers (idempotent; the backend stays usable —
-        pools are recreated lazily on the next ``map``)."""
+        """Release pooled workers and wait for them to exit (idempotent;
+        the backend stays usable — pools are recreated lazily on the next
+        ``map``)."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -145,9 +146,15 @@ class _PoolBackend(ExecutionBackend):
         return self._pool
 
     def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._drop_pool(wait=True)
+
+    def _drop_pool(self, wait: bool) -> None:
+        """Cancel the pool's pending tasks and forget it; ``wait`` joins
+        its workers.  The degrade paths drop a broken or closed pool
+        without waiting, so they never block on it."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
 
     def submit(self, fn, task) -> Future:
         """Launch one task on the pool without blocking the caller.
@@ -165,7 +172,7 @@ class _PoolBackend(ExecutionBackend):
                 self.name,
                 exc,
             )
-            self.shutdown()
+            self._drop_pool(wait=False)
             return settled(fn, task)
 
     def _run(self, fn, tasks: list) -> list:
@@ -190,7 +197,7 @@ class _PoolBackend(ExecutionBackend):
                     tasks=len(tasks),
                     error=repr(exc),
                 )
-            self.shutdown()
+            self._drop_pool(wait=False)
             failed = [(i, exc) for i in range(len(tasks))]
             futures = []
         broken = False
@@ -211,7 +218,7 @@ class _PoolBackend(ExecutionBackend):
                 failed.append((i, exc))
                 if not broken:
                     broken = True
-                    self.shutdown()
+                    self._drop_pool(wait=False)
             except Exception as exc:
                 failed.append((i, exc))
         for i, exc in failed:

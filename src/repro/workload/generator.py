@@ -526,6 +526,53 @@ def s2_profile(**overrides) -> DriftProfile:
 # -- the generator ------------------------------------------------------------------------
 
 
+class _RevivalArchive:
+    """One topic's retired templates, oldest first, with their retirement
+    days as a float64 array that moves in step with them.
+
+    Entries are retired in day order and leave only by revival (any
+    position) or pruning (a prefix), so the days stay nondecreasing and
+    a revival draw weighs every entry without a Python loop.
+    """
+
+    __slots__ = ("specs", "_days")
+
+    def __init__(self) -> None:
+        self.specs: list[TemplateSpec] = []
+        self._days = np.empty(16, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    @property
+    def days(self) -> np.ndarray:
+        """Retirement day of each entry in :attr:`specs` (a view)."""
+        return self._days[: len(self.specs)]
+
+    def retire(self, spec: TemplateSpec, day: float) -> None:
+        n = len(self.specs)
+        if n == len(self._days):
+            self._days = np.concatenate([self._days, np.empty_like(self._days)])
+        self._days[n] = day
+        self.specs.append(spec)
+
+    def pop(self, index: int) -> TemplateSpec:
+        n = len(self.specs)
+        self._days[index : n - 1] = self._days[index + 1 : n]
+        return self.specs.pop(index)
+
+    def prune(self, cutoff: float, cap: int | None) -> None:
+        """Drop entries retired before ``cutoff``, then all but the newest
+        ``cap`` (a binary search on the sorted days; no randomness)."""
+        n = len(self.specs)
+        drop = int(np.searchsorted(self._days[:n], cutoff))
+        if cap is not None:
+            drop = max(drop, n - cap)
+        if drop:
+            self._days[: n - drop] = self._days[drop:n]
+            del self.specs[:drop]
+
+
 class TraceGenerator:
     """Generates a timestamped query stream from a drift profile."""
 
@@ -568,9 +615,9 @@ class TraceGenerator:
         self._log_weights = self.rng.normal(0.0, 0.3, size=profile.topic_count)
         self._burst_topic: int | None = None
         self._burst_days_left = 0
-        #: Per-topic archive of retired templates: (spec, retirement day).
-        self._archive: list[list[tuple[TemplateSpec, float]]] = [
-            [] for _ in range(profile.topic_count)
+        #: Per-topic archive of retired templates and their retirement days.
+        self._archive: list[_RevivalArchive] = [
+            _RevivalArchive() for _ in range(profile.topic_count)
         ]
         self._day = 0.0
         # Start the churn regime walk from its stationary distribution so
@@ -607,7 +654,7 @@ class TraceGenerator:
         for t, (topic_roles, topic) in enumerate(zip(self._topic_roles, self._topics)):
             for i, spec in enumerate(topic):
                 if self.rng.random() < churn:
-                    self._archive[t].append((spec, self._day))
+                    self._archive[t].retire(spec, self._day)
                     topic[i] = self._replacement(t, spec, topic_roles)
         self._prune_archives()
         for i, spec in enumerate(self._core):
@@ -623,23 +670,15 @@ class TraceGenerator:
         """Bound the revival archives (draws no randomness).
 
         Entries older than the retention horizon have revival weight below
-        ``e^-6`` — practically unreachable — yet before this fix every
-        retired template was kept forever, growing each archive linearly
-        with stream length.  Archives are appended in day order, so the
-        prefix is the oldest.
+        ``e^-6`` — practically unreachable — and keeping them would grow
+        each archive linearly with stream length.  Archives are appended
+        in day order, so the prefix is the oldest.
         """
         profile = self.profile
         horizon = REVIVAL_MIN_AGE_DAYS + 6.0 * profile.revival_halflife_days
         cutoff = self._day - horizon
         for archive in self._archive:
-            drop = 0
-            while drop < len(archive) and archive[drop][1] < cutoff:
-                drop += 1
-            if drop:
-                del archive[:drop]
-            cap = profile.archive_cap
-            if cap is not None and len(archive) > cap:
-                del archive[: len(archive) - cap]
+            archive.prune(cutoff, profile.archive_cap)
 
     def _replacement(
         self, topic_index: int, dying: TemplateSpec, topic_roles: StarRoles
@@ -659,7 +698,7 @@ class TraceGenerator:
             and archive
             and self.rng.random() < profile.revival_probability
         ):
-            ages = np.array([self._day - died for _, died in archive], dtype=np.float64)
+            ages = self._day - archive.days
             mature = ages - REVIVAL_MIN_AGE_DAYS
             weights = np.where(
                 mature >= 0,
@@ -669,8 +708,7 @@ class TraceGenerator:
             total = weights.sum()
             if total > 0:
                 pick = int(self.rng.choice(len(archive), p=weights / total))
-                revived, _ = archive.pop(pick)
-                return revived
+                return archive.pop(pick)
         return _mutate_spec(dying, topic_roles, self.rng)
 
     def _topic_weights(self) -> np.ndarray:

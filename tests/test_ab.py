@@ -80,3 +80,16 @@ def test_empty_or_garbled_output_is_a_failed_run(monkeypatch):
 def test_a_zero_base_median_has_no_ratio():
     lines, failed = _ab().summarize({"w": [(_line(0.0, 100.0), _line(1.0, 100.0))]}, BETTER)
     assert not failed and "change/base n/a" in lines[0]
+
+
+def test_a_row_past_its_bound_fails_the_comparison():
+    base = [_line(1.0 + k / 100, 100.0) for k in range(4)]
+    within = [_line(1.2 + k / 100, 114.0) for k in range(4)]  # +20 % p50, +14 % rss
+    past = [_line(1.3 + k / 100, 116.0) for k in range(4)]  # +30 % p50, +16 % rss
+    bounds = {"unit_ms_p50": 0.25, "peak_rss_mb": 0.15}
+    lines, failed = _ab().summarize({"w": list(zip(base, within))}, BETTER, bounds)
+    assert not failed and not any("past bound" in line for line in lines)
+    lines, failed = _ab().summarize({"w": list(zip(base, past))}, BETTER, bounds)
+    assert failed and all(line.endswith("worse  past bound") for line in lines)
+    lines, failed = _ab().summarize({"w": list(zip(past, base))}, BETTER, bounds)
+    assert not failed and all(line.endswith("better") for line in lines)

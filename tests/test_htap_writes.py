@@ -43,6 +43,7 @@ from repro.workload.families import ecommerce_profile, htap_profile, oltp_profil
 from repro.workload.generator import (
     REVIVAL_MIN_AGE_DAYS,
     TraceGenerator,
+    _RevivalArchive,
     build_star_schema,
     s2_profile,
 )
@@ -386,7 +387,36 @@ class TestArchiveRetention:
         gen.generate(days=600)
         horizon = REVIVAL_MIN_AGE_DAYS + 6.0 * 5.0
         for archive in gen._archive:
-            assert all(gen._day - died <= horizon for _, died in archive)
+            assert np.all(gen._day - archive.days <= horizon)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"archive_cap": 16}, {"archive_cap": None, "revival_halflife_days": 5.0}],
+        ids=["cap", "horizon"],
+    )
+    def test_days_move_in_step_with_specs(self, tiny_star, monkeypatch, overrides):
+        """Under revivals, the cap and the horizon, each topic's day array
+        is its kept specs' retirement days, in order, and nondecreasing."""
+        schema, roles = tiny_star
+        retired: dict[int, tuple[object, float]] = {}
+        retire = _RevivalArchive.retire
+
+        def recording_retire(archive, spec, day):
+            retired[id(spec)] = (spec, day)  # holds ``spec``, so its id stays unique
+            retire(archive, spec, day)
+
+        monkeypatch.setattr(_RevivalArchive, "retire", recording_retire)
+        profile = htap_profile(
+            queries_per_day=4, topic_count=3, templates_per_topic=3, **overrides
+        )
+        gen = TraceGenerator(schema, roles, profile, seed=8)
+        gen.generate(days=400)
+        assert sum(len(archive) for archive in gen._archive) > 0
+        for archive in gen._archive:
+            expected = [retired[id(spec)][1] for spec in archive.specs]
+            assert archive.days.dtype == np.float64
+            assert archive.days.tolist() == expected
+            assert np.all(np.diff(archive.days) >= 0)
 
     def test_non_binding_cap_is_byte_identical(self, tiny_star):
         """When neither the cap nor the horizon binds, the trace is

@@ -8,6 +8,7 @@ the ``parallel.*`` instruments in the metrics registry.
 
 import os
 from collections import Counter
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -108,6 +109,26 @@ class TestFaultTolerance:
         with ThreadBackend(jobs=2) as backend:
             assert backend.map(_fail_first_attempt, [10, 11]) == [20, 22]
         assert (_counts() - before)["parallel.retries"] == 2
+
+    def test_submit_on_a_broken_pool_runs_inline(self):
+        # The worker's exit breaks the pool; the next submit degrades to
+        # an inline run and drops the broken pool without joining it.
+        backend = ProcessBackend(jobs=1)
+        with pytest.raises(BrokenExecutor):
+            backend.submit(_exit_in_worker, 1).result(timeout=60)
+        future = backend.submit(_double, 2)
+        assert future.done() and future.result() == 4
+        assert backend._pool is None
+        assert backend.map(_double, [3]) == [6]  # a fresh pool
+        backend.shutdown()
+
+    def test_shutdown_joins_every_worker(self):
+        backend = ProcessBackend(jobs=2)
+        assert backend.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        workers = list(backend._pool._processes.values())
+        assert workers
+        backend.shutdown()
+        assert [w.pid for w in workers if w.is_alive()] == []
 
     def test_pool_usable_after_shutdown(self):
         backend = ThreadBackend(jobs=2)
